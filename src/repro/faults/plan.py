@@ -74,7 +74,8 @@ class FaultPlan:
             :class:`~repro.harness.executor.SupervisedExecutor`.
         worker_hang_rate: P(per boundary) the hosting process busy-spins
             (CPU-bound, heartbeats stop) for ``worker_hang_seconds`` —
-            the uninterruptible hang ``guarded_run`` cannot kill.
+            a hang no in-process timeout can stop; only the supervisor's
+            SIGKILL ends it.
         worker_hang_seconds: wall-clock length of an injected process hang
             (finite, so an *unsupervised* run eventually recovers instead
             of wedging forever).

@@ -1,9 +1,9 @@
 """Experiment harness: runners, sweeps, sampling and report formatting for
 regenerating every table and figure of the paper's evaluation (§5–§6),
-hardened with a structured error taxonomy, per-run timeout/retry, a JSONL
-run journal (single-writer locked) for crash-resilient checkpoint/resume
-sweeps, and a process-isolated supervised executor that contains crashes
-and enforces timeout/heartbeat limits with SIGKILL."""
+hardened with a structured error taxonomy, a JSONL run journal
+(single-writer locked) for crash-resilient checkpoint/resume sweeps, and a
+process-isolated supervised executor that contains crashes and enforces
+timeout/heartbeat limits with SIGKILL."""
 
 from repro.harness.errors import (
     FAILURE_KINDS,
@@ -22,7 +22,6 @@ from repro.harness.executor import (
     register_task_kind,
 )
 from repro.harness.journal import RunJournal
-from repro.harness.resilience import RetryPolicy, guarded_run
 from repro.harness.runner import RunConfig, RunResult, run_fixed, run_adts, run_mix_average
 from repro.harness.sampling import SampledRunner, SampleSpec
 from repro.harness.sweep import SweepResult, threshold_type_grid
@@ -53,8 +52,6 @@ __all__ = [
     "SupervisedExecutor",
     "WorkItem",
     "register_task_kind",
-    "RetryPolicy",
-    "guarded_run",
     "RunConfig",
     "RunResult",
     "run_fixed",

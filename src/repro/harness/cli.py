@@ -28,9 +28,11 @@ Commands map one-to-one onto the experiment index (DESIGN.md §4):
 ``run`` accepts ``--faults counters,dt,policy,hangs`` (or ``all``) to
 inject seeded faults; ``grid`` accepts ``--journal PATH`` / ``--resume``
 for crash-resilient checkpoint/resume sweeps and ``--workers N`` to run
-cells in supervised child processes (crash containment, SIGKILL-enforced
-timeouts and heartbeat-staleness limits, bounded restarts) — results are
-identical to the serial sweep for any worker count. ``grid`` also accepts
+its per-mix lockstep batches in supervised child processes (crash
+containment, SIGKILL-enforced timeouts and heartbeat-staleness limits,
+bounded restarts) — results are identical to the in-process sweep for any
+worker count. ``--retries``, ``--run-timeout`` and ``--heartbeat-timeout``
+apply per batch attempt and need ``--workers``. ``grid`` also accepts
 ``--faults disk`` to run the sweep under seeded filesystem faults (torn
 writes, mid-record ENOSPC, failed renames): the storage layer recovers or
 regenerates every artifact, so the aggregate is identical to a fault-free
@@ -63,7 +65,6 @@ from repro.harness.experiments import (
 )
 from repro.harness.journal import RunJournal
 from repro.harness.report import format_series, format_table
-from repro.harness.resilience import RetryPolicy
 from repro.harness.runner import RunConfig, run_adts, run_fixed
 from repro.policies.registry import POLICY_NAMES
 from repro.workloads.mixes import MIXES
@@ -163,6 +164,12 @@ def _install_pool_signal_handlers(executor, journal) -> None:
 
 def cmd_grid(args) -> None:
     """`repro grid`: the Figure 7/8 sweep on the detailed engine."""
+    if args.workers < 1 and (args.retries > 1 or args.run_timeout is not None
+                             or args.heartbeat_timeout is not None):
+        raise SystemExit(
+            "--retries, --run-timeout and --heartbeat-timeout are enforced "
+            "by the supervised executor: add --workers N (N >= 1)"
+        )
     defaults = _defaults(args)
     plan = _fault_plan(args)
     journal = None
@@ -179,9 +186,6 @@ def cmd_grid(args) -> None:
             print(msg, file=sys.stderr)
         else:
             journal.clear()
-    retry = None
-    if args.retries > 1 or args.run_timeout is not None:
-        retry = RetryPolicy(attempts=args.retries, timeout_s=args.run_timeout)
     executor = None
     if args.workers > 0:
         from repro.harness.executor import ExecutorConfig, SupervisedExecutor
@@ -191,7 +195,6 @@ def cmd_grid(args) -> None:
             run_timeout_s=args.run_timeout,
             heartbeat_timeout_s=args.heartbeat_timeout,
             max_restarts=max(0, args.retries - 1),
-            checkpoint_dir=args.checkpoint_dir,
         ))
         _install_pool_signal_handlers(executor, journal)
     mixes = [m.strip() for m in args.mixes.split(",") if m.strip()] if args.mixes else None
@@ -205,7 +208,7 @@ def cmd_grid(args) -> None:
     disk = plan.disk_plan() if plan is not None else None
     session = faultfs_session(disk) if disk is not None else nullcontext()
     with session as ffs:
-        grid = run_grid(defaults, quick=not args.full, journal=journal, retry=retry,
+        grid = run_grid(defaults, quick=not args.full, journal=journal,
                         executor=executor, mixes=mixes, fault_plan=plan,
                         batch=args.batch or None)
         if executor is not None and executor.failures:
@@ -965,21 +968,21 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--resume", action="store_true",
                            help="skip cells already in the journal")
             p.add_argument("--retries", type=int, default=1,
-                           help="attempts per cell before giving up")
+                           help="attempts per batch before giving up "
+                                "(needs --workers)")
             p.add_argument("--run-timeout", type=float, default=None,
-                           help="per-cell wall-clock budget in seconds")
+                           help="per-batch-attempt wall-clock budget in "
+                                "seconds (needs --workers)")
             p.add_argument("--workers", type=int, default=0, metavar="N",
-                           help="run cells in N supervised child processes "
-                                "(0 = serial, in-process)")
+                           help="run batches in N supervised child processes "
+                                "(0 = in-process)")
             p.add_argument("--heartbeat-timeout", type=float, default=None,
-                           help="kill a worker whose last per-quantum "
-                                "heartbeat is older than this many seconds")
-            p.add_argument("--checkpoint-dir", default=None, metavar="DIR",
-                           help="directory for per-cell mid-run snapshots; "
-                                "retries resume instead of recomputing")
+                           help="kill a worker whose last lockstep-round "
+                                "heartbeat is older than this many seconds "
+                                "(needs --workers)")
             p.add_argument("--batch", type=int, default=0, metavar="N",
                            help="simulate N cells per lockstep batch-engine "
-                                "pass (0 = one run per cell); bit-identical "
+                                "pass (0 = one batch per mix); bit-identical "
                                 "results, per-cell journal keys — any batch "
                                 "size resumes any other")
             p.add_argument("--mixes", default=None, metavar="M1,M2",

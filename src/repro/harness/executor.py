@@ -1,30 +1,30 @@
-"""Process-isolated supervised executor for sweep cells.
+"""Process-isolated supervised executor for sweep batches and service cells.
 
-:func:`~repro.harness.resilience.guarded_run` can bound a run's wall-clock,
-but it cannot *stop* a hung attempt: CPython offers no way to kill a
-compute-bound thread, so a timed-out cell keeps burning a core. This module
-closes that hole by running every cell in a child **process** under a
-supervisor that enforces limits with SIGKILL:
+An in-process timeout cannot *stop* a hung attempt: CPython offers no way
+to kill a compute-bound thread, so a timed-out run keeps burning a core.
+This module is the repository's only hard-limit mechanism. It runs every
+work item in a child **process** under a supervisor that enforces limits
+with SIGKILL:
 
-* a pool of up to ``workers`` concurrent cell processes;
-* per-run **heartbeats**: workers report every finished quantum over a
-  pipe, so the supervisor distinguishes *hung* (stale heartbeat → killed)
-  from merely *slow* (heartbeats flowing → left alone);
+* a pool of up to ``workers`` concurrent item processes;
+* per-run **heartbeats**: workers report progress over a pipe (every
+  quantum for a service cell, every lockstep round for a grid batch), so
+  the supervisor distinguishes *hung* (stale heartbeat → killed) from
+  merely *slow* (heartbeats flowing → left alone);
 * a hard per-attempt **wall-clock limit**, also enforced with SIGKILL;
 * **crash containment**: a segfault, OOM-kill or stray ``kill -9`` takes
-  down one cell's process, not the sweep;
-* bounded **restart with backoff** per cell; retries strip process-killing
+  down one item's process, not the sweep;
+* bounded **restart with backoff** per item; retries strip process-killing
   worker faults (``FaultPlan.without_worker_faults``) so an injected crash
-  is survived rather than replayed forever, and resume from the cell's
-  latest mid-run checkpoint when a checkpoint directory is configured;
-* **deterministic aggregation**: results are keyed by cell identity and
-  reassembled in canonical sweep order, so the aggregate is bit-identical
-  to a serial sweep regardless of worker count, completion order, crashes
-  or restarts (every run is seed-deterministic);
-* :class:`~repro.harness.journal.RunJournal` integration: journaled cells
-  are served without spawning a worker, finished cells are durably appended
-  by the supervisor (the journal's single-writer lock lives in the parent —
-  workers never touch the journal file).
+  is survived rather than replayed forever, and a service cell resumes
+  from its latest mid-run checkpoint when a checkpoint directory is
+  configured;
+* **deterministic aggregation**: results are keyed by item and the sweep
+  reassembles them in canonical grid order, so the aggregate is
+  bit-identical regardless of worker count, completion order, crashes or
+  restarts (every run is seed-deterministic). The sweep journals each
+  finished cell itself — the journal's single-writer lock lives in the
+  parent and workers never touch the journal file.
 
 The supervisor records every failed attempt in :attr:`SupervisedExecutor.
 failures` using the stable taxonomy strings of
@@ -50,7 +50,7 @@ from __future__ import annotations
 import hashlib
 import multiprocessing
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional
 
@@ -66,7 +66,6 @@ from repro.harness.errors import (
     RunTimeoutError,
     WorkerCrashError,
 )
-from repro.harness.journal import RunJournal
 from repro.smt.checkpoint import CheckpointPlan
 from repro.smt.invariants import InvariantViolation
 
@@ -87,77 +86,23 @@ def register_task_kind(name: str, fn: TaskFn) -> None:
     TASK_KINDS[name] = fn
 
 
-def _run_grid_cell(spec: dict, progress, checkpoint_path: Optional[Path]) -> dict:
-    """The grid-sweep cell task: one ADTS run at (threshold, heuristic, mix).
-
-    Payload matches the serial sweep's ``_run_cell`` exactly — that identity
-    is what makes parallel and serial grids interchangeable.
-    """
-    from repro.harness.runner import run_adts
-
-    cfg = replace(spec["config"], mix=spec["mix"])
-    plan = spec.get("fault_plan")
-    if plan is not None and spec.get("strip_worker_faults"):
-        plan = plan.without_worker_faults()
-    checkpoint = None
-    if checkpoint_path is not None:
-        checkpoint = CheckpointPlan(path=checkpoint_path)
-    r = run_adts(
-        cfg,
-        heuristic=spec["heuristic"],
-        thresholds=ThresholdConfig(ipc_threshold=spec["threshold"]),
-        fault_plan=plan,
-        progress=progress,
-        checkpoint=checkpoint,
-        invariants=spec.get("invariants"),
-    )
-    return {
-        "ipc": r.ipc,
-        "switches": r.scheduler.get("switches", 0),
-        "benign_probability": r.scheduler.get("benign_probability", 0.0),
-    }
-
-
-register_task_kind("grid_cell", _run_grid_cell)
-
-
 def _run_grid_batch(spec: dict, progress, checkpoint_path: Optional[Path]) -> dict:
-    """A batch-of-cells task: one lockstep engine pass over many grid cells.
+    """The grid-sweep task: one lockstep engine pass over a batch of cells.
 
     ``spec["cells"]`` is a list of ``(threshold, heuristic, mix, key)``
-    tuples; the payload maps each cell's journal key to the same per-cell
-    dict ``_run_grid_cell`` returns, so the sweep can journal and aggregate
-    batched cells interchangeably with serial ones. ``progress`` fires per
-    lockstep round (all cells advance together, so rounds are the natural
-    heartbeat). Mid-run checkpoints are not taken for batches — a restarted
-    attempt recomputes the batch, which shared stepping keeps cheap.
+    tuples; the payload maps each cell's journal key to its per-cell dict
+    (:func:`~repro.harness.sweep.run_cells`, the same function an inline
+    sweep calls). ``progress`` fires per lockstep round (all cells advance
+    together, so rounds are the natural heartbeat). Mid-run checkpoints
+    are not taken for batches — a restarted attempt recomputes the batch,
+    which shared stepping keeps cheap.
     """
-    from repro.harness.runner import BatchRunSpec, run_batch
+    from repro.harness.sweep import run_cells
 
-    base = spec["config"]
     plan = spec.get("fault_plan")
     if plan is not None and spec.get("strip_worker_faults"):
         plan = plan.without_worker_faults()
-    specs = [
-        BatchRunSpec(
-            config=replace(base, mix=mix),
-            heuristic=h,
-            thresholds=ThresholdConfig(ipc_threshold=m),
-            fault_plan=plan,
-        )
-        for (m, h, mix, _key) in spec["cells"]
-    ]
-    results = run_batch(specs, progress=progress)
-    return {
-        "cells": {
-            key: {
-                "ipc": r.ipc,
-                "switches": r.scheduler.get("switches", 0),
-                "benign_probability": r.scheduler.get("benign_probability", 0.0),
-            }
-            for (_m, _h, _mix, key), r in zip(spec["cells"], results)
-        }
-    }
+    return {"cells": run_cells(spec["config"], spec["cells"], plan, progress)}
 
 
 register_task_kind("grid_batch", _run_grid_batch)
@@ -220,22 +165,20 @@ register_task_kind("service_cell", _run_service_cell)
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
 class WorkItem:
-    """One supervised unit of work.
+    """One supervised unit of work, keyed by ``label``.
 
-    ``key`` doubles as the journal key and the result key; items without a
-    key are keyed by ``label``. ``spec`` is handed to the task function in
-    the child and must be picklable.
+    ``kind`` names a registered task (:data:`TASK_KINDS`); ``spec`` is
+    handed to the task function in the child and must be picklable.
     """
 
     label: str
-    kind: str = "grid_cell"
+    kind: str
     spec: dict = field(default_factory=dict)
-    key: Optional[str] = None
     shard: Optional[int] = None  # owning shard behind a sharded front-door
 
     @property
     def result_key(self) -> str:
-        return self.key if self.key is not None else self.label
+        return self.label
 
 
 @dataclass(frozen=True)
@@ -243,20 +186,21 @@ class ExecutorConfig:
     """Supervisor knobs.
 
     Attributes:
-        workers: concurrent cell processes.
+        workers: concurrent item processes.
         run_timeout_s: hard per-attempt wall-clock limit (None = unbounded).
         heartbeat_timeout_s: kill a worker whose last heartbeat is older
             than this (None = no staleness check). Distinguishes hung from
-            slow: a slow run heartbeats every quantum and is never killed
-            by this limit.
-        max_restarts: extra attempts per cell after the first fails.
+            slow: a slow run heartbeats every quantum (every lockstep round
+            for a grid batch) and is never killed by this limit.
+        max_restarts: extra attempts per item after the first fails.
         restart_backoff_s / backoff_factor: exponential delay before retries.
         poll_interval_s: supervisor wake-up period.
         start_method: multiprocessing start method; None picks ``fork``
             where available (cheap on Linux) else ``spawn``.
-        checkpoint_dir: directory for per-cell mid-run snapshots; retries
-            resume from the latest snapshot instead of recomputing finished
-            quanta. None disables sub-cell checkpointing.
+        checkpoint_dir: directory for per-cell mid-run snapshots of
+            service cells; retries resume from the latest snapshot instead
+            of recomputing finished quanta. Grid batches take none. None
+            disables sub-cell checkpointing.
     """
 
     workers: int = 2
@@ -436,32 +380,17 @@ class SupervisedExecutor:
         self._kill_all(live)
 
     # -- batch API ----------------------------------------------------------
-    def run(
-        self, items: List[WorkItem], journal: Optional[RunJournal] = None
-    ) -> Dict[str, dict]:
+    def run(self, items: List[WorkItem]) -> Dict[str, dict]:
         """Execute every item; return ``{item.result_key: payload}``.
 
-        Items already present in ``journal`` are served from it without
-        spawning a worker; freshly completed items are recorded to it from
-        the supervisor (single journal writer). A cell that still fails
-        after ``max_restarts`` restarts kills the remaining workers and
-        raises :class:`~repro.harness.errors.RunFailedError` with the final
-        attempt's failure chained — same contract as the serial sweep's
-        ``guarded_run``.
+        An item that still fails after ``max_restarts`` restarts kills the
+        remaining workers and raises
+        :class:`~repro.harness.errors.RunFailedError` with the final
+        attempt's failure chained.
         """
         results: Dict[str, dict] = {}
-        pending: List[WorkItem] = []
-        for item in items:
-            payload = journal.get(item.key) if journal is not None and item.key else None
-            if payload is not None:
-                results[item.result_key] = payload
-            else:
-                pending.append(item)
-        if not pending:
-            return results
-
         attempts_done: Dict[str, int] = {}  # result_key -> attempts so far
-        backlog: List[tuple] = [(0.0, i, item) for i, item in enumerate(pending)]
+        backlog: List[tuple] = [(0.0, i, item) for i, item in enumerate(items)]
         try:
             while backlog or self._live:
                 now = time.monotonic()
@@ -473,8 +402,6 @@ class SupervisedExecutor:
                     attempts_done[key] = out.attempt
                     if out.payload is not None:
                         results[key] = out.payload
-                        if journal is not None and out.item.key:
-                            journal.record(out.item.key, out.payload)
                     else:
                         retry_at = self._on_failure(out.item, out.attempt)
                         # _on_failure raised if the budget is exhausted

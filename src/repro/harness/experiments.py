@@ -15,7 +15,6 @@ from repro import build_processor
 from repro.core.adts import ADTSController
 from repro.core.thresholds import ThresholdConfig
 from repro.faults import FaultPlan
-from repro.harness.resilience import RetryPolicy, guarded_run
 from repro.harness.runner import RunConfig, run_adts, run_fixed
 from repro.harness.sweep import SweepResult, threshold_type_grid
 from repro.policies.registry import POLICY_NAMES
@@ -59,7 +58,6 @@ def experiment_table1(
     defaults: ExperimentDefaults = DEFAULTS,
     quick: bool = True,
     policies: Optional[Sequence[str]] = None,
-    retry: Optional[RetryPolicy] = None,
 ) -> Dict:
     """Fixed-policy comparison across mixes. Checks the Tullsen orderings:
     ICOUNT best on average, RR worst."""
@@ -69,16 +67,7 @@ def experiment_table1(
     rows = []
     means = {}
     for policy in policies:
-        ipcs = [
-            guarded_run(
-                lambda mix=mix, policy=policy: run_fixed(
-                    replace(base, mix=mix, policy=policy)
-                ),
-                retry=retry,
-                label=f"table1[{policy},{mix}]",
-            ).ipc
-            for mix in mixes
-        ]
+        ipcs = [run_fixed(replace(base, mix=mix, policy=policy)).ipc for mix in mixes]
         mean = sum(ipcs) / len(ipcs)
         means[policy] = mean
         rows.append({"policy": policy, "mean_ipc": mean, "per_mix": dict(zip(mixes, ipcs))})
@@ -131,25 +120,24 @@ def run_grid(
     defaults: ExperimentDefaults = DEFAULTS,
     quick: bool = True,
     journal=None,
-    retry: Optional[RetryPolicy] = None,
     executor=None,
     mixes: Optional[Sequence[str]] = None,
     fault_plan: Optional[FaultPlan] = None,
     batch: Optional[int] = None,
 ) -> SweepResult:
-    """The shared F7/F8 grid (optionally journaled/guarded/parallel — see
+    """The shared F7/F8 grid (optionally journaled/supervised — see
     :func:`~repro.harness.sweep.threshold_type_grid`). ``mixes`` overrides
     the quick/full mix set (smaller smoke grids); ``fault_plan`` applies to
     every cell (disk-only plans leave the aggregate identical); ``batch``
-    runs cells N at a time through the lockstep batch engine
-    (bit-identical, journal-compatible with any other batch size)."""
+    chunks the lockstep batches N cells at a time instead of one batch
+    per mix (bit-identical, journal-compatible with any other batch
+    size)."""
     return threshold_type_grid(
         defaults.base_run(),
         list(mixes) if mixes is not None else defaults.mixes(quick),
         thresholds=defaults.thresholds,
         heuristics=defaults.heuristics,
         journal=journal,
-        retry=retry,
         executor=executor,
         fault_plan=fault_plan,
         batch=batch,
@@ -164,7 +152,6 @@ def experiment_headline(
     quick: bool = True,
     threshold: float = 2.0,
     heuristic: str = "type3",
-    retry: Optional[RetryPolicy] = None,
 ) -> Dict:
     """ADTS at the paper's best setting vs. fixed ICOUNT, per mix."""
     mixes = defaults.mixes(quick)
@@ -172,16 +159,8 @@ def experiment_headline(
     th = ThresholdConfig(ipc_threshold=threshold)
     per_mix = {}
     for mix in mixes:
-        fixed = guarded_run(
-            lambda mix=mix: run_fixed(replace(base, mix=mix, policy="icount")),
-            retry=retry, label=f"headline-fixed[{mix}]",
-        )
-        adts = guarded_run(
-            lambda mix=mix: run_adts(
-                replace(base, mix=mix), heuristic=heuristic, thresholds=th
-            ),
-            retry=retry, label=f"headline-adts[{mix}]",
-        )
+        fixed = run_fixed(replace(base, mix=mix, policy="icount"))
+        adts = run_adts(replace(base, mix=mix), heuristic=heuristic, thresholds=th)
         per_mix[mix] = {
             "icount_ipc": fixed.ipc,
             "adts_ipc": adts.ipc,

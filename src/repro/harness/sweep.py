@@ -3,20 +3,28 @@
 One grid run produces everything both figures plot — per-cell mean IPC
 (Fig 8), switch counts (Fig 7 a/b) and benign-switch probability
 (Fig 7 c/d) — so the benchmarks share a single sweep.
+
+A grid is many schedulers run over one workload, so its cells run one
+way only: in per-mix lockstep batches through
+:func:`~repro.harness.runner.run_batch`, inline or as supervised
+``grid_batch`` items.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import groupby
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.thresholds import ThresholdConfig
 from repro.faults import FaultPlan
+from repro.harness.errors import ConfigError
 from repro.harness.journal import RunJournal
-from repro.harness.resilience import RetryPolicy, guarded_run
-from repro.harness.runner import RunConfig, run_adts
+from repro.harness.runner import BatchRunSpec, ProgressFn, RunConfig, run_batch
 
 Cell = Tuple[float, str]  # (ipc_threshold, heuristic)
+#: One grid cell still to simulate: (ipc_threshold, heuristic, mix, journal key).
+PendingCell = Tuple[float, str, str, str]
 
 
 @dataclass
@@ -71,7 +79,7 @@ class SweepResult:
         return min(self.ipc, key=lambda cell: (-self.ipc[cell], cell[0], cell[1]))
 
 
-def _grid_cell_key(
+def _cell_key(
     base: RunConfig, m: float, h: str, mix: str,
     fault_plan: Optional[FaultPlan] = None,
 ) -> str:
@@ -101,104 +109,63 @@ def _grid_cell_key(
     return RunJournal.cell_key(**fields)
 
 
-def _run_cell(
-    base: RunConfig, m: float, h: str, mix: str, retry: Optional[RetryPolicy],
+def run_cells(
+    base: RunConfig,
+    cells: Sequence[PendingCell],
     fault_plan: Optional[FaultPlan] = None,
-) -> Dict:
-    th = ThresholdConfig(ipc_threshold=m)
-    r = guarded_run(
-        lambda: run_adts(
-            replace(base, mix=mix), heuristic=h, thresholds=th,
+    progress: Optional[ProgressFn] = None,
+) -> Dict[str, Dict]:
+    """Simulate ``cells`` in one lockstep :func:`run_batch` pass and map
+    each cell's journal key to the payload a grid journals and aggregates.
+
+    This is the only place a grid cell is simulated: inline batches call it
+    directly and supervised ``grid_batch`` workers call it in the child.
+    """
+    specs = [
+        BatchRunSpec(
+            config=replace(base, mix=mix),
+            heuristic=h,
+            thresholds=ThresholdConfig(ipc_threshold=m),
             fault_plan=fault_plan,
-        ),
-        retry=retry,
-        label=f"grid[thr={m:g},{h},{mix}]",
-    )
+        )
+        for (m, h, mix, _key) in cells
+    ]
+    results = run_batch(specs, progress=progress)
     return {
-        "ipc": r.ipc,
-        "switches": r.scheduler.get("switches", 0),
-        "benign_probability": r.scheduler.get("benign_probability", 0.0),
+        key: {
+            "ipc": r.ipc,
+            "switches": r.scheduler.get("switches", 0),
+            "benign_probability": r.scheduler.get("benign_probability", 0.0),
+        }
+        for (_m, _h, _mix, key), r in zip(cells, results)
     }
 
 
-def _run_batched_cells(
+def _supervised_waves(
     base: RunConfig,
-    thresholds: Sequence[float],
-    heuristics: Sequence[str],
-    mixes: Sequence[str],
-    batch: int,
-    journal: Optional[RunJournal],
-    executor: Optional["SupervisedExecutor"],
+    chunks: List[List[PendingCell]],
+    executor: "SupervisedExecutor",
     fault_plan: Optional[FaultPlan],
-    payloads: Dict[str, Dict],
-) -> None:
-    """Run the grid's unjournaled cells in lockstep batches of ``batch``.
+) -> Iterator[Dict[str, Dict]]:
+    """Run each chunk as one ``grid_batch`` item, ``workers`` items per
+    :meth:`~repro.harness.executor.SupervisedExecutor.run` call, yielding
+    each wave's per-cell payloads as soon as the wave finishes (so the
+    caller journals it before the next wave starts)."""
+    from repro.harness.executor import WorkItem
 
-    Journal keys stay strictly per-cell (the same ``_grid_cell_key`` the
-    serial path uses), so a sweep journaled at one batch size resumes at
-    any other — including ``--batch 1`` and the serial path. Cells already
-    in the journal are served before batches are formed and never
-    re-simulated.
-    """
-    pending: List[tuple] = []
-    for m in thresholds:
-        for h in heuristics:
-            for mix in mixes:
-                key = _grid_cell_key(base, m, h, mix, fault_plan)
-                served = journal.get(key) if journal is not None else None
-                if served is not None:
-                    payloads[key] = served
-                else:
-                    pending.append((m, h, mix, key))
-    chunks = [pending[i:i + batch] for i in range(0, len(pending), batch)]
-
-    def record(chunk_keys: Sequence[str], chunk_payloads: Dict[str, Dict]) -> None:
-        for key in chunk_keys:
-            payloads[key] = chunk_payloads[key]
-            if journal is not None:
-                journal.record(key, chunk_payloads[key])
-
-    if executor is not None:
-        from repro.harness.executor import WorkItem
-
-        items = [
-            WorkItem(
-                label=f"grid-batch[{i}]",
-                kind="grid_batch",
-                spec={"config": base, "cells": chunk, "fault_plan": fault_plan},
-            )
-            for i, chunk in enumerate(chunks)
-        ]
-        # The executor journals per item key; batch items carry no key
-        # (their identity is not a cell's), so the sweep journals each
-        # unpacked cell itself below.
-        outs = executor.run(items)
-        for item in items:
-            payload = outs[item.result_key]
-            record([k for (_m, _h, _mix, k) in item.spec["cells"]], payload["cells"])
-        return
-    from repro.harness.runner import BatchRunSpec, run_batch
-
-    for chunk in chunks:
-        specs = [
-            BatchRunSpec(
-                config=replace(base, mix=mix),
-                heuristic=h,
-                thresholds=ThresholdConfig(ipc_threshold=m),
-                fault_plan=fault_plan,
-            )
-            for (m, h, mix, _key) in chunk
-        ]
-        results = run_batch(specs)
-        chunk_payloads = {
-            key: {
-                "ipc": r.ipc,
-                "switches": r.scheduler.get("switches", 0),
-                "benign_probability": r.scheduler.get("benign_probability", 0.0),
-            }
-            for (_m, _h, _mix, key), r in zip(chunk, results)
-        }
-        record([k for (_m, _h, _mix, k) in chunk], chunk_payloads)
+    items = [
+        WorkItem(
+            label=f"grid-batch[{i}]",
+            kind="grid_batch",
+            spec={"config": base, "cells": chunk, "fault_plan": fault_plan},
+        )
+        for i, chunk in enumerate(chunks)
+    ]
+    wave = executor.config.workers
+    for start in range(0, len(items), wave):
+        outs = executor.run(items[start:start + wave])
+        for item in items[start:start + wave]:
+            yield outs[item.result_key]["cells"]
 
 
 def threshold_type_grid(
@@ -207,80 +174,78 @@ def threshold_type_grid(
     thresholds: Sequence[float] = (1.0, 2.0, 3.0, 4.0, 5.0),
     heuristics: Sequence[str] = ("type1", "type2", "type3", "type3g", "type4"),
     journal: Optional[RunJournal] = None,
-    retry: Optional[RetryPolicy] = None,
     executor: Optional["SupervisedExecutor"] = None,
     fault_plan: Optional[FaultPlan] = None,
     batch: Optional[int] = None,
 ) -> SweepResult:
     """Run the full grid. Cost = len(thresholds) x len(heuristics) x
-    len(mixes) simulations of ``base.total_quanta()`` quanta each.
+    len(mixes) cells of ``base.total_quanta()`` quanta each.
+
+    Every cell runs through the lockstep
+    :class:`~repro.smt.batch.BatchEngine` (via :func:`run_cells`), which
+    is bit-identical to a lone ``run_adts`` call per cell. Cells are
+    ordered mix-major — all cells of one mix together, thresholds then
+    heuristics inside it — because cells share trace streams and machines
+    only when they have the same mix and seed. ``batch=None`` runs one
+    batch per mix, which keeps all of that sharing and bounds memory to
+    one mix's machines; ``batch=N`` chunks the same order N cells at a
+    time. A ``batch`` below 1 raises :class:`ConfigError`.
 
     With a ``journal``, every finished cell is durably appended and any
-    already-journaled cell is served from the journal instead of re-running
-    — a killed sweep resumes from the last completed cell (load the journal
-    before calling). ``retry`` adds per-cell timeout/bounded-retry.
+    already-journaled cell is served from it instead of re-running — a
+    killed sweep resumes from its last finished batch (load the journal
+    before calling). Journal keys are per cell, so a sweep journaled at
+    one batch size resumes at any other.
 
     With an ``executor``
-    (:class:`~repro.harness.executor.SupervisedExecutor`), cells run in
-    supervised child processes — concurrently, crash-contained, and with
-    hard SIGKILL-enforced limits — and ``retry`` is ignored (the executor
-    has its own restart budget). The aggregate is identical to the serial
-    path for any worker count: every cell is seed-deterministic and the
-    results are reassembled here in canonical grid order.
+    (:class:`~repro.harness.executor.SupervisedExecutor`), each batch is
+    one supervised ``grid_batch`` item: batches run concurrently in child
+    processes under the executor's SIGKILL-enforced limits and restart
+    budget, in waves of ``workers`` batches so each wave is journaled
+    before the next starts. Results are reassembled here in canonical
+    grid order, so the aggregate is identical for any worker count and
+    batch size.
 
-    ``fault_plan`` applies to every cell run (serial or supervised).
-    Disk-only plans exercise the storage layer without changing any cell
-    payload, so the aggregate stays identical to a fault-free sweep.
-
-    With ``batch`` = N, cells run N at a time through the lockstep
-    :class:`~repro.smt.batch.BatchEngine` (bit-identical to serial cells);
-    under an ``executor``, each supervised worker then owns a whole batch
-    instead of one cell. Journal keys remain per-cell either way, so any
-    batch size resumes a journal written by any other. Per-cell ``retry``
-    does not apply inside a batch (the executor's restart budget covers a
-    whole batch attempt).
+    ``fault_plan`` applies to every cell. Disk-only plans exercise the
+    storage layer without changing any cell payload, so the aggregate
+    stays identical to a fault-free sweep.
     """
+    if batch is not None and batch < 1:
+        raise ConfigError("batch", batch, ">= 1 (None = one batch per mix)")
     result = SweepResult(
         thresholds=list(thresholds), heuristics=list(heuristics), mixes=list(mixes)
     )
     payloads: Dict[str, Dict] = {}
-    if batch:
-        _run_batched_cells(
-            base, thresholds, heuristics, mixes, batch,
-            journal, executor, fault_plan, payloads,
-        )
-    elif executor is not None:
-        from repro.harness.executor import WorkItem
-
-        items = [
-            WorkItem(
-                label=f"grid[thr={m:g},{h},{mix}]",
-                kind="grid_cell",
-                spec={
-                    "config": base, "threshold": m, "heuristic": h,
-                    "mix": mix, "fault_plan": fault_plan,
-                },
-                key=_grid_cell_key(base, m, h, mix, fault_plan),
-            )
-            for m in thresholds
-            for h in heuristics
-            for mix in mixes
-        ]
-        payloads = executor.run(items, journal=journal)
+    pending: List[PendingCell] = []
+    for mix in mixes:
+        for m in thresholds:
+            for h in heuristics:
+                key = _cell_key(base, m, h, mix, fault_plan)
+                served = journal.get(key) if journal is not None else None
+                if served is not None:
+                    payloads[key] = served
+                else:
+                    pending.append((m, h, mix, key))
+    if batch is None:
+        chunks = [list(cells) for _mix, cells in groupby(pending, key=lambda c: c[2])]
+    else:
+        chunks = [pending[i:i + batch] for i in range(0, len(pending), batch)]
+    if executor is not None:
+        finished = _supervised_waves(base, chunks, executor, fault_plan)
+    else:
+        finished = (run_cells(base, chunk, fault_plan) for chunk in chunks)
+    for chunk_payloads in finished:
+        for key, payload in chunk_payloads.items():
+            payloads[key] = payload
+            if journal is not None:
+                journal.record(key, payload)
     for m in thresholds:
         for h in heuristics:
             ipcs: List[float] = []
             total_switches = 0
             benign_weighted = 0.0
             for mix in mixes:
-                key = _grid_cell_key(base, m, h, mix, fault_plan)
-                payload = payloads.get(key)
-                if payload is None and journal is not None:
-                    payload = journal.get(key)
-                if payload is None:
-                    payload = _run_cell(base, m, h, mix, retry, fault_plan)
-                    if journal is not None:
-                        journal.record(key, payload)
+                payload = payloads[_cell_key(base, m, h, mix, fault_plan)]
                 ipcs.append(payload["ipc"])
                 result.per_mix_ipc[(m, h, mix)] = payload["ipc"]
                 n = payload["switches"]

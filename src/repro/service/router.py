@@ -256,7 +256,9 @@ class ShardedService:
 
     # -- pass-throughs the serve/replay loops rely on ------------------------
     def attach_drift_guard(self, guard) -> None:
-        """Attach a rolling drift guard; fed one summary per pump."""
+        """Attach a rolling drift guard; fed one summary per front-door
+        pump. While it holds sustained-drift pressure, degradable requests
+        that miss the store are answered by their shard's fast tier."""
         self._drift_guard = guard
 
     @property
@@ -333,6 +335,12 @@ class ShardedService:
                         wait_s=0.0,
                     )
                 )
+        if request.degradable and getattr(self._drift_guard, "degrade_active", False):
+            # Ladder rung 2.5 (see SimulationService.submit). The guard
+            # watches this front door, not the shards, so the rung is
+            # applied here: the owning shard's fast tier answers now.
+            shard = self.shards[shard_of(digest, len(self.shards))]
+            return self._respond(shard.serve_degraded(request, "drift-guard"))
         group = self._groups.get(digest)
         if group is not None:
             self.counters["coalesced_waiters"] += 1

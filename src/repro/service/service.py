@@ -605,6 +605,17 @@ class SimulationService:
             "degraded",
         )
 
+    def serve_degraded(self, request: SimRequest, reason: str) -> SimResponse:
+        """Answer ``request`` on the fast tier now, for a front door that
+        applies a degradation rung itself (see
+        :meth:`~repro.service.router.ShardedService.submit`). Counted here
+        like any degraded answer, but handed back to the caller — which
+        answers it — instead of joining this service's completed stream."""
+        self.counters["submitted"] += 1
+        response = self._respond_degraded(request, reason)
+        self._completed.pop()  # the response _respond_degraded just queued
+        return response
+
     def _respond_rejected(self, request: SimRequest, reason: str) -> SimResponse:
         return self._respond(
             SimResponse(

@@ -59,6 +59,39 @@ def quick_proc(small_config):
     return build
 
 
+@pytest.fixture
+def reference_grid():
+    """Build a grid's expected :class:`SweepResult` from one lone
+    ``run_adts`` call per cell — the reference implementation every sweep
+    path (inline, supervised, resumed) must match bit for bit."""
+    from dataclasses import replace
+
+    from repro.core.thresholds import ThresholdConfig
+    from repro.harness.runner import run_adts
+    from repro.harness.sweep import SweepResult
+
+    def build(base, mixes, thresholds, heuristics, fault_plan=None):
+        ref = SweepResult(list(thresholds), list(heuristics), list(mixes))
+        for m in thresholds:
+            for h in heuristics:
+                ipcs, switches, benign = [], 0, 0.0
+                for mix in mixes:
+                    r = run_adts(replace(base, mix=mix), heuristic=h,
+                                 thresholds=ThresholdConfig(ipc_threshold=m),
+                                 fault_plan=fault_plan)
+                    n = r.scheduler.get("switches", 0)
+                    ipcs.append(r.ipc)
+                    ref.per_mix_ipc[(m, h, mix)] = r.ipc
+                    switches += n
+                    benign += r.scheduler.get("benign_probability", 0.0) * n
+                ref.ipc[(m, h)] = sum(ipcs) / len(ipcs)
+                ref.switches[(m, h)] = switches
+                ref.benign[(m, h)] = benign / switches if switches else 0.0
+        return ref
+
+    return build
+
+
 def assert_counter_consistency(proc) -> None:
     """The live occupancy counters must match the physical structures."""
     for ctx in proc.contexts:

@@ -1,14 +1,19 @@
 """Tests for the lockstep batch sweep engine (repro.smt.batch) and its
-harness wiring: sweep equivalence at any batch size, journal resume across
-batch sizes, fault isolation between batchmates, fork-on-divergence, the
-supervised ``grid_batch`` task kind, and ``run_batch`` result parity."""
+harness wiring: sweep equivalence with per-cell ``run_adts`` at any batch
+size, per-mix default batches, the grid never touching the per-run
+drivers, journal resume across batch sizes, fault isolation between
+batchmates, fork-on-divergence, the supervised ``grid_batch`` task kind,
+and ``run_batch`` result parity."""
 
 import pytest
+
+import repro.harness.sweep as sweep_mod
 
 from repro import build_processor
 from repro.core.adts import ADTSController
 from repro.core.thresholds import ThresholdConfig
 from repro.faults import FaultInjector, FaultPlan
+from repro.harness.errors import ConfigError
 from repro.harness.executor import ExecutorConfig, SupervisedExecutor
 from repro.harness.journal import RunJournal
 from repro.harness.runner import BatchRunSpec, RunConfig, run_adts, run_batch
@@ -46,40 +51,106 @@ def _sequential_fingerprint(cell: BatchCell, fault_plan=None) -> str:
 
 
 class TestSweepBatchEquivalence:
-    """`--batch N` is a pure performance transform on the grid."""
+    """Batching is a pure performance transform: any batch size gives the
+    grid that one lone ``run_adts`` per cell gives."""
+
+    MIXES = ["mix02", "mix05"]
+    KW = dict(thresholds=(1.0, 3.0), heuristics=("type1", "type3"))
 
     @pytest.mark.parametrize("batch", [1, 3, 8])
-    def test_grid_matches_serial(self, batch):
+    def test_grid_matches_serial(self, batch, reference_grid):
         base = tiny_base()
-        mixes = ["mix02", "mix05"]
-        kw = dict(thresholds=(1.0, 3.0), heuristics=("type1", "type3"))
-        serial = threshold_type_grid(base, mixes, **kw)
-        batched = threshold_type_grid(base, mixes, batch=batch, **kw)
-        assert batched.ipc == serial.ipc
-        assert batched.switches == serial.switches
-        assert batched.benign == serial.benign
-        assert batched.per_mix_ipc == serial.per_mix_ipc
-        assert batched.best_cell() == serial.best_cell()
+        batched = threshold_type_grid(base, self.MIXES, batch=batch, **self.KW)
+        ref = reference_grid(base, self.MIXES, **self.KW)
+        assert batched == ref
+        assert batched.best_cell() == ref.best_cell()
 
-    def test_executor_owns_whole_batches(self):
+    def test_executor_owns_whole_batches(self, reference_grid):
         """Under an executor, each supervised worker simulates a batch of
-        cells via the ``grid_batch`` task kind — same aggregate as serial."""
+        cells via the ``grid_batch`` task kind — same grid as the
+        reference."""
+        base = tiny_base()
+        ex = SupervisedExecutor(ExecutorConfig(workers=1))
+        batched = threshold_type_grid(base, self.MIXES, batch=2, executor=ex,
+                                      **self.KW)
+        assert ex.failures == []
+        assert batched == reference_grid(base, self.MIXES, **self.KW)
+
+    def test_default_batches_are_per_mix(self, monkeypatch):
+        """``batch=None`` forms one batch per mix (cells share traces and
+        machines only within a mix); ``batch=N`` chunks the same mix-major
+        order."""
+        calls = []
+        real = sweep_mod.run_batch
+
+        def recording(specs, progress=None):
+            calls.append([s.config.mix for s in specs])
+            return real(specs, progress=progress)
+
+        monkeypatch.setattr(sweep_mod, "run_batch", recording)
+        base = tiny_base(quanta=1)
+        threshold_type_grid(base, self.MIXES, **self.KW)
+        assert calls == [["mix02"] * 4, ["mix05"] * 4]
+        calls.clear()
+        threshold_type_grid(base, self.MIXES, batch=3, **self.KW)
+        assert calls == [["mix02"] * 3, ["mix02", "mix05", "mix05"], ["mix05"] * 2]
+
+    @pytest.mark.parametrize("batch", [0, -1])
+    def test_batch_below_one_is_rejected(self, batch):
+        with pytest.raises(ConfigError, match="batch"):
+            threshold_type_grid(tiny_base(), self.MIXES, batch=batch, **self.KW)
+
+
+class TestOneEngine:
+    def test_grids_never_call_the_per_run_drivers(self, tmp_path, monkeypatch,
+                                                  reference_grid):
+        """Every cell a grid simulates goes through ``run_batch`` (inline)
+        or a ``grid_batch`` item (supervised): with ``run_adts`` and
+        ``run_fixed`` raising, a default grid, an executor grid and a
+        resumed journaled grid all still complete — and the resumed grid
+        simulates only the cells missing from its journal."""
+        import repro.harness.runner as runner
+
         base = tiny_base()
         mixes = ["mix02", "mix05"]
         kw = dict(thresholds=(1.0, 3.0), heuristics=("type1", "type3"))
-        serial = threshold_type_grid(base, mixes, **kw)
-        ex = SupervisedExecutor(ExecutorConfig(workers=1))
-        batched = threshold_type_grid(base, mixes, batch=2, executor=ex, **kw)
+        ref = reference_grid(base, mixes, **kw)
+
+        def boom(*a, **k):
+            raise AssertionError("a grid cell bypassed the batch engine")
+
+        monkeypatch.setattr(runner, "run_adts", boom)
+        monkeypatch.setattr(runner, "run_fixed", boom)
+        assert threshold_type_grid(base, mixes, **kw) == ref
+        ex = SupervisedExecutor(ExecutorConfig(workers=2))
+        assert threshold_type_grid(base, mixes, executor=ex, **kw) == ref
         assert ex.failures == []
-        assert batched.ipc == serial.ipc
-        assert batched.switches == serial.switches
-        assert batched.per_mix_ipc == serial.per_mix_ipc
+
+        path = tmp_path / "grid.jsonl"
+        with RunJournal(path) as j:
+            threshold_type_grid(base, mixes, journal=j, **kw)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:3]) + "\n")  # killed after 3 cells
+        simulated = []
+        real = sweep_mod.run_batch
+
+        def counting(specs, progress=None):
+            simulated.extend(specs)
+            return real(specs, progress=progress)
+
+        monkeypatch.setattr(sweep_mod, "run_batch", counting)
+        with RunJournal(path) as j2:
+            assert j2.load() == 3
+            resumed = threshold_type_grid(base, mixes, journal=j2, **kw)
+        assert len(simulated) == len(lines) - 3
+        assert resumed == ref
 
 
 class TestJournalAcrossBatchSizes:
     def test_resume_under_different_batch_size(self, tmp_path, monkeypatch):
-        """A sweep journaled at --batch 4 resumes at --batch 1 (and serial)
-        with zero recomputation: journal keys are per-cell, not per-batch."""
+        """A sweep journaled at --batch 4 resumes at --batch 1 (and one
+        batch per mix) with zero recomputation: journal keys are per-cell,
+        not per-batch."""
         base = tiny_base()
         path = tmp_path / "grid.jsonl"
         kw = dict(thresholds=(1.0, 3.0), heuristics=("type1", "type3"))
@@ -91,14 +162,12 @@ class TestJournalAcrossBatchSizes:
             raise AssertionError("journaled sweep must not re-simulate")
 
         monkeypatch.setattr(BatchEngine, "run", boom)
-        monkeypatch.setattr("repro.harness.sweep._run_cell", boom)
         with RunJournal(path) as j2:
             assert j2.load() == 4
             for batch in (1, 5, None):
                 again = threshold_type_grid(base, ["mix02"], batch=batch,
                                             journal=j2, **kw)
-                assert again.ipc == first.ipc
-                assert again.switches == first.switches
+                assert again == first
 
 
 class TestFaultIsolation:

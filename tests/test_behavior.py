@@ -44,7 +44,13 @@ from repro.behavior import (
     service_rates,
 )
 from repro.harness.regression import verify_profile
-from repro.service import ServeLoop, ServiceConfig, SimRequest, SimulationService
+from repro.service import (
+    ServeLoop,
+    ServiceConfig,
+    ShardedService,
+    SimRequest,
+    SimulationService,
+)
 from repro.storage import fsck_tree
 
 REPO = Path(__file__).resolve().parents[1]
@@ -358,9 +364,15 @@ class TestDriftGuard:
 
 
 class TestGuardInService:
+    """A drift guard attached to a service: escalation telemetry, the
+    ``drift-guard`` degradation rung, and the serve loop's drift events."""
+
+    def make_service(self, config, **runners):
+        return SimulationService(config, **runners)
+
     def run_service(self, *, degrade_on_drift, n=30):
         clock = {"t": 0.0}
-        svc = SimulationService(
+        svc = self.make_service(
             ServiceConfig(workers=0, queue_capacity=64),
             full_runner=lambda r: {"ipc": 1.0},
             fast_runner=lambda r: {"ipc": 0.5},
@@ -375,12 +387,21 @@ class TestGuardInService:
                              degrade_on_drift=degrade_on_drift),
         )
         svc.attach_drift_guard(guard)
+        observed, observe = [], guard.observe
+
+        def counting_observe(now, summary):
+            observed.append(now)
+            return observe(now, summary)
+
+        guard.observe = counting_observe
         for i in range(n):
             svc.submit(SimRequest(request_id=f"r{i}", client="c", mix="mix05",
                                   mode="adts", quanta=4, warmup_quanta=1,
                                   seed=1))
             clock["t"] += 1.0
             svc.pump()
+            # Exactly one summary per (front-door) pump, never one per shard.
+            assert len(observed) == i + 1
         svc.drain(5.0)
         # The completed stream is the single source of truth: immediate
         # dispositions land there too, so it alone proves conservation.
@@ -412,7 +433,7 @@ class TestGuardInService:
         ]
         infile = io.StringIO("\n".join(lines) + "\n")
         outfile = io.StringIO()
-        svc = SimulationService(
+        svc = self.make_service(
             ServiceConfig(workers=0, queue_capacity=64, poll_interval_s=0.001),
             full_runner=lambda r: {"ipc": 1.0},
             fast_runner=lambda r: {"ipc": 0.5},
@@ -440,6 +461,14 @@ class TestGuardInService:
         assert drained["summary"]["behavior"]["profile_label"] == "looptest"
         assert drained["summary"]["behavior"]["guard"]["escalations"] >= 1
         assert len([e for e in events if e["event"] == "response"]) == 12
+
+
+class TestGuardInShardedService(TestGuardInService):
+    """The same contract behind the sharded front door, where the guard
+    watches the front door and its rung is applied there."""
+
+    def make_service(self, config, **runners):
+        return ShardedService(config, shards=2, **runners)
 
 
 # -- storage integration ------------------------------------------------------

@@ -5,15 +5,17 @@ CLI subprocesses and SIGKILLs them — too heavy and too Linux-specific for
 the tier-1 suite.
 
 Two scenarios, both asserting the end state is bit-identical to a clean
-serial sweep:
+in-process sweep:
 
 1. **worker kill** — SIGKILL one supervised worker process mid-run; the
-   supervisor must classify the crash, restart the cell, and finish with
+   supervisor must classify the crash, restart the batch, and finish with
    the correct aggregate (crash containment + restart).
 2. **supervisor kill + resume** — SIGKILL the whole sweep mid-run, then
    rerun with ``--resume --workers``; journaled cells are served, the rest
    re-run, and the final aggregate matches (journal + flock release on
-   death).
+   death). The killed run uses ``--batch 10`` so its batches span several
+   waves (the journal is written per finished wave) and the resume, at the
+   default one batch per mix, also crosses batch sizes.
 """
 
 import json
@@ -114,7 +116,8 @@ def test_supervisor_sigkill_then_resume_matches_serial(tmp_path):
     expected = _expected_fig8()
     journal = tmp_path / "grid.jsonl"
 
-    first = _spawn(["--workers", "2", "--journal", str(journal)], cwd=tmp_path)
+    first = _spawn(["--workers", "2", "--batch", "10", "--journal", str(journal)],
+                   cwd=tmp_path)
     try:
         # Let some cells land in the journal, then kill the whole sweep.
         deadline = time.monotonic() + 60

@@ -91,11 +91,11 @@ class TestDiskFaultedRunsAreBitIdentical:
     def test_grid_cell_keys_shared_with_fault_free_sweep(self):
         """Disk-only plans must not enter the cell identity key — a
         disk-chaos journal is a valid resume source for a clean sweep."""
-        from repro.harness.sweep import _grid_cell_key
+        from repro.harness.sweep import _cell_key
 
-        clean_key = _grid_cell_key(QUICK, 2.0, "type3", "mix01", None)
-        disk_key = _grid_cell_key(QUICK, 2.0, "type3", "mix01", DISK_PLAN)
-        sched_key = _grid_cell_key(
+        clean_key = _cell_key(QUICK, 2.0, "type3", "mix01", None)
+        disk_key = _cell_key(QUICK, 2.0, "type3", "mix01", DISK_PLAN)
+        sched_key = _cell_key(
             QUICK, 2.0, "type3", "mix01", FaultPlan(counter_stale_rate=0.5))
         assert disk_key == clean_key
         assert sched_key != clean_key

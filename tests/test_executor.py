@@ -1,7 +1,7 @@
 """Tests for the process-isolated supervised executor
 (repro.harness.executor): determinism across worker counts, crash
 containment, SIGKILL-enforced timeout/heartbeat limits, restart with
-fault stripping, journal integration and the failure taxonomy."""
+fault stripping, journaled supervised sweeps and the failure taxonomy."""
 
 import multiprocessing
 import os
@@ -40,11 +40,11 @@ def tiny_base(**over):
     return RunConfig(**base)
 
 
-def grid_item(label="cell", mix="mix02", **spec_over):
-    spec = {"config": tiny_base(), "threshold": 2.0, "heuristic": "type3",
-            "mix": mix}
-    spec.update(spec_over)
-    return WorkItem(label=label, kind="grid_cell", spec=spec)
+def grid_item(label="cell", mix="mix02", fault_plan=None):
+    """A one-cell ``grid_batch`` item (threshold 2, Type 3)."""
+    spec = {"config": tiny_base(), "cells": [(2.0, "type3", mix, "cell")],
+            "fault_plan": fault_plan}
+    return WorkItem(label=label, kind="grid_batch", spec=spec)
 
 
 # -- task kinds used to provoke specific failure modes (fork workers inherit
@@ -86,23 +86,19 @@ register_task_kind("test_error", _error_task)
 
 
 class TestDeterministicAggregation:
-    """Parallel grid == serial grid, any worker count, any completion order."""
+    """Supervised grid == per-cell ``run_adts``, any worker count, any
+    completion order."""
 
     @pytest.mark.parametrize("workers", [1, 4])
-    def test_grid_matches_serial(self, workers):
+    def test_grid_matches_serial(self, workers, reference_grid):
         base = tiny_base()
         mixes = ["mix02", "mix05"]
-        serial = threshold_type_grid(
-            base, mixes, thresholds=(1.0, 3.0), heuristics=("type1", "type3"))
+        kw = dict(thresholds=(1.0, 3.0), heuristics=("type1", "type3"))
         ex = SupervisedExecutor(ExecutorConfig(workers=workers))
-        par = threshold_type_grid(
-            base, mixes, thresholds=(1.0, 3.0), heuristics=("type1", "type3"),
-            executor=ex)
-        assert par.ipc == serial.ipc
-        assert par.switches == serial.switches
-        assert par.benign == serial.benign
-        assert par.per_mix_ipc == serial.per_mix_ipc
-        assert par.best_cell() == serial.best_cell()
+        par = threshold_type_grid(base, mixes, executor=ex, **kw)
+        ref = reference_grid(base, mixes, **kw)
+        assert par == ref
+        assert par.best_cell() == ref.best_cell()
         assert ex.failures == []
 
     def test_journal_round_trip(self, tmp_path):
@@ -160,7 +156,7 @@ class TestCrashContainment:
 class TestHardLimits:
     def test_stale_heartbeat_gets_sigkilled(self):
         """A hung worker (heartbeats stopped) is killed within the staleness
-        limit — the hole guarded_run's thread timeout cannot close."""
+        limit — the hang an in-process thread timeout cannot stop."""
         ex = SupervisedExecutor(ExecutorConfig(
             workers=1, heartbeat_timeout_s=0.3, max_restarts=0,
             poll_interval_s=0.02))

@@ -1,20 +1,11 @@
-"""Tests for harness hardening: RunConfig validation, retry/timeout
-guards, the JSONL run journal, and checkpoint/resume sweeps."""
-
-import time
+"""Tests for harness hardening: RunConfig validation, the JSONL run
+journal (locking, stale-lock breaking), and checkpoint/resume sweeps."""
 
 import pytest
 
 from repro.harness import run_mix_average
-from repro.harness.errors import (
-    ConfigError,
-    HarnessError,
-    JournalError,
-    RunFailedError,
-    RunTimeoutError,
-)
+from repro.harness.errors import ConfigError, HarnessError, JournalError
 from repro.harness.journal import RunJournal
-from repro.harness.resilience import RetryPolicy, guarded_run
 from repro.harness.runner import RunConfig
 from repro.harness.sweep import threshold_type_grid
 from repro.smt.config import SMTConfig
@@ -69,62 +60,6 @@ class TestRunMixAverage:
     def test_single_mix_average(self):
         avg = run_mix_average(["mix01"], tiny_run(mix="mix01"))
         assert avg["mean_ipc"] > 0
-
-
-class TestGuardedRun:
-    def test_passthrough_on_success(self):
-        assert guarded_run(lambda: 42) == 42
-
-    def test_retries_transient_failures(self):
-        calls = []
-
-        def flaky():
-            calls.append(1)
-            if len(calls) < 3:
-                raise RuntimeError("transient")
-            return "ok"
-
-        policy = RetryPolicy(attempts=3, backoff_s=0.0)
-        assert guarded_run(flaky, retry=policy) == "ok"
-        assert len(calls) == 3
-
-    def test_exhaustion_raises_run_failed_with_cause(self):
-        def always():
-            raise RuntimeError("persistent")
-
-        policy = RetryPolicy(attempts=2, backoff_s=0.0)
-        with pytest.raises(RunFailedError) as exc:
-            guarded_run(always, retry=policy, label="cell-x")
-        assert exc.value.attempts == 2
-        assert "cell-x" in str(exc.value)
-        assert isinstance(exc.value.__cause__, RuntimeError)
-
-    def test_config_error_is_not_retried(self):
-        calls = []
-
-        def invalid():
-            calls.append(1)
-            raise ConfigError("quanta", -1, ">= 1")
-
-        with pytest.raises(ConfigError):
-            guarded_run(invalid, retry=RetryPolicy(attempts=5, backoff_s=0.0))
-        assert len(calls) == 1
-
-    def test_timeout_becomes_run_failed_from_timeout(self):
-        def slow():
-            time.sleep(5.0)
-
-        policy = RetryPolicy(attempts=1, timeout_s=0.05)
-        with pytest.raises(RunFailedError) as exc:
-            guarded_run(slow, retry=policy, label="slow-cell")
-        assert isinstance(exc.value.__cause__, RunTimeoutError)
-        assert isinstance(exc.value.__cause__, TimeoutError)
-
-    def test_retry_policy_validated(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(attempts=0)
-        with pytest.raises(ValueError):
-            RetryPolicy(timeout_s=0.0)
 
 
 class TestRunJournal:
@@ -187,10 +122,12 @@ class TestSweepResume:
             journal=journal,
         )
 
-    def test_resumed_sweep_matches_uninterrupted(self, tmp_path, monkeypatch):
-        baseline = self._grid()
+    def test_resumed_sweep_matches_uninterrupted(self, tmp_path, monkeypatch,
+                                                 reference_grid):
+        baseline = reference_grid(tiny_run(mix="mix01"), self.MIXES,
+                                  self.THRESHOLDS, self.HEURISTICS)
 
-        # First pass with a journal, killed after the first grid row:
+        # First pass with a journal, killed after the first mix's batch:
         # keep only the first two journaled cells.
         journal = RunJournal(tmp_path / "grid.jsonl")
         self._grid(journal=journal)
@@ -201,29 +138,26 @@ class TestSweepResume:
         # Resume: only the non-journaled cells may be simulated.
         import repro.harness.sweep as sweep_mod
 
-        real_run_adts = sweep_mod.run_adts
+        real_run_batch = sweep_mod.run_batch
         simulated = []
 
-        def counting_run_adts(*args, **kwargs):
-            simulated.append(1)
-            return real_run_adts(*args, **kwargs)
+        def counting_run_batch(specs, progress=None):
+            simulated.extend(specs)
+            return real_run_batch(specs, progress=progress)
 
-        monkeypatch.setattr(sweep_mod, "run_adts", counting_run_adts)
+        monkeypatch.setattr(sweep_mod, "run_batch", counting_run_batch)
         resumed_journal = RunJournal(journal.path)
         assert resumed_journal.load() == 2
         resumed = self._grid(journal=resumed_journal)
 
         assert len(simulated) == len(lines) - 2
-        assert resumed.ipc == baseline.ipc
-        assert resumed.switches == baseline.switches
-        assert resumed.benign == baseline.benign
-        assert resumed.per_mix_ipc == baseline.per_mix_ipc
+        assert resumed == baseline
 
     def test_journal_key_guards_run_parameters(self):
-        from repro.harness.sweep import _grid_cell_key
+        from repro.harness.sweep import _cell_key
 
-        a = _grid_cell_key(tiny_run(), 2.0, "type3", "mix01")
-        b = _grid_cell_key(tiny_run(quanta=3), 2.0, "type3", "mix01")
+        a = _cell_key(tiny_run(), 2.0, "type3", "mix01")
+        b = _cell_key(tiny_run(quanta=3), 2.0, "type3", "mix01")
         assert a != b
 
 
@@ -232,25 +166,6 @@ from pathlib import Path as _Path
 
 #: The src/ directory to put on sys.path in helper subprocesses.
 ROOT_SRC = _Path(_repro_pkg.__file__).resolve().parents[1]
-
-
-class TestGuardedRunAbandonmentWarning:
-    def test_warns_when_timed_out_attempt_still_runs(self):
-        """The in-process timeout abandons (not stops) CPU-bound work; that
-        limitation must be surfaced loudly, pointing at the executor."""
-        def slow():
-            time.sleep(2.0)
-
-        policy = RetryPolicy(attempts=1, timeout_s=0.05)
-        with pytest.warns(RuntimeWarning, match="SupervisedExecutor"):
-            with pytest.raises(RunFailedError):
-                guarded_run(slow, retry=policy, label="zombie-cell")
-
-    def test_no_warning_when_attempt_finishes_in_time(self, recwarn):
-        policy = RetryPolicy(attempts=1, timeout_s=5.0)
-        assert guarded_run(lambda: "fast", retry=policy) == "fast"
-        assert not [w for w in recwarn.list
-                    if issubclass(w.category, RuntimeWarning)]
 
 
 class TestJournalLocking:
@@ -346,7 +261,7 @@ class TestBestCellTieBreaking:
 
     def test_tie_break_independent_of_insertion_order(self):
         # A journal-resumed or parallel sweep populates the dict in a
-        # different order than a fresh serial sweep; the winner must not
+        # different order than a fresh in-process sweep; the winner must not
         # change with it.
         items = [((2.0, "type3"), 2.5), ((1.0, "type4"), 2.5), ((3.0, "type1"), 2.0)]
         forward = self._sweep_with_ipc(dict(items))
@@ -356,67 +271,6 @@ class TestBestCellTieBreaking:
     def test_unique_max_still_wins(self):
         sweep = self._sweep_with_ipc({(1.0, "type1"): 1.0, (5.0, "type4"): 3.0})
         assert sweep.best_cell() == (5.0, "type4")
-
-
-class TestBackoffPolicy:
-    def test_uncapped_ladder_is_exponential(self):
-        p = RetryPolicy(attempts=5, backoff_s=0.5, backoff_factor=2.0)
-        assert [p.backoff_delay(n) for n in (1, 2, 3)] == [0.5, 1.0, 2.0]
-
-    def test_backoff_max_caps_every_rung(self):
-        p = RetryPolicy(attempts=8, backoff_s=1.0, backoff_factor=10.0,
-                        backoff_max_s=3.0)
-        assert p.backoff_delay(1) == 1.0
-        assert p.backoff_delay(2) == 3.0
-        assert p.backoff_delay(6) == 3.0  # 10^5 s without the cap
-
-    def test_full_jitter_is_bounded_by_the_capped_ladder(self):
-        p = RetryPolicy(attempts=8, backoff_s=1.0, backoff_factor=10.0,
-                        backoff_max_s=3.0, jitter=True, jitter_seed=7)
-        for n in range(1, 8):
-            cap = min(1.0 * 10.0 ** (n - 1), 3.0)
-            assert 0.0 <= p.backoff_delay(n, "cell") <= cap
-
-    def test_jitter_is_seeded_and_reproducible(self):
-        kw = dict(attempts=5, backoff_s=1.0, jitter=True, jitter_seed=42)
-        a = RetryPolicy(**kw)
-        b = RetryPolicy(**kw)
-        assert [a.backoff_delay(n, "x") for n in (1, 2, 3)] == \
-               [b.backoff_delay(n, "x") for n in (1, 2, 3)]
-
-    def test_jitter_varies_across_label_attempt_and_seed(self):
-        p = RetryPolicy(attempts=5, backoff_s=1.0, jitter=True, jitter_seed=1)
-        q = RetryPolicy(attempts=5, backoff_s=1.0, jitter=True, jitter_seed=2)
-        draws = {p.backoff_delay(1, "a"), p.backoff_delay(2, "a"),
-                 p.backoff_delay(1, "b"), q.backoff_delay(1, "a")}
-        assert len(draws) == 4  # independent substreams, no lockstep herd
-
-    def test_zero_backoff_never_jitters_into_a_sleep(self):
-        p = RetryPolicy(attempts=3, backoff_s=0.0, jitter=True)
-        assert p.backoff_delay(1) == 0.0
-
-    def test_guarded_run_honours_the_cap(self):
-        calls = []
-
-        def flaky():
-            calls.append(time.monotonic())
-            if len(calls) < 3:
-                raise RuntimeError("transient")
-            return "ok"
-
-        policy = RetryPolicy(attempts=3, backoff_s=60.0, backoff_factor=2.0,
-                             backoff_max_s=0.01)
-        t0 = time.monotonic()
-        assert guarded_run(flaky, retry=policy) == "ok"
-        assert time.monotonic() - t0 < 5.0  # uncapped would sleep 3 minutes
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(backoff_max_s=-1.0)
-        with pytest.raises(ValueError):
-            RetryPolicy(backoff_factor=0.5)
-        with pytest.raises(ValueError):
-            RetryPolicy().backoff_delay(0)
 
 
 class TestStaleLockBreaking:
