@@ -6,14 +6,26 @@ This module is the repository's only hard-limit mechanism. It runs every
 work item in a child **process** under a supervisor that enforces limits
 with SIGKILL:
 
-* a pool of up to ``workers`` concurrent item processes;
+* a pool of up to ``workers`` concurrent worker processes. A worker runs
+  one item at a time and is **reused only under backlog**: when it
+  finishes an item and the caller spawns another attempt before the next
+  :meth:`~SupervisedExecutor.pump`, that item goes down the finished
+  worker's pipe instead of into a freshly forked process. A worker that
+  gets no item by the next pump is told to exit and is reaped, so nothing
+  outlives the work that was queued for it;
+* **every task starts clean**: a worker freezes what it inherited from
+  the supervisor (``gc.freeze``) and runs a full collection after each
+  task, and tasks restore any process-wide state they install;
 * per-run **heartbeats**: workers report progress over a pipe (every
   quantum for a service cell, every lockstep round for a grid batch), so
   the supervisor distinguishes *hung* (stale heartbeat → killed) from
   merely *slow* (heartbeats flowing → left alone);
 * a hard per-attempt **wall-clock limit**, also enforced with SIGKILL;
 * **crash containment**: a segfault, OOM-kill or stray ``kill -9`` takes
-  down one item's process, not the sweep;
+  down one worker's process, not the sweep. A worker is never reused after
+  a failure: after an exception it exits, after a timeout or stall it is
+  killed, so a fault can spoil at most the run of queued items one worker
+  served before it;
 * bounded **restart with backoff** per item; retries strip process-killing
   worker faults (``FaultPlan.without_worker_faults``) so an injected crash
   is survived rather than replayed forever, and a service cell resumes
@@ -21,10 +33,16 @@ with SIGKILL:
   configured;
 * **deterministic aggregation**: results are keyed by item and the sweep
   reassembles them in canonical grid order, so the aggregate is
-  bit-identical regardless of worker count, completion order, crashes or
-  restarts (every run is seed-deterministic). The sweep journals each
-  finished cell itself — the journal's single-writer lock lives in the
-  parent and workers never touch the journal file.
+  bit-identical regardless of worker count, completion order, crashes,
+  restarts or worker reuse (every run is seed-deterministic). The sweep
+  journals each finished cell itself — the journal's single-writer lock
+  lives in the parent and workers never touch the journal file.
+
+The supervisor owns every worker's lifetime: workers restore the default
+SIGTERM disposition (so ``repro serve``'s drain handler is not inherited)
+and ignore SIGINT (a terminal's Ctrl-C reaches the whole process group;
+the supervisor decides whether in-flight work drains or is killed), and
+an idle worker whose supervisor died exits on its own.
 
 The supervisor records every failed attempt in :attr:`SupervisedExecutor.
 failures` using the stable taxonomy strings of
@@ -47,8 +65,11 @@ Two consumption styles share one pool:
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import multiprocessing
+import os
+import signal
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -68,6 +89,15 @@ from repro.harness.errors import (
 )
 from repro.smt.checkpoint import CheckpointPlan
 from repro.smt.invariants import InvariantViolation
+
+#: Fork where the platform has it (cheap on Linux, and workers inherit task
+#: kinds registered after import), else spawn.
+_CTX = multiprocessing.get_context(
+    "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+)
+
+#: How often an idle worker checks that its supervisor is still alive.
+_IDLE_CHECK_S = 0.2
 
 # ---------------------------------------------------------------------------
 # Task kinds: what a worker knows how to run.
@@ -119,19 +149,27 @@ def _run_service_cell(spec, progress, checkpoint_path: Optional[Path]) -> dict:
     the real crash-containment path rather than a synthetic exception.
     """
     if spec.get("force_crash"):
-        import os
-        import signal as _signal
+        os.kill(os.getpid(), signal.SIGKILL)
+    if not spec.get("trace_cache_dir"):
+        return _service_cell_payload(spec, progress, checkpoint_path)
+    # Shard-owned trace-cache segment: the service stamps each cell with
+    # its shard's directory so concurrent shards never contend on (or
+    # cross-pollinate) one cache. The worker may run another task next,
+    # so the previous cache is restored afterwards.
+    from repro.workloads.tracecache import active_trace_cache, set_trace_cache
 
-        os.kill(os.getpid(), _signal.SIGKILL)
+    previous = active_trace_cache()
+    set_trace_cache(spec["trace_cache_dir"])
+    try:
+        return _service_cell_payload(spec, progress, checkpoint_path)
+    finally:
+        set_trace_cache(previous)
+
+
+def _service_cell_payload(spec, progress, checkpoint_path: Optional[Path]) -> dict:
+    """Run the cell's simulation and summarize it as the service's payload."""
     from repro.harness.runner import run_adts, run_fixed
 
-    if spec.get("trace_cache_dir"):
-        # Shard-owned trace-cache segment: the service stamps each cell
-        # with its shard's directory so concurrent shards never contend
-        # on (or cross-pollinate) one cache.
-        from repro.workloads.tracecache import set_trace_cache
-
-        set_trace_cache(spec["trace_cache_dir"])
     cfg = spec["config"]
     plan = spec.get("fault_plan")
     if plan is not None and spec.get("strip_worker_faults"):
@@ -186,7 +224,7 @@ class ExecutorConfig:
     """Supervisor knobs.
 
     Attributes:
-        workers: concurrent item processes.
+        workers: concurrent worker processes.
         run_timeout_s: hard per-attempt wall-clock limit (None = unbounded).
         heartbeat_timeout_s: kill a worker whose last heartbeat is older
             than this (None = no staleness check). Distinguishes hung from
@@ -195,8 +233,6 @@ class ExecutorConfig:
         max_restarts: extra attempts per item after the first fails.
         restart_backoff_s / backoff_factor: exponential delay before retries.
         poll_interval_s: supervisor wake-up period.
-        start_method: multiprocessing start method; None picks ``fork``
-            where available (cheap on Linux) else ``spawn``.
         checkpoint_dir: directory for per-cell mid-run snapshots of
             service cells; retries resume from the latest snapshot instead
             of recomputing finished quanta. Grid batches take none. None
@@ -210,7 +246,6 @@ class ExecutorConfig:
     restart_backoff_s: float = 0.1
     backoff_factor: float = 2.0
     poll_interval_s: float = 0.02
-    start_method: Optional[str] = None
     checkpoint_dir: Optional[Path] = None
 
     def __post_init__(self) -> None:
@@ -224,34 +259,77 @@ class ExecutorConfig:
             raise ValueError("heartbeat_timeout_s must be positive")
 
 
-def _worker_main(conn, kind: str, spec: dict, checkpoint_path) -> None:
-    """Child-process entry point: run the task, stream heartbeats, report.
+def _worker_main(conn, supervisor_pid: int, task: tuple) -> None:
+    """Child-process entry point: run tasks until told to stop.
 
-    Wire protocol (child → parent over ``conn``):
-        ("heartbeat", quantum_index)   every finished quantum
-        ("result", payload)            task finished
-        ("error", failure_kind, repr)  task raised (taxonomy-classified)
-    A worker that dies without sending ``result``/``error`` is a *crash*
-    and is classified by the parent from its exit code.
+    Wire protocol over the duplex ``conn``:
+        parent → child  ("task", kind, spec, checkpoint_path)  run one more
+                        ("exit",)                             stop
+        child → parent  ("heartbeat", quantum_index)          every quantum
+                        ("result", payload)                   task finished
+                        ("error", failure_kind, repr)         task raised
+    ``task`` is the first ``(kind, spec, checkpoint_path)``. After a result
+    the worker waits for the next message; after an error it exits, so a
+    worker is never reused after a failure. A worker that dies without
+    sending ``result``/``error`` is a *crash* and is classified by the
+    parent from its exit code.
+
+    ``supervisor_pid`` is read in the parent at fork time: a child that
+    read its own parent pid could already see PID 1 if the supervisor died
+    mid-fork, and would then wait for a task forever.
     """
+    # The supervisor owns this process's lifetime. SIGTERM is the default
+    # again (an inherited drain handler would swallow multiprocessing's
+    # exit-time terminate()); SIGINT is ignored, because a terminal's
+    # Ctrl-C reaches the whole process group and the supervisor decides
+    # what happens to in-flight work (repro serve drains it, the grid CLI
+    # SIGKILLs it).
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    # What the supervisor's heap held stays shared and is never traversed;
+    # each task's garbage, cycles included, is freed before the next one.
+    gc.freeze()
     try:
-        fn = TASK_KINDS[kind]
-
-        def progress(quantum_index: int) -> None:
-            conn.send(("heartbeat", quantum_index))
-
-        payload = fn(spec, progress, checkpoint_path)
-        conn.send(("result", payload))
-    except InvariantViolation as exc:
-        conn.send(("error", FAILURE_INVARIANT, repr(exc)))
-    except BaseException as exc:  # noqa: BLE001 — report, parent decides
-        conn.send(("error", FAILURE_EXCEPTION, repr(exc)))
+        while task is not None and _run_task(conn, *task):
+            gc.collect()
+            task = _next_task(conn, supervisor_pid)
     finally:
         conn.close()
 
 
+def _run_task(conn, kind: str, spec: dict, checkpoint_path) -> bool:
+    """Run one task and report it; True when it succeeded."""
+
+    def progress(quantum_index: int) -> None:
+        conn.send(("heartbeat", quantum_index))
+
+    try:
+        payload = TASK_KINDS[kind](spec, progress, checkpoint_path)
+        conn.send(("result", payload))
+        return True
+    except InvariantViolation as exc:
+        conn.send(("error", FAILURE_INVARIANT, repr(exc)))
+    except BaseException as exc:  # noqa: BLE001 — report, parent decides
+        conn.send(("error", FAILURE_EXCEPTION, repr(exc)))
+    return False
+
+
+def _next_task(conn, supervisor_pid: int) -> Optional[tuple]:
+    """Wait for the supervisor's next task; None means exit. Sibling
+    workers hold copies of the supervisor's pipe ends, so its death shows
+    as a changed parent pid, not as EOF."""
+    while not conn.poll(_IDLE_CHECK_S):
+        if os.getppid() != supervisor_pid:
+            return None
+    try:
+        msg = conn.recv()
+    except (EOFError, OSError):
+        return None
+    return msg[1:] if msg[0] == "task" else None
+
+
 class _Attempt:
-    """One live worker process executing one item attempt."""
+    """One item attempt running on a live worker process."""
 
     __slots__ = ("item", "attempt", "proc", "conn", "started", "last_beat", "outcome")
 
@@ -305,10 +383,8 @@ class SupervisedExecutor:
         self.soft_cap: Optional[int] = None
         self._last_error: Dict[str, BaseException] = {}  # result_key -> last failure
         self._live: List[_Attempt] = []
-        method = self.config.start_method
-        if method is None:
-            method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
-        self._ctx = multiprocessing.get_context(method)
+        #: Workers that finished an item since the last pump: (proc, conn).
+        self._idle: List[tuple] = []
 
     # -- streaming API ------------------------------------------------------
     @property
@@ -325,17 +401,49 @@ class SupervisedExecutor:
         return len(self._live) < cap
 
     def spawn_attempt(self, item: WorkItem, attempt: int = 1) -> None:
-        """Start one supervised attempt of ``item`` (non-blocking)."""
-        self._live.append(self._spawn(item, attempt))
+        """Start one supervised attempt of ``item`` (non-blocking): on a
+        worker that finished an item since the last pump when there is
+        one, else in a freshly forked worker."""
+        spec = item.spec
+        if attempt > 1 and spec.get("fault_plan") is not None:
+            # A crash/hang fault that killed attempt 1 would kill every
+            # retry too — retries run the fault plan minus its
+            # process-killing members (still deterministic: same seed).
+            spec = {**spec, "strip_worker_faults": True}
+        task = (item.kind, spec, self._checkpoint_path(item))
+        while self._idle:
+            proc, conn = self._idle.pop()
+            try:
+                conn.send(("task", *task))
+            except OSError:  # the worker died while idle: reap it
+                self._kill(proc, conn)
+                continue
+            self._live.append(_Attempt(item, attempt, proc, conn))
+            return
+        parent_conn, child_conn = _CTX.Pipe()
+        proc = _CTX.Process(
+            target=_worker_main,
+            args=(child_conn, os.getpid(), task),
+            name=f"repro-cell-{item.label}",
+            daemon=True,
+        )
+        proc.start()
+        child_conn.close()  # the worker holds the only copy of its end
+        self._live.append(_Attempt(item, attempt, proc, parent_conn))
 
     def pump(self) -> List[AttemptOutcome]:
-        """Drain heartbeats, enforce limits, reap finished attempts.
+        """Retire idle workers, drain heartbeats, enforce limits, reap
+        finished attempts.
 
         Non-blocking; returns one :class:`AttemptOutcome` per attempt that
         finished since the last pump (success or taxonomy-classified
-        failure). Retry policy is the caller's business here — ``run()``
-        layers the batch retry/backoff logic on top.
+        failure). A worker whose attempt succeeded stays up until the next
+        pump, so an item spawned before then reuses it; one that got no
+        item by then is told to exit and reaped here. Retry policy is the
+        caller's business — ``run()`` layers the batch retry/backoff logic
+        on top.
         """
+        self._retire_idle()
         self._poll(self._live)
         finished: List[AttemptOutcome] = []
         still: List[_Attempt] = []
@@ -375,9 +483,16 @@ class SupervisedExecutor:
         ]
 
     def shutdown(self) -> None:
-        """SIGKILL every live attempt and reap it. Idempotent."""
-        live, self._live = self._live, []
-        self._kill_all(live)
+        """SIGKILL every live attempt and every idle worker and reap them
+        all. Idempotent and safe to call from a signal handler; a worker
+        handed an item in the instant before it was recorded finishes that
+        item and exits on its own once the supervisor is gone."""
+        for att in self._live:
+            self._kill(att.proc, att.conn)
+        for proc, conn in self._idle:
+            self._kill(proc, conn)
+        self._live = []
+        self._idle = []
 
     # -- batch API ----------------------------------------------------------
     def run(self, items: List[WorkItem]) -> Dict[str, dict]:
@@ -420,24 +535,6 @@ class SupervisedExecutor:
         digest = hashlib.sha256(item.result_key.encode("utf-8")).hexdigest()[:16]
         return Path(self.config.checkpoint_dir) / f"cell-{digest}.snap"
 
-    def _spawn(self, item: WorkItem, attempt: int) -> _Attempt:
-        spec = item.spec
-        if attempt > 1 and spec.get("fault_plan") is not None:
-            # A crash/hang fault that killed attempt 1 would kill every
-            # retry too — retries run the fault plan minus its
-            # process-killing members (still deterministic: same seed).
-            spec = {**spec, "strip_worker_faults": True}
-        parent_conn, child_conn = self._ctx.Pipe(duplex=False)
-        proc = self._ctx.Process(
-            target=_worker_main,
-            args=(child_conn, item.kind, spec, self._checkpoint_path(item)),
-            name=f"repro-cell-{item.label}",
-            daemon=True,
-        )
-        proc.start()
-        child_conn.close()  # parent keeps only the read end
-        return _Attempt(item, attempt, proc, parent_conn)
-
     def _poll(self, live: List[_Attempt]) -> None:
         """Drain every live pipe; record heartbeats and final outcomes."""
         for att in live:
@@ -465,12 +562,10 @@ class SupervisedExecutor:
         cfg = self.config
         now = time.monotonic()
         if att.outcome is not None and att.outcome[0] == "result":
-            att.proc.join()
-            att.conn.close()
+            self._idle.append((att.proc, att.conn))  # reusable until next pump
             return True, att.outcome[1]
         if att.outcome is not None:  # ("error", kind, repr)
-            att.proc.join()
-            att.conn.close()
+            self._kill(att.proc, att.conn)  # exiting anyway: never reused
             _, kind, detail = att.outcome
             self._record(att, kind, detail)
             return True, None
@@ -488,7 +583,7 @@ class SupervisedExecutor:
             self._record(att, FAILURE_CRASH, str(err), err)
             return True, None
         if cfg.run_timeout_s is not None and now - att.started > cfg.run_timeout_s:
-            self._kill(att)
+            self._kill(att.proc, att.conn)
             err = RunTimeoutError(att.item.label, cfg.run_timeout_s)
             self._record(att, FAILURE_TIMEOUT, str(err), err)
             return True, None
@@ -496,7 +591,7 @@ class SupervisedExecutor:
             cfg.heartbeat_timeout_s is not None
             and now - att.last_beat > cfg.heartbeat_timeout_s
         ):
-            self._kill(att)
+            self._kill(att.proc, att.conn)
             err = HeartbeatStallError(
                 att.item.label, now - att.last_beat, cfg.heartbeat_timeout_s
             )
@@ -537,16 +632,25 @@ class SupervisedExecutor:
         delay = cfg.restart_backoff_s * (cfg.backoff_factor ** (attempt - 1))
         return time.monotonic() + delay
 
-    def _kill(self, att: _Attempt) -> None:
+    @staticmethod
+    def _kill(proc, conn) -> None:
         """SIGKILL one worker and reap it (no cooperation required)."""
-        if att.proc.is_alive():
-            att.proc.kill()
-        att.proc.join()
+        if proc.is_alive():
+            proc.kill()
+        proc.join()
         try:
-            att.conn.close()
+            conn.close()
         except OSError:
             pass
 
-    def _kill_all(self, live: List[_Attempt]) -> None:
-        for att in live:
-            self._kill(att)
+    def _retire_idle(self) -> None:
+        """Tell every idle worker to exit, then reap them all."""
+        for _, conn in self._idle:
+            try:
+                conn.send(("exit",))
+            except OSError:
+                pass  # already gone
+        for proc, conn in self._idle:
+            proc.join()
+            conn.close()
+        self._idle = []

@@ -338,6 +338,7 @@ def run_adts(
             controller=controller, injector=injector, run_key=run_key,
         )
         result.scheduler.update(controller.summary())
+        controller.detach()  # the result is measured: free the machine by refcount
         if injector is not None:
             result.scheduler.update(injector.summary())
         if checker is not None:

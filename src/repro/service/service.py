@@ -694,8 +694,9 @@ class SimulationService:
             self.pump()
             if self.executor is not None and (self._inflight or self.queue.depth):
                 time.sleep(self.config.poll_interval_s)
-        if self.executor is not None and self._inflight:
-            self.executor.shutdown()
+        if self.executor is not None:
+            self.executor.shutdown()  # kills stragglers and idle workers
+        if self._inflight:
             for key, entry in sorted(self._inflight.items()):
                 self.counters["drain_killed"] += 1
                 if self._has_checkpoint(key):

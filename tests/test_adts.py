@@ -1,5 +1,8 @@
 """Integration tests for the ADTS controller on the real pipeline."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.core.adts import ADTSController
@@ -130,3 +133,32 @@ class TestADTSIntegration:
         proc.run_quanta(4)
         assert adts.missed_decisions > 0
         assert adts.num_switches == 0
+
+
+class TestMachineLifetime:
+    def test_run_adts_frees_its_machine_by_refcount(self, monkeypatch):
+        """The controller and the processor reference each other while the
+        run lasts; once the result is measured no full collection is needed
+        to free the machine, as with ``run_fixed``."""
+        from repro.harness import runner
+
+        built = []
+        build = runner.build_processor
+
+        def tracked(*args, **kw):
+            proc = build(*args, **kw)
+            built.append(weakref.ref(proc))
+            return proc
+
+        monkeypatch.setattr(runner, "build_processor", tracked)
+        cfg = runner.RunConfig(mix="mix05", num_threads=4, quanta=2,
+                               warmup_quanta=0, quantum_cycles=256)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            runner.run_adts(cfg)
+            (proc,) = built
+            assert proc() is None
+        finally:
+            if was_enabled:
+                gc.enable()

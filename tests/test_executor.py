@@ -1,19 +1,28 @@
 """Tests for the process-isolated supervised executor
 (repro.harness.executor): determinism across worker counts, crash
 containment, SIGKILL-enforced timeout/heartbeat limits, restart with
-fault stripping, journaled supervised sweeps and the failure taxonomy."""
+fault stripping, journaled supervised sweeps, the failure taxonomy and
+worker reuse under backlog."""
 
+import gc
 import multiprocessing
 import os
+import select
 import signal
+import subprocess
+import sys
 import time
+import weakref
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.faults import FaultPlan
 from repro.harness.errors import (
     FAILURE_CRASH,
     FAILURE_EXCEPTION,
+    FAILURE_INVARIANT,
     FAILURE_STALLED,
     FAILURE_TIMEOUT,
     RunFailedError,
@@ -27,6 +36,9 @@ from repro.harness.executor import (
 from repro.harness.journal import RunJournal
 from repro.harness.runner import RunConfig
 from repro.harness.sweep import threshold_type_grid
+from repro.service.request import SimRequest
+from repro.service.service import ServiceConfig, SimulationService
+from repro.smt.invariants import InvariantViolation
 
 fork_only = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -45,6 +57,13 @@ def grid_item(label="cell", mix="mix02", fault_plan=None):
     spec = {"config": tiny_base(), "cells": [(2.0, "type3", mix, "cell")],
             "fault_plan": fault_plan}
     return WorkItem(label=label, kind="grid_batch", spec=spec)
+
+
+def service_item(label="svc", mix="mix02", **spec):
+    """A ``service_cell`` item: one ADTS run, as the simulation service
+    submits it."""
+    return WorkItem(label=label, kind="service_cell",
+                    spec={"config": tiny_base(mix=mix), "mode": "adts", **spec})
 
 
 # -- task kinds used to provoke specific failure modes (fork workers inherit
@@ -79,10 +98,57 @@ def _error_task(spec, progress, ckpt):
     raise ValueError("deliberate worker exception")
 
 
+def _invariant_task(spec, progress, ckpt):
+    progress(0)
+    raise InvariantViolation("deliberate", 0, "test invariant failure")
+
+
+def _pid_task(spec, progress, ckpt):
+    progress(0)
+    return {"pid": os.getpid()}
+
+
+class _Node:
+    pass
+
+
+_CYCLES = []  # weak references to the cycles _cycle_task made in this process
+
+
+def _cycle_task(spec, progress, ckpt):
+    """Leave a reference cycle behind, with automatic collection off so
+    only the worker's own collection can free it."""
+    progress(0)
+    node = _Node()
+    node.self = node
+    _CYCLES.append(weakref.ref(node))
+    gc.disable()
+    return {"pid": os.getpid()}
+
+
+def _cycle_probe_task(spec, progress, ckpt):
+    progress(0)
+    gc.enable()
+    return {"seen": len(_CYCLES), "alive": sum(r() is not None for r in _CYCLES)}
+
+
+def _trace_cache_probe_task(spec, progress, ckpt):
+    from repro.workloads.tracecache import active_trace_cache
+
+    progress(0)
+    cache = active_trace_cache()
+    return {"cache": None if cache is None else str(cache.root)}
+
+
 register_task_kind("test_crash", _crash_task)
 register_task_kind("test_hang", _hang_task)
 register_task_kind("test_flaky", _flaky_task)
 register_task_kind("test_error", _error_task)
+register_task_kind("test_invariant", _invariant_task)
+register_task_kind("test_pid", _pid_task)
+register_task_kind("test_cycle", _cycle_task)
+register_task_kind("test_cycle_probe", _cycle_probe_task)
+register_task_kind("test_trace_cache_probe", _trace_cache_probe_task)
 
 
 class TestDeterministicAggregation:
@@ -201,6 +267,197 @@ class TestRestarts:
             ex.run([WorkItem(label="boom", kind="test_crash")])
         assert exc.value.attempts == 2
         assert len(ex.failures) == 2
+
+
+def _alive(pid):
+    """Whether ``pid`` runs: not reaped and, where /proc shows it, not a
+    zombie."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return True
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+def _finish(ex, timeout_s=60.0):
+    """Pump ``ex`` until its one live attempt finishes; return the outcome."""
+    deadline = time.monotonic() + timeout_s
+    while time.monotonic() < deadline:
+        outs = ex.pump()
+        if outs:
+            (out,) = outs
+            return out
+        time.sleep(0.01)
+    pytest.fail(f"no attempt finished within {timeout_s:g}s")
+
+
+def _run_queued(ex, items):
+    """Run ``items`` as a caller with a backlog does: each item is spawned
+    right after the pump that reaped the previous one. Returns one
+    ``(outcome, worker pid)`` per item."""
+    out = []
+    for item in items:
+        ex.spawn_attempt(item)
+        (worker,) = ex.live_workers()
+        out.append((_finish(ex), worker["pid"]))
+    return out
+
+
+_SUPERVISOR = """
+import time
+from repro.harness.executor import (
+    ExecutorConfig, SupervisedExecutor, WorkItem, register_task_kind)
+
+register_task_kind("noop", lambda spec, progress, ckpt: {})
+ex = SupervisedExecutor(ExecutorConfig(workers=1))
+ex.spawn_attempt(WorkItem(label="a", kind="noop"))
+(worker,) = ex.live_workers()
+deadline = time.monotonic() + 60
+while not ex.pump() and time.monotonic() < deadline:
+    time.sleep(0.01)
+print(worker["pid"], flush=True)
+time.sleep(60)
+"""
+
+
+@fork_only
+class TestWorkerReuse:
+    """A worker that finishes an item while another waits runs that item
+    too; every rule that keeps reuse invisible holds."""
+
+    @pytest.mark.parametrize("make_item", [service_item, grid_item])
+    def test_queued_items_share_one_worker(self, make_item):
+        items = [make_item("a", mix="mix02"), make_item("b", mix="mix05")]
+        ex = SupervisedExecutor(ExecutorConfig(workers=1))
+        try:
+            (a, pid_a), (b, pid_b) = _run_queued(ex, items)
+        finally:
+            ex.shutdown()
+        assert pid_a == pid_b
+        for out, item in ((a, items[0]), (b, items[1])):
+            fresh = SupervisedExecutor(ExecutorConfig(workers=1)).run([item])
+            assert out.payload == fresh[item.result_key]
+
+    def test_batch_run_reuses_the_worker(self):
+        ex = SupervisedExecutor(ExecutorConfig(workers=1))
+        res = ex.run([WorkItem(label=k, kind="test_pid") for k in "abc"])
+        assert len({r["pid"] for r in res.values()}) == 1
+        assert not any(_alive(r["pid"]) for r in res.values())
+
+    @pytest.mark.parametrize("kind, limits, failure", [
+        ("test_error", {}, FAILURE_EXCEPTION),
+        ("test_invariant", {}, FAILURE_INVARIANT),
+        ("test_crash", {}, FAILURE_CRASH),
+        ("test_hang", {"run_timeout_s": 0.5}, FAILURE_TIMEOUT),
+        ("test_hang", {"heartbeat_timeout_s": 0.5}, FAILURE_STALLED),
+    ])
+    def test_failed_worker_is_never_reused(self, kind, limits, failure):
+        ex = SupervisedExecutor(ExecutorConfig(workers=1, max_restarts=0, **limits))
+        try:
+            (bad, bad_pid), (good, good_pid) = _run_queued(ex, [
+                WorkItem(label="bad", kind=kind), WorkItem(label="next", kind="test_pid")])
+        finally:
+            ex.shutdown()
+        assert bad.failure_kind == failure
+        assert good.payload == {"pid": good_pid}
+        assert good_pid != bad_pid and not _alive(bad_pid)
+
+    def test_idle_worker_retired_by_next_pump(self):
+        ex = SupervisedExecutor(ExecutorConfig(workers=1))
+        try:
+            ((out, pid),) = _run_queued(ex, [WorkItem(label="a", kind="test_pid")])
+            assert out.ok and _alive(pid)  # idle: an item may still come
+            assert ex.pump() == []
+            assert not _alive(pid)
+        finally:
+            ex.shutdown()
+
+    def test_item_for_a_dead_idle_worker_runs_in_a_fresh_one(self):
+        ex = SupervisedExecutor(ExecutorConfig(workers=1, max_restarts=0))
+        try:
+            ((_, pid),) = _run_queued(ex, [WorkItem(label="a", kind="test_pid")])
+            os.kill(pid, signal.SIGKILL)
+            deadline = time.monotonic() + 10
+            while _alive(pid) and time.monotonic() < deadline:
+                time.sleep(0.01)
+            ((out, new_pid),) = _run_queued(ex, [WorkItem(label="b", kind="test_pid")])
+        finally:
+            ex.shutdown()
+        assert out.payload == {"pid": new_pid} and new_pid != pid
+        assert ex.failures == []
+
+    def test_shutdown_retires_idle_worker(self):
+        ex = SupervisedExecutor(ExecutorConfig(workers=1))
+        ((out, pid),) = _run_queued(ex, [WorkItem(label="a", kind="test_pid")])
+        assert out.ok and _alive(pid)
+        ex.shutdown()
+        assert not _alive(pid)
+
+    def test_drain_retires_idle_worker(self):
+        svc = SimulationService(ServiceConfig(workers=1))
+        svc.submit(SimRequest(request_id="r1", quanta=1, warmup_quanta=0,
+                              quantum_cycles=128))
+        svc.pump()
+        (worker,) = svc.executor.live_workers()
+        svc.run_until_idle(timeout_s=60)
+        assert svc.inflight == 0 and _alive(worker["pid"])
+        svc.drain()
+        assert not _alive(worker["pid"])
+
+    def test_cycles_freed_before_next_task(self):
+        ex = SupervisedExecutor(ExecutorConfig(workers=1))
+        try:
+            (made, pid_a), (probe, pid_b) = _run_queued(ex, [
+                WorkItem(label="make", kind="test_cycle"),
+                WorkItem(label="probe", kind="test_cycle_probe")])
+        finally:
+            ex.shutdown()
+        assert made.ok and pid_a == pid_b
+        assert probe.payload == {"seen": 1, "alive": 0}
+
+    def test_trace_cache_not_active_in_next_task(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("REPRO_TRACE_CACHE", raising=False)
+        probe = WorkItem(label="probe", kind="test_trace_cache_probe")
+        fresh = SupervisedExecutor(ExecutorConfig(workers=1)).run([probe])["probe"]
+        cache_dir = str(tmp_path / "traces")
+        ex = SupervisedExecutor(ExecutorConfig(workers=1))
+        try:
+            (cell, pid_a), (after, pid_b) = _run_queued(ex, [
+                service_item("cached", trace_cache_dir=cache_dir), probe])
+        finally:
+            ex.shutdown()
+        assert cell.ok and pid_a == pid_b
+        assert after.payload == fresh
+        assert after.payload["cache"] != cache_dir
+
+    def test_idle_worker_exits_when_supervisor_dies(self):
+        src = str(Path(repro.__file__).resolve().parents[1])
+        sup = subprocess.Popen(
+            [sys.executable, "-c", _SUPERVISOR], stdout=subprocess.PIPE,
+            text=True, env={**os.environ, "PYTHONPATH": src})
+        worker = None
+        try:
+            ready, _, _ = select.select([sup.stdout], [], [], 60)
+            assert ready, "the supervisor never reported an idle worker"
+            worker = int(sup.stdout.readline())
+            assert _alive(worker)
+            sup.kill()
+            sup.wait(timeout=10)
+            deadline = time.monotonic() + 2.0
+            while _alive(worker) and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert not _alive(worker)
+        finally:
+            if sup.poll() is None:
+                sup.kill()
+                sup.wait(timeout=10)
+            sup.stdout.close()
+            if worker is not None and _alive(worker):
+                os.kill(worker, signal.SIGKILL)
 
 
 class TestConfigValidation:

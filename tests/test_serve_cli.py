@@ -1,6 +1,7 @@
 """Subprocess tests for the serving CLI: `repro serve` speaking JSONL over
 stdio, overload behaviour under a seeded burst, SIGTERM graceful drain
-(exit 0, no orphan workers, journal unlockable afterwards), and the
+(exit 0, no orphan workers, journal unlockable afterwards), a process-group
+SIGINT that the workers outlive so the drain answers in full, and the
 `repro grid --workers N` signal handlers (exit 128+signum, pool killed,
 journal lock released)."""
 
@@ -24,12 +25,12 @@ pytestmark = pytest.mark.skipif(
 )
 
 
-def _spawn(args, cwd):
+def _spawn(args, cwd, **popen_kw):
     env = {**os.environ, "PYTHONPATH": SRC}
     return subprocess.Popen(
         [sys.executable, "-m", "repro", *args],
         stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE, text=True, env=env, cwd=str(cwd),
+        stderr=subprocess.PIPE, text=True, env=env, cwd=str(cwd), **popen_kw,
     )
 
 
@@ -152,6 +153,42 @@ class TestServe:
         with RunJournal(journal) as j:
             j.load()
             j.record("post-drain", {"ipc": 1.0})
+
+    def test_process_group_sigint_drains_in_flight_work(self, tmp_path):
+        """A terminal's Ctrl-C signals the whole process group: the workers
+        must survive it so the drain answers in-flight requests in full,
+        with no crash recorded against them."""
+        proc = _spawn(SERVE_ARGS, tmp_path, start_new_session=True)
+        try:
+            _await_ready(proc)
+            burst = subprocess.run(
+                [sys.executable, "-m", "repro", *BURST_ARGS],
+                capture_output=True, text=True, check=True,
+                env={**os.environ, "PYTHONPATH": SRC}, cwd=str(tmp_path),
+            ).stdout
+            proc.stdin.write(burst)
+            proc.stdin.flush()
+            deadline = time.monotonic() + 60
+            while not _children(proc.pid) and time.monotonic() < deadline:
+                time.sleep(0.02)
+            workers = _children(proc.pid)
+            assert workers, "worker pool never came up"
+            os.killpg(proc.pid, signal.SIGINT)
+            stdout, stderr = proc.communicate(timeout=120)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        assert proc.returncode == 0, stderr
+        events = _events(stdout)
+        assert events[-1]["event"] == "drained"
+        stats = events[-1]["stats"]
+        responses = [e["response"] for e in events if e["event"] == "response"]
+        assert len(responses) == stats["counters"]["submitted"]
+        assert stats["counters"]["full_failures"] == 0
+        assert not [r for r in responses if "crash" in (r.get("reason") or "")]
+        assert any(r["tier"] == "full" for r in responses)
+        _assert_all_exit(workers)
 
     def test_bad_input_line_reports_error_and_keeps_serving(self, tmp_path):
         proc = _spawn(["serve", "--workers", "0"], tmp_path)
