@@ -1,7 +1,7 @@
 """In-service drift guard: rolling-window comparison against a baseline.
 
-The guard runs inside ``SimulationService``/``ShardedService`` pump
-loops. Each ``observe(now, summary)`` appends a flattened snapshot to a
+The guard runs inside the service front door's (``ShardedService``) pump
+loop. Each ``observe(now, summary)`` appends a flattened snapshot to a
 sliding window; once the window spans enough admitted traffic the guard
 computes windowed per-request rates (:func:`~repro.behavior.profile.
 service_rates`) and compares them against the baseline profile's

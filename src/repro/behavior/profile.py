@@ -14,9 +14,8 @@ drift report against a baseline is byte-reproducible.
 
 Capture helpers by layer:
 
-* :func:`profile_from_service` — any service exposing the unified
-  ``summary()`` schema (:class:`~repro.service.SimulationService` or
-  :class:`~repro.service.ShardedService`), with whole-run ``rate.*``
+* :func:`profile_from_service` — the service front door's ``summary()``
+  (:class:`~repro.service.ShardedService`), with whole-run ``rate.*``
   metrics derived per submitted request — the same namespace the online
   :class:`~repro.behavior.guard.DriftGuard` recomputes over its rolling
   window.
@@ -38,8 +37,8 @@ from typing import Dict, Mapping, Optional
 PROFILE_FORMAT = "behaviour-profile"
 PROFILE_VERSION = 1
 
-#: ``rate.<name>`` metrics derived from the unified service ``summary()``
-#: schema: numerator path in the flattened summary, denominator is
+#: ``rate.<name>`` metrics derived from the service front door's
+#: ``summary()`` schema: numerator path in the flattened summary, denominator is
 #: ``submitted``. The whole-run capture and the DriftGuard's rolling
 #: window both speak exactly this namespace, so an offline baseline is
 #: directly comparable to an online window.
@@ -203,7 +202,7 @@ def profile_from_service(
     breakdown: Optional[Mapping] = None,
     window: Optional[Mapping] = None,
 ) -> BehaviorProfile:
-    """Capture a service's unified ``summary()`` plus derived rates.
+    """Capture the front door's ``summary()`` plus derived rates.
 
     ``breakdown`` (a :func:`~repro.service.breakdown` result over the
     run's responses) folds outcome/tier shares in when the caller has

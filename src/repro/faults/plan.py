@@ -25,8 +25,9 @@ from typing import Sequence
 #: *not* part of ``all`` — an unsupervised run has nothing to contain it.
 #: ``service`` is likewise service-level (synthetic overload at admission,
 #: forced full-tier failures that push a circuit breaker toward open); it
-#: only has meaning under :class:`~repro.service.SimulationService` and is
-#: also excluded from ``all``. ``disk`` is the filesystem family (torn
+#: only has meaning behind the service front door
+#: (:class:`~repro.service.ShardedService`) and is also excluded from
+#: ``all``. ``disk`` is the filesystem family (torn
 #: writes, ENOSPC, failed renames — injected at the storage layer by
 #: :mod:`repro.storage.faultfs`, not at scheduler boundaries); it never
 #: changes simulation results (artifacts are recovered or regenerated), so
@@ -34,7 +35,7 @@ from typing import Sequence
 #: ``corruption`` is the silent-data-corruption family (a served result's
 #: summary counters bit-flipped between computation and the front door);
 #: like ``service`` it only has meaning under the serving stack — here the
-#: sharded front door — and is excluded from ``all``.
+#: front door — and is excluded from ``all``.
 FAULT_KINDS = (
     "counters", "dt", "policy", "hangs", "worker", "service", "corruption", "disk"
 )
@@ -87,8 +88,8 @@ class FaultPlan:
         service_breaker_trip_rate: P(per full-fidelity dispatch) the
             dispatched attempt is forced to fail (worker SIGKILL under a
             supervised pool), pushing the service's circuit breaker toward
-            open. Only meaningful under
-            :class:`~repro.service.SimulationService`.
+            open. Only meaningful behind the service front door
+            (:class:`~repro.service.ShardedService`).
         service_corrupt_result_rate: P(per full-fidelity result crossing
             the serving front door) one mantissa bit of a summary counter
             is silently flipped before the payload is served and stored —

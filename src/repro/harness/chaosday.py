@@ -3,9 +3,9 @@
 PRs 1–5 each proved one robustness mechanism in isolation — seeded
 scheduler faults, a supervised worker pool, admission/breaker/degradation
 serving, and a self-healing storage layer. A chaos day is the integration
-proof: one seeded campaign drives shaped (or recorded) traffic through a
-:class:`~repro.service.SimulationService` with autoscaling enabled while
-*all* the fault families fire together —
+proof: one seeded campaign drives shaped (or recorded) traffic through the
+service front door (:class:`~repro.service.ShardedService`) with
+autoscaling enabled while *all* the fault families fire together —
 
 * in-process scheduler faults (counters / dt / policy / hangs) ride on a
   seeded fraction of requests via ``SimRequest.fault_kinds``;
@@ -15,11 +15,11 @@ proof: one seeded campaign drives shaped (or recorded) traffic through a
   service's own :class:`~repro.faults.FaultPlan` hooks;
 * disk faults (torn writes, ENOSPC, failed renames) are injected under
   the journal by :func:`~repro.storage.faultfs.faultfs_session` — and,
-  in sharded campaigns (``shards > 1``), under the content-addressed
-  result store as well, so cache corruption and lost puts are part of
-  the proof;
+  in campaigns with a result store (``shards > 1`` or any integrity
+  knob), under the content-addressed store as well, so cache corruption
+  and lost puts are part of the proof;
 * silent result corruption (``corrupt_rate > 0``) flips counter bits in
-  served full-fidelity payloads at the sharded front door — the
+  served full-fidelity payloads at the front door — the
   integrity hazard shadow verification (``verify_rate``) exists to
   catch; poison-pill identities are parked by the DLQ at
   ``dlq_threshold`` strikes.
@@ -28,11 +28,11 @@ The campaign asserts one machine-checkable **drain contract**: every
 submitted request produced exactly one response; every refusal (rejected /
 shed / failed) carries a machine-readable reason; the artifact tree —
 including the response journal that took disk faults all campaign — is
-fsck-clean (no quarantines) afterwards. When silent corruption is
-injected the contract additionally folds in the front door's
-**verification audit**: every injected corruption event must have been
-caught (no tainted payload still served from the store) and no
-divergent-marked entry may survive. The report is written through
+fsck-clean (no quarantines) afterwards. The contract also folds in the
+front door's **verification audit**: every injected corruption event
+must have been caught (no tainted payload still served from the store),
+no divergent-marked entry may survive, and the DLQ must still refuse
+everything it parked. The report is written through
 ``repro.storage`` as a checksummed ``chaos-campaign`` artifact, and with
 the default inline lockstep mode (``workers=0`` + virtual clock) the
 deterministic portion of the report is a pure function of (config, seed):
@@ -49,9 +49,9 @@ from repro.faults import FaultPlan
 from repro.service import (
     AutoscalerConfig,
     ServiceConfig,
+    ShardedService,
     SimRequest,
     SimResponse,
-    SimulationService,
     TimedRequest,
     TrafficSpec,
     VirtualClock,
@@ -92,18 +92,19 @@ class CampaignConfig:
             deterministic report — the default and what CI pins);
             > 0 = real supervised pool paced by the wall clock, which
             additionally exercises worker crash/hang faults.
-        shards: > 1 routes the campaign through the sharded front-door
-            (:class:`~repro.service.ShardedService`) — identity-keyed
-            routing, request coalescing under crash-safe leases, and a
+        shards: shards behind the front door
+            (:class:`~repro.service.ShardedService`), which always routes
+            by identity and coalesces identical in-flight requests under
+            crash-safe leases. 1 (default) runs one shard on the
+            campaign's own ``journal.jsonl``; > 1 also adds a
             content-addressed result store at ``out_dir/resultstore``
-            that takes the same disk faults as the journal. 1 (default)
-            keeps the single-service path.
-        verify_rate: shadow-verification sampling rate (0 disables).
-            Any non-zero value forces the sharded front-door, which is
-            where the verifier lives.
+            that takes the same disk faults as the journal.
+        verify_rate: shadow-verification sampling rate (0 disables;
+            non-zero also adds the result store the verifier checks).
         dlq_threshold: engine-failure strikes before an identity is
-            parked in the dead-letter queue (0 disables; also forces
-            the sharded front-door when non-zero).
+            parked in the dead-letter queue (0 disables; non-zero also
+            adds the result store, whose ``dlq/`` holds parked
+            identities).
         corrupt_rate: seeded silent-corruption injection rate on served
             full-fidelity results — the hazard verification must catch.
             Campaigns with ``corrupt_rate > 0`` only pass when the
@@ -117,8 +118,8 @@ class CampaignConfig:
             service knobs, passed through.
         profile_store: behaviour-profile store directory — the campaign's
             behaviour is snapshotted there at the end, and when the store
-            has a designated baseline a rolling DriftGuard runs inside
-            the service for the whole campaign (None disables both).
+            has a designated baseline a rolling DriftGuard watches the
+            front door for the whole campaign (None disables both).
         profile_label: label for the captured profile (default
             ``chaosday``).
     """
@@ -203,10 +204,10 @@ def check_contract(
     both key on.
 
     ``audit`` (a :meth:`~repro.service.ShardedService.verification_audit`
-    result, when the campaign ran the integrity layer) is folded into
-    ``ok``: a campaign that injected silent corruption passes only if
-    every injected event was caught, no divergent-marked store entry
-    survives, and the DLQ still refuses everything it parked.
+    result) is folded into ``ok``: a campaign that injected silent
+    corruption passes only if every injected event was caught, no
+    divergent-marked store entry survives, and the DLQ still refuses
+    everything it parked.
     """
     submitted = [e.request.request_id for e in events]
     answered: dict = {}
@@ -296,30 +297,23 @@ def run_campaign(
             cooldown_s=max(cfg.tick_s * 4, 0.2),
         ),
     )
-    sharded = (
+    with_store = (
         cfg.shards > 1
         or cfg.verify_rate > 0.0
         or cfg.dlq_threshold > 0
         or cfg.corrupt_rate > 0.0
     )
-    if sharded:
-        from repro.service import ShardedService
-
-        service = ShardedService(
-            service_cfg,
-            shards=cfg.shards,
-            store=out / "resultstore",
-            full_runner=full_runner,
-            fast_runner=fast_runner,
-            clock=clock,
-            verify_rate=cfg.verify_rate,
-            verify_seed=cfg.seed,
-            dlq_threshold=cfg.dlq_threshold,
-        )
-    else:
-        service = SimulationService(
-            service_cfg, full_runner=full_runner, fast_runner=fast_runner, clock=clock
-        )
+    service = ShardedService(
+        service_cfg,
+        shards=cfg.shards,
+        store=out / "resultstore" if with_store else None,
+        full_runner=full_runner,
+        fast_runner=fast_runner,
+        clock=clock,
+        verify_rate=cfg.verify_rate,
+        verify_seed=cfg.seed,
+        dlq_threshold=cfg.dlq_threshold,
+    )
 
     profile_store = None
     if cfg.profile_store is not None:
@@ -330,9 +324,7 @@ def run_campaign(
         baseline = profile_store.load_baseline()
         if baseline is not None:
             try:
-                service.attach_drift_guard(
-                    DriftGuard(baseline, DriftGuardConfig())
-                )
+                service.drift_guard = DriftGuard(baseline, DriftGuardConfig())
             except ValueError:
                 # Baseline carries no rate.* metrics (a sim or bench
                 # profile): nothing to compare online; offline drift via
@@ -365,7 +357,7 @@ def run_campaign(
         responses.extend(service.take_completed())
         disk_summary = ffs.summary() if ffs is not None else None
 
-    audit = service.verification_audit() if sharded else None
+    audit = service.verification_audit()
     contract = check_contract(events, responses, stats, audit=audit)
     fsck = fsck_tree(out, repair=True)
     fsck_ok = fsck.exit_code == 0
@@ -389,11 +381,7 @@ def run_campaign(
             "transitions": len(stats["breaker_transitions"]),
         },
         "autoscaler": stats["autoscaler"],
-        "sharding": (
-            {"shards": cfg.shards, "summary": service.summary()}
-            if sharded
-            else None
-        ),
+        "sharding": {"shards": cfg.shards, "summary": service.summary()},
         "verification": audit,
         "faults": {
             "plan": {
@@ -407,34 +395,13 @@ def run_campaign(
         "exit_code": exit_code,
     }
     if profile_store is not None:
-        from repro.behavior import (
-            BehaviorProfile,
-            flatten_metrics,
-            profile_from_campaign,
-            service_rates,
-        )
+        from repro.behavior import profile_from_campaign
 
         profile = profile_from_campaign(
             report, cfg.profile_label or "chaosday"
         )
-        if not any(k.startswith("rate.") for k in profile.metrics):
-            # Unsharded campaigns carry no sharding summary in the report;
-            # derive the rate.* namespace from the live service so this
-            # profile can still seed a DriftGuard as a baseline.
-            flat = flatten_metrics(
-                {k: v for k, v in service.summary().items() if k != "behavior"}
-            )
-            rates = service_rates(flat)
-            if rates:
-                profile = BehaviorProfile(
-                    label=profile.label,
-                    source=profile.source,
-                    metrics={**profile.metrics, **rates},
-                    identity=profile.identity,
-                    window=profile.window,
-                )
         profile_id = profile_store.save(profile)
-        guard = service._drift_guard
+        guard = service.drift_guard
         report["behavior"] = {
             "profile": profile_id,
             "baseline": profile_store.baseline_id(),
@@ -470,30 +437,24 @@ def format_report(report: dict) -> str:
             f"downs={scaler['scale_downs']} "
             f"final target={scaler['target']}"
         )
-    sharding = report.get("sharding")
-    if sharding is not None:
-        s = sharding["summary"]
-        lines.append(
+    sharding = report["sharding"]
+    s = sharding["summary"]
+    audit = report["verification"]
+    c = audit["counters"]
+    dlq = audit.get("dlq") or {}
+    lines.extend(
+        [
             f"  sharding: {sharding['shards']} shard(s), "
             f"{s['simulations']} simulation(s) for {s['submitted']} request(s) "
             f"(store hits {s['cache']['store_hits']}, "
             f"coalesced {s['coalescing']['coalesced_waiters']}, "
-            f"promotions {s['coalescing']['promotions']})"
-        )
-    audit = report.get("verification")
-    if audit is not None:
-        c = audit["counters"]
-        dlq = audit.get("dlq") or {}
-        lines.append(
+            f"promotions {s['coalescing']['promotions']})",
             f"  integrity: {'OK' if audit['ok'] else 'VIOLATED'} "
             f"(corrupted {audit['corrupted_injected']}, "
             f"caught {audit['caught']}, "
             f"uncaught {len(audit['uncaught'])}, "
             f"verified {c['verified']}, restored {c['restored']}, "
-            f"dlq parked {dlq.get('parked', 0)})"
-        )
-    lines.extend(
-        [
+            f"dlq parked {dlq.get('parked', 0)})",
             f"  breaker transitions: {report['breaker']['transitions']}",
             f"  fsck: {report['fsck']['counts']} "
             f"(exit {report['fsck']['exit_code']})",

@@ -335,30 +335,21 @@ def _service_config(args):
 
 
 def _build_service(args, clock=None):
-    """An unsharded service, or the sharded front-door when ``--shards``
-    exceeds 1, a ``--result-store`` is given (the store is worth having
-    even at one shard: repeats survive restarts), or the integrity layer
-    (``--verify-rate`` / ``--dlq``) is requested — the verifier and the
-    dead-letter queue live in the front door."""
-    from repro.service import ShardedService, SimulationService
+    """The service front door: ``--shards`` shards (one by default), a
+    result store only with ``--result-store``, and shadow verification or
+    the dead-letter queue only when ``--verify-rate`` / ``--dlq`` ask."""
+    from repro.service import ShardedService
 
-    cfg = _service_config(args)
-    shards = getattr(args, "shards", 1)
-    store = getattr(args, "result_store", None)
-    verify_rate = getattr(args, "verify_rate", 0.0)
-    dlq_threshold = getattr(args, "dlq", 0)
     kwargs = {"clock": clock} if clock is not None else {}
-    if shards > 1 or store is not None or verify_rate > 0 or dlq_threshold > 0:
-        return ShardedService(
-            cfg,
-            shards=max(1, shards),
-            store=store,
-            verify_rate=verify_rate,
-            verify_seed=getattr(args, "seed", 0),
-            dlq_threshold=dlq_threshold,
-            **kwargs,
-        )
-    return SimulationService(cfg, **kwargs)
+    return ShardedService(
+        _service_config(args),
+        shards=max(1, getattr(args, "shards", 1)),
+        store=getattr(args, "result_store", None),
+        verify_rate=getattr(args, "verify_rate", 0.0),
+        verify_seed=getattr(args, "seed", 0),
+        dlq_threshold=getattr(args, "dlq", 0),
+        **kwargs,
+    )
 
 
 def _profile_store(args):
@@ -384,13 +375,11 @@ def _arm_drift_guard(service, args, default_label):
         from repro.behavior import DriftGuard, DriftGuardConfig
 
         try:
-            service.attach_drift_guard(
-                DriftGuard(
-                    baseline,
-                    DriftGuardConfig(
-                        degrade_on_drift=getattr(args, "drift_degrade", False)
-                    ),
-                )
+            service.drift_guard = DriftGuard(
+                baseline,
+                DriftGuardConfig(
+                    degrade_on_drift=getattr(args, "drift_degrade", False)
+                ),
             )
         except ValueError:
             print("profile baseline has no rate.* metrics; drift guard "
@@ -421,11 +410,11 @@ def cmd_serve(args) -> int:
     SIGTERM/SIGINT — or ``{"op": "shutdown"}``, or EOF — drains gracefully:
     admission stops, in-flight work finishes or is checkpointed within the
     drain deadline, every accepted request gets its response, and the
-    process exits 0. With ``--shards N`` the service becomes a sharded
-    front-door: requests route by deterministic identity, identical
-    in-flight requests coalesce onto one leader, and full-fidelity answers
-    persist in the ``--result-store`` directory (when given) for instant
-    byte-identical repeats across restarts.
+    process exits 0. Requests go through the service front door: they
+    route by deterministic identity across ``--shards N`` shards (one by
+    default), identical in-flight requests coalesce onto one leader, and
+    full-fidelity answers persist in the ``--result-store`` directory
+    (when given) for instant byte-identical repeats across restarts.
     """
     from repro.service import ServeLoop
 
@@ -1056,27 +1045,25 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--autoscale-cooldown", type=float, default=0.5,
                        help="minimum seconds between scale events")
         p.add_argument("--shards", type=int, default=1, metavar="N",
-                       help="route through a sharded front-door of N "
-                            "shard services (identity routing, request "
-                            "coalescing; > 1 implies sharded mode)")
+                       help="route requests by identity across N shard "
+                            "services behind the front door (default 1); "
+                            "identical in-flight requests coalesce at any N")
         p.add_argument("--result-store", default=None, metavar="DIR",
                        help="content-addressed durable result store; "
                             "repeated requests are answered from disk, "
-                            "byte-identical, across restarts (enables the "
-                            "sharded front-door even with --shards 1)")
+                            "byte-identical, across restarts")
         p.add_argument("--verify-rate", type=float, default=0.0,
                        metavar="RATE",
                        help="shadow-verify this seeded fraction of served "
                             "full-fidelity results by re-executing them on "
                             "another shard; divergent results are "
-                            "quarantined and re-run best-2-of-3 (enables "
-                            "the sharded front-door)")
+                            "quarantined and re-run best-2-of-3")
         p.add_argument("--dlq", type=int, default=0, metavar="STRIKES",
                        help="park an identity in the dead-letter queue "
                             "after this many engine failures across "
                             "retries and shards; parked identities get an "
                             "immediate dlq-parked:<kind> refusal "
-                            "(0 disables; enables the sharded front-door)")
+                            "(0 disables)")
         p.add_argument("--seed", type=int, default=0)
 
     def _add_profile_opts(p: argparse.ArgumentParser,
@@ -1143,15 +1130,14 @@ def build_parser() -> argparse.ArgumentParser:
                         "= real supervised pool (adds worker crash/hang "
                         "faults, wall-clock paced)")
     p.add_argument("--shards", type=int, default=1,
-                   help="> 1 = run the campaign through the sharded "
-                        "front-door (coalescing, leases, and a result "
-                        "store at OUT/resultstore under disk faults)")
+                   help="shards behind the front door; > 1 also adds a "
+                        "result store at OUT/resultstore under disk faults")
     p.add_argument("--verify-rate", type=float, default=0.0,
-                   help="shadow-verification sampling rate (> 0 implies "
-                        "the sharded front-door)")
+                   help="shadow-verification sampling rate (> 0 also "
+                        "adds the result store)")
     p.add_argument("--dlq", type=int, default=0, metavar="STRIKES",
-                   help="dead-letter-queue parking threshold (> 0 implies "
-                        "the sharded front-door; 0 disables)")
+                   help="dead-letter-queue parking threshold (0 disables; "
+                        "> 0 also adds the result store)")
     p.add_argument("--corrupt-rate", type=float, default=0.0,
                    help="inject seeded silent corruption into this "
                         "fraction of served results; the campaign then "

@@ -57,9 +57,9 @@ Two consumption styles share one pool:
 * **streaming** — :meth:`SupervisedExecutor.spawn_attempt` /
   :meth:`~SupervisedExecutor.pump` expose the same supervision (heartbeats,
   SIGKILL limits, crash taxonomy) one attempt at a time without blocking,
-  so a long-lived caller such as
-  :class:`~repro.service.SimulationService` can interleave dispatch with
-  its own admission/backpressure logic. ``run()`` is implemented on top of
+  so a long-lived caller such as a service shard
+  (:class:`~repro.service.service.SimulationService`) can interleave
+  dispatch with its own admission/backpressure logic. ``run()`` is implemented on top of
   the streaming primitives.
 """
 
@@ -212,7 +212,7 @@ class WorkItem:
     label: str
     kind: str
     spec: dict = field(default_factory=dict)
-    shard: Optional[int] = None  # owning shard behind a sharded front-door
+    shard: Optional[int] = None  # owning shard behind the service front door
 
     @property
     def result_key(self) -> str:

@@ -1,15 +1,17 @@
 """Overload-safe simulation serving.
 
-Wraps the batch harness in a long-running service with bounded admission
+One front door, :class:`~repro.service.router.ShardedService`, is the
+service every caller builds. It routes requests by deterministic identity
+to its shards (one by default), coalesces identical in-flight requests
+under crash-safe leases, and — when configured — serves repeats from a
+content-addressed durable result store, shadow-verifies results and parks
+poison pills in a dead-letter queue. Each shard is an internal
+:class:`~repro.service.service.SimulationService` with bounded admission
 (backpressure, per-client fairness, deadline shedding), a circuit breaker
 over the full-fidelity worker pool, graceful degradation onto the
 calibrated fast model (every degraded answer explicitly marked), and a
-drain path that answers every accepted request before exit. A sharded
-front-door (:class:`~repro.service.router.ShardedService`) routes by
-deterministic request identity across a pool of such services, coalesces
-identical in-flight requests under crash-safe leases, and serves repeats
-from a content-addressed durable result store. See ``DESIGN.md`` §9/§13
-and the module docstrings for the full story.
+drain path that answers every accepted request before exit. See
+``DESIGN.md`` §9/§13 and the module docstrings for the full story.
 """
 
 from repro.service.admission import (
@@ -72,7 +74,7 @@ from repro.service.verify import (
     payload_digest,
 )
 from repro.service.server import ServeLoop
-from repro.service.service import ServiceConfig, SimulationService
+from repro.service.service import ServiceConfig
 
 __all__ = [
     "AdmissionQueue",
@@ -100,7 +102,6 @@ __all__ = [
     "ServiceConfig",
     "SimRequest",
     "SimResponse",
-    "SimulationService",
     "TIER_FAST",
     "TIER_FULL",
     "TIER_KINDS",

@@ -221,8 +221,8 @@ class Autoscaler:
 
     # -- telemetry -----------------------------------------------------------
     def summary(self) -> dict:
-        """Scale-event telemetry for ``SimulationService.stats()`` and the
-        chaos-campaign report."""
+        """Scale-event telemetry for a shard's ``stats()``, which the front
+        door merges across shards, and the chaos-campaign report."""
         return {
             "target": self.target,
             "min_workers": self.config.min_workers,
@@ -240,7 +240,8 @@ class AutoscalingPool:
 
     Speaks the executor's streaming API (``has_capacity`` /
     ``spawn_attempt`` / ``pump`` / ``shutdown`` / ``live_workers``) by
-    delegation, so :class:`~repro.service.SimulationService` uses it as a
+    delegation, so a service shard
+    (:class:`~repro.service.service.SimulationService`) uses it as a
     drop-in pool. ``sync()`` pushes the current target into the
     executor's ``soft_cap`` — the only actuation there is. Nothing is
     ever killed on scale-down; the cap only gates *new* spawns.

@@ -1,6 +1,6 @@
 """Deterministic request identity: canonical fields → stable digest → shard.
 
-The sharded front-door (:mod:`repro.service.router`) and the
+The service front door (:mod:`repro.service.router`) and the
 content-addressed result store (:mod:`repro.service.resultstore`) both key
 on *what simulation a request asks for*, not on who asked or how urgently.
 This module owns that identity in one place:

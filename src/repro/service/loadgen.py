@@ -407,7 +407,7 @@ def replay_traffic(
     deadline = (
         clock.now + max_virtual_s if max_virtual_s is not None else None
     )
-    while i < len(events) or service.queue.depth > 0 or service.inflight > 0:
+    while i < len(events) or service.pending > 0:
         now = clock.advance(tick_s)
         while i < len(events) and events[i].at_s * time_scale <= now:
             immediate = service.submit(events[i].request)
@@ -417,7 +417,7 @@ def replay_traffic(
         responses.extend(service.take_completed())
         if deadline is not None and clock.now >= deadline:
             break
-        if service.inflight > 0 and getattr(service, "executor", None) is not None:
+        if service.inflight > 0 and service.config.workers > 0:
             time.sleep(service.config.poll_interval_s)
     return responses
 
@@ -438,7 +438,7 @@ def replay_realtime(
     t0 = clock()
     i = 0
     responses: List[SimResponse] = []
-    while i < len(events) or service.queue.depth > 0 or service.inflight > 0:
+    while i < len(events) or service.pending > 0:
         now = clock() - t0
         if now > max_wall_s:
             break

@@ -1,11 +1,11 @@
-"""The sharded front-door: route, coalesce, cache, survive crashes.
+"""The service front door: route, coalesce, cache, survive crashes.
 
-``ShardedService`` presents the same surface as
-:class:`~repro.service.service.SimulationService` (submit / pump /
-take_completed / drain / stats / health), so the serve loop, the replay
-helpers and the chaos-day harness drive either interchangeably — but
-behind the door sit N supervised shards and a content-addressed result
-store:
+``ShardedService`` is the only service the harness builds — ``repro
+serve``, ``burst``, ``replay``, chaos days and the benchmark all drive
+it. By default it runs one shard with no result store and no
+verification; ``shards``, ``store``, ``verify_rate`` and
+``dlq_threshold`` switch the rest on. Every request's fate is decided
+here, in one place:
 
 1. **Identity first.** Every valid request is reduced to its simulation
    identity (:func:`~repro.service.identity.request_identity`). Service
@@ -24,10 +24,12 @@ store:
 
 4. **Lead.** Otherwise the request takes the digest's crash-safe lease
    (dead-PID-stamped leases are broken, mirroring the journal lock) and
-   is dispatched to the digest's owning shard — a full
-   :class:`SimulationService` with its own admission queue, breaker,
-   degradation ladder and supervised worker pool, plus its own journal,
-   checkpoint and trace-cache segments so shards never contend on a file.
+   is dispatched to the digest's owning shard — an internal
+   :class:`~repro.service.service.SimulationService` with its own
+   admission queue, breaker, degradation ladder and supervised worker
+   pool. With several shards each gets its own journal, checkpoint and
+   trace-cache segment so shards never contend on a file; a lone shard
+   uses the configured paths as given.
 
 5. **Promote on failure.** A leader that dies — worker crash, timeout,
    stalled heartbeat, exhausted retries — answers its own requester with
@@ -42,7 +44,10 @@ store:
 Every response a shard produces flows back through the front door, which
 fans full-fidelity payloads out to the waiters and persists them in the
 store — so the *second* replay of any recorded traffic is pure store
-hits: zero re-simulations, byte-identical answers.
+hits: zero re-simulations, byte-identical answers. The drift guard's
+degradation rung, shadow verification and the dead-letter queue live
+here too, and :meth:`ShardedService.stats` / :meth:`~ShardedService.health`
+aggregate the shards' telemetry into one view.
 """
 
 from __future__ import annotations
@@ -131,25 +136,14 @@ class _Group:
     promotions: int = 0
 
 
-class _QueueView:
-    """Duck-typed ``.queue`` for replay helpers: summed shard depth."""
-
-    def __init__(self, owner: "ShardedService") -> None:
-        self._owner = owner
-
-    @property
-    def depth(self) -> int:
-        return sum(s.queue.depth for s in self._owner.shards)
-
-
 class ShardedService:
-    """Sharded, coalescing, store-backed front door over N shard services."""
+    """The front door: coalescing, store-backed routing over N shards."""
 
     def __init__(
         self,
         config: Optional[ServiceConfig] = None,
         *,
-        shards: int = 2,
+        shards: int = 1,
         store: Union[ResultStore, str, Path, None] = None,
         full_runner: Optional[Callable[[SimRequest], dict]] = None,
         fast_runner: Optional[Callable[[SimRequest], dict]] = None,
@@ -176,14 +170,13 @@ class ShardedService:
             self.store = ResultStore(store, shards=shards)
         self.shards: List[SimulationService] = [
             SimulationService(
-                self._shard_config(i),
+                self._shard_config(i, shards),
                 full_runner=full_runner,
                 fast_runner=fast_runner,
                 clock=clock,
             )
             for i in range(shards)
         ]
-        self.queue = _QueueView(self)
         self.counters: Dict[str, int] = {n: 0 for n in FRONT_COUNTER_NAMES}
         self._groups: Dict[str, _Group] = {}
         self._leader_rid: Dict[str, str] = {}  # leader request_id -> digest
@@ -191,10 +184,13 @@ class ShardedService:
         self._accepting = True
         self._draining = False
         self._paused = False
-        # Behaviour observability (duck-typed — this module never imports
-        # repro.behavior): optional rolling drift guard plus the label the
-        # harness will snapshot this run's profile under.
-        self._drift_guard = None
+        # Behaviour observability, set by the harness (this module never
+        # imports repro.behavior): an optional rolling drift guard, fed one
+        # summary per pump — while it holds sustained-drift pressure,
+        # degradable requests that miss the store are answered by their
+        # shard's fast tier — and the label this run's profile is
+        # snapshotted under.
+        self.drift_guard = None
         self.profile_label: Optional[str] = None
         plan = self.config.fault_plan
         plan_seed = plan.seed if plan is not None else 0
@@ -232,10 +228,13 @@ class ShardedService:
             # than stalling their digests behind the remote-wait timeout.
             self.store.break_stale_leases()
 
-    def _shard_config(self, index: int) -> ServiceConfig:
-        """Derive shard ``index``'s config: segmented journal, checkpoint
-        and trace-cache paths, so no two shards ever share a writer."""
+    def _shard_config(self, index: int, shards: int) -> ServiceConfig:
+        """Derive shard ``index``'s config. Several shards get segmented
+        journal, checkpoint and trace-cache paths, so no two shards ever
+        share a writer; a lone shard keeps the configured paths."""
         cfg = self.config
+        if shards == 1:
+            return replace(cfg, shard_id=index)
         journal = None
         if cfg.journal_path:
             p = Path(cfg.journal_path)
@@ -254,21 +253,10 @@ class ShardedService:
             trace_cache_dir=trace_cache,
         )
 
-    # -- pass-throughs the serve/replay loops rely on ------------------------
-    def attach_drift_guard(self, guard) -> None:
-        """Attach a rolling drift guard; fed one summary per front-door
-        pump. While it holds sustained-drift pressure, degradable requests
-        that miss the store are answered by their shard's fast tier."""
-        self._drift_guard = guard
-
+    # -- pause and load gauges -----------------------------------------------
     @property
     def num_shards(self) -> int:
         return len(self.shards)
-
-    @property
-    def executor(self):
-        """Any shard's executor (replay helpers only test for presence)."""
-        return next((s.executor for s in self.shards if s.executor is not None), None)
 
     @property
     def paused(self) -> bool:
@@ -299,9 +287,10 @@ class ShardedService:
     def submit(self, request: SimRequest) -> Optional[SimResponse]:
         """Offer one request: store hit, coalesce, or lead a simulation.
 
-        Same contract as :meth:`SimulationService.submit`: an immediate
-        disposition returns its response (also appended to the completed
-        stream); an admitted request returns None and answers later.
+        An immediate disposition returns its response (also appended to
+        the completed stream, the single source of truth for conservation
+        accounting); an admitted request returns None and answers later
+        through :meth:`take_completed`.
         """
         now = self.clock()
         self.counters["submitted"] += 1
@@ -335,10 +324,16 @@ class ShardedService:
                         wait_s=0.0,
                     )
                 )
-        if request.degradable and getattr(self._drift_guard, "degrade_active", False):
-            # Ladder rung 2.5 (see SimulationService.submit). The guard
-            # watches this front door, not the shards, so the rung is
-            # applied here: the owning shard's fast tier answers now.
+        if (
+            request.degradable
+            and self.drift_guard is not None
+            and self.drift_guard.degrade_active
+        ):
+            # Ladder rung 2.5, between a shard's breaker-open and
+            # queue-pressure rungs: the drift guard holds sustained-drift
+            # pressure — behaviour has departed the baseline — so the
+            # owning shard's fast tier answers now. The guard watches this
+            # front door, not the shards, so the rung is applied here.
             shard = self.shards[shard_of(digest, len(self.shards))]
             return self._respond(shard.serve_degraded(request, "drift-guard"))
         group = self._groups.get(digest)
@@ -364,15 +359,20 @@ class ShardedService:
             group.waiters.append(_Waiter(request, now, self._expiry(request, now)))
             self._groups[digest] = group
             return
-        self.counters["simulations"] += 1
         self._groups[digest] = _Group(
             digest, shard_index, request.request_id, request, now
         )
         self._leader_rid[request.request_id] = digest
-        self.shards[shard_index].submit(request)
-        # An immediate shard disposition (rejected / degraded / journal
-        # hit) lands in the shard's completed stream and resolves the
-        # group on the next pump — one code path for every outcome.
+        self._dispatch(shard_index, request)
+
+    def _dispatch(self, shard_index: int, request: SimRequest) -> None:
+        """Hand a leader to its shard; count a simulation only when the
+        shard admits it to the full tier. An immediate shard disposition
+        (rejected / degraded / journal hit) lands in the shard's completed
+        stream and resolves the group on the next pump — one code path
+        for every outcome."""
+        if self.shards[shard_index].submit(request) is None:
+            self.counters["simulations"] += 1
 
     # -- the pump ------------------------------------------------------------
     def pump(self) -> int:
@@ -386,8 +386,8 @@ class ShardedService:
         now = self.clock()
         self._sweep_waiters(now)
         self._poll_remote(now)
-        if self._drift_guard is not None:
-            self._drift_guard.observe(now, self.summary())
+        if self.drift_guard is not None:
+            self.drift_guard.observe(now, self.summary())
         return len(self._completed) - produced
 
     def _collect(self, now: float) -> None:
@@ -509,8 +509,7 @@ class ShardedService:
             group.leader_rid = promoted.request.request_id
             group.leader = promoted.request
             self._leader_rid[promoted.request.request_id] = group.digest
-            self.counters["simulations"] += 1
-            self.shards[group.shard].submit(promoted.request)
+            self._dispatch(group.shard, promoted.request)
             return
         self._dissolve(group)
         for w in group.waiters:  # draining: refuse, never hang
@@ -712,7 +711,7 @@ class ShardedService:
                     f"sharded service not idle within {timeout_s:g}s "
                     f"(pending={self.pending})"
                 )
-            if self.executor is not None and self.pending > 0:
+            if self.config.workers > 0 and self.pending > 0:
                 time.sleep(self.config.poll_interval_s)
 
     # -- drain ---------------------------------------------------------------
@@ -733,7 +732,7 @@ class ShardedService:
         deadline = self.clock() + budget
         while self.pending > 0 and self.clock() < deadline:
             self.pump()
-            if self.executor is not None and self.pending > 0:
+            if self.config.workers > 0 and self.pending > 0:
                 time.sleep(self.config.poll_interval_s)
         for shard in self.shards:
             shard.drain(max(0.0, deadline - self.clock()))
@@ -780,40 +779,54 @@ class ShardedService:
         return agg
 
     def stats(self) -> dict:
-        """Aggregated telemetry: front-door, store, and per-shard views."""
+        """Aggregated telemetry: front-door, store, and per-shard views.
+
+        Carries every key a shard's own ``stats()`` has: counters are
+        summed, ``breaker`` is the worst shard's snapshot, ``workers`` and
+        the autoscaler's ``events`` merge every shard's (events in time
+        order, each tagged with its shard), and ``miss_rate_window`` is
+        the worst shard's.
+        """
         shard_stats = [s.stats() for s in self.shards]
-        agg = self._aggregate_counters(shard_stats)
-        counters = dict(agg)
+        counters = self._aggregate_counters(shard_stats)
         for k, v in self.counters.items():
             counters[f"front_{k}"] = v
-        worst = max(
-            (ss["breaker"]["state"] for ss in shard_stats),
-            key=lambda s: _BREAKER_SEVERITY.get(s, 0),
-        )
         transitions: List[dict] = []
+        workers: List[dict] = []
         for ss in shard_stats:
             transitions.extend(ss["breaker_transitions"])
-        autoscalers = [ss["autoscaler"] for ss in shard_stats if ss["autoscaler"]]
+            workers.extend(ss["workers"])
+        scalers = [(i, ss["autoscaler"]) for i, ss in enumerate(shard_stats)
+                   if ss["autoscaler"]]
         autoscaler = None
-        if autoscalers:
+        if scalers:
             autoscaler = {
-                "target": sum(a["target"] for a in autoscalers),
-                "min_workers": sum(a["min_workers"] for a in autoscalers),
-                "max_workers": sum(a["max_workers"] for a in autoscalers),
-                "scale_ups": sum(a["scale_ups"] for a in autoscalers),
-                "scale_downs": sum(a["scale_downs"] for a in autoscalers),
+                k: sum(a[k] for _, a in scalers)
+                for k in ("target", "min_workers", "max_workers",
+                          "scale_ups", "scale_downs")
             }
+            autoscaler["miss_rate_window"] = max(
+                a["miss_rate_window"] for _, a in scalers
+            )
+            autoscaler["events"] = sorted(
+                ({**e, "shard": i} for i, a in scalers for e in a["events"]),
+                key=lambda e: e["at_s"],
+            )
         return {
             "accepting": self._accepting,
             "draining": self._draining,
             "paused": self._paused,
             "shards": shard_stats,
-            "queue_depth": self.queue.depth,
+            "queue_depth": sum(ss["queue_depth"] for ss in shard_stats),
             "inflight": self.inflight,
             "coalesced_groups": len(self._groups),
             "counters": counters,
-            "breaker": {"state": worst},
+            "breaker": max(
+                (ss["breaker"] for ss in shard_stats),
+                key=lambda b: _BREAKER_SEVERITY[b["state"]],
+            ),
             "breaker_transitions": transitions,
+            "workers": workers,
             "autoscaler": autoscaler,
             "store": self.store.stats() if self.store is not None else None,
             "verification": (
@@ -821,9 +834,7 @@ class ShardedService:
             ),
             "dlq": self.dlq.stats() if self.dlq is not None else None,
             "drift_guard": (
-                self._drift_guard.summary()
-                if self._drift_guard is not None
-                else None
+                self.drift_guard.summary() if self.drift_guard is not None else None
             ),
         }
 
@@ -832,6 +843,7 @@ class ShardedService:
         shard_stats = [s.stats() for s in self.shards]
         agg = self._aggregate_counters(shard_stats)
         sc = self.store.counters if self.store is not None else {}
+        guard = self.drift_guard
         return {
             "shards": len(self.shards),
             "submitted": self.counters["submitted"],
@@ -868,16 +880,8 @@ class ShardedService:
             },
             "behavior": {
                 "profile_label": self.profile_label,
-                "baseline": (
-                    getattr(self._drift_guard, "baseline_id", None)
-                    if self._drift_guard is not None
-                    else None
-                ),
-                "guard": (
-                    self._drift_guard.brief()
-                    if self._drift_guard is not None
-                    else None
-                ),
+                "baseline": guard.baseline_id if guard is not None else None,
+                "guard": guard.brief() if guard is not None else None,
             },
         }
 
@@ -938,10 +942,15 @@ class ShardedService:
     def health(self) -> dict:
         """Readiness-probe view across every shard."""
         shard_health = [s.health() for s in self.shards]
+        worst = max(
+            (h["breaker_state"] for h in shard_health),
+            key=lambda state: _BREAKER_SEVERITY[state],
+        )
         return {
             "ok": self._accepting and not self._draining,
-            "degraded_mode": any(h["degraded_mode"] for h in shard_health),
-            "queue_depth": self.queue.depth,
+            "degraded_mode": worst != "closed",
+            "breaker_state": worst,
+            "queue_depth": sum(h["queue_depth"] for h in shard_health),
             "inflight": self.inflight,
             "shards": shard_health,
         }

@@ -49,20 +49,20 @@ from typing import IO, List, Optional
 
 from repro.service.loadgen import TimedRequest, save_recording
 from repro.service.request import SimRequest
-from repro.service.service import SimulationService
+from repro.service.router import ShardedService
 
 _EOF = object()
 
 
 class ServeLoop:
-    """Single-threaded pump around a :class:`SimulationService` (or a
-    :class:`~repro.service.router.ShardedService` — same surface),
-    interleaving input polling, :meth:`SimulationService.pump`, and
+    """Single-threaded pump around the
+    :class:`~repro.service.router.ShardedService` front door, interleaving
+    input polling, :meth:`~repro.service.router.ShardedService.pump`, and
     response emission."""
 
     def __init__(
         self,
-        service: SimulationService,
+        service: ShardedService,
         infile: Optional[IO] = None,
         outfile: Optional[IO[str]] = None,
         drain_deadline_s: Optional[float] = None,
@@ -97,7 +97,7 @@ class ServeLoop:
     def _emit_drift_events(self) -> None:
         """Surface drift-guard escalations/clears on the event stream so
         operators can correlate them with scale and breaker events."""
-        guard = getattr(self.service, "_drift_guard", None)
+        guard = self.service.drift_guard
         if guard is None:
             return
         for event in guard.take_events():
@@ -212,7 +212,7 @@ class ServeLoop:
                     "event": "ready",
                     "workers": self.service.config.workers,
                     "queue_capacity": self.service.config.queue_capacity,
-                    "shards": getattr(self.service, "num_shards", 1),
+                    "shards": self.service.num_shards,
                 }
             )
             while not self._stop:

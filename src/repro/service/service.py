@@ -1,8 +1,10 @@
-"""The overload-safe simulation service.
+"""One overload-safe shard of the simulation service.
 
 ``SimulationService`` turns the batch harness into a long-lived component
 that can accept a *stream* of simulation requests and protect itself under
-load instead of falling over. Four mechanisms, layered:
+load instead of falling over. It is internal: the front door,
+:class:`~repro.service.router.ShardedService`, owns one per shard and is
+what every caller builds. Four mechanisms, layered:
 
 1. **Admission control / backpressure** — a bounded
    :class:`~repro.service.admission.AdmissionQueue` (priority, EDF,
@@ -33,7 +35,7 @@ load instead of falling over. Four mechanisms, layered:
    and unlocks the journal, and leaves every request answered.
 
 The service is single-threaded by design: :meth:`submit` and :meth:`pump`
-are called from one thread (the serve loop), while the heavy lifting
+are called from one thread (the front door's), while the heavy lifting
 happens in supervised child processes via the streaming
 :class:`~repro.harness.executor.SupervisedExecutor` API. With
 ``workers=0`` the full tier runs inline (deterministic, used by tests).
@@ -101,10 +103,10 @@ class ServiceConfig:
             resubmission (warm restart).
         fault_plan: service-level chaos hooks (``service_overload_rate`` /
             ``service_breaker_trip_rate``), seeded and deterministic.
-        shard_id: this service's index behind a sharded front-door
+        shard_id: this service's index behind the front door
             (:class:`~repro.service.router.ShardedService`); stamped on
             spawned work items so worker telemetry attributes attempts
-            to their shard. None when running unsharded.
+            to their shard.
         trace_cache_dir: per-shard trace-cache segment; worker cells set
             ``REPRO_TRACE_CACHE`` to it so two shards never contend on
             one cache directory.
@@ -218,7 +220,8 @@ COUNTER_NAMES = (
 
 
 class SimulationService:
-    """Long-running, overload-safe front end over the simulation engines."""
+    """One long-running, overload-safe shard over the simulation engines,
+    owned by the front door (:class:`~repro.service.router.ShardedService`)."""
 
     def __init__(
         self,
@@ -284,16 +287,7 @@ class SimulationService:
         self._accepting = True
         self._draining = False
         self.paused = False
-        # Behaviour observability: duck-typed drift guard (attached by the
-        # harness; this module never imports repro.behavior) and the label
-        # under which this run's profile will be snapshotted.
-        self._drift_guard = None
-        self.profile_label: Optional[str] = None
         self.counters: Dict[str, int] = {name: 0 for name in COUNTER_NAMES}
-
-    def attach_drift_guard(self, guard) -> None:
-        """Attach a rolling drift guard; fed one summary per pump."""
-        self._drift_guard = guard
 
     # -- admission (the degradation ladder's first rung) ---------------------
     def submit(self, request: SimRequest) -> Optional[SimResponse]:
@@ -328,16 +322,6 @@ class SimulationService:
             if request.degradable:
                 return self._respond_degraded(request, "breaker-open")
             return self._respond_rejected(request, "breaker-open")
-
-        # Ladder rung 2.5: the drift guard holds sustained-drift pressure —
-        # behaviour has departed the baseline, so shield the full tier by
-        # fast-serving degradable traffic (still answered exactly once).
-        if (
-            self._drift_guard is not None
-            and getattr(self._drift_guard, "degrade_active", False)
-            and request.degradable
-        ):
-            return self._respond_degraded(request, "drift-guard")
 
         # Ladder rung 3: queue pressure (real or chaos-injected).
         overloaded = (
@@ -393,8 +377,6 @@ class SimulationService:
             self._respond_shed(entry, "deadline-expired")
         if self.autoscaler is not None:
             self._observe_pressure(now)
-        if self._drift_guard is not None:
-            self._drift_guard.observe(now, self.summary())
         if self.breaker.state == STATE_OPEN:
             while True:
                 entry, shed = self.queue.take_if(
@@ -750,68 +732,6 @@ class SimulationService:
             "autoscaler": (
                 self.autoscaler.summary() if self.autoscaler is not None else None
             ),
-            "drift_guard": (
-                self._drift_guard.summary()
-                if self._drift_guard is not None
-                else None
-            ),
-        }
-
-    def summary(self) -> dict:
-        """Cache/coalescing headline, shaped like
-        :meth:`~repro.service.router.ShardedService.summary` so serve
-        consumers read one schema whether or not ``--shards`` was used.
-        An unsharded service has no result store and never coalesces, so
-        those fields are structurally present but zero."""
-        c = self.counters
-        answered = (
-            c["completed_full"] + c["degraded"] + c["rejected"]
-            + c["shed"] + c["failed"]
-        )
-        return {
-            "shards": 1,
-            "submitted": c["submitted"],
-            "answered": answered,
-            "cache": {
-                "journal_hits": c["journal_hits"],
-                "store_hits": 0,
-                "store_puts": 0,
-                "store_corrupt_misses": 0,
-            },
-            "coalescing": {
-                "coalesced_waiters": 0,
-                "promotions": 0,
-                "shed_waiters": 0,
-                "waiter_refusals": 0,
-                "remote_leaders": 0,
-                "lease_breaks": 0,
-                "stale_leases_broken": 0,
-            },
-            "simulations": c["admitted"],
-            "shard_restarts": c["full_failures"],
-            "verification": {
-                "sampled": 0,
-                "verified": 0,
-                "divergent": 0,
-                "inconclusive": 0,
-                "restored": 0,
-                "unresolved": 0,
-                "corrupted_injected": 0,
-            },
-            "dlq": {"strikes": 0, "parked": 0, "refused": 0},
-            "behavior": {
-                "profile_label": self.profile_label,
-                "baseline": (
-                    getattr(self._drift_guard, "baseline_id", None)
-                    if self._drift_guard is not None
-                    else None
-                ),
-                "guard": (
-                    self._drift_guard.brief()
-                    if self._drift_guard is not None
-                    else None
-                ),
-            },
         }
 
     def health(self) -> dict:

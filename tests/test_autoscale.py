@@ -18,9 +18,9 @@ from repro.service import (
     AutoscalingPool,
     ServiceConfig,
     SimRequest,
-    SimulationService,
     VirtualClock,
 )
+from repro.service.service import SimulationService
 
 SRC = str(Path(repro.__file__).resolve().parents[1])
 

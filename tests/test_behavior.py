@@ -49,7 +49,6 @@ from repro.service import (
     ServiceConfig,
     ShardedService,
     SimRequest,
-    SimulationService,
 )
 from repro.storage import fsck_tree
 
@@ -364,11 +363,12 @@ class TestDriftGuard:
 
 
 class TestGuardInService:
-    """A drift guard attached to a service: escalation telemetry, the
-    ``drift-guard`` degradation rung, and the serve loop's drift events."""
+    """A drift guard attached to the one-shard front door: escalation
+    telemetry, the ``drift-guard`` degradation rung, and the serve loop's
+    drift events."""
 
     def make_service(self, config, **runners):
-        return SimulationService(config, **runners)
+        return ShardedService(config, shards=1, **runners)
 
     def run_service(self, *, degrade_on_drift, n=30):
         clock = {"t": 0.0}
@@ -386,7 +386,7 @@ class TestGuardInService:
                              drift_streak=2, clear_streak=2, cooldown_s=0.0,
                              degrade_on_drift=degrade_on_drift),
         )
-        svc.attach_drift_guard(guard)
+        svc.drift_guard = guard
         observed, observe = [], guard.observe
 
         def counting_observe(now, summary):
@@ -444,7 +444,7 @@ class TestGuardInService:
             DriftGuardConfig(window=4, min_submitted=1, warn_streak=1,
                              drift_streak=2, clear_streak=2, cooldown_s=0.0),
         )
-        svc.attach_drift_guard(guard)
+        svc.drift_guard = guard
         # Escalate the guard before the loop starts (a StringIO feed hands
         # the whole burst to one iteration, so the in-loop window never
         # spans traffic); the loop must then drain the pending events.
@@ -464,8 +464,8 @@ class TestGuardInService:
 
 
 class TestGuardInShardedService(TestGuardInService):
-    """The same contract behind the sharded front door, where the guard
-    watches the front door and its rung is applied there."""
+    """The same contract with two shards: the guard still watches the
+    front door, once per pump, and its rung is applied there."""
 
     def make_service(self, config, **runners):
         return ShardedService(config, shards=2, **runners)
@@ -556,7 +556,7 @@ class TestVerifyProfile:
 # -- capture from live layers -------------------------------------------------
 class TestCaptureHelpers:
     def test_profile_from_service_speaks_guard_namespace(self):
-        svc = SimulationService(
+        svc = ShardedService(
             ServiceConfig(workers=0, queue_capacity=16),
             full_runner=lambda r: {"ipc": 1.0},
             fast_runner=lambda r: {"ipc": 0.5},

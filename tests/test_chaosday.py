@@ -17,12 +17,12 @@ from repro.harness.chaosday import (
 from repro.harness.regression import verify_campaign
 from repro.service import (
     ServiceConfig,
-    SimulationService,
     TrafficSpec,
     VirtualClock,
     generate_traffic,
     replay_traffic,
 )
+from repro.service.service import SimulationService
 
 
 def ok_full(request):
@@ -64,6 +64,22 @@ class TestCampaign:
         assert (tmp_path / "traffic.json").exists()
         assert (tmp_path / "journal.jsonl").exists()
         format_report(report)  # renders without blowing up
+
+    def test_default_campaign_is_one_shard_without_a_store(self, tmp_path):
+        """The default day runs the front door's defaults: one shard on
+        the campaign's own journal, no result store, and a report that
+        still carries the sharding summary and the verification audit."""
+        report, code = run_campaign(
+            small_cfg(), tmp_path, full_runner=ok_full, fast_runner=ok_fast
+        )
+        assert code == 0
+        assert (tmp_path / "journal.jsonl").exists()
+        assert not list(tmp_path.glob("journal-s*"))  # not segmented
+        assert not (tmp_path / "resultstore").exists()
+        assert report["sharding"]["shards"] == 1
+        assert report["sharding"]["summary"]["submitted"] == 40
+        assert report["verification"]["ok"]
+        assert report["contract"]["verification"] == report["verification"]
 
     def test_same_seed_same_report(self, tmp_path):
         reports = []
@@ -363,13 +379,14 @@ class TestCorruptionCampaign:
             reports[1], sort_keys=True
         )
 
-    def test_verify_rate_alone_forces_the_sharded_path(self, tmp_path):
+    def test_verify_rate_alone_adds_the_result_store(self, tmp_path):
         report, code = run_campaign(
             small_cfg(verify_rate=1.0),
             tmp_path, full_runner=ok_full, fast_runner=ok_fast,
         )
         assert code == 0
-        assert report["sharding"] is not None
+        assert report["sharding"]["shards"] == 1
+        assert (tmp_path / "resultstore").is_dir()
         assert report["verification"]["counters"]["sampled"] > 0
 
     def test_contract_folds_audit_in(self):

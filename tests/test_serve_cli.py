@@ -1,7 +1,8 @@
 """Subprocess tests for the serving CLI: `repro serve` speaking JSONL over
 stdio, overload behaviour under a seeded burst, SIGTERM graceful drain
 (exit 0, no orphan workers, journal unlockable afterwards), a process-group
-SIGINT that the workers outlive so the drain answers in full, and the
+SIGINT that the workers outlive so the drain answers in full, request
+coalescing on the default (one-shard) front door, and the
 `repro grid --workers N` signal handlers (exit 128+signum, pool killed,
 journal lock released)."""
 
@@ -206,6 +207,36 @@ class TestServe:
         kinds = [e["event"] for e in events]
         assert "error" in kinds and "health" in kinds
         assert kinds[-1] == "drained"
+
+    def test_default_serve_coalesces_identical_in_flight_requests(
+        self, tmp_path
+    ):
+        """Without ``--shards`` serve still runs the front door: two
+        identical requests in flight at once share one simulation."""
+        request = {"mix": "mix05", "mode": "adts", "quanta": 1,
+                   "warmup_quanta": 1, "quantum_cycles": 128, "seed": 5}
+        lines = [{"op": "pause"},
+                 {"op": "submit", "request": dict(request, request_id="a")},
+                 {"op": "submit", "request": dict(request, request_id="b")},
+                 {"op": "resume"}]
+        proc = _spawn(["serve", "--workers", "0"], tmp_path)
+        try:
+            _await_ready(proc)
+            stdout, stderr = proc.communicate(
+                "".join(json.dumps(l) + "\n" for l in lines), timeout=120)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        assert proc.returncode == 0, stderr
+        events = _events(stdout)
+        responses = [e["response"] for e in events if e["event"] == "response"]
+        assert sorted(r["request_id"] for r in responses) == ["a", "b"]
+        assert all(r["outcome"] == "full" for r in responses)
+        assert responses[0]["payload"] == responses[1]["payload"]
+        summary = events[-1]["summary"]
+        assert summary["simulations"] == 1
+        assert summary["coalescing"]["coalesced_waiters"] == 1
 
 
 class TestGridSignalHandling:

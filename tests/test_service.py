@@ -28,13 +28,13 @@ from repro.service import (
     ServiceConfig,
     SimRequest,
     SimResponse,
-    SimulationService,
     TIER_FAST,
     TIER_FULL,
     TIER_NONE,
     breakdown,
     generate_burst,
 )
+from repro.service.service import SimulationService
 
 fork_only = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),

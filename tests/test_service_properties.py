@@ -18,11 +18,11 @@ from repro.harness.errors import (
 from repro.service import (
     ServiceConfig,
     SimRequest,
-    SimulationService,
     TIER_FAST,
     TIER_FULL,
     TIER_KINDS,
 )
+from repro.service.service import SimulationService
 
 _REQUESTS = st.lists(
     st.tuples(

@@ -19,6 +19,7 @@ import sys
 import pytest
 
 from repro.service import (
+    AutoscalerConfig,
     ResultStore,
     ServeLoop,
     ServiceConfig,
@@ -157,6 +158,28 @@ class TestCoalescing:
         assert front.pending == 0
 
 
+class TestSimulationCount:
+    def test_leads_answered_at_shard_admission_are_not_simulations(
+        self, tmp_path
+    ):
+        """``simulations`` counts leaders a shard admitted to its full
+        tier; a lead the shard degrades at admission never simulates."""
+        clock = VirtualClock()
+        front = make_front(tmp_path, clock, shards=1, queue_capacity=8,
+                           degrade_at_depth=1)
+        for i in range(4):
+            # Distinct identities; the first leader holds the queue at
+            # depth 1 until the next pump, so the rest degrade at once.
+            front.submit(req(i, seed=i))
+        responses = {r.request_id: r for r in settle(front, clock)}
+        assert responses["r0"].outcome == "full"
+        for rid in ("r1", "r2", "r3"):
+            assert responses[rid].reason == "queue-pressure"
+        assert front.counters["simulations"] == 1
+        assert front.summary()["simulations"] == 1
+        assert front.stats()["counters"]["admitted"] == 1
+
+
 class TestLeaderCrashRealWorkers:
     def test_killed_leader_still_answers_every_waiter(self, tmp_path):
         """SIGKILL the leader mid-simulation (seeded worker-crash fault on
@@ -238,11 +261,21 @@ class TestResultStoreServing:
         blob = bytearray(path.read_bytes())
         blob[len(blob) // 2] ^= 0xFF
         path.write_bytes(bytes(blob))
-        front2 = make_front(tmp_path, clock)
+        calls = []
+
+        def counting_full(request):
+            calls.append(request.request_id)
+            return ok_full(request)
+
+        # A fresh journal, so the answer cannot come from the first
+        # front door's shard journals: the damaged entry must re-run.
+        front2 = make_front(tmp_path, clock, full_runner=counting_full,
+                            journal_path=tmp_path / "j2.jsonl")
         front2.submit(req(1))  # same identity, damaged entry
         responses = settle(front2, clock)
         assert [r.outcome for r in responses] == ["full"]
-        assert front2.counters["simulations"] == 1  # re-simulated
+        assert calls == ["r1"]  # re-simulated
+        assert front2.counters["simulations"] == 1
         assert front2.store.counters["corrupt_misses"] == 1
         assert front2.store.get(digest) is not None  # healed by the re-run
 
@@ -359,20 +392,93 @@ class TestStatsSurface:
         health = front.health()
         assert health["ok"] and len(health["shards"]) == 3
 
-    def test_unsharded_summary_same_schema(self, tmp_path):
-        from repro.service import SimulationService
+    def test_one_shard_keys_cover_a_shard_service(self):
+        """Every key a shard reports in ``stats()`` and ``health()`` —
+        nested ones too — is also on the front door, so the one front door
+        drops none of the telemetry a bare shard had."""
+        from repro.service.service import SimulationService
 
+        cfg = ServiceConfig(workers=0,
+                            autoscaler=AutoscalerConfig(min_workers=1,
+                                                        max_workers=2))
         clock = VirtualClock()
-        svc = SimulationService(
-            ServiceConfig(workers=0), full_runner=ok_full,
-            fast_runner=ok_fast, clock=clock,
+        shard = SimulationService(cfg, full_runner=ok_full,
+                                  fast_runner=ok_fast, clock=clock)
+        front = ShardedService(cfg, full_runner=ok_full, fast_runner=ok_fast,
+                               clock=clock)
+        for svc in (shard, front):
+            svc.submit(req(0))
+            svc.run_until_idle()
+
+        def keys(view, prefix=""):
+            out = set()
+            for k, v in view.items():
+                out.add(prefix + k)
+                if isinstance(v, dict):
+                    out |= keys(v, f"{prefix}{k}.")
+            return out
+
+        assert keys(shard.stats()) - keys(front.stats()) == set()
+        assert keys(shard.health()) - keys(front.health()) == set()
+        stats = front.stats()
+        assert stats["breaker"] == shard.stats()["breaker"]
+        assert stats["workers"] == []
+        assert front.health()["breaker_state"] == "closed"
+
+    def test_autoscaler_events_merge_in_time_order_with_shard_tags(self):
+        clock = VirtualClock()
+        front = ShardedService(
+            ServiceConfig(workers=0, queue_capacity=64, degrade_at_depth=64,
+                          autoscaler=AutoscalerConfig(min_workers=1,
+                                                      max_workers=3,
+                                                      cooldown_s=0.0)),
+            shards=2, full_runner=ok_full, fast_runner=ok_fast, clock=clock,
         )
-        svc.submit(req(0))
-        svc.run_until_idle()
-        plain = svc.summary()
-        front = make_front(tmp_path, clock)
-        sharded = front.summary()
-        assert set(plain) == set(sharded)
-        assert set(plain["cache"]) == set(sharded["cache"])
-        assert set(plain["coalescing"]) == set(sharded["coalescing"])
-        assert plain["submitted"] == plain["answered"] == 1
+        front.paused = True  # let both shards' queues build pressure
+        for i in range(40):
+            front.submit(req(i, seed=i))
+        for _ in range(8):
+            clock.advance(0.1)
+            front.pump()
+        front.paused = False
+        settle(front, clock)
+        scaler = front.stats()["autoscaler"]
+        events = scaler["events"]
+        assert {e["shard"] for e in events} == {0, 1}
+        assert [e["at_s"] for e in events] == sorted(e["at_s"] for e in events)
+        per_shard = [s.autoscaler.summary() for s in front.shards]
+        assert len(events) == sum(len(a["events"]) for a in per_shard)
+        assert scaler["miss_rate_window"] == max(
+            a["miss_rate_window"] for a in per_shard)
+
+
+class TestOneShard:
+    def test_journal_path_is_used_as_given_and_warm_restarts(self, tmp_path):
+        """A lone shard reads and writes the configured journal, not a
+        segment of it: a fresh front door on the same path serves the
+        earlier answers as journal hits, without simulating."""
+        journal = tmp_path / "j.jsonl"
+        clock = VirtualClock()
+        front = make_front(tmp_path, clock, shards=1, store=False)
+        for i in range(3):
+            front.submit(req(i, seed=i))
+        first = {r.request_id: r.payload for r in settle(front, clock)}
+        front.drain()
+        assert journal.exists()
+        assert not list(tmp_path.glob("j-s*"))  # not segmented
+        calls = []
+
+        def counting_full(request):
+            calls.append(request.request_id)
+            return ok_full(request)
+
+        warm = make_front(tmp_path, clock, shards=1, store=False,
+                          full_runner=counting_full)
+        for i in range(3):
+            warm.submit(req(i, seed=i))
+        responses = settle(warm, clock)
+        assert calls == []
+        assert all(r.outcome == "full" for r in responses)
+        assert {r.request_id: r.payload for r in responses} == first
+        assert warm.summary()["cache"]["journal_hits"] == 3
+        assert warm.summary()["simulations"] == 0

@@ -10,7 +10,6 @@ from repro.service import (
     ServiceConfig,
     SimRequest,
     SimResponse,
-    SimulationService,
     TimedRequest,
     TrafficSpec,
     VirtualClock,
@@ -21,6 +20,7 @@ from repro.service import (
     save_recording,
     traffic_fingerprint,
 )
+from repro.service.service import SimulationService
 
 
 def ok_full(request):
