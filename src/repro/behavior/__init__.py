@@ -15,7 +15,6 @@ from repro.behavior.drift import (
     DriftReport,
     MetricDrift,
     compute_drift,
-    is_noisy_metric,
 )
 from repro.behavior.guard import (
     LEVELS,
@@ -29,7 +28,6 @@ from repro.behavior.profile import (
     SERVICE_RATE_KEYS,
     BehaviorProfile,
     flatten_metrics,
-    profile_from_bench,
     profile_from_campaign,
     profile_from_service,
     profile_from_sim,
@@ -57,9 +55,7 @@ __all__ = [
     "VERDICT_WARN",
     "compute_drift",
     "flatten_metrics",
-    "is_noisy_metric",
     "load_profile",
-    "profile_from_bench",
     "profile_from_campaign",
     "profile_from_service",
     "profile_from_sim",

@@ -10,12 +10,9 @@ On top of that, every metric gets a three-way verdict:
 * ``warn``  — outside the ok band but within tolerance,
 * ``drift`` — beyond tolerance.
 
-Tolerances are *seeded-noise-aware by default*: metrics that measure
-wall-clock (``*_per_s``, ``wall_s``, waits, speedups) are scheduler
-noise on a shared machine and get :attr:`DriftConfig.noisy_rel_tol`
-(wide); everything else in this codebase is seed-deterministic and gets
-the tight default. Per-metric overrides (exact name or prefix) and an
-ignore list refine both.
+Every metric a profile captures is seed-deterministic (profiles hold no
+wall-clock measurements), so one ``rel_tol`` governs them all; an ignore
+list excludes metrics from the comparison.
 
 The report's dict form is deterministic (sorted, timestamp-free): the
 same pair of profiles always renders the same bytes.
@@ -31,59 +28,31 @@ VERDICT_WARN = "warn"
 VERDICT_DRIFT = "drift"
 VERDICTS = (VERDICT_OK, VERDICT_WARN, VERDICT_DRIFT)
 
-#: Name fragments that mark a metric as wall-clock-derived (noisy).
-_NOISY_MARKS = ("_per_s", "wall", "speedup", "wait")
-
-
-def is_noisy_metric(name: str) -> bool:
-    """Whether ``name`` measures wall-clock rather than seeded behaviour."""
-    return any(mark in name for mark in _NOISY_MARKS)
-
-
 @dataclass(frozen=True)
 class DriftConfig:
     """Tolerance bands for one comparison.
 
     Attributes:
-        rel_tol: default relative tolerance for deterministic metrics.
+        rel_tol: relative tolerance for every compared metric.
         abs_floor: scale floor — near-zero metrics never demand absurd
             precision (mirrors the goldens gate).
         warn_fraction: the ok band ends at ``warn_fraction * rel_tol``;
             between there and ``rel_tol`` a metric is ``warn``.
-        noisy_rel_tol: tolerance for wall-clock-derived metrics
-            (:func:`is_noisy_metric`) — wide, because machines differ.
-        overrides: per-metric ``rel_tol`` by exact name or prefix
-            (longest matching prefix wins, exact name beats any prefix).
-        ignore: name fragments excluded from comparison entirely (used
-            by CI gates that only trust the deterministic subset).
+        ignore: name fragments excluded from comparison entirely.
     """
 
     rel_tol: float = 0.05
     abs_floor: float = 1.0
     warn_fraction: float = 0.5
-    noisy_rel_tol: float = 0.75
-    overrides: Mapping[str, float] = field(default_factory=dict)
     ignore: Tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.rel_tol < 0 or self.noisy_rel_tol < 0:
-            raise ValueError("tolerances must be >= 0")
+        if self.rel_tol < 0:
+            raise ValueError("rel_tol must be >= 0")
         if self.abs_floor <= 0:
             raise ValueError("abs_floor must be positive")
         if not 0.0 <= self.warn_fraction <= 1.0:
             raise ValueError("warn_fraction must be in [0, 1]")
-
-    def tolerance_for(self, name: str) -> float:
-        """The relative tolerance governing metric ``name``."""
-        if name in self.overrides:
-            return self.overrides[name]
-        best: Optional[str] = None
-        for prefix in self.overrides:
-            if name.startswith(prefix) and (best is None or len(prefix) > len(best)):
-                best = prefix
-        if best is not None:
-            return self.overrides[best]
-        return self.noisy_rel_tol if is_noisy_metric(name) else self.rel_tol
 
     def ignored(self, name: str) -> bool:
         """Whether metric ``name`` is excluded from the comparison."""
@@ -218,15 +187,14 @@ def compute_drift(
         b, c = float(base[name]), float(cur[name])
         scale = max(abs(b), abs(c), cfg.abs_floor)
         rel_delta = abs(b - c) / scale
-        tol = cfg.tolerance_for(name)
-        if rel_delta > tol:
+        if rel_delta > cfg.rel_tol:
             verdict = VERDICT_DRIFT
-        elif rel_delta > cfg.warn_fraction * tol:
+        elif rel_delta > cfg.warn_fraction * cfg.rel_tol:
             verdict = VERDICT_WARN
         else:
             verdict = VERDICT_OK
         report.metrics.append(
-            MetricDrift(name, b, c, rel_delta, tol, verdict)
+            MetricDrift(name, b, c, rel_delta, cfg.rel_tol, verdict)
         )
     report.extra = sorted(
         name for name in cur if name not in base and not cfg.ignored(name)

@@ -2,7 +2,7 @@
 
 A *behaviour profile* freezes what the system actually did — sim counters
 and policy-switch rates, service queue/refusal/breaker/DLQ/verification
-rates, bench rates, batch dedup/fork telemetry — into one flat numeric
+rates, batch dedup/fork telemetry — into one flat numeric
 metric namespace, stamped with identity metadata (commit, seed, config
 fingerprint, host). The paper's thesis applied to the system itself:
 measured behaviour, not assumptions, is what a baseline should pin.
@@ -19,8 +19,6 @@ Capture helpers by layer:
   metrics derived per submitted request — the same namespace the online
   :class:`~repro.behavior.guard.DriftGuard` recomputes over its rolling
   window.
-* :func:`profile_from_bench` — a ``bench-report`` payload (legacy plain
-  JSON like ``BENCH_PR4.json`` or the enveloped ``BENCH_PR9.json``).
 * :func:`profile_from_campaign` — a ``chaos-campaign`` report.
 * :func:`profile_from_sim` — sim counters (``SimStats.summary()`` /
   :class:`~repro.harness.runner.RunResult`) plus an optional
@@ -30,6 +28,7 @@ Capture helpers by layer:
 from __future__ import annotations
 
 import re
+import subprocess
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional
 
@@ -89,7 +88,7 @@ class BehaviorProfile:
     """One captured window of behaviour, ready for baselining."""
 
     label: str
-    source: str  # "service" | "bench" | "sim" | "chaosday" | "imported"
+    source: str  # "service" | "sim" | "chaosday" | "imported"
     metrics: Dict[str, float] = field(default_factory=dict)
     identity: Dict[str, object] = field(default_factory=dict)
     window: Dict[str, object] = field(default_factory=dict)
@@ -147,6 +146,21 @@ class BehaviorProfile:
         )
 
 
+def _git_metadata() -> Dict[str, str]:
+    meta = {}
+    for key, cmd in (
+        ("commit", ["git", "rev-parse", "HEAD"]),
+        ("branch", ["git", "rev-parse", "--abbrev-ref", "HEAD"]),
+    ):
+        try:
+            meta[key] = subprocess.run(
+                cmd, capture_output=True, text=True, timeout=10, check=True,
+            ).stdout.strip()
+        except (OSError, subprocess.SubprocessError):
+            meta[key] = "unknown"
+    return meta
+
+
 def profile_identity(
     seed: Optional[int] = None,
     config_fields: Optional[Mapping] = None,
@@ -158,7 +172,6 @@ def profile_identity(
     import platform
     import socket
 
-    from repro.perf.bench import _git_metadata
     from repro.service.identity import fields_digest
 
     identity: Dict[str, object] = dict(_git_metadata())
@@ -236,32 +249,6 @@ def profile_from_service(
         metrics=metrics,
         identity=profile_identity(seed=seed, config_fields=config_fields),
         window=dict(window or {}),
-    )
-
-
-def profile_from_bench(
-    payload: Mapping, label: str, source: str = "bench"
-) -> BehaviorProfile:
-    """Capture a ``bench-report`` payload (legacy plain or enveloped)."""
-    benchmarks = payload.get("benchmarks")
-    if not isinstance(benchmarks, Mapping) or not benchmarks:
-        raise ValueError("bench report payload has no benchmarks")
-    metrics = flatten_metrics(benchmarks, "bench")
-    identity = profile_identity(seed=payload.get("seed"))
-    # The report's own provenance outranks the capturing environment's:
-    # an imported BENCH_PR4.json keeps the commit/machine it measured.
-    git = payload.get("git")
-    if isinstance(git, Mapping):
-        identity.update({k: git[k] for k in ("commit", "branch") if k in git})
-    machine = payload.get("machine")
-    if isinstance(machine, Mapping) and "platform" in machine:
-        identity["host"] = machine["platform"]
-    return BehaviorProfile(
-        label=label,
-        source=source,
-        metrics=metrics,
-        identity=identity,
-        window={"quick": bool(payload.get("quick", False))},
     )
 
 

@@ -8,11 +8,10 @@ a profile id: designating a new baseline never rewrites (or re-checksums)
 any profile artifact, and ``repro fsck`` audits the profiles like every
 other artifact while ignoring the pointer (not an artifact).
 
-The store also hosts the migration shim: :meth:`ProfileStore.import_report`
-converts committed history — ``bench-report`` documents like
-``BENCH_PR4.json`` (legacy plain JSON) and ``BENCH_PR9.json`` (enveloped),
-or ``chaos-campaign`` reports — into behaviour profiles, so the perf
-trajectory across PRs becomes baseline-comparable.
+The store also hosts the import path: :meth:`ProfileStore.import_report`
+converts a ``chaos-campaign`` report into a behaviour profile (or
+re-imports a profile under a new label), so a campaign run elsewhere
+becomes baseline-comparable.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ from repro.behavior.profile import (
     PROFILE_FORMAT,
     PROFILE_VERSION,
     BehaviorProfile,
-    profile_from_bench,
     profile_from_campaign,
 )
 from repro.storage.artifact import embed_json_artifact, load_json_artifact
@@ -140,16 +138,14 @@ class ProfileStore:
         except (FileNotFoundError, ArtifactError, ValueError):
             return None
 
-    # -- migration shim ------------------------------------------------------
+    # -- import --------------------------------------------------------------
     def import_report(
         self, path: Union[str, Path], label: Optional[str] = None
     ) -> str:
-        """Import a committed report as a behaviour profile; returns the id.
+        """Import a report as a behaviour profile; returns the id.
 
-        Recognizes ``bench-report`` documents (legacy plain JSON such as
-        ``BENCH_PR4.json``, or enveloped such as ``BENCH_PR9.json``),
-        ``chaos-campaign`` reports, and existing behaviour profiles
-        (re-import). Anything else raises ValueError.
+        Recognizes ``chaos-campaign`` reports and existing behaviour
+        profiles (re-import). Anything else raises ValueError.
         """
         path = Path(path)
         meta, payload = load_json_artifact(path)
@@ -165,16 +161,10 @@ class ProfileStore:
                     identity=profile.identity,
                     window=profile.window,
                 )
-        elif fmt == "bench-report" or "benchmarks" in payload:
-            profile = profile_from_bench(
-                payload, label or default_label, source="imported"
-            )
         elif fmt == "chaos-campaign" or "contract" in payload:
             profile = profile_from_campaign(
                 payload, label or default_label, source="imported"
             )
         else:
-            raise ValueError(
-                f"{path}: not a bench report, campaign report or profile"
-            )
+            raise ValueError(f"{path}: not a campaign report or profile")
         return self.save(profile)

@@ -326,8 +326,8 @@ def run_campaign(
             try:
                 service.drift_guard = DriftGuard(baseline, DriftGuardConfig())
             except ValueError:
-                # Baseline carries no rate.* metrics (a sim or bench
-                # profile): nothing to compare online; offline drift via
+                # Baseline carries no rate.* metrics (a sim profile):
+                # nothing to compare online; offline drift via
                 # `repro profile drift` still covers it.
                 pass
 

@@ -595,117 +595,6 @@ def cmd_oracle(args) -> None:
     _emit(args, out, text)
 
 
-def _snapshot_bench_profile(args, payload: dict, default_label: str) -> None:
-    """Capture a bench report into the `--profile` store (no-op without)."""
-    store = _profile_store(args)
-    if store is None:
-        return
-    from repro.behavior import profile_from_bench
-
-    label = getattr(args, "profile_label", None) or default_label
-    profile_id = store.save(profile_from_bench(payload, label))
-    print(f"behaviour profile saved: {profile_id}", file=sys.stderr)
-
-
-def cmd_bench(args) -> int:
-    """`repro bench`: deterministic wall-clock benchmarks.
-
-    ``--baseline PATH`` turns the run into a regression gate (exit 1 when
-    any rate falls more than ``--band`` below the committed baseline);
-    ``--profile-stages`` prints the per-stage wall-clock breakdown;
-    ``--cprofile PATH`` additionally dumps a cProfile of the detailed
-    benchmark for offline ``pstats``/snakeviz analysis.
-
-    ``--sweep`` runs the aggregate sweep-throughput family instead (batch
-    engine vs sequential cells on a small ADTS grid). It doubles as a
-    correctness gate: exit 1 if the batch results are not bit-identical to
-    sequential, or if ``--sweep-floor X`` is given and the measured
-    batch-vs-sequential speedup falls below X.
-    """
-    from repro.perf.bench import (
-        compare_to_baseline,
-        format_report,
-        run_benchmarks,
-    )
-
-    if args.sweep:
-        from repro.perf.bench import run_sweep_benchmarks, write_report
-
-        report = run_sweep_benchmarks(quick=args.quick, seed=args.seed)
-        payload = report.to_dict()
-        if args.out:
-            write_report(args.out, payload)
-            print(f"wrote {args.out}", file=sys.stderr)
-        _snapshot_bench_profile(args, payload, "bench-sweep")
-        _emit(args, payload, format_report(report))
-        entry = report.benchmarks["sweep_throughput"]
-        if not entry["bit_identical"]:
-            print("FAIL: batch sweep results diverged from sequential",
-                  file=sys.stderr)
-            return 1
-        if args.sweep_floor is not None:
-            speedup = entry["speedup_batch_vs_sequential"]
-            if speedup < args.sweep_floor:
-                print(f"FAIL: sweep speedup {speedup:.2f}x below floor "
-                      f"{args.sweep_floor:.2f}x", file=sys.stderr)
-                return 1
-            print(f"sweep speedup {speedup:.2f}x >= floor "
-                  f"{args.sweep_floor:.2f}x", file=sys.stderr)
-        return 0
-
-    if args.cprofile:
-        import cProfile
-
-        from repro.perf.bench import _detailed_fixed
-
-        profiler = cProfile.Profile()
-        profiler.enable()
-        _detailed_fixed(args.seed, 4 if args.quick else 8)
-        profiler.disable()
-        profiler.dump_stats(args.cprofile)
-        print(f"cProfile dump written to {args.cprofile}", file=sys.stderr)
-
-    report = run_benchmarks(quick=args.quick, seed=args.seed,
-                            trace_cache_dir=args.trace_cache)
-    payload = report.to_dict()
-
-    if args.profile_stages:
-        from repro import build_processor
-        from repro.perf.profiler import StageProfiler
-
-        proc = build_processor(mix="mix07", seed=args.seed, policy="icount",
-                               quantum_cycles=1024)
-        prof = StageProfiler(proc)
-        with prof:
-            proc.run_quanta(4 if args.quick else 8)
-        payload["stage_profile"] = prof.report()
-
-    if args.out:
-        from repro.perf.bench import write_report
-
-        write_report(args.out, payload)
-        print(f"wrote {args.out}", file=sys.stderr)
-    _snapshot_bench_profile(args, payload,
-                            "bench-quick" if args.quick else "bench")
-
-    text = format_report(report)
-    if args.profile_stages:
-        text += "\n  stage shares: " + ", ".join(
-            f"{name} {entry['share']:.0%}"
-            for name, entry in payload["stage_profile"].items())
-    _emit(args, payload, text)
-
-    if args.baseline:
-        failures = compare_to_baseline(report, args.baseline, band=args.band)
-        if failures:
-            for failure in failures:
-                print(f"REGRESSION: {failure}", file=sys.stderr)
-            return 1
-        print(f"baseline check passed ({args.baseline}, "
-              f"band {args.band:.0%})", file=sys.stderr)
-    return 0
-
-
 def cmd_fsck(args) -> int:
     """`repro fsck`: audit and repair an artifact tree.
 
@@ -808,9 +697,8 @@ def cmd_profile_snapshot(args) -> int:
 
 
 def cmd_profile_import(args) -> int:
-    """`repro profile import`: the migration shim — convert committed
-    bench reports (BENCH_PR4.json, BENCH_PR9.json) or chaos-campaign
-    reports into behaviour-profile artifacts."""
+    """`repro profile import`: convert chaos-campaign reports (or
+    profiles, under a new label) into behaviour-profile artifacts."""
     from repro.behavior import ProfileStore
     from repro.storage import ArtifactError
 
@@ -1167,34 +1055,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_service_opts(p, workers=2)
     p.set_defaults(func=cmd_burst)
 
-    p = sub.add_parser("bench", help="wall-clock performance benchmarks")
-    p.add_argument("--quick", action="store_true",
-                   help="CI smoke variant: fewer quanta and repeats")
-    p.add_argument("--out", default=None, metavar="PATH",
-                   help="write the full report JSON (e.g. BENCH_PR4.json)")
-    p.add_argument("--baseline", default=None, metavar="PATH",
-                   help="regression-gate against a committed report JSON")
-    p.add_argument("--band", type=float, default=0.40,
-                   help="allowed fractional rate drop vs the baseline")
-    p.add_argument("--profile-stages", action="store_true",
-                   help="include the per-stage wall-clock breakdown")
-    p.add_argument("--cprofile", default=None, metavar="PATH",
-                   help="dump a cProfile of the detailed benchmark")
-    p.add_argument("--trace-cache", default=None, metavar="DIR",
-                   help="persistent dir for the trace-cache benchmark "
-                        "(default: a throwaway temp dir)")
-    p.add_argument("--sweep", action="store_true",
-                   help="benchmark aggregate sweep throughput: batched "
-                        "lockstep engine vs sequential cells on a small "
-                        "grid, gated on bit-identical fingerprints")
-    p.add_argument("--sweep-floor", type=float, default=None, metavar="X",
-                   help="with --sweep: exit 1 unless batch/sequential "
-                        "speedup is at least X (e.g. 1.2)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--json", action="store_true", help="emit JSON")
-    _add_profile_opts(p)
-    p.set_defaults(func=cmd_bench)
-
     p = sub.add_parser("dlq", help="manage the poison-pill dead-letter queue")
     p.add_argument("action", choices=("list", "retry", "purge"),
                    help="list parked identities, un-park one, or drop all")
@@ -1241,10 +1101,9 @@ def build_parser() -> argparse.ArgumentParser:
     ps.set_defaults(func=cmd_profile_snapshot)
 
     ps = psub.add_parser("import",
-                         help="convert bench/campaign reports into profiles")
+                         help="convert campaign reports into profiles")
     ps.add_argument("paths", nargs="+", metavar="PATH",
-                    help="bench report (e.g. BENCH_PR4.json) or "
-                         "chaos-campaign report")
+                    help="chaos-campaign report or behaviour profile")
     ps.add_argument("--store", required=True, metavar="DIR")
     ps.add_argument("--label", default=None,
                     help="override the label (default: the file stem)")
@@ -1269,7 +1128,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="compare against this profile instead of the "
                          "store's designated baseline")
     ps.add_argument("--rel-tol", type=float, default=None,
-                    help="relative tolerance for deterministic metrics "
+                    help="relative tolerance for every metric "
                          "(default 0.05)")
     ps.add_argument("--abs-floor", type=float, default=None,
                     help="scale floor for near-zero metrics (default 1.0)")

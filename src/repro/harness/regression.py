@@ -190,13 +190,13 @@ def verify_profile(
     mismatches.
 
     Loads both ``behaviour-profile`` artifacts (checksum verified by the
-    storage layer), computes structured drift with the seeded-noise-aware
-    defaults from :mod:`repro.behavior.drift`, and turns every drifting
-    metric into a :class:`Mismatch` so CI fails the build with the same
-    machinery the goldens gate uses. ``warn`` metrics only fail when
-    ``fail_on_warn`` is set; metrics *missing* from the current profile
-    fail (the behaviour stopped being measured); *extra* metrics never
-    fail (future PRs may add telemetry without breaking the gate).
+    storage layer), computes structured drift with the default
+    tolerances of :class:`~repro.behavior.drift.DriftConfig`, and turns
+    every drifting metric into a :class:`Mismatch` so CI fails the build
+    with the same machinery the goldens gate uses. ``warn`` metrics only
+    fail when ``fail_on_warn`` is set; metrics *missing* from the current
+    profile fail (the behaviour stopped being measured); *extra* metrics
+    never fail (future PRs may add telemetry without breaking the gate).
     """
     from repro.behavior import DriftConfig, compute_drift, load_profile
     from repro.storage import ArtifactError

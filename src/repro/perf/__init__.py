@@ -1,28 +1,12 @@
 """Performance engineering toolkit (DESIGN.md §10).
 
-Deterministic wall-clock benchmarks of the detailed simulator, the trace
-generator, and the trace cache (:mod:`repro.perf.bench`), plus a per-stage
-cycle-accounting profiler (:mod:`repro.perf.profiler`).  Exposed through
-``repro bench`` on the CLI; CI runs the quick variant against the
-committed ``BENCH_PR4.json`` baseline.
+A per-stage cycle-accounting profiler (:mod:`repro.perf.profiler`). The
+repository's performance measurement is ``bench/run.py``; its traced pass
+runs :class:`StageProfiler` to split pipeline time by stage.
 """
 
-from repro.perf.bench import (
-    PRE_PR_BASELINE,
-    BenchReport,
-    compare_to_baseline,
-    load_report_json,
-    run_benchmarks,
-    write_report,
-)
 from repro.perf.profiler import StageProfiler
 
 __all__ = [
-    "PRE_PR_BASELINE",
-    "BenchReport",
-    "compare_to_baseline",
-    "load_report_json",
-    "run_benchmarks",
-    "write_report",
     "StageProfiler",
 ]

@@ -12,10 +12,11 @@ decode, then length, then CRC — so ``repro fsck`` can tell a torn tail
 (frame shorter than the header promises) from bitrot (full length, wrong
 checksum) from an alien file (no magic).
 
-JSON documents (bench reports and other human-readable artifacts) can't
-carry a binary frame without losing greppability, so they embed the same
-metadata *inside* the document under an ``"artifact"`` key, with the CRC
-computed over the canonical JSON of the rest of the document
+JSON documents (campaign reports, behaviour profiles and other
+human-readable artifacts) can't carry a binary frame without losing
+greppability, so they embed the same metadata *inside* the document under
+an ``"artifact"`` key, with the CRC computed over the canonical JSON of
+the rest of the document
 (:func:`canonical_json_crc`). Legacy plain-JSON documents load fine and
 classify as *migratable*.
 

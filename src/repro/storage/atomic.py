@@ -1,7 +1,7 @@
 """Atomic durable-write primitives with fsync discipline and bounded retry.
 
 Every persistent artifact in the repo (run journals, simulator snapshots,
-trace-cache archives, bench reports) lands on disk through the helpers
+trace-cache archives, reports, profiles) lands on disk through the helpers
 here, so durability policy lives in exactly one place:
 
 * **whole files** go through :func:`atomic_write_bytes` — write to a

@@ -240,6 +240,24 @@ class TestForkOnDivergence:
         assert engine.telemetry["quantum_steps_sequential"] == 12
         assert len({r.fingerprint for r in results}) == 1
 
+    def test_adts_grid_shares_trajectories(self):
+        """The 5 x 5 threshold x heuristic ADTS grid on one mix follows
+        fewer trajectories than it has cells, so the batch takes at most
+        half the quantum steps a cell-by-cell sweep takes: the sharing the
+        batch engine's sweep speed-up comes from."""
+        cells = [
+            BatchCell(mix="mix05", seed=0, quantum_cycles=1024, quanta=4,
+                      warmup_quanta=0, heuristic=h,
+                      thresholds=ThresholdConfig(ipc_threshold=m))
+            for m in (1.0, 2.0, 3.0, 4.0, 5.0)
+            for h in ("type1", "type2", "type3", "type3g", "type4")
+        ]
+        engine = BatchEngine(cells)
+        engine.run()
+        telemetry = engine.telemetry
+        assert telemetry["groups_final"] < len(cells)
+        assert 2 * telemetry["quantum_steps"] <= telemetry["quantum_steps_sequential"]
+
 
 class TestRunBatchParity:
     def test_run_batch_matches_run_adts(self):

@@ -1,67 +1,10 @@
-"""Benchmark harness (repro.perf) tests.
-
-Structural behaviour — report shape, baseline comparison, stage profiler
-bookkeeping — runs in tier-1 with no wall-clock sensitivity.  The actual
-quick benchmark suite is marked ``perf`` and runs in CI's perf-smoke job.
-"""
-
-from __future__ import annotations
-
-import json
+"""Stage profiler (repro.perf) tests: stage-time bookkeeping and
+bit-identity of a profiled run."""
 
 import pytest
 
 from repro import build_processor
-from repro.perf import (
-    PRE_PR_BASELINE,
-    BenchReport,
-    StageProfiler,
-    compare_to_baseline,
-    run_benchmarks,
-)
-
-
-def _report_with(benchmarks):
-    return BenchReport(
-        quick=True, seed=0, machine={}, git={}, benchmarks=benchmarks
-    )
-
-
-def test_compare_to_baseline_flags_rate_regressions(tmp_path):
-    baseline = {
-        "benchmarks": {
-            "detailed_icount_mix07": {"cycles_per_s": 1000.0, "instr_per_s": 2000.0},
-        }
-    }
-    path = tmp_path / "base.json"
-    path.write_text(json.dumps(baseline))
-
-    ok = _report_with(
-        {"detailed_icount_mix07": {"cycles_per_s": 700.0, "instr_per_s": 1400.0}}
-    )
-    assert compare_to_baseline(ok, str(path), band=0.40) == []
-
-    slow = _report_with(
-        {"detailed_icount_mix07": {"cycles_per_s": 500.0, "instr_per_s": 1400.0}}
-    )
-    failures = compare_to_baseline(slow, str(path), band=0.40)
-    assert len(failures) == 1
-    assert "cycles_per_s" in failures[0]
-
-
-def test_compare_to_baseline_flags_fingerprint_divergence(tmp_path):
-    path = tmp_path / "base.json"
-    path.write_text(json.dumps({"benchmarks": {}}))
-    bad = _report_with({"trace_cache": {"bit_identical": False, "cache": {}}})
-    failures = compare_to_baseline(bad, str(path))
-    assert any("diverged" in f for f in failures)
-
-
-def test_report_to_dict_carries_provenance():
-    report = _report_with({})
-    payload = report.to_dict()
-    assert payload["pre_pr_baseline"] == PRE_PR_BASELINE
-    assert set(payload) >= {"quick", "seed", "machine", "git", "benchmarks"}
+from repro.perf import StageProfiler
 
 
 def test_stage_profiler_accounts_stage_time():
@@ -90,17 +33,3 @@ def test_stage_profiler_preserves_fingerprint():
             proc.run_quanta(2)
         fps.append(proc.fingerprint())
     assert fps[0] == fps[1]
-
-
-@pytest.mark.perf
-def test_quick_benchmark_suite_runs_and_is_self_consistent():
-    report = run_benchmarks(quick=True, seed=0)
-    detailed = report.benchmarks["detailed_icount_mix07"]
-    assert detailed["sim_cycles"] > 0
-    assert detailed["cycles_per_s"] > 0
-    warm = report.benchmarks["detailed_icount_mix07_warm"]
-    assert warm["sim_cycles"] == detailed["sim_cycles"]
-    assert warm["instructions"] == detailed["instructions"]
-    tc = report.benchmarks["trace_cache"]
-    assert tc["bit_identical"]
-    assert tc["cache"]["hits"] > 0
