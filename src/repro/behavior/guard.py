@@ -1,11 +1,12 @@
 """In-service drift guard: rolling-window comparison against a baseline.
 
 The guard runs inside the service front door's (``ShardedService``) pump
-loop. Each ``observe(now, summary)`` appends a flattened snapshot to a
-sliding window; once the window spans enough admitted traffic the guard
-computes windowed per-request rates (:func:`~repro.behavior.profile.
-service_rates`) and compares them against the baseline profile's
-``rate.*`` metrics with :func:`~repro.behavior.drift.compute_drift`.
+loop. Each ``observe(now, counters)`` appends the front door's flat
+counter map (``stats()["counters"]``) to a sliding window; once the
+window spans enough admitted traffic the guard computes windowed
+per-request rates (:func:`~repro.behavior.profile.service_rates`) and
+compares them against the baseline profile's ``rate.*`` metrics with
+:func:`~repro.behavior.drift.compute_drift`.
 
 On *sustained* drift it escalates through the robustness ladder instead
 of aborting — mirroring the Autoscaler's hysteresis (consecutive-streak
@@ -36,7 +37,7 @@ from repro.behavior.drift import (
     DriftReport,
     compute_drift,
 )
-from repro.behavior.profile import flatten_metrics, service_rates
+from repro.behavior.profile import RATE_DENOMINATOR, service_rates
 
 log = logging.getLogger("repro.behavior")
 
@@ -140,7 +141,7 @@ class DriftGuard:
         self.baseline_id = baseline_id or getattr(baseline, "profile_id", None)
         self.config = config or DriftGuardConfig()
         self.on_escalate = on_escalate
-        self._window: Deque[Dict[str, float]] = deque(maxlen=self.config.window)
+        self._window: Deque[Mapping[str, float]] = deque(maxlen=self.config.window)
         self.level = 0
         self.last_report: Optional[DriftReport] = None
         self.last_verdict: Optional[str] = None
@@ -165,23 +166,21 @@ class DriftGuard:
         return self.config.degrade_on_drift and self.level >= 2
 
     # -- observation ---------------------------------------------------------
-    def observe(self, now: float, summary: Mapping[str, object]) -> None:
-        """Feed one service ``summary()`` snapshot; maybe change level."""
-        flat = flatten_metrics(
-            {k: v for k, v in summary.items() if k != "behavior"}
-        )
-        self._window.append(flat)
+    def observe(self, now: float, counters: Mapping[str, float]) -> None:
+        """Feed one snapshot of the front door's counter map; maybe change
+        level."""
+        self._window.append(counters)
         if len(self._window) < 2:
             return
         oldest = self._window[0]
-        span = flat.get("submitted", 0.0) - oldest.get("submitted", 0.0)
+        span = counters.get(RATE_DENOMINATOR, 0) - oldest.get(RATE_DENOMINATOR, 0)
         if span < self.config.min_submitted:
             return
-        rates = service_rates(flat, oldest)
+        rates = service_rates(counters, oldest)
         if not rates:
             return
         # Pin the comparison to the baseline's keyset: schema growth in
-        # live summaries must not read as drift.
+        # the live counter map must not read as drift.
         current = {k: rates[k] for k in self.baseline if k in rates}
         report = compute_drift(self.baseline, current, self.config.drift)
         self.comparisons += 1
@@ -268,8 +267,8 @@ class DriftGuard:
         self._pending.clear()
         return out
 
-    def brief(self) -> Dict[str, object]:
-        """Compact live view for ``summary()`` blocks."""
+    def summary(self) -> Dict[str, object]:
+        """Full telemetry for ``stats()`` / reports."""
         return {
             "baseline": self.baseline_id,
             "state": self.state,
@@ -277,20 +276,13 @@ class DriftGuard:
             "comparisons": self.comparisons,
             "escalations": self.escalations,
             "degrade_active": self.degrade_active,
-        }
-
-    def summary(self) -> Dict[str, object]:
-        """Full telemetry for ``stats()`` / reports."""
-        out = dict(self.brief())
-        out.update(
-            clears=self.clears,
-            window=len(self._window),
-            tracked_rates=sorted(self.baseline),
-            last_report=(
+            "clears": self.clears,
+            "window": len(self._window),
+            "tracked_rates": sorted(self.baseline),
+            "last_report": (
                 self.last_report.to_dict()
                 if self.last_report is not None
                 else None
             ),
-            events=[e.to_dict() for e in self.events[-16:]],
-        )
-        return out
+            "events": [e.to_dict() for e in self.events[-16:]],
+        }

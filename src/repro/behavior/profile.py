@@ -14,12 +14,14 @@ drift report against a baseline is byte-reproducible.
 
 Capture helpers by layer:
 
-* :func:`profile_from_service` — the service front door's ``summary()``
-  (:class:`~repro.service.ShardedService`), with whole-run ``rate.*``
-  metrics derived per submitted request — the same namespace the online
+* :func:`profile_from_service` — the service front door's counter map
+  (``stats()["counters"]`` of :class:`~repro.service.ShardedService`) as
+  ``counters.*``, with whole-run ``rate.*`` metrics derived per submitted
+  request — the same namespace the online
   :class:`~repro.behavior.guard.DriftGuard` recomputes over its rolling
-  window.
-* :func:`profile_from_campaign` — a ``chaos-campaign`` report.
+  window of that map.
+* :func:`profile_from_campaign` — a ``chaos-campaign`` report, whose
+  ``counters`` block is the same map.
 * :func:`profile_from_sim` — sim counters (``SimStats.summary()`` /
   :class:`~repro.harness.runner.RunResult`) plus an optional
   policy-switching report and batch-engine telemetry.
@@ -36,22 +38,25 @@ from typing import Dict, Mapping, Optional
 PROFILE_FORMAT = "behaviour-profile"
 PROFILE_VERSION = 1
 
-#: ``rate.<name>`` metrics derived from the service front door's
-#: ``summary()`` schema: numerator path in the flattened summary, denominator is
-#: ``submitted``. The whole-run capture and the DriftGuard's rolling
-#: window both speak exactly this namespace, so an offline baseline is
-#: directly comparable to an online window.
+#: ``rate.<name>`` metrics derived from the service front door's counter
+#: map (``stats()["counters"]``): each rate names its numerator counter;
+#: the denominator is :data:`RATE_DENOMINATOR`. The whole-run capture and
+#: the DriftGuard's rolling window both speak exactly this namespace, so
+#: an offline baseline is directly comparable to an online window.
 SERVICE_RATE_KEYS: Dict[str, str] = {
-    "rate.answered": "answered",
-    "rate.journal_hits": "cache.journal_hits",
-    "rate.store_hits": "cache.store_hits",
-    "rate.simulations": "simulations",
-    "rate.shard_restarts": "shard_restarts",
-    "rate.coalesced_waiters": "coalescing.coalesced_waiters",
-    "rate.waiter_refusals": "coalescing.waiter_refusals",
-    "rate.dlq_refused": "dlq.refused",
-    "rate.verification_divergent": "verification.divergent",
+    "rate.answered": "front_answered",
+    "rate.journal_hits": "journal_hits",
+    "rate.store_hits": "front_store_hits",
+    "rate.simulations": "front_simulations",
+    "rate.shard_restarts": "full_failures",
+    "rate.coalesced_waiters": "front_coalesced_waiters",
+    "rate.waiter_refusals": "front_waiter_refusals",
+    "rate.dlq_refused": "front_dlq_refused",
+    "rate.verification_divergent": "verify_divergent",
 }
+
+#: The counter every ``rate.*`` metric is divided by.
+RATE_DENOMINATOR = "front_submitted"
 
 _LABEL_OK = re.compile(r"[^A-Za-z0-9._-]+")
 
@@ -187,25 +192,27 @@ def profile_identity(
 
 
 def service_rates(
-    flat_now: Mapping[str, float],
-    flat_then: Optional[Mapping[str, float]] = None,
+    counters: Mapping[str, float],
+    then: Optional[Mapping[str, float]] = None,
 ) -> Dict[str, float]:
-    """The ``rate.*`` namespace over a summary delta.
+    """The ``rate.*`` namespace over a counter-map delta.
 
-    With ``flat_then`` omitted the rates cover the whole run; the
-    DriftGuard passes the oldest snapshot in its rolling window instead.
-    Returns {} when no request was submitted in the delta — there is no
-    behaviour to rate yet.
+    With ``then`` omitted the rates cover the whole run; the DriftGuard
+    passes the oldest map in its rolling window instead. Returns {} when
+    no request was submitted in the delta — there is no behaviour to rate
+    yet — or when the map has no denominator (a report written before the
+    front door counted). A rate whose counter the map lacks is left out
+    rather than read as zero.
     """
-    then = flat_then or {}
-    submitted = flat_now.get("submitted", 0.0) - then.get("submitted", 0.0)
+    then = then or {}
+    submitted = counters.get(RATE_DENOMINATOR, 0) - then.get(RATE_DENOMINATOR, 0)
     if submitted <= 0:
         return {}
-    rates: Dict[str, float] = {}
-    for name, path in SERVICE_RATE_KEYS.items():
-        delta = flat_now.get(path, 0.0) - then.get(path, 0.0)
-        rates[name] = delta / submitted
-    return rates
+    return {
+        rate: (counters[name] - then.get(name, 0)) / submitted
+        for rate, name in SERVICE_RATE_KEYS.items()
+        if name in counters
+    }
 
 
 def profile_from_service(
@@ -215,16 +222,15 @@ def profile_from_service(
     breakdown: Optional[Mapping] = None,
     window: Optional[Mapping] = None,
 ) -> BehaviorProfile:
-    """Capture the front door's ``summary()`` plus derived rates.
+    """Capture the front door's counter map plus derived rates.
 
     ``breakdown`` (a :func:`~repro.service.breakdown` result over the
     run's responses) folds outcome/tier shares in when the caller has
     the response stream at hand.
     """
-    summary = service.summary()
-    flat = flatten_metrics({k: v for k, v in summary.items() if k != "behavior"})
-    metrics = dict(flat)
-    metrics.update(service_rates(flat))
+    counters = service.stats()["counters"]
+    metrics = flatten_metrics(counters, "counters")
+    metrics.update(service_rates(counters))
     if breakdown is not None:
         metrics.update(
             flatten_metrics(
@@ -259,10 +265,12 @@ def profile_from_campaign(
     contract = report.get("contract")
     if not isinstance(contract, Mapping):
         raise ValueError("campaign report has no contract block")
+    counters = report.get("counters")
     picked = {
         "contract": contract,
         "breakdown": report.get("breakdown"),
-        "counters": report.get("counters"),
+        "counters": counters,
+        "verification": report.get("verification"),
         "breaker": report.get("breaker"),
         "fsck": report.get("fsck"),
         "exit_code": report.get("exit_code"),
@@ -272,17 +280,11 @@ def profile_from_campaign(
         picked["autoscaler"] = {
             k: scaler.get(k) for k in ("scale_ups", "scale_downs", "target")
         }
-    sharding = report.get("sharding")
-    if isinstance(sharding, Mapping):
-        summary = dict(sharding.get("summary") or {})
-        summary.pop("behavior", None)
-        picked["sharding"] = summary
     metrics = flatten_metrics(picked)
-    # Fold the summary-derived rate.* namespace in for sharded campaigns,
-    # and a contract-derived rate for plain ones, so campaign baselines
-    # can seed a DriftGuard directly.
-    if isinstance(sharding, Mapping):
-        metrics.update(service_rates(flatten_metrics(sharding.get("summary") or {})))
+    # The rate.* namespace too, so campaign baselines can seed a
+    # DriftGuard directly.
+    if isinstance(counters, Mapping):
+        metrics.update(service_rates(counters))
     cfg = report.get("config")
     return BehaviorProfile(
         label=label,

@@ -207,7 +207,8 @@ def check_contract(
     result) is folded into ``ok``: a campaign that injected silent
     corruption passes only if every injected event was caught, no
     divergent-marked store entry survives, and the DLQ still refuses
-    everything it parked.
+    everything it parked. The report carries the audit itself once, as
+    its top-level ``verification`` block.
     """
     submitted = [e.request.request_id for e in events]
     answered: dict = {}
@@ -228,7 +229,7 @@ def check_contract(
         and len(responses) == len(submitted)
         and (audit is None or bool(audit.get("ok")))
     )
-    out = {
+    return {
         "ok": ok,
         "submitted": len(submitted),
         "answered": len(responses),
@@ -238,9 +239,6 @@ def check_contract(
         "unknown": unknown[:20],
         "refusals_without_reason": refusals_without_reason,
     }
-    if audit is not None:
-        out["verification"] = audit
-    return out
 
 
 def run_campaign(
@@ -320,7 +318,6 @@ def run_campaign(
         from repro.behavior import DriftGuard, DriftGuardConfig, ProfileStore
 
         profile_store = ProfileStore(cfg.profile_store)
-        service.profile_label = cfg.profile_label or "chaosday"
         baseline = profile_store.load_baseline()
         if baseline is not None:
             try:
@@ -381,7 +378,6 @@ def run_campaign(
             "transitions": len(stats["breaker_transitions"]),
         },
         "autoscaler": stats["autoscaler"],
-        "sharding": {"shards": cfg.shards, "summary": service.summary()},
         "verification": audit,
         "faults": {
             "plan": {
@@ -437,23 +433,22 @@ def format_report(report: dict) -> str:
             f"downs={scaler['scale_downs']} "
             f"final target={scaler['target']}"
         )
-    sharding = report["sharding"]
-    s = sharding["summary"]
+    c = report["counters"]
     audit = report["verification"]
-    c = audit["counters"]
     dlq = audit.get("dlq") or {}
     lines.extend(
         [
-            f"  sharding: {sharding['shards']} shard(s), "
-            f"{s['simulations']} simulation(s) for {s['submitted']} request(s) "
-            f"(store hits {s['cache']['store_hits']}, "
-            f"coalesced {s['coalescing']['coalesced_waiters']}, "
-            f"promotions {s['coalescing']['promotions']})",
+            f"  sharding: {report['config']['shards']} shard(s), "
+            f"{c['front_simulations']} simulation(s) for "
+            f"{c['front_submitted']} request(s) "
+            f"(store hits {c['front_store_hits']}, "
+            f"coalesced {c['front_coalesced_waiters']}, "
+            f"promotions {c['front_promotions']})",
             f"  integrity: {'OK' if audit['ok'] else 'VIOLATED'} "
-            f"(corrupted {audit['corrupted_injected']}, "
+            f"(corrupted {c['front_results_corrupted']}, "
             f"caught {audit['caught']}, "
             f"uncaught {len(audit['uncaught'])}, "
-            f"verified {c['verified']}, restored {c['restored']}, "
+            f"verified {c['verify_verified']}, restored {c['verify_restored']}, "
             f"dlq parked {dlq.get('parked', 0)})",
             f"  breaker transitions: {report['breaker']['transitions']}",
             f"  fsck: {report['fsck']['counts']} "

@@ -362,14 +362,13 @@ def _profile_store(args):
     return ProfileStore(path)
 
 
-def _arm_drift_guard(service, args, default_label):
-    """Wire `--profile` into a service: label the run and, when the store
-    has a designated baseline, attach a rolling DriftGuard. Returns the
-    store (None when profiling is off)."""
+def _arm_drift_guard(service, args):
+    """Wire `--profile` into a service: when the store has a designated
+    baseline, attach a rolling DriftGuard. Returns the store (None when
+    profiling is off)."""
     store = _profile_store(args)
     if store is None:
         return None
-    service.profile_label = getattr(args, "profile_label", None) or default_label
     baseline = store.load_baseline()
     if baseline is not None:
         from repro.behavior import DriftGuard, DriftGuardConfig
@@ -387,15 +386,17 @@ def _arm_drift_guard(service, args, default_label):
     return store
 
 
-def _snapshot_service_profile(store, service, args, breakdown=None) -> None:
-    """Capture the drained service's behaviour into the profile store."""
+def _snapshot_service_profile(store, service, args, default_label,
+                              breakdown=None) -> None:
+    """Capture the drained service's behaviour into the profile store,
+    labelled ``--profile-label`` or else ``default_label``."""
     if store is None:
         return
     from repro.behavior import profile_from_service
 
     profile = profile_from_service(
         service,
-        service.profile_label or "service",
+        getattr(args, "profile_label", None) or default_label,
         seed=getattr(args, "seed", None),
         breakdown=breakdown,
     )
@@ -419,13 +420,13 @@ def cmd_serve(args) -> int:
     from repro.service import ServeLoop
 
     service = _build_service(args)
-    store = _arm_drift_guard(service, args, "serve")
+    store = _arm_drift_guard(service, args)
     code = ServeLoop(
         service,
         drain_deadline_s=args.drain_deadline,
         record_path=args.record,
     ).run()
-    _snapshot_service_profile(store, service, args)
+    _snapshot_service_profile(store, service, args, "serve")
     return code
 
 
@@ -513,23 +514,22 @@ def cmd_replay(args) -> int:
         )
         events = generate_traffic(spec)
         source = {"shape": args.shape, "events": len(events), "seed": args.seed}
-    if args.workers == 0:
-        clock = VirtualClock()
-        service = _build_service(args, clock=clock)
-        store = _arm_drift_guard(service, args, f"replay-{args.shape}")
+    clock = VirtualClock() if args.workers == 0 else None
+    service = _build_service(args, clock=clock)
+    store = _arm_drift_guard(service, args)
+    if clock is not None:
         responses = replay_traffic(
             service, events, clock,
             tick_s=args.tick, time_scale=args.time_scale,
         )
         clock.auto_advance_s = args.tick
     else:
-        service = _build_service(args)
-        store = _arm_drift_guard(service, args, f"replay-{args.shape}")
         responses = replay_realtime(service, events, time_scale=args.time_scale)
     stats = service.drain(args.drain_deadline)
     responses.extend(service.take_completed())
     bd = breakdown(responses)
-    _snapshot_service_profile(store, service, args, breakdown=bd)
+    _snapshot_service_profile(store, service, args, f"replay-{args.shape}",
+                              breakdown=bd)
     print(json.dumps(
         {"source": source, "breakdown": bd,
          "counters": stats["counters"], "autoscaler": stats["autoscaler"]},

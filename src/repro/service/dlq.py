@@ -47,7 +47,7 @@ log = logging.getLogger("repro.dlq")
 DLQ_FORMAT = "dlq-entry"
 DLQ_VERSION = 1
 
-#: Stable counter names reported by :meth:`DeadLetterQueue.stats`.
+#: Stable counter names; the front door's counter map carries them as ``dlq_*``.
 DLQ_COUNTERS = ("parked", "retried", "purged")
 
 
@@ -180,12 +180,3 @@ class DeadLetterQueue:
 
     def __len__(self) -> int:
         return len(self._parked)
-
-    # -- observability -------------------------------------------------------
-    def stats(self) -> dict:
-        """Telemetry snapshot: root, live parked count, lifetime counters."""
-        return {
-            "root": str(self.root) if self.root is not None else None,
-            "parked": len(self._parked),
-            "counters": dict(self.counters),
-        }

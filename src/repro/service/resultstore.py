@@ -82,7 +82,7 @@ INTEGRITY_UNVERIFIED = "unverified"
 INTEGRITY_VERIFIED = "verified"
 INTEGRITY_STATUSES = (INTEGRITY_UNVERIFIED, INTEGRITY_VERIFIED)
 
-#: Stable counter names reported by :meth:`ResultStore.stats`.
+#: Stable counter names; the front door's counter map carries them as ``store_*``.
 STORE_COUNTERS = (
     "hits",
     "misses",
@@ -487,12 +487,3 @@ class ResultStore:
             )
         self.counters["stale_leases_broken"] += broken
         return broken
-
-    # -- observability -------------------------------------------------------
-    def stats(self) -> dict:
-        """Counter snapshot plus layout facts."""
-        return {
-            "root": str(self.root),
-            "shards": self.shards,
-            "counters": dict(self.counters),
-        }

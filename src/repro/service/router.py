@@ -46,8 +46,16 @@ fans full-fidelity payloads out to the waiters and persists them in the
 store — so the *second* replay of any recorded traffic is pure store
 hits: zero re-simulations, byte-identical answers. The drift guard's
 degradation rung, shadow verification and the dead-letter queue live
-here too, and :meth:`ShardedService.stats` / :meth:`~ShardedService.health`
-aggregate the shards' telemetry into one view.
+here too.
+
+Telemetry has one schema: ``stats()["counters"]`` is the serving stack's
+only flat counter map — the shards' counters summed, plus the front
+door's, the result store's, the verifier's and the DLQ's as ``front_*``,
+``store_*``, ``verify_*`` and ``dlq_*``. A component that is off reads
+zero, so the key set never depends on configuration. The serve
+protocol, the drift guard, behaviour profiles and chaos reports all read
+this map; :meth:`ShardedService.health` is the readiness headline of
+one :meth:`~ShardedService.stats` call.
 """
 
 from __future__ import annotations
@@ -65,7 +73,7 @@ from repro.harness.errors import (
     OUTCOME_FULL,
     ConfigError,
 )
-from repro.service.dlq import DeadLetterQueue
+from repro.service.dlq import DLQ_COUNTERS, DeadLetterQueue
 from repro.service.identity import (
     canonical_fields,
     request_identity,
@@ -78,7 +86,7 @@ from repro.service.request import (
     TIER_FULL,
     TIER_NONE,
 )
-from repro.service.resultstore import ResultStore
+from repro.service.resultstore import STORE_COUNTERS, ResultStore
 from repro.service.service import ServiceConfig, SimulationService
 from repro.service.verify import (
     ShadowVerifier,
@@ -87,7 +95,7 @@ from repro.service.verify import (
     payload_digest,
 )
 
-#: Front-door counter names (shard counters are aggregated separately).
+#: Front-door counter names; ``stats()["counters"]`` carries them as ``front_*``.
 FRONT_COUNTER_NAMES = (
     "submitted",
     "answered",
@@ -101,7 +109,6 @@ FRONT_COUNTER_NAMES = (
     "simulations",
     "results_corrupted",
     "dlq_strikes",
-    "dlq_parked",
     "dlq_refused",
 )
 
@@ -185,13 +192,11 @@ class ShardedService:
         self._draining = False
         self._paused = False
         # Behaviour observability, set by the harness (this module never
-        # imports repro.behavior): an optional rolling drift guard, fed one
-        # summary per pump — while it holds sustained-drift pressure,
-        # degradable requests that miss the store are answered by their
-        # shard's fast tier — and the label this run's profile is
-        # snapshotted under.
+        # imports repro.behavior): an optional rolling drift guard, fed the
+        # counter map once per pump — while it holds sustained-drift
+        # pressure, degradable requests that miss the store are answered
+        # by their shard's fast tier.
         self.drift_guard = None
-        self.profile_label: Optional[str] = None
         plan = self.config.fault_plan
         plan_seed = plan.seed if plan is not None else 0
         # Silent-corruption injection (chaos campaigns): a seeded draw per
@@ -387,7 +392,7 @@ class ShardedService:
         self._sweep_waiters(now)
         self._poll_remote(now)
         if self.drift_guard is not None:
-            self.drift_guard.observe(now, self.summary())
+            self.drift_guard.observe(now, self._counters())
         return len(self._completed) - produced
 
     def _collect(self, now: float) -> None:
@@ -576,7 +581,6 @@ class ShardedService:
             for f in shard.executor.failures_for(rids):
                 attempts.append({"source": "executor", **f})
         self.dlq.park(group.digest, canonical_fields(group.leader), kind, attempts)
-        self.counters["dlq_parked"] += 1
         return True
 
     def _dissolve(self, group: _Group) -> None:
@@ -771,26 +775,36 @@ class ShardedService:
         return self.stats()
 
     # -- observability -------------------------------------------------------
-    def _aggregate_counters(self, shard_stats: List[dict]) -> Dict[str, int]:
-        agg: Dict[str, int] = {}
-        for ss in shard_stats:
-            for k, v in ss["counters"].items():
-                agg[k] = agg.get(k, 0) + v
-        return agg
+    def _counters(self) -> Dict[str, int]:
+        """The one flat counter map: shard counters summed, then the front
+        door's, store's, verifier's and DLQ's under their prefixes (zero
+        for a component that is off)."""
+        counters: Dict[str, int] = {}
+        for shard in self.shards:
+            for k, v in shard.counters.items():
+                counters[k] = counters.get(k, 0) + v
+        for prefix, owner, names in (
+            ("front", self, FRONT_COUNTER_NAMES),
+            ("store", self.store, STORE_COUNTERS),
+            ("verify", self.verifier, VERIFY_COUNTERS),
+            ("dlq", self.dlq, DLQ_COUNTERS),
+        ):
+            for name in names:
+                counters[f"{prefix}_{name}"] = (
+                    owner.counters[name] if owner is not None else 0
+                )
+        return counters
 
     def stats(self) -> dict:
-        """Aggregated telemetry: front-door, store, and per-shard views.
+        """Aggregated telemetry: the counter map plus per-shard views.
 
-        Carries every key a shard's own ``stats()`` has: counters are
-        summed, ``breaker`` is the worst shard's snapshot, ``workers`` and
-        the autoscaler's ``events`` merge every shard's (events in time
-        order, each tagged with its shard), and ``miss_rate_window`` is
-        the worst shard's.
+        Carries every key a shard's own ``stats()`` has: ``counters`` is
+        the one flat map (see the module docstring), ``breaker`` is the
+        worst shard's snapshot, ``workers`` and the autoscaler's
+        ``events`` merge every shard's (events in time order, each tagged
+        with its shard), and ``miss_rate_window`` is the worst shard's.
         """
         shard_stats = [s.stats() for s in self.shards]
-        counters = self._aggregate_counters(shard_stats)
-        for k, v in self.counters.items():
-            counters[f"front_{k}"] = v
         transitions: List[dict] = []
         workers: List[dict] = []
         for ss in shard_stats:
@@ -820,7 +834,7 @@ class ShardedService:
             "queue_depth": sum(ss["queue_depth"] for ss in shard_stats),
             "inflight": self.inflight,
             "coalesced_groups": len(self._groups),
-            "counters": counters,
+            "counters": self._counters(),
             "breaker": max(
                 (ss["breaker"] for ss in shard_stats),
                 key=lambda b: _BREAKER_SEVERITY[b["state"]],
@@ -828,61 +842,9 @@ class ShardedService:
             "breaker_transitions": transitions,
             "workers": workers,
             "autoscaler": autoscaler,
-            "store": self.store.stats() if self.store is not None else None,
-            "verification": (
-                dict(self.verifier.counters) if self.verifier is not None else None
-            ),
-            "dlq": self.dlq.stats() if self.dlq is not None else None,
             "drift_guard": (
                 self.drift_guard.summary() if self.drift_guard is not None else None
             ),
-        }
-
-    def summary(self) -> dict:
-        """The cache/coalescing headline: what did sharding buy us?"""
-        shard_stats = [s.stats() for s in self.shards]
-        agg = self._aggregate_counters(shard_stats)
-        sc = self.store.counters if self.store is not None else {}
-        guard = self.drift_guard
-        return {
-            "shards": len(self.shards),
-            "submitted": self.counters["submitted"],
-            "answered": self.counters["answered"],
-            "cache": {
-                "journal_hits": agg.get("journal_hits", 0),
-                "store_hits": self.counters["store_hits"],
-                "store_puts": sc.get("puts", 0),
-                "store_corrupt_misses": sc.get("corrupt_misses", 0),
-            },
-            "coalescing": {
-                "coalesced_waiters": self.counters["coalesced_waiters"],
-                "promotions": self.counters["promotions"],
-                "shed_waiters": self.counters["shed_waiters"],
-                "waiter_refusals": self.counters["waiter_refusals"],
-                "remote_leaders": self.counters["remote_leaders"],
-                "lease_breaks": sc.get("lease_breaks", 0),
-                "stale_leases_broken": sc.get("stale_leases_broken", 0),
-            },
-            "simulations": self.counters["simulations"],
-            "shard_restarts": agg.get("full_failures", 0),
-            "verification": {
-                **(
-                    dict(self.verifier.counters)
-                    if self.verifier is not None
-                    else {n: 0 for n in VERIFY_COUNTERS}
-                ),
-                "corrupted_injected": self.counters["results_corrupted"],
-            },
-            "dlq": {
-                "strikes": self.counters["dlq_strikes"],
-                "parked": self.counters["dlq_parked"],
-                "refused": self.counters["dlq_refused"],
-            },
-            "behavior": {
-                "profile_label": self.profile_label,
-                "baseline": guard.baseline_id if guard is not None else None,
-                "guard": guard.brief() if guard is not None else None,
-            },
         }
 
     def verification_audit(self) -> dict:
@@ -913,16 +875,16 @@ class ShardedService:
         dlq_view: Optional[dict] = None
         if self.dlq is not None:
             # Every in-session park must still be visible (and refusable).
-            dlq_ok = len(self.dlq) >= self.counters["dlq_parked"]
+            parked = self.dlq.counters["parked"]
+            dlq_ok = len(self.dlq) >= parked
             dlq_view = {
                 "ok": dlq_ok,
                 "parked": len(self.dlq),
-                "parked_this_run": self.counters["dlq_parked"],
+                "parked_this_run": parked,
                 "refused": self.counters["dlq_refused"],
             }
         return {
             "ok": not uncaught and live_divergent == 0 and dlq_ok,
-            "corrupted_injected": self.counters["results_corrupted"],
             "caught": (
                 len(self.verifier.quarantined) if self.verifier is not None else 0
             ),
@@ -931,26 +893,17 @@ class ShardedService:
             "neutralized": len(self._tainted) - len(uncaught),
             "live_divergent": live_divergent,
             "integrity": integ,
-            "counters": (
-                dict(self.verifier.counters)
-                if self.verifier is not None
-                else {n: 0 for n in VERIFY_COUNTERS}
-            ),
             "dlq": dlq_view,
         }
 
     def health(self) -> dict:
-        """Readiness-probe view across every shard."""
-        shard_health = [s.health() for s in self.shards]
-        worst = max(
-            (h["breaker_state"] for h in shard_health),
-            key=lambda state: _BREAKER_SEVERITY[state],
-        )
+        """Readiness-probe headline of one :meth:`stats` call."""
+        stats = self.stats()
+        state = stats["breaker"]["state"]
         return {
-            "ok": self._accepting and not self._draining,
-            "degraded_mode": worst != "closed",
-            "breaker_state": worst,
-            "queue_depth": sum(h["queue_depth"] for h in shard_health),
-            "inflight": self.inflight,
-            "shards": shard_health,
+            "ok": stats["accepting"] and not stats["draining"],
+            "degraded_mode": state != "closed",
+            "breaker_state": state,
+            "queue_depth": stats["queue_depth"],
+            "inflight": stats["inflight"],
         }

@@ -8,7 +8,7 @@ Requests (client → service)::
 
     {"op": "submit", "request": {"request_id": "r1", "mix": "mix05", ...}}
     {"request_id": "r1", ...}          # bare object == submit shorthand
-    {"op": "stats"} | {"op": "summary"} | {"op": "health"}
+    {"op": "stats"} | {"op": "health"}
     {"op": "pause"} | {"op": "resume"}
     {"op": "shutdown"}                 # drain and exit
 
@@ -17,8 +17,12 @@ Events (service → client)::
     {"event": "ready", ...}
     {"event": "response", "response": {...}}   # exactly one per request
     {"event": "stats"|"health", ...}
-    {"event": "error", "detail": "..."}        # unparseable input line
+    {"event": "error", "detail": "..."}        # unparseable line, unknown op
     {"event": "drained", "stats": {...}}       # last line before exit 0
+
+Every counter lives in ``stats["counters"]``, the front door's one flat
+counter map (see :mod:`repro.service.router`); ``health`` is its
+readiness headline.
 
 Lifecycle: SIGTERM/SIGINT (or ``{"op": "shutdown"}``) stops admission and
 drains within the configured deadline; EOF on stdin finishes outstanding
@@ -158,8 +162,6 @@ class ServeLoop:
             self._handle_submit(payload.get("request", payload))
         elif op == "stats":
             self._emit({"event": "stats", "stats": self.service.stats()})
-        elif op == "summary":
-            self._emit({"event": "summary", "summary": self.service.summary()})
         elif op == "health":
             self._emit({"event": "health", "health": self.service.health()})
         elif op == "pause":
@@ -248,13 +250,7 @@ class ServeLoop:
                         "requests": len(self._recorded),
                     }
                 )
-            self._emit(
-                {
-                    "event": "drained",
-                    "stats": stats,
-                    "summary": self.service.summary(),
-                }
-            )
+            self._emit({"event": "drained", "stats": stats})
             return 0
         finally:
             signal.signal(signal.SIGTERM, prev_term)

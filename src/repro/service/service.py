@@ -172,34 +172,29 @@ def _request_fault_plan(request: SimRequest) -> Optional[FaultPlan]:
     )
 
 
+def _service_cell_spec(request: SimRequest, strip_worker_faults: bool) -> dict:
+    """The ``service_cell`` task spec that runs ``request``'s full tier."""
+    return {
+        "config": request.run_config(),
+        "mode": request.mode,
+        "heuristic": request.heuristic,
+        "threshold": request.threshold,
+        "fault_plan": _request_fault_plan(request),
+        "strip_worker_faults": strip_worker_faults,
+    }
+
+
 def _default_full_runner(request: SimRequest) -> dict:
-    """Inline full tier (``workers=0``): the detailed engine, in-process.
+    """Inline full tier (``workers=0``): the ``service_cell`` task, in-process.
 
     Worker-family faults are stripped — unsupervised, a seeded SIGKILL
     would take down the *service* process, which is exactly the blast
     radius the supervised pool exists to contain.
     """
-    from repro.core.thresholds import ThresholdConfig
-    from repro.harness.runner import run_adts, run_fixed
+    from repro.harness.executor import _service_cell_payload
 
-    cfg = request.run_config()
-    plan = _request_fault_plan(request)
-    if plan is not None:
-        plan = plan.without_worker_faults()
-    if request.mode == "adts":
-        r = run_adts(
-            cfg,
-            heuristic=request.heuristic,
-            thresholds=ThresholdConfig(ipc_threshold=request.threshold),
-            fault_plan=plan,
-        )
-    else:
-        r = run_fixed(cfg, fault_plan=plan)
-    return {
-        "ipc": r.ipc,
-        "switches": r.scheduler.get("switches", 0),
-        "benign_probability": r.scheduler.get("benign_probability", 0.0),
-    }
+    spec = _service_cell_spec(request, strip_worker_faults=True)
+    return _service_cell_payload(spec, None, None)
 
 
 #: Stable counter names reported by :meth:`SimulationService.stats`.
@@ -452,15 +447,8 @@ class SimulationService:
         from repro.harness.executor import WorkItem
 
         request = entry.request
-        spec = {
-            "config": request.run_config(),
-            "mode": request.mode,
-            "heuristic": request.heuristic,
-            "threshold": request.threshold,
-            "fault_plan": _request_fault_plan(request),
-            "strip_worker_faults": entry.attempts > 1,
-            "force_crash": forced,
-        }
+        spec = _service_cell_spec(request, strip_worker_faults=entry.attempts > 1)
+        spec["force_crash"] = forced
         if self.config.trace_cache_dir is not None:
             spec["trace_cache_dir"] = str(self.config.trace_cache_dir)
         item = WorkItem(
@@ -732,16 +720,4 @@ class SimulationService:
             "autoscaler": (
                 self.autoscaler.summary() if self.autoscaler is not None else None
             ),
-        }
-
-    def health(self) -> dict:
-        """Readiness-probe-sized view: is the service accepting, and at
-        what fidelity?"""
-        breaker_state = self.breaker.state
-        return {
-            "ok": self._accepting and not self._draining,
-            "degraded_mode": breaker_state != "closed",
-            "breaker_state": breaker_state,
-            "queue_depth": self.queue.depth,
-            "inflight": len(self._inflight),
         }

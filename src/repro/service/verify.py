@@ -55,7 +55,8 @@ from repro.service.resultstore import (
 
 log = logging.getLogger("repro.verify")
 
-#: Stable counter names reported by :attr:`ShadowVerifier.counters`.
+#: Stable counter names of :attr:`ShadowVerifier.counters`; the front
+#: door's counter map carries them as ``verify_*``.
 VERIFY_COUNTERS = (
     "sampled",
     "verified",

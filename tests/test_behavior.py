@@ -40,6 +40,7 @@ from repro.behavior import (
     profile_from_sim,
     service_rates,
 )
+from repro.behavior.profile import RATE_DENOMINATOR, SERVICE_RATE_KEYS
 from repro.harness.regression import verify_profile
 from repro.service import (
     ServeLoop,
@@ -73,11 +74,13 @@ class TestFlatten:
         assert flat == {"a.b": 1.0, "a.c": 2.5, "flag": 1.0}
 
     def test_service_rates_whole_run_and_delta(self):
-        now = {"submitted": 20.0, "answered": 18.0, "cache.journal_hits": 4.0}
+        now = {"front_submitted": 20, "front_answered": 18, "journal_hits": 4}
         rates = service_rates(now)
         assert rates["rate.answered"] == pytest.approx(0.9)
         assert rates["rate.journal_hits"] == pytest.approx(0.2)
-        then = {"submitted": 10.0, "answered": 10.0, "cache.journal_hits": 4.0}
+        # A counter the map lacks is left out, never read as zero.
+        assert "rate.verification_divergent" not in rates
+        then = {"front_submitted": 10, "front_answered": 10, "journal_hits": 4}
         windowed = service_rates(now, then)
         assert windowed["rate.answered"] == pytest.approx(0.8)
         assert windowed["rate.journal_hits"] == 0.0
@@ -164,6 +167,22 @@ class TestStore:
         relabelled = store.load(store.import_report(store.path_for(pid), "gate"))
         assert relabelled.label == "gate"
         assert relabelled.metrics == imported.metrics
+
+    def test_import_report_without_front_door_counters(self, tmp_path):
+        """An older report whose counters are the shard's alone (no
+        ``front_*``) still imports, without the rate.* namespace."""
+        report = tmp_path / "old.json"
+        report.write_text(json.dumps({
+            "contract": {"submitted": 4, "answered": 4, "ok": True},
+            "counters": {"submitted": 4, "completed_full": 4,
+                         "journal_hits": 0},
+            "exit_code": 0,
+            "config": {"seed": 3},
+        }))
+        store = ProfileStore(tmp_path / "store")
+        imported = store.load(store.import_report(report))
+        assert imported.metrics["counters.submitted"] == 4.0
+        assert not [k for k in imported.metrics if k.startswith("rate.")]
 
     def test_import_rejects_unknown_documents(self, tmp_path):
         alien = tmp_path / "alien.json"
@@ -272,7 +291,7 @@ class TestDrift:
 
 # -- the guard ----------------------------------------------------------------
 def feed(guard, now, submitted, answered):
-    guard.observe(now, {"submitted": submitted, "answered": answered})
+    guard.observe(now, {"front_submitted": submitted, "front_answered": answered})
 
 
 class TestDriftGuard:
@@ -340,8 +359,8 @@ class TestDriftGuard:
         for _ in range(10):
             sub += 5
             guard.observe(now, {
-                "submitted": sub, "answered": sub,
-                "brand_new_subsystem": {"metric": sub * 3},
+                "front_submitted": sub, "front_answered": sub,
+                "brand_new_counter": sub * 3,
             })
             now += 1
         assert guard.comparisons > 0 and guard.level == 0
@@ -386,9 +405,9 @@ class TestGuardInService:
         svc.drift_guard = guard
         observed, observe = [], guard.observe
 
-        def counting_observe(now, summary):
+        def counting_observe(now, counters):
             observed.append(now)
-            return observe(now, summary)
+            return observe(now, counters)
 
         guard.observe = counting_observe
         for i in range(n):
@@ -397,7 +416,8 @@ class TestGuardInService:
                                   seed=1))
             clock["t"] += 1.0
             svc.pump()
-            # Exactly one summary per (front-door) pump, never one per shard.
+            # Exactly one counter map per (front-door) pump, never one per
+            # shard.
             assert len(observed) == i + 1
         svc.drain(5.0)
         # The completed stream is the single source of truth: immediate
@@ -411,8 +431,7 @@ class TestGuardInService:
         assert len(ids) == 30 and len(set(ids)) == 30  # ...and cost nothing
         assert any(r.outcome == "degraded" and r.reason == "drift-guard"
                    for r in responses)
-        behavior = svc.summary()["behavior"]
-        assert behavior["guard"]["escalations"] == guard.escalations
+        assert svc.stats()["drift_guard"]["escalations"] == guard.escalations
         assert svc.stats()["drift_guard"]["state"] == guard.state
 
     def test_observe_only_guard_never_degrades(self):
@@ -435,7 +454,6 @@ class TestGuardInService:
             full_runner=lambda r: {"ipc": 1.0},
             fast_runner=lambda r: {"ipc": 0.5},
         )
-        svc.profile_label = "looptest"
         guard = DriftGuard(
             {"rate.answered": 0.0},  # absurd baseline: answering is drift
             DriftGuardConfig(window=4, min_submitted=1, warn_streak=1,
@@ -446,8 +464,8 @@ class TestGuardInService:
         # the whole burst to one iteration, so the in-loop window never
         # spans traffic); the loop must then drain the pending events.
         for t in range(6):
-            guard.observe(float(t), {"submitted": 5 * (t + 1),
-                                     "answered": 5 * (t + 1)})
+            guard.observe(float(t), {"front_submitted": 5 * (t + 1),
+                                     "front_answered": 5 * (t + 1)})
         assert guard.escalations > 0
         assert ServeLoop(svc, infile=infile, outfile=outfile).run() == 0
         events = [json.loads(l) for l in outfile.getvalue().splitlines()]
@@ -455,8 +473,7 @@ class TestGuardInService:
         assert drift and drift[0]["kind"] == "escalate"
         assert drift[0]["state"] in ("warning", "drifting")
         drained = next(e for e in events if e["event"] == "drained")
-        assert drained["summary"]["behavior"]["profile_label"] == "looptest"
-        assert drained["summary"]["behavior"]["guard"]["escalations"] >= 1
+        assert drained["stats"]["drift_guard"]["escalations"] >= 1
         assert len([e for e in events if e["event"] == "response"]) == 12
 
 
@@ -566,11 +583,16 @@ class TestCaptureHelpers:
         svc.drain(5.0)
         svc.take_completed()
         profile = profile_from_service(svc, "svc", seed=1)
-        assert profile.metrics["submitted"] == 6.0
+        assert profile.metrics["counters.front_submitted"] == 6.0
         assert 0.0 <= profile.metrics["rate.answered"] <= 1.0
         # A service profile can seed a guard directly.
         DriftGuard(profile)
         assert profile.identity["config_digest"]
+
+    def test_every_rate_reads_a_counter_of_the_map(self):
+        counters = ShardedService(ServiceConfig(workers=0)).stats()["counters"]
+        assert RATE_DENOMINATOR in counters
+        assert set(SERVICE_RATE_KEYS.values()) <= set(counters)
 
     def test_profile_from_campaign_requires_contract(self):
         with pytest.raises(ValueError):

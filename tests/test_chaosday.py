@@ -68,7 +68,8 @@ class TestCampaign:
     def test_default_campaign_is_one_shard_without_a_store(self, tmp_path):
         """The default day runs the front door's defaults: one shard on
         the campaign's own journal, no result store, and a report that
-        still carries the sharding summary and the verification audit."""
+        still carries the front door's counters and the verification
+        audit."""
         report, code = run_campaign(
             small_cfg(), tmp_path, full_runner=ok_full, fast_runner=ok_fast
         )
@@ -76,10 +77,9 @@ class TestCampaign:
         assert (tmp_path / "journal.jsonl").exists()
         assert not list(tmp_path.glob("journal-s*"))  # not segmented
         assert not (tmp_path / "resultstore").exists()
-        assert report["sharding"]["shards"] == 1
-        assert report["sharding"]["summary"]["submitted"] == 40
+        assert report["config"]["shards"] == 1
+        assert report["counters"]["front_submitted"] == 40
         assert report["verification"]["ok"]
-        assert report["contract"]["verification"] == report["verification"]
 
     def test_same_seed_same_report(self, tmp_path):
         reports = []
@@ -135,10 +135,9 @@ class TestShardedCampaign:
         assert code == 0
         assert report["contract"]["ok"]
         assert report["fsck"]["exit_code"] == 0
-        sharding = report["sharding"]
-        assert sharding["shards"] == 2
-        assert sharding["summary"]["submitted"] == 40
-        assert sharding["summary"]["answered"] == 40
+        assert report["config"]["shards"] == 2
+        assert report["counters"]["front_submitted"] == 40
+        assert report["counters"]["front_answered"] == 40
         # Per-shard journals, not one contended file.
         assert (tmp_path / "journal-s00.jsonl").exists()
         assert (tmp_path / "journal-s01.jsonl").exists()
@@ -149,7 +148,7 @@ class TestShardedCampaign:
         leases = tmp_path / "resultstore" / "leases"
         assert not leases.is_dir() or not list(leases.glob("*.lease"))
         assert verify_campaign(tmp_path / "campaign.json").ok
-        format_report(report)  # renders the sharding block
+        format_report(report)  # renders the sharding line
 
     def test_sharded_campaign_reproducible(self, tmp_path):
         reports = []
@@ -181,7 +180,7 @@ class TestShardedCampaign:
         ]
         rec = tmp_path / "rec.json"
         save_recording(rec, events)
-        summaries = []
+        counters = []
         for _ in range(2):
             report, code = run_campaign(
                 small_cfg(recording=str(rec), fault_rate=0.0, shards=2),
@@ -189,11 +188,11 @@ class TestShardedCampaign:
             )
             assert code == 0
             assert report["breakdown"]["outcomes"] == {"full": 12}
-            summaries.append(report["sharding"]["summary"])
-        cold, warm = summaries
-        assert cold["simulations"] == 3  # one per distinct identity
-        assert warm["simulations"] == 0  # pass 2: all from the store
-        assert warm["cache"]["store_hits"] == 12
+            counters.append(report["counters"])
+        cold, warm = counters
+        assert cold["front_simulations"] == 3  # one per distinct identity
+        assert warm["front_simulations"] == 0  # pass 2: all from the store
+        assert warm["front_store_hits"] == 12
 
 
 class TestCheckContract:
@@ -337,13 +336,13 @@ class TestCorruptionCampaign:
         assert code == 0
         audit = report["verification"]
         assert audit["ok"] is True
-        assert audit["corrupted_injected"] > 0
+        assert report["counters"]["front_results_corrupted"] > 0
         assert audit["caught"] > 0
         assert audit["neutralized"] == audit["tainted_digests"]
         assert audit["uncaught"] == []
         assert audit["live_divergent"] == 0
         assert audit["integrity"]["divergent_evidence"] > 0
-        assert report["contract"]["verification"]["ok"] is True
+        assert report["contract"]["ok"] is True
         assert report["fsck"]["exit_code"] == 0
         assert "integrity: OK" in format_report(report)
         gate = verify_campaign(tmp_path / "campaign.json")
@@ -379,15 +378,32 @@ class TestCorruptionCampaign:
             reports[1], sort_keys=True
         )
 
+    def test_report_holds_each_fact_once(self, tmp_path):
+        """Counters live only in ``counters`` and the audit only in
+        ``verification``: no sharding block, no audit copy in the
+        contract, no counter copies in the audit."""
+        report, code = run_campaign(
+            small_cfg(shards=2, verify_rate=1.0, corrupt_rate=0.3,
+                      dlq_threshold=3),
+            tmp_path, full_runner=ok_full, fast_runner=ok_fast,
+        )
+        assert code == 0
+        assert "sharding" not in report
+        assert "verification" not in report["contract"]
+        audit = report["verification"]
+        assert "counters" not in audit and "corrupted_injected" not in audit
+        assert report["counters"]["front_results_corrupted"] > 0
+        assert report["counters"]["verify_sampled"] > 0
+
     def test_verify_rate_alone_adds_the_result_store(self, tmp_path):
         report, code = run_campaign(
             small_cfg(verify_rate=1.0),
             tmp_path, full_runner=ok_full, fast_runner=ok_fast,
         )
         assert code == 0
-        assert report["sharding"]["shards"] == 1
+        assert report["config"]["shards"] == 1
         assert (tmp_path / "resultstore").is_dir()
-        assert report["verification"]["counters"]["sampled"] > 0
+        assert report["counters"]["verify_sampled"] > 0
 
     def test_contract_folds_audit_in(self):
         clock = VirtualClock()
@@ -407,4 +423,4 @@ class TestCorruptionCampaign:
         bad_audit = {"ok": False, "uncaught": ["d" * 64]}
         folded = check_contract(events, responses, stats, audit=bad_audit)
         assert folded["ok"] is False
-        assert folded["verification"] == bad_audit
+        assert "verification" not in folded  # the report carries it once

@@ -82,7 +82,7 @@ class TestParking:
             assert outcome == "rejected"
             assert reason == "dlq-parked:exception"
         assert front.counters["dlq_strikes"] == 3
-        assert front.counters["dlq_parked"] == 1
+        assert front.stats()["counters"]["dlq_parked"] == 1
         assert front.counters["dlq_refused"] == 3
         entry = front.dlq.entries()[0]
         assert entry["identity"] == request_identity(req(0))
@@ -102,7 +102,7 @@ class TestParking:
             front.submit(req(i))
         front.paused = False
         responses = settle(front, clock)
-        assert front.counters["dlq_parked"] == 1
+        assert front.stats()["counters"]["dlq_parked"] == 1
         entry = front.dlq.entries()[0]
         shards_hit = {a["shard"] for a in entry["attempts"] if "shard" in a}
         assert len(shards_hit) > 1
@@ -129,7 +129,7 @@ class TestParking:
         for i in range(3):
             front.submit(req(i))
             settle(front, clock)
-        assert front.counters["dlq_parked"] == 1
+        assert front.stats()["counters"]["dlq_parked"] == 1
         # A fresh front door over the same store re-adopts the entry.
         clock2 = VirtualClock()
         front2 = make_front(tmp_path, clock2)

@@ -234,9 +234,9 @@ class TestServe:
         assert sorted(r["request_id"] for r in responses) == ["a", "b"]
         assert all(r["outcome"] == "full" for r in responses)
         assert responses[0]["payload"] == responses[1]["payload"]
-        summary = events[-1]["summary"]
-        assert summary["simulations"] == 1
-        assert summary["coalescing"]["coalesced_waiters"] == 1
+        counters = events[-1]["stats"]["counters"]
+        assert counters["front_simulations"] == 1
+        assert counters["front_coalesced_waiters"] == 1
 
 
 class TestGridSignalHandling:

@@ -176,7 +176,7 @@ class TestSimulationCount:
         for rid in ("r1", "r2", "r3"):
             assert responses[rid].reason == "queue-pressure"
         assert front.counters["simulations"] == 1
-        assert front.summary()["simulations"] == 1
+        assert front.stats()["counters"]["front_simulations"] == 1
         assert front.stats()["counters"]["admitted"] == 1
 
 
@@ -216,9 +216,9 @@ class TestLeaderCrashRealWorkers:
         ]
         payloads = {json.dumps(r.payload, sort_keys=True) for r in responses}
         assert len(payloads) == 1
-        agg = front.summary()
-        assert agg["shard_restarts"] >= 1  # the crash really happened
-        assert agg["coalescing"]["coalesced_waiters"] == 3
+        counters = front.stats()["counters"]
+        assert counters["full_failures"] >= 1  # the crash really happened
+        assert counters["front_coalesced_waiters"] == 3
 
 
 class TestResultStoreServing:
@@ -341,13 +341,15 @@ class TestLeases:
 
 
 class TestServeLoopIntegration:
-    def test_summary_op_and_drained_summary(self, tmp_path):
+    def test_stats_op_and_drained_stats(self, tmp_path):
+        """``stats`` answers with the counter map; ``summary`` is an
+        unknown op; ``drained`` carries the final stats only."""
         lines = [
             json.dumps({"op": "submit", "request": {
                 "request_id": f"r{i}", "mix": "mix05", "mode": "adts",
                 "quanta": 4, "warmup_quanta": 1, "seed": 1}})
             for i in range(3)
-        ] + [json.dumps({"op": "summary"})]
+        ] + [json.dumps({"op": "stats"}), json.dumps({"op": "summary"})]
         infile = io.StringIO("\n".join(lines) + "\n")
         outfile = io.StringIO()
         front = make_front(tmp_path, VirtualClock())
@@ -358,16 +360,21 @@ class TestServeLoopIntegration:
         events = [json.loads(l) for l in outfile.getvalue().splitlines()]
         ready = next(e for e in events if e["event"] == "ready")
         assert ready["shards"] == 2
-        summaries = [e for e in events if e["event"] == "summary"]
-        assert summaries and summaries[0]["summary"]["shards"] == 2
+        snapshot = next(e for e in events if e["event"] == "stats")["stats"]
+        assert len(snapshot["shards"]) == 2
+        assert snapshot["counters"]["front_submitted"] == 3
+        errors = [e for e in events if e["event"] == "error"]
+        assert [e["detail"] for e in errors] == ["unknown op 'summary'"]
+        assert not any(e["event"] == "summary" for e in events)
         responses = [e for e in events if e["event"] == "response"]
         assert len(responses) == 3
         drained = next(e for e in events if e["event"] == "drained")
-        assert drained["summary"]["submitted"] == 3
-        assert drained["summary"]["answered"] == 3
+        assert set(drained) == {"event", "stats"}
+        counters = drained["stats"]["counters"]
+        assert counters["front_submitted"] == 3
+        assert counters["front_answered"] == 3
         assert (
-            drained["summary"]["coalescing"]["coalesced_waiters"]
-            + drained["summary"]["cache"]["store_hits"]
+            counters["front_coalesced_waiters"] + counters["front_store_hits"]
             == 2
         )  # 3 identical requests, one simulation
 
@@ -388,14 +395,26 @@ class TestStatsSurface:
             s["counters"]["submitted"] for s in stats["shards"]
         )
         assert stats["breaker"]["state"] == "closed"
-        assert stats["store"]["counters"]["puts"] == 6
+        assert stats["counters"]["store_puts"] == 6
         health = front.health()
-        assert health["ok"] and len(health["shards"]) == 3
+        assert health["ok"] and health["breaker_state"] == "closed"
+
+    def test_counter_keys_do_not_depend_on_configuration(self, tmp_path):
+        """A store, a verifier and a DLQ add values, never names: the
+        counter map of a default front door has the same keys, at zero."""
+        plain = ShardedService(ServiceConfig(workers=0))
+        full = ShardedService(ServiceConfig(workers=0), shards=2,
+                              store=tmp_path / "rs", verify_rate=1.0,
+                              dlq_threshold=3)
+        counters = plain.stats()["counters"]
+        assert set(counters) == set(full.stats()["counters"])
+        parts = [k for k in counters if k.startswith(("store_", "verify_", "dlq_"))]
+        assert parts and all(counters[k] == 0 for k in parts)
 
     def test_one_shard_keys_cover_a_shard_service(self):
-        """Every key a shard reports in ``stats()`` and ``health()`` —
-        nested ones too — is also on the front door, so the one front door
-        drops none of the telemetry a bare shard had."""
+        """Every key a shard reports in ``stats()`` — nested ones too — is
+        also on the front door, so the one front door drops none of the
+        telemetry a bare shard had; ``health()`` is its headline."""
         from repro.service.service import SimulationService
 
         cfg = ServiceConfig(workers=0,
@@ -419,7 +438,8 @@ class TestStatsSurface:
             return out
 
         assert keys(shard.stats()) - keys(front.stats()) == set()
-        assert keys(shard.health()) - keys(front.health()) == set()
+        assert set(front.health()) == {
+            "ok", "degraded_mode", "breaker_state", "queue_depth", "inflight"}
         stats = front.stats()
         assert stats["breaker"] == shard.stats()["breaker"]
         assert stats["workers"] == []
@@ -480,5 +500,5 @@ class TestOneShard:
         assert calls == []
         assert all(r.outcome == "full" for r in responses)
         assert {r.request_id: r.payload for r in responses} == first
-        assert warm.summary()["cache"]["journal_hits"] == 3
-        assert warm.summary()["simulations"] == 0
+        assert warm.stats()["counters"]["journal_hits"] == 3
+        assert warm.stats()["counters"]["front_simulations"] == 0

@@ -241,8 +241,9 @@ def test_zero_fault_runs_never_quarantine_or_park(
         c = front.verifier.counters
         assert c["divergent"] == 0 and c["unresolved"] == 0
         assert front.verifier.quarantined == []
-        assert front.counters["dlq_parked"] == 0
-        assert front.counters["dlq_refused"] == 0
+        counters = front.stats()["counters"]
+        assert counters["dlq_parked"] == 0
+        assert counters["front_dlq_refused"] == 0
         if front.dlq is not None:
             assert len(front.dlq) == 0
         summary = front.store.integrity_summary()
