@@ -1,10 +1,18 @@
 """Set-associative cache with true-LRU replacement.
 
-Tag state lives in plain Python lists (one row per set, one slot per way):
-a probe is a C-speed ``list.index`` over a 4/8-entry row. This is the hot
-path of the memory hierarchy, called once per load/store/ifetch — the
-original NumPy layout paid several array-dispatch round trips per probe,
-which dominated the per-access cost at these row sizes.
+Tag state lives in plain Python lists (a row per set, built at the set's
+first fill, one slot per way): a probe is a C-speed ``list.index`` over a
+4/8-entry row. This is the hot path of the memory hierarchy, called once
+per load/store/ifetch — the original NumPy layout paid several
+array-dispatch round trips per probe, which dominated the per-access cost
+at these row sizes.
+
+Until its first fill a set holds ``None`` in place of its tag and LRU
+rows, and every lookup reads that as all ways invalid. Short runs touch
+few sets (a 1,536-cycle 8-thread sweep cell touches ~300 of the default
+hierarchy's 2,304), so a processor, and every pickle of it that batch
+forks and checkpoints copy, carries only those rows. :meth:`Cache.reset`
+drops every row.
 """
 
 from __future__ import annotations
@@ -72,8 +80,10 @@ class Cache:
         self._set_mask = config.n_sets - 1
         self._offset_bits = config.offset_bits
         # tags[set][way]; -1 == invalid. lru[set][way]: higher == more recent.
-        self._tags = [[_INVALID] * config.ways for _ in range(config.n_sets)]
-        self._lru = [[0] * config.ways for _ in range(config.n_sets)]
+        # Both rows of a set are built at its first fill (_new_rows); None
+        # until then, read as all ways invalid.
+        self._tags = [None] * config.n_sets
+        self._lru = [None] * config.n_sets
         self._stamp = 0
         self.hits = 0
         self.misses = 0
@@ -87,18 +97,24 @@ class Cache:
     def _index(self, line: int) -> int:
         return line & self._set_mask
 
+    def _new_rows(self, idx: int) -> list:
+        """Build set ``idx``'s rows (all ways invalid); return its tag row."""
+        ways = self.config.ways
+        self._lru[idx] = [0] * ways
+        row = self._tags[idx] = [_INVALID] * ways
+        return row
+
     # -- operations ---------------------------------------------------------
     def probe(self, addr: int) -> bool:
         """Return True on hit, updating LRU but never filling."""
         line = addr >> self._offset_bits
         idx = line & self._set_mask
-        try:
-            way = self._tags[idx].index(line)
-        except ValueError:
+        row = self._tags[idx]
+        if row is None or line not in row:
             self.misses += 1
             return False
         self._stamp += 1
-        self._lru[idx][way] = self._stamp
+        self._lru[idx][row.index(line)] = self._stamp
         self.hits += 1
         return True
 
@@ -110,6 +126,8 @@ class Cache:
         line = addr >> self._offset_bits
         idx = line & self._set_mask
         row = self._tags[idx]
+        if row is None:
+            row = self._new_rows(idx)
         self._stamp += 1
         try:
             way = row.index(line)
@@ -139,6 +157,8 @@ class Cache:
         line = addr >> self._offset_bits
         idx = line & self._set_mask
         row = self._tags[idx]
+        if row is None:
+            row = self._new_rows(idx)
         try:
             way = row.index(line)
         except ValueError:
@@ -162,28 +182,25 @@ class Cache:
     def contains(self, addr: int) -> bool:
         """Non-destructive lookup: no LRU update, no stats."""
         line = addr >> self._offset_bits
-        return line in self._tags[line & self._set_mask]
+        row = self._tags[line & self._set_mask]
+        return row is not None and line in row
 
     def invalidate(self, addr: int) -> bool:
         """Drop the line holding ``addr`` if present; return True if dropped."""
         line = addr >> self._offset_bits
         idx = line & self._set_mask
-        try:
-            way = self._tags[idx].index(line)
-        except ValueError:
+        row = self._tags[idx]
+        if row is None or line not in row:
             return False
-        self._tags[idx][way] = _INVALID
+        way = row.index(line)
+        row[way] = _INVALID
         self._lru[idx][way] = 0
         return True
 
     def reset(self) -> None:
-        """Flush all contents and statistics."""
-        for row in self._tags:
-            for w in range(len(row)):
-                row[w] = _INVALID
-        for row in self._lru:
-            for w in range(len(row)):
-                row[w] = 0
+        """Flush all contents and statistics (dropping every set's rows)."""
+        self._tags = [None] * self.config.n_sets
+        self._lru = [None] * self.config.n_sets
         self._stamp = 0
         self.hits = 0
         self.misses = 0
@@ -193,7 +210,8 @@ class Cache:
     def occupancy(self) -> int:
         """Number of valid lines currently resident."""
         return sum(
-            1 for row in self._tags for tag in row if tag != _INVALID
+            1 for row in self._tags if row is not None
+            for tag in row if tag != _INVALID
         )
 
     @property

@@ -161,9 +161,13 @@ class MemoryHierarchy:
         self.mshr.retire_ready(now)
 
     def reset(self) -> None:
-        """Flush every level and the MSHR file."""
+        """Flush every level, the MSHR file, the I-fill buffer and the
+        prefetcher, so the hierarchy answers like a fresh one."""
         self.l1i.reset()
         self.l1d.reset()
         self.l2.reset()
         self.mshr.reset()
         self._ifetch_fills.clear()
+        self.prefetch_fills = 0
+        if self.prefetcher is not None:
+            self.prefetcher.reset()

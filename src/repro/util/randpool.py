@@ -11,6 +11,17 @@ into the per-instruction arithmetic makes every downstream ``+``/``*``/``<``
 dispatch through NumPy's scalar machinery (an order of magnitude slower
 than float ops). ``ndarray.tolist()`` converts the batch once, preserving
 every bit of each double.
+
+The refill size (``batch``) cannot change the stream: ``Generator.random``
+fills an array sequentially, so ``k`` refills of ``b`` draws are the same
+bits as one of ``k * b``, provided nothing else draws from the pool's
+generator between refills. Each trace thread's pool owns its generator
+(the address and branch generators draw through that pool), so this holds.
+The size only sets how many draws a pool holds at once, and every pickle
+of a processor (batch forks, checkpoints) copies them. The default 1,024
+holds 8 KB of array and ~32 KB of Python floats per trace thread; a
+1,536-cycle 8-thread sweep cell serves ~2,000 draws a thread, so a larger
+pool would mostly hold draws that are never served.
 """
 
 from __future__ import annotations
@@ -26,7 +37,7 @@ class RandPool:
     __slots__ = ("rng", "batch", "_buf", "_uniform", "_ucursor",
                  "_geo_mean", "_geo_denom")
 
-    def __init__(self, rng: np.random.Generator, batch: int = 8192) -> None:
+    def __init__(self, rng: np.random.Generator, batch: int = 1024) -> None:
         if batch <= 0:
             raise ValueError("batch must be positive")
         self.rng = rng

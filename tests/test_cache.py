@@ -168,3 +168,85 @@ def test_occupancy_never_exceeds_capacity(addresses):
         c.access(addr)
         assert c.occupancy <= 8
     assert c.hits + c.misses == len(addresses)
+
+
+def _parent_layout(cache):
+    """Build every set's rows up front, the layout the cache had before it
+    built a set's rows at that set's first fill."""
+    ways, n_sets = cache.config.ways, cache.config.n_sets
+    cache._tags = [[-1] * ways for _ in range(n_sets)]
+    cache._lru = [[0] * ways for _ in range(n_sets)]
+    return cache
+
+
+_ADDR = st.integers(min_value=0, max_value=1 << 14)
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from(["access", "probe", "fill", "contains", "invalidate"]), _ADDR),
+        st.just(("reset", 0)),
+    ),
+    min_size=1,
+    max_size=300,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_OPS)
+def test_lazy_rows_match_eager_layout(ops):
+    """A cache that builds rows at a set's first fill answers every operation,
+    counter and occupancy exactly like one whose rows all exist up front."""
+    lazy = make(size=1024, line=64, ways=2)  # 8 sets, 2 ways
+    eager = _parent_layout(make(size=1024, line=64, ways=2))
+    for op, addr in ops:
+        if op == "reset":
+            lazy.reset()
+            eager.reset()
+            _parent_layout(eager)  # the old reset kept every row, all invalid
+            continue
+        assert getattr(lazy, op)(addr) == getattr(eager, op)(addr)
+        assert (lazy.hits, lazy.misses, lazy.evictions) == (
+            eager.hits, eager.misses, eager.evictions)
+        assert lazy.occupancy == eager.occupancy
+
+
+class TestLazyRows:
+    def test_fresh_cache_holds_no_rows(self):
+        c = make()
+        assert all(row is None for row in c._tags + c._lru)
+        assert not c.probe(0x40) and not c.contains(0x40)
+        assert not c.invalidate(0x40) and c.occupancy == 0
+        assert all(row is None for row in c._tags)  # lookups build nothing
+
+    def test_first_fill_builds_only_its_set(self):
+        c = make()
+        c.access(0x1000)
+        built = [i for i, row in enumerate(c._tags) if row is not None]
+        assert built == [c.line_of(0x1000) & (c.config.n_sets - 1)]
+        assert len(c._tags[built[0]]) == c.config.ways
+
+    def test_reset_drops_rows(self):
+        c = make()
+        for i in range(32):
+            c.access(i * 64)
+        c.reset()
+        assert all(row is None for row in c._tags + c._lru)
+        assert (c.hits, c.misses, c.evictions) == (0, 0, 0)
+
+    def test_processor_builds_rows_for_touched_sets_only(self):
+        from repro import build_processor
+
+        proc = build_processor(mix="mix05", num_threads=8)
+        h = proc.hierarchy
+        for cache in (h.l1i, h.l1d, h.l2):
+            assert all(row is None for row in cache._tags + cache._lru)
+        proc.run(1536)
+        l2 = h.l2
+        built = {i for i, row in enumerate(l2._tags) if row is not None}
+        # Nothing invalidates lines in a run, so a set some fill touched
+        # still holds a valid line, and an untouched set has no row.
+        touched = {i for i, row in enumerate(l2._tags)
+                   if row is not None and any(tag != -1 for tag in row)}
+        assert built == touched
+        assert built == {i for i, row in enumerate(l2._lru) if row is not None}
+        assert 0 < len(built) < l2.config.n_sets
+        assert len(built) <= l2.misses

@@ -15,6 +15,7 @@ from repro.core.thresholds import ThresholdConfig
 from repro.faults import FaultPlan
 from repro.harness.runner import RunConfig, run_adts, run_fixed
 from repro.smt.checkpoint import (
+    CHECKPOINT_VERSION,
     CheckpointError,
     CheckpointPlan,
     discard_checkpoint,
@@ -67,6 +68,39 @@ class TestResumeEquivalence:
         assert resumed.quantum_ipcs == clean.quantum_ipcs
         assert resumed.scheduler == clean.scheduler  # switches, decisions, ...
         assert not snap.exists()  # discarded after the clean finish
+
+    def test_snapshot_with_every_cache_row_built_resumes(self, tmp_path):
+        """Caches build a set's rows at its first fill. A snapshot holding
+        every row (the layout written before that) must still restore, and
+        the resumed run must reach the uninterrupted run's fingerprint."""
+        from repro.core.adts import ADTSController
+
+        def machine():
+            ctrl = ADTSController(heuristic="type3",
+                                  thresholds=ThresholdConfig(ipc_threshold=2.0))
+            proc = build_processor(mix="mix05", seed=3, hook=ctrl, quantum_cycles=512)
+            return proc, ctrl
+
+        def caches(p):
+            return p.hierarchy.l1i, p.hierarchy.l1d, p.hierarchy.l2
+
+        clean, _ = machine()
+        clean.run_quanta(6)
+        proc, ctrl = machine()
+        proc.run_quanta(3)
+        for cache in caches(proc):
+            ways = cache.config.ways
+            for idx, row in enumerate(cache._tags):
+                if row is None:
+                    cache._tags[idx] = [-1] * ways
+                    cache._lru[idx] = [0] * ways
+        snap_path = tmp_path / "eager.snap"
+        save_checkpoint(snap_path, proc, ctrl)
+        snap = load_checkpoint(snap_path)
+        assert all(row is not None for c in caches(snap.processor) for row in c._tags)
+        snap.processor.run_quanta(3)
+        assert snap.processor.fingerprint() == clean.fingerprint()
+        assert CHECKPOINT_VERSION == 2  # the cache layout change kept the schema
 
     def test_adts_resume_under_fault_plan(self, tmp_path):
         """The fault RNG stream is part of the snapshot: a resumed faulty
@@ -196,6 +230,13 @@ class TestSnapshotFormat:
         save_checkpoint(tmp_path / "s.snap", proc)
         leftovers = [p for p in tmp_path.iterdir() if p.name != "s.snap"]
         assert leftovers == []
+
+    def test_fresh_processor_pickle_footprint(self):
+        """Batch forks and checkpoints copy a processor's pickle. A fresh
+        8-thread machine pickled to ~1.3 MB when it built every cache row
+        and 8,192 pooled draws per thread up front; it must stay small."""
+        proc = build_processor(mix="mix05", num_threads=8)
+        assert len(pickle.dumps(proc, protocol=pickle.HIGHEST_PROTOCOL)) < 512 * 1024
 
     def test_processor_with_queued_detector_work_pickles(self):
         """ADTS queues detector tasks whose callbacks must stay picklable

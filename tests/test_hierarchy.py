@@ -1,12 +1,15 @@
 """Unit tests for the two-level memory hierarchy."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.memory.cache import CacheConfig
 from repro.memory.hierarchy import HierarchyConfig, MemoryHierarchy
+from repro.memory.prefetch import NextLinePrefetcher, StridePrefetcher
 
 
-def tiny():
+def tiny(prefetcher=None):
     return MemoryHierarchy(
         HierarchyConfig(
             l1i=CacheConfig(1024, 64, 2, "l1i"),
@@ -16,7 +19,8 @@ def tiny():
             l2_latency=10,
             mem_latency=100,
             mshr_entries=2,
-        )
+        ),
+        prefetcher=prefetcher,
     )
 
 
@@ -115,3 +119,48 @@ class TestReset:
         assert h.l1i.occupancy == 0
         assert h.l2.occupancy == 0
         assert len(h.mshr) == 0
+
+    def test_reset_forgets_prefetcher_state(self):
+        h = MemoryHierarchy(prefetcher=StridePrefetcher())
+        strided = [0x10000, 0x10200, 0x10400]  # 512 B apart, one 4 KB region
+        for i, addr in enumerate(strided):
+            h.load(addr, i * 1000)
+        assert h.prefetch_fills == 2
+        h.reset()
+        for i, addr in enumerate(strided):
+            h.load(addr, i * 1000)
+        assert h.prefetch_fills == 2
+        assert h.prefetcher.issued == 2
+
+
+def _replay(h, ops):
+    out = []
+    now = 0
+    for kind, addr, dt in ops:
+        now += dt
+        if kind == "tick":
+            h.tick(now)
+        else:
+            out.append(getattr(h, kind)(addr, now))
+    return out, h.prefetch_fills, h.prefetcher.issued
+
+
+_MEM_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["load", "store", "ifetch", "tick"]),
+        st.integers(min_value=0, max_value=255).map(lambda k: k * 128),
+        st.integers(min_value=0, max_value=40),
+    ),
+    max_size=120,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([StridePrefetcher, NextLinePrefetcher]), _MEM_OPS, _MEM_OPS)
+def test_reset_hierarchy_answers_like_a_fresh_one(prefetcher, before, after):
+    """After reset() a hierarchy returns the same results, prefetch fills
+    and prefetcher issue count as a fresh one, whatever ran before."""
+    used = tiny(prefetcher())
+    _replay(used, before)
+    used.reset()
+    assert _replay(used, after) == _replay(tiny(prefetcher()), after)

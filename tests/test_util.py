@@ -9,6 +9,18 @@ from repro.util.randpool import RandPool
 from repro.util.seeds import SeedSequencer
 
 
+_DRAWS = st.lists(
+    st.one_of(
+        st.just(("uniform", None)),
+        st.tuples(st.just("geometric"), st.floats(min_value=0.5, max_value=50.0)),
+        st.tuples(st.just("integer"), st.integers(min_value=0, max_value=1000)),
+        st.tuples(st.just("bernoulli"), st.floats(min_value=0.0, max_value=1.0)),
+    ),
+    min_size=1,
+    max_size=400,
+)
+
+
 class TestRandPool:
     def test_rejects_bad_batch(self):
         with pytest.raises(ValueError):
@@ -54,6 +66,24 @@ class TestRandPool:
         pool = RandPool(np.random.default_rng(6))
         hits = sum(pool.bernoulli(0.3) for _ in range(20_000))
         assert hits / 20_000 == pytest.approx(0.3, abs=0.02)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=1, max_value=2048), st.integers(min_value=1, max_value=2048),
+           st.integers(min_value=0, max_value=2**32), _DRAWS)
+    def test_refill_size_cannot_change_the_stream(self, batch_a, batch_b, seed, draws):
+        """Pools on one seed serve the same draws whatever their refill size."""
+        a = RandPool(np.random.default_rng(seed), batch=batch_a)
+        b = RandPool(np.random.default_rng(seed), batch=batch_b)
+        for kind, arg in draws:
+            args = () if arg is None else (arg,)
+            assert getattr(a, kind)(*args) == getattr(b, kind)(*args)
+
+    def test_default_refill_serves_the_former_default_stream(self):
+        """The 1,024-draw default serves the bits the former 8,192 did."""
+        a = RandPool(np.random.default_rng(7))
+        b = RandPool(np.random.default_rng(7), batch=8192)
+        assert a.batch == 1024
+        assert [a.uniform() for _ in range(20_000)] == [b.uniform() for _ in range(20_000)]
 
 
 @settings(max_examples=30, deadline=None)
