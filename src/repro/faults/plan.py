@@ -199,10 +199,6 @@ class FaultPlan:
             slow_io_seconds=self.disk_slow_io_seconds,
         )
 
-    def with_seed(self, seed: int) -> "FaultPlan":
-        """The same plan on a different injection stream."""
-        return replace(self, seed=seed)
-
     def without_worker_faults(self) -> "FaultPlan":
         """The same plan with the process-level (crash/hang) family off.
 

@@ -34,7 +34,7 @@ class HarnessError(Exception):
 
 
 class ConfigError(HarnessError, ValueError):
-    """A run configuration field failed validation at construction time.
+    """A run or request configuration field failed validation.
 
     Carries the offending field so callers (and error messages) name it
     precisely instead of failing deep inside ``build_processor``.
@@ -44,7 +44,7 @@ class ConfigError(HarnessError, ValueError):
         self.field = field
         self.value = value
         self.requirement = requirement
-        super().__init__(f"invalid RunConfig.{field}={value!r}: must be {requirement}")
+        super().__init__(f"invalid {field}={value!r}: must be {requirement}")
 
 
 class RunTimeoutError(HarnessError, TimeoutError):

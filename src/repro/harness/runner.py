@@ -41,6 +41,7 @@ from repro.smt.checkpoint import (
 from repro.smt.config import SMTConfig
 from repro.smt.invariants import InvariantChecker
 from repro.storage.faultfs import faultfs_session
+from repro.workloads import get_mix, mix_names
 from repro.workloads.tracecache import flush_trace_cache
 
 ProgressFn = Callable[[int], None]
@@ -72,6 +73,17 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.num_threads < 1:
             raise ConfigError("num_threads", self.num_threads, ">= 1")
+        if isinstance(self.mix, str):
+            try:
+                width = len(get_mix(self.mix).apps)
+            except KeyError:
+                raise ConfigError("mix", self.mix, f"one of {mix_names()}") from None
+            if self.num_threads > width:
+                raise ConfigError(
+                    "num_threads", self.num_threads, f"<= {width} for a named mix"
+                )
+        if self.seed < 0:
+            raise ConfigError("seed", self.seed, ">= 0")
         if self.quanta < 1:
             raise ConfigError("quanta", self.quanta, ">= 1")
         if self.warmup_quanta < 0:
@@ -238,19 +250,25 @@ def _try_resume(checkpoint: Optional[CheckpointPlan], run_key: str):
         return None
 
 
-def run_fixed(
+def _run(
     cfg: RunConfig,
-    fault_plan: Optional[FaultPlan] = None,
-    progress: Optional[ProgressFn] = None,
-    checkpoint: Optional[CheckpointPlan] = None,
-    invariants: Optional[str] = None,
+    scheduler: str,
+    ipc_threshold: Optional[float],
+    new_controller: Optional[Callable[[], ADTSController]],
+    fault_plan: Optional[FaultPlan],
+    progress: Optional[ProgressFn],
+    checkpoint: Optional[CheckpointPlan],
+    invariants: Optional[str],
 ) -> RunResult:
-    """Run under the fixed fetch policy named in ``cfg.policy``."""
+    """The body of ``run_fixed`` and ``run_adts``: build (or resume) the
+    machine, measure it and summarize the hook chain. ``new_controller``
+    builds the ADTS controller; None runs ``cfg.policy`` unattended."""
+    mode = "fixed" if new_controller is None else "adts"
     with _maybe_faultfs(fault_plan) as ffs:
-        run_key = _run_key(cfg, "fixed", cfg.policy, None)
+        run_key = _run_key(cfg, mode, scheduler, ipc_threshold)
         snap = _try_resume(checkpoint, run_key)
         if snap is not None:
-            proc, injector = snap.processor, snap.injector
+            proc, controller, injector = snap.processor, snap.controller, snap.injector
             if injector is not None and fault_plan is not None:
                 # An explicit plan overrides the snapshotted one. Zero-rate
                 # families draw nothing from the RNG, so a supervised retry
@@ -258,23 +276,29 @@ def run_fixed(
                 # stream.
                 injector.plan = fault_plan
         else:
-            hook, injector = _maybe_inject(None, fault_plan)
+            controller = new_controller() if new_controller is not None else None
+            hook, injector = _maybe_inject(controller, fault_plan)
             hook, _ = _maybe_check(hook, invariants)
             proc = build_processor(
                 mix=cfg.mix,
                 num_threads=cfg.num_threads,
                 seed=cfg.seed,
                 config=cfg.machine,
-                policy=cfg.policy,
+                # ADTS starts on its initial/default policy (§4.3.3).
+                policy="icount" if mode == "adts" else cfg.policy,
                 hook=hook,
                 quantum_cycles=cfg.quantum_cycles,
             )
         checker = proc.hook if isinstance(proc.hook, InvariantChecker) else None
+        label = "heuristic" if mode == "adts" else "policy"
         result = _measure(
-            proc, cfg, {"mode": "fixed", "policy": cfg.policy},
+            proc, cfg, {"mode": mode, label: scheduler},
             progress=progress, checkpoint=checkpoint,
-            injector=injector, run_key=run_key,
+            controller=controller, injector=injector, run_key=run_key,
         )
+        if controller is not None:
+            result.scheduler.update(controller.summary())
+            controller.detach()  # the result is measured: free the machine by refcount
         if injector is not None:
             result.scheduler.update(injector.summary())
         if checker is not None:
@@ -283,6 +307,18 @@ def run_fixed(
         if ffs is not None:
             result.scheduler.update(ffs.summary())
         return result
+
+
+def run_fixed(
+    cfg: RunConfig,
+    fault_plan: Optional[FaultPlan] = None,
+    progress: Optional[ProgressFn] = None,
+    checkpoint: Optional[CheckpointPlan] = None,
+    invariants: Optional[str] = None,
+) -> RunResult:
+    """Run under the fixed fetch policy named in ``cfg.policy``."""
+    return _run(cfg, cfg.policy, None, None,
+                fault_plan, progress, checkpoint, invariants)
 
 
 def run_adts(
@@ -308,45 +344,15 @@ def run_adts(
     correct, merely slower).
     """
     th = thresholds or ThresholdConfig()
-    with _maybe_faultfs(fault_plan) as ffs:
-        run_key = _run_key(cfg, "adts", heuristic, th.ipc_threshold)
-        snap = _try_resume(checkpoint, run_key)
-        if snap is not None:
-            proc, controller, injector = snap.processor, snap.controller, snap.injector
-            if injector is not None and fault_plan is not None:
-                injector.plan = fault_plan  # see run_fixed: retry fault stripping
-        else:
-            controller = ADTSController(
-                heuristic=heuristic, thresholds=th, instant_dt=instant_dt,
-                watchdog=watchdog,
-            )
-            hook, injector = _maybe_inject(controller, fault_plan)
-            hook, _ = _maybe_check(hook, invariants)
-            proc = build_processor(
-                mix=cfg.mix,
-                num_threads=cfg.num_threads,
-                seed=cfg.seed,
-                config=cfg.machine,
-                policy="icount",  # ADTS's initial/default policy (§4.3.3)
-                hook=hook,
-                quantum_cycles=cfg.quantum_cycles,
-            )
-        checker = proc.hook if isinstance(proc.hook, InvariantChecker) else None
-        result = _measure(
-            proc, cfg, {"mode": "adts", "heuristic": heuristic},
-            progress=progress, checkpoint=checkpoint,
-            controller=controller, injector=injector, run_key=run_key,
+
+    def new_controller() -> ADTSController:
+        return ADTSController(
+            heuristic=heuristic, thresholds=th, instant_dt=instant_dt,
+            watchdog=watchdog,
         )
-        result.scheduler.update(controller.summary())
-        controller.detach()  # the result is measured: free the machine by refcount
-        if injector is not None:
-            result.scheduler.update(injector.summary())
-        if checker is not None:
-            result.scheduler.update(checker.summary())
-        flush_trace_cache()
-        if ffs is not None:
-            result.scheduler.update(ffs.summary())
-        return result
+
+    return _run(cfg, heuristic, th.ipc_threshold, new_controller,
+                fault_plan, progress, checkpoint, invariants)
 
 
 @dataclass(frozen=True)

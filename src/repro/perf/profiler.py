@@ -22,9 +22,6 @@ class StageProfiler:
         with prof:
             proc.run_quanta(8)
         print(prof.report())
-
-    Idle-cycle skipping is disabled while the profiler is attached so every
-    simulated cycle runs (and is charged to) its real stages.
     """
 
     STAGES = (
@@ -40,7 +37,6 @@ class StageProfiler:
     def __init__(self, proc) -> None:
         self.proc = proc
         self.seconds: Dict[str, float] = {s: 0.0 for s in self.STAGES}
-        self._saved_idle_skip = None
         self._installed = False
 
     def _timed(self, name: str, fn):
@@ -60,8 +56,6 @@ class StageProfiler:
         if self._installed:
             return self
         proc = self.proc
-        self._saved_idle_skip = proc._idle_skip
-        proc._idle_skip = False
         for name in self.STAGES:
             setattr(proc, name, self._timed(name, getattr(proc, name)))
         self._installed = True
@@ -75,7 +69,6 @@ class StageProfiler:
         for name in self.STAGES:
             if name in getattr(proc, "__dict__", {}):
                 delattr(proc, name)
-        proc._idle_skip = self._saved_idle_skip
         self._installed = False
 
     def __enter__(self) -> "StageProfiler":

@@ -55,10 +55,6 @@ class AdmissionQueue:
     def depth(self) -> int:
         return len(self._heap)
 
-    def client_depth(self, client: str) -> int:
-        """How many of the queued entries belong to ``client``."""
-        return self._per_client.get(client, 0)
-
     def offer(self, entry: QueueEntry) -> Optional[str]:
         """Try to admit ``entry``; returns None on success or the refusal
         reason (:data:`REASON_QUEUE_FULL` / :data:`REASON_CLIENT_QUOTA`)."""

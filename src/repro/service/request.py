@@ -16,10 +16,14 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Optional, Tuple
 
+from repro.core.heuristics import HEURISTICS
+from repro.core.thresholds import ThresholdConfig
+from repro.faults import FaultPlan
 from repro.harness.errors import (
     OUTCOME_DEGRADED,
     OUTCOME_FULL,
     OUTCOME_KINDS,
+    ConfigError,
 )
 from repro.harness.journal import RunJournal
 from repro.harness.runner import RunConfig
@@ -75,6 +79,25 @@ class SimRequest:
             warmup_quanta=self.warmup_quanta,
             policy=self.policy,
         )
+
+    def validate(self) -> None:
+        """Check every field the full and fast tiers read, so a malformed
+        request is refused at admission instead of failing a worker.
+
+        The code that owns each rule checks it: the run configuration, the
+        heuristic registry, and the threshold and fault-plan constructors.
+        Raises ``ValueError`` (a :class:`~repro.harness.errors.ConfigError`
+        naming the field, where the rule is checked here) or ``TypeError``
+        for a value of the wrong type.
+        """
+        self.run_config()
+        if self.mode not in ("adts", "fixed"):
+            raise ConfigError("mode", self.mode, "'adts' or 'fixed'")
+        if self.heuristic not in HEURISTICS:
+            raise ConfigError("heuristic", self.heuristic, f"one of {sorted(HEURISTICS)}")
+        ThresholdConfig(ipc_threshold=self.threshold)
+        if self.fault_kinds:
+            FaultPlan.from_kinds(self.fault_kinds, rate=self.fault_rate, seed=self.seed)
 
     def sim_key(self) -> str:
         """Canonical identity of the *simulation* this request asks for.

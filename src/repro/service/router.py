@@ -71,7 +71,6 @@ from repro.harness.errors import (
     OUTCOME_DEGRADED,
     OUTCOME_FAILED,
     OUTCOME_FULL,
-    ConfigError,
 )
 from repro.service.dlq import DLQ_COUNTERS, DeadLetterQueue
 from repro.service.identity import (
@@ -302,10 +301,8 @@ class ShardedService:
         if not self._accepting:
             return self._refuse(request, "draining")
         try:
-            request.run_config()
-            if request.mode not in ("adts", "fixed"):
-                raise ConfigError("mode", request.mode, "'adts' or 'fixed'")
-        except ConfigError as exc:
+            request.validate()
+        except (TypeError, ValueError) as exc:
             return self._refuse(request, f"invalid-request: {exc}")
         digest = request_identity(request)
         if self.dlq is not None and self.dlq.is_parked(digest):

@@ -57,7 +57,6 @@ from repro.harness.errors import (
     OUTCOME_FULL,
     OUTCOME_REJECTED,
     OUTCOME_SHED,
-    ConfigError,
 )
 from repro.harness.journal import RunJournal
 from repro.service.admission import AdmissionQueue
@@ -300,10 +299,8 @@ class SimulationService:
         if not self._accepting:
             return self._respond_rejected(request, "draining")
         try:
-            request.run_config()  # validates mix/policy/quanta/…
-            if request.mode not in ("adts", "fixed"):
-                raise ConfigError("mode", request.mode, "'adts' or 'fixed'")
-        except ConfigError as exc:
+            request.validate()
+        except (TypeError, ValueError) as exc:
             return self._respond_rejected(request, f"invalid-request: {exc}")
 
         if self._journal is not None:

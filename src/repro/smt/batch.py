@@ -243,11 +243,8 @@ class BatchCell:
     policy: str = "icount"  # fixed-mode policy (ADTS always starts on icount)
     heuristic: str = "type3"
     thresholds: Optional[object] = None  # ThresholdConfig; None = defaults
-    instant_dt: bool = False
-    watchdog: Optional[object] = None  # WatchdogConfig
     machine: Optional[SMTConfig] = None
     fault_plan: Optional[object] = None  # FaultPlan
-    label: Optional[str] = None  # caller bookkeeping (e.g. journal key)
 
     def total_quanta(self) -> int:
         """Quanta actually simulated (measured window plus warmup)."""
@@ -534,8 +531,6 @@ class BatchEngine:
                 controller = ADTSController(
                     heuristic=cell.heuristic,
                     thresholds=cell.thresholds or ThresholdConfig(),
-                    instant_dt=cell.instant_dt,
-                    watchdog=cell.watchdog,
                 )
             members.append(_Member(index, cell, controller))
 
@@ -653,9 +648,8 @@ class BatchEngine:
             for controller in controllers:
                 controller.attach(machine)
         else:
-            # An all-fixed partition downgrades to the inert hook, which
-            # re-enables idle-cycle skipping — trajectory-neutral by the
-            # engine's own golden test.
+            # An all-fixed partition downgrades to the inert hook, whose
+            # per-cycle call the pipeline elides.
             hook = None
             machine.hook = SchedulerHook()
             machine.hook.attach(machine)

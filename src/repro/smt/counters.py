@@ -108,11 +108,6 @@ class ThreadCounters:
         """Lifetime committed IPC of this context (ACCIPC policy input)."""
         return self.total_committed / self.active_cycles if self.active_cycles else 0.0
 
-    def decay(self, factor: float = 0.99) -> None:
-        """Exponential decay of the windowed signals; called once per cycle."""
-        self.recent_l1i_misses *= factor
-        self.recent_stalls *= factor
-
     # -- quantum bookkeeping ---------------------------------------------------
     def end_quantum(self) -> "QuantumSnapshot":
         """Freeze this quantum's event counts and clear the counters."""
@@ -196,11 +191,6 @@ class CounterBank:
 
     def __iter__(self):
         return iter(self.threads)
-
-    def decay_all(self, factor: float = 0.99) -> None:
-        """Per-cycle decay of every thread's windowed signals."""
-        for t in self.threads:
-            t.decay(factor)
 
     def tick_all(self, factor: float = 0.99) -> None:
         """Per-cycle decay plus active-cycle accounting, fused into one

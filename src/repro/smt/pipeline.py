@@ -105,7 +105,6 @@ class SMTProcessor:
         quantum_cycles: int = 8192,
         seed: int = 0,
         tracer=None,
-        idle_skip: bool = True,
     ) -> None:
         if len(traces) > config.num_threads:
             raise ValueError(
@@ -184,11 +183,8 @@ class SMTProcessor:
         #: earliest cycle in _pending_miss_clear (or _NEVER when empty).
         self._next_miss_clear = _NEVER
         #: the installed hook never overrides on_cycle: the per-cycle
-        #: callback can be elided and idle stretches fast-forwarded.
+        #: callback can be elided.
         self._hook_inert = type(self.hook).on_cycle is SchedulerHook.on_cycle
-        #: enable fast-forwarding across cycles where every stage is provably
-        #: a no-op (see _try_idle_skip); bit-identical to stepping.
-        self._idle_skip = idle_skip
 
     # ------------------------------------------------------------------
     # Public API
@@ -256,14 +252,7 @@ class SMTProcessor:
         return self.policy.name
 
     def run(self, cycles: int) -> SimStats:
-        """Advance the machine ``cycles`` cycles; returns the stats object.
-
-        When idle-cycle skipping is enabled (and the scheduler hook is the
-        inert default), stretches of cycles where every stage is provably a
-        no-op are fast-forwarded instead of stepped — the resulting machine
-        state is bit-identical to per-cycle stepping. ``step()`` itself
-        always advances exactly one cycle.
-        """
+        """Advance the machine ``cycles`` cycles; returns the stats object."""
         target = self.now + cycles
         step = self.step
         # The cycle loop allocates almost nothing cyclic (a few hundred
@@ -274,14 +263,8 @@ class SMTProcessor:
         if gc_was_enabled:
             gc.disable()
         try:
-            if self._idle_skip and self._hook_inert:
-                skip = self._try_idle_skip
-                while self.now < target:
-                    skip(self.now, target - 1)
-                    step()
-            else:
-                while self.now < target:
-                    step()
+            while self.now < target:
+                step()
         finally:
             if gc_was_enabled:
                 gc.enable()
@@ -398,124 +381,6 @@ class SMTProcessor:
         stats.cycles = self.now
         if self.now >= self._quantum_end_cycle:
             self._end_quantum()
-
-    # -- idle-cycle fast-forward --------------------------------------------
-    def _try_idle_skip(self, now: int, cap: int) -> None:
-        """Fast-forward across cycles in which every pipeline stage is a
-        provable no-op, producing bit-identical state to stepping them.
-
-        A cycle is skippable when nothing can commit (no completed/squashed
-        ROB heads), nothing completes (completion heap empty or in the
-        future), no miss gauge matures, no syscall is draining, nothing can
-        issue (no ready IQ entry), nothing can dispatch (no matured
-        front-queue head), and no context may fetch. The only per-cycle
-        state changes in such a cycle are the counter decay/stall signals,
-        the commit rotation, idle-slot accounting, and the MSHR retirement
-        sweep — all of which this method applies in closed form EXCEPT the
-        floating-point decay, which is applied by looping so the float
-        results match per-cycle stepping bit for bit.
-
-        ``cap`` bounds the wake-up cycle (run()'s target minus one); the
-        quantum boundary additionally caps it so boundary cycles always
-        execute as real steps. Never called unless the hook is inert.
-        """
-        if self._drain_tid is not None:
-            return
-        boundary_last = self._quantum_end_cycle - 1
-        if cap > boundary_last:
-            cap = boundary_last
-        if cap <= now:
-            return
-        wake = cap
-        nc = self.completions.next_cycle()
-        if nc is not None:
-            if nc <= now:
-                return
-            if nc < wake:
-                wake = nc
-        if self._pending_miss_clear:
-            nm = self._next_miss_clear
-            if nm <= now:
-                return
-            if nm < wake:
-                wake = nm
-        contexts = self.contexts
-        for ctx in contexts:
-            rob = ctx.rob
-            if rob:
-                head = rob[0]
-                if head.completed or head.squashed:
-                    return  # commit (or cleanup) work this cycle
-        for fq in self.front_q:
-            if fq:
-                rc = fq[0][1]
-                if rc <= now:
-                    return  # dispatch work (or a dispatch-stall signal)
-                if rc < wake:
-                    wake = rc
-        if self._fetch_buffer_entries > self._front_total:
-            for ctx in contexts:
-                if ctx.fetchable and not ctx.suspended and not ctx.syscall_waiting:
-                    frc = ctx.fetch_ready_cycle
-                    if frc <= now:
-                        return  # a context can fetch this cycle
-                    if frc < wake:
-                        wake = frc
-        # IQ scan: a ready live entry issues this cycle; a waiting junk
-        # entry wakes by timer; waiting real entries wake via completions
-        # (already bounded above) but accrue per-cycle stall signal.
-        waiting = [0] * self.num_threads
-        for iq in (self.iq_int, self.iq_fp):
-            for instr in iq:
-                if instr.squashed or instr.issued:
-                    continue
-                if instr.seq != -1:
-                    if instr.iq_ready:
-                        return  # ready: would issue this cycle
-                    waiting[instr.tid] += 1
-                else:
-                    wr = instr.wp_ready
-                    if wr <= now:
-                        return
-                    if wr < wake:
-                        wake = wr
-        k = wake - now
-        if k <= 0:
-            return
-        # Apply k no-op cycles' worth of state evolution.
-        threads = self.counters.threads
-        for tc in threads:
-            w = waiting[tc.tid]
-            rs = tc.recent_stalls
-            rl = tc.recent_l1i_misses
-            if w:
-                # Each skipped cycle: one +0.1 per waiting IQ entry, then
-                # the end-of-cycle decay. Looped, not closed-form, so the
-                # float trajectory is identical to stepping.
-                for _ in range(k):
-                    for _ in range(w):
-                        rs += 0.1
-                    rs *= 0.99
-                tc.recent_stalls = rs
-            elif rs != 0.0:
-                for _ in range(k):
-                    rs *= 0.99
-                tc.recent_stalls = rs
-            if rl != 0.0:
-                for _ in range(k):
-                    rl *= 0.99
-                tc.recent_l1i_misses = rl
-            tc.active_cycles += k
-        self._commit_rotation = (self._commit_rotation + k) % self.num_threads
-        stats = self.stats
-        stats.idle_fetch_slots += self._fetch_width * k
-        stats.idle_skipped_cycles += k
-        stats.idle_skips += 1
-        # MSHR retirement only deletes matured entries; one sweep at the
-        # last skipped cycle equals k per-cycle sweeps.
-        self.hierarchy.tick(wake - 1)
-        self.now = wake
-        stats.cycles = wake
 
     # -- commit -----------------------------------------------------------
     def _commit(self, now: int) -> None:

@@ -35,10 +35,6 @@ class SimStats:
     syscalls: int = 0
     idle_fetch_slots: int = 0
     detector_slots_consumed: int = 0
-    #: cycles fast-forwarded by the idle-cycle skip (subset of `cycles`).
-    idle_skipped_cycles: int = 0
-    #: number of idle-skip fast-forwards taken.
-    idle_skips: int = 0
     per_thread_committed: Dict[int, int] = field(default_factory=dict)
     quantum_history: List[QuantumRecord] = field(default_factory=list)
 

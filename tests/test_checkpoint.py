@@ -102,6 +102,33 @@ class TestResumeEquivalence:
         assert snap.processor.fingerprint() == clean.fingerprint()
         assert CHECKPOINT_VERSION == 2  # the cache layout change kept the schema
 
+    def test_snapshot_from_the_idle_skip_engine_resumes(self, tmp_path):
+        """Snapshots written before idle-cycle skipping was deleted carry
+        the processor's ``_idle_skip`` flag and two ``SimStats`` counters
+        the engine no longer has. They must still restore and reach the
+        uninterrupted fingerprint; a serve straggler's snapshot can cross
+        that upgrade."""
+
+        def machine():
+            return build_processor(mix="mix05", seed=3, policy="icount",
+                                   quantum_cycles=512)
+
+        clean = machine()
+        clean.run_quanta(6)
+        proc = machine()
+        proc.run_quanta(3)
+        proc._idle_skip = True
+        proc.stats.idle_skipped_cycles = 123
+        proc.stats.idle_skips = 4
+        snap_path = tmp_path / "skip.snap"
+        save_checkpoint(snap_path, proc)
+        snap = load_checkpoint(snap_path)
+        assert snap.processor._idle_skip is True
+        snap.processor.run_quanta(3)
+        assert snap.processor.fingerprint() == clean.fingerprint()
+        assert snap.processor.stats.summary() == clean.stats.summary()
+        assert CHECKPOINT_VERSION == 2
+
     def test_adts_resume_under_fault_plan(self, tmp_path):
         """The fault RNG stream is part of the snapshot: a resumed faulty
         run injects the exact same faults as an uninterrupted one."""

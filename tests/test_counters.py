@@ -27,12 +27,16 @@ class TestThreadCounters:
         assert t.accumulated_ipc == pytest.approx(0.5)
 
     def test_decay_shrinks_windowed_signals(self):
-        t = ThreadCounters(0)
+        """The windowed signals decay through the bank's per-cycle tick,
+        the one copy of the rule the pipeline runs."""
+        bank = CounterBank(1)
+        t = bank[0]
         t.recent_l1i_misses = 10.0
         t.recent_stalls = 4.0
-        t.decay(0.5)
+        bank.tick_all(0.5)
         assert t.recent_l1i_misses == pytest.approx(5.0)
         assert t.recent_stalls == pytest.approx(2.0)
+        assert t.active_cycles == 1
 
     def test_end_quantum_snapshots_and_clears(self):
         t = ThreadCounters(1)
@@ -78,8 +82,9 @@ class TestCounterBank:
         bank = CounterBank(2)
         for t in bank:
             t.recent_stalls = 8.0
-        bank.decay_all(0.25)
+        bank.tick_all(0.25)
         assert all(t.recent_stalls == pytest.approx(2.0) for t in bank)
+        assert all(t.recent_l1i_misses == 0.0 for t in bank)
 
     def test_end_quantum_returns_all_snapshots(self):
         bank = CounterBank(3)

@@ -1,8 +1,8 @@
 """Recorded golden fingerprints: the bit-identical contract of the engine.
 
-Every hot-path optimization in the simulator (wake-up lists, idle-cycle
-skipping, incremental policy keys, trace-cache replay, batched RNG) is
-required to leave the simulated *trajectory* untouched.  This suite pins
+Every hot-path optimization in the simulator (wake-up lists, incremental
+policy keys, trace-cache replay, batched RNG) is required to leave the
+simulated *trajectory* untouched.  This suite pins
 ``SMTProcessor.fingerprint()`` for every fetch policy and every ADTS
 heuristic to values recorded on the unoptimized engine; any change to
 these hashes means an optimization altered machine behaviour and must be
@@ -73,19 +73,6 @@ def test_policy_fingerprint_matches_golden(policy):
 @pytest.mark.parametrize("heuristic", sorted(ADTS_GOLDENS))
 def test_adts_fingerprint_matches_golden(heuristic):
     assert _adts_fingerprint(heuristic) == ADTS_GOLDENS[heuristic]
-
-
-def test_idle_skip_is_trajectory_neutral():
-    """Fast-forwarding provably idle cycles must equal stepping them."""
-    fps = []
-    for idle_skip in (True, False):
-        proc = build_processor(
-            mix=APPS, seed=SEED, policy="icount", quantum_cycles=512
-        )
-        proc._idle_skip = idle_skip
-        proc.run_quanta(3)
-        fps.append(proc.fingerprint())
-    assert fps[0] == fps[1]
 
 
 def test_wrong_path_junk_is_deterministic():

@@ -33,6 +33,8 @@ class TestRunConfigValidation:
             ("warmup_quanta", -1),
             ("quantum_cycles", 0),
             ("policy", "round_robin_of_doom"),
+            ("mix", "mix99"),
+            ("seed", -1),
         ],
     )
     def test_bad_field_raises_config_error_naming_it(self, field, value):
@@ -40,6 +42,13 @@ class TestRunConfigValidation:
             tiny_run(**{field: value})
         assert exc.value.field == field
         assert field in str(exc.value)
+
+    def test_named_mix_caps_num_threads_at_its_width(self):
+        with pytest.raises(ConfigError) as exc:
+            tiny_run(mix="mix05", num_threads=9)
+        assert exc.value.field == "num_threads"
+        tiny_run(mix="mix05", num_threads=8)
+        tiny_run(num_threads=9)  # an app list runs one thread per app
 
     def test_config_error_is_a_value_error(self):
         with pytest.raises(ValueError):

@@ -17,7 +17,7 @@ def test_stage_profiler_accounts_stage_time():
     total_share = sum(entry["share"] for entry in report.values())
     assert total_share == pytest.approx(1.0)
     assert report["_issue"]["seconds"] > 0.0
-    # Wrappers must be gone and idle-skip restored after uninstall.
+    # The wrappers must be gone after uninstall.
     assert "_issue" not in proc.__dict__
     proc.run_quanta(1)  # still functional
 

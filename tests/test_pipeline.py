@@ -1,5 +1,7 @@
 """Integration tests for the SMT pipeline."""
 
+import gc
+
 import pytest
 
 from conftest import assert_counter_consistency
@@ -144,6 +146,34 @@ class TestQuantumBoundaries:
         proc.run_quanta(3)
         assert [e[1] for e in events] == [0, 1, 2]
         assert all(e[2] == 4 for e in events)
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_run_restores_gc_state_when_hook_raises(self, quick_proc, enabled):
+        """run() pauses the collector around its cycle loop; a hook that
+        raises at a quantum boundary leaves the caller's GC state as found."""
+
+        class Boom(Exception):
+            pass
+
+        class Raiser(SchedulerHook):
+            def on_quantum_end(self, now, record, snapshots):
+                raise Boom
+
+        proc = quick_proc(hook=Raiser())
+        was_enabled = gc.isenabled()
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+        try:
+            with pytest.raises(Boom):
+                proc.run_quanta(2)
+            assert gc.isenabled() is enabled
+        finally:
+            if was_enabled:
+                gc.enable()
+            else:
+                gc.disable()
 
     def test_hook_on_cycle_sees_idle_slots(self, quick_proc):
         seen = []

@@ -208,6 +208,34 @@ class TestServe:
         assert "error" in kinds and "health" in kinds
         assert kinds[-1] == "drained"
 
+    def test_malformed_submit_is_rejected_and_server_drains(self, tmp_path):
+        """An unknown fault kind is refused at admission; the supervised
+        server answers the next request and drains with exit 0."""
+        small = {"mix": "mix05", "quanta": 1, "warmup_quanta": 1,
+                 "quantum_cycles": 128}
+        lines = [{"op": "submit", "request": dict(small, request_id="bad",
+                                                   fault_kinds=["bogus"])},
+                 {"op": "submit", "request": dict(small, request_id="good")}]
+        proc = _spawn(["serve", "--workers", "1", "--drain-deadline", "60"],
+                      tmp_path)
+        try:
+            _await_ready(proc)
+            stdout, stderr = proc.communicate(
+                "".join(json.dumps(l) + "\n" for l in lines), timeout=120)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        assert proc.returncode == 0, stderr
+        events = _events(stdout)
+        assert events[-1]["event"] == "drained"
+        responses = {e["response"]["request_id"]: e["response"]
+                     for e in events if e["event"] == "response"}
+        assert responses["bad"]["outcome"] == "rejected"
+        assert responses["bad"]["reason"].startswith("invalid-request"), \
+            responses["bad"]
+        assert responses["good"]["outcome"] == "full"
+
     def test_default_serve_coalesces_identical_in_flight_requests(
         self, tmp_path
     ):

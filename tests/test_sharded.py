@@ -29,6 +29,7 @@ from repro.service import (
     replay_traffic,
     TimedRequest,
 )
+from repro.service.breaker import STATE_CLOSED
 from repro.service.identity import canonical_fields, request_identity
 
 
@@ -502,3 +503,50 @@ class TestOneShard:
         assert {r.request_id: r.payload for r in responses} == first
         assert warm.stats()["counters"]["journal_hits"] == 3
         assert warm.stats()["counters"]["front_simulations"] == 0
+
+
+class TestAdmissionValidation:
+    """Every field the full tier reads is checked at admission: a
+    malformed request is refused with ``invalid-request``, never admitted
+    to fail a worker and count against the breaker."""
+
+    MALFORMED = [
+        ("mix", "mix99"),
+        ("num_threads", 9),
+        ("heuristic", "type9"),
+        ("threshold", -1.0),
+        ("seed", -1),
+        ("fault_kinds", ("bogus",)),
+        ("num_threads", "4"),  # wrong type: a TypeError, still refused
+    ]
+
+    @staticmethod
+    def small(i, **kw):
+        return req(i, quanta=1, warmup_quanta=1, quantum_cycles=128, **kw)
+
+    @pytest.mark.parametrize("field,value", MALFORMED)
+    def test_malformed_field_is_refused_at_admission(self, field, value):
+        front = ShardedService(ServiceConfig(workers=0))
+        resp = front.submit(self.small(0, **{field: value}))
+        assert resp is not None and resp.outcome == "rejected"
+        assert resp.reason.startswith("invalid-request: "), resp.reason
+        assert front.pending == 0
+        counters = front.stats()["counters"]
+        assert counters["front_simulations"] == 0
+        assert counters["full_failures"] == 0
+        assert front.shards[0].breaker.state == STATE_CLOSED
+
+    def test_malformed_requests_leave_the_breaker_closed(self):
+        """One client's malformed requests must not open the breaker and
+        degrade another client's well-formed request."""
+        front = ShardedService(ServiceConfig(workers=0))
+        for i, (field, value) in enumerate(self.MALFORMED):
+            front.submit(self.small(i, client="bad", **{field: value}))
+        assert front.submit(self.small("ok", client="good")) is None
+        front.run_until_idle(timeout_s=60)
+        by_id = {r.request_id: r for r in front.take_completed()}
+        assert by_id["rok"].outcome == "full", by_id["rok"]
+        assert all(by_id[f"r{i}"].outcome == "rejected"
+                   for i in range(len(self.MALFORMED)))
+        assert front.shards[0].breaker.state == STATE_CLOSED
+        assert front.stats()["counters"]["full_failures"] == 0
