@@ -1,10 +1,9 @@
 """Structured drift between behaviour profiles.
 
-Comparison semantics follow the goldens gate
-(:mod:`repro.harness.regression`): a metric drifts when its absolute
-delta exceeds ``rel_tol`` of ``max(|baseline|, |current|, abs_floor)`` —
-relative tolerance with an absolute floor, so small counts don't flap.
-On top of that, every metric gets a three-way verdict:
+A metric drifts when its absolute delta exceeds ``rel_tol`` of
+``max(|baseline|, |current|, abs_floor)`` — relative tolerance with an
+absolute floor, so small counts don't flap. On top of that, every metric
+gets a three-way verdict:
 
 * ``ok``    — inside ``warn_fraction * rel_tol`` of the scale,
 * ``warn``  — outside the ok band but within tolerance,
@@ -35,7 +34,7 @@ class DriftConfig:
     Attributes:
         rel_tol: relative tolerance for every compared metric.
         abs_floor: scale floor — near-zero metrics never demand absurd
-            precision (mirrors the goldens gate).
+            precision.
         warn_fraction: the ok band ends at ``warn_fraction * rel_tol``;
             between there and ``rel_tol`` a metric is ``warn``.
         ignore: name fragments excluded from comparison entirely.

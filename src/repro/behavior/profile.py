@@ -45,7 +45,6 @@ PROFILE_VERSION = 1
 #: an offline baseline is directly comparable to an online window.
 SERVICE_RATE_KEYS: Dict[str, str] = {
     "rate.answered": "front_answered",
-    "rate.journal_hits": "journal_hits",
     "rate.store_hits": "front_store_hits",
     "rate.simulations": "front_simulations",
     "rate.shard_restarts": "full_failures",

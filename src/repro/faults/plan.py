@@ -275,7 +275,7 @@ class FaultPlan:
         supervised attempts rather than in the service process. Bitrot and
         read-EIO are deliberately *excluded*: they manufacture genuinely
         unrepairable artifacts that ``fsck`` must quarantine, which would
-        violate the campaign's "journal fsck-clean afterwards" contract by
+        violate the campaign's "store fsck-clean afterwards" contract by
         design rather than by bug. ``corrupt_rate`` enables the silent
         result-corruption family separately: it is only survivable when
         the campaign also runs shadow verification, so it must be asked

@@ -13,11 +13,11 @@ autoscaling enabled while *all* the fault families fire together —
   pool is in use (``workers > 0``);
 * service faults (synthetic overload, forced breaker trips) come from the
   service's own :class:`~repro.faults.FaultPlan` hooks;
-* disk faults (torn writes, ENOSPC, failed renames) are injected under
-  the journal by :func:`~repro.storage.faultfs.faultfs_session` — and,
-  in campaigns with a result store (``shards > 1`` or any integrity
-  knob), under the content-addressed store as well, so cache corruption
-  and lost puts are part of the proof;
+* disk faults (torn writes, ENOSPC, failed renames) are injected by
+  :func:`~repro.storage.faultfs.faultfs_session` under the
+  content-addressed result store every campaign serves through
+  (``out/resultstore``), so cache corruption and lost puts are part of
+  the proof;
 * silent result corruption (``corrupt_rate > 0``) flips counter bits in
   served full-fidelity payloads at the front door — the
   integrity hazard shadow verification (``verify_rate``) exists to
@@ -27,7 +27,7 @@ autoscaling enabled while *all* the fault families fire together —
 The campaign asserts one machine-checkable **drain contract**: every
 submitted request produced exactly one response; every refusal (rejected /
 shed / failed) carries a machine-readable reason; the artifact tree —
-including the response journal that took disk faults all campaign — is
+including the result store that took disk faults all campaign — is
 fsck-clean (no quarantines) afterwards. The contract also folds in the
 front door's **verification audit**: every injected corruption event
 must have been caught (no tainted payload still served from the store),
@@ -95,16 +95,13 @@ class CampaignConfig:
         shards: shards behind the front door
             (:class:`~repro.service.ShardedService`), which always routes
             by identity and coalesces identical in-flight requests under
-            crash-safe leases. 1 (default) runs one shard on the
-            campaign's own ``journal.jsonl``; > 1 also adds a
-            content-addressed result store at ``out_dir/resultstore``
-            that takes the same disk faults as the journal.
-        verify_rate: shadow-verification sampling rate (0 disables;
-            non-zero also adds the result store the verifier checks).
+            crash-safe leases, over the campaign's content-addressed
+            result store at ``out_dir/resultstore`` (segmented per
+            shard), which takes the disk faults.
+        verify_rate: shadow-verification sampling rate (0 disables).
         dlq_threshold: engine-failure strikes before an identity is
-            parked in the dead-letter queue (0 disables; non-zero also
-            adds the result store, whose ``dlq/`` holds parked
-            identities).
+            parked in the dead-letter queue (0 disables; the store's
+            ``dlq/`` holds parked identities).
         corrupt_rate: seeded silent-corruption injection rate on served
             full-fidelity results — the hazard verification must catch.
             Campaigns with ``corrupt_rate > 0`` only pass when the
@@ -250,7 +247,7 @@ def run_campaign(
 ) -> Tuple[dict, int]:
     """Run one chaos day; returns ``(report, exit_code)``.
 
-    Artifacts land in ``out_dir``: ``journal.jsonl`` (the response journal
+    Artifacts land in ``out_dir``: ``resultstore/`` (the result store
     that absorbs the disk faults), ``traffic.json`` (the replayed stream,
     for audit/re-replay) and ``campaign.json`` (the report). Exit code 0
     iff the drain contract held *and* the post-run fsck found nothing to
@@ -287,7 +284,6 @@ def run_campaign(
         breaker_failures=cfg.breaker_failures,
         breaker_cooldown_s=cfg.breaker_cooldown_s,
         drain_deadline_s=cfg.drain_deadline_s,
-        journal_path=out / "journal.jsonl",
         fault_plan=plan,
         autoscaler=AutoscalerConfig(
             min_workers=cfg.autoscale_min,
@@ -295,16 +291,10 @@ def run_campaign(
             cooldown_s=max(cfg.tick_s * 4, 0.2),
         ),
     )
-    with_store = (
-        cfg.shards > 1
-        or cfg.verify_rate > 0.0
-        or cfg.dlq_threshold > 0
-        or cfg.corrupt_rate > 0.0
-    )
     service = ShardedService(
         service_cfg,
         shards=cfg.shards,
-        store=out / "resultstore" if with_store else None,
+        store=out / "resultstore",
         full_runner=full_runner,
         fast_runner=fast_runner,
         clock=clock,
@@ -328,7 +318,7 @@ def run_campaign(
                 # `repro profile drift` still covers it.
                 pass
 
-    # The disk fault family lives under everything the journal writes
+    # The disk fault family lives under everything the result store writes
     # during the campaign; the traffic/report artifacts are written after
     # the session so the evidence itself is never fault-injected.
     from repro.storage import faultfs_session

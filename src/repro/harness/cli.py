@@ -328,7 +328,6 @@ def _service_config(args):
         heartbeat_timeout_s=args.heartbeat_timeout,
         drain_deadline_s=args.drain_deadline,
         checkpoint_dir=args.checkpoint_dir,
-        journal_path=args.journal,
         fault_plan=_fault_plan(args),
         autoscaler=_autoscaler_config(args),
     )
@@ -917,9 +916,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "than this many seconds")
         p.add_argument("--drain-deadline", type=float, default=10.0,
                        help="graceful-drain budget in seconds")
-        p.add_argument("--journal", default=None, metavar="PATH",
-                       help="response journal: completed full-fidelity "
-                            "payloads are served as instant hits")
         p.add_argument("--checkpoint-dir", default=None, metavar="DIR",
                        help="mid-run snapshot directory for killed stragglers")
         p.add_argument("--faults", default=None, metavar="KINDS",
@@ -1003,8 +999,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("chaosday",
                        help="combined-fault campaign against replayed traffic")
     p.add_argument("--out", default="chaosday-out", metavar="DIR",
-                   help="campaign artifact directory (journal, traffic, "
-                        "report)")
+                   help="campaign artifact directory (result store, "
+                        "traffic, report)")
     p.add_argument("--recording", default=None, metavar="PATH",
                    help="replay this traffic-recording instead of generating")
     p.add_argument("--shape", default="diurnal",

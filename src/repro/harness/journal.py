@@ -20,10 +20,10 @@ A process killed mid-write can leave a truncated final line; that tail is
 silently discarded (its cell simply re-runs). An undecodable line *before*
 the tail means real corruption: strict :meth:`RunJournal.load` raises
 :class:`~repro.harness.errors.JournalError` rather than quietly dropping
-completed work, while :meth:`RunJournal.recover` (used by sweep resume and
-the service) salvages every intact record, quarantines the damaged
-original to ``*.corrupt``, and rewrites the salvaged lines so the run
-continues minus only the broken cells.
+completed work, while :meth:`RunJournal.recover` (used by sweep resume)
+salvages every intact record, quarantines the damaged original to
+``*.corrupt``, and rewrites the salvaged lines so the run continues minus
+only the broken cells.
 
 **Single-writer locking.** Two sweeps (or two supervisors) appending to the
 same journal would interleave partial lines and corrupt both runs. The

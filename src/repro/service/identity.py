@@ -3,7 +3,9 @@
 The service front door (:mod:`repro.service.router`) and the
 content-addressed result store (:mod:`repro.service.resultstore`) both key
 on *what simulation a request asks for*, not on who asked or how urgently.
-This module owns that identity in one place:
+This module owns that identity, and it is the only one: the store is the
+only place a finished answer is reused, so no second key can let two
+different simulations share an answer.
 
 * :func:`canonical_fields` projects a :class:`~repro.service.request.
   SimRequest` onto exactly the fields that determine the simulation's
@@ -13,8 +15,9 @@ This module owns that identity in one place:
   digest identically); ``fault_kinds`` are sorted and deduplicated (the
   seeded injector draws per family, so order never matters); fields the
   selected mode ignores are dropped (a *fixed* run's heuristic/threshold,
-  an *adts* run's starting policy — mirroring ``SimRequest.sim_key``);
-  and a request with no fault kinds normalizes its ``fault_rate`` away.
+  an *adts* run's starting policy); the fault plan is kept (a faulted
+  request and its clean twin are different simulations); and a request
+  with no fault kinds normalizes its ``fault_rate`` away.
 
 * :func:`fields_digest` hashes the canonical JSON of those fields
   (sorted keys) with SHA-256. Because every simulation is
@@ -23,8 +26,8 @@ This module owns that identity in one place:
 
 * :func:`shard_of` maps a digest onto one of N shards (leading 32 bits,
   mod N), so a given simulation is always owned by the same shard: its
-  result-store segment, trace-cache segment and journal never see writes
-  from two shards at once.
+  result-store segment and trace-cache segment never see writes from two
+  shards at once.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ def canonical_fields(request: SimRequest) -> dict:
     }
     if mode == "adts":
         # ADTS picks its own policies; the request's starting `policy`
-        # field is inert (same normalization as SimRequest.sim_key).
+        # field is inert.
         fields["scheduler"] = str(request.heuristic)
         fields["ipc_threshold"] = float(request.threshold)
     else:

@@ -25,7 +25,6 @@ from repro.harness.errors import (
     OUTCOME_KINDS,
     ConfigError,
 )
-from repro.harness.journal import RunJournal
 from repro.harness.runner import RunConfig
 
 #: Service tiers a response can name.
@@ -98,26 +97,6 @@ class SimRequest:
         ThresholdConfig(ipc_threshold=self.threshold)
         if self.fault_kinds:
             FaultPlan.from_kinds(self.fault_kinds, rate=self.fault_rate, seed=self.seed)
-
-    def sim_key(self) -> str:
-        """Canonical identity of the *simulation* this request asks for.
-
-        Deliberately excludes service-level fields (priority, deadline,
-        client): two clients asking for the same run share one journal
-        entry.
-        """
-        return RunJournal.cell_key(
-            kind="service",
-            mode=self.mode,
-            scheduler=self.heuristic if self.mode == "adts" else self.policy,
-            ipc_threshold=self.threshold if self.mode == "adts" else None,
-            mix=self.mix,
-            seed=self.seed,
-            num_threads=self.num_threads,
-            quantum_cycles=self.quantum_cycles,
-            quanta=self.quanta,
-            warmup_quanta=self.warmup_quanta,
-        )
 
     @classmethod
     def from_json(cls, payload: dict) -> "SimRequest":

@@ -15,7 +15,8 @@ here, in one place:
    the request is answered immediately at full fidelity, byte-identical
    to the simulation that produced the entry. Corrupt entries are
    quarantined and treated as misses (recover-don't-abort): bad bytes are
-   never served.
+   never served. The store is the only cache of finished answers: shards
+   keep none, so every request that misses it is simulated.
 
 3. **Coalesce.** If the digest is already in flight, the request becomes
    a *waiter* on the in-flight leader — one simulation, many answers.
@@ -27,9 +28,9 @@ here, in one place:
    is dispatched to the digest's owning shard — an internal
    :class:`~repro.service.service.SimulationService` with its own
    admission queue, breaker, degradation ladder and supervised worker
-   pool. With several shards each gets its own journal, checkpoint and
-   trace-cache segment so shards never contend on a file; a lone shard
-   uses the configured paths as given.
+   pool. With several shards each gets its own checkpoint and trace-cache
+   segment so shards never contend on a file; a lone shard uses the
+   configured paths as given.
 
 5. **Promote on failure.** A leader that dies — worker crash, timeout,
    stalled heartbeat, exhausted retries — answers its own requester with
@@ -234,15 +235,11 @@ class ShardedService:
 
     def _shard_config(self, index: int, shards: int) -> ServiceConfig:
         """Derive shard ``index``'s config. Several shards get segmented
-        journal, checkpoint and trace-cache paths, so no two shards ever
-        share a writer; a lone shard keeps the configured paths."""
+        checkpoint and trace-cache paths, so no two shards ever share a
+        writer; a lone shard keeps the configured paths."""
         cfg = self.config
         if shards == 1:
             return replace(cfg, shard_id=index)
-        journal = None
-        if cfg.journal_path:
-            p = Path(cfg.journal_path)
-            journal = p.with_name(f"{p.stem}-s{index:02d}{p.suffix}")
         checkpoint = None
         if cfg.checkpoint_dir:
             checkpoint = Path(cfg.checkpoint_dir) / f"shard-{index:02d}"
@@ -252,7 +249,6 @@ class ShardedService:
         return replace(
             cfg,
             shard_id=index,
-            journal_path=journal,
             checkpoint_dir=checkpoint,
             trace_cache_dir=trace_cache,
         )
@@ -370,9 +366,9 @@ class ShardedService:
     def _dispatch(self, shard_index: int, request: SimRequest) -> None:
         """Hand a leader to its shard; count a simulation only when the
         shard admits it to the full tier. An immediate shard disposition
-        (rejected / degraded / journal hit) lands in the shard's completed
-        stream and resolves the group on the next pump — one code path
-        for every outcome."""
+        (rejected / degraded) lands in the shard's completed stream and
+        resolves the group on the next pump — one code path for every
+        outcome."""
         if self.shards[shard_index].submit(request) is None:
             self.counters["simulations"] += 1
 
@@ -423,7 +419,7 @@ class ShardedService:
             ):
                 # Injected silent corruption: the result crossing from the
                 # compute tier to the serving tier is altered *after* the
-                # shard journal recorded the clean value — the store, the
+                # shard answered with the clean value — the store, the
                 # requester and every coalesced waiter all see the lie.
                 bad = corrupt_payload(payload, self._corrupt_rng)
                 if bad is not None:

@@ -31,8 +31,12 @@ what every caller builds. Four mechanisms, layered:
    lets in-flight and queued work finish inside a deadline, SIGKILLs
    stragglers past it (their last quantum-boundary
    :mod:`~repro.smt.checkpoint` snapshot survives for a later restart when
-   a checkpoint directory is configured), sheds what never ran, flushes
-   and unlocks the journal, and leaves every request answered.
+   a checkpoint directory is configured), sheds what never ran, and
+   leaves every request answered.
+
+A shard keeps no finished answers: every request it admits to the full
+tier is simulated. Reusing an answer is the front door's job, through
+its content-addressed result store.
 
 The service is single-threaded by design: :meth:`submit` and :meth:`pump`
 are called from one thread (the front door's), while the heavy lifting
@@ -58,7 +62,6 @@ from repro.harness.errors import (
     OUTCOME_REJECTED,
     OUTCOME_SHED,
 )
-from repro.harness.journal import RunJournal
 from repro.service.admission import AdmissionQueue
 from repro.service.autoscale import Autoscaler, AutoscalerConfig, AutoscalingPool
 from repro.service.breaker import STATE_OPEN, CircuitBreaker
@@ -97,9 +100,6 @@ class ServiceConfig:
         checkpoint_dir: per-cell mid-run snapshot directory; a straggler
             SIGKILLed at the drain deadline leaves its latest
             quantum-boundary snapshot here.
-        journal_path: optional response journal — completed full-fidelity
-            payloads are durably appended and served as instant hits on
-            resubmission (warm restart).
         fault_plan: service-level chaos hooks (``service_overload_rate`` /
             ``service_breaker_trip_rate``), seeded and deterministic.
         shard_id: this service's index behind the front door
@@ -131,7 +131,6 @@ class ServiceConfig:
     drain_deadline_s: float = 10.0
     poll_interval_s: float = 0.02
     checkpoint_dir: Optional[Union[str, Path]] = None
-    journal_path: Optional[Union[str, Path]] = None
     fault_plan: Optional[FaultPlan] = None
     autoscaler: Optional[AutoscalerConfig] = None
     shard_id: Optional[int] = None
@@ -201,7 +200,6 @@ COUNTER_NAMES = (
     "submitted",
     "admitted",
     "completed_full",
-    "journal_hits",
     "degraded",
     "rejected",
     "shed",
@@ -258,14 +256,6 @@ class SimulationService:
                 self.executor = AutoscalingPool(self.executor, self.autoscaler)
         self._full_runner = full_runner or _default_full_runner
         self._fast_runner = fast_runner or _default_fast_runner
-        self._journal: Optional[RunJournal] = None
-        if cfg.journal_path:
-            self._journal = RunJournal(cfg.journal_path)
-            # Salvage rather than abort: a service must come up even when its
-            # response journal took damage — intact responses stay instant
-            # hits, damaged records simply re-run, the corrupt original is
-            # quarantined to *.corrupt for `repro fsck` / post-mortem.
-            self._journal.recover()
         self._fault_rng = None
         if cfg.fault_plan is not None and (
             cfg.fault_plan.service_overload_rate > 0.0
@@ -288,7 +278,7 @@ class SimulationService:
         """Offer one request to the service.
 
         Returns the response when the disposition is immediate (rejected,
-        journal hit, served degraded at admission); returns None when the
+        or served degraded at admission); returns None when the
         request was admitted to the queue — its response arrives through
         :meth:`take_completed` once a worker finishes it. Either way the
         response is also appended to the completed stream, which is the
@@ -303,13 +293,8 @@ class SimulationService:
         except (TypeError, ValueError) as exc:
             return self._respond_rejected(request, f"invalid-request: {exc}")
 
-        if self._journal is not None:
-            hit = self._journal.get(request.sim_key())
-            if hit is not None:
-                self.counters["journal_hits"] += 1
-                return self._respond_full(request, hit, attempts=0, wait_s=0.0)
-
-        # Ladder rung 2: open breaker — the full tier is presumed down.
+        # Ladder rung 2 (rung 1 is the front door's store hit): open
+        # breaker — the full tier is presumed down.
         if self.breaker.state == STATE_OPEN:
             if request.degradable:
                 return self._respond_degraded(request, "breaker-open")
@@ -387,7 +372,7 @@ class SimulationService:
         """Feed the autoscaler one observation and actuate the new target."""
         c = self.counters
         answered = (
-            c["completed_full"] + c["journal_hits"] + c["degraded"]
+            c["completed_full"] + c["degraded"]
             + c["rejected"] + c["shed"] + c["failed"]
         )
         shed = c["shed"]
@@ -481,11 +466,8 @@ class SimulationService:
 
     def _on_full_success(self, entry: QueueEntry, payload: dict) -> None:
         self.breaker.record_success()
-        request = entry.request
-        if self._journal is not None:
-            self._journal.record(request.sim_key(), payload)
         self._respond_full(
-            request,
+            entry.request,
             payload,
             attempts=entry.attempts,
             wait_s=self.clock() - entry.enqueued_at,
@@ -649,8 +631,7 @@ class SimulationService:
         survives for a later warm restart — and their requests are served
         degraded (or failed, if not degradable) with reason
         ``drain-killed``; work still queued is shed with reason
-        ``drain-deadline``. The response journal is flushed and unlocked.
-        Returns the final :meth:`stats` snapshot.
+        ``drain-deadline``. Returns the final :meth:`stats` snapshot.
         """
         self._accepting = False
         self._draining = True
@@ -685,8 +666,6 @@ class SimulationService:
             self._inflight.clear()
         for entry in self.queue.drain_all():
             self._respond_shed(entry, "drain-deadline")
-        if self._journal is not None:
-            self._journal.close()
         return self.stats()
 
     def _has_checkpoint(self, result_key: str) -> bool:

@@ -29,7 +29,8 @@ verifier must have a zero false-positive rate on healthy systems (see
 ``tests/test_verify.py``'s property suite).
 
 The verifier never submits through the front door (that would hit the very
-store entry under suspicion); it dispatches straight to a shard and its
+store entry under suspicion); it dispatches straight to a shard, which
+keeps no cache of answers, so every probe is a real re-execution. Its
 responses are consumed internally — they are invisible to the request
 conservation contract.
 """

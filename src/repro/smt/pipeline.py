@@ -320,6 +320,10 @@ class SMTProcessor:
                 tc.in_flight_branches -= 1
             if kind == SYSCALL and self._drain_tid == tid:
                 self._drain_tid = None
+        # The issue stage drops squashed entries lazily, but it skips the
+        # fp scan in cycles where integer issue uses the whole width.
+        self.iq_int.compact()
+        self.iq_fp.compact()
         # 3. Clear pending per-thread machine state.
         ctx.pending = None
         ctx.wrong_path = False
@@ -722,8 +726,9 @@ class SMTProcessor:
             is_fp = FADD <= kind <= FDIV  # == instr.is_fp
             iq = self.iq_fp if is_fp else self.iq_int
             # len-vs-capacity inline (== iq.full, minus the property call).
-            if len(iq._entries) >= iq.capacity:
-                iq.compact()
+            # Issue already dropped every issued or squashed entry: the
+            # integer scan runs every cycle, and only swap_thread squashes
+            # fp entries (it compacts both queues itself).
             if len(iq._entries) >= iq.capacity:
                 if is_mem:
                     lsq._per_thread[tid] -= 1

@@ -299,10 +299,8 @@ class TestSigtermDuringScaleDown:
     def test_drain_contract_holds_with_autoscaler_active(self, tmp_path):
         """SIGTERM while the autoscaled pool is loaded (scale events —
         including downs — in flight): exit 0, every request answered, pool
-        gone, journal unlocked."""
-        from repro.harness.journal import RunJournal
-
-        journal = tmp_path / "svc.jsonl"
+        gone, no result-store lease left."""
+        store = tmp_path / "rs"
         env = {**os.environ, "PYTHONPATH": SRC}
         burst = subprocess.run(
             [sys.executable, "-m", "repro", "burst", "--emit", "--requests",
@@ -314,7 +312,7 @@ class TestSigtermDuringScaleDown:
             [sys.executable, "-m", "repro", "serve", "--workers", "1",
              "--autoscale", "1:3", "--autoscale-cooldown", "0.05",
              "--queue-capacity", "16", "--drain-deadline", "60",
-             "--journal", str(journal)],
+             "--result-store", str(store)],
             stdin=subprocess.PIPE, stdout=subprocess.PIPE,
             stderr=subprocess.PIPE, text=True, env=env, cwd=str(tmp_path),
         )
@@ -352,7 +350,7 @@ class TestSigtermDuringScaleDown:
             pending = [p for p in pending if self._alive(p)]
             time.sleep(0.05)
         assert not pending, f"orphan workers survived: {pending}"
-        # Journal lock released: a fresh writer proceeds immediately.
-        with RunJournal(journal) as j:
-            j.load()
-            j.record("post-drain", {"ipc": 1.0})
+        # Every lease released: the next front door over this store can
+        # lead any identity at once.
+        assert store.is_dir()
+        assert not list(store.rglob("*.lease"))

@@ -74,16 +74,18 @@ class TestFlatten:
         assert flat == {"a.b": 1.0, "a.c": 2.5, "flag": 1.0}
 
     def test_service_rates_whole_run_and_delta(self):
-        now = {"front_submitted": 20, "front_answered": 18, "journal_hits": 4}
+        now = {"front_submitted": 20, "front_answered": 18,
+               "front_store_hits": 4}
         rates = service_rates(now)
         assert rates["rate.answered"] == pytest.approx(0.9)
-        assert rates["rate.journal_hits"] == pytest.approx(0.2)
+        assert rates["rate.store_hits"] == pytest.approx(0.2)
         # A counter the map lacks is left out, never read as zero.
         assert "rate.verification_divergent" not in rates
-        then = {"front_submitted": 10, "front_answered": 10, "journal_hits": 4}
+        then = {"front_submitted": 10, "front_answered": 10,
+                "front_store_hits": 4}
         windowed = service_rates(now, then)
         assert windowed["rate.answered"] == pytest.approx(0.8)
-        assert windowed["rate.journal_hits"] == 0.0
+        assert windowed["rate.store_hits"] == 0.0
         assert service_rates(then, then) == {}  # no traffic, no behaviour
 
 

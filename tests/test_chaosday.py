@@ -62,21 +62,22 @@ class TestCampaign:
         assert report["deterministic"] is True
         assert (tmp_path / "campaign.json").exists()
         assert (tmp_path / "traffic.json").exists()
-        assert (tmp_path / "journal.jsonl").exists()
+        assert (tmp_path / "resultstore").is_dir()
         format_report(report)  # renders without blowing up
 
-    def test_default_campaign_is_one_shard_without_a_store(self, tmp_path):
-        """The default day runs the front door's defaults: one shard on
-        the campaign's own journal, no result store, and a report that
-        still carries the front door's counters and the verification
+    def test_default_campaign_is_one_shard_over_the_store(self, tmp_path):
+        """The default day runs one shard over the campaign's result
+        store, the only cache of answers (no journal file), and its
+        report carries the front door's counters and the verification
         audit."""
         report, code = run_campaign(
             small_cfg(), tmp_path, full_runner=ok_full, fast_runner=ok_fast
         )
         assert code == 0
-        assert (tmp_path / "journal.jsonl").exists()
-        assert not list(tmp_path.glob("journal-s*"))  # not segmented
-        assert not (tmp_path / "resultstore").exists()
+        store = tmp_path / "resultstore"
+        assert [p.name for p in store.glob("shard-*")] == ["shard-00"]
+        assert not list(tmp_path.glob("*.jsonl"))
+        assert report["counters"]["store_puts"] > 0
         assert report["config"]["shards"] == 1
         assert report["counters"]["front_submitted"] == 40
         assert report["verification"]["ok"]
@@ -126,8 +127,8 @@ class TestCampaign:
 class TestShardedCampaign:
     def test_sharded_campaign_satisfies_the_contract(self, tmp_path):
         """The combined-fault day routed through the 2-shard front-door:
-        drain contract holds, per-shard journals and the result store
-        come out fsck-clean, and no lease survives the drain."""
+        drain contract holds, the per-shard store segments come out
+        fsck-clean, and no lease survives the drain."""
         report, code = run_campaign(
             small_cfg(shards=2), tmp_path,
             full_runner=flaky_full, fast_runner=ok_fast,
@@ -138,12 +139,11 @@ class TestShardedCampaign:
         assert report["config"]["shards"] == 2
         assert report["counters"]["front_submitted"] == 40
         assert report["counters"]["front_answered"] == 40
-        # Per-shard journals, not one contended file.
-        assert (tmp_path / "journal-s00.jsonl").exists()
-        assert (tmp_path / "journal-s01.jsonl").exists()
-        assert not (tmp_path / "journal.jsonl").exists()
-        # Every full answer that reached the store is addressable…
-        assert (tmp_path / "resultstore").is_dir()
+        # Every full answer that reached the store is addressable, in
+        # its owning shard's segment…
+        store = tmp_path / "resultstore"
+        assert sorted(p.name for p in store.glob("shard-*")) == [
+            "shard-00", "shard-01"]
         # …and the drain released every coalescing lease.
         leases = tmp_path / "resultstore" / "leases"
         assert not leases.is_dir() or not list(leases.glob("*.lease"))
@@ -315,9 +315,9 @@ def test_request_conservation_under_any_seeded_fault_schedule(
     contract = check_contract(events, responses, stats)
     assert contract["ok"], contract
     counters = stats["counters"]
-    answered = (counters["completed_full"] + counters["journal_hits"]
-                + counters["degraded"] + counters["rejected"]
-                + counters["shed"] + counters["failed"])
+    answered = (counters["completed_full"] + counters["degraded"]
+                + counters["rejected"] + counters["shed"]
+                + counters["failed"])
     assert answered == counters["submitted"] == len(events)
 
 

@@ -1,8 +1,8 @@
 """Subprocess tests for the serving CLI: `repro serve` speaking JSONL over
 stdio, overload behaviour under a seeded burst, SIGTERM graceful drain
-(exit 0, no orphan workers, journal unlockable afterwards), a process-group
-SIGINT that the workers outlive so the drain answers in full, request
-coalescing on the default (one-shard) front door, and the
+(exit 0, no orphan workers, no result-store lease left behind), a
+process-group SIGINT that the workers outlive so the drain answers in
+full, request coalescing on the default (one-shard) front door, and the
 `repro grid --workers N` signal handlers (exit 128+signum, pool killed,
 journal lock released)."""
 
@@ -119,9 +119,9 @@ class TestServe:
 
     def test_sigterm_during_loaded_run_drains_cleanly(self, tmp_path):
         """SIGTERM mid-burst: exit 0 within the drain deadline, every
-        accepted request answered, no orphan workers, journal unlockable."""
-        journal = tmp_path / "svc.jsonl"
-        proc = _spawn(SERVE_ARGS + ["--journal", str(journal)], tmp_path)
+        accepted request answered, no orphan workers, no lease left."""
+        store = tmp_path / "rs"
+        proc = _spawn(SERVE_ARGS + ["--result-store", str(store)], tmp_path)
         try:
             _await_ready(proc)
             burst = subprocess.run(
@@ -150,10 +150,10 @@ class TestServe:
         assert len(responses) == stats["counters"]["submitted"]
         assert stats["queue_depth"] == 0 and stats["inflight"] == 0
         _assert_all_exit(workers)  # the pool died with the drain
-        # The journal lock was released: a new writer proceeds immediately.
-        with RunJournal(journal) as j:
-            j.load()
-            j.record("post-drain", {"ipc": 1.0})
+        # Every lease was released: no identity is left wedged for the
+        # next front door over this store.
+        assert store.is_dir()
+        assert not list(store.rglob("*.lease"))
 
     def test_process_group_sigint_drains_in_flight_work(self, tmp_path):
         """A terminal's Ctrl-C signals the whole process group: the workers

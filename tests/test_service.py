@@ -26,6 +26,7 @@ from repro.service import (
     STATE_HALF_OPEN,
     STATE_OPEN,
     ServiceConfig,
+    ShardedService,
     SimRequest,
     SimResponse,
     TIER_FAST,
@@ -323,16 +324,25 @@ class TestDegradationLadder:
                  if r.request_id == "probe"][0]
         assert probe.outcome == OUTCOME_FULL
 
-    def test_journal_hit_short_circuits(self, tmp_path):
-        path = tmp_path / "svc.jsonl"
-        first = inline_service(journal_path=path)
+    def test_store_hit_short_circuits(self, tmp_path):
+        """The front door's result store is the ladder's first rung: a
+        stored answer is served at submit and never reaches a shard."""
+        def front():
+            return ShardedService(ServiceConfig(workers=0, queue_capacity=4),
+                                  store=tmp_path / "rs", full_runner=ok_runner,
+                                  fast_runner=ok_runner)
+
+        first = front()
         first.submit(req("r1", seed=7))
         first.run_until_idle(timeout_s=10)
         first.drain(1.0)
-        second = inline_service(journal_path=path)
+        second = front()
         resp = second.submit(req("r2", seed=7))  # same sim, new request id
         assert resp is not None and resp.outcome == OUTCOME_FULL
-        assert second.counters["journal_hits"] == 1
+        assert resp.payload == ok_runner(None)
+        counters = second.stats()["counters"]
+        assert counters["front_store_hits"] == 1
+        assert counters["submitted"] == 0  # the shard never saw it
         second.drain(1.0)
 
     def test_draining_service_rejects_new_work(self):

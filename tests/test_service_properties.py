@@ -79,8 +79,8 @@ def test_every_request_answered_exactly_once_and_tiers_honest(
     # (a) conservation: one response per request, no drops, no duplicates.
     assert sorted(r.request_id for r in responses) == sorted(ids)
     c = svc.counters
-    accounted = (c["completed_full"] + c["journal_hits"] + c["degraded"]
-                 + c["rejected"] + c["shed"] + c["failed"])
+    accounted = (c["completed_full"] + c["degraded"] + c["rejected"]
+                 + c["shed"] + c["failed"])
     assert accounted == c["submitted"] == len(reqs)
 
     # (b) honesty: tiers and outcomes from the closed taxonomies; every

@@ -52,8 +52,7 @@ def ok_fast(request):
 
 def make_front(tmp_path, clock, *, shards=2, store=True, full_runner=ok_full,
                **cfg_kw):
-    defaults = dict(workers=0, queue_capacity=64,
-                    journal_path=tmp_path / "j.jsonl")
+    defaults = dict(workers=0, queue_capacity=64)
     defaults.update(cfg_kw)
     return ShardedService(
         ServiceConfig(**defaults),
@@ -192,7 +191,6 @@ class TestLeaderCrashRealWorkers:
             ServiceConfig(
                 workers=2, queue_capacity=16, max_attempts=2,
                 run_timeout_s=30.0, heartbeat_timeout_s=5.0,
-                journal_path=tmp_path / "j.jsonl",
             ),
             shards=2,
             store=tmp_path / "rs",
@@ -268,10 +266,7 @@ class TestResultStoreServing:
             calls.append(request.request_id)
             return ok_full(request)
 
-        # A fresh journal, so the answer cannot come from the first
-        # front door's shard journals: the damaged entry must re-run.
-        front2 = make_front(tmp_path, clock, full_runner=counting_full,
-                            journal_path=tmp_path / "j2.jsonl")
+        front2 = make_front(tmp_path, clock, full_runner=counting_full)
         front2.submit(req(1))  # same identity, damaged entry
         responses = settle(front2, clock)
         assert [r.outcome for r in responses] == ["full"]
@@ -321,7 +316,7 @@ class TestLeases:
     def test_stalled_remote_leader_is_broken_and_promoted(self, tmp_path):
         clock = VirtualClock()
         front = ShardedService(
-            ServiceConfig(workers=0, journal_path=tmp_path / "j.jsonl"),
+            ServiceConfig(workers=0),
             shards=2,
             store=tmp_path / "rs",
             full_runner=ok_full,
@@ -474,35 +469,112 @@ class TestStatsSurface:
 
 
 class TestOneShard:
-    def test_journal_path_is_used_as_given_and_warm_restarts(self, tmp_path):
-        """A lone shard reads and writes the configured journal, not a
-        segment of it: a fresh front door on the same path serves the
-        earlier answers as journal hits, without simulating."""
-        journal = tmp_path / "j.jsonl"
+    def test_warm_restart_answers_from_the_store(self, tmp_path):
+        """A lone shard keeps no answers of its own: a fresh front door
+        over the same result store serves the earlier answers as store
+        hits, without simulating."""
         clock = VirtualClock()
-        front = make_front(tmp_path, clock, shards=1, store=False)
+        front = make_front(tmp_path, clock, shards=1)
         for i in range(3):
             front.submit(req(i, seed=i))
         first = {r.request_id: r.payload for r in settle(front, clock)}
         front.drain()
-        assert journal.exists()
-        assert not list(tmp_path.glob("j-s*"))  # not segmented
+        assert not list((tmp_path / "rs").rglob("*.lease"))
         calls = []
 
         def counting_full(request):
             calls.append(request.request_id)
             return ok_full(request)
 
-        warm = make_front(tmp_path, clock, shards=1, store=False,
-                          full_runner=counting_full)
+        warm = make_front(tmp_path, clock, shards=1, full_runner=counting_full)
         for i in range(3):
             warm.submit(req(i, seed=i))
         responses = settle(warm, clock)
         assert calls == []
         assert all(r.outcome == "full" for r in responses)
         assert {r.request_id: r.payload for r in responses} == first
-        assert warm.stats()["counters"]["journal_hits"] == 3
-        assert warm.stats()["counters"]["front_simulations"] == 0
+        counters = warm.stats()["counters"]
+        assert counters["front_store_hits"] == 3
+        assert counters["front_simulations"] == 0
+
+
+class TestOneIdentityRule:
+    """The result store is the only cache of finished answers, keyed by
+    the full request identity: a faulted request and its clean twin are
+    two simulations, and every verification probe re-executes."""
+
+    @staticmethod
+    def twin(rid, **kw):
+        return SimRequest(request_id=rid, mix="mix05", num_threads=4,
+                          quanta=4, quantum_cycles=512, warmup_quanta=0,
+                          seed=11, heuristic="type3", threshold=2.0, **kw)
+
+    def test_faulted_and_clean_twins_never_share_an_answer(self, tmp_path):
+        from repro.harness.runner import run_adts
+
+        faulted = self.twin("faulted", fault_kinds=("policy", "hangs"),
+                            fault_rate=0.5)
+        clean = self.twin("clean")
+        payloads = {}
+        for attempt in ("cold", "warm"):
+            front = ShardedService(ServiceConfig(workers=0),
+                                   store=tmp_path / "rs")
+            for request in (faulted, clean):  # the clean twin asks second
+                front.submit(request)
+                front.run_until_idle(timeout_s=120)
+            by_id = {r.request_id: r for r in front.take_completed()}
+            assert all(r.outcome == "full" for r in by_id.values()), by_id
+            counters = front.stats()["counters"]
+            if attempt == "cold":
+                assert counters["front_simulations"] == 2
+                payloads = {rid: r.payload for rid, r in by_id.items()}
+            else:
+                assert counters["front_simulations"] == 0
+                assert counters["front_store_hits"] == 2
+                assert {rid: r.payload for rid, r in by_id.items()} == payloads
+            front.drain(1.0)
+        run = run_adts(clean.run_config(), heuristic="type3")
+        assert payloads["clean"] == {
+            "ipc": run.ipc,
+            "switches": run.scheduler["switches"],
+            "benign_probability": run.scheduler["benign_probability"],
+        }
+        assert payloads["faulted"] != payloads["clean"]
+
+    def test_every_probe_reaches_a_full_tier(self, tmp_path):
+        """Three executions disagree, so the entry stays evicted; the
+        re-request simulates and is verified again. Every lead and every
+        probe — two verifications of one identity — is a simulation."""
+        calls = []
+
+        def drifting_full(request):
+            calls.append(request.request_id)
+            return {"ipc": float(min(len(calls), 3))}
+
+        clock = VirtualClock()
+        front = ShardedService(
+            ServiceConfig(workers=0, queue_capacity=64), shards=2,
+            store=tmp_path / "rs", full_runner=drifting_full,
+            fast_runner=ok_fast, clock=clock, verify_rate=1.0,
+        )
+        front.submit(req(0))
+        settle(front, clock)
+        digest = request_identity(req(0))
+        assert front.verifier.counters["unresolved"] == 1
+        assert front.store.get(digest) is None  # quarantined, not restored
+        front.submit(req(1))  # the same identity, asked again
+        responses = settle(front, clock)
+        assert [r.outcome for r in responses] == ["full"]
+        counters = front.stats()["counters"]
+        probes = [rid for rid in calls if rid.startswith("verify-")]
+        # Two shadows and one authority, each simulated on a shard.
+        assert len(probes) == (
+            counters["verify_sampled"] + counters["verify_divergent"]
+        ) == 3
+        assert counters["verify_verified"] == 1
+        assert counters["front_simulations"] == 2
+        assert len(calls) == counters["completed_full"] == 5
+        assert front.store.integrity_of(digest) == "verified"
 
 
 class TestAdmissionValidation:
