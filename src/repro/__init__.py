@@ -23,7 +23,7 @@ Packages:
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence, Tuple, Union
 
 from repro.core.adts import ADTSController, WatchdogConfig
 from repro.core.heuristics import HEURISTICS, create_heuristic
@@ -84,15 +84,26 @@ def build_processor(
         hook: scheduler hook (e.g. an :class:`ADTSController`).
         quantum_cycles: scheduling-quantum length (paper: 8192).
     """
-    if isinstance(mix, str):
-        apps = get_mix(mix).subset(num_threads, seed=seed)
-    else:
-        apps = tuple(mix)
-        num_threads = len(apps)
-    cfg = config or SMTConfig(num_threads=max(len(apps), 1))
-    if cfg.num_threads < len(apps):
-        raise ValueError("config.num_threads smaller than requested thread count")
+    apps, cfg = resolve_machine(mix, num_threads, seed, config)
     traces = make_generators(apps, seed=seed)
     return SMTProcessor(
         cfg, traces, policy=policy, hook=hook, quantum_cycles=quantum_cycles, seed=seed
     )
+
+
+def resolve_machine(
+    mix: Union[str, Sequence[str]],
+    num_threads: int,
+    seed: int,
+    config: Optional[SMTConfig],
+) -> Tuple[Tuple[str, ...], SMTConfig]:
+    """The apps a run simulates and the machine it runs them on, as
+    :func:`build_processor` and the batch engine both resolve them."""
+    if isinstance(mix, str):
+        apps = get_mix(mix).subset(num_threads, seed=seed)
+    else:
+        apps = tuple(mix)
+    cfg = config or SMTConfig(num_threads=max(len(apps), 1))
+    if cfg.num_threads < len(apps):
+        raise ValueError("config.num_threads smaller than requested thread count")
+    return apps, cfg

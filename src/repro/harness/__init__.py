@@ -1,4 +1,4 @@
-"""Experiment harness: runners, sweeps, sampling and report formatting for
+"""Experiment harness: runners, sweeps and report formatting for
 regenerating every table and figure of the paper's evaluation (§5–§6),
 hardened with a structured error taxonomy, a JSONL run journal
 (single-writer locked) for crash-resilient checkpoint/resume sweeps, and a
@@ -23,7 +23,6 @@ from repro.harness.executor import (
 )
 from repro.harness.journal import RunJournal
 from repro.harness.runner import RunConfig, RunResult, run_fixed, run_adts, run_mix_average
-from repro.harness.sampling import SampledRunner, SampleSpec
 from repro.harness.sweep import SweepResult, threshold_type_grid
 from repro.harness.report import format_table, format_series, print_table
 from repro.harness.experiments import (
@@ -57,8 +56,6 @@ __all__ = [
     "run_fixed",
     "run_adts",
     "run_mix_average",
-    "SampledRunner",
-    "SampleSpec",
     "SweepResult",
     "threshold_type_grid",
     "format_table",

@@ -65,7 +65,7 @@ from repro.harness.experiments import (
 )
 from repro.harness.journal import RunJournal
 from repro.harness.report import format_series, format_table
-from repro.harness.runner import RunConfig, run_adts, run_fixed
+from repro.harness.runner import BatchRunSpec, RunConfig, run_spec
 from repro.policies.registry import POLICY_NAMES
 from repro.workloads.mixes import MIXES
 
@@ -100,19 +100,28 @@ def _fault_plan(args) -> Optional[FaultPlan]:
     return FaultPlan.from_kinds(kinds, rate=args.fault_rate, seed=seed)
 
 
+def _spec_from_args(args) -> BatchRunSpec:
+    """The one run `repro run` and `repro profile snapshot` describe."""
+    from repro.core.thresholds import ThresholdConfig
+
+    return BatchRunSpec(
+        config=RunConfig(
+            mix=args.mix, quantum_cycles=args.quantum, quanta=args.quanta,
+            warmup_quanta=args.warmup, seed=args.seed, policy=args.policy,
+        ),
+        mode="adts" if args.adts else "fixed",
+        heuristic=args.heuristic,
+        thresholds=ThresholdConfig(ipc_threshold=args.threshold) if args.adts else None,
+        fault_plan=_fault_plan(args),
+    )
+
+
 def cmd_run(args) -> None:
     """`repro run`: one simulation (fixed or ADTS), optionally faulted."""
-    cfg = RunConfig(
-        mix=args.mix, quantum_cycles=args.quantum, quanta=args.quanta,
-        warmup_quanta=args.warmup, seed=args.seed, policy=args.policy,
-    )
-    plan = _fault_plan(args)
+    spec = _spec_from_args(args)
+    plan = spec.fault_plan
+    result = run_spec(spec)
     if args.adts:
-        from repro.core.thresholds import ThresholdConfig
-
-        result = run_adts(cfg, heuristic=args.heuristic,
-                          thresholds=ThresholdConfig(ipc_threshold=args.threshold),
-                          fault_plan=plan)
         text = (f"{args.mix} ADTS({args.heuristic}, thr={args.threshold}): "
                 f"IPC {result.ipc:.3f}, {result.scheduler.get('switches', 0)} switches, "
                 f"P(benign) {result.scheduler.get('benign_probability', 0.0):.2f}")
@@ -123,7 +132,6 @@ def cmd_run(args) -> None:
                      f"{result.scheduler.get('implausible_quanta', 0)} implausible quanta, "
                      f"{result.scheduler.get('safe_mode_quanta', 0)} safe-mode quanta")
     else:
-        result = run_fixed(cfg, fault_plan=plan)
         text = f"{args.mix} fixed {args.policy}: IPC {result.ipc:.3f}"
         if plan is not None:
             text += (f"\nfaults injected: {result.scheduler.get('faults_injected', 0)} "
@@ -661,19 +669,7 @@ def cmd_profile_snapshot(args) -> int:
     and `--faults` perturbations move the id and the metrics with it."""
     from repro.behavior import ProfileStore, profile_from_sim
 
-    cfg = RunConfig(
-        mix=args.mix, quantum_cycles=args.quantum, quanta=args.quanta,
-        warmup_quanta=args.warmup, seed=args.seed, policy=args.policy,
-    )
-    plan = _fault_plan(args)
-    if args.adts:
-        from repro.core.thresholds import ThresholdConfig
-
-        result = run_adts(cfg, heuristic=args.heuristic,
-                          thresholds=ThresholdConfig(ipc_threshold=args.threshold),
-                          fault_plan=plan)
-    else:
-        result = run_fixed(cfg, fault_plan=plan)
+    result = run_spec(_spec_from_args(args))
     profile = profile_from_sim(
         {"ipc": result.ipc, **result.scheduler},
         args.label,

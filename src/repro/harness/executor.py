@@ -26,11 +26,14 @@ with SIGKILL:
   a failure: after an exception it exits, after a timeout or stall it is
   killed, so a fault can spoil at most the run of queued items one worker
   served before it;
-* bounded **restart with backoff** per item; retries strip process-killing
-  worker faults (``FaultPlan.without_worker_faults``) so an injected crash
-  is survived rather than replayed forever, and a service cell resumes
-  from its latest mid-run checkpoint when a checkpoint directory is
-  configured;
+* bounded **restart with backoff** per item; every retry is marked
+  ``strip_worker_faults``, so the task runs its specs minus their
+  process-killing worker faults (``BatchRunSpec.without_worker_faults``)
+  and an injected crash is survived rather than replayed forever. A
+  service cell checkpoints every quantum when a checkpoint directory is
+  configured, and an attempt resumes only a snapshot its own run wrote:
+  a retry that stripped worker faults is a different run and starts from
+  cycle zero;
 * **deterministic aggregation**: results are keyed by item and the sweep
   reassembles them in canonical grid order, so the aggregate is
   bit-identical regardless of worker count, completion order, crashes,
@@ -75,7 +78,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional
 
-from repro.core.thresholds import ThresholdConfig
 from repro.harness.errors import (
     FAILURE_CRASH,
     FAILURE_EXCEPTION,
@@ -87,7 +89,6 @@ from repro.harness.errors import (
     RunTimeoutError,
     WorkerCrashError,
 )
-from repro.smt.checkpoint import CheckpointPlan
 from repro.smt.invariants import InvariantViolation
 
 #: Fork where the platform has it (cheap on Linux, and workers inherit task
@@ -119,8 +120,8 @@ def register_task_kind(name: str, fn: TaskFn) -> None:
 def _run_grid_batch(spec: dict, progress, checkpoint_path: Optional[Path]) -> dict:
     """The grid-sweep task: one lockstep engine pass over a batch of cells.
 
-    ``spec["cells"]`` is a list of ``(threshold, heuristic, mix, key)``
-    tuples; the payload maps each cell's journal key to its per-cell dict
+    ``spec["cells"]`` is a list of ``(journal key, BatchRunSpec)`` pairs;
+    the payload maps each key to its per-cell dict
     (:func:`~repro.harness.sweep.run_cells`, the same function an inline
     sweep calls). ``progress`` fires per lockstep round (all cells advance
     together, so rounds are the natural heartbeat). Mid-run checkpoints
@@ -129,10 +130,10 @@ def _run_grid_batch(spec: dict, progress, checkpoint_path: Optional[Path]) -> di
     """
     from repro.harness.sweep import run_cells
 
-    plan = spec.get("fault_plan")
-    if plan is not None and spec.get("strip_worker_faults"):
-        plan = plan.without_worker_faults()
-    return {"cells": run_cells(spec["config"], spec["cells"], plan, progress)}
+    cells = spec["cells"]
+    if spec.get("strip_worker_faults"):
+        cells = [(key, run.without_worker_faults()) for key, run in cells]
+    return {"cells": run_cells(cells, progress)}
 
 
 register_task_kind("grid_batch", _run_grid_batch)
@@ -141,8 +142,8 @@ register_task_kind("grid_batch", _run_grid_batch)
 def _run_service_cell(spec, progress, checkpoint_path: Optional[Path]) -> dict:
     """The simulation service's full-fidelity task: one detailed-engine run.
 
-    ``spec["config"]`` is a picklable :class:`~repro.harness.runner.RunConfig`;
-    ``spec["mode"]`` selects ADTS vs a fixed policy. Registered here (not in
+    ``spec["run"]`` is the request's picklable
+    :class:`~repro.harness.runner.BatchRunSpec`. Registered here (not in
     the service module) so spawn-method workers, which import only this
     module, can resolve it. ``force_crash`` is the service's breaker-trip
     fault hook: the attempt dies by SIGKILL before simulating, exercising
@@ -168,26 +169,12 @@ def _run_service_cell(spec, progress, checkpoint_path: Optional[Path]) -> dict:
 
 def _service_cell_payload(spec, progress, checkpoint_path: Optional[Path]) -> dict:
     """Run the cell's simulation and summarize it as the service's payload."""
-    from repro.harness.runner import run_adts, run_fixed
+    from repro.harness.runner import run_spec
 
-    cfg = spec["config"]
-    plan = spec.get("fault_plan")
-    if plan is not None and spec.get("strip_worker_faults"):
-        plan = plan.without_worker_faults()
-    checkpoint = None
-    if checkpoint_path is not None:
-        checkpoint = CheckpointPlan(path=checkpoint_path)
-    if spec.get("mode", "adts") == "adts":
-        r = run_adts(
-            cfg,
-            heuristic=spec.get("heuristic", "type3"),
-            thresholds=ThresholdConfig(ipc_threshold=spec.get("threshold", 2.0)),
-            fault_plan=plan,
-            progress=progress,
-            checkpoint=checkpoint,
-        )
-    else:
-        r = run_fixed(cfg, fault_plan=plan, progress=progress, checkpoint=checkpoint)
+    run = spec["run"]
+    if spec.get("strip_worker_faults"):
+        run = run.without_worker_faults()
+    r = run_spec(run, progress=progress, checkpoint=checkpoint_path)
     return {
         "ipc": r.ipc,
         "switches": r.scheduler.get("switches", 0),
@@ -234,9 +221,10 @@ class ExecutorConfig:
         restart_backoff_s / backoff_factor: exponential delay before retries.
         poll_interval_s: supervisor wake-up period.
         checkpoint_dir: directory for per-cell mid-run snapshots of
-            service cells; retries resume from the latest snapshot instead
-            of recomputing finished quanta. Grid batches take none. None
-            disables sub-cell checkpointing.
+            service cells; a retry of the same run resumes from the latest
+            snapshot instead of recomputing finished quanta (a retry that
+            stripped worker faults is another run and starts fresh). Grid
+            batches take none. None disables sub-cell checkpointing.
     """
 
     workers: int = 2
@@ -405,9 +393,9 @@ class SupervisedExecutor:
         worker that finished an item since the last pump when there is
         one, else in a freshly forked worker."""
         spec = item.spec
-        if attempt > 1 and spec.get("fault_plan") is not None:
+        if attempt > 1:
             # A crash/hang fault that killed attempt 1 would kill every
-            # retry too — retries run the fault plan minus its
+            # retry too — retries run their specs' fault plans minus the
             # process-killing members (still deterministic: same seed).
             spec = {**spec, "strip_worker_faults": True}
         task = (item.kind, spec, self._checkpoint_path(item))

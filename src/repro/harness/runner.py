@@ -1,14 +1,24 @@
 """Single-run drivers: one (mix, scheduler) combination → one result.
 
+A run is described one way: a :class:`BatchRunSpec` (a :class:`RunConfig`
+plus the scheduler selection). :func:`run_spec` runs one spec through the
+sequential drivers, :func:`run_batch` runs many through one lockstep
+:class:`~repro.smt.batch.BatchEngine` pass, and :func:`run_key` is the one
+identity of a run: the grid journal's cell key and the checkpoint resume
+guard alike.
+
 Beyond the plain drivers, runs can opt into three robustness features:
 
 * ``progress`` — a callback fired at every quantum boundary with the index
   of the quantum that just finished; the supervised executor uses it as the
   worker heartbeat (a run that stops calling it is hung, not slow);
-* ``checkpoint`` — a :class:`~repro.smt.checkpoint.CheckpointPlan`: the run
-  snapshots its complete simulator state every N quanta, and a later call
-  with the same plan *resumes* from the snapshot, bit-identical to an
-  uninterrupted run (crash recovery at sub-cell granularity);
+* ``checkpoint`` — a snapshot file path: the run snapshots its complete
+  simulator state after every quantum, and a later call with the same path
+  *resumes* from the snapshot, bit-identical to an uninterrupted run (crash
+  recovery at sub-cell granularity). A snapshot resumes only the run that
+  wrote it: its :func:`run_key` must match, so a run with a different
+  configuration, scheduler, fault plan, ``instant_dt`` or invariants mode
+  starts from cycle zero instead;
 * ``invariants`` — installs an :class:`~repro.smt.invariants.InvariantChecker`
   outside the hook chain (``"raise"``, ``"watchdog"`` or ``"record"`` mode).
 
@@ -21,19 +31,18 @@ from __future__ import annotations
 
 import logging
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro import build_processor
-from repro.core.adts import ADTSController, WatchdogConfig
+from repro.core.adts import ADTSController
 from repro.core.thresholds import ThresholdConfig
 from repro.faults import FaultInjector, FaultPlan
 from repro.harness.errors import ConfigError, StorageError
 from repro.policies.registry import POLICY_NAMES
 from repro.smt.checkpoint import (
     CheckpointError,
-    CheckpointPlan,
     discard_checkpoint,
     load_checkpoint,
     save_checkpoint,
@@ -100,7 +109,12 @@ class RunConfig:
 
 @dataclass
 class RunResult:
-    """Outcome of one run (post-warmup window)."""
+    """Outcome of one run (post-warmup window).
+
+    ``fingerprint`` is the machine's :meth:`~repro.smt.pipeline.SMTProcessor.
+    fingerprint` at the end of the run, so two results that compare equal
+    ran the same machine trajectory, not just the same window totals.
+    """
 
     config: RunConfig
     ipc: float
@@ -108,29 +122,70 @@ class RunResult:
     cycles: int
     quantum_ipcs: List[float] = field(default_factory=list)
     scheduler: Dict = field(default_factory=dict)
+    fingerprint: str = ""
 
     @property
     def mean_quantum_ipc(self) -> float:
         return sum(self.quantum_ipcs) / len(self.quantum_ipcs) if self.quantum_ipcs else 0.0
 
 
-def _run_key(cfg: RunConfig, mode: str, scheduler: str, ipc_threshold: Optional[float]) -> str:
-    """Canonical identity of one run — the guard against resuming a cell
-    from some other run's checkpoint."""
+@dataclass(frozen=True)
+class BatchRunSpec:
+    """One run: a :class:`RunConfig` plus the scheduler selection.
+
+    The one description of a run below the service: the sequential drivers
+    (:func:`run_spec`), the lockstep batch engine (:func:`run_batch`), grid
+    cells, the service's ``service_cell`` task and :func:`run_key` all take
+    it. ``mode`` is ``"adts"`` (``heuristic`` and ``thresholds`` select the
+    controller; the run boots on ICOUNT) or ``"fixed"`` (``config.policy``
+    runs unattended).
+    """
+
+    config: RunConfig
+    mode: str = "adts"
+    heuristic: str = "type3"
+    thresholds: Optional[ThresholdConfig] = None
+    fault_plan: Optional[FaultPlan] = None
+
+    def __post_init__(self) -> None:
+        if self.mode not in ("adts", "fixed"):
+            raise ConfigError("mode", self.mode, "'adts' or 'fixed'")
+
+    def without_worker_faults(self) -> "BatchRunSpec":
+        """This spec minus its plan's process-killing faults (what a
+        supervised retry runs)."""
+        if self.fault_plan is None:
+            return self
+        return replace(self, fault_plan=self.fault_plan.without_worker_faults())
+
+
+def run_key(
+    spec: BatchRunSpec,
+    instant_dt: bool = False,
+    invariants: Optional[str] = None,
+) -> str:
+    """The one identity of a run: the grid journal's cell key and the key a
+    checkpoint must carry to be resumed.
+
+    Covers every :class:`RunConfig` field (``machine`` included), the mode
+    and its scheduler (the heuristic and every :class:`ThresholdConfig`
+    field for ADTS), ``instant_dt`` and the ``invariants`` mode. The fault
+    plan is included only when a result-affecting (non-disk) family is on:
+    disk faults never change a result, so a disk-chaos run shares its key
+    (and a grid its journal) with the fault-free run.
+    """
     from repro.harness.journal import RunJournal
 
-    return RunJournal.cell_key(
-        kind="run",
-        mode=mode,
-        scheduler=scheduler,
-        ipc_threshold=ipc_threshold,
-        mix=cfg.mix,
-        seed=cfg.seed,
-        num_threads=cfg.num_threads,
-        quantum_cycles=cfg.quantum_cycles,
-        quanta=cfg.quanta,
-        warmup_quanta=cfg.warmup_quanta,
-    )
+    cfg = spec.config
+    key = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
+    key.update(mode=spec.mode, instant_dt=instant_dt, invariants=invariants)
+    if spec.mode == "adts":
+        key["heuristic"] = spec.heuristic
+        key["thresholds"] = asdict(spec.thresholds or ThresholdConfig())
+    plan = spec.fault_plan
+    if plan is not None and plan.any_scheduler_enabled:
+        key["faults"] = repr(plan)
+    return RunJournal.cell_key(**key)
 
 
 def _measure(
@@ -138,10 +193,10 @@ def _measure(
     cfg: RunConfig,
     scheduler_summary: Dict,
     progress: Optional[ProgressFn] = None,
-    checkpoint: Optional[CheckpointPlan] = None,
+    checkpoint: Optional[Union[str, Path]] = None,
     controller=None,
     injector=None,
-    run_key: Optional[str] = None,
+    key: Optional[str] = None,
 ) -> RunResult:
     """Advance ``proc`` to ``cfg.total_quanta()`` quanta and window the stats.
 
@@ -159,11 +214,11 @@ def _measure(
             done = proc.quantum_index
             if progress is not None:
                 progress(done)
-            if checkpoint is not None and done < total and checkpoint.due(done):
+            if checkpoint is not None and done < total:
                 try:
                     save_checkpoint(
-                        checkpoint.path, proc, controller, injector,
-                        meta={"run_key": run_key, "fingerprint": proc.fingerprint()},
+                        checkpoint, proc, controller, injector,
+                        meta={"run_key": key, "fingerprint": proc.fingerprint()},
                     )
                 except StorageError as exc:
                     # A checkpoint is an optimization: losing one costs a
@@ -174,8 +229,8 @@ def _measure(
                         "checkpoint write failed at quantum %d (%s); "
                         "continuing without a snapshot", done, exc,
                     )
-        if checkpoint is not None and not checkpoint.keep_on_success:
-            discard_checkpoint(checkpoint.path)
+        if checkpoint is not None:
+            discard_checkpoint(checkpoint)  # a finished run needs no resume point
     window = proc.stats.quantum_history[cfg.warmup_quanta : total]
     committed = sum(q.committed for q in window)
     cycles = sum(q.cycles for q in window)
@@ -186,6 +241,7 @@ def _measure(
         cycles=cycles,
         quantum_ipcs=[q.ipc for q in window],
         scheduler=scheduler_summary,
+        fingerprint=proc.fingerprint(),
     )
 
 
@@ -233,51 +289,47 @@ def _maybe_check(hook, invariants: Optional[str]):
     return checker, checker
 
 
-def _try_resume(checkpoint: Optional[CheckpointPlan], run_key: str):
-    """Load the plan's snapshot if one exists; None means start fresh.
+def _try_resume(checkpoint: Optional[Union[str, Path]], key: str):
+    """Load the snapshot at ``checkpoint`` if one exists and was written by
+    the run ``key`` names; None means start fresh.
 
     A snapshot that fails validation is not fatal: ``load_checkpoint`` has
     already quarantined the damaged file, and starting from cycle zero is
     always correct (just slower) — raising here would burn a supervised
-    retry on every attempt against the same bad bytes.
+    retry on every attempt against the same bad bytes. A snapshot of
+    another run is intact, so it is not quarantined: this run ignores it
+    and its own snapshots replace it.
     """
-    if checkpoint is None or not Path(checkpoint.path).exists():
+    if checkpoint is None or not Path(checkpoint).exists():
         return None
     try:
-        return load_checkpoint(checkpoint.path, expect_meta={"run_key": run_key})
+        return load_checkpoint(checkpoint, expect_meta={"run_key": key})
     except CheckpointError as exc:
         log.warning("ignoring unusable checkpoint (%s); starting fresh", exc)
         return None
 
 
 def _run(
-    cfg: RunConfig,
-    scheduler: str,
-    ipc_threshold: Optional[float],
+    spec: BatchRunSpec,
     new_controller: Optional[Callable[[], ADTSController]],
-    fault_plan: Optional[FaultPlan],
+    instant_dt: bool,
     progress: Optional[ProgressFn],
-    checkpoint: Optional[CheckpointPlan],
+    checkpoint: Optional[Union[str, Path]],
     invariants: Optional[str],
 ) -> RunResult:
     """The body of ``run_fixed`` and ``run_adts``: build (or resume) the
     machine, measure it and summarize the hook chain. ``new_controller``
-    builds the ADTS controller; None runs ``cfg.policy`` unattended."""
-    mode = "fixed" if new_controller is None else "adts"
-    with _maybe_faultfs(fault_plan) as ffs:
-        run_key = _run_key(cfg, mode, scheduler, ipc_threshold)
-        snap = _try_resume(checkpoint, run_key)
+    builds the ADTS controller; None runs ``spec.config.policy``
+    unattended."""
+    cfg, plan = spec.config, spec.fault_plan
+    with _maybe_faultfs(plan) as ffs:
+        key = run_key(spec, instant_dt, invariants)
+        snap = _try_resume(checkpoint, key)
         if snap is not None:
             proc, controller, injector = snap.processor, snap.controller, snap.injector
-            if injector is not None and fault_plan is not None:
-                # An explicit plan overrides the snapshotted one. Zero-rate
-                # families draw nothing from the RNG, so a supervised retry
-                # can strip process-killing faults without desyncing the
-                # stream.
-                injector.plan = fault_plan
         else:
             controller = new_controller() if new_controller is not None else None
-            hook, injector = _maybe_inject(controller, fault_plan)
+            hook, injector = _maybe_inject(controller, plan)
             hook, _ = _maybe_check(hook, invariants)
             proc = build_processor(
                 mix=cfg.mix,
@@ -285,16 +337,19 @@ def _run(
                 seed=cfg.seed,
                 config=cfg.machine,
                 # ADTS starts on its initial/default policy (§4.3.3).
-                policy="icount" if mode == "adts" else cfg.policy,
+                policy="icount" if spec.mode == "adts" else cfg.policy,
                 hook=hook,
                 quantum_cycles=cfg.quantum_cycles,
             )
         checker = proc.hook if isinstance(proc.hook, InvariantChecker) else None
-        label = "heuristic" if mode == "adts" else "policy"
+        if spec.mode == "adts":
+            summary = {"mode": "adts", "heuristic": spec.heuristic}
+        else:
+            summary = {"mode": "fixed", "policy": cfg.policy}
         result = _measure(
-            proc, cfg, {"mode": mode, label: scheduler},
+            proc, cfg, summary,
             progress=progress, checkpoint=checkpoint,
-            controller=controller, injector=injector, run_key=run_key,
+            controller=controller, injector=injector, key=key,
         )
         if controller is not None:
             result.scheduler.update(controller.summary())
@@ -313,12 +368,12 @@ def run_fixed(
     cfg: RunConfig,
     fault_plan: Optional[FaultPlan] = None,
     progress: Optional[ProgressFn] = None,
-    checkpoint: Optional[CheckpointPlan] = None,
+    checkpoint: Optional[Union[str, Path]] = None,
     invariants: Optional[str] = None,
 ) -> RunResult:
     """Run under the fixed fetch policy named in ``cfg.policy``."""
-    return _run(cfg, cfg.policy, None, None,
-                fault_plan, progress, checkpoint, invariants)
+    spec = BatchRunSpec(config=cfg, mode="fixed", fault_plan=fault_plan)
+    return _run(spec, None, False, progress, checkpoint, invariants)
 
 
 def run_adts(
@@ -327,87 +382,67 @@ def run_adts(
     thresholds: Optional[ThresholdConfig] = None,
     instant_dt: bool = False,
     fault_plan: Optional[FaultPlan] = None,
-    watchdog: Optional[WatchdogConfig] = None,
     progress: Optional[ProgressFn] = None,
-    checkpoint: Optional[CheckpointPlan] = None,
+    checkpoint: Optional[Union[str, Path]] = None,
     invariants: Optional[str] = None,
 ) -> RunResult:
     """Run under ADTS with the given heuristic and thresholds.
 
     ``fault_plan`` (optional) interposes a seeded
     :class:`~repro.faults.FaultInjector` between the pipeline and the
-    controller; ``watchdog`` overrides the controller's fallback knobs.
-    With a ``checkpoint`` plan whose snapshot file exists, the run resumes
-    from it and the heuristic / threshold / fault arguments are taken from
-    the restored state; a snapshot that is damaged or carries a different
-    run identity is quarantined/ignored and the run starts fresh (always
-    correct, merely slower).
+    controller. With a ``checkpoint`` path whose snapshot was written by
+    this same run (same :func:`run_key`), the run resumes from it; a
+    snapshot that is damaged or belongs to another run is
+    quarantined/ignored and the run starts fresh (always correct, merely
+    slower).
     """
     th = thresholds or ThresholdConfig()
+    spec = BatchRunSpec(config=cfg, mode="adts", heuristic=heuristic,
+                        thresholds=th, fault_plan=fault_plan)
 
     def new_controller() -> ADTSController:
-        return ADTSController(
-            heuristic=heuristic, thresholds=th, instant_dt=instant_dt,
-            watchdog=watchdog,
-        )
+        return ADTSController(heuristic=heuristic, thresholds=th, instant_dt=instant_dt)
 
-    return _run(cfg, heuristic, th.ipc_threshold, new_controller,
-                fault_plan, progress, checkpoint, invariants)
+    return _run(spec, new_controller, instant_dt, progress, checkpoint, invariants)
 
 
-@dataclass(frozen=True)
-class BatchRunSpec:
-    """One cell of a batched run: a :class:`RunConfig` plus the scheduler
-    selection ``run_adts``/``run_fixed`` would take as arguments."""
-
-    config: RunConfig
-    mode: str = "adts"
-    heuristic: str = "type3"
-    thresholds: Optional[ThresholdConfig] = None
-    fault_plan: Optional[FaultPlan] = None
+def run_spec(
+    spec: BatchRunSpec,
+    progress: Optional[ProgressFn] = None,
+    checkpoint: Optional[Union[str, Path]] = None,
+) -> RunResult:
+    """Run one spec sequentially: :func:`run_adts` or :func:`run_fixed` by
+    ``spec.mode``, looked up as module globals at call time."""
+    cfg = spec.config
+    if spec.mode == "adts":
+        return run_adts(cfg, heuristic=spec.heuristic, thresholds=spec.thresholds,
+                        fault_plan=spec.fault_plan, progress=progress,
+                        checkpoint=checkpoint)
+    return run_fixed(cfg, fault_plan=spec.fault_plan, progress=progress,
+                     checkpoint=checkpoint)
 
 
 def run_batch(
     specs: Sequence[BatchRunSpec],
     progress: Optional[ProgressFn] = None,
 ) -> List[RunResult]:
-    """Run many cells through one lockstep :class:`~repro.smt.batch.BatchEngine`
+    """Run many specs through one lockstep :class:`~repro.smt.batch.BatchEngine`
     pass, sharing trace streams and (where trajectories coincide) whole
-    machine steps across cells.
+    machine steps across runs.
 
-    Each result is bit-identical to the corresponding sequential
-    ``run_adts``/``run_fixed`` call: the engine forks shared machines the
-    moment cells diverge, so sharing is a pure performance transform.
-    Cells whose plan carries scheduler faults run solo (their own injector,
-    no cross-cell bleed) but still share trace streams. Disk-fault
-    families are scoped once around the whole pass — they never change
-    payloads, so the wider scope is observationally identical to the
-    sequential per-run session.
+    Each result equals the corresponding :func:`run_spec` result,
+    fingerprint included: the engine forks shared machines the moment runs
+    diverge, so sharing is a pure performance transform. Runs whose plan
+    carries scheduler faults run solo (their own injector, no cross-run
+    bleed) but still share trace streams. Disk-fault families are scoped
+    once around the whole pass — they never change payloads, so the wider
+    scope is observationally identical to the sequential per-run session.
 
     ``progress`` is called after every lockstep round (the batch analogue
     of the per-quantum heartbeat).
     """
-    from repro.smt.batch import BatchCell, BatchEngine
+    from repro.smt.batch import BatchEngine
 
-    cells = []
-    for spec in specs:
-        cfg = spec.config
-        cells.append(
-            BatchCell(
-                mix=cfg.mix,
-                num_threads=cfg.num_threads,
-                seed=cfg.seed,
-                quantum_cycles=cfg.quantum_cycles,
-                quanta=cfg.quanta,
-                warmup_quanta=cfg.warmup_quanta,
-                mode=spec.mode,
-                policy=cfg.policy,
-                heuristic=spec.heuristic,
-                thresholds=spec.thresholds,
-                machine=cfg.machine,
-                fault_plan=spec.fault_plan,
-            )
-        )
     disk_plan = next(
         (
             s.fault_plan for s in specs
@@ -416,19 +451,9 @@ def run_batch(
         None,
     )
     with _maybe_faultfs(disk_plan):
-        results = BatchEngine(cells).run(progress=progress)
+        results = BatchEngine(specs).run(progress=progress)
         flush_trace_cache()
-    return [
-        RunResult(
-            config=spec.config,
-            ipc=r.ipc,
-            committed=r.committed,
-            cycles=r.cycles,
-            quantum_ipcs=r.quantum_ipcs,
-            scheduler=r.scheduler,
-        )
-        for spec, r in zip(specs, results)
-    ]
+    return results
 
 
 def run_mix_average(

@@ -7,7 +7,10 @@ One grid run produces everything both figures plot — per-cell mean IPC
 A grid is many schedulers run over one workload, so its cells run one
 way only: in per-mix lockstep batches through
 :func:`~repro.harness.runner.run_batch`, inline or as supervised
-``grid_batch`` items.
+``grid_batch`` items. Each cell is a
+:class:`~repro.harness.runner.BatchRunSpec`, journaled under its
+:func:`~repro.harness.runner.run_key` — the same key the checkpoint resume
+guard uses.
 """
 
 from __future__ import annotations
@@ -20,11 +23,11 @@ from repro.core.thresholds import ThresholdConfig
 from repro.faults import FaultPlan
 from repro.harness.errors import ConfigError
 from repro.harness.journal import RunJournal
-from repro.harness.runner import BatchRunSpec, ProgressFn, RunConfig, run_batch
+from repro.harness.runner import BatchRunSpec, ProgressFn, RunConfig, run_batch, run_key
 
 Cell = Tuple[float, str]  # (ipc_threshold, heuristic)
-#: One grid cell still to simulate: (ipc_threshold, heuristic, mix, journal key).
-PendingCell = Tuple[float, str, str, str]
+#: One grid cell still to simulate: (journal key, run spec).
+PendingCell = Tuple[str, BatchRunSpec]
 
 
 @dataclass
@@ -79,40 +82,8 @@ class SweepResult:
         return min(self.ipc, key=lambda cell: (-self.ipc[cell], cell[0], cell[1]))
 
 
-def _cell_key(
-    base: RunConfig, m: float, h: str, mix: str,
-    fault_plan: Optional[FaultPlan] = None,
-) -> str:
-    """Journal key identifying one grid cell *and* the run parameters that
-    determine its result — a resumed sweep with different parameters must
-    not silently reuse stale cells.
-
-    A ``faults`` field is included only when the plan carries
-    *result-affecting* (scheduler) faults: disk faults never change cell
-    payloads (artifacts are recovered or regenerated), so a disk-chaos
-    sweep shares keys — and therefore journals and aggregates — with a
-    fault-free one.
-    """
-    fields = dict(
-        kind="grid",
-        threshold=m,
-        heuristic=h,
-        mix=mix,
-        seed=base.seed,
-        num_threads=base.num_threads,
-        quantum_cycles=base.quantum_cycles,
-        quanta=base.quanta,
-        warmup_quanta=base.warmup_quanta,
-    )
-    if fault_plan is not None and fault_plan.any_scheduler_enabled:
-        fields["faults"] = repr(fault_plan)
-    return RunJournal.cell_key(**fields)
-
-
 def run_cells(
-    base: RunConfig,
     cells: Sequence[PendingCell],
-    fault_plan: Optional[FaultPlan] = None,
     progress: Optional[ProgressFn] = None,
 ) -> Dict[str, Dict]:
     """Simulate ``cells`` in one lockstep :func:`run_batch` pass and map
@@ -121,31 +92,20 @@ def run_cells(
     This is the only place a grid cell is simulated: inline batches call it
     directly and supervised ``grid_batch`` workers call it in the child.
     """
-    specs = [
-        BatchRunSpec(
-            config=replace(base, mix=mix),
-            heuristic=h,
-            thresholds=ThresholdConfig(ipc_threshold=m),
-            fault_plan=fault_plan,
-        )
-        for (m, h, mix, _key) in cells
-    ]
-    results = run_batch(specs, progress=progress)
+    results = run_batch([spec for _key, spec in cells], progress=progress)
     return {
         key: {
             "ipc": r.ipc,
             "switches": r.scheduler.get("switches", 0),
             "benign_probability": r.scheduler.get("benign_probability", 0.0),
         }
-        for (_m, _h, _mix, key), r in zip(cells, results)
+        for (key, _spec), r in zip(cells, results)
     }
 
 
 def _supervised_waves(
-    base: RunConfig,
     chunks: List[List[PendingCell]],
     executor: "SupervisedExecutor",
-    fault_plan: Optional[FaultPlan],
 ) -> Iterator[Dict[str, Dict]]:
     """Run each chunk as one ``grid_batch`` item, ``workers`` items per
     :meth:`~repro.harness.executor.SupervisedExecutor.run` call, yielding
@@ -154,11 +114,7 @@ def _supervised_waves(
     from repro.harness.executor import WorkItem
 
     items = [
-        WorkItem(
-            label=f"grid-batch[{i}]",
-            kind="grid_batch",
-            spec={"config": base, "cells": chunk, "fault_plan": fault_plan},
-        )
+        WorkItem(label=f"grid-batch[{i}]", kind="grid_batch", spec={"cells": chunk})
         for i, chunk in enumerate(chunks)
     ]
     wave = executor.config.workers
@@ -194,8 +150,9 @@ def threshold_type_grid(
     With a ``journal``, every finished cell is durably appended and any
     already-journaled cell is served from it instead of re-running — a
     killed sweep resumes from its last finished batch (load the journal
-    before calling). Journal keys are per cell, so a sweep journaled at
-    one batch size resumes at any other.
+    before calling). Journal keys are per cell (each cell's
+    :func:`~repro.harness.runner.run_key`), so a sweep journaled at one
+    batch size resumes at any other.
 
     With an ``executor``
     (:class:`~repro.harness.executor.SupervisedExecutor`), each batch is
@@ -216,24 +173,32 @@ def threshold_type_grid(
         thresholds=list(thresholds), heuristics=list(heuristics), mixes=list(mixes)
     )
     payloads: Dict[str, Dict] = {}
+    keys: Dict[Tuple[float, str, str], str] = {}
     pending: List[PendingCell] = []
     for mix in mixes:
         for m in thresholds:
             for h in heuristics:
-                key = _cell_key(base, m, h, mix, fault_plan)
+                spec = BatchRunSpec(
+                    config=replace(base, mix=mix),
+                    heuristic=h,
+                    thresholds=ThresholdConfig(ipc_threshold=m),
+                    fault_plan=fault_plan,
+                )
+                key = keys[(m, h, mix)] = run_key(spec)
                 served = journal.get(key) if journal is not None else None
                 if served is not None:
                     payloads[key] = served
                 else:
-                    pending.append((m, h, mix, key))
+                    pending.append((key, spec))
     if batch is None:
-        chunks = [list(cells) for _mix, cells in groupby(pending, key=lambda c: c[2])]
+        chunks = [list(cells) for _mix, cells in
+                  groupby(pending, key=lambda c: c[1].config.mix)]
     else:
         chunks = [pending[i:i + batch] for i in range(0, len(pending), batch)]
     if executor is not None:
-        finished = _supervised_waves(base, chunks, executor, fault_plan)
+        finished = _supervised_waves(chunks, executor)
     else:
-        finished = (run_cells(base, chunk, fault_plan) for chunk in chunks)
+        finished = (run_cells(chunk) for chunk in chunks)
     for chunk_payloads in finished:
         for key, payload in chunk_payloads.items():
             payloads[key] = payload
@@ -245,7 +210,7 @@ def threshold_type_grid(
             total_switches = 0
             benign_weighted = 0.0
             for mix in mixes:
-                payload = payloads[_cell_key(base, m, h, mix, fault_plan)]
+                payload = payloads[keys[(m, h, mix)]]
                 ipcs.append(payload["ipc"])
                 result.per_mix_ipc[(m, h, mix)] = payload["ipc"]
                 n = payload["switches"]

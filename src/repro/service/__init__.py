@@ -28,7 +28,6 @@ from repro.service.breaker import (
 from repro.service.autoscale import (
     Autoscaler,
     AutoscalerConfig,
-    AutoscalingPool,
     ScaleEvent,
 )
 from repro.service.loadgen import (
@@ -80,7 +79,6 @@ __all__ = [
     "AdmissionQueue",
     "Autoscaler",
     "AutoscalerConfig",
-    "AutoscalingPool",
     "BurstSpec",
     "CircuitBreaker",
     "DeadLetterQueue",

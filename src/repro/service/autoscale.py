@@ -7,25 +7,24 @@ pressure signals are the ones the service already measures — admission
 queue depth, deadline-miss (shed) rate over a sliding window, and the
 circuit breaker's state.
 
-Two pieces:
+:class:`Autoscaler` is the pure decision state machine. Fed one
+observation per service pump (``observe``), it maintains a sliding
+window, up/down pressure streaks (hysteresis: a single spike never
+scales, only *sustained* pressure does), a cooldown between scale
+events, and hard min/max bounds. It is clock-agnostic — ``now`` comes in
+with each observation — so it is exactly as deterministic as its input
+stream, which is what lets chaos-day campaigns under a virtual clock
+reproduce their scale-event telemetry byte for byte.
 
-* :class:`Autoscaler` — the pure decision state machine. Fed one
-  observation per service pump (``observe``), it maintains a sliding
-  window, up/down pressure streaks (hysteresis: a single spike never
-  scales, only *sustained* pressure does), a cooldown between scale
-  events, and hard min/max bounds. It is clock-agnostic — ``now`` comes
-  in with each observation — so it is exactly as deterministic as its
-  input stream, which is what lets chaos-day campaigns under a virtual
-  clock reproduce their scale-event telemetry byte for byte.
-
-* :class:`AutoscalingPool` — the actuator: wraps a
-  :class:`~repro.harness.executor.SupervisedExecutor` with the same
-  streaming API the service already speaks, translating the scaler's
-  target into the executor's ``soft_cap``. **Scale-down never kills a
-  worker**: lowering the cap only stops new spawns; in-flight attempts
-  run to completion (or to the drain deadline, where the existing
-  checkpoint/kill machinery applies). A scale-down therefore cannot
-  strand an admitted request — the drain contract survives autoscaling.
+Actuation is one assignment, made by the service shard
+(:class:`~repro.service.service.SimulationService`) at construction and
+after every ``observe``: the scaler's target becomes the
+:class:`~repro.harness.executor.SupervisedExecutor`'s ``soft_cap``.
+**Scale-down never kills a worker**: lowering the cap only stops new
+spawns; in-flight attempts run to completion (or to the drain deadline,
+where the existing checkpoint/kill machinery applies). A scale-down
+therefore cannot strand an admitted request — the drain contract
+survives autoscaling.
 
 With ``workers=0`` (inline full tier) there is no pool to actuate; the
 service instead uses the scaler's target as its per-pump dispatch budget,
@@ -232,35 +231,3 @@ class Autoscaler:
             "miss_rate_window": round(self.miss_rate(), 6),
             "events": [e.to_dict() for e in self.events],
         }
-
-
-class AutoscalingPool:
-    """A :class:`~repro.harness.executor.SupervisedExecutor` whose
-    concurrency follows an :class:`Autoscaler` target.
-
-    Speaks the executor's streaming API (``has_capacity`` /
-    ``spawn_attempt`` / ``pump`` / ``shutdown`` / ``live_workers``) by
-    delegation, so a service shard
-    (:class:`~repro.service.service.SimulationService`) uses it as a
-    drop-in pool. ``sync()`` pushes the current target into the
-    executor's ``soft_cap`` — the only actuation there is. Nothing is
-    ever killed on scale-down; the cap only gates *new* spawns.
-    """
-
-    def __init__(self, executor, scaler: Autoscaler) -> None:
-        self.executor = executor
-        self.scaler = scaler
-        self.sync()
-
-    def sync(self) -> None:
-        """Apply the scaler's current target as the pool's soft cap."""
-        self.executor.soft_cap = self.scaler.target
-
-    def has_capacity(self) -> bool:
-        """Whether a new attempt may spawn under the current soft cap."""
-        return self.executor.has_capacity()
-
-    def __getattr__(self, name: str):
-        # Everything else (spawn_attempt, pump, shutdown, live_workers,
-        # failures, active, _checkpoint_path, ...) is the executor's.
-        return getattr(self.executor, name)

@@ -25,7 +25,7 @@ from repro.harness.errors import (
     OUTCOME_KINDS,
     ConfigError,
 )
-from repro.harness.runner import RunConfig
+from repro.harness.runner import BatchRunSpec, RunConfig
 
 #: Service tiers a response can name.
 TIER_FULL = "full"  # detailed cycle-level engine
@@ -79,24 +79,38 @@ class SimRequest:
             policy=self.policy,
         )
 
+    def run_spec(self) -> BatchRunSpec:
+        """The full tier's run: the detailed-engine configuration plus the
+        scheduler and fault plan (validates; may raise
+        :class:`~repro.harness.errors.ConfigError`)."""
+        config = self.run_config()
+        plan = None
+        if self.fault_kinds:
+            plan = FaultPlan.from_kinds(
+                list(self.fault_kinds), rate=self.fault_rate, seed=self.seed
+            )
+        return BatchRunSpec(
+            config=config,
+            mode=self.mode,
+            heuristic=self.heuristic,
+            thresholds=ThresholdConfig(ipc_threshold=self.threshold),
+            fault_plan=plan,
+        )
+
     def validate(self) -> None:
         """Check every field the full and fast tiers read, so a malformed
         request is refused at admission instead of failing a worker.
 
         The code that owns each rule checks it: the run configuration, the
-        heuristic registry, and the threshold and fault-plan constructors.
-        Raises ``ValueError`` (a :class:`~repro.harness.errors.ConfigError`
-        naming the field, where the rule is checked here) or ``TypeError``
-        for a value of the wrong type.
+        run spec's mode, the threshold and fault-plan constructors (all
+        through :meth:`run_spec`) and the heuristic registry. Raises
+        ``ValueError`` (a :class:`~repro.harness.errors.ConfigError` naming
+        the field, where the rule is checked here) or ``TypeError`` for a
+        value of the wrong type.
         """
-        self.run_config()
-        if self.mode not in ("adts", "fixed"):
-            raise ConfigError("mode", self.mode, "'adts' or 'fixed'")
+        self.run_spec()
         if self.heuristic not in HEURISTICS:
             raise ConfigError("heuristic", self.heuristic, f"one of {sorted(HEURISTICS)}")
-        ThresholdConfig(ipc_threshold=self.threshold)
-        if self.fault_kinds:
-            FaultPlan.from_kinds(self.fault_kinds, rate=self.fault_rate, seed=self.seed)
 
     @classmethod
     def from_json(cls, payload: dict) -> "SimRequest":

@@ -65,7 +65,7 @@ import random
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Union
+from typing import Callable, Dict, List, Optional, Set, Union
 
 from repro.harness.errors import (
     FAILURE_KINDS,
@@ -187,6 +187,8 @@ class ShardedService:
         self.counters: Dict[str, int] = {n: 0 for n in FRONT_COUNTER_NAMES}
         self._groups: Dict[str, _Group] = {}
         self._leader_rid: Dict[str, str] = {}  # leader request_id -> digest
+        #: request_ids of leaders and coalesced waiters, until answered.
+        self._owed: Set[str] = set()
         self._completed: List[SimResponse] = []
         self._accepting = True
         self._draining = False
@@ -296,6 +298,12 @@ class ShardedService:
         self.counters["submitted"] += 1
         if not self._accepting:
             return self._refuse(request, "draining")
+        rid = request.request_id
+        if rid in self._owed or (self.verifier is not None and self.verifier.owns(rid)):
+            # Live work is keyed by request_id (leaders, shard queues,
+            # checkpoints, probes): a second live request under one id
+            # would take over the first one's answer.
+            return self._refuse(request, "duplicate-request-id")
         try:
             request.validate()
         except (TypeError, ValueError) as exc:
@@ -334,6 +342,7 @@ class ShardedService:
             # front door, not the shards, so the rung is applied here.
             shard = self.shards[shard_of(digest, len(self.shards))]
             return self._respond(shard.serve_degraded(request, "drift-guard"))
+        self._owed.add(rid)
         group = self._groups.get(digest)
         if group is not None:
             self.counters["coalesced_waiters"] += 1
@@ -677,21 +686,26 @@ class ShardedService:
 
     # -- response plumbing ---------------------------------------------------
     def _respond(self, response: SimResponse) -> SimResponse:
+        """Answer a client; the answer frees its request_id."""
         self.counters["answered"] += 1
+        self._owed.discard(response.request_id)
         self._completed.append(response)
         return response
 
     def _refuse(self, request: SimRequest, reason: str) -> SimResponse:
+        """Refuse a submit. A refused request was never owed an answer, and
+        a duplicate's id still belongs to the original, so no id is freed."""
         self.counters["rejected"] += 1
-        return self._respond(
-            SimResponse(
-                request_id=request.request_id,
-                client=request.client,
-                outcome="rejected",
-                tier=TIER_NONE,
-                reason=reason,
-            )
+        self.counters["answered"] += 1
+        response = SimResponse(
+            request_id=request.request_id,
+            client=request.client,
+            outcome="rejected",
+            tier=TIER_NONE,
+            reason=reason,
         )
+        self._completed.append(response)
+        return response
 
     def take_completed(self) -> List[SimResponse]:
         """Drain and return responses produced since the last call."""

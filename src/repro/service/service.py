@@ -63,7 +63,7 @@ from repro.harness.errors import (
     OUTCOME_SHED,
 )
 from repro.service.admission import AdmissionQueue
-from repro.service.autoscale import Autoscaler, AutoscalerConfig, AutoscalingPool
+from repro.service.autoscale import Autoscaler, AutoscalerConfig
 from repro.service.breaker import STATE_OPEN, CircuitBreaker
 from repro.service.request import (
     QueueEntry,
@@ -162,26 +162,6 @@ def _default_fast_runner(request: SimRequest) -> dict:
     )
 
 
-def _request_fault_plan(request: SimRequest) -> Optional[FaultPlan]:
-    if not request.fault_kinds:
-        return None
-    return FaultPlan.from_kinds(
-        list(request.fault_kinds), rate=request.fault_rate, seed=request.seed
-    )
-
-
-def _service_cell_spec(request: SimRequest, strip_worker_faults: bool) -> dict:
-    """The ``service_cell`` task spec that runs ``request``'s full tier."""
-    return {
-        "config": request.run_config(),
-        "mode": request.mode,
-        "heuristic": request.heuristic,
-        "threshold": request.threshold,
-        "fault_plan": _request_fault_plan(request),
-        "strip_worker_faults": strip_worker_faults,
-    }
-
-
 def _default_full_runner(request: SimRequest) -> dict:
     """Inline full tier (``workers=0``): the ``service_cell`` task, in-process.
 
@@ -191,7 +171,7 @@ def _default_full_runner(request: SimRequest) -> dict:
     """
     from repro.harness.executor import _service_cell_payload
 
-    spec = _service_cell_spec(request, strip_worker_faults=True)
+    spec = {"run": request.run_spec(), "strip_worker_faults": True}
     return _service_cell_payload(spec, None, None)
 
 
@@ -253,7 +233,9 @@ class SimulationService:
                 )
             )
             if self.autoscaler is not None:
-                self.executor = AutoscalingPool(self.executor, self.autoscaler)
+                # Scale-down never kills a worker: the soft cap only stops
+                # new spawns, so in-flight attempts always finish.
+                self.executor.soft_cap = self.autoscaler.target
         self._full_runner = full_runner or _default_full_runner
         self._fast_runner = fast_runner or _default_fast_runner
         self._fault_rng = None
@@ -385,8 +367,8 @@ class SimulationService:
             answered_delta=answered - last_answered,
             breaker_open=self.breaker.state == STATE_OPEN,
         )
-        if isinstance(self.executor, AutoscalingPool):
-            self.executor.sync()
+        if self.executor is not None:
+            self.executor.soft_cap = self.autoscaler.target
 
     def _dispatch_full(self, now: float) -> None:
         dispatched = 0
@@ -429,8 +411,7 @@ class SimulationService:
         from repro.harness.executor import WorkItem
 
         request = entry.request
-        spec = _service_cell_spec(request, strip_worker_faults=entry.attempts > 1)
-        spec["force_crash"] = forced
+        spec = {"run": request.run_spec(), "force_crash": forced}
         if self.config.trace_cache_dir is not None:
             spec["trace_cache_dir"] = str(self.config.trace_cache_dir)
         item = WorkItem(

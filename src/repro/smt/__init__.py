@@ -34,7 +34,6 @@ from repro.smt.pipeline import SMTProcessor
 from repro.smt.stats import SimStats
 from repro.smt.checkpoint import (
     CheckpointError,
-    CheckpointPlan,
     Snapshot,
     discard_checkpoint,
     load_checkpoint,
@@ -45,7 +44,6 @@ from repro.smt.invariants import InvariantChecker, InvariantViolation
 __all__ = [
     "SMTConfig",
     "CheckpointError",
-    "CheckpointPlan",
     "Snapshot",
     "save_checkpoint",
     "load_checkpoint",

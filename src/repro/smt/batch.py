@@ -1,25 +1,31 @@
-"""Lockstep batch engine: simulate many grid cells per pass.
+"""Lockstep batch engine: simulate many runs per pass.
 
-A parameter sweep (threshold × heuristic × mix, ROADMAP item 2) runs tens
-of cells that share one workload: same mix, same seed, same machine
-configuration — only the *scheduler* differs. Run sequentially, every cell
-pays full price for trace generation and cycle stepping even though cells
+A parameter sweep (threshold × heuristic × mix, the Figure 7/8 grid) runs
+tens of runs that share one workload: same mix, same seed, same machine
+configuration — only the *scheduler* differs. Run sequentially, every run
+pays full price for trace generation and cycle stepping even though runs
 frequently take identical trajectories for many quanta (a threshold that
 never fires leaves every heuristic on ICOUNT; distinct thresholds often
 make the same switch decisions). This module exploits both redundancies
-without changing a single simulated bit:
+without changing a single simulated bit.
+
+The engine speaks the harness's one run description: it takes
+:class:`~repro.harness.runner.BatchRunSpec` objects and returns
+:class:`~repro.harness.runner.RunResult` objects (fingerprint included),
+and it resolves apps and the default machine through the same helper as
+:func:`~repro.build_processor`.
 
 * **Shared trace streams** (:class:`SharedTraceStore`) — the instruction
   stream of a thread is a pure function of ``(generator version, seed,
   slot, app, profile)``, exactly the trace-cache key. The store
-  materializes each stream once into column lists and hands every cell a
-  lightweight cursor (:class:`SharedTrace`), so a 25-cell sweep decodes
+  materializes each stream once into column lists and hands every run a
+  lightweight cursor (:class:`SharedTrace`), so a 25-run sweep decodes
   each trace once instead of 25 times. With a disk trace cache active the
   store aliases the cache's recorded columns, and extending past the
   prefix goes through the cache's own overrun path so flushes still
   persist the longest prefix.
 
-* **Trajectory sharing** (:class:`BatchEngine`) — cells whose start state
+* **Trajectory sharing** (:class:`BatchEngine`) — runs whose start state
   is identical (same apps/seed/machine/quantum grid/initial policy) are
   *grouped* onto one simulated machine. The group steps one quantum at a
   time; at every boundary each member's controller runs against recording
@@ -30,7 +36,7 @@ without changing a single simulated bit:
   **forked**: the machine is pickled (the same mechanism checkpointing
   already relies on) and each divergent partition continues on its own
   clone. Sharing is therefore exact by construction, not approximate: a
-  cell's machine always evolves under precisely the mutations its own
+  run's machine always evolves under precisely the mutations its own
   controller issued.
 
 Lockstep invariants (violations raise :class:`BatchDivergenceError`):
@@ -45,7 +51,7 @@ Lockstep invariants (violations raise :class:`BatchDivergenceError`):
   group shares (clogging reports derive from the shared machine's counter
   snapshots; policy switches carry their target policy in the signature).
 
-On numpy: the per-cell state here (detector queues, controller ledgers)
+On numpy: the per-run state here (detector queues, controller ledgers)
 is scalar and branchy — per the ``util/randpool.py`` precedent, numpy
 pays only for bulk sequential transforms. Trace columns stay plain
 Python lists (they are consumed one scalar at a time by the pipeline, and
@@ -57,16 +63,17 @@ them. See DESIGN.md §15.
 from __future__ import annotations
 
 import pickle
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from repro.smt.config import SMTConfig
 from repro.smt.instruction import Instruction
 from repro.smt.pipeline import SchedulerHook, SMTProcessor
 
+if TYPE_CHECKING:
+    from repro.harness.runner import BatchRunSpec, RunResult
+
 
 class BatchDivergenceError(RuntimeError):
-    """A lockstep invariant broke: grouped cells disagreed mid-quantum.
+    """A lockstep invariant broke: grouped runs disagreed mid-quantum.
 
     This is a bug guard, not an expected runtime condition — divergence is
     only legal at quantum boundaries, where it is handled by forking.
@@ -78,7 +85,7 @@ class BatchDivergenceError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 class _Stream:
-    """One materialized instruction stream, shared by every consumer cell.
+    """One materialized instruction stream, shared by every consumer run.
 
     With a disk trace cache active, ``cols`` *aliases* the cache-attached
     trace's column lists: replayed prefixes are served for free and
@@ -137,7 +144,7 @@ class _Stream:
 
 
 class SharedTrace:
-    """Per-cell cursor over a shared stream (``TraceGenerator`` stand-in).
+    """Per-run cursor over a shared stream (``TraceGenerator`` stand-in).
 
     Exposes the ``tid``/``seq``/``profile`` surface the pipeline and
     fingerprint read. Pickling (machine forks, checkpoints) drops the
@@ -221,60 +228,19 @@ class SharedTraceStore:
 
 
 # ---------------------------------------------------------------------------
-# Cells and results
+# Groups
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BatchCell:
-    """One simulation the batch engine owes a result for.
-
-    The fields mirror :class:`~repro.harness.runner.RunConfig` plus the
-    scheduler selection of ``run_adts``/``run_fixed``; a cell's result is
-    bit-identical to the corresponding sequential run.
-    """
-
-    mix: Union[str, Sequence[str]] = "mix01"
-    num_threads: int = 8
-    seed: int = 0
-    quantum_cycles: int = 2048
-    quanta: int = 32
-    warmup_quanta: int = 4
-    mode: str = "adts"  # "adts" | "fixed"
-    policy: str = "icount"  # fixed-mode policy (ADTS always starts on icount)
-    heuristic: str = "type3"
-    thresholds: Optional[object] = None  # ThresholdConfig; None = defaults
-    machine: Optional[SMTConfig] = None
-    fault_plan: Optional[object] = None  # FaultPlan
-
-    def total_quanta(self) -> int:
-        """Quanta actually simulated (measured window plus warmup)."""
-        return self.quanta + self.warmup_quanta
-
-
-@dataclass
-class BatchCellResult:
-    """Outcome of one cell — field-for-field what the sequential run yields."""
-
-    index: int
-    cell: BatchCell
-    ipc: float
-    committed: int
-    cycles: int
-    quantum_ipcs: List[float] = field(default_factory=list)
-    scheduler: Dict = field(default_factory=dict)
-    fingerprint: str = ""
-
-
 class _Member:
-    """One cell's seat in a group: its controller/injector live here (on the
+    """One run's seat in a group: its controller/injector live here (on the
     member, never on the shared machine), so forking a group never has to
     clone scheduler state — only the machine is pickled."""
 
-    __slots__ = ("index", "cell", "controller", "injector")
+    __slots__ = ("index", "spec", "controller", "injector")
 
-    def __init__(self, index: int, cell: BatchCell, controller, injector=None) -> None:
+    def __init__(self, index: int, spec: "BatchRunSpec", controller, injector=None) -> None:
         self.index = index
-        self.cell = cell
+        self.spec = spec
         self.controller = controller
         self.injector = injector
 
@@ -454,95 +420,88 @@ class _GroupHook(SchedulerHook):
 # The engine
 # ---------------------------------------------------------------------------
 
-def _resolve_apps(cell: BatchCell) -> Tuple[str, ...]:
-    """Mirror ``build_processor``'s mix resolution exactly."""
-    if isinstance(cell.mix, str):
-        from repro.workloads import get_mix
-
-        return tuple(get_mix(cell.mix).subset(cell.num_threads, seed=cell.seed))
-    return tuple(cell.mix)
+def _initial_policy(spec: "BatchRunSpec") -> str:
+    # ADTS always boots on ICOUNT (§4.3.3); fixed runs start on their own policy.
+    return "icount" if spec.mode == "adts" else spec.config.policy
 
 
-def _initial_policy(cell: BatchCell) -> str:
-    # ADTS always boots on ICOUNT (§4.3.3); fixed cells run their own policy.
-    return "icount" if cell.mode == "adts" else cell.policy
-
-
-def _scheduler_faulted(cell: BatchCell) -> bool:
-    plan = cell.fault_plan
+def _scheduler_faulted(spec: "BatchRunSpec") -> bool:
+    plan = spec.fault_plan
     return plan is not None and plan.any_scheduler_enabled
 
 
 class BatchEngine:
-    """Steps N cells through one process, sharing traces and trajectories.
+    """Steps N runs through one process, sharing traces and trajectories.
 
-    Results are bit-identical to running each cell through the sequential
-    drivers (``tests/test_fingerprint_golden.py`` pins this). Cells whose
+    Takes :class:`~repro.harness.runner.BatchRunSpec` objects and returns
+    one :class:`~repro.harness.runner.RunResult` per spec, in input order, each
+    equal to what the sequential drivers return for it, fingerprint
+    included (``tests/test_fingerprint_golden.py`` pins this). Runs whose
     plan carries scheduler faults run as solo groups — their injector sits
     between machine and controller exactly as in a sequential run, so no
-    fault can bleed into (or out of) a grouped cell — but they still share
+    fault can bleed into (or out of) a grouped run — but they still share
     trace streams with the rest of the batch.
     """
 
-    def __init__(self, cells: Sequence[BatchCell],
-                 store: Optional[SharedTraceStore] = None) -> None:
-        self.cells = list(cells)
-        self.store = store if store is not None else SharedTraceStore()
+    def __init__(self, specs: Sequence["BatchRunSpec"]) -> None:
+        self.specs = list(specs)
+        self.store = SharedTraceStore()
         self.telemetry: Dict[str, int] = {
-            "cells": len(self.cells),
+            "cells": len(self.specs),
             "groups_initial": 0,
             "groups_final": 0,
             "forks": 0,
             "quantum_steps": 0,
-            "quantum_steps_sequential": sum(c.total_quanta() for c in self.cells),
+            "quantum_steps_sequential": sum(
+                s.config.total_quanta() for s in self.specs
+            ),
             "trace_streams": 0,
         }
 
     # -- group formation ----------------------------------------------------
     def _form_groups(self) -> List[_Group]:
+        from repro import resolve_machine
+
         buckets: Dict[tuple, List[tuple]] = {}
-        for index, cell in enumerate(self.cells):
-            if cell.mode not in ("adts", "fixed"):
-                raise ValueError(f"unknown cell mode {cell.mode!r}")
-            apps = _resolve_apps(cell)
+        for index, spec in enumerate(self.specs):
+            cfg = spec.config
+            apps, machine = resolve_machine(cfg.mix, cfg.num_threads, cfg.seed, cfg.machine)
             key = (
-                apps, cell.seed, repr(cell.machine), cell.quantum_cycles,
-                cell.total_quanta(), _initial_policy(cell),
+                apps, cfg.seed, repr(machine), cfg.quantum_cycles,
+                cfg.total_quanta(), _initial_policy(spec),
             )
-            if _scheduler_faulted(cell):
+            if _scheduler_faulted(spec):
                 # Faulted machines must never share state: the injector
                 # perturbs the machine itself, not just the controller.
                 key = key + ("solo", index)
-            buckets.setdefault(key, []).append((index, cell, apps))
+            buckets.setdefault(key, []).append((index, spec, apps, machine))
         return [self._build_group(entries) for entries in buckets.values()]
 
     def _build_group(self, entries: List[tuple]) -> _Group:
-        _, cell0, apps = entries[0]
-        cfg = cell0.machine or SMTConfig(num_threads=max(len(apps), 1))
-        if cfg.num_threads < len(apps):
-            raise ValueError("config.num_threads smaller than requested thread count")
+        _, spec0, apps, machine = entries[0]
         members: List[_Member] = []
-        for index, cell, _ in entries:
+        for index, spec, _, _ in entries:
             controller = None
-            if cell.mode == "adts":
+            if spec.mode == "adts":
                 from repro.core.adts import ADTSController
                 from repro.core.thresholds import ThresholdConfig
 
                 controller = ADTSController(
-                    heuristic=cell.heuristic,
-                    thresholds=cell.thresholds or ThresholdConfig(),
+                    heuristic=spec.heuristic,
+                    thresholds=spec.thresholds or ThresholdConfig(),
                 )
-            members.append(_Member(index, cell, controller))
+            members.append(_Member(index, spec, controller))
 
-        solo = _scheduler_faulted(cell0)
-        traces = self.store.make_traces(apps, cell0.seed)
+        solo = _scheduler_faulted(spec0)
+        cfg0 = spec0.config
+        traces = self.store.make_traces(apps, cfg0.seed)
         if solo:
             # Sequential hook chain, verbatim: controller (or nothing)
-            # wrapped by this cell's own seeded injector.
+            # wrapped by this run's own seeded injector.
             from repro.faults import FaultInjector
 
             member = members[0]
-            injector = FaultInjector(cell0.fault_plan, member.controller)
+            injector = FaultInjector(spec0.fault_plan, member.controller)
             member.injector = injector
             machine_hook: Optional[SchedulerHook] = injector
             group_hook = None
@@ -553,24 +512,24 @@ class BatchEngine:
             group_hook = None
             machine_hook = None
         proc = SMTProcessor(
-            cfg, traces, policy=_initial_policy(cell0), hook=machine_hook,
-            quantum_cycles=cell0.quantum_cycles, seed=cell0.seed,
+            machine, traces, policy=_initial_policy(spec0), hook=machine_hook,
+            quantum_cycles=cfg0.quantum_cycles, seed=cfg0.seed,
         )
         if group_hook is not None:
             for member in members:
                 if member.controller is not None:
                     member.controller.attach(proc)
-        return _Group(proc, members, group_hook, cell0.total_quanta(), solo)
+        return _Group(proc, members, group_hook, cfg0.total_quanta(), solo)
 
     # -- stepping -----------------------------------------------------------
-    def run(self, progress=None) -> List[BatchCellResult]:
-        """Run every cell to completion; returns results in cell order.
+    def run(self, progress=None) -> List["RunResult"]:
+        """Run every spec to completion; returns results in input order.
 
         ``progress`` (optional) is called after every lockstep round with
         the number of rounds completed — the supervised executor uses it as
         its worker heartbeat.
         """
-        if not self.cells:
+        if not self.specs:
             return []
         groups = self._form_groups()
         self.telemetry["groups_initial"] = len(groups)
@@ -657,26 +616,28 @@ class BatchEngine:
         return _Group(machine, members, hook, total, solo=False)
 
     # -- results ------------------------------------------------------------
-    def _results(self, groups: List[_Group]) -> List[BatchCellResult]:
-        out: List[Optional[BatchCellResult]] = [None] * len(self.cells)
+    def _results(self, groups: List[_Group]) -> List["RunResult"]:
+        from repro.harness.runner import RunResult
+
+        out: List[Optional[RunResult]] = [None] * len(self.specs)
         for group in groups:
             fingerprint = group.proc.fingerprint()
             history = group.proc.stats.quantum_history
             for member in group.members:
-                cell = member.cell
-                window = history[cell.warmup_quanta:cell.total_quanta()]
+                spec = member.spec
+                cfg = spec.config
+                window = history[cfg.warmup_quanta:cfg.total_quanta()]
                 committed = sum(q.committed for q in window)
                 cycles = sum(q.cycles for q in window)
-                if cell.mode == "adts":
-                    scheduler = {"mode": "adts", "heuristic": cell.heuristic}
+                if spec.mode == "adts":
+                    scheduler = {"mode": "adts", "heuristic": spec.heuristic}
                     scheduler.update(member.controller.summary())
                 else:
-                    scheduler = {"mode": "fixed", "policy": cell.policy}
+                    scheduler = {"mode": "fixed", "policy": cfg.policy}
                 if member.injector is not None:
                     scheduler.update(member.injector.summary())
-                out[member.index] = BatchCellResult(
-                    index=member.index,
-                    cell=cell,
+                out[member.index] = RunResult(
+                    config=cfg,
                     ipc=committed / cycles if cycles else 0.0,
                     committed=committed,
                     cycles=cycles,
@@ -685,9 +646,3 @@ class BatchEngine:
                     fingerprint=fingerprint,
                 )
         return out  # type: ignore[return-value]
-
-
-def run_batch_cells(cells: Sequence[BatchCell], progress=None,
-                    store: Optional[SharedTraceStore] = None) -> List[BatchCellResult]:
-    """Convenience wrapper: one engine pass over ``cells``."""
-    return BatchEngine(cells, store=store).run(progress=progress)

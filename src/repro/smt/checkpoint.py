@@ -80,30 +80,6 @@ class Snapshot:
     meta: dict
 
 
-@dataclass(frozen=True)
-class CheckpointPlan:
-    """Where and how often a run should snapshot itself.
-
-    Attributes:
-        path: snapshot file (a single file, atomically replaced each time).
-        every_quanta: snapshot period in quanta.
-        keep_on_success: keep the final snapshot after a clean finish
-            (default: delete it — a finished run needs no resume point).
-    """
-
-    path: Union[str, Path]
-    every_quanta: int = 1
-    keep_on_success: bool = False
-
-    def __post_init__(self) -> None:
-        if self.every_quanta < 1:
-            raise ValueError("every_quanta must be >= 1")
-
-    def due(self, quantum_index: int) -> bool:
-        """Should a snapshot be taken after ``quantum_index`` quanta ran?"""
-        return quantum_index % self.every_quanta == 0
-
-
 def save_checkpoint(
     path: Union[str, Path],
     processor,

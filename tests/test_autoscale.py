@@ -1,5 +1,5 @@
-"""Autoscaler state machine, the soft-cap actuator, service integration,
-and SIGTERM drain with scaling in flight."""
+"""Autoscaler state machine, the shard's soft-cap actuation, service
+integration, and SIGTERM drain with scaling in flight."""
 
 import json
 import os
@@ -15,7 +15,6 @@ import repro
 from repro.service import (
     Autoscaler,
     AutoscalerConfig,
-    AutoscalingPool,
     ServiceConfig,
     SimRequest,
     VirtualClock,
@@ -128,51 +127,69 @@ class TestHysteresis:
         json.dumps(out)  # telemetry must be wire-ready
 
 
-class FakeExecutor:
-    """Just enough executor surface for AutoscalingPool unit tests."""
-
-    def __init__(self):
-        self.soft_cap = None
-        self.live = 0
-        self.config = type("C", (), {"workers": 8})()
-        self.shutdowns = 0
-
-    def has_capacity(self):
-        cap = self.config.workers
-        if self.soft_cap is not None:
-            cap = min(cap, self.soft_cap)
-        return self.live < cap
-
-    def shutdown(self):
-        self.shutdowns += 1
-
-
-class TestAutoscalingPool:
-    def test_sync_pushes_target_into_soft_cap(self):
-        s = scaler(initial_workers=3)
-        ex = FakeExecutor()
-        pool = AutoscalingPool(ex, s)
-        assert ex.soft_cap == 3  # applied at construction
-        s.observe(0.0, queue_depth=10)
-        s.observe(0.1, queue_depth=10)
-        pool.sync()
-        assert ex.soft_cap == 5
-
-    def test_delegation_and_capacity(self):
-        s = scaler(initial_workers=2)
-        ex = FakeExecutor()
-        pool = AutoscalingPool(ex, s)
-        ex.live = 1
-        assert pool.has_capacity()
-        ex.live = 2
-        assert not pool.has_capacity()  # capped at target, pool size 8
-        pool.shutdown()
-        assert ex.shutdowns == 1  # __getattr__ delegation
-
-
 def _req(i, **kw):
     kw.setdefault("client", f"c{i % 3}")
     return SimRequest(request_id=f"r{i:03d}", **kw)
+
+
+class TestShardActuatesSoftCap:
+    """A shard with workers and an autoscaler makes the target its
+    executor's ``soft_cap`` at construction and after every observation.
+    The shard is paused, so nothing is ever spawned."""
+
+    @staticmethod
+    def _paused_shard(clock, **kw):
+        defaults = dict(
+            min_workers=1, max_workers=6, up_queue_depth=4, down_queue_depth=0,
+            up_consecutive=2, down_consecutive=3, cooldown_s=1.0,
+            step_up=2, step_down=1, window=8,
+        )
+        defaults.update(kw)
+        shard = SimulationService(
+            ServiceConfig(workers=2, queue_capacity=64,
+                          autoscaler=AutoscalerConfig(**defaults)),
+            clock=clock,
+        )
+        shard.paused = True
+        return shard
+
+    @staticmethod
+    def _queue_pressure(shard, clock):
+        """Two observations of a 5-deep queue: one scale-up by 2."""
+        for i in range(5):
+            assert shard.submit(_req(i)) is None  # queued, never dispatched
+        shard.pump()
+        clock.advance(0.1)
+        shard.pump()
+
+    def test_target_reaches_soft_cap(self):
+        clock = VirtualClock()
+        shard = self._paused_shard(clock, initial_workers=3)
+        assert shard.executor.soft_cap == 3  # applied at construction
+        self._queue_pressure(shard, clock)
+        assert shard.autoscaler.target == 5
+        assert shard.executor.soft_cap == 5
+        assert shard.executor.active == 0
+
+    def test_has_capacity_follows_the_target(self):
+        clock = VirtualClock()
+        shard = self._paused_shard(clock, initial_workers=2)
+        ex = shard.executor
+        assert ex.config.workers == 6  # provisioned at the scaling ceiling
+
+        def capacity_with(live):
+            ex._live.extend([None] * live)  # stand-ins for attempts in flight
+            try:
+                return ex.has_capacity()
+            finally:
+                ex._live.clear()
+
+        assert capacity_with(1)
+        assert not capacity_with(2)  # capped at the target, not the pool size
+        self._queue_pressure(shard, clock)
+        assert shard.autoscaler.target == 4
+        assert capacity_with(3)
+        assert not capacity_with(4)
 
 
 class TestServiceIntegrationInline:
@@ -244,14 +261,15 @@ class TestSoftCapNeverStrands:
             SupervisedExecutor,
             WorkItem,
         )
-        from repro.harness.runner import RunConfig
+        from repro.harness.runner import BatchRunSpec, RunConfig
 
         ex = SupervisedExecutor(ExecutorConfig(workers=2, max_restarts=0))
         spec = {
-            "config": RunConfig(mix="mix01", quanta=1, warmup_quanta=0,
-                                quantum_cycles=128),
-            "mode": "fixed", "heuristic": "type3", "threshold": 2.0,
-            "fault_plan": None, "strip_worker_faults": False,
+            "run": BatchRunSpec(
+                config=RunConfig(mix="mix01", quanta=1, warmup_quanta=0,
+                                 quantum_cycles=128),
+                mode="fixed",
+            ),
             "force_crash": False,
         }
         try:

@@ -9,18 +9,16 @@ import pytest
 
 import repro.harness.sweep as sweep_mod
 
-from repro import build_processor
-from repro.core.adts import ADTSController
 from repro.core.thresholds import ThresholdConfig
-from repro.faults import FaultInjector, FaultPlan
+from repro.faults import FaultPlan
 from repro.harness.errors import ConfigError
 from repro.harness.executor import ExecutorConfig, SupervisedExecutor
 from repro.harness.journal import RunJournal
-from repro.harness.runner import BatchRunSpec, RunConfig, run_adts, run_batch
+from repro.harness.runner import BatchRunSpec, RunConfig, run_adts, run_batch, run_spec
 from repro.harness.sweep import threshold_type_grid
-from repro.smt.batch import BatchCell, BatchEngine, run_batch_cells
+from repro.smt.batch import BatchEngine
 
-APPS = ["gzip", "crafty", "swim", "mcf"]
+APPS = ("gzip", "crafty", "swim", "mcf")
 SEED = 1
 
 
@@ -31,23 +29,12 @@ def tiny_base(**over):
     return RunConfig(**base)
 
 
-def _sequential_fingerprint(cell: BatchCell, fault_plan=None) -> str:
-    """What a lone, unbatched simulation of this cell lands on."""
-    if cell.mode == "adts":
-        hook = ADTSController(heuristic=cell.heuristic,
-                              thresholds=cell.thresholds or ThresholdConfig())
-        policy = "icount"
-    else:
-        hook = None
-        policy = cell.policy
-    if fault_plan is not None:
-        hook = FaultInjector(fault_plan, hook)
-    proc = build_processor(
-        mix=cell.mix, num_threads=cell.num_threads, seed=cell.seed,
-        policy=policy, hook=hook, quantum_cycles=cell.quantum_cycles,
-    )
-    proc.run_quanta(cell.total_quanta())
-    return proc.fingerprint()
+def spec(mode="adts", policy="icount", heuristic="type3", thresholds=None,
+         fault_plan=None, **cfg):
+    """One run on the 4-app mix: ``cfg`` overrides the :class:`RunConfig`."""
+    config = RunConfig(**{"mix": APPS, "seed": SEED, "policy": policy, **cfg})
+    return BatchRunSpec(config=config, mode=mode, heuristic=heuristic,
+                        thresholds=thresholds, fault_plan=fault_plan)
 
 
 class TestSweepBatchEquivalence:
@@ -177,16 +164,17 @@ class TestFaultIsolation:
         the faulted cell must match its own sequential faulted run."""
         plan = FaultPlan.from_kinds(["counters", "dt", "policy"], rate=0.9,
                                     seed=7)
-        common = dict(mix=APPS, seed=SEED, quantum_cycles=512, quanta=6,
-                      warmup_quanta=0, mode="adts", heuristic="type3",
+        common = dict(quantum_cycles=512, quanta=6, warmup_quanta=0,
+                      mode="adts", heuristic="type3",
                       thresholds=ThresholdConfig(ipc_threshold=2.0))
-        clean = BatchCell(**common)
-        faulted = BatchCell(fault_plan=plan, **common)
-        results = run_batch_cells([faulted, clean])
-        clean_fp = _sequential_fingerprint(clean)
-        faulted_fp = _sequential_fingerprint(faulted, fault_plan=plan)
+        clean = spec(**common)
+        faulted = spec(fault_plan=plan, **common)
+        results = BatchEngine([faulted, clean]).run()
+        clean_run, faulted_run = run_spec(clean), run_spec(faulted)
+        assert results == [faulted_run, clean_run]  # whole results
+        clean_fp = clean_run.fingerprint
         assert results[1].fingerprint == clean_fp
-        assert results[0].fingerprint == faulted_fp
+        assert results[0].fingerprint == faulted_run.fingerprint
         # The plan must actually have fired, or isolation was never tested
         # — and it must have perturbed the trajectory.
         assert results[0].scheduler.get("faults_injected", 0) > 0
@@ -196,13 +184,13 @@ class TestFaultIsolation:
         """Scheduler-faulted cells never share a machine (each owns its
         injector stream), but still share trace streams."""
         plan = FaultPlan.from_kinds(["counters"], rate=0.5, seed=3)
-        common = dict(mix=APPS, seed=SEED, quantum_cycles=256, quanta=2,
-                      warmup_quanta=0, mode="adts", heuristic="type3",
+        common = dict(quantum_cycles=256, quanta=2, warmup_quanta=0,
+                      mode="adts", heuristic="type3",
                       thresholds=ThresholdConfig(ipc_threshold=2.0))
-        cells = [BatchCell(fault_plan=plan, **common),
-                 BatchCell(fault_plan=plan, **common),
-                 BatchCell(**common)]
-        engine = BatchEngine(cells)
+        specs = [spec(fault_plan=plan, **common),
+                 spec(fault_plan=plan, **common),
+                 spec(**common)]
+        engine = BatchEngine(specs)
         engine.run()
         assert engine.telemetry["groups_initial"] == 3
         assert engine.telemetry["trace_streams"] == len(APPS)
@@ -213,27 +201,28 @@ class TestForkOnDivergence:
         """A fixed-icount cell and an ADTS cell with an unreachable IPC
         threshold (so its very first boundary enqueues a DT) must fork the
         shared machine — and both sides must match their sequential runs."""
-        cells = [
-            BatchCell(mix=APPS, seed=SEED, quantum_cycles=512, quanta=4,
-                      warmup_quanta=0, mode="fixed", policy="icount"),
-            BatchCell(mix=APPS, seed=SEED, quantum_cycles=512, quanta=4,
-                      warmup_quanta=0, mode="adts", heuristic="type3",
-                      thresholds=ThresholdConfig(ipc_threshold=99.0)),
+        specs = [
+            spec(quantum_cycles=512, quanta=4, warmup_quanta=0, mode="fixed",
+                 policy="icount"),
+            spec(quantum_cycles=512, quanta=4, warmup_quanta=0, mode="adts",
+                 heuristic="type3", thresholds=ThresholdConfig(ipc_threshold=99.0)),
         ]
-        engine = BatchEngine(cells)
+        engine = BatchEngine(specs)
         results = engine.run()
         assert engine.telemetry["groups_initial"] == 1
         assert engine.telemetry["forks"] >= 1
         assert engine.telemetry["groups_final"] == 2
-        for r in results:
-            assert r.fingerprint == _sequential_fingerprint(r.cell), r.cell
+        for s, r in zip(specs, results):
+            sequential = run_spec(s)
+            assert r == sequential, s  # whole results
+            assert r.fingerprint == sequential.fingerprint, s
 
     def test_identical_cells_share_every_step(self):
         """Cells on identical trajectories never fork: N duplicates cost
         one machine's worth of quantum steps."""
-        cell = BatchCell(mix=APPS, seed=SEED, quantum_cycles=256, quanta=3,
-                         warmup_quanta=0, mode="fixed", policy="icount")
-        engine = BatchEngine([cell, cell, cell, cell])
+        one = spec(quantum_cycles=256, quanta=3, warmup_quanta=0, mode="fixed",
+                   policy="icount")
+        engine = BatchEngine([one, one, one, one])
         results = engine.run()
         assert engine.telemetry["forks"] == 0
         assert engine.telemetry["quantum_steps"] == 3
@@ -245,17 +234,17 @@ class TestForkOnDivergence:
         fewer trajectories than it has cells, so the batch takes at most
         half the quantum steps a cell-by-cell sweep takes: the sharing the
         batch engine's sweep speed-up comes from."""
-        cells = [
-            BatchCell(mix="mix05", seed=0, quantum_cycles=1024, quanta=4,
-                      warmup_quanta=0, heuristic=h,
-                      thresholds=ThresholdConfig(ipc_threshold=m))
+        specs = [
+            spec(mix="mix05", seed=0, quantum_cycles=1024, quanta=4,
+                 warmup_quanta=0, heuristic=h,
+                 thresholds=ThresholdConfig(ipc_threshold=m))
             for m in (1.0, 2.0, 3.0, 4.0, 5.0)
             for h in ("type1", "type2", "type3", "type3g", "type4")
         ]
-        engine = BatchEngine(cells)
+        engine = BatchEngine(specs)
         engine.run()
         telemetry = engine.telemetry
-        assert telemetry["groups_final"] < len(cells)
+        assert telemetry["groups_final"] < len(specs)
         assert 2 * telemetry["quantum_steps"] <= telemetry["quantum_steps_sequential"]
 
 
@@ -268,9 +257,10 @@ class TestRunBatchParity:
             for m, h in [(1.0, "type1"), (2.0, "type3"), (99.0, "type4")]
         ]
         batch_results = run_batch(specs)
-        for spec, got in zip(specs, batch_results):
-            want = run_adts(spec.config, heuristic=spec.heuristic,
-                            thresholds=spec.thresholds)
+        for s, got in zip(specs, batch_results):
+            want = run_adts(s.config, heuristic=s.heuristic,
+                            thresholds=s.thresholds)
+            assert got == want  # whole results, fingerprint included
             assert got.ipc == want.ipc
             assert got.committed == want.committed
             assert got.cycles == want.cycles

@@ -3,7 +3,9 @@
 The headline property: run-to-quantum-k → snapshot → restore → run-to-end
 is bit-identical to an uninterrupted run — same RunResult, same decision
 log, same RNG streams — for every scheduler mode, including under an
-active fault plan.
+active fault plan. Its converse: a snapshot written by any other run (a
+faulted twin, another threshold field, ``instant_dt`` or invariants mode)
+is never resumed.
 """
 
 import pickle
@@ -17,7 +19,6 @@ from repro.harness.runner import RunConfig, run_adts, run_fixed
 from repro.smt.checkpoint import (
     CHECKPOINT_VERSION,
     CheckpointError,
-    CheckpointPlan,
     discard_checkpoint,
     load_checkpoint,
     save_checkpoint,
@@ -38,16 +39,15 @@ class _StopAt(Exception):
 def _interrupt(cfg, k, snap_path, **adts_kw):
     """Run with per-quantum checkpoints and abort after quantum k, leaving
     the snapshot of quantum k on disk (a simulated crash)."""
-    plan = CheckpointPlan(path=snap_path, every_quanta=1)
 
     def bomb(done):
         if done == k:
             raise _StopAt
 
     with pytest.raises(_StopAt):
-        run_adts(cfg, checkpoint=plan, progress=bomb, **adts_kw)
+        run_adts(cfg, checkpoint=snap_path, progress=bomb, **adts_kw)
     assert snap_path.exists()
-    return plan
+    return snap_path
 
 
 class TestResumeEquivalence:
@@ -59,9 +59,9 @@ class TestResumeEquivalence:
         cfg = tiny(seed=seed)
         th = ThresholdConfig(ipc_threshold=2.0)
         clean = run_adts(cfg, heuristic=heuristic, thresholds=th)
-        snap = tmp_path / "run.snap"
-        plan = _interrupt(cfg, 3, snap, heuristic=heuristic, thresholds=th)
-        resumed = run_adts(cfg, heuristic=heuristic, thresholds=th, checkpoint=plan)
+        snap = _interrupt(cfg, 3, tmp_path / "run.snap", heuristic=heuristic,
+                          thresholds=th)
+        resumed = run_adts(cfg, heuristic=heuristic, thresholds=th, checkpoint=snap)
         assert resumed.ipc == clean.ipc
         assert resumed.committed == clean.committed
         assert resumed.cycles == clean.cycles
@@ -137,9 +137,9 @@ class TestResumeEquivalence:
         plan = FaultPlan.storm(seed=9, rate=0.4)
         clean = run_adts(cfg, thresholds=th, fault_plan=plan)
         assert clean.scheduler.get("faults_injected", 0) > 0  # storm was live
-        snap = tmp_path / "faulty.snap"
-        ck = _interrupt(cfg, 3, snap, thresholds=th, fault_plan=plan)
-        resumed = run_adts(cfg, thresholds=th, fault_plan=plan, checkpoint=ck)
+        snap = _interrupt(cfg, 3, tmp_path / "faulty.snap", thresholds=th,
+                          fault_plan=plan)
+        resumed = run_adts(cfg, thresholds=th, fault_plan=plan, checkpoint=snap)
         assert resumed.ipc == clean.ipc
         assert resumed.scheduler == clean.scheduler
 
@@ -147,15 +147,14 @@ class TestResumeEquivalence:
         cfg = tiny(seed=2, policy="icount")
         clean = run_fixed(cfg)
         snap = tmp_path / "fixed.snap"
-        plan = CheckpointPlan(path=snap, every_quanta=1)
 
         def bomb(done):
             if done == 4:
                 raise _StopAt
 
         with pytest.raises(_StopAt):
-            run_fixed(cfg, checkpoint=plan, progress=bomb)
-        resumed = run_fixed(cfg, checkpoint=plan)
+            run_fixed(cfg, checkpoint=snap, progress=bomb)
+        resumed = run_fixed(cfg, checkpoint=snap)
         assert resumed.ipc == clean.ipc
         assert resumed.quantum_ipcs == clean.quantum_ipcs
 
@@ -171,12 +170,58 @@ class TestResumeEquivalence:
         assert stepped.quantum_ipcs == bulk.quantum_ipcs
         assert beats == list(range(1, cfg.total_quanta() + 1))
 
-    def test_keep_on_success_preserves_final_snapshot(self, tmp_path):
-        cfg = tiny()
-        snap = tmp_path / "keep.snap"
-        plan = CheckpointPlan(path=snap, every_quanta=1, keep_on_success=True)
-        run_adts(cfg, checkpoint=plan)
-        assert snap.exists()
+
+#: A clean run and its faulted twin (``policy,hangs`` at 0.5): mix05, 4
+#: threads, seed 11, 4 x 512 cycles, no warm-up, type3 at 2.0.
+TWIN = dict(num_threads=4, seed=11, quanta=4, warmup_quanta=0)
+TWIN_PLAN = FaultPlan.from_kinds(["policy", "hangs"], rate=0.5, seed=11)
+
+
+class TestResumeOnlyOwnRun:
+    """A snapshot resumes only the run that wrote it: a run that differs in
+    any field of the run key finds another run's snapshot at its path,
+    starts fresh and returns its own uninterrupted result."""
+
+    @staticmethod
+    def _crossed(tmp_path, writer, reader):
+        cfg = tiny(**TWIN)
+        snap = _interrupt(cfg, 2, tmp_path / "shared.snap", **writer)
+        resumed = run_adts(cfg, checkpoint=snap, **reader)
+        assert resumed == run_adts(cfg, **reader)  # fingerprint included
+        assert not snap.exists()
+        return resumed
+
+    def test_clean_run_ignores_its_faulted_twins_snapshot(self, tmp_path):
+        r = self._crossed(tmp_path, {"fault_plan": TWIN_PLAN}, {})
+        assert (round(r.ipc, 3), r.scheduler["switches"]) == (1.036, 0)
+        assert "faults_injected" not in r.scheduler
+
+    def test_faulted_run_ignores_its_clean_twins_snapshot(self, tmp_path):
+        r = self._crossed(tmp_path, {}, {"fault_plan": TWIN_PLAN})
+        assert (round(r.ipc, 3), r.scheduler["switches"]) == (0.866, 1)
+        assert r.scheduler["faults_injected"] > 0
+
+    @pytest.mark.parametrize(
+        "field",
+        ["l1_miss_rate", "lsq_full_rate", "mispredict_rate", "cond_branch_rate"],
+    )
+    def test_every_threshold_field_is_keyed(self, tmp_path, field):
+        th = ThresholdConfig(ipc_threshold=2.0)
+        other = ThresholdConfig(ipc_threshold=2.0, **{field: 0.0})
+        mine = self._crossed(tmp_path, {"thresholds": th}, {"thresholds": other})
+        assert mine.fingerprint != run_adts(tiny(**TWIN), thresholds=th).fingerprint
+
+    def test_instant_dt_is_keyed(self, tmp_path):
+        mine = self._crossed(tmp_path, {}, {"instant_dt": True})
+        assert mine.scheduler["dt_starved_cycles"] == 0
+
+    @pytest.mark.parametrize("writer,reader", [
+        ({}, {"invariants": "record"}),
+        ({"invariants": "record"}, {}),
+    ])
+    def test_invariants_mode_is_keyed(self, tmp_path, writer, reader):
+        mine = self._crossed(tmp_path, writer, reader)
+        assert ("invariant_violations" in mine.scheduler) == bool(reader)
 
 
 class TestSnapshotFormat:

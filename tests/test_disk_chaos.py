@@ -23,6 +23,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.thresholds import ThresholdConfig
 from repro.faults import FaultPlan
 from repro.harness.journal import RunJournal
 from repro.harness.runner import RunConfig, run_adts
@@ -91,12 +92,16 @@ class TestDiskFaultedRunsAreBitIdentical:
     def test_grid_cell_keys_shared_with_fault_free_sweep(self):
         """Disk-only plans must not enter the cell identity key — a
         disk-chaos journal is a valid resume source for a clean sweep."""
-        from repro.harness.sweep import _cell_key
+        from repro.harness.runner import BatchRunSpec, run_key
 
-        clean_key = _cell_key(QUICK, 2.0, "type3", "mix01", None)
-        disk_key = _cell_key(QUICK, 2.0, "type3", "mix01", DISK_PLAN)
-        sched_key = _cell_key(
-            QUICK, 2.0, "type3", "mix01", FaultPlan(counter_stale_rate=0.5))
+        def key(plan):
+            return run_key(BatchRunSpec(
+                config=QUICK, heuristic="type3",
+                thresholds=ThresholdConfig(ipc_threshold=2.0), fault_plan=plan))
+
+        clean_key = key(None)
+        disk_key = key(DISK_PLAN)
+        sched_key = key(FaultPlan(counter_stale_rate=0.5))
         assert disk_key == clean_key
         assert sched_key != clean_key
 
@@ -155,9 +160,7 @@ class TestRunDegradesNotAborts:
     def test_checkpointed_run_survives_total_write_failure(self, tmp_path):
         """Checkpoint saves failing persistently must cost only the
         snapshots, not the run."""
-        from repro.smt.checkpoint import CheckpointPlan
-
-        plan = CheckpointPlan(path=tmp_path / "run.snap", every_quanta=1)
+        plan = tmp_path / "run.snap"
         clean = run_adts(QUICK, checkpoint=plan)
         (tmp_path / "run.snap").unlink(missing_ok=True)
         hostile = FaultPlan(seed=1, disk_torn_write_rate=1.0,
@@ -168,13 +171,10 @@ class TestRunDegradesNotAborts:
     def test_resume_ignores_corrupt_checkpoint(self, tmp_path):
         """A damaged snapshot on the resume path is quarantined and the
         run starts fresh — same result, no crash, evidence preserved."""
-        from repro.smt.checkpoint import CheckpointPlan
-
         snap = tmp_path / "run.snap"
         snap.write_bytes(b"REPROART1\n" + b"\xde\xad" * 40)
-        plan = CheckpointPlan(path=snap, every_quanta=1)
         clean = run_adts(QUICK)
-        resumed = run_adts(QUICK, checkpoint=plan)  # resume path: file exists
+        resumed = run_adts(QUICK, checkpoint=snap)  # resume path: file exists
         assert resumed.ipc == clean.ipc
         assert any(".corrupt" in p.name for p in tmp_path.iterdir())
 

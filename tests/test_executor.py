@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.core.thresholds import ThresholdConfig
 from repro.faults import FaultPlan
 from repro.harness.errors import (
     FAILURE_CRASH,
@@ -34,7 +35,7 @@ from repro.harness.executor import (
     register_task_kind,
 )
 from repro.harness.journal import RunJournal
-from repro.harness.runner import RunConfig
+from repro.harness.runner import BatchRunSpec, RunConfig
 from repro.harness.sweep import threshold_type_grid
 from repro.service.request import SimRequest
 from repro.service.service import ServiceConfig, SimulationService
@@ -52,10 +53,16 @@ def tiny_base(**over):
     return RunConfig(**base)
 
 
+def run(mix="mix02", fault_plan=None):
+    """One ADTS run (threshold 2, Type 3) on the tiny base config."""
+    return BatchRunSpec(config=tiny_base(mix=mix), heuristic="type3",
+                        thresholds=ThresholdConfig(ipc_threshold=2.0),
+                        fault_plan=fault_plan)
+
+
 def grid_item(label="cell", mix="mix02", fault_plan=None):
     """A one-cell ``grid_batch`` item (threshold 2, Type 3)."""
-    spec = {"config": tiny_base(), "cells": [(2.0, "type3", mix, "cell")],
-            "fault_plan": fault_plan}
+    spec = {"cells": [("cell", run(mix, fault_plan))]}
     return WorkItem(label=label, kind="grid_batch", spec=spec)
 
 
@@ -63,7 +70,7 @@ def service_item(label="svc", mix="mix02", **spec):
     """A ``service_cell`` item: one ADTS run, as the simulation service
     submits it."""
     return WorkItem(label=label, kind="service_cell",
-                    spec={"config": tiny_base(mix=mix), "mode": "adts", **spec})
+                    spec={"run": run(mix), **spec})
 
 
 # -- task kinds used to provoke specific failure modes (fork workers inherit

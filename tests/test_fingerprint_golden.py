@@ -90,114 +90,76 @@ def test_wrong_path_junk_is_deterministic():
     assert runs[0][1] > 0, "workload must exercise wrong-path fetch"
 
 
-def _batch_cells_for(heuristics=(), policies=(), extra=()):
-    """BatchCells mirroring the golden workloads plus ``extra`` samples."""
-    from repro.smt.batch import BatchCell
+def _golden_spec(mode="adts", heuristic="type3", policy="icount", threshold=2.0,
+                 **cfg):
+    """A run of the golden workload (``cfg`` overrides its config)."""
+    from repro.harness.runner import BatchRunSpec, RunConfig
 
-    cells = [
-        BatchCell(
-            mix=APPS, seed=SEED, quantum_cycles=512, quanta=6,
-            warmup_quanta=0, mode="adts", heuristic=h,
-            thresholds=ThresholdConfig(ipc_threshold=2.0),
-        )
-        for h in heuristics
-    ] + [
-        BatchCell(
-            mix=APPS, seed=SEED, quantum_cycles=512, quanta=3,
-            warmup_quanta=0, mode="fixed", policy=p,
-        )
-        for p in policies
-    ]
-    cells.extend(extra)
-    return cells
+    config = RunConfig(**{"mix": tuple(APPS), "seed": SEED, "quantum_cycles": 512,
+                          "warmup_quanta": 0, "policy": policy, **cfg})
+    return BatchRunSpec(
+        config=config, mode=mode, heuristic=heuristic,
+        thresholds=ThresholdConfig(ipc_threshold=threshold) if mode == "adts" else None,
+    )
 
 
 def test_batch_engine_matches_goldens():
     """One lockstep batch over every golden workload — all five ADTS
     heuristics and a sample of fixed policies, plus off-golden (mix, seed)
-    cells cross-checked against fresh sequential runs.  The batch engine
-    must land every cell on the exact sequential fingerprint."""
-    from repro.smt.batch import BatchCell, run_batch_cells
+    runs cross-checked against fresh sequential runs.  The batch engine
+    must land every run on the exact sequential fingerprint."""
+    from repro.harness.runner import run_batch, run_spec
 
-    extra = [
-        BatchCell(mix="mix05", seed=3, quantum_cycles=512, quanta=4,
-                  warmup_quanta=0, mode="adts", heuristic="type3",
-                  thresholds=ThresholdConfig(ipc_threshold=2.0)),
-        BatchCell(mix="mix07", seed=2, quantum_cycles=512, quanta=4,
-                  warmup_quanta=0, mode="fixed", policy="icount"),
-    ]
-    cells = _batch_cells_for(
-        heuristics=sorted(ADTS_GOLDENS),
-        policies=["icount", "brcount", "accipc"],
-        extra=extra,
+    heuristics = sorted(ADTS_GOLDENS)
+    policies = ["icount", "brcount", "accipc"]
+    specs = (
+        [_golden_spec(heuristic=h, quanta=6) for h in heuristics]
+        + [_golden_spec(mode="fixed", policy=p, quanta=3) for p in policies]
+        + [
+            _golden_spec(mix="mix05", seed=3, quanta=4),
+            _golden_spec(mode="fixed", mix="mix07", seed=2, quanta=4),
+        ]
     )
-    results = run_batch_cells(cells)
-    assert [r.index for r in results] == list(range(len(cells)))
-    for r in results[:5]:
-        assert r.fingerprint == ADTS_GOLDENS[r.cell.heuristic], r.cell.heuristic
-    for r in results[5:8]:
-        assert r.fingerprint == POLICY_GOLDENS[r.cell.policy], r.cell.policy
-
-    def sequential(cell):
-        hook = None
-        if cell.mode == "adts":
-            hook = ADTSController(heuristic=cell.heuristic,
-                                  thresholds=cell.thresholds)
-        proc = build_processor(
-            mix=cell.mix, seed=cell.seed,
-            policy="icount" if cell.mode == "adts" else cell.policy,
-            hook=hook, quantum_cycles=cell.quantum_cycles,
-        )
-        proc.run_quanta(cell.total_quanta())
-        return proc.fingerprint()
-
-    for r in results[8:]:
-        assert r.fingerprint == sequential(r.cell), r.cell
+    results = run_batch(specs)
+    assert [r.config for r in results] == [s.config for s in specs]  # input order
+    for h, r in zip(heuristics, results[:5]):
+        assert r.fingerprint == ADTS_GOLDENS[h], h
+    for p, r in zip(policies, results[5:8]):
+        assert r.fingerprint == POLICY_GOLDENS[p], p
+    for s, r in zip(specs[8:], results[8:]):
+        sequential = run_spec(s)
+        assert r == sequential, s  # whole results
+        assert r.fingerprint == sequential.fingerprint, s
 
 
 def test_batch_composition_and_order_do_not_change_fingerprints():
-    """Property: a cell's fingerprint is independent of its batchmates and
-    of its position in the batch.  Sequential fingerprints are computed
-    once; hypothesis then draws arbitrary multisets/orderings of the cell
-    pool and every batched fingerprint must match its sequential value."""
+    """Property: a run's result, fingerprint included, is independent of
+    its batchmates and of its position in the batch.  Sequential results
+    are computed once; hypothesis then draws arbitrary multisets/orderings
+    of the run pool and every batched result must match its sequential
+    value."""
     from hypothesis import HealthCheck, given, settings
     from hypothesis import strategies as st
 
-    from repro.smt.batch import BatchCell, run_batch_cells
+    from repro.harness.runner import run_batch, run_spec
 
     pool = [
-        BatchCell(mix=APPS, seed=SEED, quantum_cycles=512, quanta=2,
-                  warmup_quanta=0, mode="adts", heuristic=h,
-                  thresholds=ThresholdConfig(ipc_threshold=t))
+        _golden_spec(heuristic=h, threshold=t, quanta=2)
         for h, t in [("type1", 2.0), ("type3", 2.0), ("type3", 99.0)]
-    ] + [
-        BatchCell(mix=APPS, seed=SEED, quantum_cycles=512, quanta=2,
-                  warmup_quanta=0, mode="fixed", policy=p)
-        for p in ("icount", "rr")
-    ]
-    expected = {}
-    for i, cell in enumerate(pool):
-        hook = None
-        if cell.mode == "adts":
-            hook = ADTSController(heuristic=cell.heuristic,
-                                  thresholds=cell.thresholds)
-        proc = build_processor(
-            mix=cell.mix, seed=cell.seed,
-            policy="icount" if cell.mode == "adts" else cell.policy,
-            hook=hook, quantum_cycles=cell.quantum_cycles,
-        )
-        proc.run_quanta(cell.total_quanta())
-        expected[i] = proc.fingerprint()
+    ] + [_golden_spec(mode="fixed", policy=p, quanta=2) for p in ("icount", "rr")]
+    expected = {i: run_spec(s) for i, s in enumerate(pool)}
 
     @settings(max_examples=8, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(st.lists(st.integers(min_value=0, max_value=len(pool) - 1),
                     min_size=1, max_size=6))
     def check(indices):
-        results = run_batch_cells([pool[i] for i in indices])
+        results = run_batch([pool[i] for i in indices])
         for pos, r in enumerate(results):
-            assert r.fingerprint == expected[indices[pos]], (
-                f"cell {indices[pos]} diverged in batch {indices}")
+            want = expected[indices[pos]]
+            assert r == want, f"run {indices[pos]} diverged in batch {indices}"
+            assert r.fingerprint == want.fingerprint, (
+                f"run {indices[pos]} diverged in batch {indices}")
 
     check()
 

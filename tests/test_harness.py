@@ -1,10 +1,9 @@
-"""Tests for the experiment harness (runner, sweep, sampling, report)."""
+"""Tests for the experiment harness (runner, sweep, report)."""
 
 import pytest
 
 from repro.harness.report import format_series, format_table, grid_to_rows
 from repro.harness.runner import RunConfig, run_adts, run_fixed, run_mix_average
-from repro.harness.sampling import SampledRunner, SampleSpec
 from repro.harness.sweep import threshold_type_grid
 from repro.smt.config import SMTConfig
 
@@ -59,22 +58,6 @@ class TestRunner:
         )
         assert out["switches"] >= 0
         assert 0.0 <= out["benign_probability"] <= 1.0
-
-
-class TestSampling:
-    def test_seed_fanout(self):
-        spec = SampleSpec(intervals=3, base_seed=10)
-        seeds = spec.seeds()
-        assert len(seeds) == 3
-        assert len(set(seeds)) == 3
-
-    def test_sampled_runner_aggregates(self):
-        spec = SampleSpec(intervals=2, base_seed=0)
-        out = SampledRunner(spec).run(tiny_run(), run_fixed)
-        assert len(out.per_interval) == 2
-        assert out.mean_ipc > 0
-        assert out.std_ipc >= 0
-        assert len(out.ipcs) == 2
 
 
 class TestSweep:

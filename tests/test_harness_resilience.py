@@ -3,6 +3,7 @@ journal (locking, stale-lock breaking), and checkpoint/resume sweeps."""
 
 import pytest
 
+from repro.core.thresholds import ThresholdConfig
 from repro.harness import run_mix_average
 from repro.harness.errors import ConfigError, HarnessError, JournalError
 from repro.harness.journal import RunJournal
@@ -163,11 +164,14 @@ class TestSweepResume:
         assert resumed == baseline
 
     def test_journal_key_guards_run_parameters(self):
-        from repro.harness.sweep import _cell_key
+        from repro.harness.runner import BatchRunSpec, run_key
 
-        a = _cell_key(tiny_run(), 2.0, "type3", "mix01")
-        b = _cell_key(tiny_run(quanta=3), 2.0, "type3", "mix01")
-        assert a != b
+        def key(cfg):
+            return run_key(BatchRunSpec(
+                config=cfg, heuristic="type3",
+                thresholds=ThresholdConfig(ipc_threshold=2.0)))
+
+        assert key(tiny_run()) != key(tiny_run(quanta=3))
 
 
 import repro as _repro_pkg

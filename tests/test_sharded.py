@@ -622,3 +622,98 @@ class TestAdmissionValidation:
                    for i in range(len(self.MALFORMED)))
         assert front.shards[0].breaker.state == STATE_CLOSED
         assert front.stats()["counters"]["full_failures"] == 0
+
+
+class TestDuplicateRequestIds:
+    """A request_id is unique while it is owed a response. Leaders, shard
+    queues, checkpoints and verifier probes are keyed by it, so a second
+    live request under the same id is refused (``rejected``,
+    ``duplicate-request-id``) without touching the first one's
+    bookkeeping; once answered, the id is free again."""
+
+    @staticmethod
+    def _twins():
+        """Two ``r1`` requests for two identities (seeds 1 and 2)."""
+        base = dict(request_id="r1", mix="mix05", num_threads=4, quanta=2,
+                    quantum_cycles=256, warmup_quanta=0)
+        return SimRequest(seed=1, **base), SimRequest(seed=2, **base)
+
+    @staticmethod
+    def _refused(response):
+        assert response is not None, "a duplicate live id was admitted"
+        assert response.request_id == "r1"
+        assert (response.outcome, response.reason) == (
+            "rejected", "duplicate-request-id")
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_second_live_request_with_one_id_is_refused(self, tmp_path, shards):
+        from repro.service.service import _default_full_runner
+
+        front = ShardedService(ServiceConfig(workers=0), shards=shards,
+                               store=tmp_path / "rs")
+        first, second = self._twins()
+        assert front.submit(first) is None
+        self._refused(front.submit(second))
+        front.run_until_idle(timeout_s=5)
+        assert front.pending == 0
+        (refusal, answer) = front.take_completed()
+        self._refused(refusal)
+        assert answer.outcome == "full" and answer.request_id == "r1"
+        assert answer.payload == _default_full_runner(first)
+        assert round(answer.payload["ipc"], 4) == 0.6934
+        assert front.store.get(request_identity(first)) == answer.payload
+        assert front.store.get(request_identity(second)) is None
+        counters = front.stats()["counters"]
+        assert counters["front_simulations"] == 1
+        assert counters["front_rejected"] == 1
+
+    def test_duplicate_of_a_coalesced_waiter_is_refused(self, tmp_path):
+        clock = VirtualClock()
+        front = make_front(tmp_path, clock)
+        front.paused = True  # hold the leader in its shard's queue
+        assert front.submit(req(0)) is None  # leader
+        assert front.submit(req(1)) is None  # coalesced waiter
+        for dup in (req(1, seed=4), req(1), req(0, seed=4)):
+            response = front.submit(dup)
+            assert response is not None, dup
+            assert (response.outcome, response.reason) == (
+                "rejected", "duplicate-request-id")
+        front.paused = False
+        answers = [r for r in settle(front, clock) if r.outcome == "full"]
+        assert sorted(r.request_id for r in answers) == ["r0", "r1"]
+        assert all(r.payload == ok_full(req(0)) for r in answers)
+        assert front.counters["simulations"] == 1
+
+    def test_id_is_free_again_once_answered(self, tmp_path):
+        front = ShardedService(ServiceConfig(workers=0), store=tmp_path / "rs")
+        first, second = self._twins()
+        assert front.submit(first) is None
+        self._refused(front.submit(second))
+        self._refused(front.submit(second))  # a refusal frees nothing
+        front.run_until_idle(timeout_s=5)
+        assert [r.outcome for r in front.take_completed()] == [
+            "rejected", "rejected", "full"]
+        assert front.submit(second) is None  # answered: r1 is free again
+        front.run_until_idle(timeout_s=5)
+        (answer,) = front.take_completed()
+        assert answer.outcome == "full"
+        assert round(answer.payload["ipc"], 4) == 0.4922
+        assert front.stats()["counters"]["front_simulations"] == 2
+
+    def test_live_verifier_probe_id_is_refused(self, tmp_path):
+        clock = VirtualClock()
+        front = ShardedService(
+            ServiceConfig(workers=0, queue_capacity=64), shards=2,
+            store=tmp_path / "rs", full_runner=ok_full, fast_runner=ok_fast,
+            clock=clock, verify_rate=1.0,
+        )
+        assert front.submit(req(0)) is None
+        front.pump()  # the leader answers; its shadow probe is queued
+        assert front.verifier.inflight == 1
+        (probe_id,) = front.verifier._jobs
+        response = front.submit(req(9, request_id=probe_id))
+        assert response is not None
+        assert (response.outcome, response.reason) == (
+            "rejected", "duplicate-request-id")
+        settle(front, clock)
+        assert front.verifier.inflight == 0
