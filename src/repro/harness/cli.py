@@ -19,7 +19,7 @@ Commands map one-to-one onto the experiment index (DESIGN.md §4):
                faults) against replayed traffic; exits 0 iff the drain
                contract held and fsck quarantined nothing
     fsck       audit and repair an artifact tree (journals, checkpoints,
-               trace caches, reports); exits non-zero iff it quarantined
+               result stores, reports); exits non-zero iff it quarantined
     profile    behaviour profiles: snapshot a run's telemetry into a
                labelled artifact, designate baselines, compute drift
     mixes      list the 13 mixes
@@ -207,8 +207,8 @@ def cmd_grid(args) -> None:
         _install_pool_signal_handlers(executor, journal)
     mixes = [m.strip() for m in args.mixes.split(",") if m.strip()] if args.mixes else None
     # A disk-fault plan installs a parent-process faultfs session too, so the
-    # journal appends and trace-cache flushes that happen *between* cell runs
-    # are exercised — not just the writes inside each simulation.
+    # journal appends that happen *between* cell runs are exercised — not
+    # just the writes inside each simulation.
     from contextlib import nullcontext
 
     from repro.storage import faultfs_session
@@ -605,12 +605,12 @@ def cmd_oracle(args) -> None:
 def cmd_fsck(args) -> int:
     """`repro fsck`: audit and repair an artifact tree.
 
-    Scans ``root`` for journals, checkpoints, trace caches and reports;
+    Scans ``root`` for journals, checkpoints, result stores and reports;
     repairs what is safely repairable (torn journal tails truncated,
-    legacy formats migrated forward, stale atomic-write temps removed)
-    and quarantines unrepairable files to ``*.corrupt``. Exits non-zero
-    iff something was quarantined, so scripts can gate on real damage.
-    ``--dry-run`` classifies without touching disk.
+    stale atomic-write temps and dead leases removed) and quarantines
+    unrepairable files to ``*.corrupt``. Exits non-zero iff something
+    was quarantined, so scripts can gate on real damage. ``--dry-run``
+    classifies without touching disk.
     """
     from repro.storage import fsck_tree
 

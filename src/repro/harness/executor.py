@@ -151,20 +151,7 @@ def _run_service_cell(spec, progress, checkpoint_path: Optional[Path]) -> dict:
     """
     if spec.get("force_crash"):
         os.kill(os.getpid(), signal.SIGKILL)
-    if not spec.get("trace_cache_dir"):
-        return _service_cell_payload(spec, progress, checkpoint_path)
-    # Shard-owned trace-cache segment: the service stamps each cell with
-    # its shard's directory so concurrent shards never contend on (or
-    # cross-pollinate) one cache. The worker may run another task next,
-    # so the previous cache is restored afterwards.
-    from repro.workloads.tracecache import active_trace_cache, set_trace_cache
-
-    previous = active_trace_cache()
-    set_trace_cache(spec["trace_cache_dir"])
-    try:
-        return _service_cell_payload(spec, progress, checkpoint_path)
-    finally:
-        set_trace_cache(previous)
+    return _service_cell_payload(spec, progress, checkpoint_path)
 
 
 def _service_cell_payload(spec, progress, checkpoint_path: Optional[Path]) -> dict:

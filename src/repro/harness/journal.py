@@ -12,9 +12,8 @@ run.
 
 The per-line ``crc`` covers the canonical JSON of ``[key, payload]``, so
 bitrot inside a record is detected at load time rather than silently
-resumed from. Lines without a ``crc`` (written before this scheme) still
-load; ``repro fsck`` reports such journals as *migratable* and can rewrite
-them checksummed.
+resumed from. A line without its ``crc`` is damaged like any other: an
+edit that drops the checksum must not turn a record into a trusted one.
 
 A process killed mid-write can leave a truncated final line; that tail is
 silently discarded (its cell simply re-runs). An undecodable line *before*
@@ -78,12 +77,12 @@ def _entry_crc(key: str, payload: dict) -> int:
 def _decode_line(line: str) -> tuple:
     """Decode + checksum-verify one journal line; returns ``(key, payload)``.
 
-    Raises ``ValueError`` on any damage. Lines without a ``"crc"`` field are
-    legacy (pre-checksum) and accepted as-is — fsck reports them migratable.
+    Raises ``ValueError`` on any damage, ``KeyError`` on a missing field
+    (``crc`` included).
     """
     entry = json.loads(line)
     key, payload = entry["key"], entry["payload"]
-    if "crc" in entry and entry["crc"] != _entry_crc(key, payload):
+    if entry["crc"] != _entry_crc(key, payload):
         raise ValueError(f"journal line checksum mismatch (key {key[:40]!r})")
     return key, payload
 
@@ -92,15 +91,14 @@ def scan_journal_lines(lines: list) -> dict:
     """Classify every line of a JSONL journal (shared with ``repro fsck``).
 
     Returns ``{"entries": {key: payload}, "good_lines": [verbatim valid
-    lines], "bad_lines": [1-based indices], "torn_tail": bool,
-    "missing_crc": count}``. A sole undecodable *final* line is a torn
-    tail (mid-write kill), not corruption.
+    lines], "bad_lines": [1-based indices], "torn_tail": bool}``. A sole
+    undecodable *final* line is a torn tail (mid-write kill), not
+    corruption.
     """
     entries: Dict[str, dict] = {}
     good_lines = []
     bad_lines = []
     torn_tail = False
-    missing_crc = 0
     for i, line in enumerate(lines):
         if not line.strip():
             continue
@@ -112,8 +110,6 @@ def scan_journal_lines(lines: list) -> dict:
             else:
                 bad_lines.append(i + 1)
             continue
-        if '"crc"' not in line:
-            missing_crc += 1
         entries[key] = payload
         good_lines.append(line)
     return {
@@ -121,7 +117,6 @@ def scan_journal_lines(lines: list) -> dict:
         "good_lines": good_lines,
         "bad_lines": bad_lines,
         "torn_tail": torn_tail,
-        "missing_crc": missing_crc,
     }
 
 def _read_lines(path: Path) -> list:

@@ -30,7 +30,7 @@ are stepped on exactly the same cycle boundaries either way.
 from __future__ import annotations
 
 import logging
-from contextlib import contextmanager
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Union
@@ -51,7 +51,6 @@ from repro.smt.config import SMTConfig
 from repro.smt.invariants import InvariantChecker
 from repro.storage.faultfs import faultfs_session
 from repro.workloads import get_mix, mix_names
-from repro.workloads.tracecache import flush_trace_cache
 
 ProgressFn = Callable[[int], None]
 
@@ -258,22 +257,19 @@ def _maybe_inject(hook, fault_plan: Optional[FaultPlan]):
     return injector, injector
 
 
-@contextmanager
 def _maybe_faultfs(fault_plan: Optional[FaultPlan]):
     """Scope the plan's disk-fault family around a run's storage I/O.
 
     No-op (an active outer injector stays active) when the plan carries no
     disk faults; otherwise a fresh seeded
     :class:`~repro.storage.faultfs.FaultFS` is installed for the run so
-    every checkpoint/journal/trace-cache write and read inside it goes
-    through the injector.
+    every checkpoint write and read inside it goes through the injector.
+    Its tally stays out of the :class:`RunResult`: disk faults never change
+    a result, so a disk-faulted run returns exactly its clean twin's result,
+    as their shared :func:`run_key` promises.
     """
     disk = fault_plan.disk_plan() if fault_plan is not None else None
-    if disk is None:
-        yield None
-        return
-    with faultfs_session(disk) as ffs:
-        yield ffs
+    return faultfs_session(disk) if disk is not None else nullcontext()
 
 
 def _maybe_check(hook, invariants: Optional[str]):
@@ -322,7 +318,7 @@ def _run(
     builds the ADTS controller; None runs ``spec.config.policy``
     unattended."""
     cfg, plan = spec.config, spec.fault_plan
-    with _maybe_faultfs(plan) as ffs:
+    with _maybe_faultfs(plan):
         key = run_key(spec, instant_dt, invariants)
         snap = _try_resume(checkpoint, key)
         if snap is not None:
@@ -358,9 +354,6 @@ def _run(
             result.scheduler.update(injector.summary())
         if checker is not None:
             result.scheduler.update(checker.summary())
-        flush_trace_cache()
-        if ffs is not None:
-            result.scheduler.update(ffs.summary())
         return result
 
 
@@ -434,26 +427,15 @@ def run_batch(
     fingerprint included: the engine forks shared machines the moment runs
     diverge, so sharing is a pure performance transform. Runs whose plan
     carries scheduler faults run solo (their own injector, no cross-run
-    bleed) but still share trace streams. Disk-fault families are scoped
-    once around the whole pass — they never change payloads, so the wider
-    scope is observationally identical to the sequential per-run session.
+    bleed) but still share trace streams. A pass does no storage I/O, so
+    a plan's disk-fault family has nothing to act on here.
 
     ``progress`` is called after every lockstep round (the batch analogue
     of the per-quantum heartbeat).
     """
     from repro.smt.batch import BatchEngine
 
-    disk_plan = next(
-        (
-            s.fault_plan for s in specs
-            if s.fault_plan is not None and s.fault_plan.disk_plan() is not None
-        ),
-        None,
-    )
-    with _maybe_faultfs(disk_plan):
-        results = BatchEngine(specs).run(progress=progress)
-        flush_trace_cache()
-    return results
+    return BatchEngine(specs).run(progress=progress)
 
 
 def run_mix_average(

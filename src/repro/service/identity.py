@@ -26,8 +26,7 @@ different simulations share an answer.
 
 * :func:`shard_of` maps a digest onto one of N shards (leading 32 bits,
   mod N), so a given simulation is always owned by the same shard: its
-  result-store segment and trace-cache segment never see writes from two
-  shards at once.
+  result-store segment never sees writes from two shards at once.
 """
 
 from __future__ import annotations

@@ -28,9 +28,9 @@ here, in one place:
    is dispatched to the digest's owning shard — an internal
    :class:`~repro.service.service.SimulationService` with its own
    admission queue, breaker, degradation ladder and supervised worker
-   pool. With several shards each gets its own checkpoint and trace-cache
-   segment so shards never contend on a file; a lone shard uses the
-   configured paths as given.
+   pool. With several shards each gets its own checkpoint segment so
+   shards never contend on a file; a lone shard uses the configured path
+   as given.
 
 5. **Promote on failure.** A leader that dies — worker crash, timeout,
    stalled heartbeat, exhausted retries — answers its own requester with
@@ -237,23 +237,15 @@ class ShardedService:
 
     def _shard_config(self, index: int, shards: int) -> ServiceConfig:
         """Derive shard ``index``'s config. Several shards get segmented
-        checkpoint and trace-cache paths, so no two shards ever share a
-        writer; a lone shard keeps the configured paths."""
+        checkpoint paths, so no two shards ever share a writer; a lone
+        shard keeps the configured path."""
         cfg = self.config
         if shards == 1:
             return replace(cfg, shard_id=index)
         checkpoint = None
         if cfg.checkpoint_dir:
             checkpoint = Path(cfg.checkpoint_dir) / f"shard-{index:02d}"
-        trace_cache = None
-        if cfg.trace_cache_dir:
-            trace_cache = Path(cfg.trace_cache_dir) / f"shard-{index:02d}"
-        return replace(
-            cfg,
-            shard_id=index,
-            checkpoint_dir=checkpoint,
-            trace_cache_dir=trace_cache,
-        )
+        return replace(cfg, shard_id=index, checkpoint_dir=checkpoint)
 
     # -- pause and load gauges -----------------------------------------------
     @property

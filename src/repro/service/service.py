@@ -106,9 +106,6 @@ class ServiceConfig:
             (:class:`~repro.service.router.ShardedService`); stamped on
             spawned work items so worker telemetry attributes attempts
             to their shard.
-        trace_cache_dir: per-shard trace-cache segment; worker cells set
-            ``REPRO_TRACE_CACHE`` to it so two shards never contend on
-            one cache directory.
         autoscaler: scale the worker pool on queue depth, deadline-miss
             rate and breaker state (see
             :class:`~repro.service.autoscale.AutoscalerConfig`). With
@@ -134,7 +131,6 @@ class ServiceConfig:
     fault_plan: Optional[FaultPlan] = None
     autoscaler: Optional[AutoscalerConfig] = None
     shard_id: Optional[int] = None
-    trace_cache_dir: Optional[Union[str, Path]] = None
 
     def __post_init__(self) -> None:
         if self.workers < 0:
@@ -411,13 +407,10 @@ class SimulationService:
         from repro.harness.executor import WorkItem
 
         request = entry.request
-        spec = {"run": request.run_spec(), "force_crash": forced}
-        if self.config.trace_cache_dir is not None:
-            spec["trace_cache_dir"] = str(self.config.trace_cache_dir)
         item = WorkItem(
             label=request.request_id,
             kind="service_cell",
-            spec=spec,
+            spec={"run": request.run_spec(), "force_crash": forced},
             shard=self.config.shard_id,
         )
         self._inflight[item.result_key] = entry

@@ -16,14 +16,11 @@ and it resolves apps and the default machine through the same helper as
 :func:`~repro.build_processor`.
 
 * **Shared trace streams** (:class:`SharedTraceStore`) — the instruction
-  stream of a thread is a pure function of ``(generator version, seed,
-  slot, app, profile)``, exactly the trace-cache key. The store
-  materializes each stream once into column lists and hands every run a
-  lightweight cursor (:class:`SharedTrace`), so a 25-run sweep decodes
-  each trace once instead of 25 times. With a disk trace cache active the
-  store aliases the cache's recorded columns, and extending past the
-  prefix goes through the cache's own overrun path so flushes still
-  persist the longest prefix.
+  stream of a thread is a pure function of ``(seed, slot, app,
+  profile)``. The store materializes each stream once into column lists,
+  pulled on demand from the same seeded generator a sequential run uses,
+  and hands every run a lightweight cursor (:class:`SharedTrace`), so a
+  25-run sweep generates each trace once instead of 25 times.
 
 * **Trajectory sharing** (:class:`BatchEngine`) — runs whose start state
   is identical (same apps/seed/machine/quantum grid/initial policy) are
@@ -55,7 +52,7 @@ On numpy: the per-run state here (detector queues, controller ledgers)
 is scalar and branchy — per the ``util/randpool.py`` precedent, numpy
 pays only for bulk sequential transforms. Trace columns stay plain
 Python lists (they are consumed one scalar at a time by the pipeline, and
-``tracecache`` already showed list indexing beats ndarray scalar reads);
+list indexing beats ndarray scalar reads);
 the win comes from deduplicating whole quantum steps, not vectorizing
 them. See DESIGN.md §15.
 """
@@ -67,6 +64,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.smt.instruction import Instruction
 from repro.smt.pipeline import SchedulerHook, SMTProcessor
+from repro.workloads.tracegen import _build_generator
 
 if TYPE_CHECKING:
     from repro.harness.runner import BatchRunSpec, RunResult
@@ -85,62 +83,33 @@ class BatchDivergenceError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 class _Stream:
-    """One materialized instruction stream, shared by every consumer run.
+    """One materialized instruction stream, shared by every consumer run:
+    column lists pulled from the slot's seeded generator on demand."""
 
-    With a disk trace cache active, ``cols`` *aliases* the cache-attached
-    trace's column lists: replayed prefixes are served for free and
-    extension goes through the cache's canonical overrun path, so the
-    cache's flush/extension bookkeeping is untouched. Without a cache the
-    stream owns its columns and pulls from a seeded generator on demand.
-    """
-
-    __slots__ = ("cols", "n", "_master", "_gen")
+    __slots__ = ("cols", "n", "_gen")
 
     def __init__(self, profile, slot: int, name: str, seed: int) -> None:
-        from repro.workloads.tracecache import _build_generator, active_trace_cache
-
-        cache = active_trace_cache()
-        if cache is not None:
-            master = cache.attach(profile, slot, name, seed)
-            self._master = master
-            self._gen = None
-            self.cols = master._cols
-            self.n = master._n
-        else:
-            self._master = None
-            self._gen = _build_generator(profile, slot, name, seed)
-            self.cols = [[] for _ in range(8)]
-            self.n = 0
+        self._gen = _build_generator(profile, slot, name, seed)
+        self.cols = [[] for _ in range(8)]
+        self.n = 0
 
     def extend_to(self, i: int) -> None:
         """Grow the stream until instruction ``i`` exists."""
-        master = self._master
-        if master is not None:
-            if master.seq < master._n:
-                # Jump the master to record mode: consumers replayed the
-                # prefix straight from the shared columns, so extension is
-                # exactly the sequential engine's overrun path (rebuild the
-                # generator, spin past the prefix, record live from there).
-                master.seq = master._n
-            while master._n <= i:
-                master.next_instruction()
-            self.n = master._n
-        else:
-            gen = self._gen
-            k, pc, d1, d2, ad, co, tk, tg = self.cols
-            n = self.n
-            while n <= i:
-                ins = gen.next_instruction()
-                k.append(ins.kind)
-                pc.append(ins.pc)
-                d1.append(ins.dep1)
-                d2.append(ins.dep2)
-                ad.append(ins.addr)
-                co.append(ins.cond)
-                tk.append(ins.taken)
-                tg.append(ins.target)
-                n += 1
-            self.n = n
+        gen = self._gen
+        k, pc, d1, d2, ad, co, tk, tg = self.cols
+        n = self.n
+        while n <= i:
+            ins = gen.next_instruction()
+            k.append(ins.kind)
+            pc.append(ins.pc)
+            d1.append(ins.dep1)
+            d2.append(ins.dep2)
+            ad.append(ins.addr)
+            co.append(ins.cond)
+            tk.append(ins.taken)
+            tg.append(ins.target)
+            n += 1
+        self.n = n
 
 
 class SharedTrace:
@@ -197,9 +166,7 @@ class SharedTraceStore:
         self._streams: Dict[tuple, _Stream] = {}
 
     def _stream_for(self, profile, slot: int, name: str, seed: int) -> _Stream:
-        from repro.workloads.tracegen import TRACEGEN_VERSION
-
-        key = (TRACEGEN_VERSION, seed, slot, name, repr(profile))
+        key = (seed, slot, name, repr(profile))
         stream = self._streams.get(key)
         if stream is None:
             stream = _Stream(profile, slot, name, seed)

@@ -20,11 +20,10 @@ inside the versioned artifact envelope of :mod:`repro.storage.artifact`
 (magic, schema version, length, CRC32, writer provenance — a partial write
 never validates), and the frame lands through
 :func:`repro.storage.atomic.atomic_write_bytes` (temp + fsync + rename +
-directory fsync, with bounded retry on transient I/O errors). Snapshots
-written by the pre-envelope v1 format (bare ``REPRO-SNAP`` frame) still
-load forward. A file that fails validation is quarantined to ``*.corrupt``
-*before* :class:`CheckpointError` is raised, so a retry loop regenerates
-from scratch instead of re-reading the same bad bytes forever.
+directory fsync, with bounded retry on transient I/O errors). A file that
+fails validation is quarantined to ``*.corrupt`` *before*
+:class:`CheckpointError` is raised, so a retry loop regenerates from
+scratch instead of re-reading the same bad bytes forever.
 
 Serialization is :mod:`pickle` of the live object graph. That is deliberate:
 the simulator is pure in-process Python state with seeded NumPy/stdlib RNGs
@@ -37,8 +36,6 @@ code version — which is what the versioned header enforces.
 from __future__ import annotations
 
 import pickle
-import struct
-import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
@@ -47,15 +44,11 @@ from repro.storage.artifact import is_enveloped, unpack_artifact, write_artifact
 from repro.storage.atomic import quarantine, read_bytes
 from repro.storage.errors import ArtifactError, ArtifactVersionError, StorageError
 
-#: Legacy (v1) file magic; v2 snapshots use the shared artifact envelope.
-MAGIC = b"REPRO-SNAP"
-#: Bump on any change to the frame layout or the pickled bundle's schema.
-#: v1 = bare REPRO-SNAP frame; v2 = artifact envelope (format below).
+#: Bump on any change to the frame layout or the pickled bundle's schema
+#: (v1, the bare pre-envelope ``REPRO-SNAP`` frame, is not read).
 CHECKPOINT_VERSION = 2
 #: Artifact-envelope format name for snapshot files.
 CHECKPOINT_FORMAT = "smt-checkpoint"
-
-_V1_HEADER = struct.Struct("<10sIII")  # magic, version, payload length, crc32
 
 
 class CheckpointError(Exception):
@@ -118,42 +111,23 @@ def save_checkpoint(
 def parse_snapshot_payload(path: Union[str, Path], blob: bytes) -> bytes:
     """Extract the pickled bundle from a snapshot file's raw bytes.
 
-    Accepts both the current artifact-envelope framing and the legacy
-    (pre-envelope) bare ``REPRO-SNAP`` v1 frame, which loads forward —
-    the pickled bundle schema is unchanged between the two. Raises
-    :class:`CheckpointError` on damage or an unsupported version; also
-    used by ``repro fsck`` to classify snapshot files.
+    Raises :class:`CheckpointError` on damage, on a file that is not an
+    artifact envelope, or on an unsupported version.
     """
-    if is_enveloped(blob):
-        try:
-            header, payload = unpack_artifact(blob, expect_format=CHECKPOINT_FORMAT)
-        except ArtifactVersionError as exc:
-            raise CheckpointVersionError(f"{path}: {exc}") from exc
-        except ArtifactError as exc:
-            raise CheckpointError(f"{path}: {exc}") from exc
-        if header.get("version") != CHECKPOINT_VERSION:
-            raise CheckpointVersionError(
-                f"{path}: snapshot version {header.get('version')} != "
-                f"supported {CHECKPOINT_VERSION}"
-            )
-        return payload
-    if blob[: len(MAGIC)] == MAGIC:  # legacy v1 frame: migrate forward
-        if len(blob) < _V1_HEADER.size:
-            raise CheckpointError(f"{path}: truncated snapshot header")
-        _, version, length, crc = _V1_HEADER.unpack_from(blob)
-        if version != 1:
-            raise CheckpointVersionError(
-                f"{path}: legacy snapshot version {version} != supported 1"
-            )
-        payload = blob[_V1_HEADER.size :]
-        if len(payload) != length:
-            raise CheckpointError(
-                f"{path}: torn snapshot ({len(payload)} of {length} payload bytes)"
-            )
-        if zlib.crc32(payload) != crc:
-            raise CheckpointError(f"{path}: snapshot payload fails its CRC")
-        return payload
-    raise CheckpointError(f"{path}: not a repro snapshot (bad magic)")
+    if not is_enveloped(blob):
+        raise CheckpointError(f"{path}: not a repro snapshot (bad magic)")
+    try:
+        header, payload = unpack_artifact(blob, expect_format=CHECKPOINT_FORMAT)
+    except ArtifactVersionError as exc:
+        raise CheckpointVersionError(f"{path}: {exc}") from exc
+    except ArtifactError as exc:
+        raise CheckpointError(f"{path}: {exc}") from exc
+    if header.get("version") != CHECKPOINT_VERSION:
+        raise CheckpointVersionError(
+            f"{path}: snapshot version {header.get('version')} != "
+            f"supported {CHECKPOINT_VERSION}"
+        )
+    return payload
 
 
 def load_checkpoint(path: Union[str, Path], expect_meta: Optional[dict] = None) -> Snapshot:

@@ -1,7 +1,7 @@
 """Unified durable-artifact storage layer.
 
 Every artifact the harness persists — run journals, simulator
-checkpoints, trace caches, reports and profiles — goes through this
+checkpoints, result stores, reports and profiles — goes through this
 package: atomic write/rename with fsync discipline and bounded retry
 (:mod:`repro.storage.atomic`), a versioned self-describing envelope
 with payload checksums and migration hooks

@@ -1,6 +1,6 @@
 """Versioned artifact envelope: magic, schema version, checksum, provenance.
 
-Binary artifacts (checkpoints, trace-cache archives) are framed as::
+Binary artifacts (checkpoints) are framed as::
 
     REPROART1\\n | u32 header-length | header JSON (utf-8) | payload bytes
 

@@ -1,21 +1,21 @@
 """Artifact-tree audit and repair (the ``repro fsck`` engine).
 
-Scans a results/cache/journal tree, classifies every artifact file, repairs
-what can be repaired *safely* (a repair never loses data that validated),
-and quarantines the rest to ``*.corrupt`` so sweeps regenerate instead of
-re-reading bad bytes. Classification taxonomy:
+Scans a results/store/journal tree, classifies every artifact file,
+repairs what can be repaired *safely* (a repair never loses data that
+validated), and quarantines the rest to ``*.corrupt`` so sweeps regenerate
+instead of re-reading bad bytes. Classification taxonomy:
 
 * ``healthy`` — validates against its checksums as-is;
-* ``migratable`` — intact but written in a legacy format (bare
-  ``REPRO-SNAP`` checkpoint, bare ``.npz`` archive, journal lines without
-  per-line CRCs, plain-JSON report); repair rewrites it in the current
-  enveloped/checksummed form, preserving the payload bit-for-bit;
+* ``migratable`` — a plain JSON document without the embedded artifact
+  block (e.g. a committed baseline): intact and loadable, and left as it
+  is, because fsck must not dirty checked-in files;
 * ``torn-tail`` — a journal whose final line is truncated (mid-write
   kill); repair truncates the tail, keeping every complete record;
 * ``corrupt`` — fails validation in a way no repair can trust (bad magic
-  where an artifact must be, checksum mismatch, undecodable interior);
-  repair quarantines the file (and, for journals, salvages the records
-  that still validate into a rewritten journal);
+  where an artifact must be, checksum mismatch, an undecodable or
+  CRC-less journal record before the last line); repair quarantines the
+  file (and, for journals, salvages the records that still validate into
+  a rewritten journal);
 * ``stale-temp`` — an orphaned atomic-write temp file (a crash between
   write and rename); repair removes it;
 * ``alien`` — an artifact-suffixed file whose content matches no known
@@ -36,7 +36,6 @@ iff this run quarantined something — "fsck found real damage" is scriptable.
 
 from __future__ import annotations
 
-import io
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -46,13 +45,12 @@ from repro.storage.artifact import (
     canonical_json_crc,
     is_enveloped,
     unpack_artifact,
-    write_artifact,
 )
 from repro.storage.atomic import atomic_write_bytes, quarantine
 from repro.storage.errors import ArtifactError
 
 #: File suffixes fsck treats as artifacts it must be able to classify.
-ARTIFACT_SUFFIXES = (".snap", ".npz", ".jsonl", ".json")
+ARTIFACT_SUFFIXES = (".snap", ".jsonl", ".json")
 
 #: Classification statuses, in severity order (worst first).
 STATUSES = (
@@ -70,10 +68,9 @@ STATUSES = (
 class FsckEntry:
     """One scanned file's classification and the action taken on it.
 
-    ``action`` is one of ``none`` (healthy, or dry-run), ``migrated``,
-    ``truncated``, ``salvaged`` (journal rewritten from surviving
-    records), ``quarantined``, ``removed`` (stale temp), or ``failed``
-    (a repair itself hit an I/O error).
+    ``action`` is one of ``none`` (healthy, migratable, or dry-run),
+    ``truncated``, ``quarantined``, ``removed`` (stale temp), or
+    ``failed`` (a repair itself hit an I/O error).
     """
 
     path: str
@@ -116,7 +113,7 @@ class FsckReport:
     def exit_code(self) -> int:
         """Non-zero iff this run quarantined at least one file — the
         scriptable "real damage was found" signal. Repairable damage
-        (torn tails, migrations, stale temps) exits zero."""
+        (torn tails, stale temps) exits zero."""
         return 1 if self.quarantined else 0
 
     def to_dict(self) -> dict:
@@ -146,15 +143,12 @@ class FsckReport:
 
 def _probe_jsonl(path: Path, blob: bytes, repair: bool) -> FsckEntry:
     """Classify (and optionally repair) a JSONL run journal."""
-    from repro.harness.journal import _entry_crc, scan_journal_lines
+    from repro.harness.journal import scan_journal_lines
 
     # Replacement-decode: a bitrotted byte poisons only its own line's
     # JSON/CRC, so the rest of the journal still salvages.
     scan = scan_journal_lines(blob.decode("utf-8", errors="replace").splitlines())
-    rewritten = "".join(
-        json.dumps({"key": k, "payload": p, "crc": _entry_crc(k, p)}) + "\n"
-        for k, p in scan["entries"].items()
-    )
+    rewritten = "".join(line + "\n" for line in scan["good_lines"])
     if scan["bad_lines"]:
         detail = (
             f"{len(scan['bad_lines'])} corrupt line(s) {scan['bad_lines']}, "
@@ -176,57 +170,7 @@ def _probe_jsonl(path: Path, blob: bytes, repair: bool) -> FsckEntry:
             return FsckEntry(str(path), "torn-tail", "none", detail)
         atomic_write_bytes(path, rewritten.encode("utf-8"))
         return FsckEntry(str(path), "torn-tail", "truncated", detail)
-    if scan["missing_crc"]:
-        detail = f"{scan['missing_crc']} record(s) without per-line CRC"
-        if not repair:
-            return FsckEntry(str(path), "migratable", "none", detail)
-        atomic_write_bytes(path, rewritten.encode("utf-8"))
-        return FsckEntry(str(path), "migratable", "migrated", detail)
     return FsckEntry(str(path), "healthy")
-
-
-def _probe_legacy_snapshot(path: Path, blob: bytes, repair: bool) -> FsckEntry:
-    """Classify a bare (pre-envelope) ``REPRO-SNAP`` checkpoint."""
-    from repro.smt.checkpoint import (
-        CHECKPOINT_FORMAT,
-        CHECKPOINT_VERSION,
-        CheckpointError,
-        parse_snapshot_payload,
-    )
-
-    try:
-        payload = parse_snapshot_payload(path, blob)
-    except CheckpointError as exc:
-        return _quarantine_entry(path, "corrupt", str(exc), repair)
-    if not repair:
-        return FsckEntry(str(path), "migratable", "none", "legacy v1 snapshot frame")
-    write_artifact(path, CHECKPOINT_FORMAT, CHECKPOINT_VERSION, payload)
-    return FsckEntry(
-        str(path), "migratable", "migrated", "rewrapped in the v2 envelope"
-    )
-
-
-def _probe_legacy_npz(path: Path, blob: bytes, repair: bool) -> FsckEntry:
-    """Classify a bare (pre-envelope) ``.npz`` trace archive."""
-    import numpy as np
-
-    from repro.workloads.tracecache import _COLUMNS, TRACE_FORMAT, TRACE_FORMAT_VERSION
-
-    try:
-        with np.load(io.BytesIO(blob)) as data:
-            missing = [c for c in _COLUMNS if c not in data.files]
-        if missing:
-            return _quarantine_entry(
-                path, "corrupt", f"npz missing columns {missing}", repair
-            )
-    except Exception as exc:
-        return _quarantine_entry(path, "corrupt", f"unreadable npz: {exc}", repair)
-    if not repair:
-        return FsckEntry(str(path), "migratable", "none", "legacy bare npz archive")
-    write_artifact(path, TRACE_FORMAT, TRACE_FORMAT_VERSION, blob)
-    return FsckEntry(
-        str(path), "migratable", "migrated", "rewrapped in the artifact envelope"
-    )
 
 
 def _probe_json(path: Path, blob: bytes, repair: bool) -> FsckEntry:
@@ -236,7 +180,7 @@ def _probe_json(path: Path, blob: bytes, repair: bool) -> FsckEntry:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         return _quarantine_entry(path, "corrupt", f"undecodable JSON: {exc}", repair)
     if not isinstance(doc, dict) or "artifact" not in doc:
-        # Plain legacy JSON (e.g. a committed baseline): intact and loadable,
+        # Plain JSON (e.g. a committed baseline): intact and loadable,
         # deliberately NOT rewritten — fsck must not dirty checked-in files.
         return FsckEntry(str(path), "migratable", "none", "plain JSON (no envelope)")
     meta = doc["artifact"]
@@ -428,10 +372,6 @@ def fsck_file(path: Union[str, Path], repair: bool = True) -> Optional[FsckEntry
             return FsckEntry(str(path), "healthy")
         except ArtifactError as exc:
             return _quarantine_entry(path, "corrupt", str(exc), repair)
-    if blob[:10] == b"REPRO-SNAP":
-        return _probe_legacy_snapshot(path, blob, repair)
-    if blob[:4] == b"PK\x03\x04" and path.suffix == ".npz":
-        return _probe_legacy_npz(path, blob, repair)
     if path.suffix == ".jsonl":
         return _probe_jsonl(path, blob, repair)
     if path.suffix == ".json":

@@ -14,14 +14,7 @@ conditions test. See DESIGN.md §2 for the substitution argument.
 from repro.workloads.profiles import ApplicationProfile, PhaseProfile, PROFILES, get_profile
 from repro.workloads.addrgen import DataAddressGenerator
 from repro.workloads.branchgen import ControlFlowGenerator
-from repro.workloads.tracegen import TRACEGEN_VERSION, TraceGenerator, make_generators
-from repro.workloads.tracecache import (
-    FlushResult,
-    TraceCache,
-    active_trace_cache,
-    flush_trace_cache,
-    set_trace_cache,
-)
+from repro.workloads.tracegen import TraceGenerator, make_generators
 from repro.workloads.mixes import Mix, MIXES, get_mix, mix_names
 
 __all__ = [
@@ -32,12 +25,6 @@ __all__ = [
     "DataAddressGenerator",
     "ControlFlowGenerator",
     "TraceGenerator",
-    "TRACEGEN_VERSION",
-    "FlushResult",
-    "TraceCache",
-    "active_trace_cache",
-    "flush_trace_cache",
-    "set_trace_cache",
     "make_generators",
     "Mix",
     "MIXES",

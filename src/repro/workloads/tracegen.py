@@ -30,13 +30,9 @@ from repro.util.randpool import RandPool
 from repro.util.seeds import SeedSequencer
 from repro.workloads.addrgen import DataAddressGenerator, _THREAD_REGION
 from repro.workloads.branchgen import ControlFlowGenerator
-from repro.workloads.profiles import ApplicationProfile, PhaseProfile
+from repro.workloads.profiles import ApplicationProfile, PhaseProfile, get_profile
 
 _BASE_PHASE = PhaseProfile()
-
-#: Bump whenever generated streams change (new draw order, new fields…) so
-#: stale on-disk :mod:`~repro.workloads.tracecache` entries self-invalidate.
-TRACEGEN_VERSION = 1
 
 # Calibration constants (see DESIGN.md §2 and EXPERIMENTS.md):
 # the profile tables describe *relative* application behaviour; these
@@ -186,33 +182,28 @@ class TraceGenerator:
         return [self.next_instruction() for _ in range(n)]
 
 
+def _build_generator(profile: ApplicationProfile, slot: int, name: str,
+                     seed: int) -> TraceGenerator:
+    """The seeded generator of one (mix slot, app) pair.
+
+    Each slot gets an independent seed substream keyed by (slot, name), so
+    two copies of the same program in one mix diverge (as two processes
+    with different inputs would) while the whole mix stays reproducible.
+    :func:`make_generators` and the batch engine's shared streams both
+    build their generators here, so a thread's instruction stream is the
+    same whichever path simulates it.
+    """
+    return TraceGenerator(profile, slot, SeedSequencer(seed).generator("trace", slot, name))
+
+
 def make_generators(
     app_names: Sequence[str],
     seed: int = 0,
     profiles: Optional[Dict[str, ApplicationProfile]] = None,
 ) -> List[TraceGenerator]:
-    """Build one generator per thread for the named applications.
-
-    Each thread gets an independent seed substream keyed by (slot, name), so
-    two copies of the same program in one mix diverge (as two processes
-    with different inputs would) while the whole mix stays reproducible.
-
-    When a :mod:`~repro.workloads.tracecache` is active the returned traces
-    replay recorded streams from disk (bit-identical to live generation)
-    and record anything generated past the cached prefix.
-    """
-    from repro.workloads.profiles import get_profile
-    from repro.workloads.tracecache import active_trace_cache
-
+    """Build one generator per thread for the named applications."""
     table = profiles or {}
-    cache = active_trace_cache()
-    seeds = SeedSequencer(seed)
-    gens = []
-    for slot, name in enumerate(app_names):
-        profile = table.get(name) or get_profile(name)
-        if cache is not None:
-            gens.append(cache.attach(profile, slot, name, seed))
-        else:
-            rng = seeds.generator("trace", slot, name)
-            gens.append(TraceGenerator(profile, slot, rng))
-    return gens
+    return [
+        _build_generator(table.get(name) or get_profile(name), slot, name, seed)
+        for slot, name in enumerate(app_names)
+    ]

@@ -250,16 +250,22 @@ class TestForkOnDivergence:
 
 class TestRunBatchParity:
     def test_run_batch_matches_run_adts(self):
+        """Batched and sequential runs return equal whole results, and a
+        disk-only fault plan (which shares its clean twin's run key) returns
+        its clean twin's result on both paths."""
         base = tiny_base()
         specs = [
             BatchRunSpec(config=base, heuristic=h,
-                         thresholds=ThresholdConfig(ipc_threshold=m))
-            for m, h in [(1.0, "type1"), (2.0, "type3"), (99.0, "type4")]
+                         thresholds=ThresholdConfig(ipc_threshold=m), fault_plan=plan)
+            for m, h, plan in [(1.0, "type1", None), (2.0, "type3", None),
+                               (99.0, "type4", None),
+                               (2.0, "type3", FaultPlan(disk_torn_write_rate=0.5))]
         ]
         batch_results = run_batch(specs)
+        assert batch_results[3] == batch_results[1]
         for s, got in zip(specs, batch_results):
             want = run_adts(s.config, heuristic=s.heuristic,
-                            thresholds=s.thresholds)
+                            thresholds=s.thresholds, fault_plan=s.fault_plan)
             assert got == want  # whole results, fingerprint included
             assert got.ipc == want.ipc
             assert got.committed == want.committed

@@ -66,11 +66,10 @@ def grid_item(label="cell", mix="mix02", fault_plan=None):
     return WorkItem(label=label, kind="grid_batch", spec=spec)
 
 
-def service_item(label="svc", mix="mix02", **spec):
+def service_item(label="svc", mix="mix02"):
     """A ``service_cell`` item: one ADTS run, as the simulation service
     submits it."""
-    return WorkItem(label=label, kind="service_cell",
-                    spec={"run": run(mix), **spec})
+    return WorkItem(label=label, kind="service_cell", spec={"run": run(mix)})
 
 
 # -- task kinds used to provoke specific failure modes (fork workers inherit
@@ -139,14 +138,6 @@ def _cycle_probe_task(spec, progress, ckpt):
     return {"seen": len(_CYCLES), "alive": sum(r() is not None for r in _CYCLES)}
 
 
-def _trace_cache_probe_task(spec, progress, ckpt):
-    from repro.workloads.tracecache import active_trace_cache
-
-    progress(0)
-    cache = active_trace_cache()
-    return {"cache": None if cache is None else str(cache.root)}
-
-
 register_task_kind("test_crash", _crash_task)
 register_task_kind("test_hang", _hang_task)
 register_task_kind("test_flaky", _flaky_task)
@@ -155,7 +146,6 @@ register_task_kind("test_invariant", _invariant_task)
 register_task_kind("test_pid", _pid_task)
 register_task_kind("test_cycle", _cycle_task)
 register_task_kind("test_cycle_probe", _cycle_probe_task)
-register_task_kind("test_trace_cache_probe", _trace_cache_probe_task)
 
 
 class TestDeterministicAggregation:
@@ -425,21 +415,6 @@ class TestWorkerReuse:
             ex.shutdown()
         assert made.ok and pid_a == pid_b
         assert probe.payload == {"seen": 1, "alive": 0}
-
-    def test_trace_cache_not_active_in_next_task(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("REPRO_TRACE_CACHE", raising=False)
-        probe = WorkItem(label="probe", kind="test_trace_cache_probe")
-        fresh = SupervisedExecutor(ExecutorConfig(workers=1)).run([probe])["probe"]
-        cache_dir = str(tmp_path / "traces")
-        ex = SupervisedExecutor(ExecutorConfig(workers=1))
-        try:
-            (cell, pid_a), (after, pid_b) = _run_queued(ex, [
-                service_item("cached", trace_cache_dir=cache_dir), probe])
-        finally:
-            ex.shutdown()
-        assert cell.ok and pid_a == pid_b
-        assert after.payload == fresh
-        assert after.payload["cache"] != cache_dir
 
     def test_idle_worker_exits_when_supervisor_dies(self):
         src = str(Path(repro.__file__).resolve().parents[1])

@@ -1,7 +1,7 @@
 """Recorded golden fingerprints: the bit-identical contract of the engine.
 
 Every hot-path optimization in the simulator (wake-up lists, incremental
-policy keys, trace-cache replay, batched RNG) is required to leave the
+policy keys, shared trace streams, batched RNG) is required to leave the
 simulated *trajectory* untouched.  This suite pins
 ``SMTProcessor.fingerprint()`` for every fetch policy and every ADTS
 heuristic to values recorded on the unoptimized engine; any change to
@@ -162,78 +162,3 @@ def test_batch_composition_and_order_do_not_change_fingerprints():
                 f"run {indices[pos]} diverged in batch {indices}")
 
     check()
-
-
-def test_trace_cache_replay_is_bit_identical(tmp_path):
-    """Cold (recording) and warm (replaying) runs produce the same machine,
-    and the warm run observably hits the cache."""
-    from repro.workloads.tracecache import (
-        active_trace_cache,
-        flush_trace_cache,
-        set_trace_cache,
-    )
-
-    previous = active_trace_cache()
-    try:
-        cache = set_trace_cache(tmp_path)
-
-        def run():
-            proc = build_processor(
-                mix=APPS, seed=SEED, policy="icount", quantum_cycles=512
-            )
-            proc.run_quanta(3)
-            return proc.fingerprint()
-
-        cold = run()
-        flush_trace_cache()
-        assert cache.stats["misses"] == len(APPS)
-        assert cache.stats["flushed_files"] == len(APPS)
-        warm = run()
-        flush_trace_cache()
-        assert warm == cold
-        assert cache.stats["hits"] == len(APPS)
-        assert cache.stats["replayed"] > 0
-        assert cache.stats["overruns"] == 0
-    finally:
-        set_trace_cache(previous)
-
-
-def test_trace_cache_overrun_extends_prefix(tmp_path):
-    """A run that consumes past the recorded prefix falls back to live
-    generation bit-identically, and the flush extends the file so the next
-    run replays the longer prefix with no overrun."""
-    from repro.workloads.tracecache import (
-        active_trace_cache,
-        flush_trace_cache,
-        set_trace_cache,
-    )
-
-    previous = active_trace_cache()
-    try:
-        cache = set_trace_cache(tmp_path)
-
-        def run(quanta):
-            proc = build_processor(
-                mix=APPS, seed=SEED, policy="icount", quantum_cycles=512
-            )
-            proc.run_quanta(quanta)
-            return proc.fingerprint()
-
-        run(1)  # record a short prefix
-        flush_trace_cache()
-        overrun_fp = run(3)  # needs more than the prefix holds
-        flush_trace_cache()
-        assert cache.stats["overruns"] >= 1
-
-        extended_fp = run(3)  # replays the extended file
-        flush_trace_cache()
-        assert extended_fp == overrun_fp
-
-        set_trace_cache(None)
-        fresh = build_processor(
-            mix=APPS, seed=SEED, policy="icount", quantum_cycles=512
-        )
-        fresh.run_quanta(3)
-        assert fresh.fingerprint() == overrun_fp
-    finally:
-        set_trace_cache(previous)

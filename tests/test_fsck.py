@@ -3,50 +3,42 @@
 The invariants pinned here: a dry run never touches disk; a repair run
 converges (a second pass over the same tree finds nothing left to do);
 repairs never lose data that validated (journal salvage keeps every intact
-record, migrations preserve payload bytes); and the exit code is non-zero
-exactly when something was quarantined.
+record); and the exit code is non-zero exactly when something was
+quarantined.
 """
 
-import io
 import json
+import struct
+import zlib
 
-import numpy as np
 import pytest
 
 from repro.harness.cli import main
 from repro.harness.journal import RunJournal, _entry_crc
-from repro.smt.checkpoint import MAGIC as SNAP_MAGIC
-from repro.smt.checkpoint import _V1_HEADER
 from repro.storage import fsck_file, fsck_tree, write_artifact
-from repro.workloads.tracecache import _COLUMNS, TRACE_FORMAT, TRACE_FORMAT_VERSION
-import zlib
 
 
 def _crc_line(key, payload):
     return json.dumps({"key": key, "payload": payload, "crc": _entry_crc(key, payload)})
 
 
-def _legacy_v1_snapshot(payload=b"not-a-real-pickle"):
-    """A well-formed legacy (pre-envelope) v1 checkpoint frame."""
-    return _V1_HEADER.pack(SNAP_MAGIC, 1, len(payload), zlib.crc32(payload)) + payload
-
-
-def _legacy_npz():
-    buf = io.BytesIO()
-    np.savez_compressed(buf, **{c: np.arange(4, dtype=np.int64) for c in _COLUMNS})
-    return buf.getvalue()
+def _v1_snapshot(payload=b"not-a-real-pickle"):
+    """A well-formed pre-envelope v1 checkpoint frame (magic, version,
+    payload length, CRC32), a format the program no longer reads."""
+    header = struct.pack("<10sIII", b"REPRO-SNAP", 1, len(payload), zlib.crc32(payload))
+    return header + payload
 
 
 class TestClassification:
     def test_healthy_envelope(self, tmp_path):
-        p = tmp_path / "t.npz"
-        write_artifact(p, TRACE_FORMAT, TRACE_FORMAT_VERSION, b"payload")
+        p = tmp_path / "t.snap"
+        write_artifact(p, "smt-checkpoint", 2, b"payload")
         entry = fsck_file(p)
         assert entry.status == "healthy" and entry.action == "none"
 
     def test_bitrotted_envelope_is_corrupt(self, tmp_path):
-        p = tmp_path / "t.npz"
-        write_artifact(p, TRACE_FORMAT, TRACE_FORMAT_VERSION, b"payload" * 40)
+        p = tmp_path / "t.snap"
+        write_artifact(p, "smt-checkpoint", 2, b"payload" * 40)
         blob = bytearray(p.read_bytes())
         blob[-10] ^= 0x40
         p.write_bytes(bytes(blob))
@@ -60,20 +52,16 @@ class TestClassification:
         p.write_bytes(blob[: len(blob) // 2])
         assert fsck_file(p, repair=False).status == "corrupt"
 
-    def test_legacy_snapshot_is_migratable(self, tmp_path):
+    def test_v1_snapshot_is_alien(self, tmp_path):
         p = tmp_path / "s.snap"
-        p.write_bytes(_legacy_v1_snapshot())
-        assert fsck_file(p, repair=False).status == "migratable"
+        p.write_bytes(_v1_snapshot())
+        assert fsck_file(p, repair=False).status == "alien"
 
-    def test_legacy_npz_is_migratable(self, tmp_path):
-        p = tmp_path / "t.npz"
-        p.write_bytes(_legacy_npz())
-        assert fsck_file(p, repair=False).status == "migratable"
-
-    def test_journal_without_crc_is_migratable(self, tmp_path):
+    def test_journal_without_crc_is_corrupt(self, tmp_path):
         p = tmp_path / "j.jsonl"
-        p.write_text(json.dumps({"key": "a", "payload": {"ipc": 1.0}}) + "\n")
-        assert fsck_file(p, repair=False).status == "migratable"
+        p.write_text(json.dumps({"key": "a", "payload": {"ipc": 9.9}}) + "\n"
+                     + _crc_line("b", {"ipc": 2.0}) + "\n")
+        assert fsck_file(p, repair=False).status == "corrupt"
 
     def test_journal_torn_tail(self, tmp_path):
         p = tmp_path / "j.jsonl"
@@ -125,10 +113,7 @@ class TestRepair:
         blob = bytearray(bad.read_bytes())
         blob[-1] ^= 0xFF
         bad.write_bytes(bytes(blob))
-        (tmp_path / "legacy.npz").write_bytes(_legacy_npz())
-        (tmp_path / "j.jsonl").write_text(
-            json.dumps({"key": "a", "payload": {"v": 1}}) + "\n"
-        )
+        (tmp_path / "baseline.json").write_text(json.dumps({"metrics": {"ipc": 1.0}}))
         (tmp_path / "torn.jsonl").write_text(
             _crc_line("a", {"v": 1}) + "\n" + '{"key": "b'
         )
@@ -141,7 +126,11 @@ class TestRepair:
         }
         second = fsck_tree(tmp_path, repair=True)
         assert second.exit_code == 0
-        assert all(e.status == "healthy" for e in second.entries)
+        # Plain JSON is never rewritten (fsck must not dirty checked-in
+        # files), so it stays migratable; everything else is now healthy.
+        assert {e.path: e.status for e in second.entries if e.status != "healthy"} == {
+            str(tmp_path / "baseline.json"): "migratable"
+        }
 
     def test_corrupt_file_quarantined_not_deleted(self, tmp_path):
         p = tmp_path / "bad.snap"
@@ -156,6 +145,8 @@ class TestRepair:
         good = [("k%d" % i, {"ipc": float(i)}) for i in range(5)]
         lines = [_crc_line(k, v) for k, v in good]
         lines.insert(2, "###corrupt###")
+        # A record without its CRC is damage too, never a newer value.
+        lines.insert(4, json.dumps({"key": "k1", "payload": {"ipc": 9.9}}))
         p.write_text("\n".join(lines) + "\n")
         report = fsck_tree(tmp_path, repair=True)
         assert report.exit_code == 1  # original quarantined
@@ -163,6 +154,7 @@ class TestRepair:
         assert j.load() == 5
         for k, v in good:
             assert j.get(k) == v
+        assert all("crc" in json.loads(line) for line in p.read_text().splitlines())
 
     def test_torn_tail_truncation_keeps_complete_records(self, tmp_path):
         p = tmp_path / "j.jsonl"
@@ -172,25 +164,14 @@ class TestRepair:
         j = RunJournal(p)
         assert j.load() == 1 and j.get("a") == {"v": 1}
 
-    def test_migrated_snapshot_loads_as_envelope(self, tmp_path):
-        from repro.storage import read_artifact
-
-        payload = b"snapshot-payload-bytes"
+    def test_v1_snapshot_is_quarantined(self, tmp_path):
+        """A v1 frame predates the run key a resume must match, so no run
+        could resume it: fsck moves it aside instead of migrating it."""
         p = tmp_path / "s.snap"
-        p.write_bytes(_legacy_v1_snapshot(payload))
-        fsck_tree(tmp_path, repair=True)
-        header, migrated = read_artifact(p, expect_format="smt-checkpoint")
-        assert migrated == payload  # byte-identical through the migration
-
-    def test_migrated_npz_still_loads_in_cache(self, tmp_path):
-        from repro.storage import read_artifact
-
-        blob = _legacy_npz()
-        p = tmp_path / "t.npz"
-        p.write_bytes(blob)
-        fsck_tree(tmp_path, repair=True)
-        header, migrated = read_artifact(p, expect_format=TRACE_FORMAT)
-        assert migrated == blob
+        p.write_bytes(_v1_snapshot())
+        report = fsck_tree(tmp_path, repair=True)
+        assert report.exit_code == 1
+        assert not p.exists() and (tmp_path / "s.snap.corrupt").exists()
 
 
 class TestCLI:

@@ -1,6 +1,8 @@
 """Tests for harness hardening: RunConfig validation, the JSONL run
 journal (locking, stale-lock breaking), and checkpoint/resume sweeps."""
 
+import json
+
 import pytest
 
 from repro.core.thresholds import ThresholdConfig
@@ -98,14 +100,38 @@ class TestRunJournal:
         assert not fresh.has("k3")
 
     def test_midfile_corruption_raises(self, tmp_path):
-        path = tmp_path / "j.jsonl"
-        path.write_text(
-            '{"key": "k1", "payload": {"ipc": 1.0}}\n'
-            "!!garbage!!\n"
-            '{"key": "k2", "payload": {"ipc": 2.0}}\n'
-        )
+        journal = RunJournal(tmp_path / "j.jsonl")
+        journal.record("k1", {"ipc": 1.0})
+        journal.record("k2", {"ipc": 2.0})
+        journal.close()
+        first, second = journal.path.read_text().splitlines()
+        journal.path.write_text(f"{first}\n!!garbage!!\n{second}\n")
         with pytest.raises(JournalError, match="line 2"):
-            RunJournal(path).load()
+            RunJournal(journal.path).load()
+
+    def test_record_without_crc_is_never_served(self, tmp_path):
+        """Stripping a record's checksum must not make an edit to it
+        trusted: the record is damage, dropped as a last line and refused
+        (then salvaged around) as an interior one."""
+        journal = RunJournal(tmp_path / "j.jsonl")
+        journal.record("a", {"ipc": 1.0})
+        journal.close()
+        entry = json.loads(journal.path.read_text())
+        del entry["crc"]
+        entry["payload"]["ipc"] = 9.9
+        journal.path.write_text(json.dumps(entry) + "\n")
+        tail = RunJournal(journal.path)
+        assert tail.load() == 0 and tail.get("a") is None
+
+        with RunJournal(journal.path) as later:
+            later.record("b", {"ipc": 2.0})
+        with pytest.raises(JournalError, match="line 1"):
+            RunJournal(journal.path).load()
+        with RunJournal(journal.path) as salvaged:
+            info = salvaged.recover()
+            assert info["quarantined"] and info["dropped"] == 1
+            assert salvaged.get("a") is None
+            assert salvaged.get("b") == {"ipc": 2.0}
 
     def test_clear_removes_file(self, tmp_path):
         journal = RunJournal(tmp_path / "j.jsonl")
