@@ -154,9 +154,6 @@ class ADTSController(SchedulerHook):
         self._commit_width = getattr(processor.config, "commit_width", self._commit_width)
 
     def detach(self) -> None:
-        """Drop the machine :meth:`attach` took. The processor holds this
-        controller as its hook, so until then the pair is a reference cycle
-        that only a full garbage-collection pass frees."""
         self.processor = None
         self.flags = None
 

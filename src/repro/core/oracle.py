@@ -7,13 +7,17 @@ quantum boundary, fork the full machine state, run the next quantum once
 under every candidate policy, keep the policy that committed the most
 instructions, and advance the real machine under it.
 
-This is expensive (deepcopy of the whole simulator per candidate per
-quantum) and is intended for the A3 bound experiment, not for sweeps.
+Forks are taken the way the batch engine takes them (``smt/batch.py``):
+the machine is pickled once per boundary and each candidate's trial
+unpickles its own copy — the object graph checkpointing already
+round-trips, and several times cheaper than a ``copy.deepcopy`` per
+candidate. It is still a full machine copy per candidate per quantum, so
+the oracle is meant for the A3 bound experiment, not for sweeps.
 """
 
 from __future__ import annotations
 
-import copy
+import pickle
 from dataclasses import dataclass, field
 from typing import Callable, List, Sequence
 
@@ -66,13 +70,14 @@ class OracleScheduler:
     def run(self, processor: SMTProcessor, quanta: int) -> OracleResult:
         """Advance ``processor`` for ``quanta`` quanta, oracle-choosing the
         policy at every boundary. Mutates (and returns through) the live
-        processor's stats; trial runs happen on deep copies."""
+        processor's stats; trial runs happen on unpickled copies."""
         result = OracleResult()
         q_cycles = processor.quantum_cycles
         for q in range(quanta):
             per_policy = {}
+            blob = pickle.dumps(processor, pickle.HIGHEST_PROTOCOL)
             for name in self.candidates:
-                trial = copy.deepcopy(processor)
+                trial = pickle.loads(blob)
                 trial.set_policy(name)
                 before = trial.stats.committed
                 trial.run(q_cycles)

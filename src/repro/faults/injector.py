@@ -91,6 +91,11 @@ class FaultInjector(SchedulerHook):
         self._real_set_policy = processor.set_policy
         processor.set_policy = self._set_policy_gate
 
+    def detach(self) -> None:
+        self.processor = None
+        self._real_set_policy = None
+        self.inner.detach()
+
     def _set_policy_gate(self, policy) -> None:
         if self._hit(self.plan.policy_drop_rate):
             self._count("policy_drop")

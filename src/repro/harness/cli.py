@@ -849,9 +849,9 @@ def build_parser() -> argparse.ArgumentParser:
                            help="run batches in N supervised child processes "
                                 "(0 = in-process)")
             p.add_argument("--heartbeat-timeout", type=float, default=None,
-                           help="kill a worker whose last lockstep-round "
-                                "heartbeat is older than this many seconds "
-                                "(needs --workers)")
+                           help="kill a worker whose last heartbeat (one per "
+                                "batch-engine quantum step) is older than "
+                                "this many seconds (needs --workers)")
             p.add_argument("--batch", type=int, default=0, metavar="N",
                            help="simulate N cells per lockstep batch-engine "
                                 "pass (0 = one batch per mix); bit-identical "

@@ -17,7 +17,7 @@ with SIGKILL:
   the supervisor (``gc.freeze``) and runs a full collection after each
   task, and tasks restore any process-wide state they install;
 * per-run **heartbeats**: workers report progress over a pipe (every
-  quantum for a service cell, every lockstep round for a grid batch), so
+  quantum for a service cell, every quantum step for a grid batch), so
   the supervisor distinguishes *hung* (stale heartbeat → killed) from
   merely *slow* (heartbeats flowing → left alone);
 * a hard per-attempt **wall-clock limit**, also enforced with SIGKILL;
@@ -123,10 +123,10 @@ def _run_grid_batch(spec: dict, progress, checkpoint_path: Optional[Path]) -> di
     ``spec["cells"]`` is a list of ``(journal key, BatchRunSpec)`` pairs;
     the payload maps each key to its per-cell dict
     (:func:`~repro.harness.sweep.run_cells`, the same function an inline
-    sweep calls). ``progress`` fires per lockstep round (all cells advance
-    together, so rounds are the natural heartbeat). Mid-run checkpoints
-    are not taken for batches — a restarted attempt recomputes the batch,
-    which shared stepping keeps cheap.
+    sweep calls). ``progress`` fires once per quantum step of the batch
+    engine, whichever trajectory took it. Mid-run checkpoints are not
+    taken for batches — a restarted attempt recomputes the batch, which
+    shared stepping keeps cheap.
     """
     from repro.harness.sweep import run_cells
 
@@ -202,8 +202,9 @@ class ExecutorConfig:
         run_timeout_s: hard per-attempt wall-clock limit (None = unbounded).
         heartbeat_timeout_s: kill a worker whose last heartbeat is older
             than this (None = no staleness check). Distinguishes hung from
-            slow: a slow run heartbeats every quantum (every lockstep round
-            for a grid batch) and is never killed by this limit.
+            slow: a slow run heartbeats every quantum (every quantum step
+            of the batch engine for a grid batch) and is never killed by
+            this limit.
         max_restarts: extra attempts per item after the first fails.
         restart_backoff_s / backoff_factor: exponential delay before retries.
         poll_interval_s: supervisor wake-up period.

@@ -15,9 +15,11 @@ bitrot inside a record is detected at load time rather than silently
 resumed from. A line without its ``crc`` is damaged like any other: an
 edit that drops the checksum must not turn a record into a trusted one.
 
-A process killed mid-write can leave a truncated final line; that tail is
-silently discarded (its cell simply re-runs). An undecodable line *before*
-the tail means real corruption: strict :meth:`RunJournal.load` raises
+A process killed mid-write can leave a truncated final line, one without
+its newline; that tail is silently discarded (its cell simply re-runs).
+Any other undecodable line — one before the tail, or a complete,
+newline-terminated last record that fails its checksum — means real
+corruption: strict :meth:`RunJournal.load` raises
 :class:`~repro.harness.errors.JournalError` rather than quietly dropping
 completed work, while :meth:`RunJournal.recover` (used by sweep resume)
 salvages every intact record, quarantines the damaged original to
@@ -87,14 +89,18 @@ def _decode_line(line: str) -> tuple:
     return key, payload
 
 
-def scan_journal_lines(lines: list) -> dict:
-    """Classify every line of a JSONL journal (shared with ``repro fsck``).
+def scan_journal_lines(text: str) -> dict:
+    """Classify every line of a JSONL journal's text (shared by
+    :meth:`RunJournal.load`, :meth:`RunJournal.recover` and ``repro fsck``).
 
     Returns ``{"entries": {key: payload}, "good_lines": [verbatim valid
-    lines], "bad_lines": [1-based indices], "torn_tail": bool}``. A sole
-    undecodable *final* line is a torn tail (mid-write kill), not
-    corruption.
+    lines], "bad_lines": [1-based indices], "torn_tail": bool}``. Only an
+    undecodable final line *without* its newline is a torn tail: a killed
+    append stops before the newline it writes last. A complete,
+    newline-terminated record that fails its checksum was damaged after it
+    was written, so it is a bad line wherever it sits.
     """
+    lines = text.splitlines()
     entries: Dict[str, dict] = {}
     good_lines = []
     bad_lines = []
@@ -105,7 +111,7 @@ def scan_journal_lines(lines: list) -> dict:
         try:
             key, payload = _decode_line(line)
         except (ValueError, KeyError, TypeError):
-            if i == len(lines) - 1:
+            if i == len(lines) - 1 and not text.endswith("\n"):
                 torn_tail = True
             else:
                 bad_lines.append(i + 1)
@@ -119,15 +125,16 @@ def scan_journal_lines(lines: list) -> dict:
         "torn_tail": torn_tail,
     }
 
-def _read_lines(path: Path) -> list:
-    """Read a journal's lines, surviving non-UTF-8 bitrot.
+
+def _read_text(path: Path) -> str:
+    """Read a journal, surviving non-UTF-8 bitrot.
 
     Undecodable bytes become U+FFFD replacement characters, which poison
     that line's JSON/CRC so it flows into the normal damaged-line handling
-    (torn tail tolerated, interior corruption raised or salvaged) instead
-    of crashing the whole load with ``UnicodeDecodeError``.
+    (torn tail tolerated, other damage raised or salvaged) instead of
+    crashing the whole load with ``UnicodeDecodeError``.
     """
-    return path.read_bytes().decode("utf-8", errors="replace").splitlines()
+    return path.read_bytes().decode("utf-8", errors="replace")
 
 
 #: Process-wide lock table: resolved lock path -> [file handle, refcount].
@@ -171,39 +178,33 @@ class RunJournal:
     def load(self) -> int:
         """Load journaled cells from disk; returns the number loaded.
 
-        Tolerates a truncated last line (mid-write kill); raises
-        :class:`JournalError` on corruption anywhere else.
+        Tolerates a torn last line (a killed append, no final newline);
+        raises :class:`JournalError` on damage anywhere else.
         """
         self._entries.clear()
         if not self.path.exists():
             return 0
-        lines = _read_lines(self.path)
-        for i, line in enumerate(lines):
-            if not line.strip():
-                continue
-            try:
-                key, payload = _decode_line(line)
-            except (ValueError, KeyError, TypeError) as exc:
-                if i == len(lines) - 1:
-                    break  # truncated tail from a killed run: re-run that cell
-                raise JournalError(
-                    f"{self.path}: undecodable journal line {i + 1}: {line[:80]!r}"
-                ) from exc
-            self._entries[key] = payload
+        scan = scan_journal_lines(_read_text(self.path))
+        bad = scan["bad_lines"]
+        if bad:
+            raise JournalError(
+                f"{self.path}: undecodable journal line {bad[0]} (bad lines {bad})"
+            )
+        self._entries.update(scan["entries"])
         return len(self._entries)
 
     def recover(self) -> dict:
         """Load the journal, salvaging instead of aborting on damage.
 
-        Where :meth:`load` raises :class:`JournalError` on an interior bad
-        line (strict mode for callers that must not mask corruption), this
+        Where :meth:`load` raises :class:`JournalError` on a bad line
+        (strict mode for callers that must not mask corruption), this
         keeps every line that decodes and checksums, heals a torn tail by
-        rewriting the file without it, and quarantines an interior-corrupt
-        original to ``*.corrupt`` before rewriting the salvaged lines —
-        so one damaged record costs one re-run, not the whole sweep.
+        rewriting the file without it, and quarantines a corrupt original
+        to ``*.corrupt`` before rewriting the salvaged lines — so one
+        damaged record costs one re-run, not the whole sweep.
 
-        Returns an info dict: ``loaded`` (entries kept), ``dropped``
-        (interior lines lost), ``torn_tail``, ``quarantined`` (path or
+        Returns an info dict: ``loaded`` (entries kept), ``dropped`` (bad
+        lines lost, the torn tail aside), ``torn_tail``, ``quarantined`` (path or
         None), ``rewritten``.
         """
         self._entries.clear()
@@ -216,7 +217,7 @@ class RunJournal:
         }
         if not self.path.exists():
             return info
-        scan = scan_journal_lines(_read_lines(self.path))
+        scan = scan_journal_lines(_read_text(self.path))
         self._entries.update(scan["entries"])
         info["loaded"] = len(self._entries)
         info["torn_tail"] = scan["torn_tail"]

@@ -349,11 +349,11 @@ def _run(
         )
         if controller is not None:
             result.scheduler.update(controller.summary())
-            controller.detach()  # the result is measured: free the machine by refcount
         if injector is not None:
             result.scheduler.update(injector.summary())
         if checker is not None:
             result.scheduler.update(checker.summary())
+        proc.hook.detach()  # the result is measured: free the machine by refcount
         return result
 
 
@@ -421,7 +421,9 @@ def run_batch(
 ) -> List[RunResult]:
     """Run many specs through one lockstep :class:`~repro.smt.batch.BatchEngine`
     pass, sharing trace streams and (where trajectories coincide) whole
-    machine steps across runs.
+    machine steps across runs. The engine runs its groups depth-first, so
+    a batch holds one live machine however many trajectories it forks
+    into.
 
     Each result equals the corresponding :func:`run_spec` result,
     fingerprint included: the engine forks shared machines the moment runs
@@ -430,8 +432,9 @@ def run_batch(
     bleed) but still share trace streams. A pass does no storage I/O, so
     a plan's disk-fault family has nothing to act on here.
 
-    ``progress`` is called after every lockstep round (the batch analogue
-    of the per-quantum heartbeat).
+    ``progress`` is called after every quantum step the engine takes, with
+    the number of steps so far (the batch analogue of the per-quantum
+    heartbeat).
     """
     from repro.smt.batch import BatchEngine
 

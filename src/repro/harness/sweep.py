@@ -143,9 +143,10 @@ def threshold_type_grid(
     ordered mix-major — all cells of one mix together, thresholds then
     heuristics inside it — because cells share trace streams and machines
     only when they have the same mix and seed. ``batch=None`` runs one
-    batch per mix, which keeps all of that sharing and bounds memory to
-    one mix's machines; ``batch=N`` chunks the same order N cells at a
-    time. A ``batch`` below 1 raises :class:`ConfigError`.
+    batch per mix, which keeps all of that sharing; ``batch=N`` chunks the
+    same order N cells at a time. Either way a batch holds one live
+    machine at a time (the engine runs depth-first). A ``batch`` below 1
+    raises :class:`ConfigError`.
 
     With a ``journal``, every finished cell is durably appended and any
     already-journaled cell is served from it instead of re-running — a

@@ -25,16 +25,26 @@ and it resolves apps and the default machine through the same helper as
 * **Trajectory sharing** (:class:`BatchEngine`) — runs whose start state
   is identical (same apps/seed/machine/quantum grid/initial policy) are
   *grouped* onto one simulated machine. The group steps one quantum at a
-  time; at every boundary each member's controller runs against recording
-  proxies that capture the machine mutations it *would* make (policy
-  switches, fetch inhibition, suspension marks) plus its detector-thread
-  queue. Members whose captured signatures agree keep sharing the
-  machine — the recorded ops are applied once. Members that disagree are
-  **forked**: the machine is pickled (the same mechanism checkpointing
-  already relies on) and each divergent partition continues on its own
-  clone. Sharing is therefore exact by construction, not approximate: a
-  run's machine always evolves under precisely the mutations its own
-  controller issued.
+  time, its members in lockstep; at every boundary each member's
+  controller runs against recording proxies that capture the machine
+  mutations it *would* make (policy switches, fetch inhibition,
+  suspension marks) plus its detector-thread queue. Members whose
+  captured signatures agree keep sharing the machine — the recorded ops
+  are applied once. Members that disagree are **forked**: the machine is
+  pickled once (the same mechanism checkpointing already relies on), the
+  first partition keeps the machine and every other partition waits as
+  that pickle plus its members and recorded ops. Sharing is therefore
+  exact by construction, not approximate: a run's machine always evolves
+  under precisely the mutations its own controller issued.
+
+* **Depth-first stepping** — groups run one at a time, each to its end,
+  off a stack of trajectories still to run: the batch's initial groups
+  and every parked fork partition, which is unpickled only when it is
+  popped. A finished trajectory's hook chain is detached
+  (:meth:`~repro.smt.pipeline.SchedulerHook.detach`), so refcounting
+  frees its machine before the next one is built. A batch's memory is
+  therefore one live machine, plus the parked pickles, plus the batch's
+  trace streams, however many trajectories it forks into.
 
 Lockstep invariants (violations raise :class:`BatchDivergenceError`):
 
@@ -213,14 +223,13 @@ class _Member:
 
 
 class _Group:
-    __slots__ = ("proc", "members", "hook", "total", "solo")
+    __slots__ = ("proc", "members", "hook", "total")
 
-    def __init__(self, proc, members, hook, total: int, solo: bool) -> None:
+    def __init__(self, proc, members, hook, total: int) -> None:
         self.proc = proc
         self.members = members
         self.hook = hook
         self.total = total
-        self.solo = solo
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +343,11 @@ class _GroupHook(SchedulerHook):
     def attach(self, processor) -> None:
         self.processor = processor
 
+    def detach(self) -> None:
+        self.processor = None
+        for controller in self._controllers:
+            controller.detach()
+
     def refresh_busy(self) -> None:
         self._busy = any(c.detector.busy for c in self._controllers)
 
@@ -408,6 +422,11 @@ class BatchEngine:
     between machine and controller exactly as in a sequential run, so no
     fault can bleed into (or out of) a grouped run — but they still share
     trace streams with the rest of the batch.
+
+    Groups run depth-first, one live machine at a time: a group's members
+    step in lockstep to the end of the run, and the partitions a fork
+    splits off wait on a stack as the fork-point pickle until the
+    trajectory ahead of them has finished and been freed.
     """
 
     def __init__(self, specs: Sequence["BatchRunSpec"]) -> None:
@@ -426,10 +445,12 @@ class BatchEngine:
         }
 
     # -- group formation ----------------------------------------------------
-    def _form_groups(self) -> List[_Group]:
+    def _initial_groups(self) -> List[tuple]:
+        """One stack entry per group of runs with an identical start state:
+        ``(None, members, (), total)`` — no machine yet, no ops to apply."""
         from repro import resolve_machine
 
-        buckets: Dict[tuple, List[tuple]] = {}
+        buckets: Dict[tuple, List[_Member]] = {}
         for index, spec in enumerate(self.specs):
             cfg = spec.config
             apps, machine = resolve_machine(cfg.mix, cfg.num_threads, cfg.seed, cfg.machine)
@@ -441,13 +462,6 @@ class BatchEngine:
                 # Faulted machines must never share state: the injector
                 # perturbs the machine itself, not just the controller.
                 key = key + ("solo", index)
-            buckets.setdefault(key, []).append((index, spec, apps, machine))
-        return [self._build_group(entries) for entries in buckets.values()]
-
-    def _build_group(self, entries: List[tuple]) -> _Group:
-        _, spec0, apps, machine = entries[0]
-        members: List[_Member] = []
-        for index, spec, _, _ in entries:
             controller = None
             if spec.mode == "adts":
                 from repro.core.adts import ADTSController
@@ -457,75 +471,101 @@ class BatchEngine:
                     heuristic=spec.heuristic,
                     thresholds=spec.thresholds or ThresholdConfig(),
                 )
-            members.append(_Member(index, spec, controller))
+            buckets.setdefault(key, []).append(_Member(index, spec, controller))
+        return [
+            (None, members, (), members[0].spec.config.total_quanta())
+            for members in buckets.values()
+        ]
 
-        solo = _scheduler_faulted(spec0)
+    def _build_group(self, members: List[_Member], total: int) -> _Group:
+        from repro import resolve_machine
+
+        spec0 = members[0].spec
         cfg0 = spec0.config
-        traces = self.store.make_traces(apps, cfg0.seed)
-        if solo:
+        apps, machine = resolve_machine(cfg0.mix, cfg0.num_threads, cfg0.seed, cfg0.machine)
+        injector = None
+        if _scheduler_faulted(spec0):
             # Sequential hook chain, verbatim: controller (or nothing)
             # wrapped by this run's own seeded injector.
             from repro.faults import FaultInjector
 
             member = members[0]
-            injector = FaultInjector(spec0.fault_plan, member.controller)
-            member.injector = injector
-            machine_hook: Optional[SchedulerHook] = injector
-            group_hook = None
-        elif any(m.controller is not None for m in members):
-            group_hook = _GroupHook(members)
-            machine_hook = group_hook
-        else:
-            group_hook = None
-            machine_hook = None
+            injector = member.injector = FaultInjector(spec0.fault_plan, member.controller)
         proc = SMTProcessor(
-            machine, traces, policy=_initial_policy(spec0), hook=machine_hook,
+            machine, self.store.make_traces(apps, cfg0.seed),
+            policy=_initial_policy(spec0), hook=injector,
             quantum_cycles=cfg0.quantum_cycles, seed=cfg0.seed,
         )
-        if group_hook is not None:
-            for member in members:
-                if member.controller is not None:
-                    member.controller.attach(proc)
-        return _Group(proc, members, group_hook, cfg0.total_quanta(), solo)
+        if injector is not None:
+            return _Group(proc, members, None, total)
+        return self._regroup(proc, members, total)
 
     # -- stepping -----------------------------------------------------------
     def run(self, progress=None) -> List["RunResult"]:
         """Run every spec to completion; returns results in input order.
 
-        ``progress`` (optional) is called after every lockstep round with
-        the number of rounds completed — the supervised executor uses it as
-        its worker heartbeat.
+        Groups run depth-first: each is stepped quantum by quantum to its
+        end (its members in lockstep), a fork's other partitions wait as
+        pickles on the stack, and a finished machine is freed before the
+        next is built — so memory holds one live machine, the parked
+        pickles and the batch's trace streams.
+
+        ``progress`` (optional) is called after every quantum step with
+        the number of steps taken so far — the supervised executor uses it
+        as its worker heartbeat.
         """
         if not self.specs:
             return []
-        groups = self._form_groups()
-        self.telemetry["groups_initial"] = len(groups)
-        pending = [g for g in groups if g.total > 0]
-        finished = [g for g in groups if g.total <= 0]
-        rounds = 0
-        while pending:
-            stepped: List[_Group] = []
-            for group in pending:
-                group.proc.run_quanta(1)
-                self.telemetry["quantum_steps"] += 1
-                stepped.extend(self._after_quantum(group))
-            rounds += 1
-            if progress is not None:
-                progress(rounds)
-            pending = []
-            for group in stepped:
-                if group.proc.quantum_index >= group.total:
-                    finished.append(group)
-                else:
-                    pending.append(group)
-        self.telemetry["groups_final"] = len(finished)
+        stack = self._initial_groups()
+        self.telemetry["groups_initial"] = len(stack)
+        stack.reverse()  # the batch's first group runs first
+        results: List[Optional["RunResult"]] = [None] * len(self.specs)
+        while stack:
+            self._run_trajectory(stack, results, progress)
         self.telemetry["trace_streams"] = self.store.stream_count
-        return self._results(finished)
+        return results  # type: ignore[return-value]
 
-    def _after_quantum(self, group: _Group) -> List[_Group]:
+    def _run_trajectory(self, stack: List[tuple], results: list, progress) -> None:
+        """Pop one trajectory and step it to its end, pushing the partitions
+        each fork parks; then record its members' results and detach its
+        hook chain, so the machine dies with this frame."""
+        group = self._start(*stack.pop())
+        telemetry = self.telemetry
+        while group.proc.quantum_index < group.total:
+            group.proc.run_quanta(1)
+            telemetry["quantum_steps"] += 1
+            group, parked = self._after_quantum(group)
+            stack.extend(reversed(parked))
+            if progress is not None:
+                progress(telemetry["quantum_steps"])
+        telemetry["groups_final"] += 1
+        self._record(group, results)
+        group.proc.hook.detach()
+
+    def _start(self, blob: Optional[bytes], members: List[_Member], ops: tuple,
+               total: int) -> _Group:
+        """Put a stack entry on a machine: a fresh one for an initial group,
+        else the unpickled fork point with this partition's ops applied."""
+        if blob is None:
+            return self._build_group(members, total)
+        machine = pickle.loads(blob)
+        for ctx in machine.contexts:
+            self.store.rebind(ctx.trace)
+        return self._resume(machine, members, ops, total)
+
+    def _resume(self, machine, members: List[_Member], ops: tuple, total: int) -> _Group:
+        group = self._regroup(machine, members, total)
+        _apply_ops(machine, ops)
+        if group.hook is not None:
+            group.hook.refresh_busy()
+        return group
+
+    def _after_quantum(self, group: _Group) -> Tuple[_Group, List[tuple]]:
+        """Settle a boundary: returns the group that steps on and the stack
+        entries of the partitions a fork parked."""
         hook = group.hook
         if hook is None:
-            return [group]
+            return group, []
         sigs, ops = hook.boundary_sigs, hook.boundary_ops
         hook.boundary_sigs = hook.boundary_ops = None
         partitions: Dict[tuple, List[int]] = {}
@@ -534,35 +574,27 @@ class BatchEngine:
         if len(partitions) == 1:
             _apply_ops(group.proc, ops[0])
             hook.refresh_busy()
-            return [group]
+            return group, []
 
-        # Fork: one machine clone per divergent partition. The first
-        # partition keeps the original machine; the pristine (pre-ops)
-        # state is pickled once and deserialized per extra partition —
-        # the same object graph checkpointing already round-trips.
+        # Fork: the pristine (pre-ops) machine is pickled once — the same
+        # object graph checkpointing already round-trips. The first
+        # partition keeps the machine; every other one is parked as
+        # (pickle, members, ops, total), its controllers detached until it
+        # is popped and unpickled.
         self.telemetry["forks"] += len(partitions) - 1
         proc = group.proc
-        saved_hook = proc.hook
         proc.hook = SchedulerHook()
         blob = pickle.dumps(proc, pickle.HIGHEST_PROTOCOL)
-        proc.hook = saved_hook
-        out: List[_Group] = []
-        first = True
-        for sig, positions in partitions.items():
-            if first:
-                machine = proc
-                first = False
-            else:
-                machine = pickle.loads(blob)
-                for ctx in machine.contexts:
-                    self.store.rebind(ctx.trace)
+        first, *rest = partitions.values()
+        parked: List[tuple] = []
+        for positions in rest:
             members = [group.members[pos] for pos in positions]
-            sub = self._regroup(machine, members, group.total)
-            _apply_ops(machine, ops[positions[0]])
-            if sub.hook is not None:
-                sub.hook.refresh_busy()
-            out.append(sub)
-        return out
+            for member in members:
+                if member.controller is not None:
+                    member.controller.detach()
+            parked.append((blob, members, ops[positions[0]], group.total))
+        members = [group.members[pos] for pos in first]
+        return self._resume(proc, members, ops[first[0]], group.total), parked
 
     def _regroup(self, machine, members: List[_Member], total: int) -> _Group:
         controllers = [m.controller for m in members if m.controller is not None]
@@ -580,36 +612,34 @@ class BatchEngine:
             machine.hook = SchedulerHook()
             machine.hook.attach(machine)
             machine._hook_inert = True
-        return _Group(machine, members, hook, total, solo=False)
+        return _Group(machine, members, hook, total)
 
     # -- results ------------------------------------------------------------
-    def _results(self, groups: List[_Group]) -> List["RunResult"]:
+    def _record(self, group: _Group, results: list) -> None:
+        """Store a finished group's members' results at their input index."""
         from repro.harness.runner import RunResult
 
-        out: List[Optional[RunResult]] = [None] * len(self.specs)
-        for group in groups:
-            fingerprint = group.proc.fingerprint()
-            history = group.proc.stats.quantum_history
-            for member in group.members:
-                spec = member.spec
-                cfg = spec.config
-                window = history[cfg.warmup_quanta:cfg.total_quanta()]
-                committed = sum(q.committed for q in window)
-                cycles = sum(q.cycles for q in window)
-                if spec.mode == "adts":
-                    scheduler = {"mode": "adts", "heuristic": spec.heuristic}
-                    scheduler.update(member.controller.summary())
-                else:
-                    scheduler = {"mode": "fixed", "policy": cfg.policy}
-                if member.injector is not None:
-                    scheduler.update(member.injector.summary())
-                out[member.index] = RunResult(
-                    config=cfg,
-                    ipc=committed / cycles if cycles else 0.0,
-                    committed=committed,
-                    cycles=cycles,
-                    quantum_ipcs=[q.ipc for q in window],
-                    scheduler=scheduler,
-                    fingerprint=fingerprint,
-                )
-        return out  # type: ignore[return-value]
+        fingerprint = group.proc.fingerprint()
+        history = group.proc.stats.quantum_history
+        for member in group.members:
+            spec = member.spec
+            cfg = spec.config
+            window = history[cfg.warmup_quanta:cfg.total_quanta()]
+            committed = sum(q.committed for q in window)
+            cycles = sum(q.cycles for q in window)
+            if spec.mode == "adts":
+                scheduler = {"mode": "adts", "heuristic": spec.heuristic}
+                scheduler.update(member.controller.summary())
+            else:
+                scheduler = {"mode": "fixed", "policy": cfg.policy}
+            if member.injector is not None:
+                scheduler.update(member.injector.summary())
+            results[member.index] = RunResult(
+                config=cfg,
+                ipc=committed / cycles if cycles else 0.0,
+                committed=committed,
+                cycles=cycles,
+                quantum_ipcs=[q.ipc for q in window],
+                scheduler=scheduler,
+                fingerprint=fingerprint,
+            )

@@ -75,6 +75,10 @@ class InvariantChecker(SchedulerHook):
         self._last_per_thread_committed = [0] * processor.num_threads
         self.inner.attach(processor)
 
+    def detach(self) -> None:
+        self.processor = None
+        self.inner.detach()
+
     def on_cycle(self, now: int, idle_slots: int) -> int:
         return self.inner.on_cycle(now, idle_slots)
 

@@ -92,6 +92,13 @@ class SchedulerHook:
     def on_quantum_end(self, now: int, record: QuantumRecord, snapshots) -> None:
         """Called at each scheduling-quantum boundary."""
 
+    def detach(self) -> None:
+        """Drop every reference to the machine :meth:`attach` took, along
+        the whole hook chain. The processor holds its hook, so a hook that
+        keeps the processor forms a reference cycle that only a full
+        garbage-collection pass frees; a finished run calls this once on
+        ``processor.hook`` so refcounting frees the machine instead."""
+
 
 class SMTProcessor:
     """An SMT processor executing one synthetic trace per hardware context."""

@@ -9,11 +9,12 @@ instead of re-reading bad bytes. Classification taxonomy:
 * ``migratable`` — a plain JSON document without the embedded artifact
   block (e.g. a committed baseline): intact and loadable, and left as it
   is, because fsck must not dirty checked-in files;
-* ``torn-tail`` — a journal whose final line is truncated (mid-write
-  kill); repair truncates the tail, keeping every complete record;
+* ``torn-tail`` — a journal whose final line is truncated (a mid-write
+  kill leaves it without its newline); repair truncates the tail, keeping
+  every complete record;
 * ``corrupt`` — fails validation in a way no repair can trust (bad magic
   where an artifact must be, checksum mismatch, an undecodable or
-  CRC-less journal record before the last line); repair quarantines the
+  CRC-less journal record anywhere but a torn tail); repair quarantines the
   file (and, for journals, salvages the records that still validate into
   a rewritten journal);
 * ``stale-temp`` — an orphaned atomic-write temp file (a crash between
@@ -147,7 +148,7 @@ def _probe_jsonl(path: Path, blob: bytes, repair: bool) -> FsckEntry:
 
     # Replacement-decode: a bitrotted byte poisons only its own line's
     # JSON/CRC, so the rest of the journal still salvages.
-    scan = scan_journal_lines(blob.decode("utf-8", errors="replace").splitlines())
+    scan = scan_journal_lines(blob.decode("utf-8", errors="replace"))
     rewritten = "".join(line + "\n" for line in scan["good_lines"])
     if scan["bad_lines"]:
         detail = (

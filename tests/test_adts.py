@@ -162,3 +162,40 @@ class TestMachineLifetime:
         finally:
             if was_enabled:
                 gc.enable()
+
+    @pytest.mark.parametrize("run", [
+        "adts-dt-faults", "adts-invariants", "fixed-invariants", "fixed-counter-faults",
+    ])
+    def test_wrapped_runs_free_their_machine_by_refcount(self, run):
+        """A fault injector or invariant checker wrapped around the
+        controller (or around nothing, for a fixed run) holds the machine
+        too: the run detaches the whole hook chain, so no machine outlives
+        it without a full collection."""
+        from repro.faults import FaultPlan
+        from repro.harness import runner
+        from repro.smt.pipeline import SMTProcessor
+
+        cfg = runner.RunConfig(mix="mix05", num_threads=4, seed=1, quanta=2,
+                               warmup_quanta=0, quantum_cycles=256)
+        call = {
+            "adts-dt-faults": lambda: runner.run_adts(
+                cfg, fault_plan=FaultPlan(seed=3, dt_drop_rate=0.5)),
+            "adts-invariants": lambda: runner.run_adts(cfg, invariants="raise"),
+            "fixed-invariants": lambda: runner.run_fixed(cfg, invariants="raise"),
+            "fixed-counter-faults": lambda: runner.run_fixed(
+                cfg, fault_plan=FaultPlan(seed=3, counter_bitflip_rate=0.5)),
+        }[run]
+
+        def live():
+            return sum(type(o) is SMTProcessor for o in gc.get_objects())
+
+        gc.collect()
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            before = live()
+            call()
+            assert live() - before == 0
+        finally:
+            if was_enabled:
+                gc.enable()

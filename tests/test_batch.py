@@ -2,8 +2,12 @@
 harness wiring: sweep equivalence with per-cell ``run_adts`` at any batch
 size, per-mix default batches, the grid never touching the per-run
 drivers, journal resume across batch sizes, fault isolation between
-batchmates, fork-on-divergence, the supervised ``grid_batch`` task kind,
-and ``run_batch`` result parity."""
+batchmates, fork-on-divergence, depth-first stepping (one live machine
+per batch, one heartbeat per quantum step), the supervised ``grid_batch``
+task kind, and ``run_batch`` result parity."""
+
+import gc
+from contextlib import contextmanager
 
 import pytest
 
@@ -17,6 +21,7 @@ from repro.harness.journal import RunJournal
 from repro.harness.runner import BatchRunSpec, RunConfig, run_adts, run_batch, run_spec
 from repro.harness.sweep import threshold_type_grid
 from repro.smt.batch import BatchEngine
+from repro.smt.pipeline import SMTProcessor
 
 APPS = ("gzip", "crafty", "swim", "mcf")
 SEED = 1
@@ -35,6 +40,37 @@ def spec(mode="adts", policy="icount", heuristic="type3", thresholds=None,
     config = RunConfig(**{"mix": APPS, "seed": SEED, "policy": policy, **cfg})
     return BatchRunSpec(config=config, mode=mode, heuristic=heuristic,
                         thresholds=thresholds, fault_plan=fault_plan)
+
+
+def _grid_specs():
+    """The 25-cell threshold x heuristic ADTS grid on mix05."""
+    return [
+        spec(mix="mix05", seed=0, quantum_cycles=1024, quanta=4,
+             warmup_quanta=0, heuristic=h,
+             thresholds=ThresholdConfig(ipc_threshold=m))
+        for m in (1.0, 2.0, 3.0, 4.0, 5.0)
+        for h in ("type1", "type2", "type3", "type3g", "type4")
+    ]
+
+
+def _live_machines() -> int:
+    return sum(type(o) is SMTProcessor for o in gc.get_objects())
+
+
+@contextmanager
+def _machines_counted():
+    """Collect, then disable automatic collection, so a machine left in a
+    reference cycle stays countable; yields a function giving the number
+    of machines alive beyond those alive on entry."""
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        before = _live_machines()
+        yield lambda: _live_machines() - before
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 class TestSweepBatchEquivalence:
@@ -234,18 +270,66 @@ class TestForkOnDivergence:
         fewer trajectories than it has cells, so the batch takes at most
         half the quantum steps a cell-by-cell sweep takes: the sharing the
         batch engine's sweep speed-up comes from."""
-        specs = [
-            spec(mix="mix05", seed=0, quantum_cycles=1024, quanta=4,
-                 warmup_quanta=0, heuristic=h,
-                 thresholds=ThresholdConfig(ipc_threshold=m))
-            for m in (1.0, 2.0, 3.0, 4.0, 5.0)
-            for h in ("type1", "type2", "type3", "type3g", "type4")
-        ]
+        specs = _grid_specs()
         engine = BatchEngine(specs)
         engine.run()
         telemetry = engine.telemetry
         assert telemetry["groups_final"] < len(specs)
         assert 2 * telemetry["quantum_steps"] <= telemetry["quantum_steps_sequential"]
+
+
+class TestDepthFirst:
+    """Groups run depth-first: one live machine per batch however many
+    trajectories it forks into, each freed by refcount when it ends."""
+
+    def test_one_live_machine_at_a_time(self):
+        seen = []
+        engine = BatchEngine(_grid_specs())
+        with _machines_counted() as live:
+            engine.run(progress=lambda _steps: seen.append(live()))
+            assert live() == 0
+        assert engine.telemetry["groups_final"] > 1  # it did fork
+        assert max(seen) == 1
+
+    def test_progress_fires_once_per_quantum_step(self):
+        calls = []
+        engine = BatchEngine(_grid_specs())
+        engine.run(progress=calls.append)
+        steps = engine.telemetry["quantum_steps"]
+        assert calls == list(range(1, steps + 1))
+
+    def test_forks_at_the_final_boundary(self):
+        """Runs that diverge only at the last boundary still fork (their
+        ops change the final machine) and return whole results; the
+        parked partitions take no step, and every machine is freed."""
+        common = dict(seed=3, quantum_cycles=512, quanta=1, warmup_quanta=0)
+        specs = [
+            spec(mode="fixed", policy="icount", **common),
+            spec(heuristic="type3", thresholds=ThresholdConfig(ipc_threshold=99.0), **common),
+            spec(heuristic="type1", thresholds=ThresholdConfig(ipc_threshold=99.0), **common),
+            spec(heuristic="type3", thresholds=ThresholdConfig(ipc_threshold=0.0), **common),
+        ]
+        engine = BatchEngine(specs)
+        with _machines_counted() as live:
+            results = engine.run()
+            assert live() == 0
+        assert engine.telemetry["forks"] == 2
+        assert engine.telemetry["quantum_steps"] == 1
+        assert results == [run_spec(s) for s in specs]
+
+    def test_scheduler_faulted_solo_machine_is_freed(self):
+        """A faulted cell's injector holds its machine (and gates its
+        ``set_policy``); detaching the chain frees it like a grouped one."""
+        plan = FaultPlan.from_kinds(["counters", "dt", "policy"], rate=0.5, seed=7)
+        common = dict(quantum_cycles=256, quanta=2, warmup_quanta=0,
+                      thresholds=ThresholdConfig(ipc_threshold=2.0))
+        specs = [spec(fault_plan=plan, **common),
+                 spec(mode="fixed", fault_plan=plan, **common)]
+        engine = BatchEngine(specs)
+        with _machines_counted() as live:
+            results = engine.run()
+            assert live() == 0
+        assert results == [run_spec(s) for s in specs]
 
 
 class TestRunBatchParity:

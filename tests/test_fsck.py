@@ -164,6 +164,20 @@ class TestRepair:
         j = RunJournal(p)
         assert j.load() == 1 and j.get("a") == {"v": 1}
 
+    def test_edited_last_record_is_quarantined_not_truncated(self, tmp_path):
+        """A complete, newline-terminated last record whose payload was
+        edited (its CRC kept) is damage, not a torn tail: fsck keeps the
+        evidence and salvages only the records that validate."""
+        p = tmp_path / "j.jsonl"
+        edited = json.loads(_crc_line("b", {"ipc": 2.0}))
+        edited["payload"]["ipc"] = 9.9
+        p.write_text(_crc_line("a", {"ipc": 1.0}) + "\n" + json.dumps(edited) + "\n")
+        report = fsck_tree(tmp_path, repair=True)
+        assert report.exit_code == 1
+        assert [(e.status, e.action) for e in report.entries] == [("corrupt", "quarantined")]
+        assert (tmp_path / "j.jsonl.corrupt").exists()
+        assert [json.loads(line)["key"] for line in p.read_text().splitlines()] == ["a"]
+
     def test_v1_snapshot_is_quarantined(self, tmp_path):
         """A v1 frame predates the run key a resume must match, so no run
         could resume it: fsck moves it aside instead of migrating it."""

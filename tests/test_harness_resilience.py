@@ -111,8 +111,8 @@ class TestRunJournal:
 
     def test_record_without_crc_is_never_served(self, tmp_path):
         """Stripping a record's checksum must not make an edit to it
-        trusted: the record is damage, dropped as a last line and refused
-        (then salvaged around) as an interior one."""
+        trusted: a complete record without its CRC is damage wherever it
+        sits, refused by ``load()`` and salvaged around by ``recover()``."""
         journal = RunJournal(tmp_path / "j.jsonl")
         journal.record("a", {"ipc": 1.0})
         journal.close()
@@ -120,8 +120,8 @@ class TestRunJournal:
         del entry["crc"]
         entry["payload"]["ipc"] = 9.9
         journal.path.write_text(json.dumps(entry) + "\n")
-        tail = RunJournal(journal.path)
-        assert tail.load() == 0 and tail.get("a") is None
+        with pytest.raises(JournalError, match="line 1"):
+            RunJournal(journal.path).load()
 
         with RunJournal(journal.path) as later:
             later.record("b", {"ipc": 2.0})
@@ -132,6 +132,37 @@ class TestRunJournal:
             assert info["quarantined"] and info["dropped"] == 1
             assert salvaged.get("a") is None
             assert salvaged.get("b") == {"ipc": 2.0}
+
+    @staticmethod
+    def _edit_last_record(journal):
+        """Record ``a`` and ``b``, then edit ``b``'s payload in place,
+        keeping its ``crc`` and its newline: a complete record that fails
+        its checksum, which no killed append can leave behind."""
+        journal.record("a", {"ipc": 1.0})
+        journal.record("b", {"ipc": 2.0})
+        journal.close()
+        first, second = journal.path.read_text().splitlines()
+        entry = json.loads(second)
+        entry["payload"]["ipc"] = 9.9
+        journal.path.write_text(f"{first}\n{json.dumps(entry)}\n")
+
+    def test_edited_last_record_is_damage_not_a_torn_tail(self, tmp_path):
+        journal = RunJournal(tmp_path / "j.jsonl")
+        self._edit_last_record(journal)
+        with pytest.raises(JournalError, match="line 2"):
+            RunJournal(journal.path).load()
+
+    def test_recover_quarantines_an_edited_last_record(self, tmp_path):
+        journal = RunJournal(tmp_path / "j.jsonl")
+        self._edit_last_record(journal)
+        with RunJournal(journal.path) as salvaged:
+            info = salvaged.recover()
+            assert info["quarantined"] and info["dropped"] == 1
+            assert not info["torn_tail"]
+            assert salvaged.get("a") == {"ipc": 1.0}
+            assert salvaged.get("b") is None
+        assert (tmp_path / "j.jsonl.corrupt").exists()
+        assert RunJournal(journal.path).load() == 1
 
     def test_clear_removes_file(self, tmp_path):
         journal = RunJournal(tmp_path / "j.jsonl")

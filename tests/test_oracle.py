@@ -1,8 +1,35 @@
 """Tests for the oracle (clairvoyant) scheduler."""
 
+import copy
+import pickle
+
 import pytest
 
-from repro.core.oracle import OracleScheduler, oracle_upper_bound
+import repro.core.oracle as oracle_mod
+from repro.core.oracle import OracleQuantum, OracleResult, OracleScheduler, oracle_upper_bound
+
+
+def _deepcopy_oracle(processor, quanta, candidates):
+    """The oracle with a ``copy.deepcopy`` of the machine per candidate:
+    the reference its pickled forks must match."""
+    result = OracleResult()
+    q_cycles = processor.quantum_cycles
+    for q in range(quanta):
+        per_policy = {}
+        for name in candidates:
+            trial = copy.deepcopy(processor)
+            trial.set_policy(name)
+            before = trial.stats.committed
+            trial.run(q_cycles)
+            per_policy[name] = trial.stats.committed - before
+        chosen = max(per_policy, key=per_policy.get)
+        processor.set_policy(chosen)
+        before = processor.stats.committed
+        processor.run(q_cycles)
+        result.quanta.append(OracleQuantum(q, chosen, per_policy,
+                                           processor.stats.committed - before))
+    result.cycles = quanta * q_cycles
+    return result
 
 
 class TestOracleScheduler:
@@ -39,6 +66,40 @@ class TestOracleScheduler:
         result = OracleScheduler(("icount",)).run(proc, quanta=2)
         for q in result.quanta:
             assert q.committed == q.per_policy_committed["icount"]
+
+
+class TestPickledForks:
+    CANDIDATES = ("icount", "brcount", "l1misscount")
+
+    @pytest.mark.parametrize("mix", [("gzip", "crafty", "swim", "mcf"),
+                                     ("mcf", "swim", "art", "equake")])
+    def test_matches_deepcopy_forks(self, quick_proc, mix):
+        proc, ref_proc = quick_proc(mix=mix), quick_proc(mix=mix)
+        got = OracleScheduler(self.CANDIDATES).run(proc, quanta=3)
+        want = _deepcopy_oracle(ref_proc, 3, self.CANDIDATES)
+        assert got == want
+        assert proc.fingerprint() == ref_proc.fingerprint()
+
+    def test_one_pickle_per_boundary_one_load_per_candidate(self, quick_proc,
+                                                            monkeypatch):
+        calls = {"dumps": 0, "loads": 0}
+
+        class Counting:
+            HIGHEST_PROTOCOL = pickle.HIGHEST_PROTOCOL
+
+            @staticmethod
+            def dumps(*args):
+                calls["dumps"] += 1
+                return pickle.dumps(*args)
+
+            @staticmethod
+            def loads(blob):
+                calls["loads"] += 1
+                return pickle.loads(blob)
+
+        monkeypatch.setattr(oracle_mod, "pickle", Counting)
+        OracleScheduler(self.CANDIDATES).run(quick_proc(), quanta=2)
+        assert calls == {"dumps": 2, "loads": 2 * len(self.CANDIDATES)}
 
 
 class TestOracleUpperBound:
