@@ -65,7 +65,7 @@ from repro.harness.experiments import (
 )
 from repro.harness.journal import RunJournal
 from repro.harness.report import format_series, format_table
-from repro.harness.runner import BatchRunSpec, RunConfig, run_spec
+from repro.harness.runner import BatchRunSpec, RunConfig, run_fields, run_spec
 from repro.policies.registry import POLICY_NAMES
 from repro.workloads.mixes import MIXES
 
@@ -666,21 +666,18 @@ def cmd_profile_snapshot(args) -> int:
     behaviour (counters, switch telemetry, watchdog/fault counters) as a
     labelled profile artifact. The profile id is content-addressed, so the
     same seed and config always produce the same id, byte-identically —
-    and `--faults` perturbations move the id and the metrics with it."""
+    and `--faults` perturbations move the id and the metrics with it. The
+    identity's ``config_digest`` is the run's key (its ``run_fields``
+    digest), so it covers the threshold and the fault plan's seed too."""
     from repro.behavior import ProfileStore, profile_from_sim
 
-    result = run_spec(_spec_from_args(args))
+    spec = _spec_from_args(args)
+    result = run_spec(spec)
     profile = profile_from_sim(
         {"ipc": result.ipc, **result.scheduler},
         args.label,
         seed=args.seed,
-        config_fields={
-            "mix": args.mix, "policy": args.policy, "adts": args.adts,
-            "heuristic": args.heuristic if args.adts else None,
-            "quantum_cycles": args.quantum, "quanta": args.quanta,
-            "warmup_quanta": args.warmup, "faults": args.faults or "",
-            "fault_rate": args.fault_rate if args.faults else 0.0,
-        },
+        config_fields=run_fields(spec),
         window={"quanta": args.quanta, "warmup_quanta": args.warmup},
     )
     store = ProfileStore(args.store)

@@ -140,33 +140,26 @@ register_task_kind("grid_batch", _run_grid_batch)
 
 
 def _run_service_cell(spec, progress, checkpoint_path: Optional[Path]) -> dict:
-    """The simulation service's full-fidelity task: one detailed-engine run.
+    """The simulation service's full-fidelity task: one detailed-engine run,
+    answered with its :meth:`~repro.harness.runner.RunResult.payload` (the
+    payload a grid journal records for the same run).
 
     ``spec["run"]`` is the request's picklable
     :class:`~repro.harness.runner.BatchRunSpec`. Registered here (not in
     the service module) so spawn-method workers, which import only this
-    module, can resolve it. ``force_crash`` is the service's breaker-trip
-    fault hook: the attempt dies by SIGKILL before simulating, exercising
-    the real crash-containment path rather than a synthetic exception.
+    module, can resolve it; the inline full tier calls it in-process.
+    ``force_crash`` is the service's breaker-trip fault hook: the attempt
+    dies by SIGKILL before simulating, exercising the real
+    crash-containment path rather than a synthetic exception.
     """
-    if spec.get("force_crash"):
-        os.kill(os.getpid(), signal.SIGKILL)
-    return _service_cell_payload(spec, progress, checkpoint_path)
-
-
-def _service_cell_payload(spec, progress, checkpoint_path: Optional[Path]) -> dict:
-    """Run the cell's simulation and summarize it as the service's payload."""
     from repro.harness.runner import run_spec
 
+    if spec.get("force_crash"):
+        os.kill(os.getpid(), signal.SIGKILL)
     run = spec["run"]
     if spec.get("strip_worker_faults"):
         run = run.without_worker_faults()
-    r = run_spec(run, progress=progress, checkpoint=checkpoint_path)
-    return {
-        "ipc": r.ipc,
-        "switches": r.scheduler.get("switches", 0),
-        "benign_probability": r.scheduler.get("benign_probability", 0.0),
-    }
+    return run_spec(run, progress=progress, checkpoint=checkpoint_path).payload()
 
 
 register_task_kind("service_cell", _run_service_cell)

@@ -1,14 +1,16 @@
 """JSONL run journal: checkpoint/resume for long sweeps.
 
 Each completed sweep cell is appended as one JSON line
-``{"key": <canonical-key-string>, "payload": {...}, "crc": <crc32>}`` in a
-single durable write (:func:`repro.storage.atomic.append_line`), so a
+``{"key": <run key>, "payload": {...}, "crc": <crc32>}`` in a single
+durable write (:func:`repro.storage.atomic.append_line`), so a
 killed sweep loses at most the cell that was in flight and an ENOSPC
-mid-record is healed by truncation instead of leaving a torn tail. On
-resume the journal is loaded and every journaled cell is served from the
-stored payload instead of being re-simulated; because all simulations are
-seed-deterministic, the resumed aggregate is identical to an uninterrupted
-run.
+mid-record is healed by truncation instead of leaving a torn tail. The
+key is the cell's :func:`~repro.harness.runner.run_key` (the request
+identity the service gives the same run); the journal itself treats it
+as an opaque string. On resume the journal is loaded and every journaled
+cell is served from the stored payload instead of being re-simulated;
+because all simulations are seed-deterministic, the resumed aggregate is
+identical to an uninterrupted run.
 
 The per-line ``crc`` covers the canonical JSON of ``[key, payload]``, so
 bitrot inside a record is detected at load time rather than silently
@@ -56,7 +58,7 @@ from pathlib import Path
 from typing import Dict, Optional, Union
 
 from repro.harness.errors import JournalError, StorageError
-from repro.storage.atomic import append_line, atomic_write_bytes, quarantine
+from repro.storage.atomic import append_line, atomic_write_bytes, pid_alive, quarantine
 
 try:
     import fcntl
@@ -145,19 +147,6 @@ def _read_text(path: Path) -> str:
 _PROCESS_LOCKS: Dict[str, list] = {}
 
 
-def _pid_alive(pid: int) -> bool:
-    """Whether ``pid`` names a live process (signal-0 probe)."""
-    if pid <= 0:
-        return False
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except OSError:
-        return True  # exists but isn't ours (EPERM): definitely alive
-    return True
-
-
 class RunJournal:
     """Append-only JSONL journal of completed run cells."""
 
@@ -168,11 +157,6 @@ class RunJournal:
         #: appends that failed durably (storage error after bounded retries)
         #: but were kept in memory; the cells re-run on a later resume.
         self.append_errors = 0
-
-    @staticmethod
-    def cell_key(**fields: object) -> str:
-        """Canonical, order-independent key string for one cell."""
-        return json.dumps(fields, sort_keys=True, default=str)
 
     # -- persistence --------------------------------------------------------
     def load(self) -> int:
@@ -341,7 +325,7 @@ class RunJournal:
             holder_pid = int(holder)
         except ValueError:
             return False
-        if _pid_alive(holder_pid):
+        if pid_alive(holder_pid):
             return False
         try:
             os.unlink(self.lock_path)

@@ -1,11 +1,13 @@
 """Single-run drivers: one (mix, scheduler) combination → one result.
 
-A run is described one way: a :class:`BatchRunSpec` (a :class:`RunConfig`
-plus the scheduler selection). :func:`run_spec` runs one spec through the
-sequential drivers, :func:`run_batch` runs many through one lockstep
-:class:`~repro.smt.batch.BatchEngine` pass, and :func:`run_key` is the one
-identity of a run: the grid journal's cell key and the checkpoint resume
-guard alike.
+A run is described one way, a :class:`BatchRunSpec` (a :class:`RunConfig`
+plus the scheduler selection), and identified one way: :func:`run_key`,
+the digest of its :func:`run_fields`, keys grid-journal cells, checkpoint
+resumes and, as :func:`~repro.service.identity.request_identity`, the
+service's store, routing, verifier and DLQ. :func:`run_spec` runs one spec
+through the sequential drivers, :func:`run_batch` runs many through one
+lockstep :class:`~repro.smt.batch.BatchEngine` pass, and both build their
+results with :func:`measured_result`.
 
 Beyond the plain drivers, runs can opt into three robustness features:
 
@@ -29,14 +31,17 @@ are stepped on exactly the same cycle boundaries either way.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import logging
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro import build_processor
 from repro.core.adts import ADTSController
+from repro.core.heuristics import HEURISTICS
 from repro.core.thresholds import ThresholdConfig
 from repro.faults import FaultInjector, FaultPlan
 from repro.harness.errors import ConfigError, StorageError
@@ -123,9 +128,14 @@ class RunResult:
     scheduler: Dict = field(default_factory=dict)
     fingerprint: str = ""
 
-    @property
-    def mean_quantum_ipc(self) -> float:
-        return sum(self.quantum_ipcs) / len(self.quantum_ipcs) if self.quantum_ipcs else 0.0
+    def payload(self) -> Dict:
+        """The cell payload: what a grid journal records for a cell and a
+        service answer carries (the two share it)."""
+        return {
+            "ipc": self.ipc,
+            "switches": self.scheduler.get("switches", 0),
+            "benign_probability": self.scheduler.get("benign_probability", 0.0),
+        }
 
 
 @dataclass(frozen=True)
@@ -134,10 +144,11 @@ class BatchRunSpec:
 
     The one description of a run below the service: the sequential drivers
     (:func:`run_spec`), the lockstep batch engine (:func:`run_batch`), grid
-    cells, the service's ``service_cell`` task and :func:`run_key` all take
-    it. ``mode`` is ``"adts"`` (``heuristic`` and ``thresholds`` select the
-    controller; the run boots on ICOUNT) or ``"fixed"`` (``config.policy``
-    runs unattended).
+    cells, the service's ``service_cell`` task and :func:`run_fields` all
+    take it. ``mode`` is ``"adts"`` (``heuristic`` and ``thresholds`` select
+    the controller; the run boots on ICOUNT) or ``"fixed"``
+    (``config.policy`` runs unattended). An unknown mode or heuristic
+    raises :class:`ConfigError`.
     """
 
     config: RunConfig
@@ -149,6 +160,14 @@ class BatchRunSpec:
     def __post_init__(self) -> None:
         if self.mode not in ("adts", "fixed"):
             raise ConfigError("mode", self.mode, "'adts' or 'fixed'")
+        if self.heuristic not in HEURISTICS:
+            raise ConfigError("heuristic", self.heuristic, f"one of {sorted(HEURISTICS)}")
+
+    @property
+    def initial_policy(self) -> str:
+        """The policy the machine boots on: ADTS always starts on ICOUNT
+        (§4.3.3), a fixed run on its own policy."""
+        return "icount" if self.mode == "adts" else self.config.policy
 
     def without_worker_faults(self) -> "BatchRunSpec":
         """This spec minus its plan's process-killing faults (what a
@@ -158,51 +177,130 @@ class BatchRunSpec:
         return replace(self, fault_plan=self.fault_plan.without_worker_faults())
 
 
+#: Bump when :func:`run_fields` changes shape: stored results keyed under
+#: an old scheme must re-simulate rather than mis-hit.
+IDENTITY_SCHEME = 1
+
+#: What a run's nested configs are keyed against.
+_DEFAULTS = {cls: cls() for cls in (ThresholdConfig, SMTConfig, FaultPlan)}
+
+
+def _changed(value, skip: tuple = ()) -> Dict:
+    """``value``'s fields that differ from its class's defaults, except
+    those named with a ``skip`` prefix; floats coerced, so ``2`` and
+    ``2.0`` key the same."""
+    default = _DEFAULTS[type(value)]
+    out = {}
+    for f in fields(value):
+        v, d = getattr(value, f.name), getattr(default, f.name)
+        if v != d and not f.name.startswith(skip):
+            out[f.name] = (asdict(v) if is_dataclass(v)
+                           else float(v) if isinstance(d, float) else v)
+    return out
+
+
+def run_fields(spec: BatchRunSpec) -> Dict:
+    """A run's identity: ``spec`` projected onto the fields that decide its
+    result. Equal projections are the same seeded simulation. Fields the
+    run ignores are dropped (an ADTS run's starting policy, a fixed run's
+    heuristic and thresholds), numbers are coerced, nested configs key
+    only their non-default fields, and the fault plan appears only when a
+    non-disk family is on (disk faults never change a result)."""
+    cfg = spec.config
+    mix = cfg.mix
+    out = {
+        "scheme": IDENTITY_SCHEME,
+        "mix": mix if isinstance(mix, str) else [str(app) for app in mix],
+        "mode": spec.mode,
+        "quanta": int(cfg.quanta),
+        "warmup_quanta": int(cfg.warmup_quanta),
+        "quantum_cycles": int(cfg.quantum_cycles),
+        "num_threads": int(cfg.num_threads),
+        "seed": int(cfg.seed),
+    }
+    if spec.mode == "adts":
+        thresholds = spec.thresholds or _DEFAULTS[ThresholdConfig]
+        out["scheduler"] = spec.heuristic
+        out["ipc_threshold"] = float(thresholds.ipc_threshold)
+        out.update(_changed(thresholds, skip=("ipc_threshold",)))
+    else:
+        out["scheduler"] = cfg.policy
+    if cfg.machine is not None:
+        out["machine"] = _changed(cfg.machine)
+    plan = spec.fault_plan
+    if plan is not None and plan.any_scheduler_enabled:
+        out["faults"] = _changed(plan, skip=("disk_",))
+    return out
+
+
+def fields_digest(fields: Dict) -> str:
+    """SHA-256 hex digest of the canonical JSON of ``fields`` (sorted keys)."""
+    blob = json.dumps(fields, sort_keys=True, default=str).encode("utf-8")
+    return hashlib.sha256(blob).hexdigest()
+
+
 def run_key(
     spec: BatchRunSpec,
     instant_dt: bool = False,
     invariants: Optional[str] = None,
 ) -> str:
-    """The one identity of a run: the grid journal's cell key and the key a
-    checkpoint must carry to be resumed.
+    """The key of a run: the digest of its :func:`run_fields`, plus the
+    checkpoint guard's ``instant_dt`` and ``invariants`` mode when set. A
+    grid journal files each cell under it, a checkpoint resumes only under
+    it, and a request's identity is the key of its run spec."""
+    key = run_fields(spec)
+    if instant_dt:
+        key["instant_dt"] = True
+    if invariants is not None:
+        key["invariants"] = invariants
+    return fields_digest(key)
 
-    Covers every :class:`RunConfig` field (``machine`` included), the mode
-    and its scheduler (the heuristic and every :class:`ThresholdConfig`
-    field for ADTS), ``instant_dt`` and the ``invariants`` mode. The fault
-    plan is included only when a result-affecting (non-disk) family is on:
-    disk faults never change a result, so a disk-chaos run shares its key
-    (and a grid its journal) with the fault-free run.
-    """
-    from repro.harness.journal import RunJournal
 
+def measured_result(spec: BatchRunSpec, history: Sequence, fingerprint: str,
+                    *hooks) -> RunResult:
+    """A finished run's result: ``spec``'s window of the per-quantum
+    ``history`` plus the summaries of its ``hooks`` (controller, injector,
+    invariant checker; None skipped). Sequential and batch runs both
+    build their results here."""
     cfg = spec.config
-    key = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
-    key.update(mode=spec.mode, instant_dt=instant_dt, invariants=invariants)
+    window = history[cfg.warmup_quanta:cfg.total_quanta()]
+    committed = sum(q.committed for q in window)
+    cycles = sum(q.cycles for q in window)
     if spec.mode == "adts":
-        key["heuristic"] = spec.heuristic
-        key["thresholds"] = asdict(spec.thresholds or ThresholdConfig())
-    plan = spec.fault_plan
-    if plan is not None and plan.any_scheduler_enabled:
-        key["faults"] = repr(plan)
-    return RunJournal.cell_key(**key)
+        scheduler = {"mode": "adts", "heuristic": spec.heuristic}
+    else:
+        scheduler = {"mode": "fixed", "policy": cfg.policy}
+    for hook in hooks:
+        if hook is not None:
+            scheduler.update(hook.summary())
+    return RunResult(
+        config=cfg,
+        ipc=committed / cycles if cycles else 0.0,
+        committed=committed,
+        cycles=cycles,
+        quantum_ipcs=[q.ipc for q in window],
+        scheduler=scheduler,
+        fingerprint=fingerprint,
+    )
 
 
-def _measure(
+def _advance(
     proc,
     cfg: RunConfig,
-    scheduler_summary: Dict,
     progress: Optional[ProgressFn] = None,
     checkpoint: Optional[Union[str, Path]] = None,
     controller=None,
     injector=None,
     key: Optional[str] = None,
-) -> RunResult:
-    """Advance ``proc`` to ``cfg.total_quanta()`` quanta and window the stats.
+) -> None:
+    """Advance ``proc`` to ``cfg.total_quanta()`` quanta, heartbeating and
+    snapshotting after each quantum when asked.
 
-    The result is derived purely from the per-quantum history, so it is
-    identical whether the run went straight through, was stepped quantum by
-    quantum for heartbeats/checkpoints, or was restored mid-way from a
-    snapshot (``proc`` may arrive here with quanta already on the clock).
+    The result (:func:`measured_result`) is derived purely from the
+    per-quantum history, so it is identical whether the run went straight
+    through, was stepped quantum by quantum for heartbeats/checkpoints, or
+    was restored mid-way from a snapshot (``proc`` may arrive here with
+    quanta already on the clock).
     """
     total = cfg.total_quanta()
     if progress is None and checkpoint is None:
@@ -230,18 +328,6 @@ def _measure(
                     )
         if checkpoint is not None:
             discard_checkpoint(checkpoint)  # a finished run needs no resume point
-    window = proc.stats.quantum_history[cfg.warmup_quanta : total]
-    committed = sum(q.committed for q in window)
-    cycles = sum(q.cycles for q in window)
-    return RunResult(
-        config=cfg,
-        ipc=committed / cycles if cycles else 0.0,
-        committed=committed,
-        cycles=cycles,
-        quantum_ipcs=[q.ipc for q in window],
-        scheduler=scheduler_summary,
-        fingerprint=proc.fingerprint(),
-    )
 
 
 def _maybe_inject(hook, fault_plan: Optional[FaultPlan]):
@@ -332,27 +418,15 @@ def _run(
                 num_threads=cfg.num_threads,
                 seed=cfg.seed,
                 config=cfg.machine,
-                # ADTS starts on its initial/default policy (§4.3.3).
-                policy="icount" if spec.mode == "adts" else cfg.policy,
+                policy=spec.initial_policy,
                 hook=hook,
                 quantum_cycles=cfg.quantum_cycles,
             )
         checker = proc.hook if isinstance(proc.hook, InvariantChecker) else None
-        if spec.mode == "adts":
-            summary = {"mode": "adts", "heuristic": spec.heuristic}
-        else:
-            summary = {"mode": "fixed", "policy": cfg.policy}
-        result = _measure(
-            proc, cfg, summary,
-            progress=progress, checkpoint=checkpoint,
-            controller=controller, injector=injector, key=key,
-        )
-        if controller is not None:
-            result.scheduler.update(controller.summary())
-        if injector is not None:
-            result.scheduler.update(injector.summary())
-        if checker is not None:
-            result.scheduler.update(checker.summary())
+        _advance(proc, cfg, progress=progress, checkpoint=checkpoint,
+                 controller=controller, injector=injector, key=key)
+        result = measured_result(spec, proc.stats.quantum_history, proc.fingerprint(),
+                                 controller, injector, checker)
         proc.hook.detach()  # the result is measured: free the machine by refcount
         return result
 

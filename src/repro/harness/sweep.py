@@ -9,8 +9,10 @@ way only: in per-mix lockstep batches through
 :func:`~repro.harness.runner.run_batch`, inline or as supervised
 ``grid_batch`` items. Each cell is a
 :class:`~repro.harness.runner.BatchRunSpec`, journaled under its
-:func:`~repro.harness.runner.run_key` — the same key the checkpoint resume
-guard uses.
+:func:`~repro.harness.runner.run_key` — the key the checkpoint resume
+guard uses, and the :func:`~repro.service.identity.request_identity` of
+the service request asking for the same run — with the payload a
+service answer carries (:meth:`~repro.harness.runner.RunResult.payload`).
 """
 
 from __future__ import annotations
@@ -87,20 +89,15 @@ def run_cells(
     progress: Optional[ProgressFn] = None,
 ) -> Dict[str, Dict]:
     """Simulate ``cells`` in one lockstep :func:`run_batch` pass and map
-    each cell's journal key to the payload a grid journals and aggregates.
+    each cell's journal key to its :meth:`~repro.harness.runner.RunResult.
+    payload`, the payload a grid journals and aggregates (and a service
+    answer carries).
 
     This is the only place a grid cell is simulated: inline batches call it
     directly and supervised ``grid_batch`` workers call it in the child.
     """
     results = run_batch([spec for _key, spec in cells], progress=progress)
-    return {
-        key: {
-            "ipc": r.ipc,
-            "switches": r.scheduler.get("switches", 0),
-            "benign_probability": r.scheduler.get("benign_probability", 0.0),
-        }
-        for (key, _spec), r in zip(cells, results)
-    }
+    return {key: r.payload() for (key, _spec), r in zip(cells, results)}
 
 
 def _supervised_waves(

@@ -55,7 +55,6 @@ from repro.service.request import (
 )
 from repro.service.identity import (
     IDENTITY_SCHEME,
-    canonical_fields,
     fields_digest,
     request_identity,
     shard_of,
@@ -108,7 +107,6 @@ __all__ = [
     "TrafficSpec",
     "VirtualClock",
     "breakdown",
-    "canonical_fields",
     "fields_digest",
     "generate_burst",
     "generate_traffic",

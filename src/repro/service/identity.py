@@ -1,28 +1,30 @@
-"""Deterministic request identity: canonical fields → stable digest → shard.
+"""Deterministic request identity: the run a request asks for → digest → shard.
 
 The service front door (:mod:`repro.service.router`) and the
 content-addressed result store (:mod:`repro.service.resultstore`) both key
 on *what simulation a request asks for*, not on who asked or how urgently.
-This module owns that identity, and it is the only one: the store is the
-only place a finished answer is reused, so no second key can let two
+That identity is the run's own: :func:`request_identity` is the
+:func:`~repro.harness.runner.run_key` of the request's
+:meth:`~repro.service.request.SimRequest.run_spec`, the digest of its
+:func:`~repro.harness.runner.run_fields` projection. So a grid-journal cell
+and the request asking for it share one key, and no second key can let two
 different simulations share an answer.
 
-* :func:`canonical_fields` projects a :class:`~repro.service.request.
-  SimRequest` onto exactly the fields that determine the simulation's
-  output, normalized so representational noise cannot split the cache —
+* The projection drops everything the simulation does not depend on:
   service-level fields (client, priority, deadline, degradability,
-  request_id) are excluded; numeric fields are coerced (``2`` and ``2.0``
-  digest identically); ``fault_kinds`` are sorted and deduplicated (the
-  seeded injector draws per family, so order never matters); fields the
-  selected mode ignores are dropped (a *fixed* run's heuristic/threshold,
-  an *adts* run's starting policy); the fault plan is kept (a faulted
-  request and its clean twin are different simulations); and a request
-  with no fault kinds normalizes its ``fault_rate`` away.
+  request_id) never reach the run spec; fields the run ignores (a *fixed*
+  run's heuristic and threshold, an *adts* run's starting policy) are
+  dropped; numbers are coerced (``2`` and ``2.0`` digest identically).
+  ``fault_kinds`` become a fault plan, so their order and repeats never
+  matter; the plan is part of identity only when a non-disk family is on
+  (a faulted request and its clean twin are different simulations, while
+  disk faults never change a result, so a disk-only request shares its
+  clean twin's identity and stored answer).
 
-* :func:`fields_digest` hashes the canonical JSON of those fields
-  (sorted keys) with SHA-256. Because every simulation is
-  seed-deterministic, equal digests imply byte-identical result payloads —
-  which is what makes coalescing and cache hits *answers*, not guesses.
+* :func:`fields_digest` hashes the canonical JSON of those fields (sorted
+  keys) with SHA-256. Because every simulation is seed-deterministic, equal
+  digests imply byte-identical result payloads — which is what makes
+  coalescing and cache hits *answers*, not guesses.
 
 * :func:`shard_of` maps a digest onto one of N shards (leading 32 bits,
   mod N), so a given simulation is always owned by the same shard: its
@@ -31,59 +33,26 @@ different simulations share an answer.
 
 from __future__ import annotations
 
-import hashlib
-import json
+from typing import TYPE_CHECKING
 
-from repro.service.request import SimRequest
+from repro.harness.runner import (  # noqa: F401  (re-exports)
+    IDENTITY_SCHEME,
+    fields_digest,
+    run_key,
+)
 
-#: Bump when canonical_fields changes shape: stored results keyed under an
-#: old scheme must re-simulate rather than mis-hit.
-IDENTITY_SCHEME = 1
-
-
-def canonical_fields(request: SimRequest) -> dict:
-    """The simulation-identity projection of one request, normalized.
-
-    Two requests with equal projections are asking for the same seeded
-    simulation and may share one result; two with different projections
-    must never share one.
-    """
-    mode = str(request.mode)
-    fields = {
-        "scheme": IDENTITY_SCHEME,
-        "mix": str(request.mix),
-        "mode": mode,
-        "quanta": int(request.quanta),
-        "warmup_quanta": int(request.warmup_quanta),
-        "quantum_cycles": int(request.quantum_cycles),
-        "num_threads": int(request.num_threads),
-        "seed": int(request.seed),
-    }
-    if mode == "adts":
-        # ADTS picks its own policies; the request's starting `policy`
-        # field is inert.
-        fields["scheduler"] = str(request.heuristic)
-        fields["ipc_threshold"] = float(request.threshold)
-    else:
-        fields["scheduler"] = str(request.policy)
-    kinds = sorted(set(str(k) for k in request.fault_kinds))
-    if kinds:
-        # Injected faults change the simulated outcome, so they are part
-        # of identity — but only when any family is actually enabled.
-        fields["fault_kinds"] = kinds
-        fields["fault_rate"] = float(request.fault_rate)
-    return fields
-
-
-def fields_digest(fields: dict) -> str:
-    """SHA-256 hex digest of the canonical JSON of ``fields``."""
-    blob = json.dumps(fields, sort_keys=True, default=str).encode("utf-8")
-    return hashlib.sha256(blob).hexdigest()
+if TYPE_CHECKING:
+    from repro.service.request import SimRequest
 
 
 def request_identity(request: SimRequest) -> str:
-    """The stable content digest of the simulation ``request`` asks for."""
-    return fields_digest(canonical_fields(request))
+    """The stable content digest of the simulation ``request`` asks for.
+
+    Builds the request's run spec, so it validates too: a malformed
+    request raises what :meth:`~repro.service.request.SimRequest.run_spec`
+    raises (``ValueError`` or ``TypeError``).
+    """
+    return run_key(request.run_spec())
 
 
 def shard_of(digest: str, shards: int) -> int:

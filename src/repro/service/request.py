@@ -16,14 +16,12 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Optional, Tuple
 
-from repro.core.heuristics import HEURISTICS
 from repro.core.thresholds import ThresholdConfig
 from repro.faults import FaultPlan
 from repro.harness.errors import (
     OUTCOME_DEGRADED,
     OUTCOME_FULL,
     OUTCOME_KINDS,
-    ConfigError,
 )
 from repro.harness.runner import BatchRunSpec, RunConfig
 
@@ -81,8 +79,13 @@ class SimRequest:
 
     def run_spec(self) -> BatchRunSpec:
         """The full tier's run: the detailed-engine configuration plus the
-        scheduler and fault plan (validates; may raise
-        :class:`~repro.harness.errors.ConfigError`)."""
+        scheduler and fault plan.
+
+        Building it checks every field the full and fast tiers read (each
+        rule where its code lives), so admission refuses a malformed
+        request here instead of failing a worker: it raises ``ValueError``
+        (a :class:`~repro.harness.errors.ConfigError` naming the field,
+        where the rule names one) or ``TypeError`` for a wrong type."""
         config = self.run_config()
         plan = None
         if self.fault_kinds:
@@ -96,21 +99,6 @@ class SimRequest:
             thresholds=ThresholdConfig(ipc_threshold=self.threshold),
             fault_plan=plan,
         )
-
-    def validate(self) -> None:
-        """Check every field the full and fast tiers read, so a malformed
-        request is refused at admission instead of failing a worker.
-
-        The code that owns each rule checks it: the run configuration, the
-        run spec's mode, the threshold and fault-plan constructors (all
-        through :meth:`run_spec`) and the heuristic registry. Raises
-        ``ValueError`` (a :class:`~repro.harness.errors.ConfigError` naming
-        the field, where the rule is checked here) or ``TypeError`` for a
-        value of the wrong type.
-        """
-        self.run_spec()
-        if self.heuristic not in HEURISTICS:
-            raise ConfigError("heuristic", self.heuristic, f"one of {sorted(HEURISTICS)}")
 
     @classmethod
     def from_json(cls, payload: dict) -> "SimRequest":

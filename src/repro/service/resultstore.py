@@ -5,8 +5,10 @@ At millions-of-users scale, repeat traffic dominates: the same
 policies are deterministic functions of that tuple. The store turns every
 repeat into a disk hit instead of a simulation.
 
-**Addressing.** Entries are keyed by the request-identity digest of
-:mod:`repro.service.identity` and written as JSON document artifacts
+**Addressing.** :meth:`ResultStore.put` files an entry under the digest
+of its run's :func:`~repro.harness.runner.run_fields` (the request's
+:func:`~repro.service.identity.request_identity`), so an entry's address
+and its stored fields cannot disagree. Entries are JSON document artifacts
 (embedded ``"artifact"`` metadata block, CRC over the canonical document —
 see :func:`repro.storage.artifact.embed_json_artifact`), one file per
 result at ``<root>/shard-NN/<digest>.json``. The shard directory is
@@ -15,8 +17,8 @@ segment: two shards never write the same file, and an fsck of one segment
 never races another shard's writes.
 
 **Recover, don't abort.** A read that fails validation — bitrot, torn
-frame, a digest/filename mismatch (mislabeled content) — is treated as a
-*miss*: the damaged file is quarantined to ``*.corrupt`` and the caller
+frame, a stored identity that is not the filename (mislabeled content) —
+is treated as a *miss*: the damaged file is quarantined to ``*.corrupt`` and the caller
 re-simulates. A write that fails after the storage layer's bounded retries
 is absorbed and counted (``put_errors``): the store is an optimization,
 and losing one entry costs one re-simulation while aborting would cost the
@@ -45,7 +47,7 @@ import os
 from pathlib import Path
 from typing import Dict, Optional, Union
 
-from repro.service.identity import shard_of
+from repro.service.identity import fields_digest, shard_of
 from repro.storage import (
     ArtifactError,
     StorageError,
@@ -200,26 +202,27 @@ class ResultStore:
 
     def put(
         self,
-        digest: str,
-        request_fields: dict,
+        run_fields: dict,
         payload: dict,
         integrity: str = INTEGRITY_UNVERIFIED,
     ) -> bool:
-        """Durably store ``payload`` under ``digest``; returns success.
+        """Durably store ``payload`` under the digest of ``run_fields``;
+        returns success.
 
-        The canonical request fields ride inside the document so ``repro
-        fsck`` can re-derive the digest and verify the address end-to-end.
-        A failed write (ENOSPC past retries, injected fault) is absorbed
-        and counted: one lost entry costs one future re-simulation.
+        The fields ride inside the document so ``repro fsck`` can re-derive
+        the digest and verify the address end-to-end. A failed write
+        (ENOSPC past retries, injected fault) is absorbed and counted: one
+        lost entry costs one future re-simulation.
         """
         if integrity not in INTEGRITY_STATUSES:
             raise ValueError(
                 f"integrity {integrity!r}: must be one of {INTEGRITY_STATUSES}"
             )
+        digest = fields_digest(run_fields)
         doc = embed_json_artifact(
             {
                 "identity": digest,
-                "request": request_fields,
+                "request": run_fields,
                 "payload": payload,
                 "integrity": integrity,
             },
@@ -258,6 +261,7 @@ class ResultStore:
         """Promote a live entry ``unverified`` → ``verified`` (a shadow
         re-execution reproduced its digest). Atomic rewrite; best-effort
         — a failed promotion leaves a perfectly servable unverified entry.
+        A mislabeled entry (fields of another digest) is never re-filed.
         """
         path = self.path_for(digest)
         try:
@@ -268,21 +272,23 @@ class ResultStore:
         payload = doc.get("payload")
         if not isinstance(request, dict) or not isinstance(payload, dict):
             return False
-        if self.put(digest, request, payload, integrity=INTEGRITY_VERIFIED):
+        if fields_digest(request) != digest:
+            return False
+        if self.put(request, payload, integrity=INTEGRITY_VERIFIED):
             self.counters["verified_marks"] += 1
             return True
         return False
 
     def quarantine_divergent(
         self,
-        digest: str,
-        request_fields: dict,
+        run_fields: dict,
         *,
         primary_payload: dict,
         shadow_payload: dict,
         detail: str = "",
     ) -> Optional[Path]:
-        """Evict ``digest`` and quarantine *both* conflicting results.
+        """Evict the entry of ``run_fields``' digest and quarantine *both*
+        conflicting results.
 
         The live entry is replaced by a ``*.divergent`` evidence document
         holding the served (primary) payload and the shadow re-execution's
@@ -293,9 +299,10 @@ class ResultStore:
         evidence write failed (the eviction still happens: serving a
         suspect entry is worse than forgetting why it was suspect).
         """
+        digest = fields_digest(run_fields)
         evidence = {
             "identity": digest,
-            "request": request_fields,
+            "request": run_fields,
             "primary": primary_payload,
             "shadow": shadow_payload,
             "detail": detail,

@@ -7,9 +7,11 @@ verification; ``shards``, ``store``, ``verify_rate`` and
 ``dlq_threshold`` switch the rest on. Every request's fate is decided
 here, in one place:
 
-1. **Identity first.** Every valid request is reduced to its simulation
-   identity (:func:`~repro.service.identity.request_identity`). Service
-   noise — client, priority, deadline — never splits the cache.
+1. **Identity first.** Every request is reduced to its simulation
+   identity (:func:`~repro.service.identity.request_identity`, the run
+   key of its run spec); building that spec is also what validates it,
+   so a malformed request is refused here. Service noise — client,
+   priority, deadline — never splits the cache.
 
 2. **Store hit.** If the durable result store already holds the digest,
    the request is answered immediately at full fidelity, byte-identical
@@ -73,12 +75,9 @@ from repro.harness.errors import (
     OUTCOME_FAILED,
     OUTCOME_FULL,
 )
+from repro.harness.runner import run_fields
 from repro.service.dlq import DLQ_COUNTERS, DeadLetterQueue
-from repro.service.identity import (
-    canonical_fields,
-    request_identity,
-    shard_of,
-)
+from repro.service.identity import request_identity, shard_of
 from repro.service.request import (
     SimRequest,
     SimResponse,
@@ -297,10 +296,9 @@ class ShardedService:
             # would take over the first one's answer.
             return self._refuse(request, "duplicate-request-id")
         try:
-            request.validate()
+            digest = request_identity(request)  # builds the run spec: validates
         except (TypeError, ValueError) as exc:
             return self._refuse(request, f"invalid-request: {exc}")
-        digest = request_identity(request)
         if self.dlq is not None and self.dlq.is_parked(digest):
             # A parked poison pill: answer with the machine-readable
             # refusal instead of burning another worker (or hanging a
@@ -429,7 +427,7 @@ class ShardedService:
                     self._tainted[digest] = payload_digest(bad)
                     response = replace(response, payload=payload)
             if self.store is not None and group.leader is not None:
-                self.store.put(digest, canonical_fields(group.leader), payload)
+                self.store.put(run_fields(group.leader.run_spec()), payload)
                 self.store.release_lease(digest)
             del self._groups[digest]
             self._respond(response)
@@ -574,7 +572,9 @@ class ShardedService:
                 continue
             for f in shard.executor.failures_for(rids):
                 attempts.append({"source": "executor", **f})
-        self.dlq.park(group.digest, canonical_fields(group.leader), kind, attempts)
+        self.dlq.park(
+            group.digest, run_fields(group.leader.run_spec()), kind, attempts
+        )
         return True
 
     def _dissolve(self, group: _Group) -> None:

@@ -165,10 +165,10 @@ def _default_full_runner(request: SimRequest) -> dict:
     would take down the *service* process, which is exactly the blast
     radius the supervised pool exists to contain.
     """
-    from repro.harness.executor import _service_cell_payload
+    from repro.harness.executor import _run_service_cell
 
     spec = {"run": request.run_spec(), "strip_worker_faults": True}
-    return _service_cell_payload(spec, None, None)
+    return _run_service_cell(spec, None, None)
 
 
 #: Stable counter names reported by :meth:`SimulationService.stats`.
@@ -267,7 +267,7 @@ class SimulationService:
         if not self._accepting:
             return self._respond_rejected(request, "draining")
         try:
-            request.validate()
+            request.run_spec()  # building the run spec validates the request
         except (TypeError, ValueError) as exc:
             return self._respond_rejected(request, f"invalid-request: {exc}")
 

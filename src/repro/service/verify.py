@@ -47,7 +47,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional
 
 from repro.harness.errors import OUTCOME_FULL
-from repro.service.identity import canonical_fields
+from repro.harness.runner import run_fields
 from repro.service.request import SimRequest, SimResponse
 from repro.service.resultstore import (
     INTEGRITY_VERIFIED,
@@ -235,8 +235,7 @@ class ShadowVerifier:
         )
         if self.store is not None:
             self.store.quarantine_divergent(
-                job.digest,
-                canonical_fields(job.request),
+                run_fields(job.request.run_spec()),
                 primary_payload=job.primary_payload,
                 shadow_payload=response.payload,
                 detail=f"primary {job.primary_sha} vs shadow {sha}",
@@ -267,8 +266,7 @@ class ShadowVerifier:
         self.counters["restored"] += 1
         if self.store is not None and winner is not None:
             self.store.put(
-                job.digest,
-                canonical_fields(job.request),
+                run_fields(job.request.run_spec()),
                 winner,
                 integrity=INTEGRITY_VERIFIED,
             )

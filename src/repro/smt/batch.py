@@ -401,11 +401,6 @@ class _GroupHook(SchedulerHook):
 # The engine
 # ---------------------------------------------------------------------------
 
-def _initial_policy(spec: "BatchRunSpec") -> str:
-    # ADTS always boots on ICOUNT (§4.3.3); fixed runs start on their own policy.
-    return "icount" if spec.mode == "adts" else spec.config.policy
-
-
 def _scheduler_faulted(spec: "BatchRunSpec") -> bool:
     plan = spec.fault_plan
     return plan is not None and plan.any_scheduler_enabled
@@ -456,7 +451,7 @@ class BatchEngine:
             apps, machine = resolve_machine(cfg.mix, cfg.num_threads, cfg.seed, cfg.machine)
             key = (
                 apps, cfg.seed, repr(machine), cfg.quantum_cycles,
-                cfg.total_quanta(), _initial_policy(spec),
+                cfg.total_quanta(), spec.initial_policy,
             )
             if _scheduler_faulted(spec):
                 # Faulted machines must never share state: the injector
@@ -493,7 +488,7 @@ class BatchEngine:
             injector = member.injector = FaultInjector(spec0.fault_plan, member.controller)
         proc = SMTProcessor(
             machine, self.store.make_traces(apps, cfg0.seed),
-            policy=_initial_policy(spec0), hook=injector,
+            policy=spec0.initial_policy, hook=injector,
             quantum_cycles=cfg0.quantum_cycles, seed=cfg0.seed,
         )
         if injector is not None:
@@ -617,29 +612,11 @@ class BatchEngine:
     # -- results ------------------------------------------------------------
     def _record(self, group: _Group, results: list) -> None:
         """Store a finished group's members' results at their input index."""
-        from repro.harness.runner import RunResult
+        from repro.harness.runner import measured_result
 
         fingerprint = group.proc.fingerprint()
         history = group.proc.stats.quantum_history
         for member in group.members:
-            spec = member.spec
-            cfg = spec.config
-            window = history[cfg.warmup_quanta:cfg.total_quanta()]
-            committed = sum(q.committed for q in window)
-            cycles = sum(q.cycles for q in window)
-            if spec.mode == "adts":
-                scheduler = {"mode": "adts", "heuristic": spec.heuristic}
-                scheduler.update(member.controller.summary())
-            else:
-                scheduler = {"mode": "fixed", "policy": cfg.policy}
-            if member.injector is not None:
-                scheduler.update(member.injector.summary())
-            results[member.index] = RunResult(
-                config=cfg,
-                ipc=committed / cycles if cycles else 0.0,
-                committed=committed,
-                cycles=cycles,
-                quantum_ipcs=[q.ipc for q in window],
-                scheduler=scheduler,
-                fingerprint=fingerprint,
+            results[member.index] = measured_result(
+                member.spec, history, fingerprint, member.controller, member.injector
             )

@@ -221,9 +221,9 @@ class TestDivergenceTaxonomy:
         store = ResultStore(tmp_path / "rs", shards=2)
         fields = {"mix": "mix05", "seed": 1}
         digest = fields_digest(fields)
-        store.put(digest, fields, {"ipc": 1.0})
+        store.put(fields, {"ipc": 1.0})
         store.quarantine_divergent(
-            digest, fields,
+            fields,
             primary_payload={"ipc": 1.0}, shadow_payload={"ipc": 2.0},
         )
         return store, digest
@@ -276,7 +276,7 @@ class TestDivergenceTaxonomy:
         store = ResultStore(tmp_path / "rs", shards=1)
         fields = {"mix": "mix05", "seed": 3}
         digest = fields_digest(fields)
-        store.put(digest, fields, {"ipc": 1.0}, integrity="verified")
+        store.put(fields, {"ipc": 1.0}, integrity="verified")
         report = fsck_tree(store.root, repair=True)
         assert report.exit_code == 0
         assert report.counts == {"healthy": 1}

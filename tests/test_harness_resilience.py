@@ -9,7 +9,13 @@ from repro.core.thresholds import ThresholdConfig
 from repro.harness import run_mix_average
 from repro.harness.errors import ConfigError, HarnessError, JournalError
 from repro.harness.journal import RunJournal
-from repro.harness.runner import RunConfig
+from repro.harness.runner import (
+    BatchRunSpec,
+    RunConfig,
+    fields_digest,
+    run_fields,
+    run_key,
+)
 from repro.harness.sweep import threshold_type_grid
 from repro.smt.config import SMTConfig
 
@@ -77,7 +83,7 @@ class TestRunMixAverage:
 class TestRunJournal:
     def test_roundtrip(self, tmp_path):
         journal = RunJournal(tmp_path / "j.jsonl")
-        key = RunJournal.cell_key(mix="mix01", threshold=2.0)
+        key = run_key(BatchRunSpec(config=tiny_run()))
         journal.record(key, {"ipc": 3.25})
         fresh = RunJournal(journal.path)
         assert fresh.load() == 1
@@ -85,7 +91,10 @@ class TestRunJournal:
         assert fresh.get(key) == {"ipc": 3.25}
 
     def test_cell_key_is_order_independent(self):
-        assert RunJournal.cell_key(a=1, b=2) == RunJournal.cell_key(b=2, a=1)
+        """A cell's key digests its run fields in sorted-key order."""
+        fields = run_fields(BatchRunSpec(config=tiny_run()))
+        reordered = dict(reversed(list(fields.items())))
+        assert fields_digest(reordered) == fields_digest(fields)
 
     def test_truncated_tail_is_tolerated(self, tmp_path):
         journal = RunJournal(tmp_path / "j.jsonl")
@@ -221,8 +230,6 @@ class TestSweepResume:
         assert resumed == baseline
 
     def test_journal_key_guards_run_parameters(self):
-        from repro.harness.runner import BatchRunSpec, run_key
-
         def key(cfg):
             return run_key(BatchRunSpec(
                 config=cfg, heuristic="type3",
@@ -422,8 +429,8 @@ class TestStaleLockBreaking:
     def test_pid_alive_probe(self):
         import os
 
-        from repro.harness.journal import _pid_alive
+        from repro.storage.atomic import pid_alive
 
-        assert _pid_alive(os.getpid()) is True
-        assert _pid_alive(-1) is False
-        assert _pid_alive(0) is False
+        assert pid_alive(os.getpid()) is True
+        assert pid_alive(-1) is False
+        assert pid_alive(0) is False

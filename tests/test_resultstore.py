@@ -10,8 +10,9 @@ import sys
 
 import pytest
 
+from repro.harness.runner import run_fields
 from repro.service import ResultStore, SimRequest
-from repro.service.identity import canonical_fields, request_identity
+from repro.service.identity import request_identity
 from repro.storage import fsck_tree
 
 
@@ -22,6 +23,11 @@ def req(**kw):
     )
     defaults.update(kw)
     return SimRequest(**defaults)
+
+
+def fields(r):
+    """The run fields the store files ``r``'s answer under."""
+    return run_fields(r.run_spec())
 
 
 def dead_pid() -> int:
@@ -41,7 +47,7 @@ class TestEntries:
         r = req()
         digest = request_identity(r)
         payload = {"ipc": 1.25, "switches": 4}
-        assert store.put(digest, canonical_fields(r), payload)
+        assert store.put(fields(r), payload)
         assert store.get(digest) == payload
         assert digest in store
         assert len(store) == 1
@@ -56,7 +62,7 @@ class TestEntries:
     def test_bitrot_is_a_quarantined_miss(self, store):
         r = req()
         digest = request_identity(r)
-        store.put(digest, canonical_fields(r), {"ipc": 1.0})
+        store.put(fields(r), {"ipc": 1.0})
         path = store.path_for(digest)
         blob = bytearray(path.read_bytes())
         blob[len(blob) // 2] ^= 0xFF
@@ -71,19 +77,28 @@ class TestEntries:
         never be served: it would answer a different simulation."""
         r = req()
         digest = request_identity(r)
-        store.put(digest, canonical_fields(r), {"ipc": 1.0})
+        store.put(fields(r), {"ipc": 1.0})
         wrong = ("f" * 8) + digest[8:]
         os.makedirs(store.segment(wrong), exist_ok=True)
         os.replace(store.path_for(digest), store.path_for(wrong))
         assert store.get(wrong) is None
         assert store.counters["corrupt_misses"] == 1
 
+    def test_put_files_under_the_digest_of_its_own_fields(self, store):
+        """The address comes from the fields, so one run's answer can
+        never be filed (and served) under another run's digest."""
+        a, b = req(seed=1), req(seed=2)
+        assert store.put(fields(a), {"ipc": 1.0})
+        assert store.get(request_identity(a)) == {"ipc": 1.0}
+        assert store.get(request_identity(b)) is None
+        assert fsck_tree(store.root, repair=False).exit_code == 0
+
     def test_segments_partition_by_digest(self, store):
         digests = []
         for seed in range(8):
             r = req(seed=seed)
             d = request_identity(r)
-            store.put(d, canonical_fields(r), {"ipc": float(seed)})
+            store.put(fields(r), {"ipc": float(seed)})
             digests.append(d)
         for d in digests:
             assert store.path_for(d).parent == store.segment(d)
@@ -133,7 +148,7 @@ class TestFsckTaxonomy:
     def test_healthy_entry_and_live_lease_pass(self, store):
         r = req()
         d = request_identity(r)
-        store.put(d, canonical_fields(r), {"ipc": 1.0})
+        store.put(fields(r), {"ipc": 1.0})
         assert store.acquire_lease(d)
         report = fsck_tree(store.root, repair=True)
         assert report.exit_code == 0
@@ -143,7 +158,7 @@ class TestFsckTaxonomy:
     def test_mislabeled_entry_quarantined_by_fsck(self, store):
         r = req()
         d = request_identity(r)
-        store.put(d, canonical_fields(r), {"ipc": 1.0})
+        store.put(fields(r), {"ipc": 1.0})
         path = store.path_for(d)
         doc = json.loads(path.read_bytes())
         # Tamper with the identity, then re-seal the CRC so only the
@@ -164,7 +179,7 @@ class TestFsckTaxonomy:
     def test_filename_mismatch_quarantined_by_fsck(self, store):
         r = req()
         d = request_identity(r)
-        store.put(d, canonical_fields(r), {"ipc": 1.0})
+        store.put(fields(r), {"ipc": 1.0})
         wrong = ("0" * 8) + d[8:]
         os.makedirs(store.segment(wrong), exist_ok=True)
         os.replace(store.path_for(d), store.path_for(wrong))
@@ -186,26 +201,47 @@ class TestIntegrity:
     def test_entries_default_to_unverified(self, store):
         r = req()
         d = request_identity(r)
-        store.put(d, canonical_fields(r), {"ipc": 1.0})
+        store.put(fields(r), {"ipc": 1.0})
         assert store.integrity_of(d) == "unverified"
         assert store.get(d) == {"ipc": 1.0}
 
     def test_mark_verified_promotes_and_preserves_payload(self, store):
         r = req()
         d = request_identity(r)
-        store.put(d, canonical_fields(r), {"ipc": 1.0})
+        store.put(fields(r), {"ipc": 1.0})
         assert store.mark_verified(d) is True
         assert store.integrity_of(d) == "verified"
         assert store.get(d) == {"ipc": 1.0}
         assert store.counters["verified_marks"] == 1
         assert store.mark_verified("f" * 64) is False  # absent digest
 
+    def test_mark_verified_never_refiles_a_mislabeled_entry(self, store):
+        """An entry filed under B whose fields are A's (a tampered,
+        re-sealed document) is never promoted, so it is never re-filed
+        under A's digest."""
+        from repro.storage import embed_json_artifact
+
+        a, b = req(seed=1), req(seed=2)
+        d_a, d_b = request_identity(a), request_identity(b)
+        sealed = embed_json_artifact(
+            {"identity": d_b, "request": fields(a),
+             "payload": {"ipc": 1.0}, "integrity": "unverified"},
+            "sim-result", 1,
+        )
+        path = store.path_for(d_b)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(json.dumps(sealed))
+        assert store.mark_verified(d_b) is False
+        assert d_a not in store
+        assert store.integrity_of(d_b) == "unverified"
+        assert store.counters["verified_marks"] == 0
+
     def test_quarantine_divergent_evicts_and_keeps_both_payloads(self, store):
         r = req()
         d = request_identity(r)
-        store.put(d, canonical_fields(r), {"ipc": 1.0})
+        store.put(fields(r), {"ipc": 1.0})
         path = store.quarantine_divergent(
-            d, canonical_fields(r),
+            fields(r),
             primary_payload={"ipc": 1.0}, shadow_payload={"ipc": 2.0},
             detail="disagreement",
         )
@@ -227,7 +263,7 @@ class TestIntegrity:
         r = req()
         d = request_identity(r)
         sealed = embed_json_artifact(
-            {"identity": d, "request": canonical_fields(r),
+            {"identity": d, "request": fields(r),
              "payload": {"ipc": 1.0}, "integrity": "divergent"},
             "sim-result", 1,
         )
@@ -241,13 +277,13 @@ class TestIntegrity:
 
     def test_put_rejects_unknown_integrity(self, store):
         with pytest.raises(ValueError):
-            store.put("a" * 64, {}, {"ipc": 1.0}, integrity="divergent")
+            store.put({}, {"ipc": 1.0}, integrity="divergent")
 
     def test_peek_has_no_side_effects(self, store):
         r = req()
         d = request_identity(r)
         assert store.peek(d) is None
-        store.put(d, canonical_fields(r), {"ipc": 1.0})
+        store.put(fields(r), {"ipc": 1.0})
         assert store.peek(d) == {"ipc": 1.0}
         assert store.counters["hits"] == 0
         assert store.counters["misses"] == 0

@@ -18,6 +18,7 @@ import sys
 
 import pytest
 
+from repro.harness.runner import run_fields
 from repro.service import (
     AutoscalerConfig,
     ResultStore,
@@ -30,7 +31,7 @@ from repro.service import (
     TimedRequest,
 )
 from repro.service.breaker import STATE_CLOSED
-from repro.service.identity import canonical_fields, request_identity
+from repro.service.identity import request_identity
 
 
 def req(i, *, seed=3, client="c", **kw):
@@ -306,7 +307,7 @@ class TestLeases:
         assert front.counters["simulations"] == 0
         # The remote leader publishes its result...
         other = ResultStore(tmp_path / "rs", shards=2)
-        other.put(digest, canonical_fields(req(0)), {"ipc": 9.0})
+        other.put(run_fields(req(0).run_spec()), {"ipc": 9.0})
         responses = settle(front, clock)
         assert len(responses) == 2
         assert all(r.outcome == "full" for r in responses)
@@ -717,3 +718,51 @@ class TestDuplicateRequestIds:
             "rejected", "duplicate-request-id")
         settle(front, clock)
         assert front.verifier.inflight == 0
+
+
+class TestFaultedTwins:
+    """Identity is the run's: a disk-only request is its clean twin's
+    simulation (disk faults never change a result), a worker-faulted
+    request is not."""
+
+    def test_disk_only_request_is_a_store_hit_on_its_clean_twin(self, tmp_path):
+        clock = VirtualClock()
+        calls = []
+
+        def counting_full(request):
+            calls.append(request.request_id)
+            return ok_full(request)
+
+        front = make_front(tmp_path, clock, full_runner=counting_full)
+        front.submit(req(0))
+        (clean,) = settle(front, clock)
+        front.submit(req(1, fault_kinds=("disk",), fault_rate=0.5))
+        (disk,) = settle(front, clock)
+        assert calls == ["r0"]
+        assert front.counters["store_hits"] == 1
+        assert (disk.outcome, disk.payload) == ("full", clean.payload)
+
+    def test_worker_faulted_strikes_never_park_the_clean_twin(self, tmp_path):
+        clock = VirtualClock()
+
+        def crashing_full(request):
+            if "worker" in request.fault_kinds:
+                raise RuntimeError("injected worker fault")
+            return ok_full(request)
+
+        front = ShardedService(
+            ServiceConfig(workers=0, queue_capacity=64, max_attempts=1,
+                          breaker_failures=10),
+            shards=2, store=tmp_path / "rs", full_runner=crashing_full,
+            fast_runner=ok_fast, clock=clock, dlq_threshold=2,
+        )
+        for i in range(3):
+            front.submit(req(i, fault_kinds=("worker",), degradable=False))
+            settle(front, clock)
+        faulted = request_identity(req(0, fault_kinds=("worker",)))
+        assert front.dlq.is_parked(faulted)
+        front.submit(req(9, degradable=False))
+        (answer,) = settle(front, clock)
+        assert answer.outcome == "full"
+        assert not front.dlq.is_parked(request_identity(req(9)))
+        assert len(front.dlq) == 1

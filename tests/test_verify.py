@@ -164,10 +164,10 @@ class TestVerificationLifecycle:
         from repro.service.identity import fields_digest
 
         digest = fields_digest(fields)
-        store.put(digest, fields, {"ipc": 1.0})
+        store.put(fields, {"ipc": 1.0})
         assert store.get(digest) == {"ipc": 1.0}
         path = store.quarantine_divergent(
-            digest, fields,
+            fields,
             primary_payload={"ipc": 1.0}, shadow_payload={"ipc": 2.0},
         )
         assert path is not None and path.exists()
