@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence, Tuple, Union
 
-from repro.core.adts import ADTSController, WatchdogConfig
+from repro.core.adts import ADTSController
 from repro.core.heuristics import HEURISTICS, create_heuristic
 from repro.core.oracle import OracleScheduler, oracle_upper_bound
 from repro.core.thresholds import ThresholdConfig
@@ -43,7 +43,6 @@ __all__ = [
     "SMTConfig",
     "SchedulerHook",
     "ADTSController",
-    "WatchdogConfig",
     "ThresholdConfig",
     "FaultPlan",
     "FaultInjector",

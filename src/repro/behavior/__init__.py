@@ -19,7 +19,6 @@ from repro.behavior.drift import (
 from repro.behavior.guard import (
     LEVELS,
     DriftGuard,
-    DriftGuardConfig,
     GuardEvent,
 )
 from repro.behavior.profile import (
@@ -41,7 +40,6 @@ __all__ = [
     "BehaviorProfile",
     "DriftConfig",
     "DriftGuard",
-    "DriftGuardConfig",
     "DriftReport",
     "GuardEvent",
     "LEVELS",

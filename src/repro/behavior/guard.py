@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import logging
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Mapping, Optional, Tuple
 
 from repro.behavior.drift import (
@@ -44,59 +44,29 @@ log = logging.getLogger("repro.behavior")
 #: Guard levels, index == level.
 LEVELS = ("steady", "warning", "drifting")
 
-
-@dataclass(frozen=True)
-class DriftGuardConfig:
-    """Hysteresis knobs for in-service drift detection.
-
-    Attributes:
-        window: snapshots kept in the sliding window; the rates are
-            computed across the whole window (oldest vs newest).
-        min_submitted: admitted requests the window must span before
-            any comparison runs — tiny windows are all noise.
-        warn_streak: consecutive non-ok comparisons before escalating
-            to level 1.
-        drift_streak: consecutive ``drift`` comparisons before
-            escalating to level 2.
-        clear_streak: consecutive ``ok`` comparisons before stepping
-            back down one level (never jumps straight to steady).
-        cooldown_s: minimum seconds between level *changes*.
-        degrade_on_drift: when True, :attr:`DriftGuard.degrade_active`
-            goes high at level 2 and services answer degradable
-            requests with the fast model until the guard steps down.
-        max_events: bound on the retained event log.
-        drift: tolerance bands for the windowed comparison. Rates are
-            per-request fractions, so the floor must be far below 1.0.
-    """
-
-    window: int = 64
-    min_submitted: int = 8
-    warn_streak: int = 4
-    drift_streak: int = 6
-    clear_streak: int = 6
-    cooldown_s: float = 2.0
-    degrade_on_drift: bool = False
-    max_events: int = 256
-    # Wide bands by design: a rolling window is compared against the
-    # baseline's *whole-run* rates, and load phases (burst, drain)
-    # legitimately deviate from the run average. Only sustained, large
-    # departures should climb the ladder.
-    drift: DriftConfig = field(
-        default_factory=lambda: DriftConfig(
-            rel_tol=0.5, abs_floor=0.1, warn_fraction=0.75
-        )
-    )
-
-    def __post_init__(self) -> None:
-        if self.window < 2:
-            raise ValueError("window must be >= 2")
-        if self.min_submitted < 1:
-            raise ValueError("min_submitted must be >= 1")
-        for name in ("warn_streak", "drift_streak", "clear_streak"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        if self.cooldown_s < 0:
-            raise ValueError("cooldown_s must be >= 0")
+#: Snapshots kept in the sliding window; the rates are computed across
+#: the whole window (oldest vs newest).
+WINDOW = 64
+#: Admitted requests the window must span before any comparison runs —
+#: tiny windows are all noise.
+MIN_SUBMITTED = 8
+#: Consecutive non-ok comparisons before escalating to level 1.
+WARN_STREAK = 4
+#: Consecutive ``drift`` comparisons before escalating to level 2.
+DRIFT_STREAK = 6
+#: Consecutive ``ok`` comparisons before stepping back down one level
+#: (never straight to steady).
+CLEAR_STREAK = 6
+#: Minimum seconds between level *changes*.
+COOLDOWN_S = 2.0
+#: Bound on the retained event log.
+MAX_EVENTS = 256
+#: Tolerance bands for the windowed comparison. Rates are per-request
+#: fractions, so the floor must be far below 1.0. The bands are wide by
+#: design: a rolling window is compared against the baseline's *whole-run*
+#: rates, and load phases (burst, drain) legitimately deviate from the run
+#: average. Only sustained, large departures should climb the ladder.
+DRIFT = DriftConfig(rel_tol=0.5, abs_floor=0.1, warn_fraction=0.75)
 
 
 @dataclass(frozen=True)
@@ -122,12 +92,17 @@ class GuardEvent:
 
 
 class DriftGuard:
-    """Clock-agnostic rolling drift detector with escalation hysteresis."""
+    """Clock-agnostic rolling drift detector with escalation hysteresis.
+
+    With ``degrade_on_drift`` (``--drift-degrade``), :attr:`degrade_active`
+    goes high at level 2 and services answer degradable requests with the
+    fast model until the guard steps down.
+    """
 
     def __init__(
         self,
         baseline: Mapping[str, float],
-        config: Optional[DriftGuardConfig] = None,
+        degrade_on_drift: bool = False,
         baseline_id: Optional[str] = None,
         on_escalate: Optional[Callable[[GuardEvent], None]] = None,
     ) -> None:
@@ -139,9 +114,9 @@ class DriftGuard:
         if not self.baseline:
             raise ValueError("baseline carries no rate.* metrics")
         self.baseline_id = baseline_id or getattr(baseline, "profile_id", None)
-        self.config = config or DriftGuardConfig()
+        self.degrade_on_drift = degrade_on_drift
         self.on_escalate = on_escalate
-        self._window: Deque[Mapping[str, float]] = deque(maxlen=self.config.window)
+        self._window: Deque[Mapping[str, float]] = deque(maxlen=WINDOW)
         self.level = 0
         self.last_report: Optional[DriftReport] = None
         self.last_verdict: Optional[str] = None
@@ -163,7 +138,7 @@ class DriftGuard:
     @property
     def degrade_active(self) -> bool:
         """Whether services should degrade degradable requests now."""
-        return self.config.degrade_on_drift and self.level >= 2
+        return self.degrade_on_drift and self.level >= 2
 
     # -- observation ---------------------------------------------------------
     def observe(self, now: float, counters: Mapping[str, float]) -> None:
@@ -174,7 +149,7 @@ class DriftGuard:
             return
         oldest = self._window[0]
         span = counters.get(RATE_DENOMINATOR, 0) - oldest.get(RATE_DENOMINATOR, 0)
-        if span < self.config.min_submitted:
+        if span < MIN_SUBMITTED:
             return
         rates = service_rates(counters, oldest)
         if not rates:
@@ -182,7 +157,7 @@ class DriftGuard:
         # Pin the comparison to the baseline's keyset: schema growth in
         # the live counter map must not read as drift.
         current = {k: rates[k] for k in self.baseline if k in rates}
-        report = compute_drift(self.baseline, current, self.config.drift)
+        report = compute_drift(self.baseline, current, DRIFT)
         self.comparisons += 1
         self.last_report = report
         self.last_verdict = report.verdict
@@ -190,7 +165,6 @@ class DriftGuard:
 
     # -- hysteresis ladder ---------------------------------------------------
     def _advance(self, now: float, report: DriftReport) -> None:
-        cfg = self.config
         if report.verdict == VERDICT_OK:
             self._ok_streak += 1
             self._bad_streak = 0
@@ -204,18 +178,18 @@ class DriftGuard:
                 self._drift_streak = 0
 
         target = self.level
-        if self.level < 2 and self._drift_streak >= cfg.drift_streak:
+        if self.level < 2 and self._drift_streak >= DRIFT_STREAK:
             target = 2
-        elif self.level < 1 and self._bad_streak >= cfg.warn_streak:
+        elif self.level < 1 and self._bad_streak >= WARN_STREAK:
             target = 1
-        elif self.level > 0 and self._ok_streak >= cfg.clear_streak:
+        elif self.level > 0 and self._ok_streak >= CLEAR_STREAK:
             target = self.level - 1
 
         if target == self.level:
             return
         if (
             self._last_change_t is not None
-            and now - self._last_change_t < cfg.cooldown_s
+            and now - self._last_change_t < COOLDOWN_S
         ):
             return
         kind = "escalate" if target > self.level else "clear"
@@ -256,8 +230,8 @@ class DriftGuard:
 
     def _record(self, event: GuardEvent) -> None:
         self.events.append(event)
-        if len(self.events) > self.config.max_events:
-            del self.events[: -self.config.max_events]
+        if len(self.events) > MAX_EVENTS:
+            del self.events[:-MAX_EVENTS]
         self._pending.append(event)
 
     # -- telemetry -----------------------------------------------------------

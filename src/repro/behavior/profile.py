@@ -2,10 +2,10 @@
 
 A *behaviour profile* freezes what the system actually did — sim counters
 and policy-switch rates, service queue/refusal/breaker/DLQ/verification
-rates, batch dedup/fork telemetry — into one flat numeric
-metric namespace, stamped with identity metadata (commit, seed, config
-fingerprint, host). The paper's thesis applied to the system itself:
-measured behaviour, not assumptions, is what a baseline should pin.
+rates — into one flat numeric metric namespace, stamped with identity
+metadata (commit, seed, config fingerprint, host). The paper's thesis
+applied to the system itself: measured behaviour, not assumptions, is
+what a baseline should pin.
 
 Profiles are deliberately timestamp-free: the payload of a snapshot is a
 pure function of what was measured plus the environment identity, so the
@@ -23,8 +23,7 @@ Capture helpers by layer:
 * :func:`profile_from_campaign` — a ``chaos-campaign`` report, whose
   ``counters`` block is the same map.
 * :func:`profile_from_sim` — sim counters (``SimStats.summary()`` /
-  :class:`~repro.harness.runner.RunResult`) plus an optional
-  policy-switching report and batch-engine telemetry.
+  :class:`~repro.harness.runner.RunResult`).
 """
 
 from __future__ import annotations
@@ -303,25 +302,18 @@ def profile_from_campaign(
 def profile_from_sim(
     stats_summary: Mapping,
     label: str,
-    switching: Optional[Mapping] = None,
-    batch_telemetry: Optional[Mapping] = None,
     seed: Optional[int] = None,
     config_fields: Optional[Mapping] = None,
     window: Optional[Mapping] = None,
 ) -> BehaviorProfile:
-    """Capture sim counters plus optional policy-switch / batch telemetry.
+    """Capture sim counters as ``sim.*`` metrics.
 
     ``stats_summary`` is a :meth:`~repro.smt.stats.SimStats.summary` dict
     (or any flat numeric mapping, e.g. ``{"ipc": ..., **result.scheduler}``
-    from a :class:`~repro.harness.runner.RunResult`); ``switching`` a
-    :meth:`~repro.analysis.switching.SwitchingReport.as_dict`;
-    ``batch_telemetry`` a :attr:`~repro.smt.batch.BatchEngine.telemetry`.
+    from a :class:`~repro.harness.runner.RunResult`, whose scheduler
+    counters carry the switch and watchdog telemetry).
     """
     metrics = flatten_metrics(stats_summary, "sim")
-    if switching is not None:
-        metrics.update(flatten_metrics(switching, "switching"))
-    if batch_telemetry is not None:
-        metrics.update(flatten_metrics(batch_telemetry, "batch"))
     if not metrics:
         raise ValueError("sim capture produced no numeric metrics")
     return BehaviorProfile(

@@ -11,8 +11,8 @@ is still busy, which the controller records).
 
 Robustness: the controller carries a **watchdog** (§3's implicit contract
 that ADTS must degrade gracefully when the machine misbehaves). Two failure
-signatures trigger a fallback to safe-mode fixed ICOUNT for a configurable
-number of quanta before re-arming:
+signatures trigger a fallback to safe-mode fixed ICOUNT for
+:data:`SAFE_MODE_QUANTA` quanta before re-arming:
 
 * **implausible counter readings** — an IPC outside the machine's physical
   range, per-thread committed counts that exceed the commit bandwidth or go
@@ -32,7 +32,7 @@ Every fallback is recorded in the decision log and ``summary()``.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from repro.core.clogging import identify_clogging_threads
@@ -51,38 +51,17 @@ IDENTIFY_COST = 128
 SWITCH_COST = 32
 
 
-@dataclass(frozen=True)
-class WatchdogConfig:
-    """Knobs for the controller's graceful-degradation watchdog.
-
-    Attributes:
-        missed_decision_limit: consecutive missed decisions before fallback.
-            Deliberately generous — isolated misses are the paper's benign
-            high-utilization case, not a fault.
-        implausible_limit: consecutive implausible counter readings before
-            fallback.
-        safe_mode_quanta: quanta to hold the safe policy before re-arming.
-        safe_policy: the fixed policy engaged during safe mode (ICOUNT, the
-            best-on-average Table-1 policy, per §4.3.3).
-        max_ipc: IPC plausibility ceiling; None uses the machine's commit
-            width (nothing can commit faster than the commit bandwidth).
-    """
-
-    missed_decision_limit: int = 8
-    implausible_limit: int = 2
-    safe_mode_quanta: int = 8
-    safe_policy: str = "icount"
-    max_ipc: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if self.missed_decision_limit < 1:
-            raise ValueError("missed_decision_limit must be >= 1")
-        if self.implausible_limit < 1:
-            raise ValueError("implausible_limit must be >= 1")
-        if self.safe_mode_quanta < 1:
-            raise ValueError("safe_mode_quanta must be >= 1")
-        if self.max_ipc is not None and self.max_ipc <= 0:
-            raise ValueError("max_ipc must be positive")
+#: Watchdog (graceful degradation). Consecutive missed decisions before
+#: fallback: deliberately generous, since isolated misses are the paper's
+#: benign high-utilization case, not a fault.
+MISSED_DECISION_LIMIT = 8
+#: Consecutive implausible counter readings before fallback.
+IMPLAUSIBLE_LIMIT = 2
+#: Quanta to hold the safe policy before re-arming.
+SAFE_MODE_QUANTA = 8
+#: The fixed policy engaged during safe mode: ICOUNT, the best-on-average
+#: Table-1 policy (§4.3.3).
+SAFE_POLICY = "icount"
 
 
 @dataclass
@@ -111,7 +90,6 @@ class ADTSController(SchedulerHook):
         mark_clogging: bool = True,
         inhibit_cloggers: bool = False,
         autotune=None,
-        watchdog: Optional[WatchdogConfig] = None,
     ) -> None:
         self.thresholds = thresholds or ThresholdConfig()
         if isinstance(heuristic, str):
@@ -127,7 +105,6 @@ class ADTSController(SchedulerHook):
         self._inhibited: set = set()
         #: optional ThresholdAutoTuner (§4.3.2's threshold-update kernel).
         self.autotune = autotune
-        self.watchdog = watchdog or WatchdogConfig()
         self.ledger = SwitchQualityLedger()
         self.decisions: List[DecisionLog] = []
         self.missed_decisions = 0
@@ -182,8 +159,8 @@ class ADTSController(SchedulerHook):
                 self.safe_mode_quanta_spent += 1
                 # Re-assert the fallback every boundary: the actuation path
                 # itself may be faulty (dropped or spurious switches).
-                if self.processor.policy_name != self.watchdog.safe_policy:
-                    self.processor.set_policy(self.watchdog.safe_policy)
+                if self.processor.policy_name != SAFE_POLICY:
+                    self.processor.set_policy(SAFE_POLICY)
                 if plausible:
                     self._prev_ipc = record.ipc
                 return
@@ -194,7 +171,7 @@ class ADTSController(SchedulerHook):
 
         if not plausible:
             # Never feed corrupt telemetry to the learner or the heuristics.
-            if self._implausible_streak >= self.watchdog.implausible_limit:
+            if self._implausible_streak >= IMPLAUSIBLE_LIMIT:
                 self._enter_safe_mode(
                     now,
                     record,
@@ -222,7 +199,7 @@ class ADTSController(SchedulerHook):
             # starvation case. Skip this decision.
             self.missed_decisions += 1
             self._missed_streak += 1
-            if self._missed_streak >= self.watchdog.missed_decision_limit:
+            if self._missed_streak >= MISSED_DECISION_LIMIT:
                 self._enter_safe_mode(
                     now, record, f"{self._missed_streak} consecutive missed decisions"
                 )
@@ -280,9 +257,10 @@ class ADTSController(SchedulerHook):
         """Sanity-check one boundary's telemetry against physical limits.
 
         Catches the signatures of stale or bit-flipped status counters:
-        out-of-range IPC, per-thread committed counts beyond the commit
-        bandwidth (or negative), per-thread sums that disagree with the
-        aggregate the IPC check used, and replayed quantum indices.
+        an IPC above the commit width (committed counts beyond the commit
+        bandwidth, aggregate or per thread) or negative counts, per-thread
+        sums that disagree with the aggregate the IPC check used, and
+        replayed quantum indices.
         """
         cycles = record.cycles
         if cycles <= 0:
@@ -292,9 +270,6 @@ class ADTSController(SchedulerHook):
         max_commit = cycles * self._commit_width
         committed = record.committed
         if committed < 0 or committed > max_commit:
-            return False
-        max_ipc = self.watchdog.max_ipc
-        if max_ipc is not None and record.ipc > max_ipc:
             return False
         total = 0
         for snap in snapshots:
@@ -306,24 +281,24 @@ class ADTSController(SchedulerHook):
         return True
 
     def _enter_safe_mode(self, now: int, record, reason: str) -> None:
-        """Fall back to the safe fixed policy for ``safe_mode_quanta``."""
+        """Fall back to the safe fixed policy for :data:`SAFE_MODE_QUANTA`."""
         self.fallback_events += 1
         dropped = self.detector.drop_all()
         self._awaiting_outcome = False
-        self._safe_until = record.index + 1 + self.watchdog.safe_mode_quanta
-        self.processor.set_policy(self.watchdog.safe_policy)
+        self._safe_until = record.index + 1 + SAFE_MODE_QUANTA
+        self.processor.set_policy(SAFE_POLICY)
         self.decisions.append(
             DecisionLog(
                 quantum_index=record.index,
                 ipc=record.ipc,
                 low_throughput=True,
                 incumbent=record.policy,
-                chosen=self.watchdog.safe_policy,
+                chosen=SAFE_POLICY,
                 switched=True,
                 reason=(
                     f"watchdog fallback: {reason}; dropped {dropped} queued DT "
-                    f"task(s); fixed {self.watchdog.safe_policy} for "
-                    f"{self.watchdog.safe_mode_quanta} quanta"
+                    f"task(s); fixed {SAFE_POLICY} for "
+                    f"{SAFE_MODE_QUANTA} quanta"
                 ),
                 applied_at_cycle=now,
             )

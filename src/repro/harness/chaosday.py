@@ -71,6 +71,20 @@ CAMPAIGN_VERSION = 1
 #: Outcomes that count as refusals and therefore must carry a reason.
 _REFUSAL_OUTCOMES = ("rejected", "shed", "failed")
 
+#: Share of synthetic requests carrying in-process scheduler faults, and
+#: the per-boundary fault rate inside those requests.
+REQUEST_FAULT_FRACTION = 0.25
+REQUEST_FAULT_RATE = 0.2
+
+#: The campaign service's admission and retry settings where they differ
+#: from :class:`~repro.service.ServiceConfig`'s defaults: a deeper queue
+#: that starts degrading before it is full, a second full-tier attempt
+#: per request, and a shorter breaker cooldown.
+QUEUE_CAPACITY = 32
+DEGRADE_AT_DEPTH = 24
+MAX_ATTEMPTS = 2
+BREAKER_COOLDOWN_S = 2.0
+
 
 @dataclass(frozen=True)
 class CampaignConfig:
@@ -84,10 +98,9 @@ class CampaignConfig:
         recording: path of a ``traffic-recording`` artifact to replay
             instead of generating synthetic traffic.
         fault_rate: shared rate for the service and disk fault families
-            (see :meth:`~repro.faults.FaultPlan.chaos_day`).
-        request_fault_fraction / request_fault_rate: share of requests
-            carrying in-process scheduler faults, and the per-boundary
-            rate inside those requests.
+            (see :meth:`~repro.faults.FaultPlan.chaos_day`). Synthetic
+            traffic also carries in-process scheduler faults
+            (:data:`REQUEST_FAULT_FRACTION`, :data:`REQUEST_FAULT_RATE`).
         workers: 0 = inline lockstep under a virtual clock (fully
             deterministic report — the default and what CI pins);
             > 0 = real supervised pool paced by the wall clock, which
@@ -110,9 +123,7 @@ class CampaignConfig:
             a chaos day without scaling pressure isn't one).
         tick_s: virtual-clock step per replay iteration.
         time_scale: arrival-time multiplier (compress a recording).
-        queue_capacity / degrade_at_depth / max_attempts /
-        breaker_failures / breaker_cooldown_s / drain_deadline_s:
-            service knobs, passed through.
+        drain_deadline_s: the service's drain budget.
         profile_store: behaviour-profile store directory — the campaign's
             behaviour is snapshotted there at the end, and when the store
             has a designated baseline a rolling DriftGuard watches the
@@ -127,8 +138,6 @@ class CampaignConfig:
     duration_s: float = 30.0
     recording: Optional[str] = None
     fault_rate: float = 0.1
-    request_fault_fraction: float = 0.25
-    request_fault_rate: float = 0.2
     workers: int = 0
     shards: int = 1
     verify_rate: float = 0.0
@@ -138,11 +147,6 @@ class CampaignConfig:
     autoscale_max: int = 4
     tick_s: float = 0.05
     time_scale: float = 1.0
-    queue_capacity: int = 32
-    degrade_at_depth: Optional[int] = 24
-    max_attempts: int = 2
-    breaker_failures: int = 3
-    breaker_cooldown_s: float = 2.0
     drain_deadline_s: float = 15.0
     profile_store: Optional[str] = None
     profile_label: Optional[str] = None
@@ -158,8 +162,8 @@ class CampaignConfig:
             raise ValueError("need 1 <= autoscale_min <= autoscale_max")
         if self.tick_s <= 0:
             raise ValueError("tick_s must be positive")
-        if not 0.0 <= self.request_fault_fraction <= 1.0:
-            raise ValueError("request_fault_fraction must be in [0, 1]")
+        if self.drain_deadline_s <= 0:
+            raise ValueError("drain_deadline_s must be positive")
         if not 0.0 <= self.verify_rate <= 1.0:
             raise ValueError("verify_rate must be in [0, 1]")
         if not 0.0 <= self.corrupt_rate <= 1.0:
@@ -180,9 +184,9 @@ def _campaign_traffic(cfg: CampaignConfig) -> List[TimedRequest]:
         requests=cfg.requests,
         duration_s=cfg.duration_s,
         seed=cfg.seed,
-        fault_fraction=cfg.request_fault_fraction,
+        fault_fraction=REQUEST_FAULT_FRACTION,
         fault_kinds=tuple(kinds),
-        fault_rate=cfg.request_fault_rate,
+        fault_rate=REQUEST_FAULT_RATE,
     )
     return generate_traffic(spec)
 
@@ -278,11 +282,10 @@ def run_campaign(
 
     service_cfg = ServiceConfig(
         workers=cfg.workers,
-        queue_capacity=cfg.queue_capacity,
-        degrade_at_depth=cfg.degrade_at_depth,
-        max_attempts=cfg.max_attempts,
-        breaker_failures=cfg.breaker_failures,
-        breaker_cooldown_s=cfg.breaker_cooldown_s,
+        queue_capacity=QUEUE_CAPACITY,
+        degrade_at_depth=DEGRADE_AT_DEPTH,
+        max_attempts=MAX_ATTEMPTS,
+        breaker_cooldown_s=BREAKER_COOLDOWN_S,
         drain_deadline_s=cfg.drain_deadline_s,
         fault_plan=plan,
         autoscaler=AutoscalerConfig(
@@ -305,13 +308,13 @@ def run_campaign(
 
     profile_store = None
     if cfg.profile_store is not None:
-        from repro.behavior import DriftGuard, DriftGuardConfig, ProfileStore
+        from repro.behavior import DriftGuard, ProfileStore
 
         profile_store = ProfileStore(cfg.profile_store)
         baseline = profile_store.load_baseline()
         if baseline is not None:
             try:
-                service.drift_guard = DriftGuard(baseline, DriftGuardConfig())
+                service.drift_guard = DriftGuard(baseline)
             except ValueError:
                 # Baseline carries no rate.* metrics (a sim profile):
                 # nothing to compare online; offline drift via

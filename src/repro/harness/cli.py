@@ -45,6 +45,7 @@ simulator processes or a locked journal behind.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import signal
@@ -68,6 +69,27 @@ from repro.harness.report import format_series, format_table
 from repro.harness.runner import BatchRunSpec, RunConfig, run_fields, run_spec
 from repro.policies.registry import POLICY_NAMES
 from repro.workloads.mixes import MIXES
+
+
+class UsageError(Exception):
+    """A flag value that a command's configuration rejects. :func:`main`
+    prints it as one line on stderr and exits 2, argparse's code for bad
+    usage, so a script can tell it from a run that failed (exit 1)."""
+
+
+def _from_flags(build):
+    """Mark a function that builds configs from flags: a ``ValueError``
+    it raises (``ConfigError`` is one) becomes a :class:`UsageError`.
+    Errors raised once a run has started are not caught."""
+
+    @functools.wraps(build)
+    def wrapper(*args, **kwargs):
+        try:
+            return build(*args, **kwargs)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
+
+    return wrapper
 
 
 def _defaults(args) -> ExperimentDefaults:
@@ -100,6 +122,7 @@ def _fault_plan(args) -> Optional[FaultPlan]:
     return FaultPlan.from_kinds(kinds, rate=args.fault_rate, seed=seed)
 
 
+@_from_flags
 def _spec_from_args(args) -> BatchRunSpec:
     """The one run `repro run` and `repro profile snapshot` describe."""
     from repro.core.thresholds import ThresholdConfig
@@ -311,9 +334,9 @@ def _autoscaler_config(args):
     try:
         lo, hi = (int(part) for part in args.autoscale.split(":"))
     except ValueError:
-        raise SystemExit(
+        raise ValueError(
             f"--autoscale expects MIN:MAX (got {args.autoscale!r})"
-        )
+        ) from None
     return AutoscalerConfig(
         min_workers=lo,
         max_workers=hi,
@@ -341,6 +364,7 @@ def _service_config(args):
     )
 
 
+@_from_flags
 def _build_service(args, clock=None):
     """The service front door: ``--shards`` shards (one by default), a
     result store only with ``--result-store``, and shadow verification or
@@ -378,14 +402,11 @@ def _arm_drift_guard(service, args):
         return None
     baseline = store.load_baseline()
     if baseline is not None:
-        from repro.behavior import DriftGuard, DriftGuardConfig
+        from repro.behavior import DriftGuard
 
         try:
             service.drift_guard = DriftGuard(
-                baseline,
-                DriftGuardConfig(
-                    degrade_on_drift=getattr(args, "drift_degrade", False)
-                ),
+                baseline, degrade_on_drift=getattr(args, "drift_degrade", False)
             )
         except ValueError:
             print("profile baseline has no rate.* metrics; drift guard "
@@ -454,7 +475,7 @@ def cmd_burst(args) -> None:
         generate_burst,
     )
 
-    spec = BurstSpec(
+    spec = _from_flags(BurstSpec)(
         requests=args.requests,
         seed=args.seed,
         degradable_fraction=args.degradable_fraction,
@@ -513,7 +534,7 @@ def cmd_replay(args) -> int:
         events = load_recording(args.recording)
         source = {"recording": args.recording, "events": len(events)}
     else:
-        spec = TrafficSpec(
+        spec = _from_flags(TrafficSpec)(
             shape=args.shape,
             requests=args.requests,
             duration_s=args.duration,
@@ -550,7 +571,7 @@ def cmd_chaosday(args) -> int:
     and the post-run fsck quarantined nothing."""
     from repro.harness.chaosday import CampaignConfig, format_report, run_campaign
 
-    cfg = CampaignConfig(
+    cfg = _from_flags(CampaignConfig)(
         seed=args.seed,
         shape=args.shape,
         requests=args.requests,
@@ -928,7 +949,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--result-store", default=None, metavar="DIR",
                        help="content-addressed durable result store; "
                             "repeated requests are answered from disk, "
-                            "byte-identical, across restarts")
+                            "byte-identical, across restarts. Keys carry "
+                            "no code version: do not reuse a store across "
+                            "a change to simulated results. Entries whose "
+                            "identity was re-keyed stay on disk, "
+                            "unreachable; nothing prunes them")
         p.add_argument("--verify-rate", type=float, default=0.0,
                        metavar="RATE",
                        help="shadow-verify this seeded fraction of served "
@@ -1142,6 +1167,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         rc = args.func(args)
+    except UsageError as exc:
+        print(f"repro {args.command}: {exc}", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # Output piped into a pager/head that closed early: not an error.
         try:

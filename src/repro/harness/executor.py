@@ -186,6 +186,15 @@ class WorkItem:
         return self.label
 
 
+#: Supervisor wake-up period (seconds); the service pump sleeps as long
+#: between polls of a busy pool.
+POLL_INTERVAL_S = 0.02
+#: Delay before the first retry of a failed attempt (seconds); each
+#: further retry waits ``BACKOFF_FACTOR`` times longer.
+RESTART_BACKOFF_S = 0.1
+BACKOFF_FACTOR = 2.0
+
+
 @dataclass(frozen=True)
 class ExecutorConfig:
     """Supervisor knobs.
@@ -198,9 +207,9 @@ class ExecutorConfig:
             slow: a slow run heartbeats every quantum (every quantum step
             of the batch engine for a grid batch) and is never killed by
             this limit.
-        max_restarts: extra attempts per item after the first fails.
-        restart_backoff_s / backoff_factor: exponential delay before retries.
-        poll_interval_s: supervisor wake-up period.
+        max_restarts: extra attempts per item after the first fails,
+            with exponential backoff (:data:`RESTART_BACKOFF_S`,
+            :data:`BACKOFF_FACTOR`).
         checkpoint_dir: directory for per-cell mid-run snapshots of
             service cells; a retry of the same run resumes from the latest
             snapshot instead of recomputing finished quanta (a retry that
@@ -212,9 +221,6 @@ class ExecutorConfig:
     run_timeout_s: Optional[float] = None
     heartbeat_timeout_s: Optional[float] = None
     max_restarts: int = 2
-    restart_backoff_s: float = 0.1
-    backoff_factor: float = 2.0
-    poll_interval_s: float = 0.02
     checkpoint_dir: Optional[Path] = None
 
     def __post_init__(self) -> None:
@@ -492,7 +498,7 @@ class SupervisedExecutor:
                         backlog.append((retry_at, len(backlog), out.item))
                         backlog.sort(key=lambda t: (t[0], t[1]))
                 if self._live or backlog:
-                    time.sleep(self.config.poll_interval_s)
+                    time.sleep(POLL_INTERVAL_S)
         finally:
             self.shutdown()
         return results
@@ -594,11 +600,10 @@ class SupervisedExecutor:
         Returns the monotonic time before which the retry must not start;
         raises :class:`RunFailedError` when the restart budget is spent.
         """
-        cfg = self.config
-        if attempt > cfg.max_restarts:
+        if attempt > self.config.max_restarts:
             last = self._last_error.get(item.result_key)
             raise RunFailedError(item.label, attempt, last) from last
-        delay = cfg.restart_backoff_s * (cfg.backoff_factor ** (attempt - 1))
+        delay = RESTART_BACKOFF_S * (BACKOFF_FACTOR ** (attempt - 1))
         return time.monotonic() + delay
 
     @staticmethod

@@ -34,79 +34,56 @@ so autoscaler behaviour is testable deterministically without processes.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Deque, List, Optional, Tuple
+
+
+#: Queue depth at or above which one observation counts as up-pressure.
+UP_QUEUE_DEPTH = 8
+#: Depth at or below which an observation counts as down-pressure (only
+#: when no deadline was missed in the window).
+DOWN_QUEUE_DEPTH = 1
+#: Deadline-miss share (shed / answered over the window) that counts as
+#: up-pressure regardless of depth.
+MISS_RATE_THRESHOLD = 0.05
+#: Observations kept in the sliding miss-rate window.
+WINDOW = 16
+#: Hysteresis: consecutive pressured observations required before acting.
+#: A neutral observation resets both streaks, so an oscillating queue
+#: (spike, empty, spike, empty) never flaps the pool.
+UP_CONSECUTIVE = 2
+DOWN_CONSECUTIVE = 6
+#: Target delta per event. Scale-up takes the bigger step: adding
+#: capacity late is worse than shedding it late.
+STEP_UP = 2
+STEP_DOWN = 1
+#: Scale events retained in telemetry (totals are always exact; only the
+#: event list is bounded).
+MAX_EVENTS = 256
 
 
 @dataclass(frozen=True)
 class AutoscalerConfig:
-    """Autoscaler knobs.
+    """Autoscaler bounds.
 
     Attributes:
-        min_workers / max_workers: hard bounds on the worker target.
-        initial_workers: starting target (None = ``min_workers``).
-        up_queue_depth: queue depth at/above which one observation counts
-            as up-pressure.
-        down_queue_depth: depth at/below which an observation counts as
-            down-pressure (only when no deadline was missed in the
-            window).
-        miss_rate_threshold: deadline-miss share (shed / answered over
-            the window) that counts as up-pressure regardless of depth.
-        window: observations kept in the sliding miss-rate window.
-        up_consecutive / down_consecutive: hysteresis — consecutive
-            pressured observations required before acting. A neutral
-            observation resets both streaks, so an oscillating queue
-            (spike, empty, spike, empty) never flaps the pool.
+        min_workers / max_workers: hard bounds on the worker target; the
+            target starts at ``min_workers``.
         cooldown_s: minimum time between two scale events, in whichever
             clock feeds ``observe`` — a second anti-flap guard.
-        step_up / step_down: target delta per event (scale-up defaults
-            to a bigger step than scale-down: adding capacity late is
-            worse than shedding it late).
-        hold_open_breaker: with the circuit breaker open the full tier
-            is presumed down — scaling up would only spawn more doomed
-            attempts, so the scaler freezes until the breaker recovers.
-        max_events: scale events retained in telemetry (totals are
-            always exact; only the event list is bounded).
     """
 
     min_workers: int = 1
     max_workers: int = 8
-    initial_workers: Optional[int] = None
-    up_queue_depth: int = 8
-    down_queue_depth: int = 1
-    miss_rate_threshold: float = 0.05
-    window: int = 16
-    up_consecutive: int = 2
-    down_consecutive: int = 6
     cooldown_s: float = 0.5
-    step_up: int = 2
-    step_down: int = 1
-    hold_open_breaker: bool = True
-    max_events: int = 256
 
     def __post_init__(self) -> None:
         if self.min_workers < 1:
             raise ValueError("min_workers must be >= 1")
         if self.max_workers < self.min_workers:
             raise ValueError("max_workers must be >= min_workers")
-        if self.initial_workers is not None and not (
-            self.min_workers <= self.initial_workers <= self.max_workers
-        ):
-            raise ValueError("initial_workers must lie within [min, max]")
-        if self.up_queue_depth < 1:
-            raise ValueError("up_queue_depth must be >= 1")
-        if self.down_queue_depth < 0:
-            raise ValueError("down_queue_depth must be >= 0")
-        if not 0.0 <= self.miss_rate_threshold <= 1.0:
-            raise ValueError("miss_rate_threshold must be in [0, 1]")
-        if self.window < 1:
-            raise ValueError("window must be >= 1")
-        if self.up_consecutive < 1 or self.down_consecutive < 1:
-            raise ValueError("hysteresis streaks must be >= 1")
         if self.cooldown_s < 0:
             raise ValueError("cooldown_s must be >= 0")
-        if self.step_up < 1 or self.step_down < 1:
-            raise ValueError("scale steps must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -128,10 +105,7 @@ class Autoscaler:
 
     def __init__(self, config: Optional[AutoscalerConfig] = None) -> None:
         self.config = config or AutoscalerConfig()
-        cfg = self.config
-        self.target = (
-            cfg.initial_workers if cfg.initial_workers is not None else cfg.min_workers
-        )
+        self.target = self.config.min_workers
         self.events: List[ScaleEvent] = []
         self.scale_ups = 0
         self.scale_downs = 0
@@ -139,7 +113,7 @@ class Autoscaler:
         self._down_streak = 0
         self._last_event_at: Optional[float] = None
         # (shed_delta, answered_delta) per observation, for the miss rate.
-        self._window: Deque[Tuple[int, int]] = deque(maxlen=cfg.window)
+        self._window: Deque[Tuple[int, int]] = deque(maxlen=WINDOW)
 
     # -- signal intake -------------------------------------------------------
     def observe(
@@ -154,32 +128,33 @@ class Autoscaler:
 
         ``shed_delta`` / ``answered_delta`` are the *increments* since the
         previous observation (the service computes them from its counters),
-        so the window's miss rate covers exactly the last ``window``
+        so the window's miss rate covers exactly the last :data:`WINDOW`
         observations regardless of pump cadence.
         """
-        cfg = self.config
         self._window.append((max(0, shed_delta), max(0, answered_delta)))
-        if breaker_open and cfg.hold_open_breaker:
-            # Full tier presumed down: more workers would just fail faster.
+        if breaker_open:
+            # With the breaker open the full tier is presumed down: more
+            # workers would only spawn more doomed attempts, so the scaler
+            # freezes until the breaker recovers.
             self._up_streak = 0
             self._down_streak = 0
             return self.target
         miss_rate = self.miss_rate()
-        if queue_depth >= cfg.up_queue_depth or miss_rate >= cfg.miss_rate_threshold:
+        if queue_depth >= UP_QUEUE_DEPTH or miss_rate >= MISS_RATE_THRESHOLD:
             self._up_streak += 1
             self._down_streak = 0
-            if self._up_streak >= cfg.up_consecutive:
+            if self._up_streak >= UP_CONSECUTIVE:
                 reason = (
                     "deadline-misses"
-                    if miss_rate >= cfg.miss_rate_threshold
+                    if miss_rate >= MISS_RATE_THRESHOLD
                     else "queue-depth"
                 )
-                self._scale(now, self.target + cfg.step_up, reason)
-        elif queue_depth <= cfg.down_queue_depth and miss_rate == 0.0:
+                self._scale(now, self.target + STEP_UP, reason)
+        elif queue_depth <= DOWN_QUEUE_DEPTH and miss_rate == 0.0:
             self._down_streak += 1
             self._up_streak = 0
-            if self._down_streak >= cfg.down_consecutive:
-                self._scale(now, self.target - cfg.step_down, "idle")
+            if self._down_streak >= DOWN_CONSECUTIVE:
+                self._scale(now, self.target - STEP_DOWN, "idle")
         else:
             # Neutral band: neither streak survives it (hysteresis).
             self._up_streak = 0
@@ -212,8 +187,8 @@ class Autoscaler:
             self.scale_downs += 1
         self.target = desired
         self.events.append(event)
-        if len(self.events) > cfg.max_events:
-            del self.events[: len(self.events) - cfg.max_events]
+        if len(self.events) > MAX_EVENTS:
+            del self.events[: len(self.events) - MAX_EVENTS]
         self._last_event_at = now
         self._up_streak = 0
         self._down_streak = 0

@@ -42,6 +42,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
+from repro.harness.executor import POLL_INTERVAL_S
 from repro.service.request import SimRequest, SimResponse
 from repro.util.seeds import SeedSequencer
 
@@ -52,11 +53,25 @@ RECORDING_VERSION = 1
 #: Shapes :func:`generate_traffic` knows how to produce.
 TRAFFIC_SHAPES = ("uniform", "diurnal", "bursty", "ramp")
 
+#: Clients every generated request is drawn from, uniformly.
+CLIENTS = ("alice", "bob", "carol", "dave")
+#: Priorities are drawn uniformly from ``range(PRIORITY_LEVELS)``.
+PRIORITY_LEVELS = 3
+#: The mix every burst request simulates.
+BURST_MIX = "mix05"
+#: Range a live relative deadline is drawn from, uniformly (seconds).
+DEADLINE_RANGE_S = (0.5, 5.0)
+#: Peak/trough intensity ratio of the ``diurnal`` and ``ramp`` shapes.
+PEAK_TO_TROUGH = 4.0
+#: Mean burst size of the ``bursty`` shape.
+BURST_MEAN_SIZE = 16
+
 
 @dataclass(frozen=True)
 class BurstSpec:
     """Shape of one synthetic request burst.
 
+    Every request runs :data:`BURST_MIX` for one of :data:`CLIENTS`.
     ``expired_fraction`` requests get ``deadline_s=0.0`` (shed at dequeue,
     deterministically); ``degradable_fraction`` of the rest accept a
     fast-model answer. Simulation parameters are kept tiny so even the
@@ -65,11 +80,8 @@ class BurstSpec:
 
     requests: int = 200
     seed: int = 0
-    clients: Tuple[str, ...] = ("alice", "bob", "carol", "dave")
     degradable_fraction: float = 0.8
     expired_fraction: float = 0.1
-    priority_levels: int = 3
-    mixes: Tuple[str, ...] = ("mix05",)
     quanta: int = 2
     warmup_quanta: int = 1
     quantum_cycles: int = 256
@@ -82,8 +94,6 @@ class BurstSpec:
             raise ValueError("degradable_fraction must be in [0, 1]")
         if not 0.0 <= self.expired_fraction <= 1.0:
             raise ValueError("expired_fraction must be in [0, 1]")
-        if not self.clients:
-            raise ValueError("need at least one client")
 
 
 def generate_burst(spec: BurstSpec) -> List[SimRequest]:
@@ -96,14 +106,14 @@ def generate_burst(spec: BurstSpec) -> List[SimRequest]:
         out.append(
             SimRequest(
                 request_id=f"req-{spec.seed:03d}-{i:04d}",
-                client=str(spec.clients[int(rng.integers(len(spec.clients)))]),
-                mix=str(spec.mixes[int(rng.integers(len(spec.mixes)))]),
+                client=CLIENTS[int(rng.integers(len(CLIENTS)))],
+                mix=BURST_MIX,
                 quanta=spec.quanta,
                 warmup_quanta=spec.warmup_quanta,
                 quantum_cycles=spec.quantum_cycles,
                 num_threads=spec.num_threads,
                 seed=int(rng.integers(1 << 16)),
-                priority=int(rng.integers(spec.priority_levels)),
+                priority=int(rng.integers(PRIORITY_LEVELS)),
                 deadline_s=0.0 if expired else None,
                 degradable=degradable,
             )
@@ -140,15 +150,17 @@ class TrafficSpec:
 
     Attributes:
         shape: one of :data:`TRAFFIC_SHAPES`. ``diurnal`` modulates
-            intensity sinusoidally over ``day_length_s`` with
-            peak/trough ratio ``peak_to_trough``; ``ramp`` grows
+            intensity sinusoidally over one period of ``duration_s`` with
+            peak/trough ratio :data:`PEAK_TO_TROUGH`; ``ramp`` grows
             linearly to the same ratio; ``bursty`` packs arrivals into
-            heavy-tailed burst trains; ``uniform`` is evenly spread.
+            heavy-tailed burst trains of mean size
+            :data:`BURST_MEAN_SIZE`; ``uniform`` is evenly spread.
         requests / duration_s: stream size and (virtual) length.
-        clients / client_weights: per-client arrival mix (weights
-            normalize; None = uniform).
+        mixes: the mixes requests are drawn from, uniformly. Clients and
+            priorities are drawn uniformly from :data:`CLIENTS` and
+            ``range(PRIORITY_LEVELS)``.
         deadline_fraction: share of requests carrying a live relative
-            deadline drawn uniformly from ``deadline_range_s``.
+            deadline drawn uniformly from :data:`DEADLINE_RANGE_S`.
         expired_fraction: share with ``deadline_s=0.0`` (deterministic
             sheds).
         fault_fraction / fault_kinds / fault_rate: share of requests
@@ -161,17 +173,10 @@ class TrafficSpec:
     requests: int = 200
     duration_s: float = 30.0
     seed: int = 0
-    clients: Tuple[str, ...] = ("alice", "bob", "carol", "dave")
-    client_weights: Optional[Tuple[float, ...]] = None
     mixes: Tuple[str, ...] = ("mix05",)
-    priority_levels: int = 3
     degradable_fraction: float = 0.8
     deadline_fraction: float = 0.25
-    deadline_range_s: Tuple[float, float] = (0.5, 5.0)
     expired_fraction: float = 0.05
-    peak_to_trough: float = 4.0
-    day_length_s: Optional[float] = None
-    burst_mean_size: int = 16
     fault_fraction: float = 0.0
     fault_kinds: Tuple[str, ...] = ()
     fault_rate: float = 0.25
@@ -189,26 +194,12 @@ class TrafficSpec:
             raise ValueError("requests must be >= 1")
         if self.duration_s <= 0:
             raise ValueError("duration_s must be positive")
-        if not self.clients:
-            raise ValueError("need at least one client")
-        if self.client_weights is not None and (
-            len(self.client_weights) != len(self.clients)
-            or any(w < 0 for w in self.client_weights)
-            or sum(self.client_weights) <= 0
-        ):
-            raise ValueError("client_weights must be non-negative, one per client")
         for frac in (
             self.degradable_fraction, self.deadline_fraction,
             self.expired_fraction, self.fault_fraction,
         ):
             if not 0.0 <= frac <= 1.0:
                 raise ValueError("fractions must be in [0, 1]")
-        if self.peak_to_trough < 1.0:
-            raise ValueError("peak_to_trough must be >= 1")
-        if self.deadline_range_s[0] < 0 or self.deadline_range_s[1] < self.deadline_range_s[0]:
-            raise ValueError("deadline_range_s must be a non-negative (lo, hi)")
-        if self.burst_mean_size < 1:
-            raise ValueError("burst_mean_size must be >= 1")
 
 
 def _shaped_arrivals(spec: TrafficSpec, rng: np.random.Generator) -> np.ndarray:
@@ -223,13 +214,12 @@ def _shaped_arrivals(spec: TrafficSpec, rng: np.random.Generator) -> np.ndarray:
     if spec.shape == "uniform":
         lam = np.ones_like(grid)
     elif spec.shape == "diurnal":
-        period = spec.day_length_s or spec.duration_s
-        # Trough at t=0, peak mid-period; λ ranges [1, peak_to_trough].
-        lam = 1.0 + (spec.peak_to_trough - 1.0) * (
-            1.0 - np.cos(2.0 * np.pi * grid / period)
+        # Trough at t=0, peak mid-stream; λ ranges [1, PEAK_TO_TROUGH].
+        lam = 1.0 + (PEAK_TO_TROUGH - 1.0) * (
+            1.0 - np.cos(2.0 * np.pi * grid / spec.duration_s)
         ) / 2.0
     elif spec.shape == "ramp":
-        lam = 1.0 + (spec.peak_to_trough - 1.0) * grid / spec.duration_s
+        lam = 1.0 + (PEAK_TO_TROUGH - 1.0) * grid / spec.duration_s
     else:  # pragma: no cover — guarded by TrafficSpec validation
         raise ValueError(spec.shape)
     cum = np.concatenate([[0.0], np.cumsum((lam[1:] + lam[:-1]) / 2.0)])
@@ -247,7 +237,7 @@ def _bursty_arrivals(spec: TrafficSpec, rng: np.random.Generator) -> np.ndarray:
     the shape that makes autoscalers and admission control earn their keep.
     """
     n = spec.requests
-    n_bursts = max(1, n // spec.burst_mean_size)
+    n_bursts = max(1, n // BURST_MEAN_SIZE)
     weights = rng.pareto(1.2, n_bursts) + 1.0
     sizes = np.maximum(1, np.floor(weights / weights.sum() * n).astype(int))
     # Largest-remainder top-up so sizes sum to exactly n.
@@ -275,11 +265,7 @@ def generate_traffic(spec: TrafficSpec) -> List[TimedRequest]:
         times = _bursty_arrivals(spec, shape_rng)
     else:
         times = _shaped_arrivals(spec, shape_rng)
-    weights = None
-    if spec.client_weights is not None:
-        weights = np.asarray(spec.client_weights, dtype=float)
-        weights = weights / weights.sum()
-    lo, hi = spec.deadline_range_s
+    lo, hi = DEADLINE_RANGE_S
     out: List[TimedRequest] = []
     for i, at in enumerate(times):
         expired = bool(body_rng.random() < spec.expired_fraction)
@@ -295,16 +281,14 @@ def generate_traffic(spec: TrafficSpec) -> List[TimedRequest]:
                 at_s=float(at),
                 request=SimRequest(
                     request_id=f"t{spec.seed:03d}-{i:05d}",
-                    client=str(
-                        spec.clients[int(body_rng.choice(len(spec.clients), p=weights))]
-                    ),
+                    client=CLIENTS[int(body_rng.choice(len(CLIENTS)))],
                     mix=str(spec.mixes[int(body_rng.integers(len(spec.mixes)))]),
                     quanta=spec.quanta,
                     warmup_quanta=spec.warmup_quanta,
                     quantum_cycles=spec.quantum_cycles,
                     num_threads=spec.num_threads,
                     seed=int(body_rng.integers(1 << 16)),
-                    priority=int(body_rng.integers(spec.priority_levels)),
+                    priority=int(body_rng.integers(PRIORITY_LEVELS)),
                     deadline_s=deadline,
                     degradable=bool(body_rng.random() < spec.degradable_fraction),
                     fault_kinds=spec.fault_kinds if faulted else (),
@@ -418,7 +402,7 @@ def replay_traffic(
         if deadline is not None and clock.now >= deadline:
             break
         if service.inflight > 0 and service.config.workers > 0:
-            time.sleep(service.config.poll_interval_s)
+            time.sleep(POLL_INTERVAL_S)
     return responses
 
 
@@ -448,7 +432,7 @@ def replay_realtime(
         busy = service.pump()
         responses.extend(service.take_completed())
         if not busy:
-            time.sleep(service.config.poll_interval_s)
+            time.sleep(POLL_INTERVAL_S)
     return responses
 
 

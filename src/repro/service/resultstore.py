@@ -218,6 +218,14 @@ class ResultStore:
             raise ValueError(
                 f"integrity {integrity!r}: must be one of {INTEGRITY_STATUSES}"
             )
+        if not self._write(run_fields, payload, integrity):
+            return False
+        self.counters["puts"] += 1
+        return True
+
+    def _write(self, run_fields: dict, payload: dict, integrity: str) -> bool:
+        """Atomically write one entry document (fsynced); a failed write
+        is absorbed, logged and counted in ``put_errors``."""
         digest = fields_digest(run_fields)
         doc = embed_json_artifact(
             {
@@ -234,10 +242,9 @@ class ResultStore:
             atomic_write_bytes(self.path_for(digest), blob)
         except StorageError as exc:
             self.counters["put_errors"] += 1
-            log.warning("%s: result-store put failed (%s); entry skipped",
+            log.warning("%s: result-store write failed (%s); entry skipped",
                         self.path_for(digest), exc)
             return False
-        self.counters["puts"] += 1
         return True
 
     def __contains__(self, digest: str) -> bool:
@@ -259,9 +266,10 @@ class ResultStore:
 
     def mark_verified(self, digest: str) -> bool:
         """Promote a live entry ``unverified`` → ``verified`` (a shadow
-        re-execution reproduced its digest). Atomic rewrite; best-effort
-        — a failed promotion leaves a perfectly servable unverified entry.
-        A mislabeled entry (fields of another digest) is never re-filed.
+        re-execution reproduced its digest). Atomic rewrite, counted in
+        ``verified_marks`` and not as a put; best-effort — a failed
+        promotion leaves a perfectly servable unverified entry. A
+        mislabeled entry (fields of another digest) is never re-filed.
         """
         path = self.path_for(digest)
         try:
@@ -274,7 +282,7 @@ class ResultStore:
             return False
         if fields_digest(request) != digest:
             return False
-        if self.put(request, payload, integrity=INTEGRITY_VERIFIED):
+        if self._write(request, payload, INTEGRITY_VERIFIED):
             self.counters["verified_marks"] += 1
             return True
         return False

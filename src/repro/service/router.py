@@ -75,6 +75,7 @@ from repro.harness.errors import (
     OUTCOME_FAILED,
     OUTCOME_FULL,
 )
+from repro.harness.executor import POLL_INTERVAL_S
 from repro.harness.runner import run_fields
 from repro.service.dlq import DLQ_COUNTERS, DeadLetterQueue
 from repro.service.identity import request_identity, shard_of
@@ -715,7 +716,7 @@ class ShardedService:
                     f"(pending={self.pending})"
                 )
             if self.config.workers > 0 and self.pending > 0:
-                time.sleep(self.config.poll_interval_s)
+                time.sleep(POLL_INTERVAL_S)
 
     # -- drain ---------------------------------------------------------------
     def drain(self, deadline_s: Optional[float] = None) -> dict:
@@ -736,7 +737,7 @@ class ShardedService:
         while self.pending > 0 and self.clock() < deadline:
             self.pump()
             if self.config.workers > 0 and self.pending > 0:
-                time.sleep(self.config.poll_interval_s)
+                time.sleep(POLL_INTERVAL_S)
         for shard in self.shards:
             shard.drain(max(0.0, deadline - self.clock()))
         self._collect(self.clock())

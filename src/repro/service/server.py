@@ -51,6 +51,7 @@ import threading
 import time
 from typing import IO, List, Optional
 
+from repro.harness.executor import POLL_INTERVAL_S
 from repro.service.loadgen import TimedRequest, save_recording
 from repro.service.request import SimRequest
 from repro.service.router import ShardedService
@@ -232,7 +233,7 @@ class ServeLoop:
                 if self._eof and self.service.pending == 0:
                     break  # input exhausted, all work answered: wind down
                 if not busy:
-                    time.sleep(self.service.config.poll_interval_s)
+                    time.sleep(POLL_INTERVAL_S)
             stats = self.service.drain(self.drain_deadline_s)
             self._emit_drift_events()
             for response in self.service.take_completed():

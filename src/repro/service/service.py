@@ -62,6 +62,7 @@ from repro.harness.errors import (
     OUTCOME_REJECTED,
     OUTCOME_SHED,
 )
+from repro.harness.executor import POLL_INTERVAL_S
 from repro.service.admission import AdmissionQueue
 from repro.service.autoscale import Autoscaler, AutoscalerConfig
 from repro.service.breaker import STATE_OPEN, CircuitBreaker
@@ -126,7 +127,6 @@ class ServiceConfig:
     run_timeout_s: Optional[float] = None
     heartbeat_timeout_s: Optional[float] = None
     drain_deadline_s: float = 10.0
-    poll_interval_s: float = 0.02
     checkpoint_dir: Optional[Union[str, Path]] = None
     fault_plan: Optional[FaultPlan] = None
     autoscaler: Optional[AutoscalerConfig] = None
@@ -222,7 +222,6 @@ class SimulationService:
                     run_timeout_s=cfg.run_timeout_s,
                     heartbeat_timeout_s=cfg.heartbeat_timeout_s,
                     max_restarts=0,  # the service owns retry policy
-                    poll_interval_s=cfg.poll_interval_s,
                     checkpoint_dir=(
                         Path(cfg.checkpoint_dir) if cfg.checkpoint_dir else None
                     ),
@@ -592,7 +591,7 @@ class SimulationService:
                     f"(queue={self.queue.depth}, inflight={len(self._inflight)})"
                 )
             if self.executor is not None and self._inflight:
-                time.sleep(self.config.poll_interval_s)
+                time.sleep(POLL_INTERVAL_S)
 
     # -- drain ---------------------------------------------------------------
     def drain(self, deadline_s: Optional[float] = None) -> dict:
@@ -615,7 +614,7 @@ class SimulationService:
         while (self.queue.depth > 0 or self._inflight) and self.clock() < deadline:
             self.pump()
             if self.executor is not None and (self._inflight or self.queue.depth):
-                time.sleep(self.config.poll_interval_s)
+                time.sleep(POLL_INTERVAL_S)
         if self.executor is not None:
             self.executor.shutdown()  # kills stragglers and idle workers
         if self._inflight:

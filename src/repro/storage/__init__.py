@@ -4,7 +4,7 @@ Every artifact the harness persists — run journals, simulator
 checkpoints, result stores, reports and profiles — goes through this
 package: atomic write/rename with fsync discipline and bounded retry
 (:mod:`repro.storage.atomic`), a versioned self-describing envelope
-with payload checksums and migration hooks
+with payload checksums
 (:mod:`repro.storage.artifact`), a seeded filesystem fault injector
 (:mod:`repro.storage.faultfs`), and an audit/repair engine behind
 ``repro fsck`` (:mod:`repro.storage.fsck`).
@@ -22,7 +22,6 @@ from repro.storage.artifact import (
     load_json_artifact,
     pack_artifact,
     read_artifact,
-    register_migration,
     unpack_artifact,
     write_artifact,
     writer_provenance,
@@ -65,7 +64,6 @@ __all__ = [
     "load_json_artifact",
     "pack_artifact",
     "read_artifact",
-    "register_migration",
     "unpack_artifact",
     "write_artifact",
     "writer_provenance",

@@ -20,9 +20,9 @@ the rest of the document
 (:func:`canonical_json_crc`). Legacy plain-JSON documents load fine and
 classify as *migratable*.
 
-Old formats load forward through per-family migration hooks registered
-with :func:`register_migration`; the storage layer itself stays
-format-agnostic.
+A payload whose schema version differs from the one the reader expects
+does not load (:class:`~repro.storage.errors.ArtifactVersionError`); the
+storage layer itself stays format-agnostic.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import socket
 import struct
 import zlib
 from pathlib import Path
-from typing import Callable, Dict, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 from repro.storage.atomic import RetrySpec, atomic_write_bytes, read_bytes
 from repro.storage.errors import ArtifactCorruptError, ArtifactVersionError
@@ -43,22 +43,6 @@ from repro.storage.errors import ArtifactCorruptError, ArtifactVersionError
 MAGIC = b"REPROART1\n"
 
 _HEAD = struct.Struct("<10sI")
-
-#: Per-(format, payload-version) migration hooks: ``bytes -> bytes`` maps an
-#: old payload to the current schema at load time.
-_MIGRATIONS: Dict[Tuple[str, int], Callable[[bytes], bytes]] = {}
-
-
-def register_migration(
-    fmt: str, version: int, fn: Callable[[bytes], bytes]
-) -> None:
-    """Register a load-forward hook for ``fmt`` payloads at ``version``.
-
-    The hook receives the old payload bytes and returns bytes in the
-    current schema; :func:`read_artifact` applies it transparently when
-    ``expect_version`` is newer than the stored version.
-    """
-    _MIGRATIONS[(fmt, version)] = fn
 
 
 def writer_provenance(tool: str = "repro") -> dict:
@@ -111,7 +95,7 @@ def unpack_artifact(
     Raises :class:`~repro.storage.errors.ArtifactCorruptError` on bad
     magic / torn frame / checksum mismatch, and
     :class:`~repro.storage.errors.ArtifactVersionError` on a format or
-    version this code cannot load (no migration registered).
+    version other than the expected one.
     """
     if len(blob) < _HEAD.size:
         raise ArtifactCorruptError(f"torn artifact: {len(blob)} bytes, no frame header")
@@ -153,15 +137,10 @@ def unpack_artifact(
             f"artifact format {header.get('format')!r}, expected {expect_format!r}"
         )
     if expect_version is not None and header.get("version") != expect_version:
-        hook = _MIGRATIONS.get((header.get("format"), header.get("version")))
-        if hook is None:
-            raise ArtifactVersionError(
-                f"artifact {header.get('format')!r} version "
-                f"{header.get('version')}, expected {expect_version} "
-                f"(no migration registered)"
-            )
-        payload = hook(payload)
-        header = dict(header, version=expect_version, migrated_from=header["version"])
+        raise ArtifactVersionError(
+            f"artifact {header.get('format')!r} version "
+            f"{header.get('version')}, expected {expect_version}"
+        )
     return header, payload
 
 

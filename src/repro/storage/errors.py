@@ -47,8 +47,8 @@ class ArtifactCorruptError(ArtifactError):
 
 
 class ArtifactVersionError(ArtifactError):
-    """The artifact is intact but written by an incompatible schema version
-    (newer than this code understands, with no registered migration)."""
+    """The artifact is intact but of another format or schema version than
+    the reader expects."""
 
 
 #: ``errno`` values treated as transient and retried by the atomic layer.

@@ -19,17 +19,20 @@ from repro.service import (
     SimRequest,
     VirtualClock,
 )
+from repro.service.autoscale import (
+    DOWN_CONSECUTIVE,
+    STEP_DOWN,
+    STEP_UP,
+    UP_CONSECUTIVE,
+    UP_QUEUE_DEPTH,
+)
 from repro.service.service import SimulationService
 
 SRC = str(Path(repro.__file__).resolve().parents[1])
 
 
 def scaler(**kw):
-    defaults = dict(
-        min_workers=1, max_workers=6, up_queue_depth=4, down_queue_depth=0,
-        up_consecutive=2, down_consecutive=3, cooldown_s=1.0,
-        step_up=2, step_down=1, window=8,
-    )
+    defaults = dict(min_workers=1, max_workers=6, cooldown_s=1.0)
     defaults.update(kw)
     return Autoscaler(AutoscalerConfig(**defaults))
 
@@ -38,11 +41,10 @@ class TestAutoscalerConfig:
     @pytest.mark.parametrize("kw", [
         dict(min_workers=0),
         dict(max_workers=1, min_workers=2),
-        dict(initial_workers=9),
-        dict(miss_rate_threshold=1.5),
-        dict(up_consecutive=0),
+        dict(min_workers=9),  # the target would start above max_workers
+        dict(max_workers=0),
+        dict(min_workers=-1),
         dict(cooldown_s=-1.0),
-        dict(step_up=0),
     ])
     def test_rejects_bad_knobs(self, kw):
         with pytest.raises(ValueError):
@@ -54,11 +56,12 @@ class TestHysteresis:
         """Depth alternating spike/empty must produce zero scale events:
         each neutral-or-down observation resets the up streak before it
         reaches the consecutive threshold, and vice versa."""
-        s = scaler(up_consecutive=2, down_consecutive=3)
+        s = scaler()
         for i in range(60):
-            depth = 10 if i % 2 == 0 else 0
+            depth = UP_QUEUE_DEPTH if i % 2 == 0 else 0
             # Answered work on the quiet ticks keeps miss_rate at 0 but the
-            # down-streak still cannot reach 3 before a spike resets it.
+            # down-streak still cannot reach its threshold before a spike
+            # resets it.
             s.observe(now=i * 10.0, queue_depth=depth, answered_delta=1)
         assert s.events == []
         assert s.target == s.config.min_workers
@@ -66,10 +69,11 @@ class TestHysteresis:
 
     def test_sustained_pressure_scales_up(self):
         s = scaler()
-        s.observe(0.0, queue_depth=10)
+        for i in range(UP_CONSECUTIVE - 1):
+            s.observe(i * 0.1, queue_depth=UP_QUEUE_DEPTH)
         assert s.target == 1  # one observation is not a trend
-        s.observe(0.1, queue_depth=10)
-        assert s.target == 3  # step_up=2
+        s.observe(1.0, queue_depth=UP_QUEUE_DEPTH)
+        assert s.target == 1 + STEP_UP
         assert s.events[-1].reason == "queue-depth"
 
     def test_cooldown_blocks_back_to_back_events(self):
@@ -92,14 +96,22 @@ class TestHysteresis:
         assert s.scale_ups == ups
 
     def test_idle_scales_down_to_min(self):
-        s = scaler(initial_workers=4, cooldown_s=0.0, down_consecutive=2)
+        s = scaler(cooldown_s=0.0)
         for i in range(20):
-            s.observe(float(i), queue_depth=0, answered_delta=1)
+            s.observe(float(i), queue_depth=UP_QUEUE_DEPTH)
+        assert s.target == 6
+        for i in range(DOWN_CONSECUTIVE - 1):
+            s.observe(20.0 + i, queue_depth=0, answered_delta=1)
+        assert s.target == 6  # not yet a sustained lull
+        s.observe(30.0, queue_depth=0, answered_delta=1)
+        assert s.target == 6 - STEP_DOWN
+        for i in range(5 * DOWN_CONSECUTIVE):
+            s.observe(40.0 + i, queue_depth=0, answered_delta=1)
         assert s.target == 1
         assert s.events[-1].reason == "idle"
 
     def test_miss_rate_triggers_up_even_when_queue_shallow(self):
-        s = scaler(up_queue_depth=100, cooldown_s=0.0)
+        s = scaler(cooldown_s=0.0)
         s.observe(0.0, queue_depth=0, shed_delta=3, answered_delta=1)
         s.observe(0.1, queue_depth=0, shed_delta=3, answered_delta=1)
         assert s.target > 1
@@ -138,16 +150,12 @@ class TestShardActuatesSoftCap:
     The shard is paused, so nothing is ever spawned."""
 
     @staticmethod
-    def _paused_shard(clock, **kw):
-        defaults = dict(
-            min_workers=1, max_workers=6, up_queue_depth=4, down_queue_depth=0,
-            up_consecutive=2, down_consecutive=3, cooldown_s=1.0,
-            step_up=2, step_down=1, window=8,
-        )
-        defaults.update(kw)
+    def _paused_shard(clock, min_workers):
         shard = SimulationService(
             ServiceConfig(workers=2, queue_capacity=64,
-                          autoscaler=AutoscalerConfig(**defaults)),
+                          autoscaler=AutoscalerConfig(
+                              min_workers=min_workers, max_workers=6,
+                              cooldown_s=1.0)),
             clock=clock,
         )
         shard.paused = True
@@ -155,25 +163,26 @@ class TestShardActuatesSoftCap:
 
     @staticmethod
     def _queue_pressure(shard, clock):
-        """Two observations of a 5-deep queue: one scale-up by 2."""
-        for i in range(5):
+        """UP_CONSECUTIVE observations of a queue UP_QUEUE_DEPTH deep: one
+        scale-up by STEP_UP."""
+        for i in range(UP_QUEUE_DEPTH):
             assert shard.submit(_req(i)) is None  # queued, never dispatched
-        shard.pump()
-        clock.advance(0.1)
-        shard.pump()
+        for _ in range(UP_CONSECUTIVE):
+            shard.pump()
+            clock.advance(0.1)
 
     def test_target_reaches_soft_cap(self):
         clock = VirtualClock()
-        shard = self._paused_shard(clock, initial_workers=3)
+        shard = self._paused_shard(clock, min_workers=3)
         assert shard.executor.soft_cap == 3  # applied at construction
         self._queue_pressure(shard, clock)
-        assert shard.autoscaler.target == 5
-        assert shard.executor.soft_cap == 5
+        assert shard.autoscaler.target == 3 + STEP_UP
+        assert shard.executor.soft_cap == 3 + STEP_UP
         assert shard.executor.active == 0
 
     def test_has_capacity_follows_the_target(self):
         clock = VirtualClock()
-        shard = self._paused_shard(clock, initial_workers=2)
+        shard = self._paused_shard(clock, min_workers=2)
         ex = shard.executor
         assert ex.config.workers == 6  # provisioned at the scaling ceiling
 
@@ -187,7 +196,7 @@ class TestShardActuatesSoftCap:
         assert capacity_with(1)
         assert not capacity_with(2)  # capped at the target, not the pool size
         self._queue_pressure(shard, clock)
-        assert shard.autoscaler.target == 4
+        assert shard.autoscaler.target == 2 + STEP_UP
         assert capacity_with(3)
         assert not capacity_with(4)
 
@@ -195,14 +204,12 @@ class TestShardActuatesSoftCap:
 class TestServiceIntegrationInline:
     """workers=0: the target is the per-pump dispatch budget."""
 
-    def _service(self, **scaler_kw):
+    def _service(self):
         clock = VirtualClock()
         cfg = ServiceConfig(
             workers=0, queue_capacity=32,
             autoscaler=AutoscalerConfig(
-                min_workers=1, max_workers=4, up_queue_depth=4,
-                up_consecutive=2, down_consecutive=4, cooldown_s=0.1,
-                **scaler_kw,
+                min_workers=1, max_workers=4, cooldown_s=0.1,
             ),
         )
         service = SimulationService(

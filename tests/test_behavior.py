@@ -30,7 +30,6 @@ from repro.behavior import (
     BehaviorProfile,
     DriftConfig,
     DriftGuard,
-    DriftGuardConfig,
     ProfileStore,
     compute_drift,
     flatten_metrics,
@@ -40,6 +39,7 @@ from repro.behavior import (
     profile_from_sim,
     service_rates,
 )
+from repro.behavior.guard import COOLDOWN_S, DRIFT_STREAK, WINDOW
 from repro.behavior.profile import RATE_DENOMINATOR, SERVICE_RATE_KEYS
 from repro.harness.regression import verify_profile
 from repro.service import (
@@ -110,16 +110,8 @@ class TestProfile:
         assert q == p and q.profile_id == p.profile_id
 
     def test_profile_from_sim_prefixes(self):
-        p = profile_from_sim(
-            {"ipc": 1.2, "switches": 4},
-            "simrun",
-            switching={"num_switches": 4, "benign_probability": 0.5},
-            batch_telemetry={"forks": 2},
-            seed=7,
-        )
-        assert p.metrics["sim.ipc"] == 1.2
-        assert p.metrics["switching.num_switches"] == 4.0
-        assert p.metrics["batch.forks"] == 2.0
+        p = profile_from_sim({"ipc": 1.2, "switches": 4}, "simrun", seed=7)
+        assert p.metrics == {"sim.ipc": 1.2, "sim.switches": 4.0}
         assert p.identity["seed"] == 7
 
 
@@ -297,66 +289,69 @@ def feed(guard, now, submitted, answered):
 
 
 class TestDriftGuard:
-    def cfg(self, **kw):
-        defaults = dict(window=8, min_submitted=4, warn_streak=2,
-                        drift_streak=3, clear_streak=4, cooldown_s=0.0)
-        defaults.update(kw)
-        return DriftGuardConfig(**defaults)
+    """The guard at its constants. Snapshots add 5 submitted requests each
+    and come ``COOLDOWN_S`` apart unless a test says otherwise, so only the
+    cooldown test is throttled. The baseline's ``rate.answered`` is 0.9."""
 
     def test_requires_rate_metrics(self):
         with pytest.raises(ValueError):
             DriftGuard({"sim.ipc": 1.0})
 
     def test_escalates_on_sustained_drift_and_recovers(self):
-        guard = DriftGuard(make_profile(), self.cfg(degrade_on_drift=True))
+        guard = DriftGuard(make_profile(), degrade_on_drift=True)
         now, sub, ans = 0.0, 0, 0
-        for _ in range(10):  # matching behaviour: stays steady
-            sub, ans = sub + 5, ans + 4  # ~0.9 within tolerance
-            feed(guard, now, sub, ans)
-            now += 1
+
+        def steps(n, answered):
+            nonlocal now, sub, ans
+            for _ in range(n):
+                sub, ans = sub + 5, ans + answered
+                feed(guard, now, sub, ans)
+                now += COOLDOWN_S
+
+        steps(WINDOW, answered=4)  # matching behaviour: 0.8 is within tolerance
         assert guard.level == 0 and guard.last_verdict == "ok"
-        for _ in range(10):  # behaviour collapses: answered flatlines
-            sub += 5
-            feed(guard, now, sub, ans)
-            now += 1
+        steps(2 * WINDOW, answered=0)  # behaviour collapses: answered flatlines
         assert guard.level == 2 and guard.state == "drifting"
         assert guard.degrade_active
         kinds = [e.kind for e in guard.take_events()]
         assert kinds == ["escalate", "escalate"]
         assert guard.take_events() == []  # drained
-        for _ in range(30):  # recovery steps down one level at a time
-            sub, ans = sub + 5, ans + 4
-            feed(guard, now, sub, ans)
-            now += 1
+        steps(3 * WINDOW, answered=4)  # recovery steps down one level at a time
         assert guard.level == 0 and not guard.degrade_active
         assert guard.clears == 2
 
     def test_single_bad_window_never_escalates(self):
-        guard = DriftGuard(make_profile(), self.cfg())
-        now, sub, ans = 0.0, 0, 0
-        for i in range(40):
+        """Every third snapshot reads as if nothing had been answered. The
+        window's rate compares its newest snapshot with its oldest, so only
+        those windows drift, and the ok windows in between reset the
+        streaks."""
+        guard = DriftGuard(make_profile())
+        now, sub, verdicts = 0.0, 0, []
+        for i in range(3 * WINDOW):
             sub += 5
-            # One drifting window in every warn_streak-sized stretch;
-            # the ok observations in between reset the streaks.
-            ans += 0 if i % 3 == 0 else 5
-            feed(guard, now, sub, ans)
-            now += 1
+            feed(guard, now, sub, 0 if i % 3 == 2 else 0.9 * sub)
+            verdicts.append(guard.last_verdict)
+            now += COOLDOWN_S
+        assert verdicts.count("drift") > WINDOW // 2
         assert guard.level == 0 and guard.escalations == 0
 
     def test_cooldown_throttles_level_changes(self):
-        guard = DriftGuard(make_profile(), self.cfg(cooldown_s=100.0))
-        now, sub, ans = 0.0, 0, 0
-        for _ in range(30):
+        guard = DriftGuard(make_profile())
+        dt = COOLDOWN_S / 8
+        assert DRIFT_STREAK * dt < COOLDOWN_S
+        now, sub = 0.0, 0
+        for _ in range(WINDOW):
             sub += 5
-            feed(guard, now, sub, ans)  # permanent drift
-            now += 1
-        # One escalation at most: the second is inside the cooldown.
-        assert guard.level == 1 and guard.escalations == 1
+            feed(guard, now, sub, 0)  # permanent drift
+            now += dt
+        # The drift streak for level 2 is complete sooner than COOLDOWN_S
+        # after the first escalation; the second one waits it out.
+        first, second = guard.events
+        assert guard.level == 2 and guard.escalations == 2
+        assert second.t - first.t == COOLDOWN_S
 
     def test_schema_growth_is_not_drift(self):
-        guard = DriftGuard(
-            {"rate.answered": 1.0}, self.cfg()
-        )
+        guard = DriftGuard({"rate.answered": 1.0})
         now, sub = 0.0, 0
         for _ in range(10):
             sub += 5
@@ -364,18 +359,17 @@ class TestDriftGuard:
                 "front_submitted": sub, "front_answered": sub,
                 "brand_new_counter": sub * 3,
             })
-            now += 1
+            now += COOLDOWN_S
         assert guard.comparisons > 0 and guard.level == 0
 
     def test_on_escalate_hook_fires(self):
         seen = []
-        guard = DriftGuard(make_profile(), self.cfg(),
-                           on_escalate=seen.append)
+        guard = DriftGuard(make_profile(), on_escalate=seen.append)
         now, sub, ans = 0.0, 0, 0
         for _ in range(20):
             sub += 5
             feed(guard, now, sub, ans)
-            now += 1
+            now += COOLDOWN_S
         assert seen and seen[0].kind == "escalate"
         assert guard.summary()["events"]
 
@@ -398,12 +392,8 @@ class TestGuardInService:
         )
         # Baseline promises zero answering; the live service answers
         # everything, so every comparable window reads as drift.
-        guard = DriftGuard(
-            {"rate.answered": 0.0},
-            DriftGuardConfig(window=6, min_submitted=2, warn_streak=1,
-                             drift_streak=2, clear_streak=2, cooldown_s=0.0,
-                             degrade_on_drift=degrade_on_drift),
-        )
+        guard = DriftGuard({"rate.answered": 0.0},
+                           degrade_on_drift=degrade_on_drift)
         svc.drift_guard = guard
         observed, observe = [], guard.observe
 
@@ -452,22 +442,21 @@ class TestGuardInService:
         infile = io.StringIO("\n".join(lines) + "\n")
         outfile = io.StringIO()
         svc = self.make_service(
-            ServiceConfig(workers=0, queue_capacity=64, poll_interval_s=0.001),
+            ServiceConfig(workers=0, queue_capacity=64),
             full_runner=lambda r: {"ipc": 1.0},
             fast_runner=lambda r: {"ipc": 0.5},
         )
-        guard = DriftGuard(
-            {"rate.answered": 0.0},  # absurd baseline: answering is drift
-            DriftGuardConfig(window=4, min_submitted=1, warn_streak=1,
-                             drift_streak=2, clear_streak=2, cooldown_s=0.0),
-        )
+        # Absurd baseline: answering is drift.
+        guard = DriftGuard({"rate.answered": 0.0})
         svc.drift_guard = guard
         # Escalate the guard before the loop starts (a StringIO feed hands
         # the whole burst to one iteration, so the in-loop window never
         # spans traffic); the loop must then drain the pending events.
-        for t in range(6):
-            guard.observe(float(t), {"front_submitted": 5 * (t + 1),
-                                     "front_answered": 5 * (t + 1)})
+        for t in range(1, WINDOW):
+            guard.observe(float(t), {"front_submitted": 5 * t,
+                                     "front_answered": 5 * t})
+            if guard.escalations:
+                break
         assert guard.escalations > 0
         assert ServeLoop(svc, infile=infile, outfile=outfile).run() == 0
         events = [json.loads(l) for l in outfile.getvalue().splitlines()]

@@ -294,7 +294,6 @@ def test_request_conservation_under_any_seeded_fault_schedule(
     events = generate_traffic(TrafficSpec(
         shape=shape, requests=25, duration_s=5.0, seed=seed,
         expired_fraction=0.2, deadline_fraction=0.3,
-        deadline_range_s=(0.1, 1.0),
     ))
     clock = VirtualClock()
     service = SimulationService(

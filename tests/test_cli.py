@@ -67,6 +67,32 @@ class TestCommands:
         assert "threads" in out
 
 
+class TestFlagErrors:
+    """A flag value that a command's configuration rejects is a one-line
+    usage error with exit 2, reported before anything runs; exit 1 stays
+    a failed run (or, for `chaosday`, a failed contract)."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["serve", "--autoscale", "0:4"], "min_workers must be >= 1"),
+        (["replay", "--shape", "uniform", "--queue-capacity", "0"],
+         "queue_capacity must be >= 1"),
+        (["chaosday", "--autoscale-min", "3", "--autoscale-max", "2"],
+         "need 1 <= autoscale_min <= autoscale_max"),
+        (["chaosday", "--drain-deadline", "0"],
+         "drain_deadline_s must be positive"),
+        (["run", "mix05", "--quanta", "0"], "invalid quanta=0: must be >= 1"),
+    ])
+    def test_rejected_value_exits_2_with_one_line(
+        self, argv, message, capsys, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"repro {argv[0]}: {message}\n"
+        assert list(tmp_path.iterdir()) == []  # nothing ran, nothing written
+
+
 class TestGridInputs:
     """`repro grid` rejects inputs it cannot honour instead of silently
     taking another path."""

@@ -29,6 +29,7 @@ from repro.harness.errors import (
     RunFailedError,
 )
 from repro.harness.executor import (
+    RESTART_BACKOFF_S,
     ExecutorConfig,
     SupervisedExecutor,
     WorkItem,
@@ -196,8 +197,7 @@ class TestCrashContainment:
         """A seeded worker-crash fault kills attempt 1; the retry strips the
         process-killing fault family and completes with the clean result."""
         plan = FaultPlan(seed=7, worker_crash_rate=1.0)
-        ex = SupervisedExecutor(ExecutorConfig(
-            workers=1, max_restarts=1, restart_backoff_s=0.01))
+        ex = SupervisedExecutor(ExecutorConfig(workers=1, max_restarts=1))
         res = ex.run([grid_item("crashy", mix="mix05", fault_plan=plan)])
         assert "crashy" in res
         assert [f["kind"] for f in ex.failures] == [FAILURE_CRASH]
@@ -221,8 +221,7 @@ class TestHardLimits:
         """A hung worker (heartbeats stopped) is killed within the staleness
         limit — the hang an in-process thread timeout cannot stop."""
         ex = SupervisedExecutor(ExecutorConfig(
-            workers=1, heartbeat_timeout_s=0.3, max_restarts=0,
-            poll_interval_s=0.02))
+            workers=1, heartbeat_timeout_s=0.3, max_restarts=0))
         start = time.monotonic()
         with pytest.raises(RunFailedError):
             ex.run([WorkItem(label="hung", kind="test_hang")])
@@ -231,7 +230,7 @@ class TestHardLimits:
 
     def test_wall_clock_limit_gets_sigkilled(self):
         ex = SupervisedExecutor(ExecutorConfig(
-            workers=1, run_timeout_s=0.3, max_restarts=0, poll_interval_s=0.02))
+            workers=1, run_timeout_s=0.3, max_restarts=0))
         with pytest.raises(RunFailedError):
             ex.run([WorkItem(label="slow", kind="test_hang", spec={"beats": 1})])
         assert ex.failures[0]["kind"] == FAILURE_TIMEOUT
@@ -239,8 +238,7 @@ class TestHardLimits:
     def test_injected_worker_hang_killed_then_stripped_retry_completes(self):
         plan = FaultPlan(seed=3, worker_hang_rate=1.0, worker_hang_seconds=60.0)
         ex = SupervisedExecutor(ExecutorConfig(
-            workers=1, heartbeat_timeout_s=0.4, max_restarts=1,
-            restart_backoff_s=0.01, poll_interval_s=0.02))
+            workers=1, heartbeat_timeout_s=0.4, max_restarts=1))
         res = ex.run([grid_item("hangy", fault_plan=plan)])
         assert "hangy" in res
         assert [f["kind"] for f in ex.failures] == [FAILURE_STALLED]
@@ -250,16 +248,17 @@ class TestHardLimits:
 class TestRestarts:
     def test_flaky_cell_recovers_within_budget(self, tmp_path):
         marker = tmp_path / "died-once"
-        ex = SupervisedExecutor(ExecutorConfig(
-            workers=1, max_restarts=2, restart_backoff_s=0.01))
+        ex = SupervisedExecutor(ExecutorConfig(workers=1, max_restarts=2))
+        start = time.monotonic()
         res = ex.run([WorkItem(label="flaky", kind="test_flaky",
                                spec={"marker": str(marker)})])
         assert res["flaky"] == {"ok": True}
         assert len(ex.failures) == 1  # exactly one failed attempt
+        # The retry waited out the first backoff step.
+        assert time.monotonic() - start >= RESTART_BACKOFF_S
 
     def test_restart_budget_exhaustion_raises_with_cause(self):
-        ex = SupervisedExecutor(ExecutorConfig(
-            workers=1, max_restarts=1, restart_backoff_s=0.01))
+        ex = SupervisedExecutor(ExecutorConfig(workers=1, max_restarts=1))
         with pytest.raises(RunFailedError) as exc:
             ex.run([WorkItem(label="boom", kind="test_crash")])
         assert exc.value.attempts == 2

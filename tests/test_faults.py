@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.adts import ADTSController, WatchdogConfig
+from repro.core.adts import SAFE_MODE_QUANTA, SAFE_POLICY, ADTSController
 from repro.core.thresholds import ThresholdConfig
 from repro.faults import FaultInjector, FaultPlan
 from repro.harness.runner import RunConfig, run_adts, run_fixed
@@ -170,24 +170,17 @@ def _decisions(result):
 
 
 class TestWatchdog:
-    def _attached(self, watchdog=None, quick_proc_builder=None):
+    def _attached(self, quick_proc_builder=None):
         from repro import build_processor
 
         adts = ADTSController(
             thresholds=ThresholdConfig(ipc_threshold=0.0),  # never low-throughput
-            watchdog=watchdog or WatchdogConfig(implausible_limit=2, safe_mode_quanta=3),
         )
         build_processor(
             mix=["gzip", "mcf"], config=SMTConfig(num_threads=2),
             hook=adts, quantum_cycles=256,
         )
         return adts
-
-    def test_config_validated(self):
-        with pytest.raises(ValueError):
-            WatchdogConfig(missed_decision_limit=0)
-        with pytest.raises(ValueError):
-            WatchdogConfig(safe_mode_quanta=0)
 
     def test_plausible_telemetry_accepted(self):
         adts = self._attached()
@@ -229,19 +222,21 @@ class TestWatchdog:
         adts = self._attached()
         bad = [make_snap(0, 1 << 20), make_snap(1, 0)]
         good = [make_snap(0, 40), make_snap(1, 10)]
+        # IMPLAUSIBLE_LIMIT (2) consecutive bad readings trip the fallback.
         adts.on_quantum_end(256, make_record(0, 1 << 20), bad)
         assert adts.fallback_events == 0
         adts.on_quantum_end(512, make_record(1, 1 << 20), bad)
         assert adts.fallback_events == 1
         assert adts.in_safe_mode
-        assert adts.processor.policy_name == "icount"
+        assert adts.processor.policy_name == SAFE_POLICY
         assert any("watchdog fallback" in d.reason for d in adts.decisions)
-        # Safe mode holds for safe_mode_quanta=3 boundaries, then re-arms.
-        for i in range(2, 5):
+        # Safe mode holds for SAFE_MODE_QUANTA boundaries, then re-arms.
+        end = 2 + SAFE_MODE_QUANTA
+        for i in range(2, end):
             adts.on_quantum_end(256 * (i + 1), make_record(i, 50), good)
             assert adts.in_safe_mode
-        assert adts.safe_mode_quanta_spent == 3
-        adts.on_quantum_end(256 * 6, make_record(5, 50), good)
+        assert adts.safe_mode_quanta_spent == SAFE_MODE_QUANTA
+        adts.on_quantum_end(256 * (end + 1), make_record(end, 50), good)
         assert not adts.in_safe_mode
 
     def test_isolated_implausible_does_not_trip(self):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro import build_processor
-from repro.core.adts import ADTSController, WatchdogConfig
+from repro.core.adts import ADTSController
 from repro.core.thresholds import ThresholdConfig
 from repro.harness.runner import RunConfig, run_adts, run_fixed
 from repro.smt.invariants import InvariantChecker, InvariantViolation
@@ -106,7 +106,6 @@ class TestWatchdogMode:
     def test_violation_trips_adts_watchdog(self):
         ctrl = ADTSController(
             heuristic="type3", thresholds=ThresholdConfig(ipc_threshold=2.0),
-            watchdog=WatchdogConfig(implausible_limit=2),
         )
         checker = InvariantChecker(ctrl, mode="watchdog")
         proc = build_processor(mix="mix05", seed=0, hook=checker, quantum_cycles=256)

@@ -213,6 +213,7 @@ class TestIntegrity:
         assert store.integrity_of(d) == "verified"
         assert store.get(d) == {"ipc": 1.0}
         assert store.counters["verified_marks"] == 1
+        assert store.counters["puts"] == 1  # a promotion is not a put
         assert store.mark_verified("f" * 64) is False  # absent digest
 
     def test_mark_verified_never_refiles_a_mislabeled_entry(self, store):

@@ -23,6 +23,7 @@ from repro.harness.journal import RunJournal, _entry_crc, scan_journal_lines
 from repro.smt.checkpoint import CheckpointError, load_checkpoint, parse_snapshot_payload
 from repro.storage import (
     ArtifactError,
+    ArtifactVersionError,
     StorageError,
     fsck_file,
     pack_artifact,
@@ -83,6 +84,16 @@ class TestEnvelopeHonesty:
         p.write_bytes(blob)
         entry = fsck_file(p, repair=False)
         assert entry is not None and entry.status in STATUSES
+
+    def test_other_format_or_version_is_refused(self):
+        """An intact envelope loads only as the format and schema version
+        the reader expects; there is no load-forward path."""
+        blob = pack_artifact("prop-test", 1, b"payload")
+        assert unpack_artifact(blob, "prop-test", 1)[1] == b"payload"
+        with pytest.raises(ArtifactVersionError):
+            unpack_artifact(blob, expect_format="prop-test", expect_version=2)
+        with pytest.raises(ArtifactVersionError):
+            unpack_artifact(blob, expect_format="other-format")
 
 
 class TestCheckpointHonesty:
