@@ -284,13 +284,18 @@ def profile_from_campaign(
     if isinstance(counters, Mapping):
         metrics.update(service_rates(counters))
     cfg = report.get("config")
+    measured = None
+    if isinstance(cfg, Mapping):
+        # Where the profile is saved is not what it measured.
+        measured = {k: v for k, v in cfg.items()
+                    if k not in ("profile_store", "profile_label")}
     return BehaviorProfile(
         label=label,
         source=source,
         metrics=metrics,
         identity=profile_identity(
             seed=(cfg or {}).get("seed"),
-            config_fields=cfg if isinstance(cfg, Mapping) else None,
+            config_fields=measured,
         ),
         window={
             "requests": contract.get("submitted"),

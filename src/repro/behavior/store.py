@@ -35,7 +35,7 @@ BASELINE_POINTER = "BASELINE"
 
 
 def load_profile(path: Union[str, Path]) -> BehaviorProfile:
-    """Load one profile artifact (enveloped or legacy plain JSON).
+    """Load one profile artifact (checksummed or plain JSON).
 
     Raises :class:`~repro.storage.errors.ArtifactError` on corruption or
     a foreign format, ValueError on a structurally damaged payload.

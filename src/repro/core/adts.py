@@ -223,7 +223,7 @@ class ADTSController(SchedulerHook):
         self.detector.enqueue(DetectorTask("ipc_check", CHECK_COST), now)
         if self.mark_clogging:
             # functools.partial over bound methods (not lambdas) so a
-            # checkpoint taken while DT work is queued can pickle the queue.
+            # machine forked while DT work is queued can pickle the queue.
             self.detector.enqueue(
                 DetectorTask(
                     "identify_clogging",

@@ -9,8 +9,8 @@ instructions, and advance the real machine under it.
 
 Forks are taken the way the batch engine takes them (``smt/batch.py``):
 the machine is pickled once per boundary and each candidate's trial
-unpickles its own copy — the object graph checkpointing already
-round-trips, and several times cheaper than a ``copy.deepcopy`` per
+unpickles its own copy — the round trip the batch engine's forks already
+make, and several times cheaper than a ``copy.deepcopy`` per
 candidate. It is still a full machine copy per candidate per quantum, so
 the oracle is meant for the A3 bound experiment, not for sweeps.
 """

@@ -106,7 +106,7 @@ class FaultPlan:
         disk_rename_fail_rate: P(per atomic rename) the rename fails,
             leaving only the temp file.
         disk_bitrot_rate: P(per storage write) one bit is silently flipped
-            before the data lands (caught later by envelope checksums).
+            before the data lands (caught later by artifact checksums).
         disk_read_eio_rate: P(per storage read) the read fails with EIO.
         disk_slow_io_rate: P(per storage operation) the operation stalls
             for ``disk_slow_io_seconds`` first.

@@ -18,8 +18,8 @@ Commands map one-to-one onto the experiment index (DESIGN.md §4):
     chaosday   combined-fault campaign (scheduler + worker + service + disk
                faults) against replayed traffic; exits 0 iff the drain
                contract held and fsck quarantined nothing
-    fsck       audit and repair an artifact tree (journals, checkpoints,
-               result stores, reports); exits non-zero iff it quarantined
+    fsck       audit and repair an artifact tree (journals, result stores,
+               reports, profiles); exits non-zero iff it quarantined
     profile    behaviour profiles: snapshot a run's telemetry into a
                labelled artifact, designate baselines, compute drift
     mixes      list the 13 mixes
@@ -27,19 +27,23 @@ Commands map one-to-one onto the experiment index (DESIGN.md §4):
 
 ``run`` accepts ``--faults counters,dt,policy,hangs`` (or ``all``) to
 inject seeded faults; ``grid`` accepts ``--journal PATH`` / ``--resume``
-for crash-resilient checkpoint/resume sweeps and ``--workers N`` to run
-its per-mix lockstep batches in supervised child processes (crash
-containment, SIGKILL-enforced timeouts and heartbeat-staleness limits,
-bounded restarts) — results are identical to the in-process sweep for any
-worker count. ``--retries``, ``--run-timeout`` and ``--heartbeat-timeout``
-apply per batch attempt and need ``--workers``. ``grid`` also accepts
-``--faults disk`` to run the sweep under seeded filesystem faults (torn
-writes, mid-record ENOSPC, failed renames): the storage layer recovers or
-regenerates every artifact, so the aggregate is identical to a fault-free
-sweep. A worker-pool ``grid``
-also installs SIGINT/SIGTERM handlers that kill the pool, release the
-journal lock, and exit ``128 + signum`` — Ctrl-C never leaves orphan
-simulator processes or a locked journal behind.
+for crash-resilient sweeps (a resumed sweep skips journaled cells) and
+``--workers N`` to run its per-mix lockstep batches in supervised child
+processes (crash containment, SIGKILL-enforced timeouts and
+heartbeat-staleness limits, bounded restarts) — results are identical to
+the in-process sweep for any worker count. A failed attempt is recomputed
+from cycle zero: no command takes mid-run snapshots. ``--retries``,
+``--run-timeout`` and ``--heartbeat-timeout`` apply per batch attempt and
+need ``--workers``. ``grid`` also accepts ``--faults disk`` to run the
+sweep under seeded filesystem faults (torn writes, mid-record ENOSPC,
+failed renames): the storage layer recovers or regenerates every
+artifact, so the aggregate is identical to a fault-free sweep. A
+worker-pool ``grid`` also installs SIGINT/SIGTERM handlers that kill the
+pool, release the journal lock, and exit ``128 + signum`` — Ctrl-C never
+leaves orphan simulator processes or a locked journal behind.
+
+A flag value a command cannot honour exits 2 with one line on stderr
+(:class:`UsageError`); exit 1 means a run or a contract failed.
 """
 
 from __future__ import annotations
@@ -55,6 +59,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from repro.faults import FaultPlan
+from repro.harness.errors import ConfigError
 from repro.harness.experiments import (
     ExperimentDefaults,
     experiment_fig8,
@@ -193,14 +198,22 @@ def _install_pool_signal_handlers(executor, journal) -> None:
     signal.signal(signal.SIGTERM, _bail)
 
 
-def cmd_grid(args) -> None:
-    """`repro grid`: the Figure 7/8 sweep on the detailed engine."""
+@_from_flags
+def _check_grid_flags(args) -> None:
+    """Reject `repro grid` flag values the sweep cannot honour."""
     if args.workers < 1 and (args.retries > 1 or args.run_timeout is not None
                              or args.heartbeat_timeout is not None):
-        raise SystemExit(
+        raise ValueError(
             "--retries, --run-timeout and --heartbeat-timeout are enforced "
             "by the supervised executor: add --workers N (N >= 1)"
         )
+    if args.batch < 0:
+        raise ConfigError("batch", args.batch, ">= 0 (0 = one batch per mix)")
+
+
+def cmd_grid(args) -> None:
+    """`repro grid`: the Figure 7/8 sweep on the detailed engine."""
+    _check_grid_flags(args)
     defaults = _defaults(args)
     plan = _fault_plan(args)
     journal = None
@@ -358,7 +371,6 @@ def _service_config(args):
         run_timeout_s=args.run_timeout,
         heartbeat_timeout_s=args.heartbeat_timeout,
         drain_deadline_s=args.drain_deadline,
-        checkpoint_dir=args.checkpoint_dir,
         fault_plan=_fault_plan(args),
         autoscaler=_autoscaler_config(args),
     )
@@ -437,13 +449,14 @@ def cmd_serve(args) -> int:
 
     Speaks JSON lines on stdin/stdout (see :mod:`repro.service.server`).
     SIGTERM/SIGINT — or ``{"op": "shutdown"}``, or EOF — drains gracefully:
-    admission stops, in-flight work finishes or is checkpointed within the
-    drain deadline, every accepted request gets its response, and the
-    process exits 0. Requests go through the service front door: they
-    route by deterministic identity across ``--shards N`` shards (one by
-    default), identical in-flight requests coalesce onto one leader, and
-    full-fidelity answers persist in the ``--result-store`` directory
-    (when given) for instant byte-identical repeats across restarts.
+    admission stops, in-flight work finishes within the drain deadline
+    (stragglers are killed and answered degraded or failed), every
+    accepted request gets its response, and the process exits 0. Requests
+    go through the service front door: they route by deterministic
+    identity across ``--shards N`` shards (one by default), identical
+    in-flight requests coalesce onto one leader, and full-fidelity answers
+    persist in the ``--result-store`` directory (when given) for instant
+    byte-identical repeats across restarts.
     """
     from repro.service import ServeLoop
 
@@ -626,7 +639,7 @@ def cmd_oracle(args) -> None:
 def cmd_fsck(args) -> int:
     """`repro fsck`: audit and repair an artifact tree.
 
-    Scans ``root`` for journals, checkpoints, result stores and reports;
+    Scans ``root`` for journals, result stores, reports and profiles;
     repairs what is safely repairable (torn journal tails truncated,
     stale atomic-write temps and dead leases removed) and quarantines
     unrepairable files to ``*.corrupt``. Exits non-zero iff something
@@ -854,7 +867,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--heuristic", default="type3")
         if "--journal" in extra:
             p.add_argument("--journal", default=None, metavar="PATH",
-                           help="JSONL run journal for checkpoint/resume")
+                           help="JSONL run journal; with --resume, "
+                                "journaled cells are skipped")
             p.add_argument("--resume", action="store_true",
                            help="skip cells already in the journal")
             p.add_argument("--retries", type=int, default=1,
@@ -930,8 +944,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "than this many seconds")
         p.add_argument("--drain-deadline", type=float, default=10.0,
                        help="graceful-drain budget in seconds")
-        p.add_argument("--checkpoint-dir", default=None, metavar="DIR",
-                       help="mid-run snapshot directory for killed stragglers")
         p.add_argument("--faults", default=None, metavar="KINDS",
                        help="service chaos hooks: comma list including "
                             "'service' (overload + breaker-trip draws)")

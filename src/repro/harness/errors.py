@@ -17,7 +17,7 @@ from typing import Optional
 # repro.storage.errors and is re-exported here so harness code sees one
 # unified hierarchy: ENOSPC/EDQUOT -> DiskFullError, EACCES/EPERM ->
 # StoragePermissionError, retry-exhausted I/O -> TransientStorageError,
-# and envelope-level damage -> ArtifactCorruptError/ArtifactVersionError.
+# and artifact-level damage -> ArtifactCorruptError/ArtifactVersionError.
 from repro.storage.errors import (  # noqa: F401  (re-exports)
     ArtifactCorruptError,
     ArtifactError,

@@ -29,11 +29,9 @@ with SIGKILL:
 * bounded **restart with backoff** per item; every retry is marked
   ``strip_worker_faults``, so the task runs its specs minus their
   process-killing worker faults (``BatchRunSpec.without_worker_faults``)
-  and an injected crash is survived rather than replayed forever. A
-  service cell checkpoints every quantum when a checkpoint directory is
-  configured, and an attempt resumes only a snapshot its own run wrote:
-  a retry that stripped worker faults is a different run and starts from
-  cycle zero;
+  and an injected crash is survived rather than replayed forever. Every
+  attempt starts from cycle zero: a run's result is a pure function of
+  its key, so recomputing a lost attempt gives the exact answer;
 * **deterministic aggregation**: results are keyed by item and the sweep
   reassembles them in canonical grid order, so the aggregate is
   bit-identical regardless of worker count, completion order, crashes,
@@ -69,13 +67,11 @@ Two consumption styles share one pool:
 from __future__ import annotations
 
 import gc
-import hashlib
 import multiprocessing
 import os
 import signal
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Dict, List, Optional
 
 from repro.harness.errors import (
@@ -103,11 +99,12 @@ _IDLE_CHECK_S = 0.2
 # ---------------------------------------------------------------------------
 # Task kinds: what a worker knows how to run.
 # ---------------------------------------------------------------------------
-# A task function receives (spec, progress, checkpoint_path) and returns a
+# A task function receives (spec, progress, None) and returns a
 # JSON-friendly payload dict. It runs in the CHILD process; spec must be
 # picklable. `progress(q)` must be called at least once per quantum — it is
-# the heartbeat the supervisor watches.
-TaskFn = Callable[[dict, Callable[[int], None], Optional[Path]], dict]
+# the heartbeat the supervisor watches. The third argument is always None;
+# it stays because bench/layers.py's task wrapper forwards three arguments.
+TaskFn = Callable[[dict, Callable[[int], None], None], dict]
 
 TASK_KINDS: Dict[str, TaskFn] = {}
 
@@ -117,16 +114,15 @@ def register_task_kind(name: str, fn: TaskFn) -> None:
     TASK_KINDS[name] = fn
 
 
-def _run_grid_batch(spec: dict, progress, checkpoint_path: Optional[Path]) -> dict:
+def _run_grid_batch(spec: dict, progress, _unused) -> dict:
     """The grid-sweep task: one lockstep engine pass over a batch of cells.
 
     ``spec["cells"]`` is a list of ``(journal key, BatchRunSpec)`` pairs;
     the payload maps each key to its per-cell dict
     (:func:`~repro.harness.sweep.run_cells`, the same function an inline
     sweep calls). ``progress`` fires once per quantum step of the batch
-    engine, whichever trajectory took it. Mid-run checkpoints are not
-    taken for batches — a restarted attempt recomputes the batch, which
-    shared stepping keeps cheap.
+    engine, whichever trajectory took it. A restarted attempt recomputes
+    the batch, which shared stepping keeps cheap.
     """
     from repro.harness.sweep import run_cells
 
@@ -139,7 +135,7 @@ def _run_grid_batch(spec: dict, progress, checkpoint_path: Optional[Path]) -> di
 register_task_kind("grid_batch", _run_grid_batch)
 
 
-def _run_service_cell(spec, progress, checkpoint_path: Optional[Path]) -> dict:
+def _run_service_cell(spec, progress, _unused) -> dict:
     """The simulation service's full-fidelity task: one detailed-engine run,
     answered with its :meth:`~repro.harness.runner.RunResult.payload` (the
     payload a grid journal records for the same run).
@@ -159,7 +155,7 @@ def _run_service_cell(spec, progress, checkpoint_path: Optional[Path]) -> dict:
     run = spec["run"]
     if spec.get("strip_worker_faults"):
         run = run.without_worker_faults()
-    return run_spec(run, progress=progress, checkpoint=checkpoint_path).payload()
+    return run_spec(run, progress=progress).payload()
 
 
 register_task_kind("service_cell", _run_service_cell)
@@ -209,19 +205,13 @@ class ExecutorConfig:
             this limit.
         max_restarts: extra attempts per item after the first fails,
             with exponential backoff (:data:`RESTART_BACKOFF_S`,
-            :data:`BACKOFF_FACTOR`).
-        checkpoint_dir: directory for per-cell mid-run snapshots of
-            service cells; a retry of the same run resumes from the latest
-            snapshot instead of recomputing finished quanta (a retry that
-            stripped worker faults is another run and starts fresh). Grid
-            batches take none. None disables sub-cell checkpointing.
+            :data:`BACKOFF_FACTOR`). Each attempt starts from cycle zero.
     """
 
     workers: int = 2
     run_timeout_s: Optional[float] = None
     heartbeat_timeout_s: Optional[float] = None
     max_restarts: int = 2
-    checkpoint_dir: Optional[Path] = None
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -238,12 +228,12 @@ def _worker_main(conn, supervisor_pid: int, task: tuple) -> None:
     """Child-process entry point: run tasks until told to stop.
 
     Wire protocol over the duplex ``conn``:
-        parent → child  ("task", kind, spec, checkpoint_path)  run one more
+        parent → child  ("task", kind, spec)                  run one more
                         ("exit",)                             stop
         child → parent  ("heartbeat", quantum_index)          every quantum
                         ("result", payload)                   task finished
                         ("error", failure_kind, repr)         task raised
-    ``task`` is the first ``(kind, spec, checkpoint_path)``. After a result
+    ``task`` is the first ``(kind, spec)``. After a result
     the worker waits for the next message; after an error it exits, so a
     worker is never reused after a failure. A worker that dies without
     sending ``result``/``error`` is a *crash* and is classified by the
@@ -272,14 +262,14 @@ def _worker_main(conn, supervisor_pid: int, task: tuple) -> None:
         conn.close()
 
 
-def _run_task(conn, kind: str, spec: dict, checkpoint_path) -> bool:
+def _run_task(conn, kind: str, spec: dict) -> bool:
     """Run one task and report it; True when it succeeded."""
 
     def progress(quantum_index: int) -> None:
         conn.send(("heartbeat", quantum_index))
 
     try:
-        payload = TASK_KINDS[kind](spec, progress, checkpoint_path)
+        payload = TASK_KINDS[kind](spec, progress, None)
         conn.send(("result", payload))
         return True
     except InvariantViolation as exc:
@@ -385,7 +375,7 @@ class SupervisedExecutor:
             # retry too — retries run their specs' fault plans minus the
             # process-killing members (still deterministic: same seed).
             spec = {**spec, "strip_worker_faults": True}
-        task = (item.kind, spec, self._checkpoint_path(item))
+        task = (item.kind, spec)
         while self._idle:
             proc, conn = self._idle.pop()
             try:
@@ -504,12 +494,6 @@ class SupervisedExecutor:
         return results
 
     # -- internals ----------------------------------------------------------
-    def _checkpoint_path(self, item: WorkItem) -> Optional[Path]:
-        if self.config.checkpoint_dir is None:
-            return None
-        digest = hashlib.sha256(item.result_key.encode("utf-8")).hexdigest()[:16]
-        return Path(self.config.checkpoint_dir) / f"cell-{digest}.snap"
-
     def _poll(self, live: List[_Attempt]) -> None:
         """Drain every live pipe; record heartbeats and final outcomes."""
         for att in live:

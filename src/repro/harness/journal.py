@@ -1,4 +1,4 @@
-"""JSONL run journal: checkpoint/resume for long sweeps.
+"""JSONL run journal: resume long sweeps cell by cell.
 
 Each completed sweep cell is appended as one JSON line
 ``{"key": <run key>, "payload": {...}, "crc": <crc32>}`` in a single

@@ -134,7 +134,9 @@ def verify_profile(
     with readable output. ``warn`` metrics only fail when ``fail_on_warn``
     is set; metrics *missing* from the current profile fail (the behaviour
     stopped being measured); *extra* metrics never fail (future PRs may add
-    telemetry without breaking the gate).
+    telemetry without breaking the gate). When the baseline names its
+    ``config_digest``, a capture with another digest or none fails as
+    ``$.identity.config_digest``: it measured a different configuration.
     """
     from repro.behavior import DriftConfig, compute_drift, load_profile
     from repro.storage import ArtifactError
@@ -160,6 +162,13 @@ def verify_profile(
         kwargs["abs_floor"] = abs_floor
     drift = compute_drift(sides["baseline"], sides["current"], DriftConfig(**kwargs))
     report.files_compared = 1
+    want = sides["baseline"].identity.get("config_digest")
+    got = sides["current"].identity.get("config_digest")
+    if want is not None and got != want:
+        report.mismatches.append(
+            Mismatch(name, "$.identity.config_digest", want, got,
+                     "missing" if got is None else "value")
+        )
     for metric in drift.metrics:
         bad = metric.verdict == "drift" or (
             fail_on_warn and metric.verdict == "warn"

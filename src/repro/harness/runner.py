@@ -2,41 +2,33 @@
 
 A run is described one way, a :class:`BatchRunSpec` (a :class:`RunConfig`
 plus the scheduler selection), and identified one way: :func:`run_key`,
-the digest of its :func:`run_fields`, keys grid-journal cells, checkpoint
-resumes and, as :func:`~repro.service.identity.request_identity`, the
-service's store, routing, verifier and DLQ. :func:`run_spec` runs one spec
-through the sequential drivers, :func:`run_batch` runs many through one
-lockstep :class:`~repro.smt.batch.BatchEngine` pass, and both build their
-results with :func:`measured_result`.
+the digest of its :func:`run_fields`, keys grid-journal cells and, as
+:func:`~repro.service.identity.request_identity`, the service's store,
+routing, verifier and DLQ. :func:`run_spec` runs one spec through the
+sequential drivers, :func:`run_batch` runs many through one lockstep
+:class:`~repro.smt.batch.BatchEngine` pass, and both build their results
+with :func:`measured_result`.
 
-Beyond the plain drivers, runs can opt into three robustness features:
+A run does no storage I/O: its result is a pure function of its key, so
+a run that dies is recovered by running it again from cycle zero. Beyond
+the plain drivers, runs can opt into two robustness features:
 
 * ``progress`` — a callback fired at every quantum boundary with the index
   of the quantum that just finished; the supervised executor uses it as the
   worker heartbeat (a run that stops calling it is hung, not slow);
-* ``checkpoint`` — a snapshot file path: the run snapshots its complete
-  simulator state after every quantum, and a later call with the same path
-  *resumes* from the snapshot, bit-identical to an uninterrupted run (crash
-  recovery at sub-cell granularity). A snapshot resumes only the run that
-  wrote it: its :func:`run_key` must match, so a run with a different
-  configuration, scheduler, fault plan, ``instant_dt`` or invariants mode
-  starts from cycle zero instead;
 * ``invariants`` — installs an :class:`~repro.smt.invariants.InvariantChecker`
   outside the hook chain (``"raise"``, ``"watchdog"`` or ``"record"`` mode).
 
-All three are exact-result-preserving: a run with any combination of them
-enabled produces the same :class:`RunResult` as a bare run, because quanta
-are stepped on exactly the same cycle boundaries either way.
+Both are exact-result-preserving: a run with either enabled produces the
+same :class:`RunResult` as a bare run, because quanta are stepped on
+exactly the same cycle boundaries either way.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import logging
-from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
-from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro import build_processor
@@ -44,22 +36,13 @@ from repro.core.adts import ADTSController
 from repro.core.heuristics import HEURISTICS
 from repro.core.thresholds import ThresholdConfig
 from repro.faults import FaultInjector, FaultPlan
-from repro.harness.errors import ConfigError, StorageError
+from repro.harness.errors import ConfigError
 from repro.policies.registry import POLICY_NAMES
-from repro.smt.checkpoint import (
-    CheckpointError,
-    discard_checkpoint,
-    load_checkpoint,
-    save_checkpoint,
-)
 from repro.smt.config import SMTConfig
 from repro.smt.invariants import InvariantChecker
-from repro.storage.faultfs import faultfs_session
 from repro.workloads import get_mix, mix_names
 
 ProgressFn = Callable[[int], None]
-
-log = logging.getLogger("repro.runner")
 
 
 @dataclass(frozen=True)
@@ -239,21 +222,11 @@ def fields_digest(fields: Dict) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def run_key(
-    spec: BatchRunSpec,
-    instant_dt: bool = False,
-    invariants: Optional[str] = None,
-) -> str:
-    """The key of a run: the digest of its :func:`run_fields`, plus the
-    checkpoint guard's ``instant_dt`` and ``invariants`` mode when set. A
-    grid journal files each cell under it, a checkpoint resumes only under
-    it, and a request's identity is the key of its run spec."""
-    key = run_fields(spec)
-    if instant_dt:
-        key["instant_dt"] = True
-    if invariants is not None:
-        key["invariants"] = invariants
-    return fields_digest(key)
+def run_key(spec: BatchRunSpec) -> str:
+    """The key of a run: the digest of its :func:`run_fields`. A grid
+    journal files each cell under it, and a request's identity is the key
+    of its run spec."""
+    return fields_digest(run_fields(spec))
 
 
 def measured_result(spec: BatchRunSpec, history: Sequence, fingerprint: str,
@@ -284,50 +257,21 @@ def measured_result(spec: BatchRunSpec, history: Sequence, fingerprint: str,
     )
 
 
-def _advance(
-    proc,
-    cfg: RunConfig,
-    progress: Optional[ProgressFn] = None,
-    checkpoint: Optional[Union[str, Path]] = None,
-    controller=None,
-    injector=None,
-    key: Optional[str] = None,
-) -> None:
-    """Advance ``proc`` to ``cfg.total_quanta()`` quanta, heartbeating and
-    snapshotting after each quantum when asked.
+def _advance(proc, cfg: RunConfig, progress: Optional[ProgressFn] = None) -> None:
+    """Advance ``proc`` to ``cfg.total_quanta()`` quanta, heartbeating
+    after each quantum when asked.
 
     The result (:func:`measured_result`) is derived purely from the
     per-quantum history, so it is identical whether the run went straight
-    through, was stepped quantum by quantum for heartbeats/checkpoints, or
-    was restored mid-way from a snapshot (``proc`` may arrive here with
-    quanta already on the clock).
+    through or was stepped quantum by quantum for heartbeats.
     """
     total = cfg.total_quanta()
-    if progress is None and checkpoint is None:
-        proc.run_quanta(total - proc.quantum_index)
-    else:
-        while proc.quantum_index < total:
-            proc.run_quanta(1)
-            done = proc.quantum_index
-            if progress is not None:
-                progress(done)
-            if checkpoint is not None and done < total:
-                try:
-                    save_checkpoint(
-                        checkpoint, proc, controller, injector,
-                        meta={"run_key": key, "fingerprint": proc.fingerprint()},
-                    )
-                except StorageError as exc:
-                    # A checkpoint is an optimization: losing one costs a
-                    # longer retry, aborting would cost the run. A seeded
-                    # disk fault would also recur identically on every
-                    # supervised retry, so the run must outlive it.
-                    log.warning(
-                        "checkpoint write failed at quantum %d (%s); "
-                        "continuing without a snapshot", done, exc,
-                    )
-        if checkpoint is not None:
-            discard_checkpoint(checkpoint)  # a finished run needs no resume point
+    if progress is None:
+        proc.run_quanta(total)
+        return
+    while proc.quantum_index < total:
+        proc.run_quanta(1)
+        progress(proc.quantum_index)
 
 
 def _maybe_inject(hook, fault_plan: Optional[FaultPlan]):
@@ -336,26 +280,11 @@ def _maybe_inject(hook, fault_plan: Optional[FaultPlan]):
     Returns ``(hook_to_install, injector_or_None)``.
     """
     if fault_plan is None or not fault_plan.any_scheduler_enabled:
-        # Disk-only plans don't touch the hook chain: they are injected at
-        # the storage layer by _maybe_faultfs and never perturb results.
+        # Disk-only plans don't touch the hook chain: a run does no storage
+        # I/O, so they act only where the caller writes artifacts.
         return hook, None
     injector = FaultInjector(fault_plan, hook)
     return injector, injector
-
-
-def _maybe_faultfs(fault_plan: Optional[FaultPlan]):
-    """Scope the plan's disk-fault family around a run's storage I/O.
-
-    No-op (an active outer injector stays active) when the plan carries no
-    disk faults; otherwise a fresh seeded
-    :class:`~repro.storage.faultfs.FaultFS` is installed for the run so
-    every checkpoint write and read inside it goes through the injector.
-    Its tally stays out of the :class:`RunResult`: disk faults never change
-    a result, so a disk-faulted run returns exactly its clean twin's result,
-    as their shared :func:`run_key` promises.
-    """
-    disk = fault_plan.disk_plan() if fault_plan is not None else None
-    return faultfs_session(disk) if disk is not None else nullcontext()
 
 
 def _maybe_check(hook, invariants: Optional[str]):
@@ -371,76 +300,43 @@ def _maybe_check(hook, invariants: Optional[str]):
     return checker, checker
 
 
-def _try_resume(checkpoint: Optional[Union[str, Path]], key: str):
-    """Load the snapshot at ``checkpoint`` if one exists and was written by
-    the run ``key`` names; None means start fresh.
-
-    A snapshot that fails validation is not fatal: ``load_checkpoint`` has
-    already quarantined the damaged file, and starting from cycle zero is
-    always correct (just slower) — raising here would burn a supervised
-    retry on every attempt against the same bad bytes. A snapshot of
-    another run is intact, so it is not quarantined: this run ignores it
-    and its own snapshots replace it.
-    """
-    if checkpoint is None or not Path(checkpoint).exists():
-        return None
-    try:
-        return load_checkpoint(checkpoint, expect_meta={"run_key": key})
-    except CheckpointError as exc:
-        log.warning("ignoring unusable checkpoint (%s); starting fresh", exc)
-        return None
-
-
 def _run(
     spec: BatchRunSpec,
-    new_controller: Optional[Callable[[], ADTSController]],
-    instant_dt: bool,
+    controller: Optional[ADTSController],
     progress: Optional[ProgressFn],
-    checkpoint: Optional[Union[str, Path]],
     invariants: Optional[str],
 ) -> RunResult:
-    """The body of ``run_fixed`` and ``run_adts``: build (or resume) the
-    machine, measure it and summarize the hook chain. ``new_controller``
-    builds the ADTS controller; None runs ``spec.config.policy``
-    unattended."""
-    cfg, plan = spec.config, spec.fault_plan
-    with _maybe_faultfs(plan):
-        key = run_key(spec, instant_dt, invariants)
-        snap = _try_resume(checkpoint, key)
-        if snap is not None:
-            proc, controller, injector = snap.processor, snap.controller, snap.injector
-        else:
-            controller = new_controller() if new_controller is not None else None
-            hook, injector = _maybe_inject(controller, plan)
-            hook, _ = _maybe_check(hook, invariants)
-            proc = build_processor(
-                mix=cfg.mix,
-                num_threads=cfg.num_threads,
-                seed=cfg.seed,
-                config=cfg.machine,
-                policy=spec.initial_policy,
-                hook=hook,
-                quantum_cycles=cfg.quantum_cycles,
-            )
-        checker = proc.hook if isinstance(proc.hook, InvariantChecker) else None
-        _advance(proc, cfg, progress=progress, checkpoint=checkpoint,
-                 controller=controller, injector=injector, key=key)
-        result = measured_result(spec, proc.stats.quantum_history, proc.fingerprint(),
-                                 controller, injector, checker)
-        proc.hook.detach()  # the result is measured: free the machine by refcount
-        return result
+    """The body of ``run_fixed`` and ``run_adts``: build the machine,
+    measure it and summarize the hook chain. With no ``controller`` the
+    machine runs ``spec.config.policy`` unattended."""
+    cfg = spec.config
+    hook, injector = _maybe_inject(controller, spec.fault_plan)
+    hook, checker = _maybe_check(hook, invariants)
+    proc = build_processor(
+        mix=cfg.mix,
+        num_threads=cfg.num_threads,
+        seed=cfg.seed,
+        config=cfg.machine,
+        policy=spec.initial_policy,
+        hook=hook,
+        quantum_cycles=cfg.quantum_cycles,
+    )
+    _advance(proc, cfg, progress=progress)
+    result = measured_result(spec, proc.stats.quantum_history, proc.fingerprint(),
+                             controller, injector, checker)
+    proc.hook.detach()  # the result is measured: free the machine by refcount
+    return result
 
 
 def run_fixed(
     cfg: RunConfig,
     fault_plan: Optional[FaultPlan] = None,
     progress: Optional[ProgressFn] = None,
-    checkpoint: Optional[Union[str, Path]] = None,
     invariants: Optional[str] = None,
 ) -> RunResult:
     """Run under the fixed fetch policy named in ``cfg.policy``."""
     spec = BatchRunSpec(config=cfg, mode="fixed", fault_plan=fault_plan)
-    return _run(spec, None, False, progress, checkpoint, invariants)
+    return _run(spec, None, progress, invariants)
 
 
 def run_adts(
@@ -450,43 +346,29 @@ def run_adts(
     instant_dt: bool = False,
     fault_plan: Optional[FaultPlan] = None,
     progress: Optional[ProgressFn] = None,
-    checkpoint: Optional[Union[str, Path]] = None,
     invariants: Optional[str] = None,
 ) -> RunResult:
     """Run under ADTS with the given heuristic and thresholds.
 
     ``fault_plan`` (optional) interposes a seeded
     :class:`~repro.faults.FaultInjector` between the pipeline and the
-    controller. With a ``checkpoint`` path whose snapshot was written by
-    this same run (same :func:`run_key`), the run resumes from it; a
-    snapshot that is damaged or belongs to another run is
-    quarantined/ignored and the run starts fresh (always correct, merely
-    slower).
+    controller.
     """
     th = thresholds or ThresholdConfig()
     spec = BatchRunSpec(config=cfg, mode="adts", heuristic=heuristic,
                         thresholds=th, fault_plan=fault_plan)
-
-    def new_controller() -> ADTSController:
-        return ADTSController(heuristic=heuristic, thresholds=th, instant_dt=instant_dt)
-
-    return _run(spec, new_controller, instant_dt, progress, checkpoint, invariants)
+    controller = ADTSController(heuristic=heuristic, thresholds=th, instant_dt=instant_dt)
+    return _run(spec, controller, progress, invariants)
 
 
-def run_spec(
-    spec: BatchRunSpec,
-    progress: Optional[ProgressFn] = None,
-    checkpoint: Optional[Union[str, Path]] = None,
-) -> RunResult:
+def run_spec(spec: BatchRunSpec, progress: Optional[ProgressFn] = None) -> RunResult:
     """Run one spec sequentially: :func:`run_adts` or :func:`run_fixed` by
     ``spec.mode``, looked up as module globals at call time."""
     cfg = spec.config
     if spec.mode == "adts":
         return run_adts(cfg, heuristic=spec.heuristic, thresholds=spec.thresholds,
-                        fault_plan=spec.fault_plan, progress=progress,
-                        checkpoint=checkpoint)
-    return run_fixed(cfg, fault_plan=spec.fault_plan, progress=progress,
-                     checkpoint=checkpoint)
+                        fault_plan=spec.fault_plan, progress=progress)
+    return run_fixed(cfg, fault_plan=spec.fault_plan, progress=progress)
 
 
 def run_batch(

@@ -9,9 +9,9 @@ way only: in per-mix lockstep batches through
 :func:`~repro.harness.runner.run_batch`, inline or as supervised
 ``grid_batch`` items. Each cell is a
 :class:`~repro.harness.runner.BatchRunSpec`, journaled under its
-:func:`~repro.harness.runner.run_key` — the key the checkpoint resume
-guard uses, and the :func:`~repro.service.identity.request_identity` of
-the service request asking for the same run — with the payload a
+:func:`~repro.harness.runner.run_key` — the
+:func:`~repro.service.identity.request_identity` of the service request
+asking for the same run — with the payload a
 service answer carries (:meth:`~repro.harness.runner.RunResult.payload`).
 """
 

@@ -11,7 +11,7 @@ Until its first fill a set holds ``None`` in place of its tag and LRU
 rows, and every lookup reads that as all ways invalid. Short runs touch
 few sets (a 1,536-cycle 8-thread sweep cell touches ~300 of the default
 hierarchy's 2,304), so a processor, and every pickle of it that batch
-forks and checkpoints copy, carries only those rows. :meth:`Cache.reset`
+and oracle forks copy, carries only those rows. :meth:`Cache.reset`
 drops every row.
 """
 

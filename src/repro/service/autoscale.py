@@ -22,7 +22,7 @@ after every ``observe``: the scaler's target becomes the
 :class:`~repro.harness.executor.SupervisedExecutor`'s ``soft_cap``.
 **Scale-down never kills a worker**: lowering the cap only stops new
 spawns; in-flight attempts run to completion (or to the drain deadline,
-where the existing checkpoint/kill machinery applies). A scale-down
+where stragglers are killed and answered). A scale-down
 therefore cannot strand an admitted request — the drain contract
 survives autoscaling.
 

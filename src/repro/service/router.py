@@ -30,9 +30,8 @@ here, in one place:
    is dispatched to the digest's owning shard — an internal
    :class:`~repro.service.service.SimulationService` with its own
    admission queue, breaker, degradation ladder and supervised worker
-   pool. With several shards each gets its own checkpoint segment so
-   shards never contend on a file; a lone shard uses the configured path
-   as given.
+   pool. Shards share no files: the result store belongs to the front
+   door.
 
 5. **Promote on failure.** A leader that dies — worker crash, timeout,
    stalled heartbeat, exhausted retries — answers its own requester with
@@ -177,7 +176,7 @@ class ShardedService:
             self.store = ResultStore(store, shards=shards)
         self.shards: List[SimulationService] = [
             SimulationService(
-                self._shard_config(i, shards),
+                replace(self.config, shard_id=i),
                 full_runner=full_runner,
                 fast_runner=fast_runner,
                 clock=clock,
@@ -235,17 +234,6 @@ class ShardedService:
             # than stalling their digests behind the remote-wait timeout.
             self.store.break_stale_leases()
 
-    def _shard_config(self, index: int, shards: int) -> ServiceConfig:
-        """Derive shard ``index``'s config. Several shards get segmented
-        checkpoint paths, so no two shards ever share a writer; a lone
-        shard keeps the configured path."""
-        cfg = self.config
-        if shards == 1:
-            return replace(cfg, shard_id=index)
-        checkpoint = None
-        if cfg.checkpoint_dir:
-            checkpoint = Path(cfg.checkpoint_dir) / f"shard-{index:02d}"
-        return replace(cfg, shard_id=index, checkpoint_dir=checkpoint)
 
     # -- pause and load gauges -----------------------------------------------
     @property
@@ -293,7 +281,7 @@ class ShardedService:
         rid = request.request_id
         if rid in self._owed or (self.verifier is not None and self.verifier.owns(rid)):
             # Live work is keyed by request_id (leaders, shard queues,
-            # checkpoints, probes): a second live request under one id
+            # probes): a second live request under one id
             # would take over the first one's answer.
             return self._refuse(request, "duplicate-request-id")
         try:

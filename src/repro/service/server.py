@@ -35,8 +35,8 @@ descriptor is polled non-blocking from the main loop (``os.read`` +
 processes, and a thread parked inside ``stdin.readline()`` holds the
 buffered reader's lock across the fork — the child then deadlocks in
 ``multiprocessing.util._close_stdin()`` trying to take a lock whose owner
-does not exist in the child. A reader thread is kept only as a fallback
-for fd-less file-likes (in-process tests), which never fork.
+does not exist in the child. So the input must have a file descriptor;
+an fd-less file-like is refused at construction.
 """
 
 from __future__ import annotations
@@ -44,10 +44,8 @@ from __future__ import annotations
 import io
 import json
 import os
-import queue as queue_mod
 import signal
 import sys
-import threading
 import time
 from typing import IO, List, Optional
 
@@ -55,8 +53,6 @@ from repro.harness.executor import POLL_INTERVAL_S
 from repro.service.loadgen import TimedRequest, save_recording
 from repro.service.request import SimRequest
 from repro.service.router import ShardedService
-
-_EOF = object()
 
 
 class ServeLoop:
@@ -85,11 +81,13 @@ class ServeLoop:
         self._recorded: List[TimedRequest] = []
         self._t0: Optional[float] = None
         try:
-            self._fd: Optional[int] = self.infile.fileno()
+            self._fd = self.infile.fileno()
         except (AttributeError, OSError, io.UnsupportedOperation):
-            self._fd = None  # fd-less file-like: thread fallback
+            raise ValueError(
+                "ServeLoop reads its input by file descriptor; "
+                f"{type(self.infile).__name__} has none"
+            ) from None
         self._buf = b""
-        self._lines: "queue_mod.Queue[object]" = queue_mod.Queue()
         self._stop = False
         self._eof = False
         self._auto_id = 0
@@ -108,24 +106,8 @@ class ServeLoop:
         for event in guard.take_events():
             self._emit({"event": "drift", **event.to_dict()})
 
-    def _read_lines_thread(self) -> None:
-        for line in self.infile:
-            self._lines.put(line)
-        self._lines.put(_EOF)
-
     def _poll_input(self) -> List[str]:
         """Drain whatever input is available right now, without blocking."""
-        if self._fd is None:
-            lines: List[str] = []
-            while True:
-                try:
-                    item = self._lines.get_nowait()
-                except queue_mod.Empty:
-                    return lines
-                if item is _EOF:
-                    self._eof = True
-                    return lines
-                lines.append(item)
         while not self._eof:
             try:
                 chunk = os.read(self._fd, 65536)
@@ -202,10 +184,7 @@ class ServeLoop:
     # -- main loop -----------------------------------------------------------
     def run(self) -> int:
         """Serve until shutdown; returns the process exit code (0)."""
-        if self._fd is not None:
-            os.set_blocking(self._fd, False)
-        else:
-            threading.Thread(target=self._read_lines_thread, daemon=True).start()
+        os.set_blocking(self._fd, False)
         prev_term = signal.signal(signal.SIGTERM, self._request_stop)
         prev_int = signal.signal(signal.SIGINT, self._request_stop)
         self._t0 = time.monotonic()

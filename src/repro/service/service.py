@@ -29,10 +29,9 @@ what every caller builds. Four mechanisms, layered:
 
 4. **Graceful drain** — :meth:`SimulationService.drain` stops admission,
    lets in-flight and queued work finish inside a deadline, SIGKILLs
-   stragglers past it (their last quantum-boundary
-   :mod:`~repro.smt.checkpoint` snapshot survives for a later restart when
-   a checkpoint directory is configured), sheds what never ran, and
-   leaves every request answered.
+   stragglers past it (a killed run keeps nothing: asked again, it is
+   recomputed from cycle zero), sheds what never ran, and leaves every
+   request answered.
 
 A shard keeps no finished answers: every request it admits to the full
 tier is simulated. Reusing an answer is the front door's job, through
@@ -49,8 +48,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Callable, Dict, List, Optional, Union
+from typing import Callable, Dict, List, Optional
 
 from repro.faults import FaultPlan
 from repro.harness.errors import (
@@ -98,9 +96,6 @@ class ServiceConfig:
         run_timeout_s / heartbeat_timeout_s: per-attempt supervision limits
             (see :class:`~repro.harness.executor.ExecutorConfig`).
         drain_deadline_s: default budget for :meth:`SimulationService.drain`.
-        checkpoint_dir: per-cell mid-run snapshot directory; a straggler
-            SIGKILLed at the drain deadline leaves its latest
-            quantum-boundary snapshot here.
         fault_plan: service-level chaos hooks (``service_overload_rate`` /
             ``service_breaker_trip_rate``), seeded and deterministic.
         shard_id: this service's index behind the front door
@@ -127,7 +122,6 @@ class ServiceConfig:
     run_timeout_s: Optional[float] = None
     heartbeat_timeout_s: Optional[float] = None
     drain_deadline_s: float = 10.0
-    checkpoint_dir: Optional[Union[str, Path]] = None
     fault_plan: Optional[FaultPlan] = None
     autoscaler: Optional[AutoscalerConfig] = None
     shard_id: Optional[int] = None
@@ -183,7 +177,6 @@ COUNTER_NAMES = (
     "retries",
     "full_failures",
     "drain_killed",
-    "checkpointed",
 )
 
 
@@ -222,9 +215,6 @@ class SimulationService:
                     run_timeout_s=cfg.run_timeout_s,
                     heartbeat_timeout_s=cfg.heartbeat_timeout_s,
                     max_restarts=0,  # the service owns retry policy
-                    checkpoint_dir=(
-                        Path(cfg.checkpoint_dir) if cfg.checkpoint_dir else None
-                    ),
                 )
             )
             if self.autoscaler is not None:
@@ -599,10 +589,8 @@ class SimulationService:
 
         Queued and in-flight work is given ``deadline_s`` (default
         ``config.drain_deadline_s``) to finish through the normal pump.
-        Past the deadline, live workers are SIGKILLed — with a checkpoint
-        directory configured their latest quantum-boundary snapshot
-        survives for a later warm restart — and their requests are served
-        degraded (or failed, if not degradable) with reason
+        Past the deadline, live workers are SIGKILLed and their requests
+        are served degraded (or failed, if not degradable) with reason
         ``drain-killed``; work still queued is shed with reason
         ``drain-deadline``. Returns the final :meth:`stats` snapshot.
         """
@@ -618,10 +606,8 @@ class SimulationService:
         if self.executor is not None:
             self.executor.shutdown()  # kills stragglers and idle workers
         if self._inflight:
-            for key, entry in sorted(self._inflight.items()):
+            for _, entry in sorted(self._inflight.items()):
                 self.counters["drain_killed"] += 1
-                if self._has_checkpoint(key):
-                    self.counters["checkpointed"] += 1
                 if entry.request.degradable:
                     self._respond_degraded(entry.request, "drain-killed", entry=entry)
                 else:
@@ -640,16 +626,6 @@ class SimulationService:
         for entry in self.queue.drain_all():
             self._respond_shed(entry, "drain-deadline")
         return self.stats()
-
-    def _has_checkpoint(self, result_key: str) -> bool:
-        if self.executor is None or self.config.checkpoint_dir is None:
-            return False
-        from repro.harness.executor import WorkItem
-
-        path = self.executor._checkpoint_path(
-            WorkItem(label=result_key, kind="service_cell")
-        )
-        return path is not None and path.exists()
 
     # -- observability -------------------------------------------------------
     def stats(self) -> dict:

@@ -32,22 +32,10 @@ from repro.smt.instruction import (
 from repro.smt.counters import ThreadCounters, CounterBank
 from repro.smt.pipeline import SMTProcessor
 from repro.smt.stats import SimStats
-from repro.smt.checkpoint import (
-    CheckpointError,
-    Snapshot,
-    discard_checkpoint,
-    load_checkpoint,
-    save_checkpoint,
-)
 from repro.smt.invariants import InvariantChecker, InvariantViolation
 
 __all__ = [
     "SMTConfig",
-    "CheckpointError",
-    "Snapshot",
-    "save_checkpoint",
-    "load_checkpoint",
-    "discard_checkpoint",
     "InvariantChecker",
     "InvariantViolation",
     "Instruction",

@@ -31,11 +31,11 @@ and it resolves apps and the default machine through the same helper as
   suspension marks) plus its detector-thread queue. Members whose
   captured signatures agree keep sharing the machine — the recorded ops
   are applied once. Members that disagree are **forked**: the machine is
-  pickled once (the same mechanism checkpointing already relies on), the
-  first partition keeps the machine and every other partition waits as
-  that pickle plus its members and recorded ops. Sharing is therefore
-  exact by construction, not approximate: a run's machine always evolves
-  under precisely the mutations its own controller issued.
+  pickled once, in memory; the first partition keeps the machine and
+  every other partition waits as that pickle plus its members and
+  recorded ops. Sharing is therefore exact by construction, not
+  approximate: a run's machine always evolves under precisely the
+  mutations its own controller issued.
 
 * **Depth-first stepping** — groups run one at a time, each to its end,
   off a stack of trajectories still to run: the batch's initial groups
@@ -126,7 +126,7 @@ class SharedTrace:
     """Per-run cursor over a shared stream (``TraceGenerator`` stand-in).
 
     Exposes the ``tid``/``seq``/``profile`` surface the pipeline and
-    fingerprint read. Pickling (machine forks, checkpoints) drops the
+    fingerprint read. Pickling (machine forks) drops the
     stream reference — columns would otherwise be copied per clone — and
     the engine rebinds the cursor via :meth:`SharedTraceStore.rebind`.
     """
@@ -571,8 +571,8 @@ class BatchEngine:
             hook.refresh_busy()
             return group, []
 
-        # Fork: the pristine (pre-ops) machine is pickled once — the same
-        # object graph checkpointing already round-trips. The first
+        # Fork: the pristine (pre-ops) machine is pickled once, in
+        # memory (``tests/test_batch.py`` pins the round trip). The first
         # partition keeps the machine; every other one is parked as
         # (pickle, members, ops, total), its controllers detached until it
         # is popped and unpickled.

@@ -201,19 +201,13 @@ class SMTProcessor:
         """Index of the quantum currently executing (0-based)."""
         return self._quantum_index
 
-    @property
-    def at_quantum_boundary(self) -> bool:
-        """True exactly between quanta — the only safe checkpoint instant
-        (no cycle is half-executed and the counters were just snapshotted)."""
-        return self.now == self._quantum_start_cycle
-
     def fingerprint(self) -> str:
         """Digest of the architecturally-relevant machine state.
 
         Two processors with equal fingerprints are at the same point of the
-        same deterministic run; checkpoint/restore equivalence tests and
-        snapshot metadata use this to detect divergence cheaply without
-        comparing whole object graphs.
+        same deterministic run; every :class:`~repro.harness.runner.RunResult`
+        carries one, and fork and batch equivalence tests use it to detect
+        divergence cheaply without comparing whole object graphs.
         """
         import hashlib
 

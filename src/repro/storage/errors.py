@@ -38,12 +38,14 @@ class TransientStorageError(StorageError):
 
 
 class ArtifactError(StorageError):
-    """Base class for envelope-level artifact failures."""
+    """Base class for artifact-level failures (a document that is not
+    what its reader expects)."""
 
 
 class ArtifactCorruptError(ArtifactError):
-    """The artifact's bytes do not validate (bad magic, torn frame,
-    checksum mismatch, undecodable payload). The file cannot be trusted."""
+    """The artifact's bytes do not validate (undecodable JSON, checksum
+    mismatch, a missing or damaged artifact block). The file cannot be
+    trusted."""
 
 
 class ArtifactVersionError(ArtifactError):

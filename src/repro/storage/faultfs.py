@@ -17,7 +17,7 @@ plan's seed, so a (workload seed, disk-fault plan) pair reproduces the same
 fault sequence byte-for-byte — faulty runs are as replayable as clean ones.
 Torn/ENOSPC/rename faults are *transient* (each operation draws afresh, so
 the atomic layer's bounded retry normally recovers); bitrot is persistent
-by nature and is caught later by envelope checksums (``repro fsck``).
+by nature and is caught later by artifact checksums (``repro fsck``).
 
 The injector is a new fault family of :class:`repro.faults.FaultPlan`
 (``--faults disk``); :meth:`FaultPlan.disk_plan` converts a plan's

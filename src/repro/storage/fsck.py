@@ -12,15 +12,13 @@ instead of re-reading bad bytes. Classification taxonomy:
 * ``torn-tail`` — a journal whose final line is truncated (a mid-write
   kill leaves it without its newline); repair truncates the tail, keeping
   every complete record;
-* ``corrupt`` — fails validation in a way no repair can trust (bad magic
-  where an artifact must be, checksum mismatch, an undecodable or
-  CRC-less journal record anywhere but a torn tail); repair quarantines the
-  file (and, for journals, salvages the records that still validate into
-  a rewritten journal);
+* ``corrupt`` — fails validation in a way no repair can trust
+  (undecodable JSON, checksum mismatch, an artifact block under a damaged
+  key, an undecodable or CRC-less journal record anywhere but a torn
+  tail); repair quarantines the file (and, for journals, salvages the
+  records that still validate into a rewritten journal);
 * ``stale-temp`` — an orphaned atomic-write temp file (a crash between
-  write and rename); repair removes it;
-* ``alien`` — an artifact-suffixed file whose content matches no known
-  format and parses as nothing; treated as corrupt.
+  write and rename); repair removes it.
 
 Result-store entries (``sim-result`` documents) additionally have their
 content address verified: the digest re-derived from the embedded
@@ -37,27 +35,18 @@ iff this run quarantined something — "fsck found real damage" is scriptable.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
-from repro.storage.artifact import (
-    canonical_json_crc,
-    is_enveloped,
-    unpack_artifact,
-)
+from repro.storage.artifact import parse_json_artifact
 from repro.storage.atomic import atomic_write_bytes, quarantine
 from repro.storage.errors import ArtifactError
-
-#: File suffixes fsck treats as artifacts it must be able to classify.
-ARTIFACT_SUFFIXES = (".snap", ".jsonl", ".json")
 
 #: Classification statuses, in severity order (worst first).
 STATUSES = (
     "corrupt",
     "divergent",
-    "alien",
     "torn-tail",
     "stale-temp",
     "migratable",
@@ -177,17 +166,13 @@ def _probe_jsonl(path: Path, blob: bytes, repair: bool) -> FsckEntry:
 def _probe_json(path: Path, blob: bytes, repair: bool) -> FsckEntry:
     """Classify a JSON document artifact (embedded-metadata scheme)."""
     try:
-        doc = json.loads(blob.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        return _quarantine_entry(path, "corrupt", f"undecodable JSON: {exc}", repair)
-    if not isinstance(doc, dict) or "artifact" not in doc:
+        meta, payload = parse_json_artifact(blob)
+    except ArtifactError as exc:
+        return _quarantine_entry(path, "corrupt", str(exc), repair)
+    if meta is None:
         # Plain JSON (e.g. a committed baseline): intact and loadable,
         # deliberately NOT rewritten — fsck must not dirty checked-in files.
-        return FsckEntry(str(path), "migratable", "none", "plain JSON (no envelope)")
-    meta = doc["artifact"]
-    payload = {k: v for k, v in doc.items() if k != "artifact"}
-    if canonical_json_crc(payload) != meta.get("crc32"):
-        return _quarantine_entry(path, "corrupt", "embedded checksum mismatch", repair)
+        return FsckEntry(str(path), "migratable", "none", "plain JSON (no artifact block)")
     if meta.get("format") == "sim-result":
         return _probe_sim_result(path, payload, repair)
     if meta.get("format") == "behaviour-profile":
@@ -333,8 +318,8 @@ def _quarantine_entry(path: Path, status: str, detail: str, repair: bool) -> Fsc
 def fsck_file(path: Union[str, Path], repair: bool = True) -> Optional[FsckEntry]:
     """Classify (and optionally repair) one file; None when not an artifact.
 
-    Content is probed before the suffix is trusted, so a renamed or
-    mislabeled artifact still classifies by what it actually contains.
+    Artifacts are ``.jsonl`` run journals and ``.json`` documents; any
+    other suffix is out of scope.
     """
     path = Path(path)
     name = path.name
@@ -363,25 +348,15 @@ def fsck_file(path: Union[str, Path], repair: bool = True) -> Optional[FsckEntry
         else:
             action = "none"
         return FsckEntry(str(path), "stale-temp", action, "orphaned atomic-write temp")
+    if path.suffix not in (".jsonl", ".json"):
+        return None  # not an artifact: out of scope
     try:
         blob = path.read_bytes()
     except OSError as exc:
         return FsckEntry(str(path), "corrupt", "failed", f"unreadable: {exc}")
-    if is_enveloped(blob):
-        try:
-            unpack_artifact(blob)
-            return FsckEntry(str(path), "healthy")
-        except ArtifactError as exc:
-            return _quarantine_entry(path, "corrupt", str(exc), repair)
     if path.suffix == ".jsonl":
         return _probe_jsonl(path, blob, repair)
-    if path.suffix == ".json":
-        return _probe_json(path, blob, repair)
-    if path.suffix in ARTIFACT_SUFFIXES:
-        return _quarantine_entry(
-            path, "alien", "artifact suffix but unrecognized content", repair
-        )
-    return None  # not an artifact: out of scope
+    return _probe_json(path, blob, repair)
 
 
 def fsck_tree(root: Union[str, Path], repair: bool = True) -> FsckReport:

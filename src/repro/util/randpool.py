@@ -18,7 +18,7 @@ bits as one of ``k * b``, provided nothing else draws from the pool's
 generator between refills. Each trace thread's pool owns its generator
 (the address and branch generators draw through that pool), so this holds.
 The size only sets how many draws a pool holds at once, and every pickle
-of a processor (batch forks, checkpoints) copies them. The default 1,024
+of a processor (batch and oracle forks) copies them. The default 1,024
 holds 8 KB of array and ~32 KB of Python floats per trace thread; a
 1,536-cycle 8-thread sweep cell serves ~2,000 draws a thread, so a larger
 pool would mostly hold draws that are never served.

@@ -4,15 +4,19 @@ size, per-mix default batches, the grid never touching the per-run
 drivers, journal resume across batch sizes, fault isolation between
 batchmates, fork-on-divergence, depth-first stepping (one live machine
 per batch, one heartbeat per quantum step), the supervised ``grid_batch``
-task kind, and ``run_batch`` result parity."""
+task kind, ``run_batch`` result parity, and the in-memory pickle round
+trip every fork makes."""
 
 import gc
+import pickle
 from contextlib import contextmanager
 
 import pytest
 
 import repro.harness.sweep as sweep_mod
 
+from repro import build_processor
+from repro.core.adts import ADTSController
 from repro.core.thresholds import ThresholdConfig
 from repro.faults import FaultPlan
 from repro.harness.errors import ConfigError
@@ -358,3 +362,67 @@ class TestRunBatchParity:
             assert got.scheduler["switches"] == want.scheduler["switches"]
             assert (got.scheduler["benign_probability"]
                     == want.scheduler["benign_probability"])
+
+
+class TestMachinePickle:
+    """A fork is an in-memory pickle round trip of the whole machine (the
+    batch engine's partitions, the oracle's trials): the copy must be the
+    machine, and small enough to make per boundary."""
+
+    @staticmethod
+    def _adts_machine():
+        ctrl = ADTSController(heuristic="type3",
+                              thresholds=ThresholdConfig(ipc_threshold=2.0))
+        return build_processor(mix="mix05", seed=3, hook=ctrl, quantum_cycles=512)
+
+    @pytest.mark.parametrize("every_row_built", [False, True])
+    def test_copy_at_a_boundary_advances_like_the_original(self, every_row_built):
+        """Caches build a set's rows at its first fill; a machine holding
+        every row (the layout written before that) copies just as well."""
+        clean = self._adts_machine()
+        clean.run_quanta(5)
+        proc = self._adts_machine()
+        proc.run_quanta(3)
+        if every_row_built:
+            h = proc.hierarchy
+            for cache in (h.l1i, h.l1d, h.l2):
+                ways = cache.config.ways
+                for idx, row in enumerate(cache._tags):
+                    if row is None:
+                        cache._tags[idx] = [-1] * ways
+                        cache._lru[idx] = [0] * ways
+        twin = pickle.loads(pickle.dumps(proc, protocol=pickle.HIGHEST_PROTOCOL))
+        assert twin.fingerprint() == proc.fingerprint()
+        proc.run_quanta(2)
+        twin.run_quanta(2)
+        assert twin.fingerprint() == proc.fingerprint() == clean.fingerprint()
+
+    def test_fresh_processor_pickle_footprint(self):
+        """A fresh 8-thread machine pickled to ~1.3 MB when it built every
+        cache row and 8,192 pooled draws per thread up front; it must stay
+        small."""
+        proc = build_processor(mix="mix05", num_threads=8)
+        assert len(pickle.dumps(proc, protocol=pickle.HIGHEST_PROTOCOL)) < 512 * 1024
+
+    def test_processor_with_queued_detector_work_pickles(self):
+        """ADTS queues detector tasks whose callbacks must stay picklable
+        (a lambda there would make every fork at that boundary fail)."""
+        proc = self._adts_machine()
+        proc.run_quanta(2)
+        assert proc.hook.detector.busy  # work is queued at this boundary
+        copy = pickle.loads(pickle.dumps(proc))
+        assert copy.now == proc.now
+        proc.run_quanta(1)
+        copy.run_quanta(1)
+        assert copy.fingerprint() == proc.fingerprint()
+
+    def test_stepped_run_equals_bulk_run(self):
+        """A run stepped quantum by quantum (whenever ``progress`` is
+        given: the worker heartbeat) returns the bulk run's result."""
+        cfg = RunConfig(mix="mix05", num_threads=8, quantum_cycles=512,
+                        quanta=5, warmup_quanta=2, seed=7)
+        th = ThresholdConfig(ipc_threshold=2.0)
+        beats = []
+        assert run_adts(cfg, thresholds=th, progress=beats.append) == run_adts(
+            cfg, thresholds=th)
+        assert beats == list(range(1, cfg.total_quanta() + 1))

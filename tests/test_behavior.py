@@ -432,14 +432,15 @@ class TestGuardInService:
         assert not any(r.reason == "drift-guard" for r in responses)
         assert len(responses) == 30
 
-    def test_serve_loop_emits_drift_events(self):
+    def test_serve_loop_emits_drift_events(self, tmp_path):
         lines = [
             json.dumps({"op": "submit", "request": {
                 "request_id": f"r{i}", "mix": "mix05", "mode": "adts",
                 "quanta": 4, "warmup_quanta": 1, "seed": 1}})
             for i in range(12)
         ]
-        infile = io.StringIO("\n".join(lines) + "\n")
+        feed = tmp_path / "requests.jsonl"
+        feed.write_text("\n".join(lines) + "\n")
         outfile = io.StringIO()
         svc = self.make_service(
             ServiceConfig(workers=0, queue_capacity=64),
@@ -449,16 +450,17 @@ class TestGuardInService:
         # Absurd baseline: answering is drift.
         guard = DriftGuard({"rate.answered": 0.0})
         svc.drift_guard = guard
-        # Escalate the guard before the loop starts (a StringIO feed hands
-        # the whole burst to one iteration, so the in-loop window never
-        # spans traffic); the loop must then drain the pending events.
+        # Escalate the guard before the loop starts (a file feed hands the
+        # whole burst to one iteration, so the in-loop window never spans
+        # traffic); the loop must then drain the pending events.
         for t in range(1, WINDOW):
             guard.observe(float(t), {"front_submitted": 5 * t,
                                      "front_answered": 5 * t})
             if guard.escalations:
                 break
         assert guard.escalations > 0
-        assert ServeLoop(svc, infile=infile, outfile=outfile).run() == 0
+        with feed.open() as infile:
+            assert ServeLoop(svc, infile=infile, outfile=outfile).run() == 0
         events = [json.loads(l) for l in outfile.getvalue().splitlines()]
         drift = [e for e in events if e["event"] == "drift"]
         assert drift and drift[0]["kind"] == "escalate"
@@ -556,6 +558,29 @@ class TestVerifyProfile:
         cur, base = self.save_pair(tmp_path, {"m": 1.0}, {"m": 1.0})
         report = verify_profile(tmp_path / "absent.json", base)
         assert not report.ok and report.mismatches[0].kind == "missing"
+
+    @pytest.mark.parametrize("current, kind", [
+        ({"config_digest": "b" * 64}, "value"),
+        ({}, "missing"),
+    ])
+    def test_capture_of_another_configuration_fails(self, tmp_path, current, kind):
+        """Equal metrics do not pass a capture that measured another
+        configuration than the baseline names."""
+        store = ProfileStore(tmp_path)
+
+        def save(label, identity):
+            return store.path_for(store.save(BehaviorProfile(
+                label=label, source="test", metrics={"m": 1.0},
+                identity={"seed": 0, **identity})))
+
+        base = save("base", {"config_digest": "a" * 64})
+        report = verify_profile(save("cur", current), base)
+        assert [(m.path, m.kind) for m in report.mismatches] == [
+            ("$.identity.config_digest", kind)]
+        same = save("same", {"config_digest": "a" * 64})
+        assert verify_profile(same, base).ok
+        # A baseline that names no digest checks metrics only.
+        assert verify_profile(base, save("plain", {})).ok
 
 
 # -- capture from live layers -------------------------------------------------

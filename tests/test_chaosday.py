@@ -217,6 +217,26 @@ class TestCheckContract:
         assert not duped["ok"] and duped["unaccounted"] == 1
 
 
+class TestCampaignProfile:
+    def test_config_digest_names_what_was_measured_not_where_it_was_saved(
+            self, tmp_path):
+        """One seed-0 campaign captured into two stores under two labels
+        measures the same configuration: equal digests, equal metrics."""
+        from repro.behavior import ProfileStore
+
+        profiles = []
+        for name, label in (("p1", "gate"), ("p2", "other")):
+            store = tmp_path / name
+            report, code = run_campaign(
+                small_cfg(profile_store=str(store), profile_label=label),
+                tmp_path / f"out-{name}", full_runner=ok_full, fast_runner=ok_fast)
+            assert code == 0
+            profiles.append(ProfileStore(store).load(report["behavior"]["profile"]))
+        a, b = profiles
+        assert a.identity["config_digest"] == b.identity["config_digest"]
+        assert a.metrics == b.metrics
+
+
 class TestVerifyCampaign:
     def test_good_report_passes(self, tmp_path):
         run_campaign(small_cfg(), tmp_path,

@@ -29,6 +29,29 @@ class TestParser:
             build_parser().parse_args(["run", "--policy", "magic"])
 
 
+def _command_parsers():
+    """Every command's parser by its command words (``"profile drift"``
+    for a nested subcommand)."""
+    import argparse
+
+    def walk(parser, words):
+        subs = [a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)]
+        if not subs:
+            yield " ".join(words), parser
+        for action in subs:
+            for name, sub in action.choices.items():
+                yield from walk(sub, words + [name])
+
+    return dict(walk(build_parser(), []))
+
+
+@pytest.mark.parametrize("command", sorted(_command_parsers()))
+def test_no_command_accepts_checkpoint_dir(command):
+    """Runs keep no mid-run snapshots: a failed attempt recomputes."""
+    assert "--checkpoint-dir" not in _command_parsers()[command]._option_string_actions
+
+
 class TestCommands:
     def test_policies_lists_ten(self, capsys):
         code, out = run_cli(capsys, "policies")
@@ -103,22 +126,22 @@ class TestGridInputs:
         ["--retries", "2"],
         ["--workers", "0", "--run-timeout", "5"],
     ])
-    def test_hard_limits_need_workers(self, flags):
-        with pytest.raises(SystemExit) as exc:
-            main(["grid", "--mixes", "mix01", *flags])
-        assert exc.value.code != 0
-        assert "--workers" in str(exc.value.code)
+    def test_hard_limits_need_workers(self, flags, capsys):
+        assert main(["grid", "--mixes", "mix01", *flags]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "repro grid: --retries, --run-timeout and --heartbeat-timeout are "
+            "enforced by the supervised executor: add --workers N (N >= 1)\n"
+        )
 
-    def test_negative_batch_is_a_config_error(self):
-        from repro.harness.errors import ConfigError
-
-        with pytest.raises(ConfigError, match="batch"):
-            main(["grid", "--mixes", "mix01", "--quanta", "1", "--warmup", "0",
-                  "--quantum", "64", "--batch", "-1"])
-
-    def test_grid_has_no_checkpoint_dir(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["grid", "--checkpoint-dir", "d"])
+    def test_negative_batch_is_a_config_error(self, capsys):
+        assert main(["grid", "--mixes", "mix01", "--quanta", "1", "--warmup", "0",
+                     "--quantum", "64", "--batch", "-1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("repro grid: invalid batch=-1: must be >= 0 "
+                       "(0 = one batch per mix)\n")
 
     def test_default_grid_runs_per_mix_batches(self, capsys, monkeypatch):
         """`--batch 0` (the default) means one lockstep batch per mix."""

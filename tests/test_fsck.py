@@ -8,54 +8,66 @@ quarantined.
 """
 
 import json
-import struct
-import zlib
-
-import pytest
 
 from repro.harness.cli import main
 from repro.harness.journal import RunJournal, _entry_crc
-from repro.storage import fsck_file, fsck_tree, write_artifact
+from repro.storage import embed_json_artifact, fsck_file, fsck_tree
 
 
 def _crc_line(key, payload):
     return json.dumps({"key": key, "payload": payload, "crc": _entry_crc(key, payload)})
 
 
-def _v1_snapshot(payload=b"not-a-real-pickle"):
-    """A well-formed pre-envelope v1 checkpoint frame (magic, version,
-    payload length, CRC32), a format the program no longer reads."""
-    header = struct.pack("<10sIII", b"REPRO-SNAP", 1, len(payload), zlib.crc32(payload))
-    return header + payload
+def _write_artifact(path, payload=None):
+    """A checksummed JSON document artifact at ``path``."""
+    doc = embed_json_artifact(payload or {"ipc": 1.5, "notes": "x" * 40}, "smoke", 1)
+    path.write_text(json.dumps(doc, sort_keys=True))
+
+
+def _flip(path, needle: bytes, offset: int, mask: int) -> None:
+    """XOR ``mask`` into the byte ``offset`` bytes into the first
+    ``needle`` in ``path``."""
+    blob = bytearray(path.read_bytes())
+    blob[blob.index(needle) + offset] ^= mask
+    path.write_bytes(bytes(blob))
+
+
+def _flip_ipc(path) -> None:
+    """One payload bit: the stored IPC 1.5 reads 7.5."""
+    _flip(path, b'"ipc": 1.5', len('"ipc": '), 0x06)
 
 
 class TestClassification:
-    def test_healthy_envelope(self, tmp_path):
-        p = tmp_path / "t.snap"
-        write_artifact(p, "smt-checkpoint", 2, b"payload")
+    def test_healthy_json_artifact(self, tmp_path):
+        p = tmp_path / "t.json"
+        _write_artifact(p)
         entry = fsck_file(p)
         assert entry.status == "healthy" and entry.action == "none"
 
-    def test_bitrotted_envelope_is_corrupt(self, tmp_path):
-        p = tmp_path / "t.snap"
-        write_artifact(p, "smt-checkpoint", 2, b"payload" * 40)
-        blob = bytearray(p.read_bytes())
-        blob[-10] ^= 0x40
-        p.write_bytes(bytes(blob))
+    def test_bitrotted_json_artifact_is_corrupt(self, tmp_path):
+        p = tmp_path / "t.json"
+        _write_artifact(p)
+        _flip_ipc(p)
         entry = fsck_file(p, repair=False)
         assert entry.status == "corrupt"
 
-    def test_truncated_envelope_is_corrupt(self, tmp_path):
-        p = tmp_path / "t.snap"
-        write_artifact(p, "smt-checkpoint", 2, b"x" * 200)
+    def test_truncated_json_artifact_is_corrupt(self, tmp_path):
+        p = tmp_path / "t.json"
+        _write_artifact(p)
         blob = p.read_bytes()
         p.write_bytes(blob[: len(blob) // 2])
         assert fsck_file(p, repair=False).status == "corrupt"
 
-    def test_v1_snapshot_is_alien(self, tmp_path):
-        p = tmp_path / "s.snap"
-        p.write_bytes(_v1_snapshot())
-        assert fsck_file(p, repair=False).status == "alien"
+    def test_artifact_block_under_damaged_key_is_corrupt(self, tmp_path):
+        """One bit flipped in the key ``"artifact"`` leaves an
+        artifact-shaped block under another key: a checksummed document
+        that lost its checksum, not plain JSON."""
+        p = tmp_path / "t.json"
+        _write_artifact(p)
+        _flip(p, b'"artifact":', 1, 0x02)  # "artifact" -> "crtifact"
+        entry = fsck_file(p, repair=True)
+        assert (entry.status, entry.action) == ("corrupt", "quarantined")
+        assert "crtifact" in entry.detail
 
     def test_journal_without_crc_is_corrupt(self, tmp_path):
         p = tmp_path / "j.jsonl"
@@ -78,22 +90,19 @@ class TestClassification:
         p.write_bytes(b"partial")
         assert fsck_file(p, repair=False).status == "stale-temp"
 
-    def test_alien_content_under_artifact_suffix(self, tmp_path):
-        p = tmp_path / "x.snap"
-        p.write_bytes(b"definitely not an artifact")
-        assert fsck_file(p, repair=False).status == "alien"
-
     def test_non_artifact_files_skipped(self, tmp_path):
         (tmp_path / "notes.txt").write_text("hello")
         (tmp_path / "j.jsonl.lock").write_text("1234")
-        (tmp_path / "old.snap.corrupt").write_bytes(b"evidence")
-        report = fsck_tree(tmp_path, repair=False)
+        (tmp_path / "old.json.corrupt").write_bytes(b"evidence")
+        (tmp_path / "cell.snap").write_bytes(b"not an artifact format any more")
+        report = fsck_tree(tmp_path, repair=True)
         assert report.entries == []
+        assert (tmp_path / "cell.snap").exists()
 
 
 class TestDryRun:
     def test_dry_run_touches_nothing(self, tmp_path):
-        (tmp_path / "bad.snap").write_bytes(b"garbage")
+        (tmp_path / "bad.json").write_bytes(b"garbage")
         (tmp_path / "j.jsonl").write_text('{"key": "a", "payload": {}}\n')
         (tmp_path / ".x.tmp.1.1").write_bytes(b"t")
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
@@ -107,12 +116,10 @@ class TestDryRun:
 class TestRepair:
     def test_repair_converges(self, tmp_path):
         """After one repair pass, a second pass finds nothing to do."""
-        write_artifact(tmp_path / "good.snap", "smt-checkpoint", 2, b"ok" * 50)
-        bad = tmp_path / "bad.snap"
-        write_artifact(bad, "smt-checkpoint", 2, b"x" * 50)
-        blob = bytearray(bad.read_bytes())
-        blob[-1] ^= 0xFF
-        bad.write_bytes(bytes(blob))
+        _write_artifact(tmp_path / "good.json")
+        bad = tmp_path / "bad.json"
+        _write_artifact(bad)
+        _flip_ipc(bad)
         (tmp_path / "baseline.json").write_text(json.dumps({"metrics": {"ipc": 1.0}}))
         (tmp_path / "torn.jsonl").write_text(
             _crc_line("a", {"v": 1}) + "\n" + '{"key": "b'
@@ -133,12 +140,12 @@ class TestRepair:
         }
 
     def test_corrupt_file_quarantined_not_deleted(self, tmp_path):
-        p = tmp_path / "bad.snap"
-        p.write_bytes(b"REPROART1\n" + b"\xff" * 30)
+        p = tmp_path / "bad.json"
+        p.write_bytes(b'{"artifact": ' + b"\xff" * 30)
         report = fsck_tree(tmp_path, repair=True)
         assert report.exit_code == 1
         assert not p.exists()
-        assert (tmp_path / "bad.snap.corrupt").exists()
+        assert (tmp_path / "bad.json.corrupt").exists()
 
     def test_journal_salvage_keeps_intact_records(self, tmp_path):
         p = tmp_path / "j.jsonl"
@@ -178,36 +185,27 @@ class TestRepair:
         assert (tmp_path / "j.jsonl.corrupt").exists()
         assert [json.loads(line)["key"] for line in p.read_text().splitlines()] == ["a"]
 
-    def test_v1_snapshot_is_quarantined(self, tmp_path):
-        """A v1 frame predates the run key a resume must match, so no run
-        could resume it: fsck moves it aside instead of migrating it."""
-        p = tmp_path / "s.snap"
-        p.write_bytes(_v1_snapshot())
-        report = fsck_tree(tmp_path, repair=True)
-        assert report.exit_code == 1
-        assert not p.exists() and (tmp_path / "s.snap.corrupt").exists()
-
 
 class TestCLI:
     def test_exit_zero_on_clean_tree(self, tmp_path, capsys):
-        write_artifact(tmp_path / "a.snap", "smt-checkpoint", 2, b"x")
+        _write_artifact(tmp_path / "a.json")
         assert main(["fsck", str(tmp_path)]) == 0
         assert "healthy" in capsys.readouterr().out
 
     def test_exit_one_iff_quarantined(self, tmp_path, capsys):
-        (tmp_path / "bad.snap").write_bytes(b"junk-not-an-artifact")
+        (tmp_path / "bad.json").write_bytes(b"junk-not-an-artifact")
         assert main(["fsck", str(tmp_path)]) == 1
         assert main(["fsck", str(tmp_path)]) == 0  # already quarantined
 
     def test_json_report(self, tmp_path, capsys):
-        (tmp_path / "bad.snap").write_bytes(b"junk")
+        (tmp_path / "bad.json").write_bytes(b"junk")
         rc = main(["fsck", str(tmp_path), "--json"])
         report = json.loads(capsys.readouterr().out)
         assert rc == report["exit_code"] == 1
-        assert report["counts"]["alien"] == 1
+        assert report["counts"]["corrupt"] == 1
 
     def test_dry_run_flag(self, tmp_path):
-        p = tmp_path / "bad.snap"
+        p = tmp_path / "bad.json"
         p.write_bytes(b"junk")
         assert main(["fsck", str(tmp_path), "--dry-run"]) == 0
         assert p.exists()

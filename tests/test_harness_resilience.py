@@ -1,5 +1,5 @@
 """Tests for harness hardening: RunConfig validation, the JSONL run
-journal (locking, stale-lock breaking), and checkpoint/resume sweeps."""
+journal (locking, stale-lock breaking), and journal-resumed sweeps."""
 
 import json
 

@@ -103,8 +103,8 @@ class TestPinnedDigests:
 
 
 class TestRunIdentity:
-    """One projection keys every run: the grid journal, the checkpoint
-    guard, the store and the profile snapshot."""
+    """One projection keys every run: the grid journal, the store and the
+    profile snapshot."""
 
     def test_disk_faults_never_enter_identity(self):
         clean = request_identity(req())
@@ -141,12 +141,23 @@ class TestRunIdentity:
                             fault_plan=FaultPlan(seed=5, dt_drop_rate=0.5))
         assert run_fields(spec)["faults"] == {"seed": 5, "dt_drop_rate": 0.5}
 
-    def test_checkpoint_guard_adds_only_what_is_set(self):
-        spec = BatchRunSpec(config=RunConfig(mix="mix05", num_threads=4))
-        plain = run_key(spec)
-        assert run_key(spec, instant_dt=False, invariants=None) == plain
-        assert run_key(spec, instant_dt=True) != plain
-        assert run_key(spec, invariants="record") != plain
+    @pytest.mark.parametrize(
+        "field",
+        ["l1_miss_rate", "lsq_full_rate", "mispredict_rate", "cond_branch_rate"],
+    )
+    def test_every_threshold_field_is_keyed(self, field):
+        cfg = RunConfig(mix="mix05", num_threads=4)
+        th = ThresholdConfig(ipc_threshold=2.0)
+        other = ThresholdConfig(ipc_threshold=2.0, **{field: 0.0})
+        assert (run_key(BatchRunSpec(config=cfg, thresholds=other))
+                != run_key(BatchRunSpec(config=cfg, thresholds=th)))
+
+    def test_scheduler_fault_plan_is_keyed(self):
+        """A clean run and its faulted twin are different runs."""
+        cfg = RunConfig(mix="mix05", num_threads=4, seed=11)
+        plan = FaultPlan.from_kinds(["policy", "hangs"], rate=0.5, seed=11)
+        assert (run_key(BatchRunSpec(config=cfg, fault_plan=plan))
+                != run_key(BatchRunSpec(config=cfg)))
 
     def test_grid_journal_keys_are_request_identities(self, tmp_path):
         """Each journaled grid cell is filed under the identity of the

@@ -72,6 +72,22 @@ class TestEntries:
         assert not path.exists()  # moved aside, not re-served
         assert path.with_name(path.name + ".corrupt").exists()
 
+    def test_flipped_artifact_key_is_a_quarantined_miss(self, store):
+        """One bit flipped in the key ``"artifact"`` must not turn an
+        entry into unchecked plain JSON: with a second flip in the
+        payload, a stored IPC of 1.5 would be served as 7.5."""
+        r = req()
+        digest = request_identity(r)
+        store.put(fields(r), {"ipc": 1.5})
+        path = store.path_for(digest)
+        blob = bytearray(path.read_bytes())
+        blob[blob.index(b'"artifact"') + 1] ^= 0x02  # "crtifact"
+        blob[blob.index(b'"ipc": 1.5') + len('"ipc": ')] ^= 0x06  # 7.5
+        path.write_bytes(bytes(blob))
+        assert store.get(digest) is None
+        assert store.counters["corrupt_misses"] == 1
+        assert path.with_name(path.name + ".corrupt").exists()
+
     def test_mislabeled_entry_is_a_quarantined_miss(self, store):
         """A checksum-valid document filed under the wrong digest must
         never be served: it would answer a different simulation."""

@@ -347,13 +347,15 @@ class TestServeLoopIntegration:
                 "quanta": 4, "warmup_quanta": 1, "seed": 1}})
             for i in range(3)
         ] + [json.dumps({"op": "stats"}), json.dumps({"op": "summary"})]
-        infile = io.StringIO("\n".join(lines) + "\n")
+        feed = tmp_path / "requests.jsonl"
+        feed.write_text("\n".join(lines) + "\n")
         outfile = io.StringIO()
         front = make_front(tmp_path, VirtualClock())
         front.clock = __import__("time").monotonic  # serve paces real time
         for shard in front.shards:
             shard.clock = front.clock
-        assert ServeLoop(front, infile=infile, outfile=outfile).run() == 0
+        with feed.open() as infile:
+            assert ServeLoop(front, infile=infile, outfile=outfile).run() == 0
         events = [json.loads(l) for l in outfile.getvalue().splitlines()]
         ready = next(e for e in events if e["event"] == "ready")
         assert ready["shards"] == 2
@@ -374,6 +376,15 @@ class TestServeLoopIntegration:
             counters["front_coalesced_waiters"] + counters["front_store_hits"]
             == 2
         )  # 3 identical requests, one simulation
+
+    def test_input_without_a_file_descriptor_is_refused(self, tmp_path):
+        """Input is polled by file descriptor (a reader thread would hold
+        the stdin lock across the worker fork), so an fd-less file-like
+        is refused up front instead of never being read."""
+        front = make_front(tmp_path, VirtualClock())
+        with pytest.raises(ValueError, match="file descriptor"):
+            ServeLoop(front, infile=io.StringIO('{"op": "stats"}\n'),
+                      outfile=io.StringIO())
 
 
 class TestStatsSurface:
@@ -627,7 +638,7 @@ class TestAdmissionValidation:
 
 class TestDuplicateRequestIds:
     """A request_id is unique while it is owed a response. Leaders, shard
-    queues, checkpoints and verifier probes are keyed by it, so a second
+    queues and verifier probes are keyed by it, so a second
     live request under the same id is refused (``rejected``,
     ``duplicate-request-id``) without touching the first one's
     bookkeeping; once answered, the id is free again."""

@@ -181,19 +181,19 @@ class TestReadBytes:
 
 class TestQuarantine:
     def test_renames_to_corrupt(self, tmp_path):
-        p = tmp_path / "a.snap"
+        p = tmp_path / "a.json"
         p.write_bytes(b"bad")
         dest = quarantine(p)
-        assert dest == tmp_path / "a.snap.corrupt"
+        assert dest == tmp_path / "a.json.corrupt"
         assert not p.exists() and dest.read_bytes() == b"bad"
 
     def test_never_overwrites_prior_evidence(self, tmp_path):
-        p = tmp_path / "a.snap"
-        (tmp_path / "a.snap.corrupt").write_bytes(b"first")
+        p = tmp_path / "a.json"
+        (tmp_path / "a.json.corrupt").write_bytes(b"first")
         p.write_bytes(b"second")
         dest = quarantine(p)
-        assert dest == tmp_path / "a.snap.corrupt.1"
-        assert (tmp_path / "a.snap.corrupt").read_bytes() == b"first"
+        assert dest == tmp_path / "a.json.corrupt.1"
+        assert (tmp_path / "a.json.corrupt").read_bytes() == b"first"
         assert dest.read_bytes() == b"second"
 
     def test_missing_file_returns_none(self, tmp_path):
@@ -202,7 +202,7 @@ class TestQuarantine:
     def test_bypasses_active_faultfs(self, tmp_path):
         """The repair path must not itself fail under injected rename
         faults — quarantine uses raw os.replace."""
-        p = tmp_path / "a.snap"
+        p = tmp_path / "a.json"
         p.write_bytes(b"bad")
         with faultfs_session(DiskFaultPlan(seed=0, rename_fail_rate=1.0)):
             dest = quarantine(p)

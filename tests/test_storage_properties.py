@@ -5,10 +5,10 @@ damage; it never silently returns wrong data. And ``repro fsck`` must
 classify every damaged file into its taxonomy (no artifact is ever left
 "unclassifiable") without crashing.
 
-A flipped bit may land in slack bytes the consumer never interprets (zip
-padding, JSON whitespace, the envelope's provenance field), so the
-properties assert one-sidedly: *if* the load succeeds, the payload is
-bit-identical to what was written.
+A flipped bit may land in bytes the consumer never interprets (JSON
+whitespace, the artifact block's provenance field), so the properties
+assert one-sidedly: *if* the load succeeds, the payload is identical to
+what was written.
 """
 
 import json
@@ -20,14 +20,12 @@ from hypothesis import strategies as st
 import pytest
 
 from repro.harness.journal import RunJournal, _entry_crc, scan_journal_lines
-from repro.smt.checkpoint import CheckpointError, load_checkpoint, parse_snapshot_payload
 from repro.storage import (
     ArtifactError,
     ArtifactVersionError,
-    StorageError,
+    embed_json_artifact,
     fsck_file,
-    pack_artifact,
-    unpack_artifact,
+    load_json_artifact,
 )
 from repro.storage.fsck import STATUSES
 
@@ -60,83 +58,77 @@ _DAMAGE = st.tuples(
 )
 
 
-class TestEnvelopeHonesty:
-    @given(payload=st.binary(min_size=0, max_size=300), damage=_DAMAGE)
+_DOCUMENTS = st.dictionaries(
+    st.text(min_size=1, max_size=8).filter(lambda k: k != "artifact"),
+    st.none() | st.booleans() | st.integers(-10**6, 10**6)
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=12),
+    max_size=6,
+)
+
+
+def _write_document(path: Path, doc: dict, fmt: str = "prop-test") -> bytes:
+    """Write ``doc`` as a checksummed JSON artifact; returns its bytes."""
+    blob = json.dumps(embed_json_artifact(doc, fmt, 1), indent=2, sort_keys=True)
+    path.write_text(blob)
+    return blob.encode("utf-8")
+
+
+class TestJsonArtifactHonesty:
+    @given(doc=_DOCUMENTS, damage=_DAMAGE)
     @_SETTINGS
-    def test_unpack_never_returns_wrong_payload(self, payload, damage):
-        """Any corruption of an enveloped artifact either surfaces as
-        ArtifactError or leaves the payload bit-identical (the flip landed
-        outside what the checksum protects is impossible — CRC covers the
-        whole payload; it can land in ignored header slack only)."""
-        blob = pack_artifact("prop-test", 1, payload)
-        bad = _damage(blob, *damage)
+    def test_load_never_returns_wrong_document(self, doc, damage, tmp_path):
+        """Any corruption of a JSON artifact either surfaces as
+        ArtifactError or leaves the document identical: a reader that
+        names the format never falls back to unchecked plain JSON."""
+        p = tmp_path / "doc.json"
+        p.write_bytes(_damage(_write_document(p, doc), *damage))
         try:
-            _, out = unpack_artifact(bad)
+            _, out = load_json_artifact(p, expect_format="prop-test")
         except ArtifactError:
             return  # honest: damage was reported
-        assert out == payload  # honest: data survived bit-for-bit
+        assert out == json.loads(json.dumps(doc))
 
-    @given(payload=st.binary(min_size=0, max_size=300), damage=_DAMAGE)
+    @given(doc=_DOCUMENTS, damage=_DAMAGE)
     @_SETTINGS
-    def test_fsck_always_classifies(self, payload, damage, tmp_path):
-        blob = _damage(pack_artifact("prop-test", 1, payload), *damage)
-        p = tmp_path / "artifact.snap"
-        p.write_bytes(blob)
+    def test_fsck_always_classifies(self, doc, damage, tmp_path):
+        p = tmp_path / "doc.json"
+        p.write_bytes(_damage(_write_document(p, doc), *damage))
         entry = fsck_file(p, repair=False)
         assert entry is not None and entry.status in STATUSES
 
-    def test_other_format_or_version_is_refused(self):
-        """An intact envelope loads only as the format and schema version
-        the reader expects; there is no load-forward path."""
-        blob = pack_artifact("prop-test", 1, b"payload")
-        assert unpack_artifact(blob, "prop-test", 1)[1] == b"payload"
+    def test_other_format_is_refused(self, tmp_path):
+        """An intact document loads only as the format the reader expects;
+        there is no load-forward path."""
+        p = tmp_path / "doc.json"
+        _write_document(p, {"ipc": 1.5})
+        assert load_json_artifact(p, expect_format="prop-test")[1] == {"ipc": 1.5}
         with pytest.raises(ArtifactVersionError):
-            unpack_artifact(blob, expect_format="prop-test", expect_version=2)
-        with pytest.raises(ArtifactVersionError):
-            unpack_artifact(blob, expect_format="other-format")
+            load_json_artifact(p, expect_format="other-format")
 
+    def test_no_single_bit_flip_of_a_store_entry_is_served(self, tmp_path):
+        """Exhaustively: every one-bit flip of a result-store entry either
+        raises or loads the entry as written."""
+        from repro.service import ResultStore
+        from repro.service.identity import fields_digest
 
-class TestCheckpointHonesty:
-    @given(damage=_DAMAGE, data=st.binary(min_size=1, max_size=200))
-    @_SETTINGS
-    def test_parse_snapshot_honest(self, damage, data):
-        """A damaged checkpoint frame either raises CheckpointError or
-        yields the original pickled payload exactly."""
-        from repro.storage import pack_artifact as pack
-
-        blob = pack("smt-checkpoint", 2, data)
-        bad = _damage(blob, *damage)
-        try:
-            out = parse_snapshot_payload("prop.snap", bad)
-        except CheckpointError:
-            return
-        assert out == data
-
-    @given(damage=_DAMAGE)
-    @_SETTINGS
-    def test_damaged_checkpoint_load_is_honest(self, damage, tmp_path):
-        """load_checkpoint on a damaged file either raises CheckpointError
-        or returns the snapshot unchanged — never silently wrong data."""
-        import pickle
-
-        from repro.smt.checkpoint import CHECKPOINT_FORMAT, CHECKPOINT_VERSION
-        from repro.storage import write_artifact
-
-        meta = {"kind": "adts", "mix": "mix01", "seed": 0}
-        bundle = {"processor": "sentinel-state", "controller": None,
-                  "injector": None, "quantum_index": 7, "cycle": 4480,
-                  "meta": meta}
-        path = tmp_path / "cell.snap"
-        write_artifact(path, CHECKPOINT_FORMAT, CHECKPOINT_VERSION,
-                       pickle.dumps(bundle))
+        store = ResultStore(tmp_path / "rs", shards=1)
+        fields = {"mix": "mix05", "seed": 3}
+        store.put(fields, {"ipc": 1.5, "switches": 4})
+        path = store.path_for(fields_digest(fields))
         blob = path.read_bytes()
-        path.write_bytes(_damage(blob, *damage))
-        try:
-            loaded = load_checkpoint(path, expect_meta=meta)
-        except CheckpointError:
-            return  # honest: damage (or mismatch) was reported
-        assert loaded.quantum_index == 7
-        assert loaded.processor == "sentinel-state"
+        _, written = load_json_artifact(path, expect_format="sim-result")
+        wrong = []
+        for bit in range(len(blob) * 8):
+            bad = bytearray(blob)
+            bad[bit // 8] ^= 1 << (bit % 8)
+            path.write_bytes(bytes(bad))
+            try:
+                _, got = load_json_artifact(path, expect_format="sim-result")
+            except ArtifactError:
+                continue
+            if got != written:
+                wrong.append(bit)
+        assert wrong == []
 
 
 class TestJournalHonesty:
