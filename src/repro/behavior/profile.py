@@ -132,19 +132,32 @@ class BehaviorProfile:
 
     @classmethod
     def from_payload(cls, payload: Mapping) -> "BehaviorProfile":
-        """Rebuild from a stored payload; raises ValueError on damage."""
-        if not isinstance(payload.get("metrics"), Mapping):
-            raise ValueError("behaviour profile payload has no metrics object")
-        metrics = {
-            str(k): float(v)
-            for k, v in payload["metrics"].items()
-            if isinstance(v, (int, float)) and not isinstance(v, bool)
-        }
+        """Rebuild from a stored payload. A profile drives baseline
+        comparisons and CI gates, so a damaged one is refused, never
+        repaired: a missing label, source or identity block, no metrics,
+        or a non-numeric metric (booleans included: they pass
+        ``isinstance(..., int)`` but are never metric values) raises
+        ValueError. ``repro fsck`` quarantines exactly what this refuses."""
+        label = payload.get("label")
+        source = payload.get("source")
+        metrics = payload.get("metrics")
+        identity = payload.get("identity")
+        if not isinstance(label, str) or not label:
+            raise ValueError("behaviour-profile missing label")
+        if not isinstance(source, str) or not source:
+            raise ValueError("behaviour-profile missing source")
+        if not isinstance(metrics, Mapping) or not metrics:
+            raise ValueError("behaviour-profile carries no metrics")
+        for name, value in metrics.items():
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"behaviour-profile metric {name!r} is not numeric")
+        if not isinstance(identity, Mapping):
+            raise ValueError("behaviour-profile missing identity block")
         return cls(
-            label=str(payload.get("label", "")),
-            source=str(payload.get("source", "unknown")),
-            metrics=metrics,
-            identity=dict(payload.get("identity") or {}),
+            label=label,
+            source=source,
+            metrics={str(k): float(v) for k, v in metrics.items()},
+            identity=dict(identity),
             window=dict(payload.get("window") or {}),
         )
 

@@ -26,7 +26,11 @@ from repro.behavior.profile import (
     BehaviorProfile,
     profile_from_campaign,
 )
-from repro.storage.artifact import embed_json_artifact, load_json_artifact
+from repro.storage.artifact import (
+    check_family,
+    embed_json_artifact,
+    load_json_artifact,
+)
 from repro.storage.atomic import atomic_write_bytes
 from repro.storage.errors import ArtifactError
 
@@ -38,16 +42,15 @@ def load_profile(path: Union[str, Path]) -> BehaviorProfile:
     """Load one profile artifact (checksummed or plain JSON).
 
     Raises :class:`~repro.storage.errors.ArtifactError` on corruption or
-    a foreign format, ValueError on a structurally damaged payload.
+    a foreign format or version, ValueError on a structurally damaged
+    payload.
     """
     meta, payload = load_json_artifact(path)
-    if meta is not None and meta.get("format") != PROFILE_FORMAT:
-        from repro.storage.errors import ArtifactVersionError
-
-        raise ArtifactVersionError(
-            f"{path}: artifact format {meta.get('format')!r}, "
-            f"expected {PROFILE_FORMAT!r}"
-        )
+    if meta is not None:
+        try:
+            check_family(meta, (PROFILE_FORMAT, PROFILE_VERSION))
+        except ArtifactError as exc:
+            raise type(exc)(f"{path}: {exc}") from exc
     return BehaviorProfile.from_payload(payload)
 
 
@@ -147,11 +150,15 @@ class ProfileStore:
         Recognizes ``chaos-campaign`` reports and existing behaviour
         profiles (re-import). Anything else raises ValueError.
         """
+        from repro.harness.chaosday import CAMPAIGN_FORMAT, CAMPAIGN_VERSION
+
         path = Path(path)
         meta, payload = load_json_artifact(path)
         fmt = (meta or {}).get("format")
         default_label = path.stem.lower()
         if fmt == PROFILE_FORMAT or payload.get("kind") == PROFILE_FORMAT:
+            if meta is not None:
+                check_family(meta, (PROFILE_FORMAT, PROFILE_VERSION))
             profile = BehaviorProfile.from_payload(payload)
             if label is not None and label != profile.label:
                 profile = BehaviorProfile(
@@ -161,7 +168,9 @@ class ProfileStore:
                     identity=profile.identity,
                     window=profile.window,
                 )
-        elif fmt == "chaos-campaign" or "contract" in payload:
+        elif fmt == CAMPAIGN_FORMAT or "contract" in payload:
+            if meta is not None:
+                check_family(meta, (CAMPAIGN_FORMAT, CAMPAIGN_VERSION))
             profile = profile_from_campaign(
                 payload, label or default_label, source="imported"
             )

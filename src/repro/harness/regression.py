@@ -67,13 +67,14 @@ def verify_campaign(path: Union[str, pathlib.Path]) -> RegressionReport:
     additionally must show a passing audit: zero uncaught corruption
     events and zero surviving divergent entries.
     """
+    from repro.harness.chaosday import CAMPAIGN_FORMAT, CAMPAIGN_VERSION
     from repro.storage import ArtifactError, load_json_artifact
 
     path = pathlib.Path(path)
     report = RegressionReport()
     name = path.name
     try:
-        _, doc = load_json_artifact(path, expect_format="chaos-campaign")
+        _, doc = load_json_artifact(path, expect=(CAMPAIGN_FORMAT, CAMPAIGN_VERSION))
     except (OSError, ArtifactError, ValueError) as exc:
         report.mismatches.append(
             Mismatch(name, "<file>", "loadable chaos-campaign artifact",

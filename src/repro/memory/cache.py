@@ -185,18 +185,6 @@ class Cache:
         row = self._tags[line & self._set_mask]
         return row is not None and line in row
 
-    def invalidate(self, addr: int) -> bool:
-        """Drop the line holding ``addr`` if present; return True if dropped."""
-        line = addr >> self._offset_bits
-        idx = line & self._set_mask
-        row = self._tags[idx]
-        if row is None or line not in row:
-            return False
-        way = row.index(line)
-        row[way] = _INVALID
-        self._lru[idx][way] = 0
-        return True
-
     def reset(self) -> None:
         """Flush all contents and statistics (dropping every set's rows)."""
         self._tags = [None] * self.config.n_sets

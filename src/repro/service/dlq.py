@@ -76,7 +76,7 @@ class DeadLetterQueue:
         """
         for path in sorted(self.root.glob("*.json")):
             try:
-                _, doc = load_json_artifact(path, expect_format=DLQ_FORMAT)
+                _, doc = load_json_artifact(path, expect=(DLQ_FORMAT, DLQ_VERSION))
             except (ArtifactError, OSError, ValueError) as exc:
                 log.warning("%s: unreadable dlq entry skipped (%s)", path, exc)
                 continue

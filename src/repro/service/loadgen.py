@@ -338,7 +338,7 @@ def load_recording(path) -> List[TimedRequest]:
     """Load a recorded stream; raises on damage, sorts by arrival time."""
     from repro.storage import load_json_artifact
 
-    _, doc = load_json_artifact(path, expect_format=RECORDING_FORMAT)
+    _, doc = load_json_artifact(path, expect=(RECORDING_FORMAT, RECORDING_VERSION))
     if "requests" not in doc:
         raise ValueError(f"{path}: not a traffic recording (no 'requests' key)")
     events = [TimedRequest.from_json(entry) for entry in doc["requests"]]

@@ -63,6 +63,7 @@ log = logging.getLogger("repro.resultstore")
 #: Storage-artifact identity of one stored result document.
 RESULT_FORMAT = "sim-result"
 RESULT_VERSION = 1
+_RESULT_FAMILY = (RESULT_FORMAT, RESULT_VERSION)
 
 #: Storage-artifact identity of one divergence-quarantine evidence doc.
 DIVERGENCE_FORMAT = "sim-divergence"
@@ -137,7 +138,7 @@ class ResultStore:
         """
         path = self.path_for(digest)
         try:
-            _, doc = load_json_artifact(path, expect_format=RESULT_FORMAT)
+            _, doc = load_json_artifact(path, expect=_RESULT_FAMILY)
         except FileNotFoundError:
             self.counters["misses"] += 1
             return None
@@ -182,7 +183,7 @@ class ResultStore:
         silent-corruption audit). Never use this to *serve*."""
         try:
             _, doc = load_json_artifact(
-                self.path_for(digest), expect_format=RESULT_FORMAT
+                self.path_for(digest), expect=_RESULT_FAMILY
             )
         except (FileNotFoundError, ArtifactError, OSError, ValueError):
             return None
@@ -193,7 +194,7 @@ class ResultStore:
         """The live entry's integrity status, or None when absent/bad."""
         try:
             _, doc = load_json_artifact(
-                self.path_for(digest), expect_format=RESULT_FORMAT
+                self.path_for(digest), expect=_RESULT_FAMILY
             )
         except (FileNotFoundError, ArtifactError, OSError, ValueError):
             return None
@@ -273,7 +274,7 @@ class ResultStore:
         """
         path = self.path_for(digest)
         try:
-            _, doc = load_json_artifact(path, expect_format=RESULT_FORMAT)
+            _, doc = load_json_artifact(path, expect=_RESULT_FAMILY)
         except (FileNotFoundError, ArtifactError, OSError, ValueError):
             return False
         request = doc.get("request")
@@ -379,7 +380,7 @@ class ResultStore:
             )
             for path in sorted(seg.glob("*.json")):
                 try:
-                    _, doc = load_json_artifact(path, expect_format=RESULT_FORMAT)
+                    _, doc = load_json_artifact(path, expect=_RESULT_FAMILY)
                 except (ArtifactError, OSError, ValueError):
                     out["invalid"] += 1
                     continue

@@ -183,7 +183,12 @@ class ServeLoop:
 
     # -- main loop -----------------------------------------------------------
     def run(self) -> int:
-        """Serve until shutdown; returns the process exit code (0)."""
+        """Serve until shutdown; returns the process exit code (0).
+
+        The input descriptor is polled non-blocking and handed back in the
+        mode it came in: a shell or pipeline sharing that open file
+        description must not be left with O_NONBLOCK."""
+        was_blocking = os.get_blocking(self._fd)
         os.set_blocking(self._fd, False)
         prev_term = signal.signal(signal.SIGTERM, self._request_stop)
         prev_int = signal.signal(signal.SIGINT, self._request_stop)
@@ -233,5 +238,6 @@ class ServeLoop:
             self._emit({"event": "drained", "stats": stats})
             return 0
         finally:
+            os.set_blocking(self._fd, was_blocking)
             signal.signal(signal.SIGTERM, prev_term)
             signal.signal(signal.SIGINT, prev_int)

@@ -105,23 +105,10 @@ class ThreadContext:
                     ):
                         instr.iq_ready = True
 
-    def dep_satisfied(self, dep: int) -> bool:
-        """Is the producer with sequence number ``dep`` complete?"""
-        return dep <= self.done_upto or dep in self.done_set
-
-    def is_ready(self, instr: Instruction) -> bool:
-        """All of ``instr``'s producers have completed."""
-        d1, d2 = instr.dep1, instr.dep2
-        done_upto = self.done_upto
-        if d1 > done_upto and d1 not in self.done_set:
-            return False
-        if d2 > done_upto and d2 not in self.done_set:
-            return False
-        return True
-
     # -- fetch gating ---------------------------------------------------------
     def can_fetch(self, now: int) -> bool:
-        """May the TSU consider this thread for fetch this cycle?"""
+        """May the TSU consider this thread for fetch this cycle? (The
+        fetch stage's one gating rule.)"""
         return (
             self.fetchable
             and not self.suspended

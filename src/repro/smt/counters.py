@@ -151,10 +151,6 @@ class QuantumSnapshot:
     def l1_misses(self) -> int:
         return self.l1d_misses + self.l1i_misses
 
-    @property
-    def mem_accesses(self) -> int:
-        return self.loads + self.stores
-
     def as_dict(self) -> Dict[str, int]:
         """JSON-friendly view."""
         return {name: getattr(self, name) for name in self.__slots__}
@@ -207,7 +203,3 @@ class CounterBank:
     def end_quantum(self) -> List[QuantumSnapshot]:
         """Snapshot and clear every thread's quantum counters."""
         return [t.end_quantum() for t in self.threads]
-
-    def total_committed_this_quantum(self) -> int:
-        """Sum of q_committed over all threads (live)."""
-        return sum(t.q_committed for t in self.threads)

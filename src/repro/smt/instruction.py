@@ -35,7 +35,6 @@ KIND_NAMES = {
 }
 
 _FP_KINDS = frozenset((FADD, FMUL, FDIV))
-_MEM_KINDS = frozenset((LOAD, STORE))
 
 
 class OpClass(IntEnum):
@@ -131,26 +130,11 @@ class Instruction:
         self.wp_ready = 0
         self.iq_ready = True
 
-    # -- classification helpers (used outside the hot loop) ---------------
     @property
     def is_fp(self) -> bool:
+        """Dispatches to the FP queue (the hot stages test
+        ``FADD <= kind <= FDIV`` inline)."""
         return self.kind in _FP_KINDS
-
-    @property
-    def is_mem(self) -> bool:
-        return self.kind in _MEM_KINDS
-
-    @property
-    def is_branch(self) -> bool:
-        return self.kind == BRANCH
-
-    @property
-    def is_load(self) -> bool:
-        return self.kind == LOAD
-
-    @property
-    def is_store(self) -> bool:
-        return self.kind == STORE
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         flags = "".join(

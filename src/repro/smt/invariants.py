@@ -8,7 +8,9 @@ snapshots mirror the record the IPC check reads. The paper's mechanism
 the queues), so a drifted mirror silently mis-schedules long before it
 crashes anything. The :class:`InvariantChecker` closes that hole: once per
 quantum boundary it cross-checks every mirror against ground truth and
-reports drift as a structured :class:`InvariantViolation`.
+reports drift as a structured :class:`InvariantViolation`. The gauge
+half of those checks is :func:`gauge_violation`, which tests call between
+any two cycles.
 
 It is a :class:`~repro.smt.pipeline.SchedulerHook` interposer, installed
 *outside* any fault injector, so it always sees the true record/snapshots —
@@ -34,6 +36,7 @@ from typing import List, Optional
 
 from repro.policies.registry import POLICY_NAMES
 from repro.smt.pipeline import SchedulerHook
+from repro.smt.regfile import needs_register
 
 _MODES = ("raise", "watchdog", "record")
 
@@ -99,67 +102,11 @@ class InvariantChecker(SchedulerHook):
     # -- the invariants -----------------------------------------------------
     def _check(self, now: int, record, snapshots) -> Optional[InvariantViolation]:
         proc = self.processor
-        cfg = proc.config
+        violation = gauge_violation(proc)
+        if violation is not None:
+            return violation
 
-        # 1. Queue occupancy within physical capacity.
-        for iq in (proc.iq_int, proc.iq_fp):
-            if len(iq) > iq.capacity:
-                return InvariantViolation(
-                    f"iq_{iq.name}_capacity", now, "instruction queue over capacity",
-                    occupancy=len(iq), capacity=iq.capacity,
-                )
-        if len(proc.lsq) > proc.lsq.capacity:
-            return InvariantViolation(
-                "lsq_capacity", now, "LSQ over capacity",
-                occupancy=len(proc.lsq), capacity=proc.lsq.capacity,
-            )
-        if not 0 <= proc.regs.in_use <= proc.regs.capacity:
-            return InvariantViolation(
-                "rename_pool", now, "rename-register pool accounting out of range",
-                in_use=proc.regs.in_use, capacity=proc.regs.capacity,
-            )
-        if not 0 <= proc._front_total <= cfg.fetch_buffer_entries:
-            return InvariantViolation(
-                "fetch_buffer", now, "front-end occupancy out of range",
-                occupancy=proc._front_total, capacity=cfg.fetch_buffer_entries,
-            )
-
-        # 2. Counter gauges agree with the structures they mirror.
-        front_sum = 0
-        for ctx, tc in zip(proc.contexts, proc.counters):
-            tid = ctx.tid
-            front_sum += tc.front_end
-            if tc.front_end != len(proc.front_q[tid]):
-                return InvariantViolation(
-                    "front_end_gauge", now, "front-end gauge disagrees with delay line",
-                    tid=tid, gauge=tc.front_end, actual=len(proc.front_q[tid]),
-                )
-            if tc.rob != len(ctx.rob):
-                return InvariantViolation(
-                    "rob_gauge", now, "ROB gauge disagrees with the ROB",
-                    tid=tid, gauge=tc.rob, actual=len(ctx.rob),
-                )
-            if tc.lsq != proc.lsq.occupancy_of(tid):
-                return InvariantViolation(
-                    "lsq_gauge", now, "LSQ gauge disagrees with the LSQ",
-                    tid=tid, gauge=tc.lsq, actual=proc.lsq.occupancy_of(tid),
-                )
-        if front_sum != proc._front_total:
-            return InvariantViolation(
-                "front_end_total", now, "per-thread front-end gauges disagree with total",
-                per_thread_sum=front_sum, total=proc._front_total,
-            )
-
-        # 3. Counter non-negativity (event counters can never go negative).
-        for tc in proc.counters:
-            for name, value in tc.as_dict().items():
-                if value < 0:
-                    return InvariantViolation(
-                        "counter_negative", now, "negative hardware counter",
-                        tid=tc.tid, counter=name, value=value,
-                    )
-
-        # 4. Per-thread/aggregate consistency of this quantum's telemetry.
+        # Per-thread/aggregate consistency of this quantum's telemetry.
         snap_committed = sum(s.committed for s in snapshots)
         if snap_committed != record.committed:
             return InvariantViolation(
@@ -175,7 +122,7 @@ class InvariantChecker(SchedulerHook):
                 per_thread_sum=stats_per_thread, aggregate=proc.stats.committed,
             )
 
-        # 5. Monotone committed counts.
+        # Monotone committed counts.
         if proc.stats.committed < self._last_committed:
             return InvariantViolation(
                 "committed_monotone", now, "aggregate committed count went backwards",
@@ -193,7 +140,7 @@ class InvariantChecker(SchedulerHook):
                 )
             self._last_per_thread_committed[tc.tid] = tc.total_committed
 
-        # 6. The active policy is a registered one.
+        # The active policy is a registered one.
         if proc.policy_name not in POLICY_NAMES:
             return InvariantViolation(
                 "policy_registered", now, "active fetch policy not in the registry",
@@ -211,3 +158,90 @@ class InvariantChecker(SchedulerHook):
                 str(self.violations[0]) if self.violations else None
             ),
         }
+
+
+def gauge_violation(proc) -> Optional[InvariantViolation]:
+    """The first way ``proc``'s structures or its thread counters disagree,
+    or None: queue occupancies within capacity, every occupancy gauge
+    (front end, ROB, int/FP IQ, LSQ) equal to the structure it mirrors,
+    the rename pool's per-thread attribution summing to its use and equal
+    to each thread's ROB entries that write a register, and no negative
+    counter. The dispatch, squash and commit stages keep these counts
+    inline, so this is what checks them; it holds between any two cycles.
+    """
+    now = proc.now
+    cfg = proc.config
+    regs = proc.regs
+
+    # Occupancy within physical capacity.
+    for iq in (proc.iq_int, proc.iq_fp):
+        if len(iq) > iq.capacity:
+            return InvariantViolation(
+                f"iq_{iq.name}_capacity", now, "instruction queue over capacity",
+                occupancy=len(iq), capacity=iq.capacity,
+            )
+    if len(proc.lsq) > proc.lsq.capacity:
+        return InvariantViolation(
+            "lsq_capacity", now, "LSQ over capacity",
+            occupancy=len(proc.lsq), capacity=proc.lsq.capacity,
+        )
+    if not 0 <= regs.in_use <= regs.capacity:
+        return InvariantViolation(
+            "rename_pool", now, "rename-register pool accounting out of range",
+            in_use=regs.in_use, capacity=regs.capacity,
+        )
+    if not 0 <= proc._front_total <= cfg.fetch_buffer_entries:
+        return InvariantViolation(
+            "fetch_buffer", now, "front-end occupancy out of range",
+            occupancy=proc._front_total, capacity=cfg.fetch_buffer_entries,
+        )
+
+    # Counter gauges agree with the structures they mirror.
+    front_sum = 0
+    held_sum = 0
+    for ctx, tc in zip(proc.contexts, proc.counters):
+        tid = ctx.tid
+        front_sum += tc.front_end
+        held = regs.occupancy_of(tid)
+        held_sum += held
+        for name, gauge, actual in (
+            ("front_end", tc.front_end, len(proc.front_q[tid])),
+            ("rob", tc.rob, len(ctx.rob)),
+            ("iq_int", tc.iq_int, proc.iq_int.occupancy_of(tid)),
+            ("iq_fp", tc.iq_fp, proc.iq_fp.occupancy_of(tid)),
+            ("lsq", tc.lsq, proc.lsq.occupancy_of(tid)),
+        ):
+            if gauge != actual:
+                return InvariantViolation(
+                    f"{name}_gauge", now,
+                    f"{name} gauge disagrees with the structure it mirrors",
+                    tid=tid, gauge=gauge, actual=actual,
+                )
+        writers = sum(1 for instr in ctx.rob if needs_register(instr.kind))
+        if held != writers:
+            return InvariantViolation(
+                "rename_rob", now,
+                "registers held disagree with ROB entries that write one",
+                tid=tid, held=held, rob_writers=writers,
+            )
+    if front_sum != proc._front_total:
+        return InvariantViolation(
+            "front_end_total", now, "per-thread front-end gauges disagree with total",
+            per_thread_sum=front_sum, total=proc._front_total,
+        )
+    if held_sum != regs.in_use:
+        return InvariantViolation(
+            "rename_attribution", now,
+            "per-thread rename-register counts disagree with the pool's use",
+            per_thread_sum=held_sum, in_use=regs.in_use,
+        )
+
+    # Counter non-negativity (event counters can never go negative).
+    for tc in proc.counters:
+        for name, value in tc.as_dict().items():
+            if value < 0:
+                return InvariantViolation(
+                    "counter_negative", now, "negative hardware counter",
+                    tid=tc.tid, counter=name, value=value,
+                )
+    return None

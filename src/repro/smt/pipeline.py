@@ -57,12 +57,6 @@ from repro.smt.queues import InstructionQueue, LoadStoreQueue
 from repro.smt.regfile import RenameRegisterPool, needs_register
 from repro.smt.stats import QuantumRecord, SimStats
 
-# Instruction.loc encoding (where the instruction currently lives).
-_LOC_FRONT = 0
-_LOC_IQ = 1
-_LOC_EXEC = 2
-_LOC_DONE = 3
-
 _LINE_SHIFT = 6  # 64-byte fetch blocks
 
 #: Span of the wrong-path pollution-address window (per thread).
@@ -288,44 +282,14 @@ class SMTProcessor:
         """
         ctx = self.contexts[tid]
         tc = self.counters[tid]
-        # 1. Drop the front-end contents.
-        fq = self.front_q[tid]
-        while fq:
-            instr, _ready = fq.pop()
-            instr.squashed = True
-            tc.front_end -= 1
-            self._front_total -= 1
-            if instr.kind == BRANCH and instr.cond:
-                tc.in_flight_branches -= 1
-        # 2. Drop the ROB (covers IQ-resident and executing instructions).
-        rob = ctx.rob
-        while rob:
-            instr = rob.pop()
-            instr.squashed = True
-            tc.rob -= 1
-            if not instr.issued:
-                if instr.is_fp:
-                    tc.iq_fp -= 1
-                else:
-                    tc.iq_int -= 1
-            kind = instr.kind
-            if needs_register(kind):
-                self.regs.release(tid)
-            if kind == LOAD or kind == STORE:
-                self.lsq.release(tid)
-                tc.lsq -= 1
-                tc.in_flight_mem -= 1
-                if kind == LOAD:
-                    tc.in_flight_loads -= 1
-            elif kind == BRANCH and instr.cond and not instr.completed:
-                tc.in_flight_branches -= 1
-            if kind == SYSCALL and self._drain_tid == tid:
-                self._drain_tid = None
+        # 1. Drop the front end and the whole ROB (IQ-resident and
+        # executing instructions included).
+        self._drop(tid, junk_only=False)
         # The issue stage drops squashed entries lazily, but it skips the
         # fp scan in cycles where integer issue uses the whole width.
         self.iq_int.compact()
         self.iq_fp.compact()
-        # 3. Clear pending per-thread machine state.
+        # 2. Clear pending per-thread machine state.
         ctx.pending = None
         ctx.wrong_path = False
         ctx.wp_branch_seq = -1
@@ -342,7 +306,7 @@ class SMTProcessor:
         )
         tc.recent_l1i_misses = 0.0
         tc.recent_stalls = 0.0
-        # 4. Bind the incoming thread. Its pre-swap instructions count as
+        # 3. Bind the incoming thread. Its pre-swap instructions count as
         # architecturally complete (the OS restored its register state).
         ctx.trace = new_trace
         ctx.done_upto = new_trace.seq - 1
@@ -357,12 +321,8 @@ class SMTProcessor:
         now = self.now
         self._commit(now)
         self._complete(now)
-        # Guard the rare stages inline: the calls themselves are pure
-        # per-cycle overhead when their early-exit condition holds.
-        if self._next_miss_clear <= now:
-            self._drain_miss_gauges(now)
-        if self._drain_tid is not None:
-            self._syscall_drain_check(now)
+        self._drain_miss_gauges(now)
+        self._syscall_drain_check(now)
         self._issue(now)
         self._dispatch(now)
         idle = self._fetch(now)
@@ -378,9 +338,7 @@ class SMTProcessor:
                 consumed = min(max(consumed, 0), idle)
             stats.idle_fetch_slots += idle - consumed
             stats.detector_slots_consumed += consumed
-        hierarchy = self.hierarchy
-        if hierarchy.mshr._next_complete <= now:
-            hierarchy.tick(now)
+        self.hierarchy.tick(now)
         self.counters.tick_all()
         self.now = now + 1
         stats.cycles = self.now
@@ -465,46 +423,61 @@ class SMTProcessor:
     def _squash_wrong_path(self, tid: int, now: int) -> None:
         """Kill everything younger than the resolved mispredicted branch."""
         ctx = self.contexts[tid]
-        tc = self.counters[tid]
-        stats = self.stats
-        # 1. Front-end delay line holds only junk at this point.
-        fq = self.front_q[tid]
-        while fq:
-            instr, _ready = fq.pop()
-            instr.squashed = True
-            tc.front_end -= 1
-            self._front_total -= 1
-            tc.q_squashed += 1
-            stats.squashed += 1
-            if self.tracer:
+        # The front end holds only junk at this point, and the ROB's junk
+        # (seq == -1) is contiguous at its tail. Issued junk is in the
+        # completion heap; _complete skips it.
+        dropped = self._drop(tid, junk_only=True)
+        self.counters[tid].q_squashed += len(dropped)
+        self.stats.squashed += len(dropped)
+        if self.tracer:
+            for instr in dropped:
                 self.tracer.record(now, "squash", instr)
-            if instr.kind == BRANCH and instr.cond:
-                tc.in_flight_branches -= 1
-        # 2. ROB tail: junk instructions (seq == -1) are contiguous at the tail.
-        rob = ctx.rob
-        while rob and rob[-1].seq == -1:
-            instr = rob.pop()
-            instr.squashed = True
-            tc.rob -= 1
-            tc.q_squashed += 1
-            stats.squashed += 1
-            if self.tracer:
-                self.tracer.record(now, "squash", instr)
-            if needs_register(instr.kind):
-                self.regs.release(tid)
-            if not instr.issued:
-                tc.iq_int -= 1  # junk dispatches to the integer queue
-            # issued junk is in the completion heap; _complete skips it.
-            if instr.kind == LOAD:
-                self.lsq.release(tid)
-                tc.lsq -= 1
-                tc.in_flight_mem -= 1
-                tc.in_flight_loads -= 1
-            elif instr.kind == BRANCH and instr.cond and not instr.completed:
-                tc.in_flight_branches -= 1
         ctx.wrong_path = False
         ctx.wp_branch_seq = -1
         ctx.block_fetch_until(now + self._misfetch_penalty)
+
+    def _drop(self, tid: int, junk_only: bool) -> List[Instruction]:
+        """Drop thread ``tid``'s front-end contents and its ROB entries
+        (all of them, or only the wrong-path junk at the tail), marking
+        each squashed and giving back what it holds: its front-end or ROB
+        slot, its IQ entry until issue, its rename register, its LSQ entry
+        and in-flight memory counts, and an unresolved conditional
+        branch's in-flight count. Returns the dropped instructions,
+        youngest first (front end, then ROB)."""
+        tc = self.counters[tid]
+        fq = self.front_q[tid]
+        dropped = [fq.pop()[0] for _ in range(len(fq))]
+        tc.front_end -= len(dropped)
+        self._front_total -= len(dropped)
+        for instr in dropped:
+            if instr.kind == BRANCH and instr.cond:
+                tc.in_flight_branches -= 1
+        rob = self.contexts[tid].rob
+        while rob and not (junk_only and rob[-1].seq != -1):
+            instr = rob.pop()
+            dropped.append(instr)
+            tc.rob -= 1
+            if not instr.issued:
+                if instr.is_fp:
+                    tc.iq_fp -= 1
+                else:
+                    tc.iq_int -= 1
+            kind = instr.kind
+            if needs_register(kind):
+                self.regs.release(tid)
+            if kind == LOAD or kind == STORE:
+                self.lsq.release(tid)
+                tc.lsq -= 1
+                tc.in_flight_mem -= 1
+                if kind == LOAD:
+                    tc.in_flight_loads -= 1
+            elif kind == BRANCH and instr.cond and not instr.completed:
+                tc.in_flight_branches -= 1
+            elif kind == SYSCALL and self._drain_tid == tid:
+                self._drain_tid = None
+        for instr in dropped:
+            instr.squashed = True
+        return dropped
 
     # -- syscall drain ----------------------------------------------------------
     def _syscall_drain_check(self, now: int) -> None:
@@ -556,20 +529,13 @@ class SMTProcessor:
         hierarchy = self.hierarchy
         tracer = self.tracer
         is_int_q = iq is self.iq_int
-        # Copy-on-first-removal: scans that issue nothing (all entries
-        # waiting, or budget exhausted) leave the entry list untouched
-        # instead of rebuilding it every cycle.
-        survivors: Optional[List[Instruction]] = None
-        append = None
-        for idx, instr in enumerate(entries):
+        survivors: List[Instruction] = []
+        append = survivors.append
+        for instr in entries:
             if instr.squashed or instr.issued:
-                if survivors is None:
-                    survivors = entries[:idx]
-                    append = survivors.append
                 continue  # lazy removal
             if budget <= 0:
-                if append is not None:
-                    append(instr)
+                append(instr)
                 continue
             tid = instr.tid
             if instr.seq != -1:
@@ -577,23 +543,17 @@ class SMTProcessor:
                 # flipped by producer completions in mark_completed.
                 if not instr.iq_ready:
                     threads[tid].recent_stalls += 0.1  # waiting in IQ: mild stall signal
-                    if append is not None:
-                        append(instr)
+                    append(instr)
                     continue
             elif now < instr.wp_ready:
                 # Wrong-path junk waiting on its phantom operands.
-                if append is not None:
-                    append(instr)
+                append(instr)
                 continue
             kind = instr.kind
             if not try_claim(kind):
-                if append is not None:
-                    append(instr)
+                append(instr)
                 continue
             # Issue it.
-            if survivors is None:
-                survivors = entries[:idx]
-                append = survivors.append
             budget -= 1
             instr.issued = True
             if tracer:
@@ -636,8 +596,7 @@ class SMTProcessor:
                 schedule(instr, now + store_latency)
             else:
                 schedule(instr, now + latencies.get(kind, 1))
-        if survivors is not None:
-            iq.set_entries(survivors)
+        iq.set_entries(survivors)
         return budget
 
     # -- dispatch -----------------------------------------------------------
@@ -655,14 +614,9 @@ class SMTProcessor:
             if budget <= 0:
                 break
             tid = (start + i) % n
-            q = front_q[tid]
-            # Peek head readiness here: a not-ready head is the common case
-            # and the per-thread dispatch prologue is all wasted work then
-            # (the loop would break on its first test, side-effect free).
-            if q and q[0][1] <= now:
-                budget = dispatch_thread(
-                    tid, contexts[tid], threads[tid], q, budget, now
-                )
+            budget = dispatch_thread(
+                tid, contexts[tid], threads[tid], front_q[tid], budget, now
+            )
 
     def _dispatch_thread(self, tid: int, ctx, tc, fq, budget: int,
                          now: int) -> int:
@@ -694,10 +648,11 @@ class SMTProcessor:
                 self._drain_tid = tid
                 budget -= 1
                 break
-            # Resource claims below are RenameRegisterPool.allocate /
-            # LoadStoreQueue.allocate / InstructionQueue.full spelled out
-            # inline (same counters, same order) — this loop runs for every
-            # dispatch attempt and the call overhead dominated the stage.
+            # The resource claims (rename register, LSQ entry, IQ slot)
+            # exist only here, inline: this loop runs for every dispatch
+            # attempt, and as method calls they cost the stage ~3% (DESIGN
+            # §10). A stall gives back the earlier claims through the
+            # structures' release(), the one copy of that rule.
             needs_reg = kind < STORE  # == needs_register(kind)
             if needs_reg:
                 if regs._free <= 0:
@@ -716,8 +671,7 @@ class SMTProcessor:
                 if lsq._total >= lsq.capacity:
                     lsq.full_events += 1
                     if needs_reg:
-                        regs._per_thread[tid] -= 1
-                        regs._free += 1
+                        regs.release(tid)
                     tc.q_lsq_full += 1
                     tc.recent_stalls += 1.0
                     tc.q_stall_cycles += 1
@@ -726,17 +680,14 @@ class SMTProcessor:
                 lsq._total += 1
             is_fp = FADD <= kind <= FDIV  # == instr.is_fp
             iq = self.iq_fp if is_fp else self.iq_int
-            # len-vs-capacity inline (== iq.full, minus the property call).
             # Issue already dropped every issued or squashed entry: the
             # integer scan runs every cycle, and only swap_thread squashes
             # fp entries (it compacts both queues itself).
             if len(iq._entries) >= iq.capacity:
                 if is_mem:
-                    lsq._per_thread[tid] -= 1
-                    lsq._total -= 1
+                    lsq.release(tid)
                 if needs_reg:
-                    regs._per_thread[tid] -= 1
-                    regs._free += 1
+                    regs.release(tid)
                 tc.q_iq_full += 1
                 tc.recent_stalls += 1.0
                 tc.q_stall_cycles += 1
@@ -747,7 +698,7 @@ class SMTProcessor:
             self._front_total -= 1
             if tracer:
                 tracer.record(now, "dispatch", instr)
-            iq._entries.append(instr)  # == iq.insert; capacity checked above
+            iq._entries.append(instr)
             if instr.seq != -1:
                 # Wake-up registration: evaluate readiness once, here; the
                 # issue scan then tests the flag and producer completions
@@ -786,15 +737,7 @@ class SMTProcessor:
         free = self._fetch_buffer_entries - self._front_total
         if free <= 0 or self._drain_tid is not None:
             return fuel
-        # Inlined ThreadContext.can_fetch over the context list.
-        candidates = [
-            ctx.tid
-            for ctx in self.contexts
-            if ctx.fetchable
-            and not ctx.suspended
-            and not ctx.syscall_waiting
-            and now >= ctx.fetch_ready_cycle
-        ]
+        candidates = [ctx.tid for ctx in self.contexts if ctx.can_fetch(now)]
         if candidates:
             threads_used = 0
             max_threads = self._fetch_threads_per_cycle
@@ -962,13 +905,12 @@ class SMTProcessor:
 
     def _drain_miss_gauges(self, now: int) -> None:
         """Clear outstanding-L1D-miss gauges whose fills have arrived."""
-        lst = self._pending_miss_clear
-        if not lst or now < self._next_miss_clear:
-            return
+        if now < self._next_miss_clear:
+            return  # also when none is pending (_NEVER)
         threads = self.counters.threads
         keep = []
         nxt = _NEVER
-        for cycle, tid in lst:
+        for cycle, tid in self._pending_miss_clear:
             if cycle <= now:
                 threads[tid].outstanding_l1d_misses -= 1
             else:

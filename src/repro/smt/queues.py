@@ -14,7 +14,10 @@ from repro.smt.instruction import Instruction
 
 
 class InstructionQueue:
-    """A shared issue queue: bounded, dispatch-ordered, lazily compacted."""
+    """A shared issue queue: bounded, dispatch-ordered, lazily compacted.
+
+    The dispatch stage checks the capacity and appends entries itself; the
+    issue scan drops issued and squashed ones as it passes them."""
 
     __slots__ = ("capacity", "name", "_entries")
 
@@ -30,20 +33,6 @@ class InstructionQueue:
 
     def __iter__(self) -> Iterator[Instruction]:
         return iter(self._entries)
-
-    @property
-    def full(self) -> bool:
-        return len(self._entries) >= self.capacity
-
-    @property
-    def free(self) -> int:
-        return self.capacity - len(self._entries)
-
-    def insert(self, instr: Instruction) -> None:
-        """Append at the tail; raises on overflow (callers check .full)."""
-        if self.full:
-            raise RuntimeError(f"{self.name} IQ overflow")
-        self._entries.append(instr)
 
     def set_entries(self, entries: List[Instruction]) -> None:
         """Replace the physical entry list (issue-scan compaction)."""
@@ -66,6 +55,9 @@ class LoadStoreQueue:
     aliasing); what the LSQ contributes to the reproduction is its *capacity
     pressure*: LSQ-full events per cycle feed the COND_MEM heuristic
     condition directly (threshold 0.45/cycle, paper §4.3.2).
+
+    The dispatch stage claims entries (and counts full events) inline;
+    :meth:`release` is the one way an entry is given back.
     """
 
     __slots__ = ("capacity", "_per_thread", "_total", "full_events")
@@ -86,19 +78,6 @@ class LoadStoreQueue:
     def __len__(self) -> int:
         return self._total
 
-    @property
-    def full(self) -> bool:
-        return self._total >= self.capacity
-
-    def allocate(self, tid: int) -> bool:
-        """Reserve an entry; False (and a full-event) when out of space."""
-        if self._total >= self.capacity:
-            self.full_events += 1
-            return False
-        self._per_thread[tid] += 1
-        self._total += 1
-        return True
-
     def release(self, tid: int) -> None:
         """Free one entry held by ``tid``."""
         if self._per_thread[tid] <= 0:
@@ -109,12 +88,3 @@ class LoadStoreQueue:
     def occupancy_of(self, tid: int) -> int:
         """Entries currently held by thread ``tid``."""
         return self._per_thread[tid]
-
-    def release_all(self, tid: int, count: int) -> None:
-        """Bulk release on squash."""
-        if count <= 0:
-            return
-        if count > self._per_thread[tid]:
-            raise RuntimeError(f"LSQ bulk underflow for thread {tid}")
-        self._per_thread[tid] -= count
-        self._total -= count

@@ -7,7 +7,10 @@ contexts — one more resource a clogging thread can exhaust for everyone.
 
 The model is a counting semaphore with per-thread attribution (so the
 status counters can expose per-thread register pressure to policies and to
-the detector thread).
+the detector thread). The dispatch stage claims registers (and counts
+failed claims) inline; :meth:`RenameRegisterPool.release` is the one way
+a register is given back, at commit, squash, context switch or a
+dispatch stall's rollback.
 """
 
 from __future__ import annotations
@@ -42,10 +45,6 @@ class RenameRegisterPool:
         self._free = self.capacity
 
     @property
-    def free(self) -> int:
-        return self._free
-
-    @property
     def in_use(self) -> int:
         return self.capacity - self._free
 
@@ -53,26 +52,9 @@ class RenameRegisterPool:
         """Registers currently held by thread ``tid``."""
         return self._per_thread[tid]
 
-    def allocate(self, tid: int) -> bool:
-        """Claim one register; False (and a pressure event) when empty."""
-        if self._free <= 0:
-            self.alloc_failures += 1
-            return False
-        self._free -= 1
-        self._per_thread[tid] += 1
-        return True
-
     def release(self, tid: int) -> None:
         """Free one register held by ``tid`` (at commit or squash)."""
         if self._per_thread[tid] <= 0:
             raise RuntimeError(f"register underflow for thread {tid}")
         self._per_thread[tid] -= 1
         self._free += 1
-
-    def release_all(self, tid: int) -> int:
-        """Free every register held by ``tid`` (context switch); returns
-        how many were freed."""
-        held = self._per_thread[tid]
-        self._per_thread[tid] = 0
-        self._free += held
-        return held

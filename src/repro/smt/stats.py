@@ -57,10 +57,6 @@ class SimStats:
         total_slots = self.fetched + self.idle_fetch_slots
         return (self.fetched - self.wrong_path_fetched) / total_slots if total_slots else 0.0
 
-    def thread_ipc(self, tid: int) -> float:
-        """Committed IPC of one hardware context."""
-        return self.per_thread_committed.get(tid, 0) / self.cycles if self.cycles else 0.0
-
     def summary(self) -> Dict[str, float]:
         """Flat dict for reports."""
         return {

@@ -52,10 +52,6 @@ class PipelineTracer:
         self.counts[event] += 1
 
     # -- queries --------------------------------------------------------------
-    def for_thread(self, tid: int) -> List[TraceEvent]:
-        """All retained events of one hardware context."""
-        return [e for e in self.events if e.tid == tid]
-
     def for_instruction(self, tid: int, seq: int) -> List[TraceEvent]:
         """All retained events of one dynamic instruction."""
         return [e for e in self.events if e.tid == tid and e.seq == seq]

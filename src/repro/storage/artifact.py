@@ -9,11 +9,14 @@ version of the payload, owned by the family), ``crc32`` of the canonical
 JSON of the rest of the document (:func:`canonical_json_crc`) and
 ``writer`` provenance (pid/host/tool).
 
-A reader that names the format it expects refuses a document without the
-block: a bit flip in the key ``"artifact"`` itself must not turn a
-checksummed document into unchecked plain JSON. Only a reader that names
-no format (a committed plain-JSON baseline, say) accepts one; ``repro
-fsck`` classifies those as *migratable*.
+A reader names the family it expects as a ``(format, version)`` pair and
+refuses a document of another format or version
+(:class:`~repro.storage.errors.ArtifactVersionError`; the CRC does not
+cover the block, so a damaged version lands here too) and a document
+without the block: a bit flip in the key ``"artifact"`` itself must not
+turn a checksummed document into unchecked plain JSON. Only a reader that
+names no family (a committed plain-JSON baseline, say) accepts one;
+``repro fsck`` classifies those as *migratable*.
 """
 
 from __future__ import annotations
@@ -75,29 +78,40 @@ def _stray_artifact_key(doc: dict) -> Optional[str]:
     return None
 
 
+def check_family(meta: dict, expect: Tuple[str, int]) -> None:
+    """Raise :class:`~repro.storage.errors.ArtifactVersionError` unless the
+    artifact block ``meta`` names ``expect``'s format and version."""
+    found = (meta.get("format"), meta.get("version"))
+    if found != tuple(expect):
+        raise ArtifactVersionError(
+            f"JSON artifact {found[0]!r} version {found[1]!r}, "
+            f"expected {expect[0]!r} version {expect[1]!r}"
+        )
+
+
 def parse_json_artifact(
-    blob: bytes, expect_format: Optional[str] = None
+    blob: bytes, expect: Optional[Tuple[str, int]] = None
 ) -> Tuple[Optional[dict], dict]:
     """Validate a JSON document artifact's bytes; returns
     ``(meta_or_None, payload)``.
 
-    ``meta`` is None for a plain-JSON document (valid, migratable), which
-    only a reader with no ``expect_format`` accepts. Raises
+    ``expect`` is the ``(format, version)`` pair a reader expects. ``meta``
+    is None for a plain-JSON document (valid, migratable), which only a
+    reader with no ``expect`` accepts. Raises
     :class:`~repro.storage.errors.ArtifactCorruptError` when the document
     does not parse, its embedded CRC does not match, or it has no artifact
-    block but a reader expects a format or another key holds an
-    artifact-shaped block, and
-    :class:`~repro.storage.errors.ArtifactVersionError` on a format
-    mismatch.
+    block but a reader expects one or another key holds an artifact-shaped
+    block, and :class:`~repro.storage.errors.ArtifactVersionError` on a
+    format or version mismatch (:func:`check_family`).
     """
     try:
         doc = json.loads(blob.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ArtifactCorruptError(f"undecodable JSON artifact: {exc}") from exc
     if not isinstance(doc, dict) or "artifact" not in doc:
-        if expect_format is not None:
+        if expect is not None:
             raise ArtifactCorruptError(
-                f"no artifact block, expected a {expect_format!r} document"
+                f"no artifact block, expected a {expect[0]!r} document"
             )
         if not isinstance(doc, dict):
             return None, {"value": doc}
@@ -109,19 +123,17 @@ def parse_json_artifact(
     payload = {k: v for k, v in doc.items() if k != "artifact"}
     if not isinstance(meta, dict) or canonical_json_crc(payload) != meta.get("crc32"):
         raise ArtifactCorruptError("JSON artifact checksum mismatch")
-    if expect_format is not None and meta.get("format") != expect_format:
-        raise ArtifactVersionError(
-            f"JSON artifact format {meta.get('format')!r}, expected {expect_format!r}"
-        )
+    if expect is not None:
+        check_family(meta, expect)
     return meta, payload
 
 
 def load_json_artifact(
-    path: Union[str, Path], expect_format: Optional[str] = None
+    path: Union[str, Path], expect: Optional[Tuple[str, int]] = None
 ) -> Tuple[Optional[dict], dict]:
     """Read and validate the JSON document artifact at ``path``
     (:func:`parse_json_artifact`); errors name the path."""
     try:
-        return parse_json_artifact(read_bytes(path), expect_format)
+        return parse_json_artifact(read_bytes(path), expect)
     except ArtifactError as exc:
         raise type(exc)(f"{path}: {exc}") from exc

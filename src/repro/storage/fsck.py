@@ -24,7 +24,9 @@ Result-store entries (``sim-result`` documents) additionally have their
 content address verified: the digest re-derived from the embedded
 canonical request must match the stored identity *and* the filename — a
 checksum-valid but mislabeled entry is corrupt, because serving it would
-answer the wrong simulation. Coalescing leases (``*.lease``) held by dead
+answer the wrong simulation. A result entry or behaviour profile whose
+artifact version its reader does not know is corrupt too, as is a profile
+its reader refuses. Coalescing leases (``*.lease``) held by dead
 PIDs classify as ``stale-temp`` and are removed; live ones are left alone.
 
 Files that are not artifacts (locks, previous ``*.corrupt`` quarantines,
@@ -39,7 +41,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
-from repro.storage.artifact import parse_json_artifact
+from repro.storage.artifact import check_family, parse_json_artifact
 from repro.storage.atomic import atomic_write_bytes, quarantine
 from repro.storage.errors import ArtifactError
 
@@ -173,11 +175,23 @@ def _probe_json(path: Path, blob: bytes, repair: bool) -> FsckEntry:
         # Plain JSON (e.g. a committed baseline): intact and loadable,
         # deliberately NOT rewritten — fsck must not dirty checked-in files.
         return FsckEntry(str(path), "migratable", "none", "plain JSON (no artifact block)")
-    if meta.get("format") == "sim-result":
-        return _probe_sim_result(path, payload, repair)
-    if meta.get("format") == "behaviour-profile":
-        return _probe_behavior_profile(path, payload, repair)
-    return FsckEntry(str(path), "healthy")
+    from repro.behavior.profile import PROFILE_FORMAT, PROFILE_VERSION
+    from repro.service.resultstore import RESULT_FORMAT, RESULT_VERSION
+
+    probes = {
+        RESULT_FORMAT: (RESULT_VERSION, _probe_sim_result),
+        PROFILE_FORMAT: (PROFILE_VERSION, _probe_behavior_profile),
+    }
+    if meta.get("format") not in probes:
+        return FsckEntry(str(path), "healthy")
+    version, probe = probes[meta["format"]]
+    try:
+        check_family(meta, (meta["format"], version))
+    except ArtifactError as exc:
+        # The reader of this family refuses it (a schema it does not know,
+        # or a damaged version: the CRC does not cover the block).
+        return _quarantine_entry(path, "corrupt", str(exc), repair)
+    return probe(path, payload, repair)
 
 
 def _probe_sim_result(path: Path, payload: dict, repair: bool) -> FsckEntry:
@@ -191,6 +205,7 @@ def _probe_sim_result(path: Path, payload: dict, repair: bool) -> FsckEntry:
     valid checksum — so it is quarantined as corrupt.
     """
     from repro.service.identity import fields_digest
+    from repro.service.resultstore import INTEGRITY_STATUSES
 
     stored = payload.get("identity")
     request = payload.get("request")
@@ -219,7 +234,7 @@ def _probe_sim_result(path: Path, payload: dict, repair: bool) -> FsckEntry:
             path, "corrupt", "sim-result payload is not an object", repair
         )
     integrity = payload.get("integrity", "unverified")
-    if integrity not in ("unverified", "verified"):
+    if integrity not in INTEGRITY_STATUSES:
         # A live entry carrying any other integrity marking (including a
         # hand-edited "divergent") must never be served: quarantine it, so
         # "fsck exits 0" implies "no divergent-marked entry can be served".
@@ -233,42 +248,16 @@ def _probe_sim_result(path: Path, payload: dict, repair: bool) -> FsckEntry:
 
 
 def _probe_behavior_profile(path: Path, payload: dict, repair: bool) -> FsckEntry:
-    """Verify a behaviour profile's structure beyond its checksum.
+    """Verify a behaviour profile's structure beyond its checksum: a
+    profile that :meth:`BehaviorProfile.from_payload
+    <repro.behavior.profile.BehaviorProfile.from_payload>` refuses would
+    poison every drift verdict computed from it, so it is quarantined."""
+    from repro.behavior.profile import BehaviorProfile
 
-    A profile drives baseline comparisons and CI gates, so a structurally
-    damaged one (no metrics, non-numeric values, missing label) would
-    poison every drift verdict computed from it — quarantine rather than
-    serve. Booleans are rejected explicitly: they pass ``isinstance(...,
-    int)`` but are never legitimate metric values.
-    """
-    label = payload.get("label")
-    source = payload.get("source")
-    metrics = payload.get("metrics")
-    identity = payload.get("identity")
-    if not isinstance(label, str) or not label:
-        return _quarantine_entry(
-            path, "corrupt", "behaviour-profile missing label", repair
-        )
-    if not isinstance(source, str) or not source:
-        return _quarantine_entry(
-            path, "corrupt", "behaviour-profile missing source", repair
-        )
-    if not isinstance(metrics, dict) or not metrics:
-        return _quarantine_entry(
-            path, "corrupt", "behaviour-profile carries no metrics", repair
-        )
-    for name, value in metrics.items():
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            return _quarantine_entry(
-                path,
-                "corrupt",
-                f"behaviour-profile metric {name!r} is not numeric",
-                repair,
-            )
-    if not isinstance(identity, dict):
-        return _quarantine_entry(
-            path, "corrupt", "behaviour-profile missing identity block", repair
-        )
+    try:
+        BehaviorProfile.from_payload(payload)
+    except ValueError as exc:
+        return _quarantine_entry(path, "corrupt", str(exc), repair)
     return FsckEntry(str(path), "healthy")
 
 

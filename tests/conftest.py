@@ -60,6 +60,49 @@ def quick_proc(small_config):
 
 
 @pytest.fixture
+def stage_proc(small_config):
+    """Build a processor whose threads fetch nothing, so a test can place
+    instructions in a thread's front end (:func:`feed`) and step the live
+    stages into the stall, wake-up or drop it is about. Keyword arguments
+    override fields of ``small_config`` (``threads`` sets the context
+    count)."""
+    from dataclasses import replace
+
+    from repro.smt.pipeline import SMTProcessor
+    from repro.workloads.tracegen import make_generators
+
+    def build(threads=1, **machine):
+        cfg = replace(small_config, num_threads=threads, **machine)
+        proc = SMTProcessor(cfg, make_generators(["gzip"] * threads))
+        for ctx in proc.contexts:
+            ctx.fetchable = False
+        return proc
+
+    return build
+
+
+def feed(proc, tid, *instrs):
+    """Put ``instrs`` in thread ``tid``'s front end, ready to dispatch this
+    cycle: what the fetch stage does, minus the I-cache and predictor.
+    Returns them."""
+    for instr in instrs:
+        instr.tid = tid
+        proc.front_q[tid].append((instr, proc.now))
+    proc.counters[tid].front_end += len(instrs)
+    proc._front_total += len(instrs)
+    return instrs
+
+
+def step_until(proc, done, limit=500):
+    """Step ``proc`` until ``done()`` holds; fails after ``limit`` cycles."""
+    for _ in range(limit):
+        if done():
+            return
+        proc.step()
+    raise AssertionError(f"condition not reached in {limit} cycles")
+
+
+@pytest.fixture
 def reference_grid():
     """Build a grid's expected :class:`SweepResult` from one lone
     ``run_adts`` call per cell — the reference implementation every sweep
@@ -93,21 +136,9 @@ def reference_grid():
 
 
 def assert_counter_consistency(proc) -> None:
-    """The live occupancy counters must match the physical structures."""
-    for ctx in proc.contexts:
-        tc = proc.counters[ctx.tid]
-        assert tc.front_end == len(proc.front_q[ctx.tid]), f"front_end t{ctx.tid}"
-        assert tc.rob == len(ctx.rob), f"rob t{ctx.tid}"
-        assert tc.lsq == proc.lsq.occupancy_of(ctx.tid), f"lsq t{ctx.tid}"
-        assert tc.iq_int == proc.iq_int.occupancy_of(ctx.tid), f"iq_int t{ctx.tid}"
-        assert tc.iq_fp == proc.iq_fp.occupancy_of(ctx.tid), f"iq_fp t{ctx.tid}"
-        assert tc.front_end >= 0 and tc.rob >= 0 and tc.lsq >= 0
-        assert tc.in_flight_branches >= 0
-        assert tc.in_flight_loads >= 0
-        assert tc.in_flight_mem >= 0
-    total_front = sum(len(q) for q in proc.front_q)
-    assert proc._front_total == total_front
-    # Rename-register pool: attribution sums to usage; never over capacity.
-    held = sum(proc.regs.occupancy_of(ctx.tid) for ctx in proc.contexts)
-    assert held == proc.regs.in_use
-    assert 0 <= proc.regs.in_use <= proc.regs.capacity
+    """The live occupancy counters must match the physical structures
+    (the invariant checker's gauge rules)."""
+    from repro.smt.invariants import gauge_violation
+
+    violation = gauge_violation(proc)
+    assert violation is None, str(violation)

@@ -510,6 +510,42 @@ class TestProfileFsck:
         report = fsck_tree(tmp_path, repair=True)
         assert report.exit_code == 1 and report.counts.get("corrupt") == 1
 
+    @pytest.mark.parametrize("damage", [
+        {"metrics": {"ipc": 1.5, "switches": "12"}},
+        {"metrics": {"ipc": 1.5, "ok": True}},
+        {"label": ""},
+        {"source": None},
+        {"identity": None},
+    ])
+    def test_loader_refuses_what_fsck_quarantines(self, tmp_path, damage):
+        """A CRC-valid but damaged profile is refused by its reader, not
+        loaded with the damage dropped or defaulted; fsck calls the same
+        document corrupt."""
+        from repro.behavior import load_profile
+        from repro.storage import atomic_write_bytes, embed_json_artifact
+
+        payload = dict(make_profile(metrics={"ipc": 1.5}).to_payload(), **damage)
+        path = tmp_path / "damaged.json"
+        atomic_write_bytes(path, json.dumps(
+            embed_json_artifact(payload, "behaviour-profile", 1)).encode("utf-8"))
+        with pytest.raises(ValueError):
+            load_profile(path)
+        report = fsck_tree(tmp_path, repair=False)
+        assert report.counts == {"corrupt": 1}
+
+    def test_foreign_version_is_refused(self, tmp_path):
+        from repro.behavior import load_profile
+        from repro.storage import ArtifactVersionError
+
+        store = ProfileStore(tmp_path)
+        path = tmp_path / f"{store.save(make_profile())}.json"
+        doc = json.loads(path.read_text())
+        doc["artifact"]["version"] = 2  # outside the CRC
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ArtifactVersionError):
+            load_profile(path)
+        assert fsck_tree(tmp_path, repair=False).counts == {"corrupt": 1}
+
     def test_plain_json_profile_is_migratable(self, tmp_path):
         (tmp_path / "legacy.json").write_text(
             json.dumps(make_profile().to_payload())

@@ -65,13 +65,6 @@ class TestCacheBasics:
         assert not c.contains(0x4000)
         assert (c.hits, c.misses) == (hits, misses)
 
-    def test_invalidate(self):
-        c = make()
-        c.access(0x3000)
-        assert c.invalidate(0x3000)
-        assert not c.contains(0x3000)
-        assert not c.invalidate(0x3000)  # already gone
-
     def test_reset_clears_everything(self):
         c = make()
         for i in range(32):
@@ -182,7 +175,7 @@ def _parent_layout(cache):
 _ADDR = st.integers(min_value=0, max_value=1 << 14)
 _OPS = st.lists(
     st.one_of(
-        st.tuples(st.sampled_from(["access", "probe", "fill", "contains", "invalidate"]), _ADDR),
+        st.tuples(st.sampled_from(["access", "probe", "fill", "contains"]), _ADDR),
         st.just(("reset", 0)),
     ),
     min_size=1,
@@ -214,7 +207,7 @@ class TestLazyRows:
         c = make()
         assert all(row is None for row in c._tags + c._lru)
         assert not c.probe(0x40) and not c.contains(0x40)
-        assert not c.invalidate(0x40) and c.occupancy == 0
+        assert c.occupancy == 0
         assert all(row is None for row in c._tags)  # lookups build nothing
 
     def test_first_fill_builds_only_its_set(self):

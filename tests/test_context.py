@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import feed, step_until
 from repro.smt.context import ThreadContext
-from repro.smt.instruction import IALU, Instruction
+from repro.smt.instruction import IALU, LOAD, Instruction
 
 
 class FakeTrace:
@@ -55,8 +56,7 @@ class TestDependenceTracking:
         c = ctx()
         c.mark_completed(2)
         assert c.done_upto == -1
-        assert c.dep_satisfied(2)
-        assert not c.dep_satisfied(0)
+        assert c.done_set == {2}
         c.mark_completed(0)
         c.mark_completed(1)
         assert c.done_upto == 2
@@ -67,18 +67,31 @@ class TestDependenceTracking:
         c.mark_completed(-1)
         assert c.done_upto == -1
 
-    def test_is_ready_with_deps(self):
-        c = ctx()
-        i = Instruction(0, 10, IALU, 0, dep1=3, dep2=7)
-        assert not c.is_ready(i)
-        c.mark_completed(3)
-        assert not c.is_ready(i)
-        c.mark_completed(7)
-        assert c.is_ready(i)
+    def test_is_ready_with_deps(self, stage_proc):
+        """A consumer dispatched before its producers complete waits in the
+        IQ; the first producer's completion leaves it waiting, the second's
+        wakes it, and it issues in that same cycle."""
+        proc = stage_proc()
+        _, miss, consumer = feed(
+            proc, 0, Instruction(0, 0, IALU, 0),
+            Instruction(0, 1, LOAD, 0, addr=0x40),  # cold miss: ~50 cycles
+            Instruction(0, 2, IALU, 0, dep1=0, dep2=1),
+        )
+        proc.step()
+        assert not consumer.iq_ready
+        step_until(proc, lambda: proc.contexts[0].done_upto == 0)
+        assert not miss.completed
+        assert not consumer.iq_ready and not consumer.issued
+        step_until(proc, lambda: miss.completed)
+        assert consumer.iq_ready and consumer.issued
 
-    def test_is_ready_no_deps(self):
-        c = ctx()
-        assert c.is_ready(Instruction(0, 10, IALU, 0))
+    def test_is_ready_no_deps(self, stage_proc):
+        proc = stage_proc()
+        (i,) = feed(proc, 0, Instruction(0, 0, IALU, 0))
+        proc.step()
+        assert i.iq_ready and not i.issued
+        proc.step()
+        assert i.issued
 
 
 @settings(max_examples=40, deadline=None)
@@ -92,7 +105,7 @@ def test_completion_pointer_invariant_any_order(order):
         c.mark_completed(s)
         completed.add(s)
         for q in range(12):
-            assert c.dep_satisfied(q) == (q in completed)
+            assert (q <= c.done_upto or q in c.done_set) == (q in completed)
         # done_set never contains anything at or below the pointer.
         assert all(s2 > c.done_upto for s2 in c.done_set)
     assert c.done_upto == 11
@@ -125,3 +138,16 @@ class TestFetchGating:
         c.suspended = False
         c.syscall_waiting = True
         assert not c.can_fetch(0)
+
+    def test_fetch_stage_skips_gated_threads(self, quick_proc):
+        """The fetch stage offers the policy only threads that can_fetch."""
+        proc = quick_proc()
+        proc.run(200)
+        proc.contexts[0].fetchable = False
+        proc.contexts[1].suspended = True
+        proc.contexts[2].block_fetch_until(proc.now + 300)
+        fetched = [tc.total_fetched for tc in proc.counters]
+        proc.run(100)
+        after = [tc.total_fetched for tc in proc.counters]
+        assert after[:3] == fetched[:3]
+        assert after[3] > fetched[3]

@@ -51,7 +51,7 @@ class TestThreadCounters:
         assert snap.fetched == 100
         assert snap.committed == 80
         assert snap.l1_misses == 10
-        assert snap.mem_accesses == 25
+        assert (snap.loads, snap.stores) == (20, 5)
         # All quantum counters reset.
         assert t.q_fetched == 0 and t.q_committed == 0 and t.q_l1d_misses == 0
 
@@ -92,9 +92,3 @@ class TestCounterBank:
         snaps = bank.end_quantum()
         assert [s.tid for s in snaps] == [0, 1, 2]
         assert snaps[1].committed == 5
-
-    def test_total_committed_this_quantum(self):
-        bank = CounterBank(3)
-        bank[0].q_committed = 5
-        bank[2].q_committed = 7
-        assert bank.total_committed_this_quantum() == 12

@@ -64,7 +64,11 @@ class TestLoadPath:
     def test_mshr_coalescing_secondary_miss(self):
         h = tiny()
         first = h.load(0x200, 0)
-        h.l1d.invalidate(0x200)  # force the second access to miss L1 again
+        # Force the second access to miss L1 again: two conflicting fills
+        # evict the line from its 2-way set.
+        n_sets = h.l1d.config.n_sets
+        h.l1d.fill(0x200 + n_sets * 64)
+        h.l1d.fill(0x200 + 2 * n_sets * 64)
         second = h.load(0x200 + 8, 5)
         assert second.l1_miss
         # Secondary miss waits for the in-flight fill, not a fresh trip.

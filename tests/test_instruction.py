@@ -45,17 +45,9 @@ class TestInstruction:
             assert Instruction(0, 0, k, 0).is_fp
         for k in (IALU, IMUL, LOAD, STORE, BRANCH):
             assert not Instruction(0, 0, k, 0).is_fp
-
-    def test_classification_mem(self):
-        assert Instruction(0, 0, LOAD, 0).is_mem
-        assert Instruction(0, 0, STORE, 0).is_mem
-        assert Instruction(0, 0, LOAD, 0).is_load
-        assert Instruction(0, 0, STORE, 0).is_store
-        assert not Instruction(0, 0, IALU, 0).is_mem
-
-    def test_classification_branch(self):
-        assert Instruction(0, 0, BRANCH, 0).is_branch
-        assert not Instruction(0, 0, LOAD, 0).is_branch
+        # The dispatch stage's inline form.
+        for k in KIND_NAMES:
+            assert Instruction(0, 0, k, 0).is_fp == (FADD <= k <= FDIV)
 
     def test_slots_prevent_new_attributes(self):
         i = Instruction(0, 0, IALU, 0)

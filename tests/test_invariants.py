@@ -6,7 +6,8 @@ from repro import build_processor
 from repro.core.adts import ADTSController
 from repro.core.thresholds import ThresholdConfig
 from repro.harness.runner import RunConfig, run_adts, run_fixed
-from repro.smt.invariants import InvariantChecker, InvariantViolation
+from repro.smt.invariants import InvariantChecker, InvariantViolation, gauge_violation
+from test_fingerprint_golden import ADTS_GOLDENS, APPS, POLICY_GOLDENS, SEED
 
 
 def _checked_proc(mode="raise", hook_inner=None, mix="mix02", seed=0):
@@ -48,6 +49,64 @@ class TestCleanRuns:
         r = run_fixed(cfg, invariants="record")
         assert r.scheduler["invariant_checked_quanta"] == 3
         assert r.scheduler["invariant_first_violation"] is None
+
+
+class TestGoldenConfigurations:
+    """The fingerprint-golden runs pass every check at every quantum
+    boundary, and checking them leaves their fingerprints unchanged."""
+
+    @staticmethod
+    def _checked(hook=None, policy="icount"):
+        checker = InvariantChecker(hook, mode="raise")
+        proc = build_processor(mix=APPS, seed=SEED, policy=policy, hook=checker,
+                               quantum_cycles=512)
+        return proc, checker
+
+    @pytest.mark.parametrize("policy", sorted(POLICY_GOLDENS))
+    def test_policy_golden_run_is_clean(self, policy):
+        proc, checker = self._checked(policy=policy)
+        proc.run_quanta(3)
+        assert checker.checked_quanta == 3
+        assert proc.fingerprint() == POLICY_GOLDENS[policy]
+
+    @pytest.mark.parametrize("heuristic", sorted(ADTS_GOLDENS))
+    def test_adts_golden_run_is_clean(self, heuristic):
+        hook = ADTSController(heuristic=heuristic,
+                              thresholds=ThresholdConfig(ipc_threshold=2.0))
+        proc, checker = self._checked(hook)
+        proc.run_quanta(6)
+        assert checker.checked_quanta == 6
+        assert proc.fingerprint() == ADTS_GOLDENS[heuristic]
+
+
+class TestGaugeRules:
+    """Each rule of ``gauge_violation`` names the drifted counter."""
+
+    @pytest.mark.parametrize("gauge", ["iq_int", "iq_fp", "front_end", "lsq"])
+    def test_each_gauge_is_checked(self, quick_proc, gauge):
+        proc = quick_proc()
+        proc.run(700)
+        assert gauge_violation(proc) is None
+        setattr(proc.counters[2], gauge, getattr(proc.counters[2], gauge) + 1)
+        violation = gauge_violation(proc)
+        assert violation.name == f"{gauge}_gauge"
+        assert violation.details["tid"] == 2
+
+    def test_leaked_register_is_caught(self, quick_proc):
+        """A register claimed without a ROB entry that writes one (a
+        dispatch stall that forgot its rollback) breaks the rename rule."""
+        proc = quick_proc()
+        proc.run(700)
+        proc.regs._per_thread[1] += 1
+        proc.regs._free -= 1
+        violation = gauge_violation(proc)
+        assert violation.name == "rename_rob" and violation.details["tid"] == 1
+
+    def test_misattributed_register_is_caught(self, quick_proc):
+        proc = quick_proc()
+        proc.run(700)
+        proc.regs._free -= 1
+        assert gauge_violation(proc).name == "rename_attribution"
 
 
 class TestViolationDetection:

@@ -39,7 +39,7 @@ def test_every_profile_addresses_stay_in_region(name):
 
     g = TraceGenerator(get_profile(name), 2, np.random.default_rng(7))
     for i in g.take(1500):
-        if i.is_mem:
+        if i.kind in (LOAD, STORE):
             assert 2 * _THREAD_REGION <= i.addr < 3 * _THREAD_REGION
 
 

@@ -88,6 +88,21 @@ class TestEntries:
         assert store.counters["corrupt_misses"] == 1
         assert path.with_name(path.name + ".corrupt").exists()
 
+    def test_foreign_version_is_a_quarantined_miss(self, store):
+        """The CRC does not cover the artifact block, so an entry whose
+        ``version`` names another schema (edited, or one flipped bit) is
+        checksum-valid; the reader refuses it by version."""
+        r = req()
+        digest = request_identity(r)
+        store.put(fields(r), {"ipc": 1.5})
+        path = store.path_for(digest)
+        doc = json.loads(path.read_text())
+        doc["artifact"]["version"] = 3
+        path.write_text(json.dumps(doc))
+        assert store.get(digest) is None
+        assert store.counters["corrupt_misses"] == 1
+        assert path.with_name(path.name + ".corrupt").exists()
+
     def test_mislabeled_entry_is_a_quarantined_miss(self, store):
         """A checksum-valid document filed under the wrong digest must
         never be served: it would answer a different simulation."""
@@ -266,7 +281,7 @@ class TestIntegrity:
         assert store.get(d) is None  # a miss: the caller re-simulates
         from repro.storage import load_json_artifact
 
-        _, doc = load_json_artifact(path, expect_format="sim-divergence")
+        _, doc = load_json_artifact(path, expect=("sim-divergence", 1))
         assert doc["primary"] == {"ipc": 1.0}
         assert doc["shadow"] == {"ipc": 2.0}
         summary = store.integrity_summary()

@@ -377,6 +377,20 @@ class TestServeLoopIntegration:
             == 2
         )  # 3 identical requests, one simulation
 
+    @pytest.mark.parametrize("blocking", [True, False])
+    def test_input_is_left_in_the_mode_it_came_in(self, tmp_path, blocking):
+        """The loop polls its input non-blocking; a shell or pipeline that
+        shares the descriptor gets it back as it was."""
+        read_fd, write_fd = os.pipe()
+        os.write(write_fd, b'{"op": "stats"}\n{"op": "shutdown"}\n')
+        os.set_blocking(read_fd, blocking)
+        front = make_front(tmp_path, VirtualClock())
+        with os.fdopen(read_fd, "rb") as infile:
+            loop = ServeLoop(front, infile=infile, outfile=io.StringIO())
+            assert loop.run() == 0
+            assert os.get_blocking(read_fd) is blocking
+        os.close(write_fd)
+
     def test_input_without_a_file_descriptor_is_refused(self, tmp_path):
         """Input is polled by file descriptor (a reader thread would hold
         the stdin lock across the worker fork), so an fd-less file-like

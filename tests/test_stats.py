@@ -33,12 +33,6 @@ class TestSimStats:
         assert s.wrong_path_fraction == pytest.approx(0.2)
         assert s.fetch_utilization == pytest.approx((3000 - 600) / 8000)
 
-    def test_thread_ipc(self):
-        s = SimStats(cycles=100, per_thread_committed={0: 50, 1: 150})
-        assert s.thread_ipc(0) == pytest.approx(0.5)
-        assert s.thread_ipc(1) == pytest.approx(1.5)
-        assert s.thread_ipc(9) == 0.0
-
     def test_summary_keys(self):
         s = SimStats(cycles=10, committed=5)
         summary = s.summary()

@@ -83,7 +83,7 @@ class TestJsonArtifactHonesty:
         p = tmp_path / "doc.json"
         p.write_bytes(_damage(_write_document(p, doc), *damage))
         try:
-            _, out = load_json_artifact(p, expect_format="prop-test")
+            _, out = load_json_artifact(p, expect=("prop-test", 1))
         except ArtifactError:
             return  # honest: damage was reported
         assert out == json.loads(json.dumps(doc))
@@ -101,9 +101,11 @@ class TestJsonArtifactHonesty:
         there is no load-forward path."""
         p = tmp_path / "doc.json"
         _write_document(p, {"ipc": 1.5})
-        assert load_json_artifact(p, expect_format="prop-test")[1] == {"ipc": 1.5}
+        assert load_json_artifact(p, expect=("prop-test", 1))[1] == {"ipc": 1.5}
         with pytest.raises(ArtifactVersionError):
-            load_json_artifact(p, expect_format="other-format")
+            load_json_artifact(p, expect=("other-format", 1))
+        with pytest.raises(ArtifactVersionError):
+            load_json_artifact(p, expect=("prop-test", 2))
 
     def test_no_single_bit_flip_of_a_store_entry_is_served(self, tmp_path):
         """Exhaustively: every one-bit flip of a result-store entry either
@@ -116,14 +118,14 @@ class TestJsonArtifactHonesty:
         store.put(fields, {"ipc": 1.5, "switches": 4})
         path = store.path_for(fields_digest(fields))
         blob = path.read_bytes()
-        _, written = load_json_artifact(path, expect_format="sim-result")
+        _, written = load_json_artifact(path, expect=("sim-result", 1))
         wrong = []
         for bit in range(len(blob) * 8):
             bad = bytearray(blob)
             bad[bit // 8] ^= 1 << (bit % 8)
             path.write_bytes(bytes(bad))
             try:
-                _, got = load_json_artifact(path, expect_format="sim-result")
+                _, got = load_json_artifact(path, expect=("sim-result", 1))
             except ArtifactError:
                 continue
             if got != written:

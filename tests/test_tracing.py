@@ -71,8 +71,10 @@ class TestPipelineTracer:
         proc.run(1500)
         window = tracer.window(100, 200)
         assert all(100 <= e.cycle < 200 for e in window)
-        t0 = tracer.for_thread(0)
-        assert all(e.tid == 0 for e in t0)
+        first = window[0]
+        events = tracer.for_instruction(first.tid, first.seq)
+        assert first in events
+        assert all((e.tid, e.seq) == (first.tid, first.seq) for e in events)
 
     def test_render(self):
         proc, tracer = traced_proc()
