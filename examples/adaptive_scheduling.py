@@ -10,8 +10,10 @@ Usage:
 
 import sys
 
-from repro import ADTSController, ThresholdConfig, build_processor
+from repro import build_processor
+from repro.core.adts import ADTSController
 from repro.core.heuristics import HEURISTIC_LABELS
+from repro.core.thresholds import ThresholdConfig
 
 
 def run_one(mix: str, heuristic: str) -> None:

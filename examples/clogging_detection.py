@@ -10,8 +10,10 @@ Usage:
     python examples/clogging_detection.py
 """
 
-from repro import ADTSController, ThresholdConfig, build_processor
+from repro import build_processor
+from repro.core.adts import ADTSController
 from repro.core.clogging import identify_clogging_threads
+from repro.core.thresholds import ThresholdConfig
 
 APPS = ["gzip", "eon", "vortex", "mesa", "crafty", "gap", "bzip2", "mcf"]
 

@@ -14,7 +14,8 @@ Usage:
 import sys
 
 from repro import build_processor
-from repro.analysis import detect_level_shifts, dominance_profile, fairness_report
+from repro.analysis.fairness import fairness_report
+from repro.analysis.timeseries import detect_level_shifts, dominance_profile
 
 POLICIES = ("icount", "brcount", "l1misscount")
 

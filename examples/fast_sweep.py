@@ -15,9 +15,9 @@ import time
 import numpy as np
 
 from repro.core.thresholds import ThresholdConfig
-from repro.fastmodel import fast_run_adts, fast_run_fixed
+from repro.fastmodel.model import fast_run_adts, fast_run_fixed
 from repro.harness.report import format_series, print_table
-from repro.workloads import mix_names
+from repro.workloads.mixes import mix_names
 
 THRESHOLDS = (1.0, 2.0, 3.0, 4.0, 5.0)
 HEURISTICS = ("type1", "type2", "type3", "type3g", "type4")

@@ -12,8 +12,8 @@ Usage:
 
 import sys
 
-from repro import FaultPlan
 from repro.core.thresholds import ThresholdConfig
+from repro.faults.plan import FaultPlan
 from repro.harness.runner import RunConfig, run_adts
 from repro.smt.config import SMTConfig
 

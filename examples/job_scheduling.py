@@ -11,8 +11,10 @@ Usage:
 
 import sys
 
-from repro import ADTSController, ThresholdConfig, build_processor
+from repro import build_processor
+from repro.core.adts import ADTSController
 from repro.core.jobsched import JobPool, JobSchedulerHook
+from repro.core.thresholds import ThresholdConfig
 
 POOL = [
     "gzip", "eon", "vortex", "mesa", "crafty", "gap", "bzip2", "gcc",

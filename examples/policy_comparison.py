@@ -10,8 +10,9 @@ Usage:
 
 import sys
 
-from repro import POLICY_NAMES, build_processor
+from repro import build_processor
 from repro.harness.report import print_table
+from repro.policies.registry import POLICY_NAMES
 
 
 def main() -> None:

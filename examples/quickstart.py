@@ -9,8 +9,10 @@ Usage:
 
 import sys
 
-from repro import ADTSController, ThresholdConfig, build_processor
-from repro.workloads import get_mix
+from repro import build_processor
+from repro.core.adts import ADTSController
+from repro.core.thresholds import ThresholdConfig
+from repro.workloads.mixes import get_mix
 
 
 def main() -> None:

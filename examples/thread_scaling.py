@@ -11,7 +11,9 @@ Usage:
 
 import sys
 
-from repro import ADTSController, ThresholdConfig, build_processor
+from repro import build_processor
+from repro.core.adts import ADTSController
+from repro.core.thresholds import ThresholdConfig
 from repro.harness.report import print_table
 
 

@@ -12,8 +12,10 @@ Usage:
 
 import sys
 
-from repro import ADTSController, ThresholdConfig, build_processor
+from repro import build_processor
+from repro.core.adts import ADTSController
 from repro.core.autotune import ThresholdAutoTuner
+from repro.core.thresholds import ThresholdConfig
 
 
 def run(mix: str, autotune: bool, stale_threshold: float) -> None:

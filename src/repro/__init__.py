@@ -3,14 +3,15 @@
 
 Quickstart::
 
-    from repro import build_processor, ADTSController
+    from repro import build_processor
+    from repro.core.adts import ADTSController
 
     adts = ADTSController(heuristic="type3")
     proc = build_processor(mix="mix07", hook=adts, quantum_cycles=2048)
     stats = proc.run_quanta(16)
     print(stats.ipc, adts.summary())
 
-Packages:
+Packages (each name is imported from the module that defines it):
 
 * :mod:`repro.smt` — the SMT pipeline substrate;
 * :mod:`repro.memory`, :mod:`repro.branch` — cache and predictor substrates;
@@ -25,39 +26,12 @@ from __future__ import annotations
 
 from typing import Optional, Sequence, Tuple, Union
 
-from repro.core.adts import ADTSController
-from repro.core.heuristics import HEURISTICS, create_heuristic
-from repro.core.oracle import OracleScheduler, oracle_upper_bound
-from repro.core.thresholds import ThresholdConfig
-from repro.faults import FaultInjector, FaultPlan
-from repro.policies import POLICY_NAMES, create_policy
 from repro.smt.config import SMTConfig
 from repro.smt.pipeline import SchedulerHook, SMTProcessor
-from repro.workloads import MIXES, get_mix, make_generators, mix_names
+from repro.workloads.mixes import get_mix
+from repro.workloads.tracegen import make_generators
 
 __version__ = "1.0.0"
-
-__all__ = [
-    "build_processor",
-    "SMTProcessor",
-    "SMTConfig",
-    "SchedulerHook",
-    "ADTSController",
-    "ThresholdConfig",
-    "FaultPlan",
-    "FaultInjector",
-    "OracleScheduler",
-    "oracle_upper_bound",
-    "POLICY_NAMES",
-    "HEURISTICS",
-    "create_policy",
-    "create_heuristic",
-    "MIXES",
-    "get_mix",
-    "mix_names",
-    "make_generators",
-    "__version__",
-]
 
 
 def build_processor(

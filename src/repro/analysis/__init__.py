@@ -5,51 +5,3 @@ ledgers) into the quantities the paper discusses: policy-dominance
 structure over time, switch matrices and their quality, phase-change
 detection, and fixed-vs-adaptive comparisons with uncertainty estimates.
 """
-
-from repro.analysis.timeseries import (
-    moving_average,
-    detect_level_shifts,
-    dominance_profile,
-    DominanceProfile,
-)
-from repro.analysis.switching import (
-    switch_matrix,
-    policy_residency,
-    transition_quality,
-    SwitchingReport,
-    analyze_controller,
-)
-from repro.analysis.compare import (
-    paired_gain,
-    bootstrap_mean_diff,
-    GainReport,
-    compare_fixed_vs_adaptive,
-)
-from repro.analysis.fairness import (
-    jain_index,
-    weighted_speedup,
-    hmean_speedup,
-    FairnessReport,
-    fairness_report,
-)
-
-__all__ = [
-    "moving_average",
-    "detect_level_shifts",
-    "dominance_profile",
-    "DominanceProfile",
-    "switch_matrix",
-    "policy_residency",
-    "transition_quality",
-    "SwitchingReport",
-    "analyze_controller",
-    "paired_gain",
-    "bootstrap_mean_diff",
-    "GainReport",
-    "compare_fixed_vs_adaptive",
-    "jain_index",
-    "weighted_speedup",
-    "hmean_speedup",
-    "FairnessReport",
-    "fairness_report",
-]

@@ -32,7 +32,6 @@ from typing import Callable, Deque, Dict, List, Mapping, Optional, Tuple
 from repro.behavior.drift import (
     VERDICT_DRIFT,
     VERDICT_OK,
-    VERDICT_WARN,
     DriftConfig,
     DriftReport,
     compute_drift,

@@ -15,7 +15,7 @@ drift report against a baseline is byte-reproducible.
 Capture helpers by layer:
 
 * :func:`profile_from_service` — the service front door's counter map
-  (``stats()["counters"]`` of :class:`~repro.service.ShardedService`) as
+  (``stats()["counters"]`` of :class:`~repro.service.router.ShardedService`) as
   ``counters.*``, with whole-run ``rate.*`` metrics derived per submitted
   request — the same namespace the online
   :class:`~repro.behavior.guard.DriftGuard` recomputes over its rolling
@@ -115,7 +115,7 @@ class BehaviorProfile:
         environment collapse to the same id — re-snapshotting a seeded
         run is idempotent rather than duplicative.
         """
-        from repro.service.identity import fields_digest
+        from repro.harness.runner import fields_digest
 
         return f"{self.label}-{fields_digest(self.to_payload())[:12]}"
 
@@ -183,12 +183,12 @@ def profile_identity(
     extra: Optional[Mapping] = None,
 ) -> Dict[str, object]:
     """Identity metadata: commit/branch, host, python, seed and a config
-    fingerprint (:func:`~repro.service.identity.fields_digest` over the
+    fingerprint (:func:`~repro.harness.runner.fields_digest` over the
     canonical config), so a baseline names exactly what it measured."""
     import platform
     import socket
 
-    from repro.service.identity import fields_digest
+    from repro.harness.runner import fields_digest
 
     identity: Dict[str, object] = dict(_git_metadata())
     identity["host"] = socket.gethostname()
@@ -235,7 +235,7 @@ def profile_from_service(
 ) -> BehaviorProfile:
     """Capture the front door's counter map plus derived rates.
 
-    ``breakdown`` (a :func:`~repro.service.breakdown` result over the
+    ``breakdown`` (a :func:`~repro.service.loadgen.breakdown` result over the
     run's responses) folds outcome/tier shares in when the caller has
     the response stream at hand.
     """

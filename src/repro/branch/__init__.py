@@ -7,22 +7,11 @@ behaviour that must be faithful. Provided: 2-bit bimodal, gshare, and a
 simple BTB, all with SMT-aware (thread-tagged) global history.
 """
 
-from repro.branch.base import BranchPredictor, TwoBitCounterTable
+from repro.branch.base import BranchPredictor
 from repro.branch.bimodal import BimodalPredictor
 from repro.branch.gshare import GsharePredictor
 from repro.branch.local import LocalHistoryPredictor
 from repro.branch.tournament import TournamentPredictor
-from repro.branch.btb import BranchTargetBuffer
-
-__all__ = [
-    "BranchPredictor",
-    "TwoBitCounterTable",
-    "BimodalPredictor",
-    "GsharePredictor",
-    "LocalHistoryPredictor",
-    "TournamentPredictor",
-    "BranchTargetBuffer",
-]
 
 
 def create_predictor(name: str, entries: int = 2048, max_threads: int = 16) -> BranchPredictor:

@@ -7,53 +7,3 @@ committed IPC against a threshold; when throughput is low it identifies
 clogging threads, chooses a replacement fetch policy with one of the
 Type 1–4 heuristics, and switches the Thread Selection Unit's policy.
 """
-
-from repro.core.thresholds import ThresholdConfig
-from repro.core.quantum import QuantumObservation
-from repro.core.flags import ThreadControlFlags
-from repro.core.history import SwitchHistoryBuffer, SwitchQualityLedger
-from repro.core.clogging import CloggingReport, identify_clogging_threads
-from repro.core.detector import DetectorThread, DetectorTask
-from repro.core.heuristics import (
-    Heuristic,
-    Type1Heuristic,
-    Type2Heuristic,
-    Type3Heuristic,
-    Type3GradientHeuristic,
-    Type4Heuristic,
-    HEURISTICS,
-    create_heuristic,
-)
-from repro.core.adts import ADTSController
-from repro.core.oracle import OracleScheduler, oracle_upper_bound
-from repro.core.autotune import ThresholdAutoTuner, QuantileTracker, RunningMean
-from repro.core.jobsched import Job, JobPool, JobSchedulerHook
-
-__all__ = [
-    "ThresholdConfig",
-    "QuantumObservation",
-    "ThreadControlFlags",
-    "SwitchHistoryBuffer",
-    "SwitchQualityLedger",
-    "CloggingReport",
-    "identify_clogging_threads",
-    "DetectorThread",
-    "DetectorTask",
-    "Heuristic",
-    "Type1Heuristic",
-    "Type2Heuristic",
-    "Type3Heuristic",
-    "Type3GradientHeuristic",
-    "Type4Heuristic",
-    "HEURISTICS",
-    "create_heuristic",
-    "ADTSController",
-    "OracleScheduler",
-    "oracle_upper_bound",
-    "ThresholdAutoTuner",
-    "QuantileTracker",
-    "RunningMean",
-    "Job",
-    "JobPool",
-    "JobSchedulerHook",
-]

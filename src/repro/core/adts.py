@@ -38,7 +38,8 @@ from typing import List, Optional, Sequence
 from repro.core.clogging import identify_clogging_threads
 from repro.core.detector import DetectorTask, DetectorThread
 from repro.core.flags import ThreadControlFlags
-from repro.core.heuristics import Heuristic, create_heuristic
+from repro.core.heuristics import create_heuristic
+from repro.core.heuristics.base import Heuristic
 from repro.core.history import SwitchQualityLedger
 from repro.core.quantum import QuantumObservation
 from repro.core.thresholds import ThresholdConfig

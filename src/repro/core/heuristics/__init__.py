@@ -1,6 +1,6 @@
 """The policy-determination heuristics (Determine_NewPolicy(), §4.3.3)."""
 
-from repro.core.heuristics.base import Heuristic, Decision
+from repro.core.heuristics.base import Heuristic
 from repro.core.heuristics.type1 import Type1Heuristic
 from repro.core.heuristics.type2 import Type2Heuristic
 from repro.core.heuristics.type3 import Type3Heuristic, Type3GradientHeuristic
@@ -34,16 +34,3 @@ def create_heuristic(name: str, **kwargs) -> Heuristic:
         raise KeyError(f"unknown heuristic {name!r}; known: {sorted(HEURISTICS)}") from None
     return cls(**kwargs)
 
-
-__all__ = [
-    "Heuristic",
-    "Decision",
-    "Type1Heuristic",
-    "Type2Heuristic",
-    "Type3Heuristic",
-    "Type3GradientHeuristic",
-    "Type4Heuristic",
-    "HEURISTICS",
-    "HEURISTIC_LABELS",
-    "create_heuristic",
-]

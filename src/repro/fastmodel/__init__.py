@@ -11,23 +11,3 @@ an aggregate quantum IPC. The real ADTS heuristics (the exact classes from
 Calibration targets the detailed simulator (see `calibrate.py`); the
 benchmarks label which engine produced each series.
 """
-
-from repro.fastmodel.model import (
-    FastMixModel,
-    FastRunResult,
-    fast_run_adts,
-    fast_run_fixed,
-    fast_serve,
-)
-from repro.fastmodel.calibrate import CalibrationConstants, DEFAULT_CONSTANTS, calibrate_against_detailed
-
-__all__ = [
-    "FastMixModel",
-    "FastRunResult",
-    "fast_run_fixed",
-    "fast_run_adts",
-    "fast_serve",
-    "CalibrationConstants",
-    "DEFAULT_CONSTANTS",
-    "calibrate_against_detailed",
-]

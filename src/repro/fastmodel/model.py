@@ -28,7 +28,8 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.heuristics import Heuristic, create_heuristic
+from repro.core.heuristics import create_heuristic
+from repro.core.heuristics.base import Heuristic
 from repro.core.history import SwitchQualityLedger
 from repro.core.quantum import QuantumObservation
 from repro.core.thresholds import ThresholdConfig

@@ -2,8 +2,3 @@
 actuation and the workload, deterministically, to evaluate ADTS's graceful
 degradation (the robustness evaluation layer the paper's §3–§4 discussion
 implies but never builds)."""
-
-from repro.faults.injector import FaultInjector
-from repro.faults.plan import FAULT_KINDS, IN_PROCESS_FAULT_KINDS, FaultPlan
-
-__all__ = ["FaultPlan", "FaultInjector", "FAULT_KINDS", "IN_PROCESS_FAULT_KINDS"]

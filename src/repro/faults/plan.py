@@ -26,7 +26,7 @@ from typing import Sequence
 #: ``service`` is likewise service-level (synthetic overload at admission,
 #: forced full-tier failures that push a circuit breaker toward open); it
 #: only has meaning behind the service front door
-#: (:class:`~repro.service.ShardedService`) and is also excluded from
+#: (:class:`~repro.service.router.ShardedService`) and is also excluded from
 #: ``all``. ``disk`` is the filesystem family (torn
 #: writes, ENOSPC, failed renames — injected at the storage layer by
 #: :mod:`repro.storage.faultfs`, not at scheduler boundaries); it never
@@ -89,7 +89,7 @@ class FaultPlan:
             dispatched attempt is forced to fail (worker SIGKILL under a
             supervised pool), pushing the service's circuit breaker toward
             open. Only meaningful behind the service front door
-            (:class:`~repro.service.ShardedService`).
+            (:class:`~repro.service.router.ShardedService`).
         service_corrupt_result_rate: P(per full-fidelity result crossing
             the serving front door) one mantissa bit of a summary counter
             is silently flipped before the payload is served and stored —
@@ -161,7 +161,7 @@ class FaultPlan:
 
         Disk faults only perturb the storage layer — artifacts are
         recovered or regenerated, never silently wrong — so they neither
-        need a :class:`~repro.faults.FaultInjector` on the scheduler hook
+        need a :class:`~repro.faults.injector.FaultInjector` on the scheduler hook
         chain nor belong in a sweep cell's identity key.
         """
         return any(
@@ -271,7 +271,7 @@ class FaultPlan:
         trips) and the recoverable disk faults (torn writes, ENOSPC, failed
         renames) at ``rate``; the in-process scheduler families and worker
         crash/hang ride along per-request via
-        :attr:`~repro.service.SimRequest.fault_kinds` so they land inside
+        :attr:`~repro.service.request.SimRequest.fault_kinds` so they land inside
         supervised attempts rather than in the service process. Bitrot and
         read-EIO are deliberately *excluded*: they manufacture genuinely
         unrepairable artifacts that ``fsck`` must quarantine, which would

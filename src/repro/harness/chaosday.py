@@ -4,7 +4,7 @@ PRs 1–5 each proved one robustness mechanism in isolation — seeded
 scheduler faults, a supervised worker pool, admission/breaker/degradation
 serving, and a self-healing storage layer. A chaos day is the integration
 proof: one seeded campaign drives shaped (or recorded) traffic through the
-service front door (:class:`~repro.service.ShardedService`) with
+service front door (:class:`~repro.service.router.ShardedService`) with
 autoscaling enabled while *all* the fault families fire together —
 
 * in-process scheduler faults (counters / dt / policy / hangs) ride on a
@@ -12,7 +12,7 @@ autoscaling enabled while *all* the fault families fire together —
 * worker crash / hang faults ride along the same way when a supervised
   pool is in use (``workers > 0``);
 * service faults (synthetic overload, forced breaker trips) come from the
-  service's own :class:`~repro.faults.FaultPlan` hooks;
+  service's own :class:`~repro.faults.plan.FaultPlan` hooks;
 * disk faults (torn writes, ENOSPC, failed renames) are injected by
   :func:`~repro.storage.faultfs.faultfs_session` under the
   content-addressed result store every campaign serves through
@@ -45,13 +45,9 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, List, Optional, Tuple, Union
 
-from repro.faults import FaultPlan
-from repro.service import (
-    AutoscalerConfig,
-    ServiceConfig,
-    ShardedService,
-    SimRequest,
-    SimResponse,
+from repro.faults.plan import FaultPlan
+from repro.service.autoscale import AutoscalerConfig
+from repro.service.loadgen import (
     TimedRequest,
     TrafficSpec,
     VirtualClock,
@@ -63,6 +59,9 @@ from repro.service import (
     save_recording,
     traffic_fingerprint,
 )
+from repro.service.request import SimRequest, SimResponse
+from repro.service.router import ShardedService
+from repro.service.service import ServiceConfig
 
 #: Storage-artifact identity of a campaign report.
 CAMPAIGN_FORMAT = "chaos-campaign"
@@ -77,7 +76,7 @@ REQUEST_FAULT_FRACTION = 0.25
 REQUEST_FAULT_RATE = 0.2
 
 #: The campaign service's admission and retry settings where they differ
-#: from :class:`~repro.service.ServiceConfig`'s defaults: a deeper queue
+#: from :class:`~repro.service.service.ServiceConfig`'s defaults: a deeper queue
 #: that starts degrading before it is full, a second full-tier attempt
 #: per request, and a shorter breaker cooldown.
 QUEUE_CAPACITY = 32
@@ -98,7 +97,7 @@ class CampaignConfig:
         recording: path of a ``traffic-recording`` artifact to replay
             instead of generating synthetic traffic.
         fault_rate: shared rate for the service and disk fault families
-            (see :meth:`~repro.faults.FaultPlan.chaos_day`). Synthetic
+            (see :meth:`~repro.faults.plan.FaultPlan.chaos_day`). Synthetic
             traffic also carries in-process scheduler faults
             (:data:`REQUEST_FAULT_FRACTION`, :data:`REQUEST_FAULT_RATE`).
         workers: 0 = inline lockstep under a virtual clock (fully
@@ -106,7 +105,7 @@ class CampaignConfig:
             > 0 = real supervised pool paced by the wall clock, which
             additionally exercises worker crash/hang faults.
         shards: shards behind the front door
-            (:class:`~repro.service.ShardedService`), which always routes
+            (:class:`~repro.service.router.ShardedService`), which always routes
             by identity and coalesces identical in-flight requests under
             crash-safe leases, over the campaign's content-addressed
             result store at ``out_dir/resultstore`` (segmented per
@@ -164,6 +163,8 @@ class CampaignConfig:
             raise ValueError("tick_s must be positive")
         if self.drain_deadline_s <= 0:
             raise ValueError("drain_deadline_s must be positive")
+        if not 0.0 <= self.fault_rate <= 1.0:
+            raise ValueError("fault_rate must be in [0, 1]")
         if not 0.0 <= self.verify_rate <= 1.0:
             raise ValueError("verify_rate must be in [0, 1]")
         if not 0.0 <= self.corrupt_rate <= 1.0:
@@ -204,7 +205,7 @@ def check_contract(
     the exit code and :func:`~repro.harness.regression.verify_campaign`
     both key on.
 
-    ``audit`` (a :meth:`~repro.service.ShardedService.verification_audit`
+    ``audit`` (a :meth:`~repro.service.router.ShardedService.verification_audit`
     result) is folded into ``ok``: a campaign that injected silent
     corruption passes only if every injected event was caught, no
     divergent-marked store entry survives, and the DLQ still refuses
@@ -258,7 +259,9 @@ def run_campaign(
     quarantine. ``full_runner`` / ``fast_runner`` exist for tests that
     substitute synthetic engines.
     """
-    from repro.storage import atomic_write_bytes, embed_json_artifact, fsck_tree
+    from repro.storage.artifact import embed_json_artifact
+    from repro.storage.atomic import atomic_write_bytes
+    from repro.storage.fsck import fsck_tree
     import json
 
     out = Path(out_dir)
@@ -308,7 +311,8 @@ def run_campaign(
 
     profile_store = None
     if cfg.profile_store is not None:
-        from repro.behavior import DriftGuard, ProfileStore
+        from repro.behavior.guard import DriftGuard
+        from repro.behavior.store import ProfileStore
 
         profile_store = ProfileStore(cfg.profile_store)
         baseline = profile_store.load_baseline()
@@ -324,7 +328,7 @@ def run_campaign(
     # The disk fault family lives under everything the result store writes
     # during the campaign; the traffic/report artifacts are written after
     # the session so the evidence itself is never fault-injected.
-    from repro.storage import faultfs_session
+    from repro.storage.faultfs import faultfs_session
 
     with faultfs_session(plan.disk_plan()) as ffs:
         if virtual is not None:
@@ -384,7 +388,7 @@ def run_campaign(
         "exit_code": exit_code,
     }
     if profile_store is not None:
-        from repro.behavior import profile_from_campaign
+        from repro.behavior.profile import profile_from_campaign
 
         profile = profile_from_campaign(
             report, cfg.profile_label or "chaosday"

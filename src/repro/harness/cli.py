@@ -56,9 +56,10 @@ import signal
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
-from repro.faults import FaultPlan
+from repro.core.thresholds import ThresholdConfig
+from repro.faults.plan import FaultPlan
 from repro.harness.errors import ConfigError
 from repro.harness.experiments import (
     ExperimentDefaults,
@@ -118,6 +119,7 @@ def _emit(args, payload: dict, text: str) -> None:
     print(json.dumps(payload, indent=2, default=str) if args.json else text)
 
 
+@_from_flags
 def _fault_plan(args) -> Optional[FaultPlan]:
     """Build a FaultPlan from `--faults`/`--fault-rate`/`--fault-seed`."""
     if not args.faults:
@@ -130,8 +132,6 @@ def _fault_plan(args) -> Optional[FaultPlan]:
 @_from_flags
 def _spec_from_args(args) -> BatchRunSpec:
     """The one run `repro run` and `repro profile snapshot` describe."""
-    from repro.core.thresholds import ThresholdConfig
-
     return BatchRunSpec(
         config=RunConfig(
             mix=args.mix, quantum_cycles=args.quantum, quanta=args.quanta,
@@ -142,6 +142,19 @@ def _spec_from_args(args) -> BatchRunSpec:
         thresholds=ThresholdConfig(ipc_threshold=args.threshold) if args.adts else None,
         fault_plan=_fault_plan(args),
     )
+
+
+@_from_flags
+def _check_runs(args, mixes: Sequence[str], heuristic: str = "type3",
+                threshold: float = 2.0, fault_plan: Optional[FaultPlan] = None) -> None:
+    """Build the ADTS run an experiment command makes on each mix (its run
+    config, thresholds and fault plan), so a flag value they reject is a
+    usage error before anything is simulated."""
+    base = _defaults(args).base_run()
+    thresholds = ThresholdConfig(ipc_threshold=threshold)
+    for mix in mixes:
+        BatchRunSpec(config=replace(base, mix=mix), mode="adts", heuristic=heuristic,
+                     thresholds=thresholds, fault_plan=fault_plan)
 
 
 def cmd_run(args) -> None:
@@ -169,6 +182,7 @@ def cmd_run(args) -> None:
 
 def cmd_table1(args) -> None:
     """`repro table1`: the ten fixed policies, ranked."""
+    _check_runs(args, _defaults(args).mixes(not args.full))
     out = experiment_table1(_defaults(args), quick=not args.full)
     rows = [[r["policy"], r["mean_ipc"]] for r in out["rows"]]
     _emit(args, out, format_table(["policy", "mean_ipc"], rows, "Table 1"))
@@ -216,6 +230,8 @@ def cmd_grid(args) -> None:
     _check_grid_flags(args)
     defaults = _defaults(args)
     plan = _fault_plan(args)
+    mixes = [m.strip() for m in args.mixes.split(",") if m.strip()] if args.mixes else None
+    _check_runs(args, mixes or defaults.mixes(not args.full), fault_plan=plan)
     journal = None
     if args.journal:
         journal = RunJournal(args.journal)
@@ -241,13 +257,12 @@ def cmd_grid(args) -> None:
             max_restarts=max(0, args.retries - 1),
         ))
         _install_pool_signal_handlers(executor, journal)
-    mixes = [m.strip() for m in args.mixes.split(",") if m.strip()] if args.mixes else None
     # A disk-fault plan installs a parent-process faultfs session too, so the
     # journal appends that happen *between* cell runs are exercised — not
     # just the writes inside each simulation.
     from contextlib import nullcontext
 
-    from repro.storage import faultfs_session
+    from repro.storage.faultfs import faultfs_session
 
     disk = plan.disk_plan() if plan is not None else None
     session = faultfs_session(disk) if disk is not None else nullcontext()
@@ -281,14 +296,21 @@ def cmd_grid(args) -> None:
     _emit(args, out, "\n".join(lines))
 
 
+@_from_flags
+def _check_fast_quanta(quanta: int) -> None:
+    """Reject a fast-model run length that would average no quanta."""
+    if quanta < 1:
+        raise ConfigError("fast_quanta", quanta, ">= 1")
+
+
 def cmd_fastgrid(args) -> None:
     """`repro fastgrid`: the 13-mix grid on the fast model."""
     import numpy as np
 
-    from repro.core.thresholds import ThresholdConfig
-    from repro.fastmodel import fast_run_adts, fast_run_fixed
-    from repro.workloads import mix_names
+    from repro.fastmodel.model import fast_run_adts, fast_run_fixed
+    from repro.workloads.mixes import mix_names
 
+    _check_fast_quanta(args.fast_quanta)
     mixes = mix_names()
     icount = float(np.mean([
         fast_run_fixed(m, "icount", quanta=args.fast_quanta).ipc for m in mixes
@@ -309,6 +331,7 @@ def cmd_fastgrid(args) -> None:
 
 def cmd_headline(args) -> None:
     """`repro headline`: ADTS best cell vs fixed ICOUNT."""
+    _check_runs(args, _defaults(args).mixes(not args.full), args.heuristic, args.threshold)
     out = experiment_headline(_defaults(args), quick=not args.full,
                               threshold=args.threshold, heuristic=args.heuristic)
     rows = [[m, v["icount_ipc"], v["adts_ipc"], f"{v['improvement']:+.1%}"]
@@ -320,6 +343,8 @@ def cmd_headline(args) -> None:
 
 def cmd_resilience(args) -> None:
     """`repro resilience`: ADTS under a seeded fault storm vs. clean."""
+    storm = _from_flags(FaultPlan.storm)(seed=args.fault_seed, rate=args.fault_rate)
+    _check_runs(args, [args.mix], args.heuristic, args.threshold, storm)
     out = experiment_resilience(
         _defaults(args), mix=args.mix, threshold=args.threshold,
         heuristic=args.heuristic, fault_rate=args.fault_rate,
@@ -342,7 +367,7 @@ def _autoscaler_config(args):
     """Build an AutoscalerConfig from ``--autoscale MIN:MAX`` (or None)."""
     if not getattr(args, "autoscale", None):
         return None
-    from repro.service import AutoscalerConfig
+    from repro.service.autoscale import AutoscalerConfig
 
     try:
         lo, hi = (int(part) for part in args.autoscale.split(":"))
@@ -358,7 +383,7 @@ def _autoscaler_config(args):
 
 
 def _service_config(args):
-    from repro.service import ServiceConfig
+    from repro.service.service import ServiceConfig
 
     return ServiceConfig(
         workers=args.workers,
@@ -381,7 +406,7 @@ def _build_service(args, clock=None):
     """The service front door: ``--shards`` shards (one by default), a
     result store only with ``--result-store``, and shadow verification or
     the dead-letter queue only when ``--verify-rate`` / ``--dlq`` ask."""
-    from repro.service import ShardedService
+    from repro.service.router import ShardedService
 
     kwargs = {"clock": clock} if clock is not None else {}
     return ShardedService(
@@ -400,7 +425,7 @@ def _profile_store(args):
     path = getattr(args, "profile", None)
     if not path:
         return None
-    from repro.behavior import ProfileStore
+    from repro.behavior.store import ProfileStore
 
     return ProfileStore(path)
 
@@ -414,7 +439,7 @@ def _arm_drift_guard(service, args):
         return None
     baseline = store.load_baseline()
     if baseline is not None:
-        from repro.behavior import DriftGuard
+        from repro.behavior.guard import DriftGuard
 
         try:
             service.drift_guard = DriftGuard(
@@ -432,7 +457,7 @@ def _snapshot_service_profile(store, service, args, default_label,
     labelled ``--profile-label`` or else ``default_label``."""
     if store is None:
         return
-    from repro.behavior import profile_from_service
+    from repro.behavior.profile import profile_from_service
 
     profile = profile_from_service(
         service,
@@ -458,7 +483,7 @@ def cmd_serve(args) -> int:
     persist in the ``--result-store`` directory (when given) for instant
     byte-identical repeats across restarts.
     """
-    from repro.service import ServeLoop
+    from repro.service.server import ServeLoop
 
     service = _build_service(args)
     store = _arm_drift_guard(service, args)
@@ -482,11 +507,7 @@ def cmd_burst(args) -> None:
     """
     from dataclasses import asdict
 
-    from repro.service import (
-        BurstSpec,
-        breakdown,
-        generate_burst,
-    )
+    from repro.service.loadgen import BurstSpec, breakdown, generate_burst
 
     spec = _from_flags(BurstSpec)(
         requests=args.requests,
@@ -533,7 +554,7 @@ def cmd_replay(args) -> int:
     pure function of (input, seed, service config); with real workers it
     is paced by the wall clock (``--time-scale`` compresses it).
     """
-    from repro.service import (
+    from repro.service.loadgen import (
         TrafficSpec,
         VirtualClock,
         breakdown,
@@ -615,6 +636,7 @@ def cmd_chaosday(args) -> int:
 
 def cmd_scaling(args) -> None:
     """`repro scaling`: throughput vs thread count."""
+    _check_runs(args, [args.mix])
     out = experiment_thread_scaling(_defaults(args), mix=args.mix)
     rows = [[r["threads"], r["icount_ipc"], r["adts_ipc"]] for r in out["rows"]]
     _emit(args, out, format_table(["threads", "icount", "adts"], rows, "Scaling"))
@@ -624,6 +646,8 @@ def cmd_oracle(args) -> None:
     """`repro oracle`: clairvoyant per-quantum upper bound."""
     from repro import build_processor
     from repro.core.oracle import oracle_upper_bound
+
+    _check_runs(args, [args.mix])
 
     def make():
         return build_processor(mix=args.mix, seed=args.seed,
@@ -646,7 +670,7 @@ def cmd_fsck(args) -> int:
     was quarantined, so scripts can gate on real damage. ``--dry-run``
     classifies without touching disk.
     """
-    from repro.storage import fsck_tree
+    from repro.storage.fsck import fsck_tree
 
     report = fsck_tree(args.root, repair=not args.dry_run)
     if args.json:
@@ -667,7 +691,7 @@ def cmd_dlq(args) -> int:
     ``--result-store`` uses — entries parked by a service are visible
     here after it exits, and retries here are honored by the next one.
     """
-    from repro.service import DeadLetterQueue
+    from repro.service.dlq import DeadLetterQueue
 
     root = Path(args.store) / "dlq"
     dlq = DeadLetterQueue(root)
@@ -703,7 +727,8 @@ def cmd_profile_snapshot(args) -> int:
     and `--faults` perturbations move the id and the metrics with it. The
     identity's ``config_digest`` is the run's key (its ``run_fields``
     digest), so it covers the threshold and the fault plan's seed too."""
-    from repro.behavior import ProfileStore, profile_from_sim
+    from repro.behavior.profile import profile_from_sim
+    from repro.behavior.store import ProfileStore
 
     spec = _spec_from_args(args)
     result = run_spec(spec)
@@ -725,8 +750,8 @@ def cmd_profile_snapshot(args) -> int:
 def cmd_profile_import(args) -> int:
     """`repro profile import`: convert chaos-campaign reports (or
     profiles, under a new label) into behaviour-profile artifacts."""
-    from repro.behavior import ProfileStore
-    from repro.storage import ArtifactError
+    from repro.behavior.store import ProfileStore
+    from repro.storage.errors import ArtifactError
 
     store = ProfileStore(args.store)
     code = 0
@@ -743,7 +768,7 @@ def cmd_profile_import(args) -> int:
 
 def cmd_profile_list(args) -> int:
     """`repro profile list`: inventory of the store (`*` = baseline)."""
-    from repro.behavior import ProfileStore
+    from repro.behavior.store import ProfileStore
 
     entries = ProfileStore(args.store).list_profiles()
     if args.json:
@@ -764,7 +789,7 @@ def cmd_profile_list(args) -> int:
 
 def cmd_profile_baseline(args) -> int:
     """`repro profile baseline`: designate the store's baseline."""
-    from repro.behavior import ProfileStore
+    from repro.behavior.store import ProfileStore
 
     try:
         ProfileStore(args.store).set_baseline(args.id)
@@ -781,8 +806,9 @@ def cmd_profile_drift(args) -> int:
     Exits 0 on `ok`, 1 on `drift` (or on `warn` with `--fail-on-warn`);
     the report is deterministic — the same pair of profiles always prints
     the same bytes."""
-    from repro.behavior import DriftConfig, ProfileStore, compute_drift
-    from repro.storage import ArtifactError
+    from repro.behavior.drift import DriftConfig, compute_drift
+    from repro.behavior.store import ProfileStore
+    from repro.storage.errors import ArtifactError
 
     store = ProfileStore(args.store)
     try:

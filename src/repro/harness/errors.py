@@ -6,27 +6,14 @@ so sweep drivers and CI wrappers can react per-category (don't retry a
 message strings. All classes derive from :class:`HarnessError`; the two
 that correspond to built-in categories also subclass the matching built-in
 (``ValueError`` / ``TimeoutError``) so pre-existing ``except`` clauses keep
-working.
+working. Durable-storage failures (a full disk, a denied write, damaged or
+foreign-version artifacts) have their own hierarchy in
+:mod:`repro.storage.errors`.
 """
 
 from __future__ import annotations
 
 from typing import Optional
-
-# The durable-storage failure taxonomy lives in the dependency-free
-# repro.storage.errors and is re-exported here so harness code sees one
-# unified hierarchy: ENOSPC/EDQUOT -> DiskFullError, EACCES/EPERM ->
-# StoragePermissionError, retry-exhausted I/O -> TransientStorageError,
-# and artifact-level damage -> ArtifactCorruptError/ArtifactVersionError.
-from repro.storage.errors import (  # noqa: F401  (re-exports)
-    ArtifactCorruptError,
-    ArtifactError,
-    ArtifactVersionError,
-    DiskFullError,
-    StorageError,
-    StoragePermissionError,
-    TransientStorageError,
-)
 
 
 class HarnessError(Exception):

@@ -11,10 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence
 
-from repro import build_processor
-from repro.core.adts import ADTSController
 from repro.core.thresholds import ThresholdConfig
-from repro.faults import FaultPlan
+from repro.faults.plan import FaultPlan
 from repro.harness.runner import RunConfig, run_adts, run_fixed
 from repro.harness.sweep import SweepResult, threshold_type_grid
 from repro.policies.registry import POLICY_NAMES

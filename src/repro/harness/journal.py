@@ -57,8 +57,9 @@ import zlib
 from pathlib import Path
 from typing import Dict, Optional, Union
 
-from repro.harness.errors import JournalError, StorageError
+from repro.harness.errors import JournalError
 from repro.storage.atomic import append_line, atomic_write_bytes, pid_alive, quarantine
+from repro.storage.errors import StorageError
 
 try:
     import fcntl

@@ -7,7 +7,7 @@ Two gates remain, and CI runs both:
   campaign ran the integrity layer, of its verification audit) into a
   :class:`Mismatch`;
 * :func:`verify_profile` compares a behaviour profile with a committed
-  baseline through :func:`repro.behavior.compute_drift` and turns every
+  baseline through :func:`repro.behavior.drift.compute_drift` and turns every
   drifting metric into a :class:`Mismatch`.
 
 Both return a :class:`RegressionReport`, whose ``ok`` is the verdict and
@@ -68,7 +68,8 @@ def verify_campaign(path: Union[str, pathlib.Path]) -> RegressionReport:
     events and zero surviving divergent entries.
     """
     from repro.harness.chaosday import CAMPAIGN_FORMAT, CAMPAIGN_VERSION
-    from repro.storage import ArtifactError, load_json_artifact
+    from repro.storage.artifact import load_json_artifact
+    from repro.storage.errors import ArtifactError
 
     path = pathlib.Path(path)
     report = RegressionReport()
@@ -139,8 +140,9 @@ def verify_profile(
     ``config_digest``, a capture with another digest or none fails as
     ``$.identity.config_digest``: it measured a different configuration.
     """
-    from repro.behavior import DriftConfig, compute_drift, load_profile
-    from repro.storage import ArtifactError
+    from repro.behavior.drift import DriftConfig, compute_drift
+    from repro.behavior.store import load_profile
+    from repro.storage.errors import ArtifactError
 
     report = RegressionReport()
     name = pathlib.Path(path).name

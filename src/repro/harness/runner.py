@@ -35,12 +35,13 @@ from repro import build_processor
 from repro.core.adts import ADTSController
 from repro.core.heuristics import HEURISTICS
 from repro.core.thresholds import ThresholdConfig
-from repro.faults import FaultInjector, FaultPlan
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import FaultPlan
 from repro.harness.errors import ConfigError
 from repro.policies.registry import POLICY_NAMES
 from repro.smt.config import SMTConfig
 from repro.smt.invariants import InvariantChecker
-from repro.workloads import get_mix, mix_names
+from repro.workloads.mixes import get_mix, mix_names
 
 ProgressFn = Callable[[int], None]
 
@@ -351,7 +352,7 @@ def run_adts(
     """Run under ADTS with the given heuristic and thresholds.
 
     ``fault_plan`` (optional) interposes a seeded
-    :class:`~repro.faults.FaultInjector` between the pipeline and the
+    :class:`~repro.faults.injector.FaultInjector` between the pipeline and the
     controller.
     """
     th = thresholds or ThresholdConfig()

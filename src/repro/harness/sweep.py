@@ -22,7 +22,7 @@ from itertools import groupby
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.thresholds import ThresholdConfig
-from repro.faults import FaultPlan
+from repro.faults.plan import FaultPlan
 from repro.harness.errors import ConfigError
 from repro.harness.journal import RunJournal
 from repro.harness.runner import BatchRunSpec, ProgressFn, RunConfig, run_batch, run_key

@@ -7,16 +7,3 @@ miss-under-miss (`MSHRFile`), and a two-level hierarchy with shared L2
 (`MemoryHierarchy`) that turns load/store/ifetch probes into latencies and
 per-thread event counts.
 """
-
-from repro.memory.cache import Cache, CacheConfig
-from repro.memory.mshr import MSHRFile
-from repro.memory.hierarchy import MemoryHierarchy, HierarchyConfig, AccessResult
-
-__all__ = [
-    "Cache",
-    "CacheConfig",
-    "MSHRFile",
-    "MemoryHierarchy",
-    "HierarchyConfig",
-    "AccessResult",
-]

@@ -2,11 +2,5 @@
 
 A per-stage cycle-accounting profiler (:mod:`repro.perf.profiler`). The
 repository's performance measurement is ``bench/run.py``; its traced pass
-runs :class:`StageProfiler` to split pipeline time by stage.
+runs :class:`~repro.perf.profiler.StageProfiler` to split pipeline time by stage.
 """
-
-from repro.perf.profiler import StageProfiler
-
-__all__ = [
-    "StageProfiler",
-]

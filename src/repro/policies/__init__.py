@@ -6,35 +6,3 @@ Selection Unit fetches from the top-ranked threads. Policy provenance
 (ISCA'96); LDCOUNT, MEMCOUNT, ACCIPC and STALLCOUNT are the paper's
 additions; L1MISSCOUNT and L1IMISSCOUNT complete the cache-focused set.
 """
-
-from repro.policies.base import FetchPolicy
-from repro.policies.registry import (
-    POLICY_NAMES,
-    create_policy,
-    policy_class,
-)
-from repro.policies.icount import ICountPolicy
-from repro.policies.brcount import BRCountPolicy
-from repro.policies.ldcount import LDCountPolicy
-from repro.policies.memcount import MemCountPolicy
-from repro.policies.l1miss import L1MissCountPolicy, L1IMissCountPolicy, L1DMissCountPolicy
-from repro.policies.accipc import AccIPCPolicy
-from repro.policies.stallcount import StallCountPolicy
-from repro.policies.roundrobin import RoundRobinPolicy
-
-__all__ = [
-    "FetchPolicy",
-    "POLICY_NAMES",
-    "create_policy",
-    "policy_class",
-    "ICountPolicy",
-    "BRCountPolicy",
-    "LDCountPolicy",
-    "MemCountPolicy",
-    "L1MissCountPolicy",
-    "L1IMissCountPolicy",
-    "L1DMissCountPolicy",
-    "AccIPCPolicy",
-    "StallCountPolicy",
-    "RoundRobinPolicy",
-]

@@ -33,13 +33,9 @@ import time
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
-from repro.storage import (
-    ArtifactError,
-    StorageError,
-    atomic_write_bytes,
-    embed_json_artifact,
-    load_json_artifact,
-)
+from repro.storage.artifact import embed_json_artifact, load_json_artifact
+from repro.storage.atomic import atomic_write_bytes
+from repro.storage.errors import ArtifactError, StorageError
 
 log = logging.getLogger("repro.dlq")
 

@@ -21,10 +21,10 @@ different simulations share an answer.
   disk faults never change a result, so a disk-only request shares its
   clean twin's identity and stored answer).
 
-* :func:`fields_digest` hashes the canonical JSON of those fields (sorted
-  keys) with SHA-256. Because every simulation is seed-deterministic, equal
-  digests imply byte-identical result payloads — which is what makes
-  coalescing and cache hits *answers*, not guesses.
+* :func:`~repro.harness.runner.fields_digest` hashes the canonical JSON
+  of those fields (sorted keys) with SHA-256. Because every simulation is
+  seed-deterministic, equal digests imply byte-identical result payloads —
+  which is what makes coalescing and cache hits *answers*, not guesses.
 
 * :func:`shard_of` maps a digest onto one of N shards (leading 32 bits,
   mod N), so a given simulation is always owned by the same shard: its
@@ -35,11 +35,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.harness.runner import (  # noqa: F401  (re-exports)
-    IDENTITY_SCHEME,
-    fields_digest,
-    run_key,
-)
+from repro.harness.runner import run_key
 
 if TYPE_CHECKING:
     from repro.service.request import SimRequest

@@ -317,7 +317,8 @@ def save_recording(
     block (format ``traffic-recording``) makes it auditable by
     ``repro fsck``. Returns the written document.
     """
-    from repro.storage import atomic_write_bytes, embed_json_artifact
+    from repro.storage.artifact import embed_json_artifact
+    from repro.storage.atomic import atomic_write_bytes
 
     events = list(events)
     doc = {
@@ -336,7 +337,7 @@ def save_recording(
 
 def load_recording(path) -> List[TimedRequest]:
     """Load a recorded stream; raises on damage, sorts by arrival time."""
-    from repro.storage import load_json_artifact
+    from repro.storage.artifact import load_json_artifact
 
     _, doc = load_json_artifact(path, expect=(RECORDING_FORMAT, RECORDING_VERSION))
     if "requests" not in doc:

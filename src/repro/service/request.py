@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 from typing import Optional, Tuple
 
 from repro.core.thresholds import ThresholdConfig
-from repro.faults import FaultPlan
+from repro.faults.plan import FaultPlan
 from repro.harness.errors import (
     OUTCOME_DEGRADED,
     OUTCOME_FULL,

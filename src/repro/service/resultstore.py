@@ -47,16 +47,11 @@ import os
 from pathlib import Path
 from typing import Dict, Optional, Union
 
-from repro.service.identity import fields_digest, shard_of
-from repro.storage import (
-    ArtifactError,
-    StorageError,
-    atomic_write_bytes,
-    embed_json_artifact,
-    load_json_artifact,
-    pid_alive,
-    quarantine,
-)
+from repro.harness.runner import fields_digest
+from repro.service.identity import shard_of
+from repro.storage.artifact import embed_json_artifact, load_json_artifact
+from repro.storage.atomic import atomic_write_bytes, pid_alive, quarantine
+from repro.storage.errors import ArtifactError, StorageError
 
 log = logging.getLogger("repro.resultstore")
 

@@ -23,7 +23,7 @@ what every caller builds. Four mechanisms, layered:
    layer: ADTS switches *scheduling policy* when throughput sags; the
    service switches *simulation engine* when the full pipeline can't keep
    up. Under queue pressure or an open breaker, degradable requests are
-   served by the calibrated :func:`~repro.fastmodel.fast_serve` model, the
+   served by the calibrated :func:`~repro.fastmodel.model.fast_serve` model, the
    response explicitly marked ``degraded: true`` with the reason recorded.
    Full-fidelity service restores itself when pressure subsides.
 
@@ -50,7 +50,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
-from repro.faults import FaultPlan
+from repro.faults.plan import FaultPlan
 from repro.harness.errors import (
     FAILURE_CRASH,
     FAILURE_EXCEPTION,
@@ -138,7 +138,7 @@ class ServiceConfig:
 
 
 def _default_fast_runner(request: SimRequest) -> dict:
-    from repro.fastmodel import fast_serve
+    from repro.fastmodel.model import fast_serve
 
     return fast_serve(
         request.mix,

@@ -13,45 +13,3 @@ DESIGN.md §2) but preserves the inter-thread resource-competition dynamics
 — IQ clogging, wrong-path fetch waste, shared-cache interference, MLP —
 that drive the per-quantum counters ADTS consumes.
 """
-
-from repro.smt.config import SMTConfig
-from repro.smt.instruction import (
-    Instruction,
-    OpClass,
-    KIND_NAMES,
-    IALU,
-    IMUL,
-    FADD,
-    FMUL,
-    FDIV,
-    LOAD,
-    STORE,
-    BRANCH,
-    SYSCALL,
-)
-from repro.smt.counters import ThreadCounters, CounterBank
-from repro.smt.pipeline import SMTProcessor
-from repro.smt.stats import SimStats
-from repro.smt.invariants import InvariantChecker, InvariantViolation
-
-__all__ = [
-    "SMTConfig",
-    "InvariantChecker",
-    "InvariantViolation",
-    "Instruction",
-    "OpClass",
-    "KIND_NAMES",
-    "ThreadCounters",
-    "CounterBank",
-    "SMTProcessor",
-    "SimStats",
-    "IALU",
-    "IMUL",
-    "FADD",
-    "FMUL",
-    "FDIV",
-    "LOAD",
-    "STORE",
-    "BRANCH",
-    "SYSCALL",
-]

@@ -482,7 +482,7 @@ class BatchEngine:
         if _scheduler_faulted(spec0):
             # Sequential hook chain, verbatim: controller (or nothing)
             # wrapped by this run's own seeded injector.
-            from repro.faults import FaultInjector
+            from repro.faults.injector import FaultInjector
 
             member = members[0]
             injector = member.injector = FaultInjector(spec0.fault_plan, member.controller)

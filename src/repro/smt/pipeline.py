@@ -33,9 +33,7 @@ from collections import deque
 from math import log as _log
 from typing import Deque, Dict, List, Optional, Sequence
 
-from repro.branch.bimodal import BimodalPredictor
 from repro.branch.btb import BranchTargetBuffer
-from repro.branch.gshare import GsharePredictor
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.policies.base import FetchPolicy
 from repro.policies.registry import create_policy

@@ -24,7 +24,7 @@ the budget is raised classified (:func:`~repro.storage.errors.classify_oserror`)
 
 All raw I/O routes through the installed :class:`~repro.storage.faultfs.
 FaultFS` (if any), which is how the disk-fault family of
-:class:`~repro.faults.FaultPlan` reaches every storage call uniformly.
+:class:`~repro.faults.plan.FaultPlan` reaches every storage call uniformly.
 """
 
 from __future__ import annotations

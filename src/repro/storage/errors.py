@@ -4,8 +4,7 @@ Every way a durable-artifact operation can fail maps onto one class here,
 so callers react per-category — retry a :class:`TransientStorageError`,
 free space on a :class:`DiskFullError`, quarantine on an
 :class:`ArtifactCorruptError` — instead of pattern-matching ``OSError``
-messages. :mod:`repro.harness.errors` re-exports the whole hierarchy so
-harness code sees one unified taxonomy.
+messages. Storage and harness code alike import these classes from here.
 
 This module is deliberately dependency-free (it sits below both
 ``repro.storage`` and ``repro.harness`` in the import graph).

@@ -19,7 +19,7 @@ Torn/ENOSPC/rename faults are *transient* (each operation draws afresh, so
 the atomic layer's bounded retry normally recovers); bitrot is persistent
 by nature and is caught later by artifact checksums (``repro fsck``).
 
-The injector is a new fault family of :class:`repro.faults.FaultPlan`
+The injector is a new fault family of :class:`repro.faults.plan.FaultPlan`
 (``--faults disk``); :meth:`FaultPlan.disk_plan` converts a plan's
 ``disk_*`` rates into the :class:`DiskFaultPlan` consumed here.
 """

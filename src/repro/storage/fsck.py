@@ -24,10 +24,12 @@ Result-store entries (``sim-result`` documents) additionally have their
 content address verified: the digest re-derived from the embedded
 canonical request must match the stored identity *and* the filename — a
 checksum-valid but mislabeled entry is corrupt, because serving it would
-answer the wrong simulation. A result entry or behaviour profile whose
-artifact version its reader does not know is corrupt too, as is a profile
-its reader refuses. Coalescing leases (``*.lease``) held by dead
-PIDs classify as ``stale-temp`` and are removed; live ones are left alone.
+answer the wrong simulation. An artifact of a known format (result entry,
+behaviour profile, chaos campaign, traffic recording, dead-letter entry,
+divergence record) whose version its reader does not read is corrupt too,
+as is a profile its reader refuses. Coalescing leases (``*.lease``) held
+by dead PIDs classify as ``stale-temp`` and are removed; live ones are
+left alone.
 
 Files that are not artifacts (locks, previous ``*.corrupt`` quarantines,
 unrelated extensions) are left untouched. The report is machine-readable
@@ -39,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.storage.artifact import check_family, parse_json_artifact
 from repro.storage.atomic import atomic_write_bytes, quarantine
@@ -175,23 +177,42 @@ def _probe_json(path: Path, blob: bytes, repair: bool) -> FsckEntry:
         # Plain JSON (e.g. a committed baseline): intact and loadable,
         # deliberately NOT rewritten — fsck must not dirty checked-in files.
         return FsckEntry(str(path), "migratable", "none", "plain JSON (no artifact block)")
-    from repro.behavior.profile import PROFILE_FORMAT, PROFILE_VERSION
-    from repro.service.resultstore import RESULT_FORMAT, RESULT_VERSION
-
-    probes = {
-        RESULT_FORMAT: (RESULT_VERSION, _probe_sim_result),
-        PROFILE_FORMAT: (PROFILE_VERSION, _probe_behavior_profile),
-    }
-    if meta.get("format") not in probes:
+    families = _json_families()
+    if meta.get("format") not in families:
         return FsckEntry(str(path), "healthy")
-    version, probe = probes[meta["format"]]
+    version, probe = families[meta["format"]]
     try:
         check_family(meta, (meta["format"], version))
     except ArtifactError as exc:
         # The reader of this family refuses it (a schema it does not know,
         # or a damaged version: the CRC does not cover the block).
         return _quarantine_entry(path, "corrupt", str(exc), repair)
-    return probe(path, payload, repair)
+    return probe(path, payload, repair) if probe else FsckEntry(str(path), "healthy")
+
+
+def _json_families() -> Dict[str, Tuple[int, Optional[Callable]]]:
+    """Each JSON artifact format → the version its reader reads, and the
+    probe that checks the content beyond checksum and version (None when
+    those are the whole check), from the constants the readers use."""
+    from repro.behavior.profile import PROFILE_FORMAT, PROFILE_VERSION
+    from repro.harness.chaosday import CAMPAIGN_FORMAT, CAMPAIGN_VERSION
+    from repro.service.dlq import DLQ_FORMAT, DLQ_VERSION
+    from repro.service.loadgen import RECORDING_FORMAT, RECORDING_VERSION
+    from repro.service.resultstore import (
+        DIVERGENCE_FORMAT,
+        DIVERGENCE_VERSION,
+        RESULT_FORMAT,
+        RESULT_VERSION,
+    )
+
+    return {
+        RESULT_FORMAT: (RESULT_VERSION, _probe_sim_result),
+        PROFILE_FORMAT: (PROFILE_VERSION, _probe_behavior_profile),
+        CAMPAIGN_FORMAT: (CAMPAIGN_VERSION, None),
+        RECORDING_FORMAT: (RECORDING_VERSION, None),
+        DLQ_FORMAT: (DLQ_VERSION, None),
+        DIVERGENCE_FORMAT: (DIVERGENCE_VERSION, None),
+    }
 
 
 def _probe_sim_result(path: Path, payload: dict, repair: bool) -> FsckEntry:
@@ -204,7 +225,7 @@ def _probe_sim_result(path: Path, payload: dict, repair: bool) -> FsckEntry:
     — served, it would answer the *wrong* simulation with a perfectly
     valid checksum — so it is quarantined as corrupt.
     """
-    from repro.service.identity import fields_digest
+    from repro.harness.runner import fields_digest
     from repro.service.resultstore import INTEGRITY_STATUSES
 
     stored = payload.get("identity")

@@ -1,6 +1,1 @@
 """Shared utilities: batched RNG draws and seed-stream management."""
-
-from repro.util.randpool import RandPool
-from repro.util.seeds import SeedSequencer
-
-__all__ = ["RandPool", "SeedSequencer"]

@@ -10,24 +10,3 @@ plus the event rates (conditional-branch density, misprediction rate, cache
 miss rate, load/store density) that the ADTS heuristics' threshold
 conditions test. See DESIGN.md §2 for the substitution argument.
 """
-
-from repro.workloads.profiles import ApplicationProfile, PhaseProfile, PROFILES, get_profile
-from repro.workloads.addrgen import DataAddressGenerator
-from repro.workloads.branchgen import ControlFlowGenerator
-from repro.workloads.tracegen import TraceGenerator, make_generators
-from repro.workloads.mixes import Mix, MIXES, get_mix, mix_names
-
-__all__ = [
-    "ApplicationProfile",
-    "PhaseProfile",
-    "PROFILES",
-    "get_profile",
-    "DataAddressGenerator",
-    "ControlFlowGenerator",
-    "TraceGenerator",
-    "make_generators",
-    "Mix",
-    "MIXES",
-    "get_mix",
-    "mix_names",
-]

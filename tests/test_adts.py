@@ -92,7 +92,7 @@ class TestADTSIntegration:
             assert key in s
 
     def test_heuristic_instance_accepted(self, quick_proc):
-        from repro.core.heuristics import Type2Heuristic
+        from repro.core.heuristics.type2 import Type2Heuristic
 
         adts = ADTSController(heuristic=Type2Heuristic())
         proc = quick_proc(hook=adts)
@@ -171,7 +171,7 @@ class TestMachineLifetime:
         controller (or around nothing, for a fixed run) holds the machine
         too: the run detaches the whole hook chain, so no machine outlives
         it without a full collection."""
-        from repro.faults import FaultPlan
+        from repro.faults.plan import FaultPlan
         from repro.harness import runner
         from repro.smt.pipeline import SMTProcessor
 

@@ -1,4 +1,4 @@
-"""Tests for the top-level public API (`repro.build_processor` etc.)."""
+"""Tests for the top-level public API (`repro.build_processor`)."""
 
 import pytest
 
@@ -43,16 +43,3 @@ class TestBuildProcessor:
 class TestPublicSurface:
     def test_version(self):
         assert repro.__version__
-
-    def test_all_exports_resolve(self):
-        for name in repro.__all__:
-            assert hasattr(repro, name), name
-
-    def test_policy_names_exposed(self):
-        assert "icount" in repro.POLICY_NAMES
-
-    def test_heuristics_exposed(self):
-        assert set(repro.HEURISTICS) >= {"type1", "type3", "type4"}
-
-    def test_mix_names_exposed(self):
-        assert len(repro.mix_names()) == 13

@@ -12,21 +12,18 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.service import (
+from repro.service.autoscale import (
     Autoscaler,
     AutoscalerConfig,
-    ServiceConfig,
-    SimRequest,
-    VirtualClock,
-)
-from repro.service.autoscale import (
     DOWN_CONSECUTIVE,
     STEP_DOWN,
     STEP_UP,
     UP_CONSECUTIVE,
     UP_QUEUE_DEPTH,
 )
-from repro.service.service import SimulationService
+from repro.service.loadgen import VirtualClock
+from repro.service.request import SimRequest
+from repro.service.service import ServiceConfig, SimulationService
 
 SRC = str(Path(repro.__file__).resolve().parents[1])
 

@@ -18,7 +18,7 @@ import repro.harness.sweep as sweep_mod
 from repro import build_processor
 from repro.core.adts import ADTSController
 from repro.core.thresholds import ThresholdConfig
-from repro.faults import FaultPlan
+from repro.faults.plan import FaultPlan
 from repro.harness.errors import ConfigError
 from repro.harness.executor import ExecutorConfig, SupervisedExecutor
 from repro.harness.journal import RunJournal

@@ -26,29 +26,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.behavior import (
+from repro.behavior.drift import DriftConfig, compute_drift
+from repro.behavior.guard import COOLDOWN_S, DRIFT_STREAK, DriftGuard, WINDOW
+from repro.behavior.profile import (
     BehaviorProfile,
-    DriftConfig,
-    DriftGuard,
-    ProfileStore,
-    compute_drift,
+    RATE_DENOMINATOR,
+    SERVICE_RATE_KEYS,
     flatten_metrics,
-    load_profile,
     profile_from_campaign,
     profile_from_service,
     profile_from_sim,
     service_rates,
 )
-from repro.behavior.guard import COOLDOWN_S, DRIFT_STREAK, WINDOW
-from repro.behavior.profile import RATE_DENOMINATOR, SERVICE_RATE_KEYS
+from repro.behavior.store import ProfileStore, load_profile
 from repro.harness.regression import verify_profile
-from repro.service import (
-    ServeLoop,
-    ServiceConfig,
-    ShardedService,
-    SimRequest,
-)
-from repro.storage import fsck_tree
+from repro.service.request import SimRequest
+from repro.service.router import ShardedService
+from repro.service.server import ServeLoop
+from repro.service.service import ServiceConfig
+from repro.storage.fsck import fsck_tree
 
 
 def make_profile(metrics=None, label="t", source="test"):
@@ -498,7 +494,8 @@ class TestProfileFsck:
         assert path.with_suffix(".json.corrupt").exists()
 
     def test_structural_damage_is_quarantined(self, tmp_path):
-        from repro.storage import atomic_write_bytes, embed_json_artifact
+        from repro.storage.artifact import embed_json_artifact
+        from repro.storage.atomic import atomic_write_bytes
 
         doc = embed_json_artifact(
             {"kind": "behaviour-profile", "label": "x", "source": "t",
@@ -521,8 +518,9 @@ class TestProfileFsck:
         """A CRC-valid but damaged profile is refused by its reader, not
         loaded with the damage dropped or defaulted; fsck calls the same
         document corrupt."""
-        from repro.behavior import load_profile
-        from repro.storage import atomic_write_bytes, embed_json_artifact
+        from repro.behavior.store import load_profile
+        from repro.storage.artifact import embed_json_artifact
+        from repro.storage.atomic import atomic_write_bytes
 
         payload = dict(make_profile(metrics={"ipc": 1.5}).to_payload(), **damage)
         path = tmp_path / "damaged.json"
@@ -534,8 +532,8 @@ class TestProfileFsck:
         assert report.counts == {"corrupt": 1}
 
     def test_foreign_version_is_refused(self, tmp_path):
-        from repro.behavior import load_profile
-        from repro.storage import ArtifactVersionError
+        from repro.behavior.store import load_profile
+        from repro.storage.errors import ArtifactVersionError
 
         store = ProfileStore(tmp_path)
         path = tmp_path / f"{store.save(make_profile())}.json"

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.faults import FaultPlan
+from repro.faults.plan import FaultPlan
 from repro.harness.chaosday import (
     CampaignConfig,
     check_contract,
@@ -15,14 +15,13 @@ from repro.harness.chaosday import (
     run_campaign,
 )
 from repro.harness.regression import verify_campaign
-from repro.service import (
-    ServiceConfig,
+from repro.service.loadgen import (
     TrafficSpec,
     VirtualClock,
     generate_traffic,
     replay_traffic,
 )
-from repro.service.service import SimulationService
+from repro.service.service import ServiceConfig, SimulationService
 
 
 def ok_full(request):
@@ -104,7 +103,7 @@ class TestCampaign:
 
     def test_recording_replay_campaign(self, tmp_path):
         """A campaign replayed from a recorded stream uses it verbatim."""
-        from repro.service import save_recording
+        from repro.service.loadgen import save_recording
 
         events = generate_traffic(TrafficSpec(requests=20, duration_s=4.0, seed=3))
         rec = tmp_path / "rec.json"
@@ -166,7 +165,8 @@ class TestShardedCampaign:
     def test_second_campaign_over_same_store_resimulates_nothing(self, tmp_path):
         """A recording replayed twice against one campaign directory:
         pass 2 is pure result-store hits — zero simulations."""
-        from repro.service import SimRequest, TimedRequest, save_recording
+        from repro.service.loadgen import TimedRequest, save_recording
+        from repro.service.request import SimRequest
 
         events = [
             TimedRequest(
@@ -222,7 +222,7 @@ class TestCampaignProfile:
             self, tmp_path):
         """One seed-0 campaign captured into two stores under two labels
         measures the same configuration: equal digests, equal metrics."""
-        from repro.behavior import ProfileStore
+        from repro.behavior.store import ProfileStore
 
         profiles = []
         for name, label in (("p1", "gate"), ("p2", "other")):
@@ -256,7 +256,8 @@ class TestVerifyCampaign:
         assert not gate.ok
 
     def test_violating_report_fails_the_gate(self, tmp_path):
-        from repro.storage import atomic_write_bytes, embed_json_artifact
+        from repro.storage.artifact import embed_json_artifact
+        from repro.storage.atomic import atomic_write_bytes
 
         bad = {
             "kind": "chaos-campaign",
@@ -283,7 +284,7 @@ class TestChaosdayCli:
         """The acceptance-criteria invocation, in-process: a seeded
         combined-fault diurnal campaign with autoscaling, real engines."""
         from repro.harness.cli import main
-        from repro.storage import fsck_tree
+        from repro.storage.fsck import fsck_tree
 
         out = tmp_path / "campaign"
         rc = main([

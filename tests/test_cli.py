@@ -103,6 +103,7 @@ class TestFlagErrors:
          "need 1 <= autoscale_min <= autoscale_max"),
         (["chaosday", "--drain-deadline", "0"],
          "drain_deadline_s must be positive"),
+        (["chaosday", "--fault-rate", "3"], "fault_rate must be in [0, 1]"),
         (["run", "mix05", "--quanta", "0"], "invalid quanta=0: must be >= 1"),
     ])
     def test_rejected_value_exits_2_with_one_line(
@@ -114,6 +115,32 @@ class TestFlagErrors:
         assert out == ""
         assert err == f"repro {argv[0]}: {message}\n"
         assert list(tmp_path.iterdir()) == []  # nothing ran, nothing written
+
+
+    @pytest.mark.parametrize("argv", [
+        ["table1", "--quanta", "0"],
+        ["headline", "--threshold", "-1"],
+        ["headline", "--heuristic", "type9"],
+        ["scaling", "mix99"],
+        ["oracle", "mix99"],
+        ["resilience", "mix99"],
+        ["resilience", "--fault-rate", "2"],
+        ["grid", "--mixes", "mix99"],
+        ["grid", "--mixes", "mix01", "--faults", "counters", "--fault-rate", "7"],
+        ["fastgrid", "--fast-quanta", "0"],
+    ], ids="_".join)
+    def test_experiment_flags_are_checked_before_running(
+        self, argv, capsys, tmp_path, monkeypatch
+    ):
+        """The experiment commands build their run configs, thresholds,
+        fault plan and fast-model quanta from flags before simulating."""
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"repro {argv[0]}: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestGridInputs:

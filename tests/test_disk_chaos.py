@@ -23,11 +23,11 @@ from pathlib import Path
 import pytest
 
 from repro.core.thresholds import ThresholdConfig
-from repro.faults import FaultPlan
+from repro.faults.plan import FaultPlan
 from repro.harness.journal import RunJournal
 from repro.harness.runner import RunConfig, run_adts
 from repro.harness.sweep import threshold_type_grid
-from repro.storage import faultfs_session
+from repro.storage.faultfs import faultfs_session
 
 QUICK = RunConfig(mix="mix01", quantum_cycles=256, quanta=2, warmup_quanta=1, seed=0)
 

@@ -18,14 +18,12 @@ import json
 import pytest
 
 from repro.harness.cli import main
-from repro.service import (
-    DeadLetterQueue,
-    ServiceConfig,
-    ShardedService,
-    SimRequest,
-    VirtualClock,
-)
+from repro.service.dlq import DeadLetterQueue
 from repro.service.identity import request_identity
+from repro.service.loadgen import VirtualClock
+from repro.service.request import SimRequest
+from repro.service.router import ShardedService
+from repro.service.service import ServiceConfig
 
 
 def req(i, *, seed=13, client="c", **kw):

@@ -19,7 +19,7 @@ import pytest
 
 import repro
 from repro.core.thresholds import ThresholdConfig
-from repro.faults import FaultPlan
+from repro.faults.plan import FaultPlan
 from repro.harness.errors import (
     FAILURE_CRASH,
     FAILURE_EXCEPTION,

@@ -4,13 +4,9 @@ import numpy as np
 import pytest
 
 from repro.core.thresholds import ThresholdConfig
-from repro.fastmodel import (
-    DEFAULT_CONSTANTS,
-    FastMixModel,
-    fast_run_adts,
-    fast_run_fixed,
-)
-from repro.workloads import mix_names
+from repro.fastmodel.calibrate import DEFAULT_CONSTANTS
+from repro.fastmodel.model import FastMixModel, fast_run_adts, fast_run_fixed
+from repro.workloads.mixes import mix_names
 
 QUANTA = 48
 
@@ -68,7 +64,7 @@ class TestFixedPolicyShapes:
         assert means["rr"] == min(means.values())
 
     def test_all_table1_policies_runnable(self):
-        from repro.policies import POLICY_NAMES
+        from repro.policies.registry import POLICY_NAMES
 
         for p in POLICY_NAMES:
             assert fast_run_fixed("mix05", p, quanta=8).ipc > 0

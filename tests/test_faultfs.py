@@ -9,7 +9,7 @@ out of run results: a disk-faulted run returns its clean twin's result).
 
 import pytest
 
-from repro.faults import FaultPlan
+from repro.faults.plan import FaultPlan
 from repro.storage.faultfs import (
     DiskFaultPlan,
     FaultFS,

@@ -4,7 +4,8 @@ import pytest
 
 from repro.core.adts import SAFE_MODE_QUANTA, SAFE_POLICY, ADTSController
 from repro.core.thresholds import ThresholdConfig
-from repro.faults import FaultInjector, FaultPlan
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import FaultPlan
 from repro.harness.runner import RunConfig, run_adts, run_fixed
 from repro.smt.config import SMTConfig
 from repro.smt.counters import QuantumSnapshot

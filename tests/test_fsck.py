@@ -9,9 +9,32 @@ quarantined.
 
 import json
 
+import pytest
+
+from repro.behavior.profile import PROFILE_FORMAT, PROFILE_VERSION
+from repro.harness.chaosday import CAMPAIGN_FORMAT, CAMPAIGN_VERSION
 from repro.harness.cli import main
 from repro.harness.journal import RunJournal, _entry_crc
-from repro.storage import embed_json_artifact, fsck_file, fsck_tree
+from repro.service.dlq import DLQ_FORMAT, DLQ_VERSION
+from repro.service.loadgen import RECORDING_FORMAT, RECORDING_VERSION
+from repro.service.resultstore import (
+    DIVERGENCE_FORMAT,
+    DIVERGENCE_VERSION,
+    RESULT_FORMAT,
+    RESULT_VERSION,
+)
+from repro.storage.artifact import embed_json_artifact
+from repro.storage.fsck import fsck_file, fsck_tree
+
+#: Every checksummed JSON format and the one version its reader reads.
+FAMILIES = [
+    (RESULT_FORMAT, RESULT_VERSION),
+    (PROFILE_FORMAT, PROFILE_VERSION),
+    (CAMPAIGN_FORMAT, CAMPAIGN_VERSION),
+    (RECORDING_FORMAT, RECORDING_VERSION),
+    (DLQ_FORMAT, DLQ_VERSION),
+    (DIVERGENCE_FORMAT, DIVERGENCE_VERSION),
+]
 
 
 def _crc_line(key, payload):
@@ -68,6 +91,18 @@ class TestClassification:
         entry = fsck_file(p, repair=True)
         assert (entry.status, entry.action) == ("corrupt", "quarantined")
         assert "crtifact" in entry.detail
+
+    @pytest.mark.parametrize("fmt, version", FAMILIES, ids=[f for f, _ in FAMILIES])
+    def test_foreign_version_is_corrupt(self, tmp_path, fmt, version):
+        """The CRC does not cover the artifact block, so a document of a
+        known format stamped with a version its reader refuses is
+        checksum-valid; fsck refuses it as the reader does."""
+        p = tmp_path / "doc.json"
+        p.write_text(json.dumps(embed_json_artifact({"v": 1}, fmt, version + 6)))
+        assert fsck_file(p, repair=False).status == "corrupt"
+        entry = fsck_file(p, repair=True)
+        assert (entry.status, entry.action) == ("corrupt", "quarantined")
+        assert not p.exists()
 
     def test_journal_without_crc_is_corrupt(self, tmp_path):
         p = tmp_path / "j.jsonl"
@@ -213,8 +248,8 @@ class TestCLI:
 
 class TestDivergenceTaxonomy:
     def _store_with_divergence(self, tmp_path):
-        from repro.service import ResultStore
-        from repro.service.identity import fields_digest
+        from repro.harness.runner import fields_digest
+        from repro.service.resultstore import ResultStore
 
         store = ResultStore(tmp_path / "rs", shards=2)
         fields = {"mix": "mix05", "seed": 1}
@@ -244,10 +279,10 @@ class TestDivergenceTaxonomy:
         """fsck exit 0 must imply no divergent-marked entry can be served:
         a live sim-result whose integrity field says anything but
         unverified/verified is real damage."""
-        from repro.storage import embed_json_artifact
+        from repro.storage.artifact import embed_json_artifact
 
-        from repro.service import ResultStore
-        from repro.service.identity import fields_digest
+        from repro.harness.runner import fields_digest
+        from repro.service.resultstore import ResultStore
 
         store = ResultStore(tmp_path / "rs", shards=1)
         fields = {"mix": "mix05", "seed": 2}
@@ -268,8 +303,8 @@ class TestDivergenceTaxonomy:
         assert fsck_tree(store.root, repair=True).exit_code == 0
 
     def test_verified_entry_is_healthy(self, tmp_path):
-        from repro.service import ResultStore
-        from repro.service.identity import fields_digest
+        from repro.harness.runner import fields_digest
+        from repro.service.resultstore import ResultStore
 
         store = ResultStore(tmp_path / "rs", shards=1)
         fields = {"mix": "mix05", "seed": 3}

@@ -6,7 +6,6 @@ import json
 import pytest
 
 from repro.core.thresholds import ThresholdConfig
-from repro.harness import run_mix_average
 from repro.harness.errors import ConfigError, HarnessError, JournalError
 from repro.harness.journal import RunJournal
 from repro.harness.runner import (
@@ -15,6 +14,7 @@ from repro.harness.runner import (
     fields_digest,
     run_fields,
     run_key,
+    run_mix_average,
 )
 from repro.harness.sweep import threshold_type_grid
 from repro.smt.config import SMTConfig

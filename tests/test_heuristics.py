@@ -2,16 +2,11 @@
 
 import pytest
 
-from repro.core.heuristics import (
-    HEURISTICS,
-    HEURISTIC_LABELS,
-    Type1Heuristic,
-    Type2Heuristic,
-    Type3GradientHeuristic,
-    Type3Heuristic,
-    Type4Heuristic,
-    create_heuristic,
-)
+from repro.core.heuristics import HEURISTICS, HEURISTIC_LABELS, create_heuristic
+from repro.core.heuristics.type1 import Type1Heuristic
+from repro.core.heuristics.type2 import Type2Heuristic
+from repro.core.heuristics.type3 import Type3GradientHeuristic, Type3Heuristic
+from repro.core.heuristics.type4 import Type4Heuristic
 from repro.core.quantum import QuantumObservation
 from repro.core.thresholds import ThresholdConfig
 

@@ -13,13 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.thresholds import ThresholdConfig
-from repro.faults import FaultPlan
+from repro.faults.plan import FaultPlan
 from repro.harness.cli import main
 from repro.harness.journal import RunJournal
 from repro.harness.runner import BatchRunSpec, RunConfig, run_fields, run_key
 from repro.harness.sweep import threshold_type_grid
-from repro.service import SimRequest
 from repro.service.identity import request_identity, shard_of
+from repro.service.request import SimRequest
 
 
 def req(**kw):
@@ -186,7 +186,7 @@ class TestRunIdentity:
     ])
     def test_profile_snapshot_config_digest_covers_the_run(
             self, tmp_path, capsys, flag, values):
-        from repro.behavior import ProfileStore
+        from repro.behavior.store import ProfileStore
 
         digests = []
         for value in values:

@@ -4,7 +4,7 @@ bit-identity of a profiled run."""
 import pytest
 
 from repro import build_processor
-from repro.perf import StageProfiler
+from repro.perf.profiler import StageProfiler
 
 
 def test_stage_profiler_accounts_stage_time():

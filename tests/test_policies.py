@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.policies import POLICY_NAMES, create_policy, policy_class
 from repro.policies.base import FetchPolicy
+from repro.policies.registry import POLICY_NAMES, create_policy, policy_class
 from repro.smt.counters import CounterBank
 
 

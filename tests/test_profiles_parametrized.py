@@ -4,7 +4,7 @@ whole stack (trace generation, fast model) without pathologies."""
 import numpy as np
 import pytest
 
-from repro.fastmodel import FastMixModel
+from repro.fastmodel.model import FastMixModel
 from repro.smt.instruction import BRANCH, LOAD, STORE
 from repro.workloads.mixes import MIXES
 from repro.workloads.profiles import PROFILES, get_profile

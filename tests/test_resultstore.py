@@ -11,9 +11,10 @@ import sys
 import pytest
 
 from repro.harness.runner import run_fields
-from repro.service import ResultStore, SimRequest
 from repro.service.identity import request_identity
-from repro.storage import fsck_tree
+from repro.service.request import SimRequest
+from repro.service.resultstore import ResultStore
+from repro.storage.fsck import fsck_tree
 
 
 def req(**kw):
@@ -194,7 +195,7 @@ class TestFsckTaxonomy:
         doc = json.loads(path.read_bytes())
         # Tamper with the identity, then re-seal the CRC so only the
         # content-address check can catch it.
-        from repro.storage import embed_json_artifact
+        from repro.storage.artifact import embed_json_artifact
 
         doc.pop("artifact")
         doc["identity"] = "f" * 64
@@ -251,7 +252,7 @@ class TestIntegrity:
         """An entry filed under B whose fields are A's (a tampered,
         re-sealed document) is never promoted, so it is never re-filed
         under A's digest."""
-        from repro.storage import embed_json_artifact
+        from repro.storage.artifact import embed_json_artifact
 
         a, b = req(seed=1), req(seed=2)
         d_a, d_b = request_identity(a), request_identity(b)
@@ -279,7 +280,7 @@ class TestIntegrity:
         )
         assert path == store.divergent_path(d) and path.exists()
         assert store.get(d) is None  # a miss: the caller re-simulates
-        from repro.storage import load_json_artifact
+        from repro.storage.artifact import load_json_artifact
 
         _, doc = load_json_artifact(path, expect=("sim-divergence", 1))
         assert doc["primary"] == {"ipc": 1.0}
@@ -290,7 +291,7 @@ class TestIntegrity:
 
     def test_live_entry_with_bad_integrity_status_is_a_corrupt_miss(
             self, store):
-        from repro.storage import embed_json_artifact
+        from repro.storage.artifact import embed_json_artifact
 
         r = req()
         d = request_identity(r)

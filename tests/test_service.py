@@ -15,27 +15,28 @@ from repro.harness.errors import (
     OUTCOME_REJECTED,
     OUTCOME_SHED,
 )
-from repro.service import (
+from repro.service.admission import (
     AdmissionQueue,
-    BurstSpec,
-    CircuitBreaker,
-    QueueEntry,
     REASON_CLIENT_QUOTA,
     REASON_QUEUE_FULL,
+)
+from repro.service.breaker import (
+    CircuitBreaker,
     STATE_CLOSED,
     STATE_HALF_OPEN,
     STATE_OPEN,
-    ServiceConfig,
-    ShardedService,
+)
+from repro.service.loadgen import BurstSpec, breakdown, generate_burst
+from repro.service.request import (
+    QueueEntry,
     SimRequest,
     SimResponse,
     TIER_FAST,
     TIER_FULL,
     TIER_NONE,
-    breakdown,
-    generate_burst,
 )
-from repro.service.service import SimulationService
+from repro.service.router import ShardedService
+from repro.service.service import ServiceConfig, SimulationService
 
 fork_only = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -434,7 +435,7 @@ class TestBreakerChaos:
         its worker: the breaker must open after the configured streak, the
         backlog must drain degraded, and — after cooldown with the fault
         removed — a canary must close the breaker again."""
-        from repro.faults import FaultPlan
+        from repro.faults.plan import FaultPlan
 
         plan = FaultPlan(service_breaker_trip_rate=1.0, seed=3)
         svc = SimulationService(ServiceConfig(
@@ -467,7 +468,7 @@ class TestBreakerChaos:
         svc.drain(5.0)
 
     def test_overload_fault_forces_the_ladder(self):
-        from repro.faults import FaultPlan
+        from repro.faults.plan import FaultPlan
 
         plan = FaultPlan(service_overload_rate=1.0, seed=0)
         svc = SimulationService(

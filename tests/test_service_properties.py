@@ -15,14 +15,8 @@ from repro.harness.errors import (
     OUTCOME_FULL,
     OUTCOME_KINDS,
 )
-from repro.service import (
-    ServiceConfig,
-    SimRequest,
-    TIER_FAST,
-    TIER_FULL,
-    TIER_KINDS,
-)
-from repro.service.service import SimulationService
+from repro.service.request import SimRequest, TIER_FAST, TIER_FULL, TIER_KINDS
+from repro.service.service import ServiceConfig, SimulationService
 
 _REQUESTS = st.lists(
     st.tuples(

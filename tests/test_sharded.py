@@ -19,19 +19,15 @@ import sys
 import pytest
 
 from repro.harness.runner import run_fields
-from repro.service import (
-    AutoscalerConfig,
-    ResultStore,
-    ServeLoop,
-    ServiceConfig,
-    ShardedService,
-    SimRequest,
-    VirtualClock,
-    replay_traffic,
-    TimedRequest,
-)
+from repro.service.autoscale import AutoscalerConfig
 from repro.service.breaker import STATE_CLOSED
 from repro.service.identity import request_identity
+from repro.service.loadgen import TimedRequest, VirtualClock, replay_traffic
+from repro.service.request import SimRequest
+from repro.service.resultstore import ResultStore
+from repro.service.router import ShardedService
+from repro.service.server import ServeLoop
+from repro.service.service import ServiceConfig
 
 
 def req(i, *, seed=3, client="c", **kw):

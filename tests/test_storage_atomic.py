@@ -14,7 +14,7 @@ import os
 
 import pytest
 
-from repro.storage import (
+from repro.storage.atomic import (
     DEFAULT_RETRY,
     RetrySpec,
     append_line,

@@ -20,14 +20,9 @@ from hypothesis import strategies as st
 import pytest
 
 from repro.harness.journal import RunJournal, _entry_crc, scan_journal_lines
-from repro.storage import (
-    ArtifactError,
-    ArtifactVersionError,
-    embed_json_artifact,
-    fsck_file,
-    load_json_artifact,
-)
-from repro.storage.fsck import STATUSES
+from repro.storage.artifact import embed_json_artifact, load_json_artifact
+from repro.storage.errors import ArtifactError, ArtifactVersionError
+from repro.storage.fsck import STATUSES, fsck_file
 
 _SETTINGS = settings(
     max_examples=30,
@@ -110,8 +105,8 @@ class TestJsonArtifactHonesty:
     def test_no_single_bit_flip_of_a_store_entry_is_served(self, tmp_path):
         """Exhaustively: every one-bit flip of a result-store entry either
         raises or loads the entry as written."""
-        from repro.service import ResultStore
-        from repro.service.identity import fields_digest
+        from repro.harness.runner import fields_digest
+        from repro.service.resultstore import ResultStore
 
         store = ResultStore(tmp_path / "rs", shards=1)
         fields = {"mix": "mix05", "seed": 3}

@@ -7,11 +7,8 @@ import json
 import numpy as np
 import pytest
 
-from repro.service import (
+from repro.service.loadgen import (
     BurstSpec,
-    ServiceConfig,
-    SimRequest,
-    SimResponse,
     TimedRequest,
     TrafficSpec,
     VirtualClock,
@@ -23,7 +20,8 @@ from repro.service import (
     save_recording,
     traffic_fingerprint,
 )
-from repro.service.service import SimulationService
+from repro.service.request import SimRequest, SimResponse
+from repro.service.service import ServiceConfig, SimulationService
 
 
 def ok_full(request):
@@ -156,7 +154,7 @@ class TestRecording:
         loaded = load_recording(path)
         assert loaded == sorted(events, key=lambda e: (e.at_s, e.request.request_id))
         assert traffic_fingerprint(loaded) == traffic_fingerprint(events)
-        from repro.storage import fsck_tree
+        from repro.storage.fsck import fsck_tree
 
         report = fsck_tree(tmp_path, repair=False)
         assert report.counts == {"healthy": 1}
@@ -167,18 +165,19 @@ class TestRecording:
         doc = json.loads(path.read_text())
         doc["requests"][0]["at_s"] = 99.0  # bit-flip stand-in
         path.write_text(json.dumps(doc))
-        from repro.storage import ArtifactError
+        from repro.storage.errors import ArtifactError
 
         with pytest.raises((ArtifactError, ValueError)):
             load_recording(path)
 
     def test_wrong_format_refused(self, tmp_path):
-        from repro.storage import atomic_write_bytes, embed_json_artifact
+        from repro.storage.artifact import embed_json_artifact
+        from repro.storage.atomic import atomic_write_bytes
 
         path = tmp_path / "other.json"
         doc = embed_json_artifact({"kind": "other"}, "bench-report", 1)
         atomic_write_bytes(path, json.dumps(doc).encode())
-        from repro.storage import ArtifactError
+        from repro.storage.errors import ArtifactError
 
         with pytest.raises((ArtifactError, ValueError)):
             load_recording(path)

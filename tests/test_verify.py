@@ -24,19 +24,18 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.faults import FaultPlan
-from repro.service import (
+from repro.faults.plan import FaultPlan
+from repro.service.identity import request_identity
+from repro.service.loadgen import VirtualClock
+from repro.service.request import SimRequest
+from repro.service.resultstore import (
     INTEGRITY_UNVERIFIED,
     INTEGRITY_VERIFIED,
     ResultStore,
-    ServiceConfig,
-    ShardedService,
-    SimRequest,
-    VirtualClock,
-    payload_digest,
 )
-from repro.service.identity import request_identity
-from repro.service.verify import corrupt_payload
+from repro.service.router import ShardedService
+from repro.service.service import ServiceConfig
+from repro.service.verify import corrupt_payload, payload_digest
 
 
 def req(i, *, seed=3, client="c", **kw):
@@ -161,7 +160,7 @@ class TestVerificationLifecycle:
     def test_divergent_store_entry_is_a_miss(self, tmp_path):
         store = ResultStore(tmp_path / "rs", shards=2)
         fields = {"mix": "mix05", "seed": 1}
-        from repro.service.identity import fields_digest
+        from repro.harness.runner import fields_digest
 
         digest = fields_digest(fields)
         store.put(fields, {"ipc": 1.0})
