@@ -103,8 +103,8 @@ class TestFlagErrors:
          "need 1 <= autoscale_min <= autoscale_max"),
         (["chaosday", "--drain-deadline", "0"],
          "drain_deadline_s must be positive"),
-        (["chaosday", "--fault-rate", "3"], "fault_rate must be in [0, 1]"),
         (["run", "mix05", "--quanta", "0"], "invalid quanta=0: must be >= 1"),
+        (["chaosday", "--fault-rate", "3"], "fault_rate must be in [0, 1]"),
     ])
     def test_rejected_value_exits_2_with_one_line(
         self, argv, message, capsys, tmp_path, monkeypatch
