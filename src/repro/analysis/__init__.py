@@ -1,7 +1,7 @@
 """Post-run analysis tools.
 
-Turns raw simulation output (quantum histories, ADTS decision logs, switch
-ledgers) into the quantities the paper discusses: policy-dominance
-structure over time, switch matrices and their quality, phase-change
-detection, and fixed-vs-adaptive comparisons with uncertainty estimates.
+Turns the per-quantum IPC series and per-thread statistics of finished
+runs into the quantities ``examples/dominance_analysis.py`` reports:
+policy-dominance structure over time, phase-change detection, and
+per-thread fairness.
 """

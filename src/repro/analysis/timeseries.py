@@ -13,20 +13,6 @@ from typing import Dict, List, Sequence
 import numpy as np
 
 
-def moving_average(series: Sequence[float], window: int) -> List[float]:
-    """Centered-causal moving average (simple trailing window)."""
-    if window <= 0:
-        raise ValueError("window must be positive")
-    out: List[float] = []
-    acc = 0.0
-    for i, x in enumerate(series):
-        acc += x
-        if i >= window:
-            acc -= series[i - window]
-        out.append(acc / min(i + 1, window))
-    return out
-
-
 def detect_level_shifts(
     series: Sequence[float],
     threshold: float = 4.0,

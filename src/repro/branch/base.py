@@ -1,8 +1,6 @@
-"""Common predictor machinery: the saturating-counter table and interface."""
+"""The 2-bit saturating-counter table behind the bimodal predictor."""
 
 from __future__ import annotations
-
-import abc
 
 
 class TwoBitCounterTable:
@@ -45,44 +43,3 @@ class TwoBitCounterTable:
     def reset(self) -> None:
         """Re-initialize every counter to weakly-taken."""
         self._table = [2] * self.entries
-
-
-class BranchPredictor(abc.ABC):
-    """Direction predictor interface.
-
-    Predictors are thread-aware: on SMT, speculative global history must be
-    kept per hardware context or cross-thread aliasing destroys accuracy
-    (contexts share the *tables*, like real SMT hardware, but not the
-    history registers).
-    """
-
-    def __init__(self) -> None:
-        self.lookups = 0
-        self.correct = 0
-
-    @abc.abstractmethod
-    def predict(self, tid: int, pc: int) -> bool:
-        """Predict direction of the conditional branch at ``pc``."""
-
-    @abc.abstractmethod
-    def update(self, tid: int, pc: int, taken: bool) -> None:
-        """Train with the resolved outcome."""
-
-    def predict_and_update(self, tid: int, pc: int, taken: bool) -> bool:
-        """Convenience for trace-driven use: returns True iff correct."""
-        self.lookups += 1
-        prediction = self.predict(tid, pc)
-        self.update(tid, pc, taken)
-        ok = prediction == taken
-        if ok:
-            self.correct += 1
-        return ok
-
-    @property
-    def accuracy(self) -> float:
-        return self.correct / self.lookups if self.lookups else 1.0
-
-    def reset(self) -> None:
-        """Clear accuracy statistics (and, in subclasses, tables)."""
-        self.lookups = 0
-        self.correct = 0

@@ -242,7 +242,7 @@ class ADTSController(SchedulerHook):
                     "policy_switch",
                     SWITCH_COST,
                     on_complete=functools.partial(
-                        self._apply_switch, decision, log, record.ipc, record.index
+                        self._apply_switch, decision, log, record.ipc
                     ),
                 ),
                 now,
@@ -306,7 +306,7 @@ class ADTSController(SchedulerHook):
         )
 
     # -- actions --------------------------------------------------------------
-    def _apply_switch(self, decision, log: DecisionLog, ipc_before: float, qindex: int, at_cycle: int) -> None:
+    def _apply_switch(self, decision, log: DecisionLog, ipc_before: float, at_cycle: int) -> None:
         if self.in_safe_mode:
             # A stale switch completing after the watchdog tripped must not
             # override the fallback policy.
@@ -314,7 +314,7 @@ class ADTSController(SchedulerHook):
             return
         self.processor.set_policy(decision.next_policy)
         log.applied_at_cycle = at_cycle
-        self.ledger.record_switch(qindex, log.incumbent, decision.next_policy, ipc_before)
+        self.ledger.record_switch(ipc_before)
         self._awaiting_outcome = True
         self._ipc_before_switch = ipc_before
 

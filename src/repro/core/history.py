@@ -77,9 +77,6 @@ class SwitchHistoryBuffer:
 class SwitchEvent:
     """One policy switch, for the quality ledger."""
 
-    quantum_index: int
-    from_policy: str
-    to_policy: str
     ipc_before: float
     ipc_after: Optional[float] = None
 
@@ -99,11 +96,9 @@ class SwitchQualityLedger:
     events: List[SwitchEvent] = field(default_factory=list)
     _open: Optional[SwitchEvent] = None
 
-    def record_switch(
-        self, quantum_index: int, from_policy: str, to_policy: str, ipc_before: float
-    ) -> None:
+    def record_switch(self, ipc_before: float) -> None:
         """Open a switch event; judged by the next quantum's IPC."""
-        event = SwitchEvent(quantum_index, from_policy, to_policy, ipc_before)
+        event = SwitchEvent(ipc_before)
         self.events.append(event)
         self._open = event
 

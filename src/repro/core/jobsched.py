@@ -35,10 +35,8 @@ from repro.workloads.tracegen import TraceGenerator
 class Job:
     """One software job: a named program with persistent execution state."""
 
-    job_id: int
     app: str
     trace: TraceGenerator
-    scheduled_intervals: int = 0
     evictions_as_clogger: int = 0
 
 
@@ -54,7 +52,7 @@ class JobPool:
             # Trace tid == job id so each job owns a distinct address space
             # regardless of which hardware context it lands on.
             trace = TraceGenerator(get_profile(app), jid, seeds.generator("job", jid, app))
-            self.jobs.append(Job(jid, app, trace))
+            self.jobs.append(Job(app, trace))
 
     def __len__(self) -> int:
         return len(self.jobs)
@@ -144,7 +142,6 @@ class JobSchedulerHook(SchedulerHook):
                 outgoing.evictions_as_clogger += 1
                 self.adts.flags.clear_suspension_mark(tid)
             self.processor.swap_thread(tid, incoming.trace, self.switch_penalty)
-            incoming.scheduled_intervals += 1
             self.resident[tid] = incoming
             self.waiting.append(outgoing)
             self.swaps += 1

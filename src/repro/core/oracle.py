@@ -32,7 +32,6 @@ class OracleQuantum:
 
     index: int
     chosen: str
-    per_policy_committed: dict
     committed: int
 
 
@@ -90,7 +89,6 @@ class OracleScheduler:
                 OracleQuantum(
                     index=q,
                     chosen=chosen,
-                    per_policy_committed=per_policy,
                     committed=processor.stats.committed - before,
                 )
             )

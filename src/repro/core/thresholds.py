@@ -54,10 +54,3 @@ class ThresholdConfig:
         for name in ("l1_miss_rate", "lsq_full_rate", "mispredict_rate", "cond_branch_rate"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
-
-    def with_ipc_threshold(self, value: float) -> "ThresholdConfig":
-        """The same condition constants with a different IPC threshold
-        (the Figure 7/8 sweep axis)."""
-        from dataclasses import replace
-
-        return replace(self, ipc_threshold=value)

@@ -1,15 +1,13 @@
-"""Calibration constants for the fast model, and a fitting utility.
+"""Calibration constants for the fast model.
 
 The fast model's constants were chosen so that its per-mix fixed-policy
 IPCs and policy orderings track the detailed simulator on the quick mix set
-(see EXPERIMENTS.md). `calibrate_against_detailed` re-fits the two global
-scale constants if the detailed simulator's calibration changes.
+(see EXPERIMENTS.md).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Dict, Sequence
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -53,32 +51,3 @@ class CalibrationConstants:
 
 
 DEFAULT_CONSTANTS = CalibrationConstants()
-
-
-def calibrate_against_detailed(
-    mixes: Sequence[str] = ("mix02", "mix05", "mix09", "mix10"),
-    quanta: int = 16,
-    quantum_cycles: int = 2048,
-    constants: CalibrationConstants = DEFAULT_CONSTANTS,
-) -> CalibrationConstants:
-    """Re-fit the two global scale constants (base_cpi, fetch_bandwidth) so
-    the fast model's fixed-ICOUNT IPC matches the detailed simulator on the
-    given mixes (ratio-of-means fit, one pass — not a full optimizer)."""
-    from repro import build_processor
-    from repro.fastmodel.model import FastMixModel
-
-    detailed: Dict[str, float] = {}
-    for mix in mixes:
-        proc = build_processor(mix=mix, quantum_cycles=quantum_cycles)
-        proc.run_quanta(quanta)
-        detailed[mix] = proc.stats.ipc
-    fast: Dict[str, float] = {}
-    for mix in mixes:
-        model = FastMixModel(mix, seed=0, quantum_cycles=quantum_cycles, constants=constants)
-        ipcs = [model.run_quantum("icount")[0] for _ in range(quanta)]
-        fast[mix] = sum(ipcs) / len(ipcs)
-    ratio = sum(detailed.values()) / max(1e-9, sum(fast.values()))
-    # Bandwidth scales throughput in the saturated regime; apply the whole
-    # correction there (base_cpi dominates the unsaturated regime, which the
-    # quick mixes are not in).
-    return replace(constants, fetch_bandwidth=constants.fetch_bandwidth * ratio)

@@ -352,7 +352,7 @@ def fast_run_adts(
         if obs.low_throughput(thresholds):
             decision = heur.decide(policy, obs)
             if decision.switched:
-                ledger.record_switch(q, policy, decision.next_policy, ipc)
+                ledger.record_switch(ipc)
                 awaiting = True
                 ipc_before = ipc
                 policy = decision.next_policy

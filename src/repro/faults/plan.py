@@ -179,26 +179,6 @@ class FaultPlan:
             if f.name.startswith("disk_") and f.name.endswith("_rate")
         )
 
-    def disk_plan(self):
-        """This plan's disk family as a :class:`~repro.storage.faultfs.
-        DiskFaultPlan` (what :func:`~repro.storage.faultfs.faultfs_session`
-        consumes), or None when no disk fault is enabled."""
-        if not self.any_disk_enabled:
-            return None
-        from repro.storage.faultfs import DiskFaultPlan
-
-        return DiskFaultPlan(
-            seed=self.seed,
-            torn_write_rate=self.disk_torn_write_rate,
-            enospc_rate=self.disk_enospc_rate,
-            enospc_after_bytes=self.disk_enospc_after_bytes,
-            rename_fail_rate=self.disk_rename_fail_rate,
-            bitrot_rate=self.disk_bitrot_rate,
-            read_eio_rate=self.disk_read_eio_rate,
-            slow_io_rate=self.disk_slow_io_rate,
-            slow_io_seconds=self.disk_slow_io_seconds,
-        )
-
     def without_worker_faults(self) -> "FaultPlan":
         """The same plan with the process-level (crash/hang) family off.
 

@@ -330,7 +330,7 @@ def run_campaign(
     # the session so the evidence itself is never fault-injected.
     from repro.storage.faultfs import faultfs_session
 
-    with faultfs_session(plan.disk_plan()) as ffs:
+    with faultfs_session(plan) as ffs:
         if virtual is not None:
             responses = replay_traffic(
                 service,

@@ -260,13 +260,9 @@ def cmd_grid(args) -> None:
     # A disk-fault plan installs a parent-process faultfs session too, so the
     # journal appends that happen *between* cell runs are exercised — not
     # just the writes inside each simulation.
-    from contextlib import nullcontext
-
     from repro.storage.faultfs import faultfs_session
 
-    disk = plan.disk_plan() if plan is not None else None
-    session = faultfs_session(disk) if disk is not None else nullcontext()
-    with session as ffs:
+    with faultfs_session(plan) as ffs:
         grid = run_grid(defaults, quick=not args.full, journal=journal,
                         executor=executor, mixes=mixes, fault_plan=plan,
                         batch=args.batch or None)
@@ -668,10 +664,13 @@ def cmd_fsck(args) -> int:
     stale atomic-write temps and dead leases removed) and quarantines
     unrepairable files to ``*.corrupt``. Exits non-zero iff something
     was quarantined, so scripts can gate on real damage. ``--dry-run``
-    classifies without touching disk.
+    classifies without touching disk. A root that does not exist is a
+    usage error (exit 2): a mistyped path must not pass the audit.
     """
     from repro.storage.fsck import fsck_tree
 
+    if not Path(args.root).exists():
+        raise UsageError(f"no such file or directory: {args.root}")
     report = fsck_tree(args.root, repair=not args.dry_run)
     if args.json:
         print(json.dumps(report.to_dict(), indent=2))

@@ -76,26 +76,6 @@ def experiment_table1(
 # ---------------------------------------------------------------------------
 # F7a–d / F8a–d — the threshold x type grid.
 # ---------------------------------------------------------------------------
-def experiment_fig7(sweep: SweepResult) -> Dict:
-    """Figure 7 series from a finished grid: switch counts and benign-switch
-    probabilities vs. threshold and vs. heuristic type."""
-    return {
-        "experiment": "F7",
-        "thresholds": sweep.thresholds,
-        "heuristics": sweep.heuristics,
-        "switches_vs_threshold": {
-            h: sweep.series_switches_vs_threshold(h) for h in sweep.heuristics
-        },
-        "switches_vs_type": {
-            m: sweep.series_switches_vs_type(m) for m in sweep.thresholds
-        },
-        "benign_vs_threshold": {
-            h: sweep.series_benign_vs_threshold(h) for h in sweep.heuristics
-        },
-        "benign_vs_type": {m: sweep.series_benign_vs_type(m) for m in sweep.thresholds},
-    }
-
-
 def experiment_fig8(sweep: SweepResult, icount_baseline: float) -> Dict:
     """Figure 8 series plus the best-cell claim (threshold 2, Type 3)."""
     best = sweep.best_cell()

@@ -3,7 +3,7 @@ the paper's figures plot, as aligned tables."""
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Union
+from typing import List, Sequence, Union
 
 Number = Union[int, float]
 
@@ -44,16 +44,3 @@ def format_series(name: str, xs: Sequence, ys: Sequence[Number]) -> str:
 def print_table(headers: Sequence[str], rows: Sequence[Sequence], title: str = "") -> None:
     """Print an aligned table to stdout."""
     print(format_table(headers, rows, title))
-
-
-def grid_to_rows(
-    grid: Dict,
-    row_keys: Sequence,
-    col_keys: Sequence,
-    row_label: str,
-) -> List[List]:
-    """Flatten a {(row, col): value} dict into table rows."""
-    rows = []
-    for r in row_keys:
-        rows.append([r] + [grid.get((r, c), "") for c in col_keys])
-    return rows

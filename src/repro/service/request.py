@@ -170,7 +170,6 @@ class QueueEntry:
     enqueued_at: float
     expires_at: Optional[float] = None
     attempts: int = 0
-    canary: bool = False
 
     def sort_key(self) -> tuple:
         """Heap order: priority first (higher serves sooner), earliest

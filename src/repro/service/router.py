@@ -56,8 +56,7 @@ door's, the result store's, the verifier's and the DLQ's as ``front_*``,
 ``store_*``, ``verify_*`` and ``dlq_*``. A component that is off reads
 zero, so the key set never depends on configuration. The serve
 protocol, the drift guard, behaviour profiles and chaos reports all read
-this map; :meth:`ShardedService.health` is the readiness headline of
-one :meth:`~ShardedService.stats` call.
+this map.
 """
 
 from __future__ import annotations
@@ -158,7 +157,6 @@ class ShardedService:
         verify_rate: float = 0.0,
         verify_seed: Optional[int] = None,
         dlq_threshold: int = 0,
-        dlq_dir: Union[str, Path, None] = None,
     ) -> None:
         if shards < 1:
             raise ValueError("shards must be >= 1")
@@ -223,10 +221,9 @@ class ShardedService:
         self.dlq_threshold = int(dlq_threshold)
         self.dlq: Optional[DeadLetterQueue] = None
         if self.dlq_threshold > 0:
-            root = dlq_dir
-            if root is None and self.store is not None:
-                root = self.store.root / "dlq"
-            self.dlq = DeadLetterQueue(root)
+            self.dlq = DeadLetterQueue(
+                self.store.root / "dlq" if self.store is not None else None
+            )
         self._strikes: Dict[str, List[dict]] = {}  # digest -> strike history
         if self.store is not None:
             # A predecessor that crashed mid-simulation left its leases
@@ -882,16 +879,4 @@ class ShardedService:
             "live_divergent": live_divergent,
             "integrity": integ,
             "dlq": dlq_view,
-        }
-
-    def health(self) -> dict:
-        """Readiness-probe headline of one :meth:`stats` call."""
-        stats = self.stats()
-        state = stats["breaker"]["state"]
-        return {
-            "ok": stats["accepting"] and not stats["draining"],
-            "degraded_mode": state != "closed",
-            "breaker_state": state,
-            "queue_depth": stats["queue_depth"],
-            "inflight": stats["inflight"],
         }

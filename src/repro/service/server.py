@@ -21,8 +21,8 @@ Events (service → client)::
     {"event": "drained", "stats": {...}}       # last line before exit 0
 
 Every counter lives in ``stats["counters"]``, the front door's one flat
-counter map (see :mod:`repro.service.router`); ``health`` is its
-readiness headline.
+counter map (see :mod:`repro.service.router`); ``health`` is the
+readiness headline of one ``stats()`` call (:func:`health`).
 
 Lifecycle: SIGTERM/SIGINT (or ``{"op": "shutdown"}``) stops admission and
 drains within the configured deadline; EOF on stdin finishes outstanding
@@ -53,6 +53,18 @@ from repro.harness.executor import POLL_INTERVAL_S
 from repro.service.loadgen import TimedRequest, save_recording
 from repro.service.request import SimRequest
 from repro.service.router import ShardedService
+
+
+def health(stats: dict) -> dict:
+    """The readiness headline of a front door's ``stats()``."""
+    state = stats["breaker"]["state"]
+    return {
+        "ok": stats["accepting"] and not stats["draining"],
+        "degraded_mode": state != "closed",
+        "breaker_state": state,
+        "queue_depth": stats["queue_depth"],
+        "inflight": stats["inflight"],
+    }
 
 
 class ServeLoop:
@@ -146,7 +158,7 @@ class ServeLoop:
         elif op == "stats":
             self._emit({"event": "stats", "stats": self.service.stats()})
         elif op == "health":
-            self._emit({"event": "health", "health": self.service.health()})
+            self._emit({"event": "health", "health": health(self.service.stats())})
         elif op == "pause":
             self.service.paused = True
             self._emit({"event": "paused"})

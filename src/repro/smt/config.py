@@ -2,7 +2,7 @@
 
 Defaults follow the paper's "resources compatible with previous research on
 SMT" (Tullsen et al., ISCA'96): 8 hardware contexts, ICOUNT.2.8 fetch
-(8 instructions from up to 2 threads per cycle), 8-wide decode/rename/
+(8 instructions from up to 2 threads per cycle), 8-wide rename and
 commit, 6 integer units of which 4 can issue memory operations, 3 FP
 units, 32-entry integer and FP instruction queues, and a 32-entry
 load/store queue. One extra context is reserved for the detector thread.
@@ -51,8 +51,7 @@ class SMTConfig:
     # to prevent — per-thread caps would hand every policy that fairness
     # for free and flatten the policy differences the paper studies.
     fetch_buffer_entries: int = 32
-    # Front-end widths and depth.
-    decode_width: int = 8
+    # Front-end width and depth.
     rename_width: int = 8
     front_end_stages: int = 5  # fetch->queue depth; sets misfetch penalty
     # Queues / windows. Tullsen'96 used 32-entry IQs; the synthetic traces
@@ -70,27 +69,21 @@ class SMTConfig:
     mem_ports: int = 4  # subset of int units able to start a load/store
     fp_units: int = 3
     commit_width: int = 8
-    # Branch handling. Default is bimodal: the synthetic branch-outcome
+    # Branch handling: a bimodal predictor. The synthetic branch-outcome
     # model is per-site Bernoulli (no inter-branch history correlation), so
-    # history-based indexing adds aliasing without signal; gshare remains
-    # available for sensitivity studies.
-    predictor: str = "bimodal"  # "bimodal" | "gshare" | "local" | "tournament"
+    # history-based indexing would add aliasing without signal.
     # Larger than Tullsen-era tables: the synthetic control-flow model
     # spreads dynamic branches over more sites than compiled SPEC code
     # does, so matched *accuracy* needs more entries than matched *area*.
     predictor_entries: int = 8192
     btb_entries: int = 1024
-    misprediction_penalty: int = 7
     # Memory hierarchy.
     hierarchy: HierarchyConfig = field(default_factory=HierarchyConfig)
     # L2 prefetching: off by default (SimpleScalar-era baseline); the A6
     # ablation turns it on.
     prefetcher: str = "none"  # "none" | "nextline" | "stride"
     # System-call model: conservative full-pipeline flush (paper §6).
-    syscall_flush: bool = True
     syscall_drain_cycles: int = 20
-    # Detector-thread context (modeled outside the normal contexts).
-    detector_enabled: bool = False
 
     def __post_init__(self) -> None:
         if not 1 <= self.num_threads <= 32:
@@ -103,8 +96,6 @@ class SMTConfig:
             raise ValueError("mem_ports cannot exceed int_units")
         if self.rob_entries_per_thread < 1:
             raise ValueError("rob_entries_per_thread must be >= 1")
-        if self.predictor not in ("gshare", "bimodal", "local", "tournament"):
-            raise ValueError(f"unknown predictor {self.predictor!r}")
         if self.prefetcher not in ("none", "nextline", "stride"):
             raise ValueError(f"unknown prefetcher {self.prefetcher!r}")
 
@@ -112,9 +103,3 @@ class SMTConfig:
     def misfetch_penalty(self) -> int:
         """Cycles of fetch bubble after a BTB miss on a taken branch."""
         return max(1, self.front_end_stages - 3)
-
-    def scaled(self, num_threads: int) -> "SMTConfig":
-        """Same machine with a different context count (thread-scaling runs)."""
-        from dataclasses import replace
-
-        return replace(self, num_threads=num_threads)

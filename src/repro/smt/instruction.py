@@ -3,13 +3,10 @@
 Instructions are the unit flowing through every pipeline structure, so the
 record is a ``__slots__`` class with plain-int fields (per the hpc guides:
 no per-cycle dict/attribute churn in the hot loop). Opcode classes are
-module-level ints, not an Enum, for cheap comparisons in the issue loop;
-:class:`OpClass` wraps them for readable external APIs.
+module-level ints, not an Enum, for cheap comparisons in the issue loop.
 """
 
 from __future__ import annotations
-
-from enum import IntEnum
 
 # Opcode classes (hot-path constants).
 IALU = 0
@@ -35,20 +32,6 @@ KIND_NAMES = {
 }
 
 _FP_KINDS = frozenset((FADD, FMUL, FDIV))
-
-
-class OpClass(IntEnum):
-    """Readable wrapper over the hot-path opcode constants."""
-
-    IALU = IALU
-    IMUL = IMUL
-    FADD = FADD
-    FMUL = FMUL
-    FDIV = FDIV
-    LOAD = LOAD
-    STORE = STORE
-    BRANCH = BRANCH
-    SYSCALL = SYSCALL
 
 
 class Instruction:

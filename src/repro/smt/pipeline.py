@@ -33,6 +33,7 @@ from collections import deque
 from math import log as _log
 from typing import Deque, Dict, List, Optional, Sequence
 
+from repro.branch.bimodal import BimodalPredictor
 from repro.branch.btb import BranchTargetBuffer
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.policies.base import FetchPolicy
@@ -128,11 +129,7 @@ class SMTProcessor:
 
             prefetcher = StridePrefetcher()
         self.hierarchy = MemoryHierarchy(config.hierarchy, prefetcher=prefetcher)
-        from repro.branch import create_predictor
-
-        self.predictor = create_predictor(
-            config.predictor, config.predictor_entries, max_threads=self.num_threads
-        )
+        self.predictor = BimodalPredictor(config.predictor_entries)
         self.btb = BranchTargetBuffer(config.btb_entries)
         self.iq_int = InstructionQueue(config.int_iq_entries, "int")
         self.iq_fp = InstructionQueue(config.fp_iq_entries, "fp")
@@ -335,7 +332,6 @@ class SMTProcessor:
                 # utilization analyses are built on: clamp to the physical range.
                 consumed = min(max(consumed, 0), idle)
             stats.idle_fetch_slots += idle - consumed
-            stats.detector_slots_consumed += consumed
         self.hierarchy.tick(now)
         self.counters.tick_all()
         self.now = now + 1
@@ -886,7 +882,6 @@ class SMTProcessor:
         committed = self.stats.committed - self._quantum_committed_base
         record = QuantumRecord(
             index=self._quantum_index,
-            start_cycle=self._quantum_start_cycle,
             cycles=self.now - self._quantum_start_cycle,
             committed=committed,
             policy=self.policy.name,

@@ -11,7 +11,6 @@ class QuantumRecord:
     """Aggregate outcome of one scheduling quantum."""
 
     index: int
-    start_cycle: int
     cycles: int
     committed: int
     policy: str
@@ -34,7 +33,6 @@ class SimStats:
     cond_branches: int = 0
     syscalls: int = 0
     idle_fetch_slots: int = 0
-    detector_slots_consumed: int = 0
     per_thread_committed: Dict[int, int] = field(default_factory=dict)
     quantum_history: List[QuantumRecord] = field(default_factory=list)
 

@@ -19,9 +19,9 @@ Torn/ENOSPC/rename faults are *transient* (each operation draws afresh, so
 the atomic layer's bounded retry normally recovers); bitrot is persistent
 by nature and is caught later by artifact checksums (``repro fsck``).
 
-The injector is a new fault family of :class:`repro.faults.plan.FaultPlan`
-(``--faults disk``); :meth:`FaultPlan.disk_plan` converts a plan's
-``disk_*`` rates into the :class:`DiskFaultPlan` consumed here.
+The injector is the ``disk`` fault family of
+:class:`repro.faults.plan.FaultPlan` (``--faults disk``): it reads the
+plan's ``disk_*`` rates and its seed, which ``FaultPlan`` validates.
 """
 
 from __future__ import annotations
@@ -29,69 +29,24 @@ from __future__ import annotations
 import os
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Dict, Iterator, Optional, Union
+from typing import TYPE_CHECKING, Dict, Iterator, Optional, Union
 
 import numpy as np
 
 from repro.util.randpool import RandPool
 from repro.util.seeds import SeedSequencer
 
-
-@dataclass(frozen=True)
-class DiskFaultPlan:
-    """Seeded, declarative description of the disk faults to inject.
-
-    Rates are per storage *operation* (one write, one rename, one read),
-    not per byte. Attributes:
-
-        seed: root seed of the injector's private random stream.
-        torn_write_rate: P(per write) only a seeded prefix of the data
-            lands before the write fails with EIO — the power-loss tear.
-        enospc_rate: P(per write) the device "fills up" after
-            ``enospc_after_bytes`` bytes and the write fails with ENOSPC.
-        enospc_after_bytes: bytes that land before an injected ENOSPC.
-        rename_fail_rate: P(per rename) the atomic ``os.replace`` fails
-            with EIO, leaving the temp file behind.
-        bitrot_rate: P(per write) one bit of the data is silently flipped
-            before it lands — undetectable until a checksum is verified.
-        read_eio_rate: P(per read) the read fails with EIO.
-        slow_io_rate: P(per operation) the operation stalls for
-            ``slow_io_seconds`` first.
-        slow_io_seconds: wall-clock length of an injected I/O stall.
-    """
-
-    seed: int = 0
-    torn_write_rate: float = 0.0
-    enospc_rate: float = 0.0
-    enospc_after_bytes: int = 64
-    rename_fail_rate: float = 0.0
-    bitrot_rate: float = 0.0
-    read_eio_rate: float = 0.0
-    slow_io_rate: float = 0.0
-    slow_io_seconds: float = 0.02
-
-    def __post_init__(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name.endswith("_rate") and not 0.0 <= value <= 1.0:
-                raise ValueError(f"DiskFaultPlan.{f.name}={value!r}: must be in [0, 1]")
-            if f.name.endswith(("_bytes", "_seconds")) and value < 0:
-                raise ValueError(f"DiskFaultPlan.{f.name}={value!r}: must be >= 0")
-
-    @property
-    def any_enabled(self) -> bool:
-        """True when at least one disk fault has a non-zero rate."""
-        return any(
-            getattr(self, f.name) > 0.0 for f in fields(self) if f.name.endswith("_rate")
-        )
+if TYPE_CHECKING:
+    from repro.faults.plan import FaultPlan
 
 
 class FaultFS:
-    """Injects a :class:`DiskFaultPlan` at the storage layer's I/O hooks."""
+    """Injects a :class:`~repro.faults.plan.FaultPlan`'s disk faults at the
+    storage layer's I/O hooks. Rates are per storage *operation* (one
+    write, one rename, one read), not per byte."""
 
-    def __init__(self, plan: DiskFaultPlan) -> None:
+    def __init__(self, plan: FaultPlan) -> None:
         self.plan = plan
         rng = np.random.default_rng(SeedSequencer(plan.seed).seed_for("faultfs"))
         self.pool = RandPool(rng, batch=256)
@@ -120,28 +75,28 @@ class FaultFS:
         }
 
     def _maybe_stall(self) -> None:
-        if self._hit(self.plan.slow_io_rate):
+        if self._hit(self.plan.disk_slow_io_rate):
             self._count("slow_io")
-            time.sleep(self.plan.slow_io_seconds)
+            time.sleep(self.plan.disk_slow_io_seconds)
 
     # -- storage hooks (called by repro.storage.atomic) ----------------------
     def write(self, fd: int, data: bytes) -> int:
         """Write ``data`` to ``fd``, possibly torn / ENOSPC'd / bitrotted."""
         plan = self.plan
         self._maybe_stall()
-        if self._hit(plan.torn_write_rate):
+        if self._hit(plan.disk_torn_write_rate):
             self._count("torn_write")
             cut = self.pool.integer(len(data)) if data else 0
             if cut:
                 os.write(fd, data[:cut])
             raise OSError(5, f"faultfs: torn write after {cut} of {len(data)} bytes")
-        if self._hit(plan.enospc_rate):
+        if self._hit(plan.disk_enospc_rate):
             self._count("enospc")
-            landed = min(plan.enospc_after_bytes, len(data))
+            landed = min(plan.disk_enospc_after_bytes, len(data))
             if landed:
                 os.write(fd, data[:landed])
             raise OSError(28, f"faultfs: no space left after {landed} bytes")
-        if self._hit(plan.bitrot_rate) and data:
+        if self._hit(plan.disk_bitrot_rate) and data:
             self._count("bitrot")
             corrupt = bytearray(data)
             pos = self.pool.integer(len(corrupt))
@@ -152,7 +107,7 @@ class FaultFS:
     def replace(self, src: Union[str, Path], dst: Union[str, Path]) -> None:
         """``os.replace`` with an injectable rename failure."""
         self._maybe_stall()
-        if self._hit(self.plan.rename_fail_rate):
+        if self._hit(self.plan.disk_rename_fail_rate):
             self._count("rename_fail")
             raise OSError(5, f"faultfs: rename {src} -> {dst} failed")
         os.replace(src, dst)
@@ -160,7 +115,7 @@ class FaultFS:
     def read_bytes(self, path: Union[str, Path]) -> bytes:
         """Read a whole file with an injectable EIO."""
         self._maybe_stall()
-        if self._hit(self.plan.read_eio_rate):
+        if self._hit(self.plan.disk_read_eio_rate):
             self._count("read_eio")
             raise OSError(5, f"faultfs: read error on {path}")
         return Path(path).read_bytes()
@@ -184,18 +139,19 @@ def active_faultfs() -> Optional[FaultFS]:
 
 @contextmanager
 def faultfs_session(
-    target: Union[DiskFaultPlan, FaultFS, None]
+    target: Union[FaultPlan, FaultFS, None]
 ) -> Iterator[Optional[FaultFS]]:
     """Scope a fault injector around a block, restoring the previous one.
 
-    Accepts a plan (a fresh :class:`FaultFS` is built), an injector, or
-    None (the block runs clean even if an outer session is active).
+    Accepts a plan (a fresh :class:`FaultFS` is built when a disk fault is
+    enabled, else the block runs clean), an injector, or None (the block
+    runs clean even if an outer session is active).
     """
     ffs: Optional[FaultFS]
-    if isinstance(target, DiskFaultPlan):
-        ffs = FaultFS(target) if target.any_enabled else None
-    else:
+    if target is None or isinstance(target, FaultFS):
         ffs = target
+    else:
+        ffs = FaultFS(target) if target.any_disk_enabled else None
     previous = _ACTIVE
     install_faultfs(ffs)
     try:

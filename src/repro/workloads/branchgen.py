@@ -2,7 +2,7 @@
 
 Models a program's control flow as a set of branch *sites* scattered across
 a code footprint. Each site has a persistent minority-outcome probability
-drawn when the site is first visited, so a 2-bit/gshare predictor sees a
+drawn when the site is first visited, so a 2-bit bimodal predictor sees a
 realistic per-site accuracy distribution: an exponential mix of strongly
 biased sites (predictable) and a tail of noisy sites. The mean minority
 probability equals the profile's ``mispredict_target``, which is (to first

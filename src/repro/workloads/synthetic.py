@@ -8,8 +8,7 @@ families. This module provides validated builders and presets.
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.workloads.profiles import ApplicationProfile, PhaseProfile
 
@@ -100,24 +99,3 @@ def get_preset(name: str) -> ApplicationProfile:
         return PRESETS[name]
     except KeyError:
         raise KeyError(f"unknown preset {name!r}; known: {sorted(PRESETS)}") from None
-
-
-def with_phases(
-    profile: ApplicationProfile,
-    storm_scale: Optional[float] = None,
-    memory_scale: Optional[float] = None,
-    phase_length: int = 30_000,
-) -> ApplicationProfile:
-    """Attach a simple two-phase structure to an existing profile."""
-    phases = [PhaseProfile("base", weight=2.5, mean_length=phase_length)]
-    if storm_scale is not None:
-        phases.append(PhaseProfile(
-            "storm", weight=1.0, mean_length=phase_length // 2,
-            mispredict_scale=storm_scale,
-        ))
-    if memory_scale is not None:
-        phases.append(PhaseProfile(
-            "memory", weight=1.0, mean_length=phase_length // 2,
-            footprint_scale=memory_scale, load_scale=1.5,
-        ))
-    return replace(profile, phases=tuple(phases))

@@ -65,8 +65,6 @@ class TestADTSIntegration:
         proc.run_quanta(6)
         applied = [d for d in adts.decisions if d.applied_at_cycle >= 0]
         if applied:  # DT may starve entirely on a saturated machine
-            boundaries = {q.start_cycle for q in proc.stats.quantum_history}
-            assert any(d.applied_at_cycle not in boundaries for d in applied) or True
             assert adts.detector.instructions_executed > 0
 
     def test_ledger_counts_match_switches(self, quick_proc):

@@ -1,46 +1,10 @@
-"""Tests for the analysis package."""
+"""Tests for the quantum-IPC time-series analysis."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.compare import (
-    bootstrap_mean_diff,
-    compare_fixed_vs_adaptive,
-    paired_gain,
-)
-from repro.analysis.switching import (
-    analyze_controller,
-    policy_residency,
-    switch_matrix,
-    transition_quality,
-)
-from repro.analysis.timeseries import (
-    detect_level_shifts,
-    dominance_profile,
-    moving_average,
-)
-from repro.core.history import SwitchEvent
-from repro.smt.stats import QuantumRecord
-
-
-class TestMovingAverage:
-    def test_rejects_bad_window(self):
-        with pytest.raises(ValueError):
-            moving_average([1.0], 0)
-
-    def test_window_one_is_identity(self):
-        xs = [1.0, 5.0, 3.0]
-        assert moving_average(xs, 1) == xs
-
-    def test_smooths(self):
-        out = moving_average([0.0, 10.0, 0.0, 10.0], 2)
-        assert out == [0.0, 5.0, 5.0, 5.0]
-
-    def test_warmup_uses_available_prefix(self):
-        out = moving_average([2.0, 4.0, 6.0], 10)
-        assert out == [2.0, 3.0, 4.0]
+from repro.analysis.timeseries import detect_level_shifts, dominance_profile
 
 
 class TestLevelShifts:
@@ -86,88 +50,6 @@ class TestDominanceProfile:
     def test_mean_ipc_recorded(self):
         prof = dominance_profile({"a": [1.0, 3.0]})
         assert prof.mean_ipc["a"] == pytest.approx(2.0)
-
-
-class TestSwitchAnalytics:
-    def events(self):
-        return [
-            SwitchEvent(0, "icount", "brcount", 1.0, 1.5),
-            SwitchEvent(2, "brcount", "icount", 1.5, 1.2),
-            SwitchEvent(4, "icount", "brcount", 1.2, 1.0),
-            SwitchEvent(6, "icount", "l1misscount", 1.0, None),
-        ]
-
-    def test_switch_matrix(self):
-        m = switch_matrix(self.events())
-        assert m[("icount", "brcount")] == 2
-        assert m[("brcount", "icount")] == 1
-
-    def test_transition_quality(self):
-        q = transition_quality(self.events())
-        ib = q[("icount", "brcount")]
-        assert ib["benign"] == 1 and ib["malignant"] == 1
-        assert ib["benign_probability"] == pytest.approx(0.5)
-        il = q[("icount", "l1misscount")]
-        assert il["pending"] == 1
-        assert il["benign_probability"] == 0.0
-
-    def test_policy_residency(self):
-        history = [
-            QuantumRecord(i, 0, 100, 100, policy)
-            for i, policy in enumerate(["icount", "icount", "brcount"])
-        ]
-        assert policy_residency(history) == {"icount": 2, "brcount": 1}
-
-    def test_analyze_controller_integration(self, quick_proc):
-        from repro.core.adts import ADTSController
-        from repro.core.thresholds import ThresholdConfig
-
-        adts = ADTSController(heuristic="type1",
-                              thresholds=ThresholdConfig(ipc_threshold=99.0),
-                              instant_dt=True)
-        proc = quick_proc(hook=adts)
-        proc.run_quanta(6)
-        report = analyze_controller(adts, proc.stats.quantum_history)
-        assert report.num_switches == adts.num_switches
-        assert sum(report.residency.values()) == 6
-        assert report.as_dict()["num_switches"] == report.num_switches
-        if report.matrix:
-            assert report.most_common_transition() in report.matrix
-
-
-class TestCompare:
-    def test_paired_gain(self):
-        assert paired_gain([1.0, 1.0], [1.1, 1.1]) == pytest.approx(0.1)
-        assert paired_gain([0.0], [1.0]) == 0.0  # guard
-
-    def test_bootstrap_interval_contains_point(self):
-        point, lo, hi = bootstrap_mean_diff([1.0] * 20, [1.5] * 20, n_boot=200)
-        assert lo <= point <= hi
-        assert point == pytest.approx(0.5)
-
-    def test_bootstrap_rejects_bad_ci(self):
-        with pytest.raises(ValueError):
-            bootstrap_mean_diff([1.0], [1.0], ci=1.5)
-
-    def test_clear_difference_significant(self):
-        rng = np.random.default_rng(0)
-        base = rng.normal(1.0, 0.05, 40)
-        treat = rng.normal(1.5, 0.05, 40)
-        report = compare_fixed_vs_adaptive("mixX", base, treat)
-        assert report.significant
-        assert report.gain == pytest.approx(0.5, abs=0.1)
-
-    def test_no_difference_not_significant(self):
-        rng = np.random.default_rng(1)
-        base = rng.normal(1.0, 0.2, 40)
-        treat = rng.normal(1.0, 0.2, 40)
-        report = compare_fixed_vs_adaptive("mixX", base, treat)
-        assert not report.significant
-
-    def test_as_dict(self):
-        report = compare_fixed_vs_adaptive("m", [1.0] * 5, [1.2] * 5)
-        d = report.as_dict()
-        assert d["mix"] == "m" and "ci_lo" in d and "ci_hi" in d
 
 
 @settings(max_examples=25, deadline=None)

@@ -6,7 +6,6 @@ import pytest
 from repro.branch.base import TwoBitCounterTable
 from repro.branch.bimodal import BimodalPredictor
 from repro.branch.btb import BranchTargetBuffer
-from repro.branch.gshare import GsharePredictor
 
 
 class TestTwoBitCounterTable:
@@ -102,41 +101,6 @@ class TestBimodal:
         p.predict_and_update(0, 0x1, True)
         p.reset()
         assert p.lookups == 0 and p.correct == 0
-
-
-class TestGshare:
-    def test_rejects_bad_history(self):
-        with pytest.raises(ValueError):
-            GsharePredictor(256, history_bits=0)
-
-    def test_per_thread_history_isolated(self):
-        p = GsharePredictor(256, history_bits=4, max_threads=2)
-        p.update(0, 0x100, True)
-        p.update(0, 0x100, True)
-        assert p.history(0) == 0b11
-        assert p.history(1) == 0
-
-    def test_history_wraps_to_mask(self):
-        p = GsharePredictor(256, history_bits=2, max_threads=1)
-        for _ in range(5):
-            p.update(0, 0x100, True)
-        assert p.history(0) == 0b11
-
-    def test_learns_alternating_pattern(self):
-        # T,N,T,N ... is exactly what history indexing can capture.
-        p = GsharePredictor(1024, history_bits=4, max_threads=1)
-        taken = True
-        correct = 0
-        for i in range(400):
-            correct += p.predict_and_update(0, 0x500, taken)
-            taken = not taken
-        assert correct / 400 > 0.9
-
-    def test_reset_clears_history(self):
-        p = GsharePredictor(256, max_threads=2)
-        p.update(0, 0x100, True)
-        p.reset()
-        assert p.history(0) == 0
 
 
 class TestBTB:

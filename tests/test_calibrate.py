@@ -1,12 +1,8 @@
-"""Tests for fast-model calibration utilities."""
+"""Tests for the fast model's calibration constants."""
 
 import pytest
 
-from repro.fastmodel.calibrate import (
-    DEFAULT_CONSTANTS,
-    CalibrationConstants,
-    calibrate_against_detailed,
-)
+from repro.fastmodel.calibrate import DEFAULT_CONSTANTS, CalibrationConstants
 
 
 class TestCalibrationConstants:
@@ -28,24 +24,3 @@ class TestCalibrationConstants:
     def test_mem_deltas_have_opposite_signs(self):
         c = DEFAULT_CONSTANTS
         assert c.icount_mem_delta < 0 < c.l1miss_mem_delta
-
-
-class TestCalibrateAgainstDetailed:
-    def test_refit_moves_bandwidth_toward_detailed(self):
-        # Tiny configuration: two mixes, few quanta — this is a smoke test
-        # of the fitting path, not a quality check.
-        fitted = calibrate_against_detailed(
-            mixes=("mix09",), quanta=4, quantum_cycles=512
-        )
-        assert isinstance(fitted, CalibrationConstants)
-        assert fitted.fetch_bandwidth > 0
-        # Only the bandwidth is refit.
-        assert fitted.base_cpi == DEFAULT_CONSTANTS.base_cpi
-
-    def test_identity_when_already_matched(self):
-        # Feeding the fast model's own output as the target would give a
-        # ratio of ~1; we approximate by checking the refit is bounded.
-        fitted = calibrate_against_detailed(
-            mixes=("mix09",), quanta=4, quantum_cycles=512
-        )
-        assert 0.2 < fitted.fetch_bandwidth / DEFAULT_CONSTANTS.fetch_bandwidth < 5.0

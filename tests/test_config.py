@@ -31,8 +31,10 @@ class TestSMTConfig:
             SMTConfig(int_units=2, mem_ports=3)
 
     def test_unknown_predictor(self):
-        with pytest.raises(ValueError):
-            SMTConfig(predictor="perceptron")
+        # The modeled machine has one predictor (bimodal): no choice of
+        # predictor is a setting, so naming one is refused.
+        with pytest.raises(TypeError):
+            SMTConfig(predictor="gshare")
 
     def test_rob_bound(self):
         with pytest.raises(ValueError):
@@ -41,12 +43,6 @@ class TestSMTConfig:
     def test_fetch_threads_bound(self):
         with pytest.raises(ValueError):
             SMTConfig(fetch_threads_per_cycle=0)
-
-    def test_scaled_changes_only_threads(self):
-        cfg = SMTConfig()
-        scaled = cfg.scaled(4)
-        assert scaled.num_threads == 4
-        assert scaled.int_iq_entries == cfg.int_iq_entries
 
     def test_misfetch_penalty_positive(self):
         assert SMTConfig().misfetch_penalty >= 1

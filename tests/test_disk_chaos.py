@@ -61,7 +61,7 @@ class TestDiskFaultedRunsAreBitIdentical:
             QUICK, mixes, thresholds=thresholds, heuristics=heuristics)
 
         journal = RunJournal(tmp_path / "runs.jsonl")
-        with faultfs_session(DISK_PLAN.disk_plan()) as ffs:
+        with faultfs_session(DISK_PLAN) as ffs:
             faulty = threshold_type_grid(
                 QUICK, mixes, thresholds=thresholds, heuristics=heuristics,
                 journal=journal, fault_plan=DISK_PLAN)
@@ -75,7 +75,7 @@ class TestDiskFaultedRunsAreBitIdentical:
         and must replay to the same aggregate."""
         mixes = ["mix01"]
         journal = RunJournal(tmp_path / "runs.jsonl")
-        with faultfs_session(DISK_PLAN.disk_plan()):
+        with faultfs_session(DISK_PLAN):
             first = threshold_type_grid(
                 QUICK, mixes, thresholds=(2.0,), heuristics=("type3",),
                 journal=journal, fault_plan=DISK_PLAN)

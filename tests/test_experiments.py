@@ -5,7 +5,6 @@ import pytest
 from repro.harness.experiments import (
     ExperimentDefaults,
     experiment_detector_overhead,
-    experiment_fig7,
     experiment_fig8,
     experiment_headline,
     experiment_similarity,
@@ -41,10 +40,11 @@ class TestTable1:
 
 class TestGridExperiments:
     def test_fig7_series_shapes(self, tiny_grid):
-        out = experiment_fig7(tiny_grid)
-        assert set(out["switches_vs_threshold"]) == {"type1", "type3"}
-        assert len(out["switches_vs_threshold"]["type1"]) == 2
-        assert set(out["benign_vs_type"]) == {1.0, 9.0}
+        # The Figure 7 benchmarks read these series straight off the grid.
+        assert len(tiny_grid.series_switches_vs_threshold("type1")) == 2
+        assert len(tiny_grid.series_benign_vs_threshold("type3")) == 2
+        assert len(tiny_grid.series_switches_vs_type(1.0)) == 2
+        assert len(tiny_grid.series_benign_vs_type(9.0)) == 2
 
     def test_fig8_series_and_best_cell(self, tiny_grid):
         out = experiment_fig8(tiny_grid, icount_baseline=1.0)

@@ -1,6 +1,6 @@
 """The disk fault family: plan plumbing, injector behavior, telemetry.
 
-Covers the `FaultPlan.disk_*` fields → `DiskFaultPlan` conversion, the
+Covers the injector reading `FaultPlan`'s `disk_*` fields, the
 scheduler/disk family split (disk faults never install a scheduler-level
 FaultInjector and never enter grid cell keys), the injector's seeded
 per-operation draws, and the injector's telemetry summary (which stays
@@ -11,7 +11,6 @@ import pytest
 
 from repro.faults.plan import FaultPlan
 from repro.storage.faultfs import (
-    DiskFaultPlan,
     FaultFS,
     active_faultfs,
     faultfs_session,
@@ -20,32 +19,38 @@ from repro.storage.faultfs import (
 
 
 class TestPlanPlumbing:
-    def test_disk_fields_map_to_disk_plan(self):
-        plan = FaultPlan(
-            seed=9,
-            disk_torn_write_rate=0.1,
-            disk_enospc_rate=0.2,
-            disk_enospc_after_bytes=7,
-            disk_rename_fail_rate=0.3,
-            disk_bitrot_rate=0.05,
-            disk_read_eio_rate=0.15,
-            disk_slow_io_rate=0.01,
-            disk_slow_io_seconds=0.001,
-        )
-        disk = plan.disk_plan()
-        assert isinstance(disk, DiskFaultPlan)
-        assert disk.seed == 9
-        assert disk.torn_write_rate == 0.1
-        assert disk.enospc_rate == 0.2
-        assert disk.enospc_after_bytes == 7
-        assert disk.rename_fail_rate == 0.3
-        assert disk.bitrot_rate == 0.05
-        assert disk.read_eio_rate == 0.15
-        assert disk.slow_io_rate == 0.01
-        assert disk.slow_io_seconds == 0.001
+    def test_disk_fields_map_to_disk_plan(self, tmp_path):
+        """Each ``disk_*`` field of the one plan drives its fault."""
+        import os
+
+        def write(plan, data=bytes(16)):
+            ffs = FaultFS(plan)
+            fd = os.open(tmp_path / "f", os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
+            try:
+                with pytest.raises(OSError) as err:
+                    ffs.write(fd, data)
+            finally:
+                os.close(fd)
+            return ffs, err.value.errno, (tmp_path / "f").read_bytes()
+
+        ffs, errno, _ = write(FaultPlan(seed=9, disk_torn_write_rate=1.0))
+        assert errno == 5 and ffs.counts == {"torn_write": 1}
+        ffs, errno, landed = write(FaultPlan(disk_enospc_rate=1.0,
+                                             disk_enospc_after_bytes=7))
+        assert errno == 28 and len(landed) == 7 and ffs.counts == {"enospc": 1}
+        ffs = FaultFS(FaultPlan(disk_rename_fail_rate=1.0))
+        with pytest.raises(OSError):
+            ffs.replace(tmp_path / "f", tmp_path / "g")
+        ffs = FaultFS(FaultPlan(disk_read_eio_rate=1.0, disk_slow_io_rate=1.0,
+                                disk_slow_io_seconds=0.001))
+        with pytest.raises(OSError):
+            ffs.read_bytes(tmp_path / "f")
+        assert ffs.counts == {"slow_io": 1, "read_eio": 1}
 
     def test_no_disk_rates_no_disk_plan(self):
-        assert FaultPlan(counter_stale_rate=0.5).disk_plan() is None
+        """A plan with no disk rate installs no injector."""
+        with faultfs_session(FaultPlan(counter_stale_rate=0.5)) as ffs:
+            assert ffs is None and active_faultfs() is None
 
     def test_family_split(self):
         disk_only = FaultPlan(disk_torn_write_rate=0.5)
@@ -70,19 +75,19 @@ class TestPlanPlumbing:
 
     def test_rate_validation(self):
         with pytest.raises(ValueError):
-            DiskFaultPlan(torn_write_rate=1.5)
+            FaultPlan(disk_torn_write_rate=1.5)
         with pytest.raises(ValueError):
-            DiskFaultPlan(enospc_after_bytes=-1)
+            FaultPlan(disk_enospc_after_bytes=-1)
         with pytest.raises(ValueError):
             FaultPlan(disk_bitrot_rate=-0.1)
 
 
 class TestSessionScoping:
     def test_session_restores_previous(self):
-        outer = FaultFS(DiskFaultPlan(seed=0, torn_write_rate=0.5))
+        outer = FaultFS(FaultPlan(seed=0, disk_torn_write_rate=0.5))
         install_faultfs(outer)
         try:
-            inner_plan = DiskFaultPlan(seed=1, read_eio_rate=0.5)
+            inner_plan = FaultPlan(seed=1, disk_read_eio_rate=0.5)
             with faultfs_session(inner_plan) as inner:
                 assert active_faultfs() is inner
                 assert inner is not outer
@@ -91,7 +96,7 @@ class TestSessionScoping:
             install_faultfs(None)
 
     def test_none_session_runs_clean(self):
-        outer = FaultFS(DiskFaultPlan(seed=0, torn_write_rate=0.5))
+        outer = FaultFS(FaultPlan(seed=0, disk_torn_write_rate=0.5))
         install_faultfs(outer)
         try:
             with faultfs_session(None):
@@ -105,7 +110,7 @@ class TestInjectorBehavior:
     def test_bitrot_flips_exactly_one_bit(self, tmp_path):
         import os
 
-        ffs = FaultFS(DiskFaultPlan(seed=0, bitrot_rate=1.0))
+        ffs = FaultFS(FaultPlan(seed=0, disk_bitrot_rate=1.0))
         data = bytes(64)
         p = tmp_path / "f"
         fd = os.open(p, os.O_WRONLY | os.O_CREAT, 0o644)
@@ -121,7 +126,7 @@ class TestInjectorBehavior:
         assert ffs.counts == {"bitrot": 1}
 
     def test_summary_shape(self):
-        ffs = FaultFS(DiskFaultPlan(seed=0, read_eio_rate=1.0))
+        ffs = FaultFS(FaultPlan(seed=0, disk_read_eio_rate=1.0))
         with pytest.raises(OSError):
             ffs.read_bytes("/nonexistent")
         s = ffs.summary()

@@ -34,7 +34,7 @@ def make_snap(tid=0, committed=0, **over):
 
 def make_record(index, committed, cycles=256, policy="icount"):
     return QuantumRecord(
-        index=index, start_cycle=index * cycles, cycles=cycles,
+        index=index, cycles=cycles,
         committed=committed, policy=policy,
     )
 

@@ -245,6 +245,17 @@ class TestCLI:
         assert main(["fsck", str(tmp_path), "--dry-run"]) == 0
         assert p.exists()
 
+    def test_missing_root_is_a_usage_error(self, tmp_path, capsys):
+        """A mistyped path must not pass the audit: exit 2 with one
+        stderr line naming it, and nothing created."""
+        missing = tmp_path / "does-not-exist"
+        for flags in ([], ["--dry-run"], ["--json"]):
+            assert main(["fsck", str(missing), *flags]) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.count("\n") == 1 and str(missing) in err
+        assert not missing.exists()
+
 
 class TestDivergenceTaxonomy:
     def _store_with_divergence(self, tmp_path):

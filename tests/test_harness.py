@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.harness.report import format_series, format_table, grid_to_rows
+from repro.harness.report import format_series, format_table
 from repro.harness.runner import RunConfig, run_adts, run_fixed, run_mix_average
 from repro.harness.sweep import threshold_type_grid
 from repro.smt.config import SMTConfig
@@ -94,7 +94,3 @@ class TestReport:
     def test_format_series(self):
         s = format_series("x", [1, 2], [0.5, 1.5])
         assert s == "x: 1=0.500  2=1.500"
-
-    def test_grid_to_rows(self):
-        rows = grid_to_rows({(1, "a"): 5, (2, "a"): 6}, [1, 2], ["a", "b"], "m")
-        assert rows == [[1, 5, ""], [2, 6, ""]]

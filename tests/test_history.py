@@ -68,7 +68,7 @@ class TestSwitchHistoryBuffer:
 
 class TestSwitchEvent:
     def test_benign_none_until_judged(self):
-        e = SwitchEvent(0, "icount", "brcount", ipc_before=1.0)
+        e = SwitchEvent(ipc_before=1.0)
         assert e.benign is None
         e.ipc_after = 1.2
         assert e.benign is True
@@ -76,16 +76,16 @@ class TestSwitchEvent:
         assert e.benign is False
 
     def test_equal_ipc_is_not_benign(self):
-        e = SwitchEvent(0, "a", "b", ipc_before=1.0, ipc_after=1.0)
+        e = SwitchEvent(ipc_before=1.0, ipc_after=1.0)
         assert e.benign is False
 
 
 class TestSwitchQualityLedger:
     def test_counts(self):
         led = SwitchQualityLedger()
-        led.record_switch(0, "icount", "brcount", 1.0)
+        led.record_switch(1.0)
         led.record_quantum_ipc(1.5)  # benign
-        led.record_switch(1, "brcount", "icount", 1.5)
+        led.record_switch(1.5)
         led.record_quantum_ipc(1.0)  # malignant
         assert led.num_switches == 2
         assert led.num_benign == 1
@@ -99,12 +99,12 @@ class TestSwitchQualityLedger:
 
     def test_unjudged_switch_excluded_from_probability(self):
         led = SwitchQualityLedger()
-        led.record_switch(0, "a", "b", 1.0)
+        led.record_switch(1.0)
         assert led.benign_probability == 0.0  # nothing judged yet
 
     def test_only_first_quantum_after_switch_judges(self):
         led = SwitchQualityLedger()
-        led.record_switch(0, "a", "b", 1.0)
+        led.record_switch(1.0)
         led.record_quantum_ipc(2.0)
         led.record_quantum_ipc(0.1)  # must not re-judge
         assert led.num_benign == 1 and led.num_malignant == 0

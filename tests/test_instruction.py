@@ -14,7 +14,6 @@ from repro.smt.instruction import (
     STORE,
     SYSCALL,
     Instruction,
-    OpClass,
 )
 
 
@@ -25,10 +24,6 @@ class TestKinds:
 
     def test_kind_names_cover_all(self):
         assert set(KIND_NAMES) == {IALU, IMUL, FADD, FMUL, FDIV, LOAD, STORE, BRANCH, SYSCALL}
-
-    def test_opclass_wraps_constants(self):
-        assert OpClass.LOAD == LOAD
-        assert OpClass.BRANCH == BRANCH
 
 
 class TestInstruction:

@@ -104,9 +104,8 @@ class TestJobSchedulerHook:
         pool, hook = self.make(mode="oblivious")
         proc = quick_proc(hook=hook)
         proc.run_quanta(16)
-        scheduled = {j.app for j in hook.resident.values()}
-        rotated = sum(1 for j in pool.jobs if j.scheduled_intervals > 0)
-        assert rotated >= 2
+        # A job that ever held a context has fetched from its trace.
+        assert all(j.trace.seq > 0 for j in pool.jobs)
 
     def test_counter_consistency_across_swaps(self, quick_proc):
         pool, hook = self.make()

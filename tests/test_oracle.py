@@ -9,24 +9,31 @@ import repro.core.oracle as oracle_mod
 from repro.core.oracle import OracleQuantum, OracleResult, OracleScheduler, oracle_upper_bound
 
 
+def _trials(processor, candidates):
+    """Committed count of one quantum under each candidate, each run on a
+    deep copy of ``processor`` (which is left where it was)."""
+    trials = {}
+    for name in candidates:
+        trial = copy.deepcopy(processor)
+        trial.set_policy(name)
+        before = trial.stats.committed
+        trial.run(processor.quantum_cycles)
+        trials[name] = trial.stats.committed - before
+    return trials
+
+
 def _deepcopy_oracle(processor, quanta, candidates):
     """The oracle with a ``copy.deepcopy`` of the machine per candidate:
     the reference its pickled forks must match."""
     result = OracleResult()
     q_cycles = processor.quantum_cycles
     for q in range(quanta):
-        per_policy = {}
-        for name in candidates:
-            trial = copy.deepcopy(processor)
-            trial.set_policy(name)
-            before = trial.stats.committed
-            trial.run(q_cycles)
-            per_policy[name] = trial.stats.committed - before
+        per_policy = _trials(processor, candidates)
         chosen = max(per_policy, key=per_policy.get)
         processor.set_policy(chosen)
         before = processor.stats.committed
         processor.run(q_cycles)
-        result.quanta.append(OracleQuantum(q, chosen, per_policy,
+        result.quanta.append(OracleQuantum(q, chosen,
                                            processor.stats.committed - before))
     result.cycles = quanta * q_cycles
     return result
@@ -45,14 +52,14 @@ class TestOracleScheduler:
         assert result.committed > 0
         for q in result.quanta:
             assert q.chosen in ("icount", "rr")
-            assert set(q.per_policy_committed) == {"icount", "rr"}
 
     def test_chooses_the_max_trial(self, quick_proc):
         proc = quick_proc()
-        result = OracleScheduler(("icount", "rr")).run(proc, quanta=3)
-        for q in result.quanta:
-            best = max(q.per_policy_committed, key=q.per_policy_committed.get)
-            assert q.chosen == best
+        oracle = OracleScheduler(("icount", "rr"))
+        for _ in range(3):
+            trials = _trials(proc, oracle.candidates)
+            (q,) = oracle.run(proc, quanta=1).quanta
+            assert q.chosen == max(trials, key=trials.get)
 
     def test_policy_usage_sums_to_quanta(self, quick_proc):
         proc = quick_proc()
@@ -63,9 +70,11 @@ class TestOracleScheduler:
         # The live quantum under the chosen policy replays the trial's RNG
         # state, so the live committed count equals the winning trial's.
         proc = quick_proc()
-        result = OracleScheduler(("icount",)).run(proc, quanta=2)
-        for q in result.quanta:
-            assert q.committed == q.per_policy_committed["icount"]
+        oracle = OracleScheduler(("icount",))
+        for _ in range(2):
+            trials = _trials(proc, oracle.candidates)
+            (q,) = oracle.run(proc, quanta=1).quanta
+            assert q.committed == trials["icount"]
 
 
 class TestPickledForks:

@@ -190,12 +190,20 @@ class TestQuantumBoundaries:
 
     def test_hook_consumed_slots_accounted(self, quick_proc):
         class Eater(SchedulerHook):
-            def on_cycle(self, now, idle_slots):
-                return min(idle_slots, 2)
+            offered = consumed = 0
 
-        proc = quick_proc(hook=Eater())
+            def on_cycle(self, now, idle_slots):
+                took = min(idle_slots, 2)
+                self.offered += idle_slots
+                self.consumed += took
+                return took
+
+        eater = Eater()
+        proc = quick_proc(hook=eater)
         proc.run(500)
-        assert proc.stats.detector_slots_consumed > 0
+        assert eater.consumed > 0
+        # Slots the hook consumed are no longer idle.
+        assert proc.stats.idle_fetch_slots == eater.offered - eater.consumed
 
 
 class TestPolicySwitching:

@@ -26,7 +26,7 @@ from repro.service.loadgen import TimedRequest, VirtualClock, replay_traffic
 from repro.service.request import SimRequest
 from repro.service.resultstore import ResultStore
 from repro.service.router import ShardedService
-from repro.service.server import ServeLoop
+from repro.service.server import ServeLoop, health
 from repro.service.service import ServiceConfig
 
 
@@ -414,8 +414,8 @@ class TestStatsSurface:
         )
         assert stats["breaker"]["state"] == "closed"
         assert stats["counters"]["store_puts"] == 6
-        health = front.health()
-        assert health["ok"] and health["breaker_state"] == "closed"
+        headline = health(stats)
+        assert headline["ok"] and headline["breaker_state"] == "closed"
 
     def test_counter_keys_do_not_depend_on_configuration(self, tmp_path):
         """A store, a verifier and a DLQ add values, never names: the
@@ -432,7 +432,7 @@ class TestStatsSurface:
     def test_one_shard_keys_cover_a_shard_service(self):
         """Every key a shard reports in ``stats()`` — nested ones too — is
         also on the front door, so the one front door drops none of the
-        telemetry a bare shard had; ``health()`` is its headline."""
+        telemetry a bare shard had; the serve loop's ``health`` is its headline."""
         from repro.service.service import SimulationService
 
         cfg = ServiceConfig(workers=0,
@@ -456,12 +456,12 @@ class TestStatsSurface:
             return out
 
         assert keys(shard.stats()) - keys(front.stats()) == set()
-        assert set(front.health()) == {
-            "ok", "degraded_mode", "breaker_state", "queue_depth", "inflight"}
         stats = front.stats()
+        assert set(health(stats)) == {
+            "ok", "degraded_mode", "breaker_state", "queue_depth", "inflight"}
         assert stats["breaker"] == shard.stats()["breaker"]
         assert stats["workers"] == []
-        assert front.health()["breaker_state"] == "closed"
+        assert health(stats)["breaker_state"] == "closed"
 
     def test_autoscaler_events_merge_in_time_order_with_shard_tags(self):
         clock = VirtualClock()

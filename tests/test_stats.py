@@ -7,11 +7,11 @@ from repro.smt.stats import QuantumRecord, SimStats
 
 class TestQuantumRecord:
     def test_ipc(self):
-        q = QuantumRecord(index=0, start_cycle=0, cycles=100, committed=250, policy="icount")
+        q = QuantumRecord(index=0, cycles=100, committed=250, policy="icount")
         assert q.ipc == pytest.approx(2.5)
 
     def test_zero_cycles(self):
-        q = QuantumRecord(index=0, start_cycle=0, cycles=0, committed=0, policy="icount")
+        q = QuantumRecord(index=0, cycles=0, committed=0, policy="icount")
         assert q.ipc == 0.0
 
 

@@ -30,7 +30,8 @@ from repro.storage.errors import (
     classify_oserror,
     is_transient,
 )
-from repro.storage.faultfs import DiskFaultPlan, FaultFS, faultfs_session
+from repro.faults.plan import FaultPlan
+from repro.storage.faultfs import FaultFS, faultfs_session
 
 
 FAST_RETRY = RetrySpec(attempts=12, base_delay_s=0.0, max_delay_s=0.0)
@@ -65,7 +66,7 @@ class TestAtomicWrite:
         never a prefix."""
         p = tmp_path / "a.bin"
         p.write_bytes(b"intact-old-content")
-        plan = DiskFaultPlan(seed=7, torn_write_rate=1.0)
+        plan = FaultPlan(seed=7, disk_torn_write_rate=1.0)
         with faultfs_session(plan):
             with pytest.raises(StorageError):
                 atomic_write_bytes(p, b"N" * 4096, retry=FAST_RETRY)
@@ -76,7 +77,7 @@ class TestAtomicWrite:
         """A sub-certain fault rate flaps; the bounded retry must land the
         write intact within its budget (seeded, so deterministic)."""
         p = tmp_path / "a.bin"
-        plan = DiskFaultPlan(seed=3, torn_write_rate=0.4, enospc_rate=0.3)
+        plan = FaultPlan(seed=3, disk_torn_write_rate=0.4, disk_enospc_rate=0.3)
         with faultfs_session(plan) as ffs:
             for i in range(30):
                 atomic_write_bytes(p, b"payload-%d" % i, retry=FAST_RETRY)
@@ -84,13 +85,13 @@ class TestAtomicWrite:
             assert ffs.faults_injected > 0
 
     def test_enospc_surfaces_as_disk_full(self, tmp_path):
-        plan = DiskFaultPlan(seed=0, enospc_rate=1.0)
+        plan = FaultPlan(seed=0, disk_enospc_rate=1.0)
         with faultfs_session(plan):
             with pytest.raises(DiskFullError):
                 atomic_write_bytes(tmp_path / "a.bin", b"x" * 512, retry=FAST_RETRY)
 
     def test_rename_fault_leaves_no_temp(self, tmp_path):
-        plan = DiskFaultPlan(seed=1, rename_fail_rate=1.0)
+        plan = FaultPlan(seed=1, disk_rename_fail_rate=1.0)
         with faultfs_session(plan):
             with pytest.raises(StorageError):
                 atomic_write_bytes(tmp_path / "a.bin", b"x", retry=FAST_RETRY)
@@ -109,7 +110,7 @@ class TestAppendLine:
         be truncated away — the journal ends at the last complete line."""
         p = tmp_path / "j.jsonl"
         append_line(p, '{"ok": 1}')
-        plan = DiskFaultPlan(seed=0, enospc_rate=1.0, enospc_after_bytes=4)
+        plan = FaultPlan(seed=0, disk_enospc_rate=1.0, disk_enospc_after_bytes=4)
         with faultfs_session(plan):
             with pytest.raises(DiskFullError):
                 append_line(p, '{"doomed": "record"}', retry=FAST_RETRY)
@@ -119,7 +120,7 @@ class TestAppendLine:
         """Retried appends must not double-land a line: each success is
         exactly one copy, even when earlier attempts tore."""
         p = tmp_path / "j.jsonl"
-        plan = DiskFaultPlan(seed=11, torn_write_rate=0.35, enospc_rate=0.25)
+        plan = FaultPlan(seed=11, disk_torn_write_rate=0.35, disk_enospc_rate=0.25)
         with faultfs_session(plan) as ffs:
             for i in range(40):
                 append_line(p, json.dumps({"i": i}), retry=FAST_RETRY)
@@ -165,7 +166,7 @@ class TestReadBytes:
     def test_read_eio_retried(self, tmp_path):
         p = tmp_path / "a.bin"
         p.write_bytes(b"data")
-        plan = DiskFaultPlan(seed=5, read_eio_rate=0.5)
+        plan = FaultPlan(seed=5, disk_read_eio_rate=0.5)
         with faultfs_session(plan) as ffs:
             for _ in range(20):
                 assert read_bytes(p, retry=FAST_RETRY) == b"data"
@@ -174,7 +175,7 @@ class TestReadBytes:
     def test_persistent_eio_surfaces(self, tmp_path):
         p = tmp_path / "a.bin"
         p.write_bytes(b"data")
-        with faultfs_session(DiskFaultPlan(seed=0, read_eio_rate=1.0)):
+        with faultfs_session(FaultPlan(seed=0, disk_read_eio_rate=1.0)):
             with pytest.raises(StorageError):
                 read_bytes(p, retry=FAST_RETRY)
 
@@ -204,7 +205,7 @@ class TestQuarantine:
         faults — quarantine uses raw os.replace."""
         p = tmp_path / "a.json"
         p.write_bytes(b"bad")
-        with faultfs_session(DiskFaultPlan(seed=0, rename_fail_rate=1.0)):
+        with faultfs_session(FaultPlan(seed=0, disk_rename_fail_rate=1.0)):
             dest = quarantine(p)
         assert dest is not None and dest.exists()
 
@@ -212,7 +213,7 @@ class TestQuarantine:
 class TestFaultFSDeterminism:
     def test_same_seed_same_fault_sequence(self, tmp_path):
         def run(seed):
-            ffs = FaultFS(DiskFaultPlan(seed=seed, torn_write_rate=0.5))
+            ffs = FaultFS(FaultPlan(seed=seed, disk_torn_write_rate=0.5))
             with faultfs_session(ffs):
                 outcomes = []
                 for i in range(20):
@@ -231,5 +232,5 @@ class TestFaultFSDeterminism:
         assert a != c  # different seed, different sequence (overwhelmingly)
 
     def test_zero_rate_plan_installs_nothing(self):
-        with faultfs_session(DiskFaultPlan(seed=0)) as ffs:
+        with faultfs_session(FaultPlan(seed=0)) as ffs:
             assert ffs is None

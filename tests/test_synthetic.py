@@ -5,7 +5,7 @@ import pytest
 
 from repro.smt.config import SMTConfig
 from repro.smt.pipeline import SMTProcessor
-from repro.workloads.synthetic import PRESETS, get_preset, make_profile, with_phases
+from repro.workloads.synthetic import PRESETS, get_preset, make_profile
 from repro.workloads.tracegen import TraceGenerator
 
 
@@ -78,16 +78,3 @@ class TestPresets:
             proc.run(6000)
             rates[name] = proc.stats.mispredict_rate
         assert rates["branch_storm"] > rates["stream"]
-
-
-class TestWithPhases:
-    def test_adds_phases(self):
-        base = make_profile("x")
-        phased = with_phases(base, storm_scale=4.0, memory_scale=5.0)
-        assert len(phased.phases) == 3
-        assert base.phases == ()
-
-    def test_storm_only(self):
-        phased = with_phases(make_profile("x"), storm_scale=3.0)
-        names = [p.name for p in phased.phases]
-        assert names == ["base", "storm"]

@@ -20,7 +20,7 @@ def snapshot(tid=0, **over):
 
 
 def record(cycles=1000, committed=1500, index=0):
-    return QuantumRecord(index=index, start_cycle=0, cycles=cycles,
+    return QuantumRecord(index=index, cycles=cycles,
                          committed=committed, policy="icount")
 
 
@@ -34,11 +34,6 @@ class TestThresholdConfig:
             ThresholdConfig(ipc_threshold=-1)
         with pytest.raises(ValueError):
             ThresholdConfig(l1_miss_rate=-0.1)
-
-    def test_with_ipc_threshold(self):
-        t = ThresholdConfig().with_ipc_threshold(4.0)
-        assert t.ipc_threshold == 4.0
-        assert t.l1_miss_rate == ThresholdConfig().l1_miss_rate
 
     def test_paper_values_recorded(self):
         assert ThresholdConfig.PAPER_VALUES["l1_miss_rate"] == 0.19

@@ -3,6 +3,7 @@ and the extended `breakdown()` accounting."""
 
 import hashlib
 import json
+import time
 
 import numpy as np
 import pytest
@@ -16,11 +17,13 @@ from repro.service.loadgen import (
     generate_burst,
     generate_traffic,
     load_recording,
+    replay_realtime,
     replay_traffic,
     save_recording,
     traffic_fingerprint,
 )
 from repro.service.request import SimRequest, SimResponse
+from repro.service.router import ShardedService
 from repro.service.service import ServiceConfig, SimulationService
 
 
@@ -222,6 +225,24 @@ class TestReplay:
         shed = [r for r in responses if r.outcome == "shed"]
         assert shed and all(r.reason for r in shed)
         assert len(responses) == 40
+
+    def test_realtime_replay_answers_each_request_once(self):
+        """The wall-clock replay (``repro replay`` with workers) answers
+        every request exactly once and returns as soon as the stream is
+        exhausted and the front door is idle, well before its wall cap."""
+        events = generate_traffic(
+            TrafficSpec(shape="bursty", requests=30, duration_s=2.0, seed=4)
+        )
+        front = ShardedService(ServiceConfig(workers=0, queue_capacity=64),
+                               full_runner=ok_full, fast_runner=ok_fast)
+        started = time.monotonic()
+        responses = replay_realtime(front, events, time_scale=0.05,
+                                    max_wall_s=60.0)
+        assert time.monotonic() - started < 30.0
+        assert sorted(r.request_id for r in responses) == sorted(
+            e.request.request_id for e in events)
+        assert front.pending == 0
+        assert front.take_completed() == []
 
 
 class TestBreakdown:
