@@ -1,16 +1,14 @@
 """Multithreaded-throughput fairness metrics.
 
 Aggregate IPC (the paper's metric) can reward starving slow threads; the
-post-2003 SMT literature standardized complements: weighted speedup
-(Snavely & Tullsen), harmonic mean of speedups (Luo et al.), and the Jain
-fairness index. Provided here so ADTS/fixed comparisons can report whether
-throughput gains come at a fairness cost.
+Jain fairness index over per-thread IPC shows whether throughput gains
+come at a fairness cost in ADTS/fixed comparisons.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional
+from typing import Mapping
 
 import numpy as np
 
@@ -23,78 +21,22 @@ def jain_index(per_thread_ipc: Mapping[int, float]) -> float:
     return float(xs.sum() ** 2 / (xs.size * (xs**2).sum()))
 
 
-def weighted_speedup(
-    per_thread_ipc: Mapping[int, float],
-    single_thread_ipc: Mapping[int, float],
-) -> float:
-    """Sum of per-thread speedups vs. running alone (Snavely & Tullsen)."""
-    total = 0.0
-    for tid, ipc in per_thread_ipc.items():
-        alone = single_thread_ipc.get(tid, 0.0)
-        if alone > 0:
-            total += ipc / alone
-    return total
-
-
-def hmean_speedup(
-    per_thread_ipc: Mapping[int, float],
-    single_thread_ipc: Mapping[int, float],
-) -> float:
-    """Harmonic mean of speedups: balances throughput and fairness."""
-    inv = []
-    for tid, ipc in per_thread_ipc.items():
-        alone = single_thread_ipc.get(tid, 0.0)
-        if alone <= 0:
-            continue
-        speedup = ipc / alone
-        if speedup <= 0:
-            return 0.0
-        inv.append(1.0 / speedup)
-    if not inv:
-        return 0.0
-    return len(inv) / sum(inv)
-
-
 @dataclass(frozen=True)
 class FairnessReport:
     """All fairness metrics for one run."""
 
     aggregate_ipc: float
     jain: float
-    weighted_speedup: Optional[float] = None
-    hmean_speedup: Optional[float] = None
 
     def as_dict(self) -> dict:
         """JSON-friendly view."""
-        return {
-            "aggregate_ipc": self.aggregate_ipc,
-            "jain": self.jain,
-            "weighted_speedup": self.weighted_speedup,
-            "hmean_speedup": self.hmean_speedup,
-        }
+        return {"aggregate_ipc": self.aggregate_ipc, "jain": self.jain}
 
 
-def fairness_report(
-    stats,
-    single_thread_ipc: Optional[Dict[int, float]] = None,
-) -> FairnessReport:
-    """Build a report from a finished run's :class:`SimStats`.
-
-    ``single_thread_ipc`` (per-thread alone-IPC baselines) enables the
-    speedup-based metrics; without it only aggregate IPC and Jain's index
-    are reported.
-    """
+def fairness_report(stats) -> FairnessReport:
+    """Build a report from a finished run's :class:`SimStats`."""
     per_thread = {
         tid: committed / stats.cycles if stats.cycles else 0.0
         for tid, committed in stats.per_thread_committed.items()
     }
-    ws = hm = None
-    if single_thread_ipc:
-        ws = weighted_speedup(per_thread, single_thread_ipc)
-        hm = hmean_speedup(per_thread, single_thread_ipc)
-    return FairnessReport(
-        aggregate_ipc=stats.ipc,
-        jain=jain_index(per_thread),
-        weighted_speedup=ws,
-        hmean_speedup=hm,
-    )
+    return FairnessReport(aggregate_ipc=stats.ipc, jain=jain_index(per_thread))

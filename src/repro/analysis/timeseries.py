@@ -12,18 +12,18 @@ from typing import Dict, List, Sequence
 
 import numpy as np
 
+#: CUSUM alarm level and per-step slack, both in standard deviations.
+SHIFT_THRESHOLD = 4.0
+SHIFT_DRIFT = 0.25
 
-def detect_level_shifts(
-    series: Sequence[float],
-    threshold: float = 4.0,
-    drift: float = 0.25,
-) -> List[int]:
+
+def detect_level_shifts(series: Sequence[float]) -> List[int]:
     """Two-sided CUSUM change-point detection on a quantum series.
 
     Returns the indices where the cumulative deviation from the running
-    mean exceeds ``threshold`` standard deviations (phase boundaries in the
-    workload, the events ADTS is supposed to react to). ``drift`` is the
-    slack per step in sigmas.
+    mean exceeds ``SHIFT_THRESHOLD`` standard deviations (phase boundaries
+    in the workload, the events ADTS is supposed to react to).
+    ``SHIFT_DRIFT`` is the slack per step in sigmas.
     """
     xs = np.asarray(series, dtype=float)
     if xs.size < 4:
@@ -34,9 +34,9 @@ def detect_level_shifts(
     shifts: List[int] = []
     for i, x in enumerate(xs):
         z = (x - mean) / sigma
-        up = max(0.0, up + z - drift)
-        down = max(0.0, down - z - drift)
-        if up > threshold or down > threshold:
+        up = max(0.0, up + z - SHIFT_DRIFT)
+        down = max(0.0, down - z - SHIFT_DRIFT)
+        if up > SHIFT_THRESHOLD or down > SHIFT_THRESHOLD:
             shifts.append(i)
             up = down = 0.0
             mean = float(x)

@@ -15,8 +15,8 @@ flaps the guard:
 
 * level 0 ``steady``   — baseline and live window agree,
 * level 1 ``warning``  — sustained warn: telemetry event + log.warning,
-* level 2 ``drifting`` — sustained drift: event, log.warning, optional
-  ``on_escalate`` hook, and (opt-in) degradation pressure: services
+* level 2 ``drifting`` — sustained drift: event, log.warning, and
+  (opt-in) degradation pressure: services
   answer degradable requests with the fast model while the guard holds
   level 2. Requests are still answered exactly once — degradation is a
   quality knob, never a drop — so the drain contract holds.
@@ -27,7 +27,7 @@ from __future__ import annotations
 import logging
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, List, Mapping, Optional, Tuple
+from typing import Deque, Dict, List, Mapping, Optional
 
 from repro.behavior.drift import (
     VERDICT_DRIFT,
@@ -102,8 +102,6 @@ class DriftGuard:
         self,
         baseline: Mapping[str, float],
         degrade_on_drift: bool = False,
-        baseline_id: Optional[str] = None,
-        on_escalate: Optional[Callable[[GuardEvent], None]] = None,
     ) -> None:
         # Only the baseline's windowed-rate metrics are comparable online.
         metrics = getattr(baseline, "metrics", baseline)
@@ -112,9 +110,8 @@ class DriftGuard:
         }
         if not self.baseline:
             raise ValueError("baseline carries no rate.* metrics")
-        self.baseline_id = baseline_id or getattr(baseline, "profile_id", None)
+        self.baseline_id = getattr(baseline, "profile_id", None)
         self.degrade_on_drift = degrade_on_drift
-        self.on_escalate = on_escalate
         self._window: Deque[Mapping[str, float]] = deque(maxlen=WINDOW)
         self.level = 0
         self.last_report: Optional[DriftReport] = None
@@ -217,8 +214,6 @@ class DriftGuard:
                 self.baseline_id,
                 detail,
             )
-            if self.on_escalate is not None:
-                self.on_escalate(event)
         else:
             self.clears += 1
             log.info(

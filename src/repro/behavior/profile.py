@@ -180,7 +180,6 @@ def _git_metadata() -> Dict[str, str]:
 def profile_identity(
     seed: Optional[int] = None,
     config_fields: Optional[Mapping] = None,
-    extra: Optional[Mapping] = None,
 ) -> Dict[str, object]:
     """Identity metadata: commit/branch, host, python, seed and a config
     fingerprint (:func:`~repro.harness.runner.fields_digest` over the
@@ -197,8 +196,6 @@ def profile_identity(
         identity["seed"] = int(seed)
     if config_fields is not None:
         identity["config_digest"] = fields_digest(dict(config_fields))
-    if extra:
-        identity.update(dict(extra))
     return identity
 
 
@@ -231,7 +228,6 @@ def profile_from_service(
     label: str,
     seed: Optional[int] = None,
     breakdown: Optional[Mapping] = None,
-    window: Optional[Mapping] = None,
 ) -> BehaviorProfile:
     """Capture the front door's counter map plus derived rates.
 
@@ -265,7 +261,6 @@ def profile_from_service(
         source="service",
         metrics=metrics,
         identity=profile_identity(seed=seed, config_fields=config_fields),
-        window=dict(window or {}),
     )
 
 

@@ -16,8 +16,6 @@ class BimodalPredictor:
 
     def __init__(self, entries: int = 2048) -> None:
         self.table = TwoBitCounterTable(entries)
-        self.lookups = 0
-        self.correct = 0
 
     def _index(self, pc: int) -> int:
         return (pc >> 2) & self.table.mask
@@ -32,16 +30,10 @@ class BimodalPredictor:
 
     def predict_and_update(self, tid: int, pc: int, taken: bool) -> bool:
         """Trace-driven use: predict, train, and return True iff correct."""
-        self.lookups += 1
         prediction = self.predict(tid, pc)
         self.update(tid, pc, taken)
-        ok = prediction == taken
-        if ok:
-            self.correct += 1
-        return ok
+        return prediction == taken
 
     def reset(self) -> None:
-        """Clear accuracy statistics and re-initialize the table."""
-        self.lookups = 0
-        self.correct = 0
+        """Re-initialize the table."""
         self.table.reset()

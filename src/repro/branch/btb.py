@@ -16,7 +16,7 @@ class BranchTargetBuffer:
     this a hot structure, and list indexing avoids NumPy scalar dispatch.
     """
 
-    __slots__ = ("entries", "mask", "_tags", "_targets", "hits", "misses")
+    __slots__ = ("entries", "mask", "_tags", "_targets")
 
     def __init__(self, entries: int = 256) -> None:
         if entries <= 0 or entries & (entries - 1):
@@ -25,16 +25,12 @@ class BranchTargetBuffer:
         self.mask = entries - 1
         self._tags = [-1] * entries
         self._targets = [0] * entries
-        self.hits = 0
-        self.misses = 0
 
     def lookup(self, pc: int) -> int:
         """Predicted target for the branch at ``pc``, or -1 on BTB miss."""
         idx = (pc >> 2) & self.mask
         if self._tags[idx] == pc:
-            self.hits += 1
             return self._targets[idx]
-        self.misses += 1
         return -1
 
     def update(self, pc: int, target: int) -> None:
@@ -44,8 +40,6 @@ class BranchTargetBuffer:
         self._targets[idx] = target
 
     def reset(self) -> None:
-        """Invalidate all entries and clear statistics."""
+        """Invalidate all entries."""
         self._tags = [-1] * self.entries
         self._targets = [0] * self.entries
-        self.hits = 0
-        self.misses = 0

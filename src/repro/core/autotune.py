@@ -26,22 +26,25 @@ from repro.core.quantum import QuantumObservation
 from repro.core.thresholds import ThresholdConfig
 
 
+#: The quantile tracker's step, relative to the running magnitude.
+STEP = 0.05
+#: The smoothing factor of the tuner's condition-constant means.
+ALPHA = 0.15
+
+
 class QuantileTracker:
     """Streaming quantile via stochastic approximation.
 
-    Classic Robbins–Monro update: the estimate moves up by ``step*q`` on
-    samples above it and down by ``step*(1-q)`` on samples below, so it
+    Classic Robbins–Monro update: the estimate moves up by ``STEP*q`` on
+    samples above it and down by ``STEP*(1-q)`` on samples below, so it
     converges to the q-quantile with one register of state — implementable
     in a few DT instructions.
     """
 
-    def __init__(self, q: float, initial: float = 0.0, step: float = 0.05) -> None:
+    def __init__(self, q: float, initial: float = 0.0) -> None:
         if not 0.0 < q < 1.0:
             raise ValueError("q must be in (0, 1)")
-        if step <= 0:
-            raise ValueError("step must be positive")
         self.q = q
-        self.step = step
         self.estimate = initial
         self.samples = 0
 
@@ -51,9 +54,9 @@ class QuantileTracker:
         # unit-free across metrics.
         scale = max(abs(self.estimate), abs(value), 1e-6)
         if value > self.estimate:
-            self.estimate += self.step * self.q * scale
+            self.estimate += STEP * self.q * scale
         else:
-            self.estimate -= self.step * (1.0 - self.q) * scale
+            self.estimate -= STEP * (1.0 - self.q) * scale
         self.samples += 1
         return self.estimate
 
@@ -100,7 +103,6 @@ class ThresholdAutoTuner:
         initial: Optional[ThresholdConfig] = None,
         ipc_quantile: float = 0.35,
         update_interval: int = 8,
-        alpha: float = 0.15,
     ) -> None:
         if update_interval <= 0:
             raise ValueError("update_interval must be positive")
@@ -110,10 +112,10 @@ class ThresholdAutoTuner:
             ipc_quantile, initial=self.thresholds.ipc_threshold
         )
         self._means: Dict[str, RunningMean] = {
-            "l1_miss_rate": RunningMean(alpha, self.thresholds.l1_miss_rate),
-            "lsq_full_rate": RunningMean(alpha, self.thresholds.lsq_full_rate),
-            "mispredict_rate": RunningMean(alpha, self.thresholds.mispredict_rate),
-            "cond_branch_rate": RunningMean(alpha, self.thresholds.cond_branch_rate),
+            "l1_miss_rate": RunningMean(ALPHA, self.thresholds.l1_miss_rate),
+            "lsq_full_rate": RunningMean(ALPHA, self.thresholds.lsq_full_rate),
+            "mispredict_rate": RunningMean(ALPHA, self.thresholds.mispredict_rate),
+            "cond_branch_rate": RunningMean(ALPHA, self.thresholds.cond_branch_rate),
         }
         self._since_update = 0
         self.events: List[TunerEvent] = []

@@ -17,6 +17,11 @@ from typing import List, Sequence
 
 from repro.smt.counters import QuantumSnapshot
 
+#: A thread clogs when its pipeline-pressure share exceeds this many fair
+#: shares while its commit share is below ``STARVATION_FACTOR`` of one.
+OCCUPANCY_FACTOR = 1.1
+STARVATION_FACTOR = 0.5
+
 
 @dataclass(frozen=True)
 class CloggingReport:
@@ -31,14 +36,12 @@ class CloggingReport:
 
 def identify_clogging_threads(
     snapshots: Sequence[QuantumSnapshot],
-    occupancy_factor: float = 1.1,
-    starvation_factor: float = 0.5,
 ) -> List[CloggingReport]:
     """Classify each thread from its quantum snapshot.
 
     A thread is flagged when its share of fetched-but-uncommitted work
-    (pipeline occupancy pressure) exceeds ``occupancy_factor`` times its
-    fair share while its commit share is below ``starvation_factor`` times
+    (pipeline occupancy pressure) exceeds ``OCCUPANCY_FACTOR`` times its
+    fair share while its commit share is below ``STARVATION_FACTOR`` times
     fair share, or when it is the dominant source of a pathological event
     class (mispredict squashes, L1D misses, LSQ-full stalls).
     """
@@ -57,7 +60,7 @@ def identify_clogging_threads(
         reasons: List[str] = []
         pressure_share = max(0, s.fetched - s.committed) / total_pressure
         commit_share = s.committed / total_commit
-        if pressure_share > occupancy_factor * fair and commit_share < starvation_factor * fair:
+        if pressure_share > OCCUPANCY_FACTOR * fair and commit_share < STARVATION_FACTOR * fair:
             reasons.append("occupancy-vs-commit imbalance")
         if total_squash and s.squashed / total_squash > 0.5 and s.squashed > s.committed:
             reasons.append("wrong-path storm")

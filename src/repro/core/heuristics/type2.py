@@ -8,31 +8,21 @@ transitions"), still without consulting any status indicator.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from repro.core.heuristics.base import Decision, Heuristic
 from repro.core.quantum import QuantumObservation
-from repro.core.thresholds import ThresholdConfig
+
+#: The Figure 5 cycle.
+SEQUENCE = ("icount", "l1misscount", "brcount")
 
 
 class Type2Heuristic(Heuristic):
     name = "type2"
     cost_instructions = 24
 
-    def __init__(
-        self,
-        thresholds: ThresholdConfig | None = None,
-        sequence: Sequence[str] = ("icount", "l1misscount", "brcount"),
-    ) -> None:
-        super().__init__(thresholds)
-        if len(sequence) < 2:
-            raise ValueError("Type 2 needs at least two policies in its cycle")
-        self.sequence = tuple(sequence)
-
     def decide(self, incumbent: str, obs: QuantumObservation) -> Decision:
         try:
-            idx = self.sequence.index(incumbent)
+            idx = SEQUENCE.index(incumbent)
         except ValueError:
             idx = -1  # unknown incumbent: restart the cycle at its head
-        nxt = self.sequence[(idx + 1) % len(self.sequence)]
+        nxt = SEQUENCE[(idx + 1) % len(SEQUENCE)]
         return Decision(nxt, switched=nxt != incumbent, reason="type2 cyclic transition")

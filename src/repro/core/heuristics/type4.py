@@ -23,18 +23,17 @@ from repro.core.thresholds import ThresholdConfig
 
 _TRIANGLE = {"icount", "brcount", "l1misscount"}
 
+#: Switching cases the history buffer holds.
+HISTORY_CAPACITY = 64
+
 
 class Type4Heuristic(Type3GradientHeuristic):
     name = "type4"
     cost_instructions = 192
 
-    def __init__(
-        self,
-        thresholds: ThresholdConfig | None = None,
-        history_capacity: int = 64,
-    ) -> None:
+    def __init__(self, thresholds: ThresholdConfig | None = None) -> None:
         super().__init__(thresholds)
-        self.history = SwitchHistoryBuffer(history_capacity)
+        self.history = SwitchHistoryBuffer(HISTORY_CAPACITY)
 
     def decide(self, incumbent: str, obs: QuantumObservation) -> Decision:
         tentative = super().decide(incumbent, obs)
@@ -59,4 +58,4 @@ class Type4Heuristic(Type3GradientHeuristic):
         self.history.record_outcome(improved)
 
     def reset(self) -> None:
-        self.history = SwitchHistoryBuffer(self.history.capacity)
+        self.history = SwitchHistoryBuffer(HISTORY_CAPACITY)

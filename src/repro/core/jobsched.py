@@ -71,7 +71,6 @@ class JobSchedulerHook(SchedulerHook):
         mode: str = "guided",
         interval_quanta: int = 4,
         swaps_per_interval: int = 2,
-        switch_penalty: int = 200,
         adts: Optional[ADTSController] = None,
     ) -> None:
         if mode not in ("guided", "oblivious"):
@@ -82,7 +81,6 @@ class JobSchedulerHook(SchedulerHook):
         self.mode = mode
         self.interval_quanta = interval_quanta
         self.swaps_per_interval = swaps_per_interval
-        self.switch_penalty = switch_penalty
         self.adts = adts or ADTSController()
         self.processor = None
         #: context -> resident job
@@ -141,7 +139,7 @@ class JobSchedulerHook(SchedulerHook):
             if tid in self.adts.flags.marked_for_suspension():
                 outgoing.evictions_as_clogger += 1
                 self.adts.flags.clear_suspension_mark(tid)
-            self.processor.swap_thread(tid, incoming.trace, self.switch_penalty)
+            self.processor.swap_thread(tid, incoming.trace)
             self.resident[tid] = incoming
             self.waiting.append(outgoing)
             self.swaps += 1

@@ -19,11 +19,12 @@ from __future__ import annotations
 
 import pickle
 from dataclasses import dataclass, field
-from typing import Callable, List, Sequence
+from typing import Callable, List
 
 from repro.smt.pipeline import SMTProcessor
 
-DEFAULT_CANDIDATES = ("icount", "brcount", "l1misscount")
+#: The policies the oracle tries at every boundary.
+CANDIDATES = ("icount", "brcount", "l1misscount")
 
 
 @dataclass
@@ -61,11 +62,6 @@ class OracleResult:
 class OracleScheduler:
     """Clairvoyant per-quantum policy selection."""
 
-    def __init__(self, candidates: Sequence[str] = DEFAULT_CANDIDATES) -> None:
-        if not candidates:
-            raise ValueError("need at least one candidate policy")
-        self.candidates = tuple(candidates)
-
     def run(self, processor: SMTProcessor, quanta: int) -> OracleResult:
         """Advance ``processor`` for ``quanta`` quanta, oracle-choosing the
         policy at every boundary. Mutates (and returns through) the live
@@ -75,7 +71,7 @@ class OracleScheduler:
         for q in range(quanta):
             per_policy = {}
             blob = pickle.dumps(processor, pickle.HIGHEST_PROTOCOL)
-            for name in self.candidates:
+            for name in CANDIDATES:
                 trial = pickle.loads(blob)
                 trial.set_policy(name)
                 before = trial.stats.committed
@@ -99,7 +95,6 @@ class OracleScheduler:
 def oracle_upper_bound(
     make_processor: Callable[[], SMTProcessor],
     quanta: int,
-    candidates: Sequence[str] = DEFAULT_CANDIDATES,
 ) -> dict:
     """Oracle IPC vs. fixed-ICOUNT IPC on identical machines/workloads.
 
@@ -107,7 +102,7 @@ def oracle_upper_bound(
     on each call so both runs see the same instruction streams.
     """
     oracle_proc = make_processor()
-    oracle = OracleScheduler(candidates).run(oracle_proc, quanta)
+    oracle = OracleScheduler().run(oracle_proc, quanta)
     fixed_proc = make_processor()
     fixed_proc.set_policy("icount")
     fixed_proc.run(quanta * fixed_proc.quantum_cycles)

@@ -33,7 +33,7 @@ from repro.core.heuristics.base import Heuristic
 from repro.core.history import SwitchQualityLedger
 from repro.core.quantum import QuantumObservation
 from repro.core.thresholds import ThresholdConfig
-from repro.fastmodel.calibrate import CalibrationConstants, DEFAULT_CONSTANTS
+from repro.fastmodel.calibrate import DEFAULT_CONSTANTS
 from repro.util.seeds import SeedSequencer
 from repro.workloads.mixes import get_mix
 from repro.workloads.profiles import ApplicationProfile, PhaseProfile, get_profile
@@ -109,7 +109,6 @@ class FastMixModel:
         seed: int = 0,
         quantum_cycles: int = 8192,
         num_threads: int = 8,
-        constants: CalibrationConstants = DEFAULT_CONSTANTS,
     ) -> None:
         if isinstance(mix, str):
             apps = get_mix(mix).subset(num_threads, seed=seed)
@@ -117,7 +116,7 @@ class FastMixModel:
             apps = tuple(mix)
         self.apps = apps
         self.quantum_cycles = quantum_cycles
-        self.constants = constants
+        self.constants = DEFAULT_CONSTANTS
         seeds = SeedSequencer(seed)
         self.rng = seeds.generator("fastmodel")
         self.threads: List[_ThreadState] = []
@@ -260,10 +259,11 @@ def fast_run_fixed(
     quanta: int = 64,
     seed: int = 0,
     quantum_cycles: int = 8192,
-    constants: CalibrationConstants = DEFAULT_CONSTANTS,
+    num_threads: int = 8,
 ) -> FastRunResult:
     """Fixed-policy fast run."""
-    model = FastMixModel(mix, seed=seed, quantum_cycles=quantum_cycles, constants=constants)
+    model = FastMixModel(mix, seed=seed, quantum_cycles=quantum_cycles,
+                         num_threads=num_threads)
     ipcs = [model.run_quantum(policy)[0] for _ in range(quanta)]
     return FastRunResult(
         ipc=float(np.mean(ipcs)),
@@ -281,7 +281,7 @@ def fast_serve(
     quanta: int = 64,
     seed: int = 0,
     quantum_cycles: int = 8192,
-    constants: CalibrationConstants = DEFAULT_CONSTANTS,
+    num_threads: int = 8,
 ) -> Dict[str, float]:
     """One request-shaped fast-model run, as a grid-cell-shaped payload.
 
@@ -289,18 +289,19 @@ def fast_serve(
     the detailed engine's ``service_cell`` task (``ipc`` / ``switches`` /
     ``benign_probability``), so a degraded response is a drop-in for a
     full-fidelity one — only the response's ``tier``/``degraded`` marking
-    tells them apart.
+    tells them apart. A named mix is down-sampled to ``num_threads``
+    threads, as the detailed engine samples it.
     """
     if mode == "adts":
         r = fast_run_adts(
             mix, heuristic, ThresholdConfig(ipc_threshold=threshold),
             quanta=quanta, seed=seed, quantum_cycles=quantum_cycles,
-            constants=constants,
+            num_threads=num_threads,
         )
     else:
         r = fast_run_fixed(
             mix, policy, quanta=quanta, seed=seed,
-            quantum_cycles=quantum_cycles, constants=constants,
+            quantum_cycles=quantum_cycles, num_threads=num_threads,
         )
     return {
         "ipc": r.ipc,
@@ -316,14 +317,15 @@ def fast_run_adts(
     quanta: int = 64,
     seed: int = 0,
     quantum_cycles: int = 8192,
-    constants: CalibrationConstants = DEFAULT_CONSTANTS,
+    num_threads: int = 8,
 ) -> FastRunResult:
     """ADTS fast run: the real heuristic drives policy switching on the
     model's observations (instant-DT approximation; the detailed engine
     charges DT latency)."""
     thresholds = thresholds or ThresholdConfig()
     heur = create_heuristic(heuristic, thresholds=thresholds) if isinstance(heuristic, str) else heuristic
-    model = FastMixModel(mix, seed=seed, quantum_cycles=quantum_cycles, constants=constants)
+    model = FastMixModel(mix, seed=seed, quantum_cycles=quantum_cycles,
+                         num_threads=num_threads)
     ledger = SwitchQualityLedger()
     policy = "icount"
     usage: Dict[str, int] = {}

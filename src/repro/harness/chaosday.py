@@ -108,8 +108,9 @@ class CampaignConfig:
             (:class:`~repro.service.router.ShardedService`), which always routes
             by identity and coalesces identical in-flight requests under
             crash-safe leases, over the campaign's content-addressed
-            result store at ``out_dir/resultstore`` (segmented per
-            shard), which takes the disk faults.
+            result store at ``out_dir/resultstore`` (one ``shard-00``
+            segment whatever the shard count), which takes the disk
+            faults.
         verify_rate: shadow-verification sampling rate (0 disables).
         dlq_threshold: engine-failure strikes before an identity is
             parked in the dead-letter queue (0 disables; the store's

@@ -48,6 +48,10 @@ class ExperimentDefaults:
 
 DEFAULTS = ExperimentDefaults()
 
+#: The paper's best ADTS setting (§6), which S1, S3 and S6-2 run.
+BEST_THRESHOLD = 2.0
+BEST_HEURISTIC = "type3"
+
 
 # ---------------------------------------------------------------------------
 # T1 — Table 1: the ten fixed fetch policies.
@@ -166,22 +170,21 @@ def experiment_headline(
 # ---------------------------------------------------------------------------
 # S6-2 — mixture similarity: homogeneous vs diverse mixes.
 # ---------------------------------------------------------------------------
-def experiment_similarity(
-    defaults: ExperimentDefaults = DEFAULTS,
-    threshold: float = 2.0,
-    heuristic: str = "type3",
-    homogeneous: Sequence[str] = ("mix09", "mix10", "mix11"),
-    diverse: Sequence[str] = ("mix05", "mix12", "mix13"),
-) -> Dict:
+#: S6-2's mix groups: one application per mix vs. mixed applications.
+HOMOGENEOUS_MIXES = ("mix09", "mix10", "mix11")
+DIVERSE_MIXES = ("mix05", "mix12", "mix13")
+
+
+def experiment_similarity(defaults: ExperimentDefaults = DEFAULTS) -> Dict:
     """The §6 finding: similar-application mixes gain more from ADTS."""
     base = defaults.base_run()
-    th = ThresholdConfig(ipc_threshold=threshold)
+    th = ThresholdConfig(ipc_threshold=BEST_THRESHOLD)
 
     def group_improvement(mixes: Sequence[str]) -> Dict:
         gains, sims = [], []
         for mix in mixes:
             fixed = run_fixed(replace(base, mix=mix, policy="icount"))
-            adts = run_adts(replace(base, mix=mix), heuristic=heuristic, thresholds=th)
+            adts = run_adts(replace(base, mix=mix), heuristic=BEST_HEURISTIC, thresholds=th)
             gains.append(adts.ipc / fixed.ipc - 1.0 if fixed.ipc else 0.0)
             sims.append(get_mix(mix).similarity())
         return {
@@ -193,29 +196,30 @@ def experiment_similarity(
 
     return {
         "experiment": "S6-2",
-        "homogeneous": group_improvement(homogeneous),
-        "diverse": group_improvement(diverse),
+        "homogeneous": group_improvement(HOMOGENEOUS_MIXES),
+        "diverse": group_improvement(DIVERSE_MIXES),
     }
 
 
 # ---------------------------------------------------------------------------
 # S1 — thread-count scaling: fixed ICOUNT vs ADTS at 2/4/6/8 threads.
 # ---------------------------------------------------------------------------
+#: S1's context counts.
+THREAD_COUNTS = (2, 4, 6, 8)
+
+
 def experiment_thread_scaling(
     defaults: ExperimentDefaults = DEFAULTS,
     mix: str = "mix05",
-    thread_counts: Sequence[int] = (2, 4, 6, 8),
-    threshold: float = 2.0,
-    heuristic: str = "type3",
 ) -> Dict:
     """Throughput vs. context count (the §1 saturation effect)."""
     base = defaults.base_run()
-    th = ThresholdConfig(ipc_threshold=threshold)
+    th = ThresholdConfig(ipc_threshold=BEST_THRESHOLD)
     rows = []
-    for n in thread_counts:
+    for n in THREAD_COUNTS:
         cfg = replace(base, mix=mix, num_threads=n)
         fixed = run_fixed(replace(cfg, policy="icount"))
-        adts = run_adts(cfg, heuristic=heuristic, thresholds=th)
+        adts = run_adts(cfg, heuristic=BEST_HEURISTIC, thresholds=th)
         rows.append(
             {
                 "threads": n,
@@ -232,15 +236,13 @@ def experiment_thread_scaling(
 def experiment_detector_overhead(
     defaults: ExperimentDefaults = DEFAULTS,
     mix: str = "mix05",
-    threshold: float = 2.0,
-    heuristic: str = "type3",
 ) -> Dict:
     """DT slot consumption, task latency and starvation; plus the
     instant-DT (zero-cost) ablation to bound the overhead's IPC impact."""
     base = replace(defaults.base_run(), mix=mix)
-    th = ThresholdConfig(ipc_threshold=threshold)
-    real = run_adts(base, heuristic=heuristic, thresholds=th, instant_dt=False)
-    instant = run_adts(base, heuristic=heuristic, thresholds=th, instant_dt=True)
+    th = ThresholdConfig(ipc_threshold=BEST_THRESHOLD)
+    real = run_adts(base, heuristic=BEST_HEURISTIC, thresholds=th, instant_dt=False)
+    instant = run_adts(base, heuristic=BEST_HEURISTIC, thresholds=th, instant_dt=True)
     return {
         "experiment": "S3",
         "mix": mix,

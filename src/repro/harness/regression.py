@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import pathlib
 from dataclasses import dataclass, field
-from typing import List, Optional, Union
+from typing import List, Union
 
 
 @dataclass(frozen=True)
@@ -121,9 +121,6 @@ def verify_campaign(path: Union[str, pathlib.Path]) -> RegressionReport:
 def verify_profile(
     path: Union[str, pathlib.Path],
     baseline_path: Union[str, pathlib.Path],
-    rel_tol: Optional[float] = None,
-    abs_floor: Optional[float] = None,
-    ignore: tuple = (),
     fail_on_warn: bool = False,
 ) -> RegressionReport:
     """Gate a behaviour profile against a baseline profile: drift as
@@ -140,7 +137,7 @@ def verify_profile(
     ``config_digest``, a capture with another digest or none fails as
     ``$.identity.config_digest``: it measured a different configuration.
     """
-    from repro.behavior.drift import DriftConfig, compute_drift
+    from repro.behavior.drift import compute_drift
     from repro.behavior.store import load_profile
     from repro.storage.errors import ArtifactError
 
@@ -158,12 +155,7 @@ def verify_profile(
             )
     if report.mismatches:
         return report
-    kwargs = {"ignore": tuple(ignore)}
-    if rel_tol is not None:
-        kwargs["rel_tol"] = rel_tol
-    if abs_floor is not None:
-        kwargs["abs_floor"] = abs_floor
-    drift = compute_drift(sides["baseline"], sides["current"], DriftConfig(**kwargs))
+    drift = compute_drift(sides["baseline"], sides["current"])
     report.files_compared = 1
     want = sides["baseline"].identity.get("config_digest")
     got = sides["current"].identity.get("config_digest")

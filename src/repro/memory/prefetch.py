@@ -6,7 +6,8 @@ Two classic designs, both prefetching into the shared L2:
 * :class:`NextLinePrefetcher` — on an L1D miss, fetch the next sequential
   line (tagged prefetch);
 * :class:`StridePrefetcher` — a PC-less, region-based stride table: detects
-  constant-stride streams per 4 KB region and runs ``degree`` lines ahead.
+  constant-stride streams per 4 KB region and runs ``STRIDE_DEGREE`` lines
+  ahead.
 
 Prefetchers are an *extension* experiment (A6): streaming FP workloads
 (swim/mgrid-class) should benefit most, which is also where L1MISSCOUNT's
@@ -20,6 +21,11 @@ from typing import Dict, List
 
 _LINE = 64
 _REGION_SHIFT = 12  # 4 KB stride-detection regions
+
+#: Lines an armed stride stream prefetches ahead.
+STRIDE_DEGREE = 2
+#: Regions the stride table tracks before it evicts the oldest.
+STRIDE_TABLE_ENTRIES = 64
 
 
 class Prefetcher(abc.ABC):
@@ -39,19 +45,11 @@ class Prefetcher(abc.ABC):
 
 
 class NextLinePrefetcher(Prefetcher):
-    """Fetch the next ``degree`` sequential lines on every miss."""
-
-    def __init__(self, degree: int = 1) -> None:
-        super().__init__()
-        if degree <= 0:
-            raise ValueError("degree must be positive")
-        self.degree = degree
+    """Fetch the next sequential line on every miss."""
 
     def on_miss(self, addr: int) -> List[int]:
-        base = (addr >> 6) << 6
-        out = [base + _LINE * (i + 1) for i in range(self.degree)]
-        self.issued += len(out)
-        return out
+        self.issued += 1
+        return [((addr >> 6) << 6) + _LINE]
 
 
 class StridePrefetcher(Prefetcher):
@@ -59,15 +57,11 @@ class StridePrefetcher(Prefetcher):
 
     Per 4 KB region, remember the last miss address and last stride; two
     consecutive equal strides arm the entry, after which each miss
-    prefetches ``degree`` lines ahead along the stride.
+    prefetches ``STRIDE_DEGREE`` lines ahead along the stride.
     """
 
-    def __init__(self, degree: int = 2, table_entries: int = 64) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        if degree <= 0 or table_entries <= 0:
-            raise ValueError("degree and table_entries must be positive")
-        self.degree = degree
-        self.table_entries = table_entries
         # region -> (last_addr, last_stride, confirmed)
         self._table: Dict[int, tuple] = {}
 
@@ -81,13 +75,13 @@ class StridePrefetcher(Prefetcher):
             if stride != 0 and stride == last_stride:
                 # Two consecutive equal strides arm the entry; emit
                 # immediately on arming and on every subsequent hit.
-                out = [addr + stride * (i + 1) for i in range(self.degree)]
+                out = [addr + stride * (i + 1) for i in range(STRIDE_DEGREE)]
                 self.issued += len(out)
                 self._table[region] = (addr, stride, True)
             else:
                 self._table[region] = (addr, stride, False)
         else:
-            if len(self._table) >= self.table_entries:
+            if len(self._table) >= STRIDE_TABLE_ENTRIES:
                 self._table.pop(next(iter(self._table)))
             self._table[region] = (addr, 0, False)
         return out

@@ -27,8 +27,9 @@ different simulations share an answer.
   which is what makes coalescing and cache hits *answers*, not guesses.
 
 * :func:`shard_of` maps a digest onto one of N shards (leading 32 bits,
-  mod N), so a given simulation is always owned by the same shard: its
-  result-store segment never sees writes from two shards at once.
+  mod N), so a given simulation is always owned by the same shard. The
+  result store does not depend on it: the front door files every entry
+  in one segment.
 """
 
 from __future__ import annotations

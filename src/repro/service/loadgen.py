@@ -38,7 +38,7 @@ import hashlib
 import json
 import time
 from dataclasses import asdict, dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -65,6 +65,8 @@ DEADLINE_RANGE_S = (0.5, 5.0)
 PEAK_TO_TROUGH = 4.0
 #: Mean burst size of the ``bursty`` shape.
 BURST_MEAN_SIZE = 16
+#: Wall-clock cap on one real-time replay; the caller then drains.
+MAX_WALL_S = 600.0
 
 
 @dataclass(frozen=True)
@@ -357,8 +359,8 @@ class VirtualClock:
     deadline-gated paths cannot spin forever).
     """
 
-    def __init__(self, start_s: float = 0.0) -> None:
-        self.now = float(start_s)
+    def __init__(self) -> None:
+        self.now = 0.0
         self.auto_advance_s = 0.0
 
     def __call__(self) -> float:
@@ -411,21 +413,19 @@ def replay_realtime(
     service,
     events: List[TimedRequest],
     time_scale: float = 1.0,
-    max_wall_s: float = 600.0,
-    clock: Callable[[], float] = time.monotonic,
 ) -> List[SimResponse]:
     """Drive a stream into a service paced by the wall clock.
 
     ``time_scale < 1`` compresses the recording (replay a day in a
     minute); the loop exits when the stream is exhausted and the service
-    is idle, or after ``max_wall_s`` (the caller then drains).
+    is idle, or after ``MAX_WALL_S`` (the caller then drains).
     """
-    t0 = clock()
+    t0 = time.monotonic()
     i = 0
     responses: List[SimResponse] = []
     while i < len(events) or service.pending > 0:
-        now = clock() - t0
-        if now > max_wall_s:
+        now = time.monotonic() - t0
+        if now > MAX_WALL_S:
             break
         while i < len(events) and events[i].at_s * time_scale <= now:
             service.submit(events[i].request)

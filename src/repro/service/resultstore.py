@@ -11,10 +11,10 @@ of its run's :func:`~repro.harness.runner.run_fields` (the request's
 and its stored fields cannot disagree. Entries are JSON document artifacts
 (embedded ``"artifact"`` metadata block, CRC over the canonical document —
 see :func:`repro.storage.artifact.embed_json_artifact`), one file per
-result at ``<root>/shard-NN/<digest>.json``. The shard directory is
-derived from the digest, so each shard of the front-door *owns* a disjoint
-segment: two shards never write the same file, and an fsck of one segment
-never races another shard's writes.
+result at ``<root>/shard-00/<digest>.json``. Shards never touch the store
+(the front door writes every entry), so the one segment does not depend
+on the shard count: a store stays warm when a restart changes
+``--shards``.
 
 **Recover, don't abort.** A read that fails validation — bitrot, torn
 frame, a stored identity that is not the filename (mislabeled content) —
@@ -48,7 +48,6 @@ from pathlib import Path
 from typing import Dict, Optional, Union
 
 from repro.harness.runner import fields_digest
-from repro.service.identity import shard_of
 from repro.storage.artifact import embed_json_artifact, load_json_artifact
 from repro.storage.atomic import atomic_write_bytes, pid_alive, quarantine
 from repro.storage.errors import ArtifactError, StorageError
@@ -63,6 +62,9 @@ _RESULT_FAMILY = (RESULT_FORMAT, RESULT_VERSION)
 #: Storage-artifact identity of one divergence-quarantine evidence doc.
 DIVERGENCE_FORMAT = "sim-divergence"
 DIVERGENCE_VERSION = 1
+
+#: The directory under the store root that holds every entry.
+SEGMENT = "shard-00"
 
 #: Lease-file suffix (``repro fsck`` knows it; see storage/fsck.py).
 LEASE_SUFFIX = ".lease"
@@ -96,23 +98,17 @@ STORE_COUNTERS = (
 
 
 class ResultStore:
-    """Durable, shard-segmented, content-addressed cache of sim results."""
+    """Durable, content-addressed cache of sim results."""
 
-    def __init__(self, root: Union[str, Path], shards: int = 1) -> None:
-        if shards < 1:
-            raise ValueError("shards must be >= 1")
+    def __init__(self, root: Union[str, Path]) -> None:
         self.root = Path(root)
-        self.shards = shards
+        self.entry_dir = self.root / SEGMENT
         self.counters: Dict[str, int] = {name: 0 for name in STORE_COUNTERS}
 
     # -- layout --------------------------------------------------------------
-    def segment(self, digest: str) -> Path:
-        """The shard-owned directory holding ``digest``'s entry."""
-        return self.root / f"shard-{shard_of(digest, self.shards):02d}"
-
     def path_for(self, digest: str) -> Path:
         """The content-addressed file for ``digest``."""
-        return self.segment(digest) / f"{digest}.json"
+        return self.entry_dir / f"{digest}.json"
 
     @property
     def lease_dir(self) -> Path:
@@ -236,18 +232,12 @@ class ResultStore:
         return self.path_for(digest).exists()
 
     def __len__(self) -> int:
-        if not self.root.is_dir():
-            return 0
-        return sum(
-            1
-            for seg in self.root.glob("shard-*")
-            for p in seg.glob("*.json")
-        )
+        return sum(1 for _ in self.entry_dir.glob("*.json"))
 
     # -- integrity -----------------------------------------------------------
     def divergent_path(self, digest: str) -> Path:
         """Where ``digest``'s divergence evidence is quarantined."""
-        return self.segment(digest) / f"{digest}.json{DIVERGENT_SUFFIX}"
+        return self.entry_dir / f"{digest}.json{DIVERGENT_SUFFIX}"
 
     def mark_verified(self, digest: str) -> bool:
         """Promote a live entry ``unverified`` → ``verified`` (a shadow
@@ -356,25 +346,22 @@ class ResultStore:
             "divergent_live": 0,
             "divergent_evidence": 0,
         }
-        if not self.root.is_dir():
-            return out
-        for seg in sorted(self.root.glob("shard-*")):
-            out["divergent_evidence"] += sum(
-                1 for _ in seg.glob(f"*{DIVERGENT_SUFFIX}")
-            )
-            for path in sorted(seg.glob("*.json")):
-                try:
-                    _, doc = load_json_artifact(path, expect=_RESULT_FAMILY)
-                except (ArtifactError, OSError, ValueError):
-                    out["invalid"] += 1
-                    continue
-                status = doc.get("integrity", INTEGRITY_UNVERIFIED)
-                if status in INTEGRITY_STATUSES:
-                    out[status] += 1
-                elif status == "divergent":
-                    out["divergent_live"] += 1
-                else:
-                    out["invalid"] += 1
+        out["divergent_evidence"] = sum(
+            1 for _ in self.entry_dir.glob(f"*{DIVERGENT_SUFFIX}")
+        )
+        for path in sorted(self.entry_dir.glob("*.json")):
+            try:
+                _, doc = load_json_artifact(path, expect=_RESULT_FAMILY)
+            except (ArtifactError, OSError, ValueError):
+                out["invalid"] += 1
+                continue
+            status = doc.get("integrity", INTEGRITY_UNVERIFIED)
+            if status in INTEGRITY_STATUSES:
+                out[status] += 1
+            elif status == "divergent":
+                out["divergent_live"] += 1
+            else:
+                out["invalid"] += 1
         return out
 
     # -- leases --------------------------------------------------------------

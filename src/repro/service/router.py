@@ -41,7 +41,7 @@ here, in one place:
    by a *different* process (a second front-door sharing the store), the
    group waits for the remote leader's published result, breaking the
    lease and promoting locally the moment the remote holder's PID dies
-   or its result fails to appear within ``remote_wait_s``.
+   or its result fails to appear within ``REMOTE_WAIT_S``.
 
 Every response a shard produces flows back through the front door, which
 fans full-fidelity payloads out to the waiters and persists them in the
@@ -113,6 +113,9 @@ FRONT_COUNTER_NAMES = (
 #: Severity order for aggregating per-shard breaker states.
 _BREAKER_SEVERITY = {"closed": 0, "half-open": 1, "open": 2}
 
+#: Seconds a group waits on another process's leader before promoting.
+REMOTE_WAIT_S = 30.0
+
 
 @dataclass
 class _Waiter:
@@ -153,25 +156,21 @@ class ShardedService:
         full_runner: Optional[Callable[[SimRequest], dict]] = None,
         fast_runner: Optional[Callable[[SimRequest], dict]] = None,
         clock: Callable[[], float] = time.monotonic,
-        remote_wait_s: float = 30.0,
         verify_rate: float = 0.0,
         verify_seed: Optional[int] = None,
         dlq_threshold: int = 0,
     ) -> None:
         if shards < 1:
             raise ValueError("shards must be >= 1")
-        if remote_wait_s <= 0:
-            raise ValueError("remote_wait_s must be positive")
         if dlq_threshold < 0:
             raise ValueError("dlq_threshold must be >= 0")
         self.config = config or ServiceConfig()
         self.clock = clock
-        self.remote_wait_s = remote_wait_s
         self.store: Optional[ResultStore] = None
         if isinstance(store, ResultStore):
             self.store = store
         elif store is not None:
-            self.store = ResultStore(store, shards=shards)
+            self.store = ResultStore(store)
         self.shards: List[SimulationService] = [
             SimulationService(
                 replace(self.config, shard_id=i),
@@ -633,7 +632,7 @@ class ShardedService:
                         )
                     )
                 continue
-            stalled = now - group.created_at > self.remote_wait_s
+            stalled = now - group.created_at > REMOTE_WAIT_S
             if not (self.store.lease_stale(digest) or stalled):
                 continue  # remote leader still alive and within budget
             # Dead or stalled remote leader: break its lease and promote

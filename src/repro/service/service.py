@@ -149,6 +149,7 @@ def _default_fast_runner(request: SimRequest) -> dict:
         quanta=request.quanta,
         seed=request.seed,
         quantum_cycles=request.quantum_cycles,
+        num_threads=request.num_threads,
     )
 
 

@@ -215,11 +215,11 @@ class _Member:
 
     __slots__ = ("index", "spec", "controller", "injector")
 
-    def __init__(self, index: int, spec: "BatchRunSpec", controller, injector=None) -> None:
+    def __init__(self, index: int, spec: "BatchRunSpec", controller) -> None:
         self.index = index
         self.spec = spec
         self.controller = controller
-        self.injector = injector
+        self.injector = None
 
 
 class _Group:

@@ -16,6 +16,10 @@ from __future__ import annotations
 
 from typing import Dict, List
 
+#: Per-cycle decay of the windowed signals (``recent_l1i_misses``,
+#: ``recent_stalls``).
+DECAY = 0.99
+
 
 class ThreadCounters:
     """All hardware counters of one hardware context."""
@@ -188,16 +192,16 @@ class CounterBank:
     def __iter__(self):
         return iter(self.threads)
 
-    def tick_all(self, factor: float = 0.99) -> None:
+    def tick_all(self) -> None:
         """Per-cycle decay plus active-cycle accounting, fused into one
         pass over the bank (the two updates are independent per thread).
         Multiplying an exactly-zero signal is skipped: ``0.0 * f == 0.0``
         bit-for-bit, and most signals sit at zero most of the time."""
         for t in self.threads:
             if t.recent_l1i_misses != 0.0:
-                t.recent_l1i_misses *= factor
+                t.recent_l1i_misses *= DECAY
             if t.recent_stalls != 0.0:
-                t.recent_stalls *= factor
+                t.recent_stalls *= DECAY
             t.active_cycles += 1
 
     def end_quantum(self) -> List[QuantumSnapshot]:

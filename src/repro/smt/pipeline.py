@@ -64,6 +64,9 @@ _WP_ADDR_SPAN = 4 << 20
 #: Sentinel for "no pending event" cycle trackers.
 _NEVER = 1 << 62
 
+#: Cycles a swapped-in thread waits before it fetches (context-switch cost).
+SWITCH_PENALTY = 200
+
 
 class SchedulerHook:
     """Interface through which ADTS (or any scheduler) observes the machine.
@@ -264,7 +267,7 @@ class SMTProcessor:
         """Advance a whole number of scheduling quanta."""
         return self.run(quanta * self.quantum_cycles)
 
-    def swap_thread(self, tid: int, new_trace, switch_penalty: int = 200) -> None:
+    def swap_thread(self, tid: int, new_trace) -> None:
         """Context-switch hardware context ``tid`` to a different software
         thread (the job scheduler's action, §3).
 
@@ -273,7 +276,7 @@ class SMTProcessor:
         in-flight instructions is below the abstraction level of the trace
         model). The outgoing trace object keeps its position, so a swapped-
         out job can be swapped back in later and resume. Fetch restarts
-        after ``switch_penalty`` cycles of context-switch cost.
+        after ``SWITCH_PENALTY`` cycles of context-switch cost.
         """
         ctx = self.contexts[tid]
         tc = self.counters[tid]
@@ -305,7 +308,7 @@ class SMTProcessor:
         # architecturally complete (the OS restored its register state).
         ctx.trace = new_trace
         ctx.done_upto = new_trace.seq - 1
-        ctx.block_fetch_until(self.now + max(1, switch_penalty))
+        ctx.block_fetch_until(self.now + SWITCH_PENALTY)
 
     # ------------------------------------------------------------------
     # Cycle loop

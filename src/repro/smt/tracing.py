@@ -11,12 +11,15 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Iterable, List, Optional
+from typing import Deque, Dict, List
 
 from repro.smt.instruction import KIND_NAMES, Instruction
 
 #: Lifecycle stages, in pipeline order.
 EVENTS = ("fetch", "dispatch", "issue", "complete", "commit", "squash")
+
+#: Events the ring buffer retains; older ones drop off.
+CAPACITY = 100_000
 
 
 @dataclass(frozen=True)
@@ -36,11 +39,8 @@ class TraceEvent:
 class PipelineTracer:
     """Bounded ring buffer of pipeline events with query helpers."""
 
-    def __init__(self, capacity: int = 100_000) -> None:
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        self.capacity = capacity
-        self.events: Deque[TraceEvent] = deque(maxlen=capacity)
+    def __init__(self) -> None:
+        self.events: Deque[TraceEvent] = deque(maxlen=CAPACITY)
         self.counts: Dict[str, int] = {e: 0 for e in EVENTS}
 
     # -- recording (called by the pipeline) ---------------------------------
@@ -69,9 +69,9 @@ class PipelineTracer:
         """Events in the half-open cycle range [start, end)."""
         return [e for e in self.events if start_cycle <= e.cycle < end_cycle]
 
-    def render(self, events: Optional[Iterable[TraceEvent]] = None, limit: int = 50) -> str:
-        """Plain-text rendering of a slice of the trace."""
-        rows = list(events if events is not None else self.events)[-limit:]
+    def render(self, limit: int = 50) -> str:
+        """Plain-text rendering of the last ``limit`` events."""
+        rows = list(self.events)[-limit:]
         header = f"{'cycle':>8} {'event':<8} instr"
         return "\n".join([header] + [str(e) for e in rows])
 

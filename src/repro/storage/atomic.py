@@ -114,7 +114,6 @@ def fsync_dir(path: Union[str, Path]) -> None:
 def atomic_write_bytes(
     path: Union[str, Path],
     data: bytes,
-    fsync: bool = True,
     retry: RetrySpec = DEFAULT_RETRY,
 ) -> None:
     """Atomically replace ``path`` with ``data`` (temp + fsync + rename).
@@ -132,13 +131,11 @@ def atomic_write_bytes(
             fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644)
             try:
                 _write_all(fd, data)
-                if fsync:
-                    os.fsync(fd)
+                os.fsync(fd)
             finally:
                 os.close(fd)
             _replace(tmp, path)
-            if fsync:
-                fsync_dir(path.parent)
+            fsync_dir(path.parent)
             return
         except OSError as exc:
             try:
@@ -153,7 +150,6 @@ def atomic_write_bytes(
 def append_line(
     path: Union[str, Path],
     line: Union[str, bytes],
-    fsync: bool = True,
     retry: RetrySpec = DEFAULT_RETRY,
 ) -> None:
     """Durably append one pre-serialized record as a single write.
@@ -178,8 +174,7 @@ def append_line(
         for attempt in range(1, retry.attempts + 1):
             try:
                 _write_all(fd, data)
-                if fsync:
-                    os.fsync(fd)
+                os.fsync(fd)
                 return
             except OSError as exc:
                 try:

@@ -130,7 +130,6 @@ def _two_phase(
     memory_len: int = 20_000,
     footprint_scale: float = 6.0,
     load_scale: float = 1.7,
-    mispredict_scale: float = 1.0,
 ) -> Tuple[PhaseProfile, ...]:
     """Common compute/memory alternation."""
     return (
@@ -141,7 +140,6 @@ def _two_phase(
             mean_length=memory_len,
             footprint_scale=footprint_scale,
             load_scale=load_scale,
-            mispredict_scale=mispredict_scale,
             dep_scale=0.8,
         ),
     )

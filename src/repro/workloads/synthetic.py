@@ -8,9 +8,9 @@ families. This module provides validated builders and presets.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict
 
-from repro.workloads.profiles import ApplicationProfile, PhaseProfile
+from repro.workloads.profiles import ApplicationProfile
 
 
 def make_profile(
@@ -22,7 +22,6 @@ def make_profile(
     predictability: float = 0.9,
     fp_share: float = 0.0,
     streaming: float = 0.1,
-    phases: Tuple[PhaseProfile, ...] = (),
 ) -> ApplicationProfile:
     """Build a profile from five intuitive 0–1-ish axes.
 
@@ -35,7 +34,6 @@ def make_profile(
         predictability: branch predictability, 0.5 (coin flips) .. 1.0.
         fp_share: fraction of compute that is floating point.
         streaming: fraction of accesses that stream sequentially.
-        phases: optional phase set (see :class:`PhaseProfile`).
     """
     if not 0.0 <= memory_intensity <= 0.7:
         raise ValueError("memory_intensity must be in [0, 0.7]")
@@ -68,7 +66,6 @@ def make_profile(
         fp_frac=fp_share,
         dep_mean=max(1.0, 4.0 * ilp),
         mem_dep_frac=max(0.05, min(0.8, memory_intensity + 0.2)),
-        phases=tuple(phases),
     )
 
 

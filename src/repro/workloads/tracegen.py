@@ -10,7 +10,7 @@ keeps memory flat — there is no materialized trace file).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -196,14 +196,9 @@ def _build_generator(profile: ApplicationProfile, slot: int, name: str,
     return TraceGenerator(profile, slot, SeedSequencer(seed).generator("trace", slot, name))
 
 
-def make_generators(
-    app_names: Sequence[str],
-    seed: int = 0,
-    profiles: Optional[Dict[str, ApplicationProfile]] = None,
-) -> List[TraceGenerator]:
+def make_generators(app_names: Sequence[str], seed: int = 0) -> List[TraceGenerator]:
     """Build one generator per thread for the named applications."""
-    table = profiles or {}
     return [
-        _build_generator(table.get(name) or get_profile(name), slot, name, seed)
+        _build_generator(get_profile(name), slot, name, seed)
         for slot, name in enumerate(app_names)
     ]

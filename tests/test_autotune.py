@@ -21,12 +21,10 @@ class TestQuantileTracker:
             QuantileTracker(0.0)
         with pytest.raises(ValueError):
             QuantileTracker(1.0)
-        with pytest.raises(ValueError):
-            QuantileTracker(0.5, step=0)
 
     def test_converges_to_median(self):
         rng = np.random.default_rng(0)
-        t = QuantileTracker(0.5, initial=0.0, step=0.05)
+        t = QuantileTracker(0.5, initial=0.0)
         for _ in range(4000):
             t.update(rng.normal(10.0, 2.0))
         assert t.estimate == pytest.approx(10.0, abs=1.0)
@@ -98,7 +96,7 @@ class TestThresholdAutoTuner:
         assert t.thresholds.ipc_threshold < 6.5
 
     def test_condition_constants_track_means(self):
-        t = ThresholdAutoTuner(update_interval=4, alpha=0.3)
+        t = ThresholdAutoTuner(update_interval=4)
         for i in range(40):
             t.observe(obs(i, ipc=2.0, l1=0.4, mis=0.08))
         assert t.thresholds.l1_miss_rate == pytest.approx(0.4, rel=0.1)

@@ -358,17 +358,6 @@ class TestDriftGuard:
             now += COOLDOWN_S
         assert guard.comparisons > 0 and guard.level == 0
 
-    def test_on_escalate_hook_fires(self):
-        seen = []
-        guard = DriftGuard(make_profile(), on_escalate=seen.append)
-        now, sub, ans = 0.0, 0, 0
-        for _ in range(20):
-            sub += 5
-            feed(guard, now, sub, ans)
-            now += COOLDOWN_S
-        assert seen and seen[0].kind == "escalate"
-        assert guard.summary()["events"]
-
 
 class TestGuardInService:
     """A drift guard attached to the one-shard front door: escalation

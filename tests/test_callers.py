@@ -1,13 +1,16 @@
-"""Every definition has a caller and every setting a reader.
+"""Every definition has a caller, every parameter a passer and every
+setting a reader.
 
 A top-level function or class under ``src/repro``, and a method or
 property of a class there, must be named by the program itself (``src/``,
 ``examples/``, ``benchmarks/``, ``bench/`` apart from its tests, or the CI
-workflow), not only by tests; and a dataclass field must be read
-somewhere besides its declaration. Code that only tests exercise, and a
-setting nothing reads, are deleted rather than kept green. Special
-methods (``__init__``, ``__eq__``, ...) are called by Python itself and
-are not checked.
+workflow), not only by tests; a parameter with a default must be passed
+by some call in the program, or the default is the only value it ever
+takes; and a dataclass field must be read somewhere besides its
+declaration. Code that only tests exercise, and a setting nothing reads,
+are deleted rather than kept green: a value only tests pass becomes a
+constant. Special methods (``__init__``, ``__eq__``, ...) are called by
+Python itself and are not checked; the parameters of ``__init__`` are.
 
 Python files are read as syntax trees: a name counts where it appears as a
 name, an attribute, an imported name or a word of a string that is not a
@@ -16,15 +19,21 @@ workflow is matched word by word. A method counts as called more
 narrowly: where an attribute of its name is read on an object other than
 ``self``, where ``self.name`` appears in its own class or one related to
 it by inheritance, where a string equals its name, or where the workflow
-writes ``.name``. A field counts as read where any attribute of its name
-is loaded, where a string equals its name (``getattr``, a payload key),
-or where its class serializes itself with ``asdict(self)``. Names are
-matched without types, so the checks can miss an unused definition that
-shares its name with a used one.
+writes ``.name``. A parameter counts as passed where a call of its
+function's name (its class's name for ``__init__``; ``super().__init__``
+calls its class's bases) passes it by keyword or, for a positional one,
+passes that many positional arguments or a ``*args``; a
+``functools.partial`` counts as a call, a ``**kwargs`` does not, and the
+Python scripts the workflow runs count as program. A field counts as
+read where any attribute of its name is loaded, where a string equals its
+name (``getattr``, a payload key), or where its class serializes itself
+with ``asdict(self)``. Names are matched without types, so the checks can
+miss an unused definition that shares its name with a used one.
 """
 
 import ast
 import re
+import textwrap
 from collections import Counter
 from pathlib import Path
 
@@ -222,3 +231,156 @@ def test_every_dataclass_field_is_read():
                 if reads[stmt.target.id] == 0:
                     unread.append(f"{_module(path)}.{cls.name}.{stmt.target.id}")
     assert not unread, "never read: " + ", ".join(unread)
+
+
+#: Defaulted parameters that nothing in the program passes, kept on purpose.
+KEPT_PARAMETERS = {
+    # Seams that tests substitute.
+    "repro.harness.chaosday.run_campaign(full_runner)":
+        "tests run a campaign on a stub full tier",
+    "repro.harness.chaosday.run_campaign(fast_runner)":
+        "tests run a campaign on a stub fast tier",
+    "repro.harness.cli.main(argv)":
+        "the entry points read sys.argv; tests pass an argument list",
+    "repro.service.server.ServeLoop(infile)":
+        "repro serve reads stdin; tests pass an open file",
+    "repro.service.server.ServeLoop(outfile)":
+        "repro serve writes stdout; tests capture the events",
+    "repro.storage.atomic.atomic_write_bytes(retry)":
+        "tests pass a zero-delay retry spec under injected disk faults",
+    "repro.storage.atomic.append_line(retry)":
+        "tests pass a zero-delay retry spec under injected disk faults",
+    "repro.storage.atomic.read_bytes(retry)":
+        "tests pass a zero-delay retry spec under injected disk faults",
+    "repro.harness.runner.run_fixed(invariants)":
+        "tests install the invariant checker on a run",
+    "repro.harness.runner.run_adts(invariants)":
+        "tests install the invariant checker on a run",
+    # The paper's scheduler knobs.
+    "repro.core.adts.ADTSController(detector)":
+        "the detector thread that runs the heuristics",
+    "repro.core.adts.ADTSController(mark_clogging)":
+        "whether clogging threads are marked in the thread control flags",
+    "repro.core.adts.ADTSController(inhibit_cloggers)":
+        "whether marked clogging threads are suspended",
+    "repro.core.detector.DetectorThread(width)":
+        "the detector thread's retire width",
+    # Keywords forwarded through **kwargs.
+    "repro.core.heuristics.base.Heuristic(thresholds)":
+        "create_heuristic forwards it through **kwargs",
+    "repro.core.heuristics.type4.Type4Heuristic(thresholds)":
+        "create_heuristic forwards it through **kwargs",
+}
+
+
+def _callee(call):
+    func = call.func
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return None
+
+
+def _passes(tree, passes):
+    """Tally into ``passes[name]`` each call of ``name`` in ``tree`` as
+    (positional count, has ``*args``, keyword names)."""
+    bases = {}
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef):
+            names = [b.id if isinstance(b, ast.Name) else b.attr
+                     for b in cls.bases if isinstance(b, (ast.Name, ast.Attribute))]
+            for node in ast.walk(cls):
+                bases[id(node)] = names
+    for call in ast.walk(tree):
+        if not isinstance(call, ast.Call):
+            continue
+        name, args = _callee(call), call.args
+        if name == "partial" and args:
+            name, args = getattr(args[0], "id", getattr(args[0], "attr", None)), args[1:]
+        targets = [name]
+        if name == "__init__":
+            owner = call.func.value
+            is_super = (isinstance(owner, ast.Call)
+                        and getattr(owner.func, "id", None) == "super")
+            targets = bases.get(id(call), []) if is_super else []
+        shape = (
+            sum(not isinstance(a, ast.Starred) for a in args),
+            any(isinstance(a, ast.Starred) for a in args),
+            {k.arg for k in call.keywords if k.arg},
+        )
+        for target in targets:
+            passes.setdefault(target, []).append(shape)
+
+
+def _heredocs(text):
+    """The Python scripts a workflow feeds to ``python - <<'TAG'``, parsed."""
+    lines = text.splitlines()
+    for i, line in enumerate(lines):
+        tag = re.search(r"python -\s*<<\s*'(\w+)'", line)
+        if tag is None:
+            continue
+        end = next(j for j in range(i + 1, len(lines))
+                   if lines[j].strip() == tag.group(1))
+        yield ast.parse(textwrap.dedent("\n".join(lines[i + 1:end])))
+
+
+def _defaulted(fn, method):
+    """(position or None for keyword-only, name) of each parameter of
+    ``fn`` that has a default; positions leave out ``self``/``cls``."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    skip = 1 if method else 0
+    first = len(positional) - len(args.defaults)
+    for i, arg in enumerate(positional):
+        if i >= first:
+            yield i - skip, arg.arg
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield None, arg.arg
+
+
+def _unpassed_parameters():
+    trees = _parsed()
+    passes = {}
+    for tree, _docs in trees.values():
+        _passes(tree, passes)
+    for workflow in sorted((ROOT / ".github" / "workflows").glob("*.yml")):
+        for script in _heredocs(workflow.read_text()):
+            _passes(script, passes)
+
+    def passed(callee, position, name):
+        return any(
+            name in keywords or (position is not None and (count > position or star))
+            for count, star, keywords in passes.get(callee, ())
+        )
+
+    unpassed = []
+
+    def visit(body, module, cls):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                visit(node.body, module, node)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                method = cls is not None and not any(
+                    getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
+                if node.name == "__init__":
+                    callee, label = cls.name, f"{module}.{cls.name}"
+                else:
+                    callee = node.name
+                    label = f"{module}.{cls.name}.{node.name}" if cls else f"{module}.{node.name}"
+                for position, name in _defaulted(node, method):
+                    if not passed(callee, position, name):
+                        unpassed.append(f"{label}({name})")
+
+    for path, (tree, _docs) in _repro_modules(trees):
+        visit(tree.body, _module(path), None)
+    return unpassed
+
+
+def test_every_parameter_has_a_caller_outside_tests():
+    unpassed = _unpassed_parameters()
+    flagged = [p for p in unpassed if p not in KEPT_PARAMETERS]
+    assert not flagged, "only tests pass: " + ", ".join(flagged)
+    stale = sorted(set(KEPT_PARAMETERS) - set(unpassed))
+    assert not stale, "kept but passed by the program, or gone: " + ", ".join(stale)

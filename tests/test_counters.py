@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.smt.counters import CounterBank, ThreadCounters
+from repro.smt.counters import DECAY, CounterBank, ThreadCounters
 
 
 class TestThreadCounters:
@@ -33,9 +33,9 @@ class TestThreadCounters:
         t = bank[0]
         t.recent_l1i_misses = 10.0
         t.recent_stalls = 4.0
-        bank.tick_all(0.5)
-        assert t.recent_l1i_misses == pytest.approx(5.0)
-        assert t.recent_stalls == pytest.approx(2.0)
+        bank.tick_all()
+        assert t.recent_l1i_misses == 10.0 * DECAY
+        assert t.recent_stalls == 4.0 * DECAY
         assert t.active_cycles == 1
 
     def test_end_quantum_snapshots_and_clears(self):
@@ -82,8 +82,8 @@ class TestCounterBank:
         bank = CounterBank(2)
         for t in bank:
             t.recent_stalls = 8.0
-        bank.tick_all(0.25)
-        assert all(t.recent_stalls == pytest.approx(2.0) for t in bank)
+        bank.tick_all()
+        assert all(t.recent_stalls == 8.0 * DECAY for t in bank)
         assert all(t.recent_l1i_misses == 0.0 for t in bank)
 
     def test_end_quantum_returns_all_snapshots(self):

@@ -26,6 +26,9 @@ TINY = ExperimentDefaults(
     heuristics=("type1", "type3"),
 )
 
+#: S1 and S6-2 run fixed mix and thread-count sets; shorter runs keep them cheap.
+SHORT = replace(TINY, quantum_cycles=256, quanta=2, warmup_quanta=0)
+
 
 @pytest.fixture(scope="module")
 def tiny_grid():
@@ -120,23 +123,23 @@ class TestHeadline:
 
 class TestSimilarity:
     def test_structure(self):
-        out = experiment_similarity(
-            TINY, homogeneous=("mix09",), diverse=("mix13",)
-        )
+        out = experiment_similarity(SHORT)
         assert out["homogeneous"]["mean_similarity"] == 1.0
         assert out["diverse"]["mean_similarity"] < 1.0
         assert "mix09" in out["homogeneous"]["per_mix_improvement"]
 
 
 class TestThreadScaling:
-    def test_structure(self):
-        out = experiment_thread_scaling(TINY, mix="mix01", thread_counts=(2, 4))
-        assert [r["threads"] for r in out["rows"]] == [2, 4]
-        assert all(r["icount_ipc"] > 0 for r in out["rows"])
+    @pytest.fixture(scope="class")
+    def scaling(self):
+        return experiment_thread_scaling(SHORT, mix="mix01")
 
-    def test_more_threads_more_throughput(self):
-        out = experiment_thread_scaling(TINY, mix="mix01", thread_counts=(1, 8))
-        assert out["rows"][1]["icount_ipc"] > out["rows"][0]["icount_ipc"]
+    def test_structure(self, scaling):
+        assert [r["threads"] for r in scaling["rows"]] == [2, 4, 6, 8]
+        assert all(r["icount_ipc"] > 0 for r in scaling["rows"])
+
+    def test_more_threads_more_throughput(self, scaling):
+        assert scaling["rows"][-1]["icount_ipc"] > scaling["rows"][0]["icount_ipc"]
 
 
 class TestDetectorOverhead:

@@ -262,7 +262,7 @@ class TestDivergenceTaxonomy:
         from repro.harness.runner import fields_digest
         from repro.service.resultstore import ResultStore
 
-        store = ResultStore(tmp_path / "rs", shards=2)
+        store = ResultStore(tmp_path / "rs")
         fields = {"mix": "mix05", "seed": 1}
         digest = fields_digest(fields)
         store.put(fields, {"ipc": 1.0})
@@ -295,7 +295,7 @@ class TestDivergenceTaxonomy:
         from repro.harness.runner import fields_digest
         from repro.service.resultstore import ResultStore
 
-        store = ResultStore(tmp_path / "rs", shards=1)
+        store = ResultStore(tmp_path / "rs")
         fields = {"mix": "mix05", "seed": 2}
         digest = fields_digest(fields)
         sealed = embed_json_artifact(
@@ -317,7 +317,7 @@ class TestDivergenceTaxonomy:
         from repro.harness.runner import fields_digest
         from repro.service.resultstore import ResultStore
 
-        store = ResultStore(tmp_path / "rs", shards=1)
+        store = ResultStore(tmp_path / "rs")
         fields = {"mix": "mix05", "seed": 3}
         digest = fields_digest(fields)
         store.put(fields, {"ipc": 1.0}, integrity="verified")

@@ -77,14 +77,6 @@ class TestType2:
             seen.append(p)
         assert seen == ["l1misscount", "brcount", "icount"]
 
-    def test_custom_sequence(self):
-        h = Type2Heuristic(TH, sequence=("icount", "rr"))
-        assert h.decide("icount", NEITHER_OBS).next_policy == "rr"
-
-    def test_rejects_short_sequence(self):
-        with pytest.raises(ValueError):
-            Type2Heuristic(TH, sequence=("icount",))
-
     def test_unknown_incumbent_restarts_cycle(self):
         h = Type2Heuristic(TH)
         assert h.decide("accipc", NEITHER_OBS).next_policy == "icount"

@@ -65,9 +65,19 @@ class TestOperatingBands:
         proc = self.run_mix("mix09")
         assert 1.5 < proc.stats.ipc < 5.0
 
-    def test_predictor_accuracy_band(self):
-        proc = self.run_mix("mix05")
-        assert proc.predictor.correct / proc.predictor.lookups > 0.80
+    def test_predictor_accuracy_band(self, monkeypatch):
+        from repro.branch.bimodal import BimodalPredictor
+
+        outcomes = []
+        predict_and_update = BimodalPredictor.predict_and_update
+
+        def recording(self, tid, pc, taken):
+            outcomes.append(predict_and_update(self, tid, pc, taken))
+            return outcomes[-1]
+
+        monkeypatch.setattr(BimodalPredictor, "predict_and_update", recording)
+        self.run_mix("mix05")
+        assert sum(outcomes) / len(outcomes) > 0.80
 
     def test_cache_behaviour_band(self):
         proc = self.run_mix("mix05")

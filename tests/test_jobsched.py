@@ -18,7 +18,7 @@ class TestSwapThread:
         proc = quick_proc()
         proc.run(1500)
         new_trace = TraceGenerator(get_profile("vortex"), 9, np.random.default_rng(99))
-        proc.swap_thread(1, new_trace, switch_penalty=50)
+        proc.swap_thread(1, new_trace)
         assert_counter_consistency(proc)
         ctx = proc.contexts[1]
         assert ctx.trace is new_trace
@@ -30,7 +30,7 @@ class TestSwapThread:
         proc = quick_proc()
         proc.run(1000)
         new_trace = TraceGenerator(get_profile("vortex"), 9, np.random.default_rng(99))
-        proc.swap_thread(0, new_trace, switch_penalty=20)
+        proc.swap_thread(0, new_trace)
         before = proc.stats.per_thread_committed.get(0, 0)
         proc.run(2000)
         assert proc.stats.per_thread_committed.get(0, 0) > before
@@ -41,9 +41,9 @@ class TestSwapThread:
         old_trace = proc.contexts[2].trace
         old_seq = old_trace.seq
         other = TraceGenerator(get_profile("vortex"), 9, np.random.default_rng(9))
-        proc.swap_thread(2, other, switch_penalty=20)
+        proc.swap_thread(2, other)
         proc.run(500)
-        proc.swap_thread(2, old_trace, switch_penalty=20)
+        proc.swap_thread(2, old_trace)
         proc.run(1500)
         assert old_trace.seq > old_seq  # the original job kept running
         assert_counter_consistency(proc)
@@ -56,7 +56,7 @@ class TestSwapThread:
         ]
         for i, trace in enumerate(traces):
             proc.run(400)
-            proc.swap_thread(i % 4, trace, switch_penalty=30)
+            proc.swap_thread(i % 4, trace)
             assert_counter_consistency(proc)
         before = proc.stats.committed
         proc.run(2000)
@@ -79,7 +79,7 @@ class TestJobSchedulerHook:
     def make(self, mode="guided", pool_apps=None, **kw):
         pool = JobPool(pool_apps or ["gzip", "crafty", "swim", "mcf", "vortex", "eon"])
         hook = JobSchedulerHook(pool, mode=mode, interval_quanta=2,
-                                swaps_per_interval=1, switch_penalty=30, **kw)
+                                swaps_per_interval=1, **kw)
         return pool, hook
 
     def test_rejects_bad_mode(self):

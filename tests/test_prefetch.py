@@ -3,18 +3,18 @@
 import pytest
 
 from repro.memory.hierarchy import MemoryHierarchy
-from repro.memory.prefetch import NextLinePrefetcher, StridePrefetcher
+from repro.memory.prefetch import (
+    STRIDE_TABLE_ENTRIES,
+    NextLinePrefetcher,
+    StridePrefetcher,
+)
 
 
 class TestNextLine:
-    def test_rejects_bad_degree(self):
-        with pytest.raises(ValueError):
-            NextLinePrefetcher(0)
-
     def test_prefetches_next_lines(self):
-        p = NextLinePrefetcher(degree=2)
-        out = p.on_miss(0x1000)
-        assert out == [0x1040, 0x1080]
+        p = NextLinePrefetcher()
+        assert p.on_miss(0x1000) == [0x1040]
+        assert p.on_miss(0x1040) == [0x1080]
         assert p.issued == 2
 
     def test_line_alignment(self):
@@ -29,20 +29,14 @@ class TestNextLine:
 
 
 class TestStride:
-    def test_rejects_bad_params(self):
-        with pytest.raises(ValueError):
-            StridePrefetcher(degree=0)
-        with pytest.raises(ValueError):
-            StridePrefetcher(table_entries=0)
-
     def test_needs_two_confirming_strides(self):
-        p = StridePrefetcher(degree=1)
+        p = StridePrefetcher()
         assert p.on_miss(0x1000) == []  # allocate
         assert p.on_miss(0x1040) == []  # learn stride
-        assert p.on_miss(0x1080) == [0x10C0]  # confirmed: prefetch ahead
+        assert p.on_miss(0x1080) == [0x10C0, 0x1100]  # confirmed: prefetch ahead
 
     def test_stride_change_resets_confidence(self):
-        p = StridePrefetcher(degree=1)
+        p = StridePrefetcher()
         p.on_miss(0x1000)
         p.on_miss(0x1040)
         p.on_miss(0x1080)
@@ -51,7 +45,7 @@ class TestStride:
         assert p.on_miss(0x1280) != []
 
     def test_regions_tracked_independently(self):
-        p = StridePrefetcher(degree=1)
+        p = StridePrefetcher()
         for base in (0x10000, 0x20000):
             p.on_miss(base)
             p.on_miss(base + 0x40)
@@ -59,10 +53,10 @@ class TestStride:
         assert p.on_miss(0x20000 + 0x80) != []
 
     def test_table_bounded(self):
-        p = StridePrefetcher(table_entries=4)
-        for i in range(16):
+        p = StridePrefetcher()
+        for i in range(STRIDE_TABLE_ENTRIES + 12):
             p.on_miss(i << 12)
-        assert len(p._table) <= 4
+        assert len(p._table) == STRIDE_TABLE_ENTRIES
 
 
 class TestHierarchyIntegration:
@@ -89,7 +83,7 @@ class TestHierarchyIntegration:
             return h.l2.miss_rate
 
         base = l2_miss_rate(None)
-        pref = l2_miss_rate(StridePrefetcher(degree=4))
+        pref = l2_miss_rate(StridePrefetcher())
         assert pref < base, "stride prefetch must cut swim's L2 miss rate"
 
     def test_config_plumbs_prefetcher(self):

@@ -127,7 +127,7 @@ class TestLoadStoreQueue:
         proc = quick_proc(mix=("mcf", "swim", "mcf", "swim"))
         step_until(proc, lambda: 0 < proc.lsq.occupancy_of(1) < len(proc.lsq))
         others = len(proc.lsq) - proc.lsq.occupancy_of(1)
-        proc.swap_thread(1, make_generators(["gzip"], seed=5)[0], switch_penalty=20)
+        proc.swap_thread(1, make_generators(["gzip"], seed=5)[0])
         assert proc.lsq.occupancy_of(1) == 0 and proc.counters[1].lsq == 0
         assert len(proc.lsq) == others
         assert_counter_consistency(proc)

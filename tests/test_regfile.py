@@ -121,5 +121,5 @@ class TestPipelineIntegration:
         proc = quick_proc()
         proc.run(1500)
         trace = TraceGenerator(get_profile("vortex"), 9, np.random.default_rng(5))
-        proc.swap_thread(1, trace, switch_penalty=20)
+        proc.swap_thread(1, trace)
         assert proc.regs.occupancy_of(1) == 0

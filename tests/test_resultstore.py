@@ -41,7 +41,7 @@ def dead_pid() -> int:
 
 @pytest.fixture
 def store(tmp_path):
-    return ResultStore(tmp_path / "rs", shards=3)
+    return ResultStore(tmp_path / "rs")
 
 
 class TestEntries:
@@ -112,7 +112,6 @@ class TestEntries:
         digest = request_identity(r)
         store.put(fields(r), {"ipc": 1.0})
         wrong = ("f" * 8) + digest[8:]
-        os.makedirs(store.segment(wrong), exist_ok=True)
         os.replace(store.path_for(digest), store.path_for(wrong))
         assert store.get(wrong) is None
         assert store.counters["corrupt_misses"] == 1
@@ -126,16 +125,13 @@ class TestEntries:
         assert store.get(request_identity(b)) is None
         assert fsck_tree(store.root, repair=False).exit_code == 0
 
-    def test_segments_partition_by_digest(self, store):
-        digests = []
+    def test_every_entry_lives_in_one_segment(self, store):
         for seed in range(8):
             r = req(seed=seed)
-            d = request_identity(r)
             store.put(fields(r), {"ipc": float(seed)})
-            digests.append(d)
-        for d in digests:
-            assert store.path_for(d).parent == store.segment(d)
-            assert store.get(d) is not None
+            assert store.path_for(request_identity(r)).parent == store.root / "shard-00"
+        assert [p.name for p in store.root.iterdir()] == ["shard-00"]
+        assert len(store) == 8
 
 
 class TestLeases:
@@ -214,7 +210,6 @@ class TestFsckTaxonomy:
         d = request_identity(r)
         store.put(fields(r), {"ipc": 1.0})
         wrong = ("0" * 8) + d[8:]
-        os.makedirs(store.segment(wrong), exist_ok=True)
         os.replace(store.path_for(d), store.path_for(wrong))
         report = fsck_tree(store.root, repair=True)
         assert report.exit_code == 1
@@ -332,8 +327,8 @@ class TestConcurrentSweep:
         import threading
 
         root = tmp_path / "shared-rs"
-        a = ResultStore(root, shards=3)
-        b = ResultStore(root, shards=3)
+        a = ResultStore(root)
+        b = ResultStore(root)
         a.lease_dir.mkdir(parents=True, exist_ok=True)
         corpse = dead_pid()
         n = 50

@@ -278,6 +278,26 @@ class TestDegradationLadder:
         assert resp.outcome == OUTCOME_DEGRADED
         assert resp.reason.startswith("full-tier-failed:")
 
+    def test_degraded_answer_models_the_requested_threads(self):
+        """The fast tier simulates the machine the request names: a 4-thread
+        mix05 request gets the 4-thread model's answer, not the 8-thread
+        one."""
+        from repro.core.thresholds import ThresholdConfig
+        from repro.fastmodel.model import fast_run_adts
+        from repro.workloads.mixes import get_mix
+
+        svc = SimulationService(ServiceConfig(workers=0, queue_capacity=4),
+                                full_runner=fail_runner)
+        svc.submit(req("r1", mix="mix05", num_threads=4, seed=7, quanta=2,
+                       quantum_cycles=512))
+        svc.run_until_idle(timeout_s=10)
+        (resp,) = svc.take_completed()
+        assert resp.outcome == OUTCOME_DEGRADED
+        apps = get_mix("mix05").subset(4, seed=7)
+        want = fast_run_adts(apps, "type3", ThresholdConfig(ipc_threshold=2.0),
+                             quanta=2, seed=7, quantum_cycles=512)
+        assert resp.payload["ipc"] == want.ipc
+
     def test_full_tier_failure_fails_non_degradable(self):
         svc = inline_service(full_runner=fail_runner)
         svc.submit(req("r1", degradable=False))

@@ -26,7 +26,7 @@ from repro.service.identity import request_identity
 from repro.service.loadgen import TimedRequest, VirtualClock, replay_traffic
 from repro.service.request import SimRequest
 from repro.service.resultstore import ResultStore
-from repro.service.router import ShardedService
+from repro.service.router import REMOTE_WAIT_S, ShardedService
 from repro.service.server import ServeLoop, health
 from repro.service.service import ServiceConfig
 
@@ -248,6 +248,25 @@ class TestResultStoreServing:
                         r.request_id
                     ]
 
+    def test_store_stays_warm_across_shard_counts(self, tmp_path):
+        """A store written behind two shards answers every repeat behind
+        three: every entry lives in the one segment, whatever the shard
+        count."""
+        clock = VirtualClock()
+        front = make_front(tmp_path, clock, shards=2)
+        for i in range(8):
+            front.submit(req(i, seed=i))
+        first = {r.request_id: r.payload for r in settle(front, clock)}
+        front.drain()
+        warm = make_front(tmp_path, clock, shards=3)
+        for i in range(8):
+            warm.submit(req(i, seed=i))
+        responses = settle(warm, clock)
+        assert {r.request_id: r.payload for r in responses} == first
+        assert warm.counters["store_hits"] == 8
+        assert warm.counters["simulations"] == 0
+        assert [p.name for p in (tmp_path / "rs").glob("shard-*")] == ["shard-00"]
+
     def test_corrupt_entry_is_resimulated_not_served(self, tmp_path):
         clock = VirtualClock()
         front = make_front(tmp_path, clock)
@@ -278,7 +297,7 @@ class TestLeases:
     def test_startup_sweep_breaks_dead_leaders(self, tmp_path):
         proc = subprocess.Popen([sys.executable, "-c", "pass"])
         proc.wait()
-        store = ResultStore(tmp_path / "rs", shards=2)
+        store = ResultStore(tmp_path / "rs")
         digest = request_identity(req(0))
         store.lease_dir.mkdir(parents=True, exist_ok=True)
         store.lease_path(digest).write_text(str(proc.pid))
@@ -303,7 +322,7 @@ class TestLeases:
         assert front.counters["remote_leaders"] == 1
         assert front.counters["simulations"] == 0
         # The remote leader publishes its result...
-        other = ResultStore(tmp_path / "rs", shards=2)
+        other = ResultStore(tmp_path / "rs")
         other.put(run_fields(req(0).run_spec()), {"ipc": 9.0})
         responses = settle(front, clock)
         assert len(responses) == 2
@@ -320,13 +339,12 @@ class TestLeases:
             full_runner=ok_full,
             fast_runner=ok_fast,
             clock=clock,
-            remote_wait_s=1.0,
         )
         digest = request_identity(req(0))
         front.store.lease_dir.mkdir(parents=True, exist_ok=True)
         front.store.lease_path(digest).write_text(str(os.getppid()))
         front.submit(req(0))
-        clock.advance(2.0)  # past remote_wait_s with no published result
+        clock.advance(REMOTE_WAIT_S + 1.0)  # no result published in time
         responses = settle(front, clock)
         assert [r.outcome for r in responses] == ["full"]
         assert front.counters["promotions"] == 1

@@ -108,7 +108,7 @@ class TestJsonArtifactHonesty:
         from repro.harness.runner import fields_digest
         from repro.service.resultstore import ResultStore
 
-        store = ResultStore(tmp_path / "rs", shards=1)
+        store = ResultStore(tmp_path / "rs")
         fields = {"mix": "mix05", "seed": 3}
         store.put(fields, {"ipc": 1.5, "switches": 4})
         path = store.path_for(fields_digest(fields))

@@ -1,16 +1,15 @@
 """Tests for pipeline event tracing."""
 
-import pytest
 
 from repro import build_processor
 from repro.smt.config import SMTConfig
 from repro.smt.pipeline import SMTProcessor
-from repro.smt.tracing import EVENTS, PipelineTracer
+from repro.smt.tracing import CAPACITY, PipelineTracer
 from repro.workloads.tracegen import make_generators
 
 
-def traced_proc(capacity=100_000):
-    tracer = PipelineTracer(capacity)
+def traced_proc():
+    tracer = PipelineTracer()
     cfg = SMTConfig(num_threads=2)
     proc = SMTProcessor(cfg, make_generators(["gzip", "crafty"]),
                         quantum_cycles=512, tracer=tracer)
@@ -18,10 +17,6 @@ def traced_proc(capacity=100_000):
 
 
 class TestPipelineTracer:
-    def test_rejects_bad_capacity(self):
-        with pytest.raises(ValueError):
-            PipelineTracer(0)
-
     def test_records_all_event_kinds(self):
         proc, tracer = traced_proc()
         proc.run(3000)
@@ -62,9 +57,10 @@ class TestPipelineTracer:
         assert c["commit"] <= c["complete"]
 
     def test_ring_buffer_bounded(self):
-        proc, tracer = traced_proc(capacity=500)
+        proc, tracer = traced_proc()
         proc.run(2000)
-        assert len(tracer.events) <= 500
+        assert tracer.events.maxlen == CAPACITY
+        assert len(tracer.events) <= CAPACITY
 
     def test_window_and_thread_queries(self):
         proc, tracer = traced_proc()

@@ -236,8 +236,7 @@ class TestReplay:
         front = ShardedService(ServiceConfig(workers=0, queue_capacity=64),
                                full_runner=ok_full, fast_runner=ok_fast)
         started = time.monotonic()
-        responses = replay_realtime(front, events, time_scale=0.05,
-                                    max_wall_s=60.0)
+        responses = replay_realtime(front, events, time_scale=0.05)
         assert time.monotonic() - started < 30.0
         assert sorted(r.request_id for r in responses) == sorted(
             e.request.request_id for e in events)

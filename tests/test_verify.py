@@ -138,7 +138,7 @@ class TestVerificationLifecycle:
         c = front.verifier.counters
         assert front.counters["results_corrupted"] == 5
         assert c["divergent"] == 5 and c["restored"] == 5
-        evidence = list((tmp_path / "rs").glob("shard-*/*.divergent"))
+        evidence = list((tmp_path / "rs" / "shard-00").glob("*.divergent"))
         assert len(evidence) == 5
         audit = front.verification_audit()
         assert audit["ok"] and audit["caught"] == 5 and not audit["uncaught"]
@@ -159,7 +159,7 @@ class TestVerificationLifecycle:
             assert r.payload == ok_full(req(i, seed=i))
 
     def test_divergent_store_entry_is_a_miss(self, tmp_path):
-        store = ResultStore(tmp_path / "rs", shards=2)
+        store = ResultStore(tmp_path / "rs")
         fields = {"mix": "mix05", "seed": 1}
         from repro.harness.runner import fields_digest
 
