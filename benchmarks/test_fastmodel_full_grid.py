@@ -11,38 +11,19 @@ Reproduction targets asserted here, on the full mix set:
   ICOUNT.
 """
 
-import numpy as np
 from conftest import save_result
 
-from repro.core.thresholds import ThresholdConfig
-from repro.fastmodel.model import fast_run_adts, fast_run_fixed
+from repro.fastmodel.model import GRID_HEURISTICS as HEURISTICS
+from repro.fastmodel.model import GRID_THRESHOLDS as THRESHOLDS
+from repro.fastmodel.model import fast_grid
 from repro.harness.report import format_series
-from repro.workloads.mixes import mix_names
 
-THRESHOLDS = (1.0, 2.0, 3.0, 4.0, 5.0)
-HEURISTICS = ("type1", "type2", "type3", "type3g", "type4")
 QUANTA = 96
 
 
 def full_grid():
-    mixes = mix_names()
-    fixed = {
-        p: float(np.mean([fast_run_fixed(m, p, quanta=QUANTA).ipc for m in mixes]))
-        for p in ("icount", "brcount", "l1misscount", "rr")
-    }
-    ipc, switches, benign = {}, {}, {}
-    for m in THRESHOLDS:
-        th = ThresholdConfig(ipc_threshold=m)
-        for h in HEURISTICS:
-            runs = [fast_run_adts(mix, h, th, quanta=QUANTA) for mix in mixes]
-            ipc[(m, h)] = float(np.mean([r.ipc for r in runs]))
-            switches[(m, h)] = sum(r.switches for r in runs)
-            judged = sum(r.switches for r in runs)
-            benign[(m, h)] = (
-                sum(r.benign_probability * r.switches for r in runs) / judged
-                if judged else 0.0
-            )
-    return fixed, ipc, switches, benign
+    grid = fast_grid(QUANTA, fixed_policies=("icount", "brcount", "l1misscount", "rr"))
+    return grid.fixed, grid.ipc, grid.switches, grid.benign
 
 
 def test_full_grid_on_fast_model(benchmark):

@@ -35,10 +35,10 @@ def main() -> None:
     profile = dominance_profile(series)
     print(f"mix {mix}, {quanta} quanta per policy:")
     for policy in POLICIES:
-        fair = fairness_report(stats_by_policy[policy])
+        jain = fairness_report(stats_by_policy[policy])
         print(f"  {policy:<12s} mean IPC {profile.mean_ipc[policy]:.3f}  "
               f"wins {profile.wins[policy]:3d} quanta  "
-              f"Jain fairness {fair.jain:.2f}")
+              f"Jain fairness {jain:.2f}")
     print(f"\ndominant policy: {profile.dominant_policy} "
           f"({profile.dominance_ratio:.0%} of quanta)")
     print(f"per-quantum oracle mean: {profile.oracle_mean:.3f} "

@@ -12,15 +12,11 @@ Usage:
 import sys
 import time
 
-import numpy as np
-
-from repro.core.thresholds import ThresholdConfig
-from repro.fastmodel.model import fast_run_adts, fast_run_fixed
-from repro.harness.report import format_series, print_table
+from repro.fastmodel.model import GRID_HEURISTICS as HEURISTICS
+from repro.fastmodel.model import GRID_THRESHOLDS as THRESHOLDS
+from repro.fastmodel.model import fast_grid
+from repro.harness.report import format_series
 from repro.workloads.mixes import mix_names
-
-THRESHOLDS = (1.0, 2.0, 3.0, 4.0, 5.0)
-HEURISTICS = ("type1", "type2", "type3", "type3g", "type4")
 
 
 def main() -> None:
@@ -28,21 +24,10 @@ def main() -> None:
     mixes = mix_names()
     t0 = time.time()
 
-    icount = float(np.mean([fast_run_fixed(m, "icount", quanta=quanta).ipc for m in mixes]))
+    grid = fast_grid(quanta)
+    icount = grid.fixed["icount"]
     print(f"fixed ICOUNT baseline (13-mix mean): {icount:.3f} IPC")
-
-    ipc_grid, sw_grid, benign_grid = {}, {}, {}
-    for m in THRESHOLDS:
-        th = ThresholdConfig(ipc_threshold=m)
-        for h in HEURISTICS:
-            runs = [fast_run_adts(mix, h, th, quanta=quanta) for mix in mixes]
-            ipc_grid[(m, h)] = float(np.mean([r.ipc for r in runs]))
-            sw_grid[(m, h)] = sum(r.switches for r in runs)
-            judged = sum(r.switches for r in runs)
-            benign_grid[(m, h)] = (
-                sum(r.benign_probability * r.switches for r in runs) / judged
-                if judged else 0.0
-            )
+    ipc_grid, sw_grid, benign_grid = grid.ipc, grid.switches, grid.benign
 
     print("\nFigure 8(a/c) — aggregate IPC vs threshold, per heuristic type:")
     for h in HEURISTICS:

@@ -7,7 +7,6 @@ come at a fairness cost in ADTS/fixed comparisons.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -21,22 +20,11 @@ def jain_index(per_thread_ipc: Mapping[int, float]) -> float:
     return float(xs.sum() ** 2 / (xs.size * (xs**2).sum()))
 
 
-@dataclass(frozen=True)
-class FairnessReport:
-    """All fairness metrics for one run."""
-
-    aggregate_ipc: float
-    jain: float
-
-    def as_dict(self) -> dict:
-        """JSON-friendly view."""
-        return {"aggregate_ipc": self.aggregate_ipc, "jain": self.jain}
-
-
-def fairness_report(stats) -> FairnessReport:
-    """Build a report from a finished run's :class:`SimStats`."""
+def fairness_report(stats) -> float:
+    """Jain's index over a finished run's (:class:`SimStats`) per-thread
+    IPCs."""
     per_thread = {
         tid: committed / stats.cycles if stats.cycles else 0.0
         for tid, committed in stats.per_thread_committed.items()
     }
-    return FairnessReport(aggregate_ipc=stats.ipc, jain=jain_index(per_thread))
+    return jain_index(per_thread)

@@ -254,3 +254,24 @@ class DriftGuard:
             ),
             "events": [e.to_dict() for e in self.events[-16:]],
         }
+
+
+def arm_drift_guard(service, store, degrade_on_drift: bool = False) -> None:
+    """Attach a rolling :class:`DriftGuard` to the front door ``service``
+    when the profile ``store`` has a designated baseline.
+
+    ``repro serve``, ``repro replay`` and chaos days all arm their guard
+    here. A baseline without ``rate.*`` metrics (a simulation profile) has
+    nothing to compare online: the guard stays off, with a warning, and
+    offline drift (``repro profile drift``) still covers it.
+    """
+    baseline = store.load_baseline()
+    if baseline is None:
+        return
+    try:
+        service.drift_guard = DriftGuard(
+            baseline, degrade_on_drift=degrade_on_drift
+        )
+    except ValueError:
+        log.warning("profile baseline has no rate.* metrics; drift guard "
+                    "disabled (offline drift still applies)")

@@ -16,7 +16,6 @@ becomes baseline-comparable.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
@@ -28,8 +27,8 @@ from repro.behavior.profile import (
 )
 from repro.storage.artifact import (
     check_family,
-    embed_json_artifact,
     load_json_artifact,
+    write_json_artifact,
 )
 from repro.storage.atomic import atomic_write_bytes
 from repro.storage.errors import ArtifactError
@@ -70,13 +69,11 @@ class ProfileStore:
         """Write ``profile`` as an artifact; returns its id (idempotent:
         the id is content-addressed, so re-saving identical behaviour
         overwrites the same file)."""
-        self.root.mkdir(parents=True, exist_ok=True)
         profile_id = profile.profile_id
-        doc = embed_json_artifact(
-            profile.to_payload(), PROFILE_FORMAT, PROFILE_VERSION
+        write_json_artifact(
+            self.path_for(profile_id), profile.to_payload(),
+            PROFILE_FORMAT, PROFILE_VERSION,
         )
-        blob = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-        atomic_write_bytes(self.path_for(profile_id), blob.encode("utf-8"))
         return profile_id
 
     def load(self, profile_id: str) -> BehaviorProfile:

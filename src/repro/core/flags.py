@@ -11,7 +11,7 @@ pipeline's fetch gate reads the same state through
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
 
 class ThreadControlFlags:
@@ -59,14 +59,3 @@ class ThreadControlFlags:
             marks = set()
             self._processor._suspension_marks = marks
         return marks
-
-    def snapshot(self) -> Dict[int, Dict[str, bool]]:
-        """Debug/report view of every thread's flags."""
-        return {
-            ctx.tid: {
-                "fetchable": ctx.fetchable,
-                "suspended": ctx.suspended,
-                "marked": ctx.tid in self._marks(),
-            }
-            for ctx in self._processor.contexts
-        }

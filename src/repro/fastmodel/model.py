@@ -35,7 +35,7 @@ from repro.core.quantum import QuantumObservation
 from repro.core.thresholds import ThresholdConfig
 from repro.fastmodel.calibrate import DEFAULT_CONSTANTS
 from repro.util.seeds import SeedSequencer
-from repro.workloads.mixes import get_mix
+from repro.workloads.mixes import get_mix, mix_names
 from repro.workloads.profiles import ApplicationProfile, PhaseProfile, get_profile
 
 _BASE_PHASE = PhaseProfile()
@@ -366,3 +366,53 @@ def fast_run_adts(
         benign_probability=ledger.benign_probability,
         policy_usage=usage,
     )
+
+
+#: The Figure 7/8 grid's axes: IPC thresholds and heuristic types.
+GRID_THRESHOLDS = (1.0, 2.0, 3.0, 4.0, 5.0)
+GRID_HEURISTICS = ("type1", "type2", "type3", "type3g", "type4")
+
+
+@dataclass(frozen=True)
+class FastGrid:
+    """The threshold x heuristic grid on the fast model, over every mix.
+
+    ``fixed`` maps each fixed policy run to its mean IPC over the mixes.
+    ``ipc``, ``switches`` and ``benign`` map each ``(threshold,
+    heuristic)`` cell, threshold-major, to the mean IPC over the mixes,
+    the summed switch count, and the switch-weighted mean of the runs'
+    benign-switch probabilities (0.0 when nothing switched).
+    """
+
+    fixed: Dict[str, float]
+    ipc: Dict[Tuple[float, str], float]
+    switches: Dict[Tuple[float, str], int]
+    benign: Dict[Tuple[float, str], float]
+
+
+def fast_grid(quanta: int, fixed_policies: Sequence[str] = ("icount",)) -> FastGrid:
+    """Run every mix under each fixed policy in ``fixed_policies`` and in
+    every :data:`GRID_THRESHOLDS` x :data:`GRID_HEURISTICS` ADTS cell,
+    ``quanta`` quanta per run: the paper-scale Figure 7/8 sweep."""
+    mixes = mix_names()
+    fixed = {
+        policy: float(np.mean(
+            [fast_run_fixed(mix, policy, quanta=quanta).ipc for mix in mixes]
+        ))
+        for policy in fixed_policies
+    }
+    ipc: Dict[Tuple[float, str], float] = {}
+    switches: Dict[Tuple[float, str], int] = {}
+    benign: Dict[Tuple[float, str], float] = {}
+    for threshold in GRID_THRESHOLDS:
+        thresholds = ThresholdConfig(ipc_threshold=threshold)
+        for h in GRID_HEURISTICS:
+            runs = [fast_run_adts(mix, h, thresholds, quanta=quanta) for mix in mixes]
+            cell = (threshold, h)
+            ipc[cell] = float(np.mean([r.ipc for r in runs]))
+            switches[cell] = sum(r.switches for r in runs)
+            benign[cell] = (
+                sum(r.benign_probability * r.switches for r in runs) / switches[cell]
+                if switches[cell] else 0.0
+            )
+    return FastGrid(fixed, ipc, switches, benign)

@@ -45,6 +45,16 @@ _CORRUPTIBLE_FIELDS = tuple(f for f in QuantumSnapshot.__slots__ if f != "tid")
 #: gross (watchdog-detectable) corruption.
 _MAX_FLIP_BIT = 16
 
+#: Instructions in the bogus task an injected DT delay queues.
+DT_DELAY_INSTRUCTIONS = 4096
+#: Cycles an injected DT starvation window lasts.
+DT_STARVATION_CYCLES = 512
+#: Cycles an injected thread hang blocks the thread's fetch.
+THREAD_HANG_CYCLES = 1024
+#: Wall-clock seconds an injected worker hang spins: finite, so an
+#: *unsupervised* run eventually recovers instead of wedging forever.
+WORKER_HANG_SECONDS = 30.0
+
 
 class FaultInjector(SchedulerHook):
     """Injects a :class:`FaultPlan` around an inner scheduler hook."""
@@ -121,11 +131,11 @@ class FaultInjector(SchedulerHook):
                 self._count("dt_drop")
             if self._hit(plan.dt_delay_rate):
                 detector.enqueue(
-                    DetectorTask("fault:dt_delay", plan.dt_delay_instructions), now
+                    DetectorTask("fault:dt_delay", DT_DELAY_INSTRUCTIONS), now
                 )
                 self._count("dt_delay")
         if self._hit(plan.dt_starvation_rate):
-            self._starve_until = now + plan.dt_starvation_cycles
+            self._starve_until = now + DT_STARVATION_CYCLES
             self._count("dt_starvation")
 
         # (a) telemetry corruption.
@@ -145,7 +155,7 @@ class FaultInjector(SchedulerHook):
         # (d) transient thread hang in the workload.
         if self._hit(plan.thread_hang_rate):
             tid = self.pool.integer(self.processor.num_threads)
-            self.processor.contexts[tid].block_fetch_until(now + plan.thread_hang_cycles)
+            self.processor.contexts[tid].block_fetch_until(now + THREAD_HANG_CYCLES)
             self._count("thread_hang")
 
         # (e) process-level faults — the hosting worker itself dies or hangs.
@@ -159,7 +169,7 @@ class FaultInjector(SchedulerHook):
             self._count("worker_hang")
             # CPU-bound spin, not sleep: this is the hang a thread-based
             # timeout cannot interrupt and a heartbeat monitor must detect.
-            deadline = time.monotonic() + plan.worker_hang_seconds
+            deadline = time.monotonic() + WORKER_HANG_SECONDS
             while time.monotonic() < deadline:
                 pass
 

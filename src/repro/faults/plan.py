@@ -57,29 +57,26 @@ class FaultPlan:
         dt_drop_rate: P(per boundary) all queued detector-thread work is
             lost (its completions never fire).
         dt_delay_rate: P(per boundary) the DT is handed a bogus task of
-            ``dt_delay_instructions`` that delays everything behind it.
-        dt_delay_instructions: size of the injected delay task.
+            :data:`~repro.faults.injector.DT_DELAY_INSTRUCTIONS` that
+            delays everything behind it.
         dt_starvation_rate: P(per boundary) a forced starvation window
             begins: the DT sees zero idle slots for
-            ``dt_starvation_cycles`` cycles.
-        dt_starvation_cycles: length of a forced starvation window.
+            :data:`~repro.faults.injector.DT_STARVATION_CYCLES` cycles.
         policy_drop_rate: P(per switch command) a policy switch is lost.
         policy_spurious_rate: P(per boundary) a spurious switch to a random
             policy is applied behind the controller's back.
         thread_hang_rate: P(per boundary) one workload thread transiently
-            hangs (cannot fetch) for ``thread_hang_cycles`` cycles.
-        thread_hang_cycles: length of a transient thread hang.
+            hangs (cannot fetch) for
+            :data:`~repro.faults.injector.THREAD_HANG_CYCLES` cycles.
         worker_crash_rate: P(per boundary) the hosting *process* dies by
             SIGKILL — the segfault/OOM-kill stand-in that exercises a
             supervisor's crash containment. Only meaningful under
             :class:`~repro.harness.executor.SupervisedExecutor`.
         worker_hang_rate: P(per boundary) the hosting process busy-spins
-            (CPU-bound, heartbeats stop) for ``worker_hang_seconds`` —
-            a hang no in-process timeout can stop; only the supervisor's
-            SIGKILL ends it.
-        worker_hang_seconds: wall-clock length of an injected process hang
-            (finite, so an *unsupervised* run eventually recovers instead
-            of wedging forever).
+            (CPU-bound, heartbeats stop) for
+            :data:`~repro.faults.injector.WORKER_HANG_SECONDS` — a hang no
+            in-process timeout can stop; only the supervisor's SIGKILL
+            ends it.
         service_overload_rate: P(per submitted request) the simulation
             service treats its admission queue as saturated for that
             submit, forcing the request down the degradation ladder
@@ -101,16 +98,10 @@ class FaultPlan:
         disk_torn_write_rate: P(per storage write) only a prefix of the
             data lands before the write fails (power-loss tear).
         disk_enospc_rate: P(per storage write) the device fills up after
-            ``disk_enospc_after_bytes`` bytes (ENOSPC mid-record).
-        disk_enospc_after_bytes: bytes that land before an injected ENOSPC.
+            :data:`~repro.storage.faultfs.ENOSPC_AFTER_BYTES` bytes (ENOSPC
+            mid-record).
         disk_rename_fail_rate: P(per atomic rename) the rename fails,
             leaving only the temp file.
-        disk_bitrot_rate: P(per storage write) one bit is silently flipped
-            before the data lands (caught later by artifact checksums).
-        disk_read_eio_rate: P(per storage read) the read fails with EIO.
-        disk_slow_io_rate: P(per storage operation) the operation stalls
-            for ``disk_slow_io_seconds`` first.
-        disk_slow_io_seconds: wall-clock length of an injected I/O stall.
     """
 
     seed: int = 0
@@ -118,35 +109,24 @@ class FaultPlan:
     counter_bitflip_rate: float = 0.0
     dt_drop_rate: float = 0.0
     dt_delay_rate: float = 0.0
-    dt_delay_instructions: int = 4096
     dt_starvation_rate: float = 0.0
-    dt_starvation_cycles: int = 512
     policy_drop_rate: float = 0.0
     policy_spurious_rate: float = 0.0
     thread_hang_rate: float = 0.0
-    thread_hang_cycles: int = 1024
     worker_crash_rate: float = 0.0
     worker_hang_rate: float = 0.0
-    worker_hang_seconds: float = 30.0
     service_overload_rate: float = 0.0
     service_breaker_trip_rate: float = 0.0
     service_corrupt_result_rate: float = 0.0
     disk_torn_write_rate: float = 0.0
     disk_enospc_rate: float = 0.0
-    disk_enospc_after_bytes: int = 64
     disk_rename_fail_rate: float = 0.0
-    disk_bitrot_rate: float = 0.0
-    disk_read_eio_rate: float = 0.0
-    disk_slow_io_rate: float = 0.0
-    disk_slow_io_seconds: float = 0.02
 
     def __post_init__(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
             if f.name.endswith("_rate") and not 0.0 <= value <= 1.0:
                 raise ValueError(f"FaultPlan.{f.name}={value!r}: must be in [0, 1]")
-            if f.name.endswith(("_cycles", "_instructions", "_seconds", "_bytes")) and value < 0:
-                raise ValueError(f"FaultPlan.{f.name}={value!r}: must be >= 0")
 
     @property
     def any_scheduler_enabled(self) -> bool:
@@ -245,11 +225,8 @@ class FaultPlan:
         renames) at ``rate``; the in-process scheduler families and worker
         crash/hang ride along per-request via
         :attr:`~repro.service.request.SimRequest.fault_kinds` so they land inside
-        supervised attempts rather than in the service process. Bitrot and
-        read-EIO are deliberately *excluded*: they manufacture genuinely
-        unrepairable artifacts that ``fsck`` must quarantine, which would
-        violate the campaign's "store fsck-clean afterwards" contract by
-        design rather than by bug. ``corrupt_rate`` enables the silent
+        supervised attempts rather than in the service process.
+        ``corrupt_rate`` enables the silent
         result-corruption family separately: it is only survivable when
         the campaign also runs shadow verification, so it must be asked
         for explicitly (``repro chaosday --corrupt-rate``).

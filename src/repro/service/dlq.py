@@ -27,14 +27,12 @@ simulates again; *purge* drops every entry.
 
 from __future__ import annotations
 
-import json
 import logging
 import time
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
-from repro.storage.artifact import embed_json_artifact, load_json_artifact
-from repro.storage.atomic import atomic_write_bytes
+from repro.storage.artifact import load_json_artifact, write_json_artifact
 from repro.storage.errors import ArtifactError, StorageError
 
 log = logging.getLogger("repro.dlq")
@@ -111,11 +109,8 @@ class DeadLetterQueue:
         self.counters["parked"] += 1
         path = self._path(digest)
         if path is not None:
-            doc = embed_json_artifact(entry, DLQ_FORMAT, DLQ_VERSION)
-            blob = (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
             try:
-                path.parent.mkdir(parents=True, exist_ok=True)
-                atomic_write_bytes(path, blob)
+                write_json_artifact(path, entry, DLQ_FORMAT, DLQ_VERSION)
             except (StorageError, OSError) as exc:
                 log.warning("%s: dlq entry not persisted (%s)", path, exc)
         log.warning("identity %s… parked in the DLQ: %s", digest[:12], reason)

@@ -10,7 +10,7 @@ of its run's :func:`~repro.harness.runner.run_fields` (the request's
 :func:`~repro.service.identity.request_identity`), so an entry's address
 and its stored fields cannot disagree. Entries are JSON document artifacts
 (embedded ``"artifact"`` metadata block, CRC over the canonical document —
-see :func:`repro.storage.artifact.embed_json_artifact`), one file per
+see :func:`repro.storage.artifact.write_json_artifact`), one file per
 result at ``<root>/shard-00/<digest>.json``. Shards never touch the store
 (the front door writes every entry), so the one segment does not depend
 on the shard count: a store stays warm when a restart changes
@@ -41,15 +41,14 @@ forever.
 
 from __future__ import annotations
 
-import json
 import logging
 import os
 from pathlib import Path
 from typing import Dict, Optional, Union
 
 from repro.harness.runner import fields_digest
-from repro.storage.artifact import embed_json_artifact, load_json_artifact
-from repro.storage.atomic import atomic_write_bytes, pid_alive, quarantine
+from repro.storage.artifact import load_json_artifact, write_json_artifact
+from repro.storage.atomic import pid_alive, quarantine
 from repro.storage.errors import ArtifactError, StorageError
 
 log = logging.getLogger("repro.resultstore")
@@ -208,19 +207,16 @@ class ResultStore:
         """Atomically write one entry document (fsynced); a failed write
         is absorbed, logged and counted in ``put_errors``."""
         digest = fields_digest(run_fields)
-        doc = embed_json_artifact(
-            {
-                "identity": digest,
-                "request": run_fields,
-                "payload": payload,
-                "integrity": integrity,
-            },
-            RESULT_FORMAT,
-            RESULT_VERSION,
-        )
-        blob = (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
+        entry = {
+            "identity": digest,
+            "request": run_fields,
+            "payload": payload,
+            "integrity": integrity,
+        }
         try:
-            atomic_write_bytes(self.path_for(digest), blob)
+            write_json_artifact(
+                self.path_for(digest), entry, RESULT_FORMAT, RESULT_VERSION
+            )
         except StorageError as exc:
             self.counters["put_errors"] += 1
             log.warning("%s: result-store write failed (%s); entry skipped",
@@ -290,11 +286,9 @@ class ResultStore:
             "shadow": shadow_payload,
             "detail": detail,
         }
-        doc = embed_json_artifact(evidence, DIVERGENCE_FORMAT, DIVERGENCE_VERSION)
-        blob = (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
         dest: Optional[Path] = self.divergent_path(digest)
         try:
-            atomic_write_bytes(dest, blob)
+            write_json_artifact(dest, evidence, DIVERGENCE_FORMAT, DIVERGENCE_VERSION)
         except StorageError as exc:
             log.warning("%s: divergence evidence not written (%s)", dest, exc)
             dest = None

@@ -47,7 +47,7 @@ happens in supervised child processes via the streaming
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from repro.faults.plan import FaultPlan
@@ -449,16 +449,8 @@ class SimulationService:
                 request, f"full-tier-failed:{kind}", entry=entry
             )
         else:
-            self._respond(
-                SimResponse(
-                    request_id=request.request_id,
-                    client=request.client,
-                    outcome=OUTCOME_FAILED,
-                    tier=TIER_NONE,
-                    reason=f"{kind}: {detail}" if detail else kind,
-                    attempts=entry.attempts,
-                ),
-                "failed",
+            self._respond_failed(
+                request, f"{kind}: {detail}" if detail else kind, entry.attempts
             )
 
     # -- response constructors ----------------------------------------------
@@ -492,16 +484,9 @@ class SimulationService:
         try:
             payload = self._fast_runner(request)
         except Exception as exc:  # noqa: BLE001 — degrade must not crash serving
-            return self._respond(
-                SimResponse(
-                    request_id=request.request_id,
-                    client=request.client,
-                    outcome=OUTCOME_FAILED,
-                    tier=TIER_NONE,
-                    reason=f"fast-tier-error ({reason}): {exc!r}",
-                    attempts=entry.attempts if entry else 0,
-                ),
-                "failed",
+            return self._respond_failed(
+                request, f"fast-tier-error ({reason}): {exc!r}",
+                entry.attempts if entry else 0,
             )
         return self._respond(
             SimResponse(
@@ -528,6 +513,23 @@ class SimulationService:
         response = self._respond_degraded(request, reason)
         self._completed.pop()  # the response _respond_degraded just queued
         return response
+
+    def _respond_failed(
+        self, request: SimRequest, reason: str, attempts: int
+    ) -> SimResponse:
+        """The one ``failed`` answer: a non-degradable request whose full
+        tier failed or was killed at drain, or a fast tier that raised."""
+        return self._respond(
+            SimResponse(
+                request_id=request.request_id,
+                client=request.client,
+                outcome=OUTCOME_FAILED,
+                tier=TIER_NONE,
+                reason=reason,
+                attempts=attempts,
+            ),
+            "failed",
+        )
 
     def _respond_rejected(self, request: SimRequest, reason: str) -> SimResponse:
         return self._respond(
@@ -571,19 +573,6 @@ class SimulationService:
         out, self._completed = self._completed, []
         return out
 
-    def run_until_idle(self, timeout_s: Optional[float] = None) -> None:
-        """Pump until no work is queued or in flight (tests / batch demo)."""
-        deadline = self.clock() + timeout_s if timeout_s is not None else None
-        while self.queue.depth > 0 or self._inflight:
-            self.pump()
-            if deadline is not None and self.clock() > deadline:
-                raise TimeoutError(
-                    f"service not idle within {timeout_s:g}s "
-                    f"(queue={self.queue.depth}, inflight={len(self._inflight)})"
-                )
-            if self.executor is not None and self._inflight:
-                time.sleep(POLL_INTERVAL_S)
-
     # -- drain ---------------------------------------------------------------
     def drain(self, deadline_s: Optional[float] = None) -> dict:
         """Stop admission and wind down; every request still gets answered.
@@ -612,17 +601,7 @@ class SimulationService:
                 if entry.request.degradable:
                     self._respond_degraded(entry.request, "drain-killed", entry=entry)
                 else:
-                    self._respond(
-                        SimResponse(
-                            request_id=entry.request.request_id,
-                            client=entry.request.client,
-                            outcome=OUTCOME_FAILED,
-                            tier=TIER_NONE,
-                            reason="drain-killed",
-                            attempts=entry.attempts,
-                        ),
-                        "failed",
-                    )
+                    self._respond_failed(entry.request, "drain-killed", entry.attempts)
             self._inflight.clear()
         for entry in self.queue.drain_all():
             self._respond_shed(entry, "drain-deadline")

@@ -164,10 +164,6 @@ class SharedTrace:
             c[4][i], c[5][i], c[6][i], c[7][i],
         )
 
-    def take(self, n: int) -> List[Instruction]:
-        """The next ``n`` instructions (the bulk-fetch API traces expose)."""
-        return [self.next_instruction() for _ in range(n)]
-
 
 class SharedTraceStore:
     """Materializes each ``(seed, slot, app)`` stream once; hands out cursors."""

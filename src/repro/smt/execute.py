@@ -87,7 +87,3 @@ class CompletionHeap:
         while heap and heap[0][0] <= now:
             ready.append(heapq.heappop(heap)[2])
         return ready
-
-    def clear(self) -> None:
-        """Drop all pending completions."""
-        self._heap.clear()

@@ -74,8 +74,3 @@ class PipelineTracer:
         rows = list(self.events)[-limit:]
         header = f"{'cycle':>8} {'event':<8} instr"
         return "\n".join([header] + [str(e) for e in rows])
-
-    def clear(self) -> None:
-        """Drop all retained events and counts."""
-        self.events.clear()
-        self.counts = {e: 0 for e in EVENTS}

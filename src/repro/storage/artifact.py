@@ -28,7 +28,7 @@ import zlib
 from pathlib import Path
 from typing import Optional, Tuple, Union
 
-from repro.storage.atomic import read_bytes
+from repro.storage.atomic import atomic_write_bytes, read_bytes
 from repro.storage.errors import (
     ArtifactCorruptError,
     ArtifactError,
@@ -62,6 +62,25 @@ def embed_json_artifact(payload: dict, fmt: str, version: int) -> dict:
         "crc32": canonical_json_crc({k: v for k, v in doc.items() if k != "artifact"}),
         "writer": writer_provenance(),
     }
+    return doc
+
+
+def write_json_artifact(
+    path: Union[str, Path], payload: dict, fmt: str, version: int
+) -> dict:
+    """Write ``payload`` to ``path`` as a ``(fmt, version)`` document
+    artifact; returns the written document.
+
+    The one on-disk layout of every artifact document: the embedded block
+    (:func:`embed_json_artifact`), two-space indented JSON with sorted keys
+    and a final newline, replaced atomically
+    (:func:`~repro.storage.atomic.atomic_write_bytes`). Raises the
+    classified :class:`~repro.storage.errors.StorageError` of a failed
+    write.
+    """
+    doc = embed_json_artifact(payload, fmt, version)
+    blob = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    atomic_write_bytes(path, blob.encode("utf-8"))
     return doc
 
 

@@ -13,7 +13,7 @@ here, so durability policy lives in exactly one place:
   tears (ENOSPC mid-record, injected fault) the file is truncated back to
   its pre-write length before the retry, so a torn tail can never
   masquerade as corruption on resume;
-* **reads** go through :func:`read_bytes` so injected/real EIO is retried.
+* **reads** go through :func:`read_bytes` so a transient EIO is retried.
 
 Transient ``OSError``\\ s (see :data:`repro.storage.errors.TRANSIENT_ERRNOS`)
 are retried with exponential backoff plus jitter; a failure that outlives
@@ -22,9 +22,10 @@ the budget is raised classified (:func:`~repro.storage.errors.classify_oserror`)
 :class:`~repro.storage.errors.StoragePermissionError` for EACCES/EPERM,
 :class:`~repro.storage.errors.TransientStorageError` otherwise.
 
-All raw I/O routes through the installed :class:`~repro.storage.faultfs.
-FaultFS` (if any), which is how the disk-fault family of
-:class:`~repro.faults.plan.FaultPlan` reaches every storage call uniformly.
+Every raw write and rename routes through the installed
+:class:`~repro.storage.faultfs.FaultFS` (if any), which is how the
+disk-fault family of :class:`~repro.faults.plan.FaultPlan` reaches every
+storage write uniformly.
 """
 
 from __future__ import annotations
@@ -196,11 +197,8 @@ def read_bytes(
     A missing file raises ``FileNotFoundError`` unclassified (absence is a
     caller-level condition, not a storage fault); other exhausted failures
     raise classified :class:`~repro.storage.errors.StorageError`."""
-    ffs = active_faultfs()
     for attempt in range(1, retry.attempts + 1):
         try:
-            if ffs is not None:
-                return ffs.read_bytes(path)
             return Path(path).read_bytes()
         except FileNotFoundError:
             raise

@@ -1,23 +1,23 @@
 """Seeded filesystem fault injection around the storage layer.
 
 At production scale disk faults are routine inputs, not exceptional ones:
-writes tear mid-record on power loss, renames fail on ENOSPC metadata
-updates, bits rot under the checksum, reads return EIO, and I/O stalls for
-seconds behind a saturated device. :class:`FaultFS` injects all of these,
-deterministically, at the three choke points every durable write/read in
-this codebase already flows through (:mod:`repro.storage.atomic`):
+writes tear mid-record on power loss, the device fills up, and renames
+fail on ENOSPC metadata updates. :class:`FaultFS` injects these,
+deterministically, at the two choke points every durable write in this
+codebase already flows through (:mod:`repro.storage.atomic`):
 
-* ``write`` — torn write at a seeded offset, ENOSPC after N bytes, silent
-  bitrot (one flipped bit *under* the payload checksum), slow I/O;
-* ``replace`` — the atomic-rename step fails, leaving only the temp file;
-* ``read_bytes`` — read returns EIO, or is slowed.
+* ``write`` — torn write at a seeded offset, or ENOSPC after
+  :data:`ENOSPC_AFTER_BYTES` bytes;
+* ``replace`` — the atomic-rename step fails, leaving only the temp file.
 
 All randomness comes from a :class:`~repro.util.randpool.RandPool` over the
 plan's seed, so a (workload seed, disk-fault plan) pair reproduces the same
 fault sequence byte-for-byte — faulty runs are as replayable as clean ones.
-Torn/ENOSPC/rename faults are *transient* (each operation draws afresh, so
-the atomic layer's bounded retry normally recovers); bitrot is persistent
-by nature and is caught later by artifact checksums (``repro fsck``).
+Every fault is *transient* (each operation draws afresh, so the atomic
+layer's bounded retry normally recovers); what outlives the retry budget
+is a failed write its caller absorbs, never a damaged file. Damage that
+lands on disk anyway (bit rot, a file torn by a kill) is caught by the
+artifact checksums and ``repro fsck``.
 
 The injector is the ``disk`` fault family of
 :class:`repro.faults.plan.FaultPlan` (``--faults disk``): it reads the
@@ -27,7 +27,6 @@ plan's ``disk_*`` rates and its seed, which ``FaultPlan`` validates.
 from __future__ import annotations
 
 import os
-import time
 from contextlib import contextmanager
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, Iterator, Optional, Union
@@ -40,11 +39,14 @@ from repro.util.seeds import SeedSequencer
 if TYPE_CHECKING:
     from repro.faults.plan import FaultPlan
 
+#: Bytes that land before an injected ENOSPC.
+ENOSPC_AFTER_BYTES = 64
+
 
 class FaultFS:
     """Injects a :class:`~repro.faults.plan.FaultPlan`'s disk faults at the
-    storage layer's I/O hooks. Rates are per storage *operation* (one
-    write, one rename, one read), not per byte."""
+    storage layer's write hooks. Rates are per storage *operation* (one
+    write, one rename), not per byte."""
 
     def __init__(self, plan: FaultPlan) -> None:
         self.plan = plan
@@ -74,16 +76,10 @@ class FaultFS:
             "disk_fault_counts": dict(self.counts),
         }
 
-    def _maybe_stall(self) -> None:
-        if self._hit(self.plan.disk_slow_io_rate):
-            self._count("slow_io")
-            time.sleep(self.plan.disk_slow_io_seconds)
-
     # -- storage hooks (called by repro.storage.atomic) ----------------------
     def write(self, fd: int, data: bytes) -> int:
-        """Write ``data`` to ``fd``, possibly torn / ENOSPC'd / bitrotted."""
+        """Write ``data`` to ``fd``, possibly torn or ENOSPC'd."""
         plan = self.plan
-        self._maybe_stall()
         if self._hit(plan.disk_torn_write_rate):
             self._count("torn_write")
             cut = self.pool.integer(len(data)) if data else 0
@@ -92,33 +88,18 @@ class FaultFS:
             raise OSError(5, f"faultfs: torn write after {cut} of {len(data)} bytes")
         if self._hit(plan.disk_enospc_rate):
             self._count("enospc")
-            landed = min(plan.disk_enospc_after_bytes, len(data))
+            landed = min(ENOSPC_AFTER_BYTES, len(data))
             if landed:
                 os.write(fd, data[:landed])
             raise OSError(28, f"faultfs: no space left after {landed} bytes")
-        if self._hit(plan.disk_bitrot_rate) and data:
-            self._count("bitrot")
-            corrupt = bytearray(data)
-            pos = self.pool.integer(len(corrupt))
-            corrupt[pos] ^= 1 << self.pool.integer(8)
-            data = bytes(corrupt)
         return os.write(fd, data)
 
     def replace(self, src: Union[str, Path], dst: Union[str, Path]) -> None:
         """``os.replace`` with an injectable rename failure."""
-        self._maybe_stall()
         if self._hit(self.plan.disk_rename_fail_rate):
             self._count("rename_fail")
             raise OSError(5, f"faultfs: rename {src} -> {dst} failed")
         os.replace(src, dst)
-
-    def read_bytes(self, path: Union[str, Path]) -> bytes:
-        """Read a whole file with an injectable EIO."""
-        self._maybe_stall()
-        if self._hit(self.plan.disk_read_eio_rate):
-            self._count("read_eio")
-            raise OSError(5, f"faultfs: read error on {path}")
-        return Path(path).read_bytes()
 
 
 # -- process-wide installation ----------------------------------------------

@@ -177,10 +177,6 @@ class TraceGenerator:
             self._last_load_seq = seq
         return instr
 
-    def take(self, n: int) -> List[Instruction]:
-        """Emit the next ``n`` instructions (testing/analysis helper)."""
-        return [self.next_instruction() for _ in range(n)]
-
 
 def _build_generator(profile: ApplicationProfile, slot: int, name: str,
                      seed: int) -> TraceGenerator:

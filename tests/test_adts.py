@@ -112,8 +112,7 @@ class TestADTSIntegration:
         proc.run_quanta(8)
         marks = adts.flags.marked_for_suspension()
         assert isinstance(marks, list)  # may be empty on balanced mixes
-        snapshot = adts.flags.snapshot()
-        assert set(snapshot) == {0, 1, 2, 3}
+        assert set(marks) <= {0, 1, 2, 3}
 
     def test_busy_dt_skips_decisions(self, quick_proc):
         from repro.core.detector import DetectorTask, DetectorThread

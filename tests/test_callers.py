@@ -251,7 +251,7 @@ KEPT_PARAMETERS = {
     "repro.storage.atomic.append_line(retry)":
         "tests pass a zero-delay retry spec under injected disk faults",
     "repro.storage.atomic.read_bytes(retry)":
-        "tests pass a zero-delay retry spec under injected disk faults",
+        "tests pass a zero-delay retry spec under an injected EIO",
     "repro.harness.runner.run_fixed(invariants)":
         "tests install the invariant checker on a run",
     "repro.harness.runner.run_adts(invariants)":

@@ -3,7 +3,7 @@ faults, because artifacts are recovered or regenerated — never trusted
 when damaged.
 
 The in-process tests run in tier-1: a run and a journaled grid under
-seeded torn-write/ENOSPC/rename/bitrot faults produce results identical
+seeded torn-write/ENOSPC/rename faults produce results identical
 to a clean run (a run itself does no storage I/O; the journal takes the
 faults).
 
@@ -36,7 +36,6 @@ DISK_PLAN = FaultPlan(
     disk_torn_write_rate=0.3,
     disk_enospc_rate=0.2,
     disk_rename_fail_rate=0.1,
-    disk_bitrot_rate=0.1,
 )
 
 

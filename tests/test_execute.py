@@ -67,9 +67,3 @@ class TestCompletionHeap:
         for i in items:
             h.schedule(i, 7)
         assert h.pop_ready(7) == items
-
-    def test_clear(self):
-        h = CompletionHeap()
-        h.schedule(self.instr(0), 1)
-        h.clear()
-        assert len(h) == 0

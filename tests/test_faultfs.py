@@ -7,10 +7,13 @@ per-operation draws, and the injector's telemetry summary (which stays
 out of run results: a disk-faulted run returns its clean twin's result).
 """
 
+import os
+
 import pytest
 
 from repro.faults.plan import FaultPlan
 from repro.storage.faultfs import (
+    ENOSPC_AFTER_BYTES,
     FaultFS,
     active_faultfs,
     faultfs_session,
@@ -18,34 +21,32 @@ from repro.storage.faultfs import (
 )
 
 
+def faulted_write(ffs, path, data):
+    """One injected write of ``data`` to ``path``; returns the OSError."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
+    try:
+        with pytest.raises(OSError) as err:
+            ffs.write(fd, data)
+    finally:
+        os.close(fd)
+    return err.value
+
+
 class TestPlanPlumbing:
     def test_disk_fields_map_to_disk_plan(self, tmp_path):
         """Each ``disk_*`` field of the one plan drives its fault."""
-        import os
-
-        def write(plan, data=bytes(16)):
-            ffs = FaultFS(plan)
-            fd = os.open(tmp_path / "f", os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
-            try:
-                with pytest.raises(OSError) as err:
-                    ffs.write(fd, data)
-            finally:
-                os.close(fd)
-            return ffs, err.value.errno, (tmp_path / "f").read_bytes()
-
-        ffs, errno, _ = write(FaultPlan(seed=9, disk_torn_write_rate=1.0))
-        assert errno == 5 and ffs.counts == {"torn_write": 1}
-        ffs, errno, landed = write(FaultPlan(disk_enospc_rate=1.0,
-                                             disk_enospc_after_bytes=7))
-        assert errno == 28 and len(landed) == 7 and ffs.counts == {"enospc": 1}
+        path, data = tmp_path / "f", bytes(2 * ENOSPC_AFTER_BYTES)
+        ffs = FaultFS(FaultPlan(seed=9, disk_torn_write_rate=1.0))
+        assert faulted_write(ffs, path, data).errno == 5
+        assert ffs.counts == {"torn_write": 1}
+        ffs = FaultFS(FaultPlan(disk_enospc_rate=1.0))
+        assert faulted_write(ffs, path, data).errno == 28
+        assert len(path.read_bytes()) == ENOSPC_AFTER_BYTES
+        assert ffs.counts == {"enospc": 1}
         ffs = FaultFS(FaultPlan(disk_rename_fail_rate=1.0))
         with pytest.raises(OSError):
-            ffs.replace(tmp_path / "f", tmp_path / "g")
-        ffs = FaultFS(FaultPlan(disk_read_eio_rate=1.0, disk_slow_io_rate=1.0,
-                                disk_slow_io_seconds=0.001))
-        with pytest.raises(OSError):
-            ffs.read_bytes(tmp_path / "f")
-        assert ffs.counts == {"slow_io": 1, "read_eio": 1}
+            ffs.replace(path, tmp_path / "g")
+        assert ffs.counts == {"rename_fail": 1}
 
     def test_no_disk_rates_no_disk_plan(self):
         """A plan with no disk rate installs no injector."""
@@ -77,9 +78,7 @@ class TestPlanPlumbing:
         with pytest.raises(ValueError):
             FaultPlan(disk_torn_write_rate=1.5)
         with pytest.raises(ValueError):
-            FaultPlan(disk_enospc_after_bytes=-1)
-        with pytest.raises(ValueError):
-            FaultPlan(disk_bitrot_rate=-0.1)
+            FaultPlan(disk_rename_fail_rate=-0.1)
 
 
 class TestSessionScoping:
@@ -87,7 +86,7 @@ class TestSessionScoping:
         outer = FaultFS(FaultPlan(seed=0, disk_torn_write_rate=0.5))
         install_faultfs(outer)
         try:
-            inner_plan = FaultPlan(seed=1, disk_read_eio_rate=0.5)
+            inner_plan = FaultPlan(seed=1, disk_rename_fail_rate=0.5)
             with faultfs_session(inner_plan) as inner:
                 assert active_faultfs() is inner
                 assert inner is not outer
@@ -107,30 +106,11 @@ class TestSessionScoping:
 
 
 class TestInjectorBehavior:
-    def test_bitrot_flips_exactly_one_bit(self, tmp_path):
-        import os
-
-        ffs = FaultFS(FaultPlan(seed=0, disk_bitrot_rate=1.0))
-        data = bytes(64)
-        p = tmp_path / "f"
-        fd = os.open(p, os.O_WRONLY | os.O_CREAT, 0o644)
-        try:
-            ffs.write(fd, data)
-        finally:
-            os.close(fd)
-        landed = p.read_bytes()
-        assert len(landed) == len(data)
-        diff = [a ^ b for a, b in zip(landed, data)]
-        flipped = [d for d in diff if d]
-        assert len(flipped) == 1 and bin(flipped[0]).count("1") == 1
-        assert ffs.counts == {"bitrot": 1}
-
-    def test_summary_shape(self):
-        ffs = FaultFS(FaultPlan(seed=0, disk_read_eio_rate=1.0))
-        with pytest.raises(OSError):
-            ffs.read_bytes("/nonexistent")
+    def test_summary_shape(self, tmp_path):
+        ffs = FaultFS(FaultPlan(seed=0, disk_enospc_rate=1.0))
+        faulted_write(ffs, tmp_path / "f", b"x")
         s = ffs.summary()
         assert s == {
             "disk_faults_injected": 1,
-            "disk_fault_counts": {"read_eio": 1},
+            "disk_fault_counts": {"enospc": 1},
         }

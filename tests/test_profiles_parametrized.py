@@ -3,6 +3,7 @@ whole stack (trace generation, fast model) without pathologies."""
 
 import numpy as np
 import pytest
+from conftest import take
 
 from repro.fastmodel.model import FastMixModel
 from repro.smt.instruction import BRANCH, LOAD, STORE
@@ -17,7 +18,7 @@ ALL_MIXES = [m.name for m in MIXES]
 @pytest.mark.parametrize("name", ALL_PROFILES)
 def test_every_profile_generates_sane_traces(name):
     g = TraceGenerator(get_profile(name), 0, np.random.default_rng(13))
-    instrs = g.take(2500)
+    instrs = take(g, 2500)
     kinds = [i.kind for i in instrs]
     # Every program branches and loads.
     assert BRANCH in kinds
@@ -38,7 +39,7 @@ def test_every_profile_addresses_stay_in_region(name):
     from repro.workloads.addrgen import _THREAD_REGION
 
     g = TraceGenerator(get_profile(name), 2, np.random.default_rng(7))
-    for i in g.take(1500):
+    for i in take(g, 1500):
         if i.kind in (LOAD, STORE):
             assert 2 * _THREAD_REGION <= i.addr < 3 * _THREAD_REGION
 

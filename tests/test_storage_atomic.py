@@ -11,6 +11,7 @@ overwrites earlier quarantine evidence.
 import errno
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -31,7 +32,7 @@ from repro.storage.errors import (
     is_transient,
 )
 from repro.faults.plan import FaultPlan
-from repro.storage.faultfs import FaultFS, faultfs_session
+from repro.storage.faultfs import ENOSPC_AFTER_BYTES, FaultFS, faultfs_session
 
 
 FAST_RETRY = RetrySpec(attempts=12, base_delay_s=0.0, max_delay_s=0.0)
@@ -110,10 +111,11 @@ class TestAppendLine:
         be truncated away — the journal ends at the last complete line."""
         p = tmp_path / "j.jsonl"
         append_line(p, '{"ok": 1}')
-        plan = FaultPlan(seed=0, disk_enospc_rate=1.0, disk_enospc_after_bytes=4)
+        plan = FaultPlan(seed=0, disk_enospc_rate=1.0)
+        doomed = json.dumps({"doomed": "x" * 2 * ENOSPC_AFTER_BYTES})
         with faultfs_session(plan):
             with pytest.raises(DiskFullError):
-                append_line(p, '{"doomed": "record"}', retry=FAST_RETRY)
+                append_line(p, doomed, retry=FAST_RETRY)
         assert p.read_bytes() == b'{"ok": 1}\n'
 
     def test_flapping_faults_recovered_without_duplicates(self, tmp_path):
@@ -163,21 +165,37 @@ class TestReadBytes:
         with pytest.raises(FileNotFoundError):
             read_bytes(tmp_path / "nope.bin")
 
-    def test_read_eio_retried(self, tmp_path):
-        p = tmp_path / "a.bin"
-        p.write_bytes(b"data")
-        plan = FaultPlan(seed=5, disk_read_eio_rate=0.5)
-        with faultfs_session(plan) as ffs:
-            for _ in range(20):
-                assert read_bytes(p, retry=FAST_RETRY) == b"data"
-            assert ffs.counts.get("read_eio", 0) > 0
+    @staticmethod
+    def _eio_reads(monkeypatch, target, failures):
+        """Make the first ``failures`` reads of ``target`` raise a
+        transient EIO; returns the list of its read attempts."""
+        attempts = []
+        real = Path.read_bytes
 
-    def test_persistent_eio_surfaces(self, tmp_path):
+        def flaky(path):
+            if path == target:
+                attempts.append(path)
+                if len(attempts) <= failures:
+                    raise OSError(errno.EIO, f"injected read error on {path}")
+            return real(path)
+
+        monkeypatch.setattr(Path, "read_bytes", flaky)
+        return attempts
+
+    def test_read_eio_retried(self, tmp_path, monkeypatch):
         p = tmp_path / "a.bin"
         p.write_bytes(b"data")
-        with faultfs_session(FaultPlan(seed=0, disk_read_eio_rate=1.0)):
-            with pytest.raises(StorageError):
-                read_bytes(p, retry=FAST_RETRY)
+        attempts = self._eio_reads(monkeypatch, p, FAST_RETRY.attempts - 1)
+        assert read_bytes(p, retry=FAST_RETRY) == b"data"
+        assert len(attempts) == FAST_RETRY.attempts
+
+    def test_persistent_eio_surfaces(self, tmp_path, monkeypatch):
+        p = tmp_path / "a.bin"
+        p.write_bytes(b"data")
+        attempts = self._eio_reads(monkeypatch, p, FAST_RETRY.attempts)
+        with pytest.raises(StorageError):
+            read_bytes(p, retry=FAST_RETRY)
+        assert len(attempts) == FAST_RETRY.attempts
 
 
 class TestQuarantine:

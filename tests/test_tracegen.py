@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import take
 
 from repro.smt.instruction import BRANCH, LOAD, STORE, SYSCALL
 from repro.workloads.profiles import get_profile
@@ -19,25 +20,25 @@ def gen(name="gzip", tid=0, seed=0):
 class TestStreamStructure:
     def test_seq_strictly_increasing(self):
         g = gen()
-        seqs = [i.seq for i in g.take(500)]
+        seqs = [i.seq for i in take(g, 500)]
         assert seqs == list(range(500))
 
     def test_deps_always_older_than_self(self):
         g = gen("mcf", seed=3)
-        for i in g.take(3000):
+        for i in take(g, 3000):
             assert i.dep1 < i.seq
             assert i.dep2 < i.seq
 
     def test_deps_never_below_minus_one(self):
         g = gen(seed=4)
-        for i in g.take(1000):
+        for i in take(g, 1000):
             assert i.dep1 >= -1 and i.dep2 >= -1
 
     def test_branch_terminates_every_block(self):
         g = gen(seed=5)
         gap = 0
         max_gap = 0
-        for i in g.take(3000):
+        for i in take(g, 3000):
             if i.kind == BRANCH:
                 max_gap = max(max_gap, gap)
                 gap = 0
@@ -47,28 +48,28 @@ class TestStreamStructure:
 
     def test_branch_density_tracks_profile(self):
         g = gen("gzip")  # avg_block 7
-        kinds = collections.Counter(i.kind for i in g.take(6000))
+        kinds = collections.Counter(i.kind for i in take(g, 6000))
         density = kinds[BRANCH] / 6000
         assert density == pytest.approx(1 / 7, rel=0.3)
 
     def test_memory_density_tracks_profile(self):
         p = get_profile("swim")
         g = gen("swim")
-        kinds = collections.Counter(i.kind for i in g.take(6000))
+        kinds = collections.Counter(i.kind for i in take(g, 6000))
         assert kinds[LOAD] / 6000 == pytest.approx(p.load_frac, rel=0.35)
         assert kinds[STORE] / 6000 == pytest.approx(p.store_frac, rel=0.4)
 
     def test_fp_profile_emits_fp_ops(self):
         g = gen("lucas")
-        assert any(i.is_fp for i in g.take(500))
+        assert any(i.is_fp for i in take(g, 500))
 
     def test_int_profile_emits_no_fp(self):
         g = gen("gzip")
-        assert not any(i.is_fp for i in g.take(2000))
+        assert not any(i.is_fp for i in take(g, 2000))
 
     def test_loads_carry_addresses(self):
         g = gen("mcf")
-        for i in g.take(2000):
+        for i in take(g, 2000):
             if i.kind in (LOAD, STORE):
                 assert i.addr > 0
             elif i.kind != BRANCH:
@@ -76,13 +77,13 @@ class TestStreamStructure:
 
     def test_branches_carry_targets_when_taken(self):
         g = gen(seed=6)
-        for i in g.take(3000):
+        for i in take(g, 3000):
             if i.kind == BRANCH and i.taken:
                 assert i.target > 0
 
     def test_syscall_rate_small_but_present(self):
         g = gen("perlbmk", seed=7)  # syscall_rate 2e-5
-        kinds = collections.Counter(i.kind for i in g.take(200_000))
+        kinds = collections.Counter(i.kind for i in take(g, 200_000))
         assert 0 <= kinds[SYSCALL] < 40
 
 
@@ -99,7 +100,7 @@ class TestPhases:
 
     def test_single_phase_profile_stays_put(self):
         g = gen("vortex")  # no phases declared
-        g.take(10_000)
+        take(g, 10_000)
         assert g.phase.name == "base"
 
 
@@ -111,13 +112,13 @@ class TestMakeGenerators:
 
     def test_same_app_in_two_slots_diverges(self):
         gens = make_generators(["gzip", "gzip"], seed=0)
-        s0 = [i.kind for i in gens[0].take(300)]
-        s1 = [i.kind for i in gens[1].take(300)]
+        s0 = [i.kind for i in take(gens[0], 300)]
+        s1 = [i.kind for i in take(gens[1], 300)]
         assert s0 != s1
 
     def test_reproducible_across_calls(self):
-        a = make_generators(["gzip", "mcf"], seed=9)[0].take(200)
-        b = make_generators(["gzip", "mcf"], seed=9)[0].take(200)
+        a = take(make_generators(["gzip", "mcf"], seed=9)[0], 200)
+        b = take(make_generators(["gzip", "mcf"], seed=9)[0], 200)
         assert [(i.kind, i.pc, i.addr) for i in a] == [(i.kind, i.pc, i.addr) for i in b]
 
     def test_unknown_app_raises(self):
@@ -130,7 +131,7 @@ class TestMakeGenerators:
 def test_trace_invariants_hold_for_any_profile_and_seed(name, seed):
     g = gen(name, seed=seed)
     prev_seq = -1
-    for i in g.take(400):
+    for i in take(g, 400):
         assert i.seq == prev_seq + 1
         prev_seq = i.seq
         assert i.dep1 < i.seq and i.dep2 < i.seq

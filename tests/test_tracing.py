@@ -79,13 +79,6 @@ class TestPipelineTracer:
         assert "cycle" in text
         assert len(text.splitlines()) <= 6
 
-    def test_clear(self):
-        proc, tracer = traced_proc()
-        proc.run(300)
-        tracer.clear()
-        assert not tracer.events
-        assert all(v == 0 for v in tracer.counts.values())
-
     def test_no_tracer_no_overhead_path(self):
         proc = build_processor(mix=["gzip"], quantum_cycles=512)
         proc.run(500)  # must simply work with tracer=None
